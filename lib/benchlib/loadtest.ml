@@ -620,8 +620,8 @@ let verify_full_state st ~phase =
 (* Execute one schedule against the system, open-loop: if the clock has
    not yet reached an op's arrival the server is idle and time skips
    forward; if it has, the op has been queueing and its latency says so. *)
-let run_schedule st ~t_start ~deadline ~headroom ~lat ~adm_lat ~tenant_lat ~max_wq
-    sched =
+let run_schedule st ~t_start ~deadline ~headroom ~service ~lat ~adm_lat ~tenant_lat
+    ~max_wq sched =
   let applied = ref 0 and slo_ok = ref 0 in
   List.iter
     (fun op ->
@@ -634,14 +634,15 @@ let run_schedule st ~t_start ~deadline ~headroom ~lat ~adm_lat ~tenant_lat ~max_
       (* The deadline is the op's, measured from its arrival: by the time
          a backlogged engine gets to it, part of the budget is already
          spent queueing — exactly what the caller experiences.  An op
-         whose remaining budget is under [headroom] (the expected service
-         time) is given up before its first RPC: under sustained overload
-         the backlog pins at exactly the deadline boundary, and without
-         this check nearly every started op expires halfway through,
-         burning server time on work nobody will see. *)
+         whose remaining budget is under [headroom op.o_kind] (the
+         expected service time of its kind) is given up before its first
+         RPC: under sustained overload the backlog pins at exactly the
+         deadline boundary, and without this check nearly every started
+         op expires halfway through, burning server time on work nobody
+         will see. *)
       let res =
         match deadline with
-        | Some d when now -. arrival >= d -. headroom ->
+        | Some d when now -. arrival >= d -. headroom op.o_kind ->
           trace st "s%d .. deadline give-up (%.0fms queued)" cs.id
             (1e3 *. (now -. arrival));
           st.shed_deadline <- st.shed_deadline + 1;
@@ -656,6 +657,7 @@ let run_schedule st ~t_start ~deadline ~headroom ~lat ~adm_lat ~tenant_lat ~max_
           r
       in
       let done_t = Simclock.Clock.now st.clock in
+      if res <> `Shed then service op.o_kind (done_t -. now);
       let d = done_t -. arrival in
       Metrics.observe lat d;
       Metrics.observe tenant_lat.(cs.tenant) d;
@@ -776,11 +778,20 @@ let run ?(config = default_config) ~seed () =
   in
   let cal_t0 = Simclock.Clock.now clock in
   let max_wq = ref 0 in
+  (* Service time per op kind: a read is one round trip, a write several
+     plus a commit, so the give-up rule below judges each op by what its
+     own kind costs, not by the mean over the mix. *)
+  let svc = Hashtbl.create 8 in
+  let note_service kind dt =
+    let sum, n = Option.value ~default:(0., 0) (Hashtbl.find_opt svc kind) in
+    Hashtbl.replace svc kind (sum +. dt, n + 1)
+  in
   (* Calibration runs deadline-free: it measures what the service path
      can do, not what admission control would let through. *)
   let (_ : int * int) =
-    run_schedule st ~t_start:cal_t0 ~deadline:None ~headroom:0. ~lat ~adm_lat
-      ~tenant_lat ~max_wq cal_sched
+    run_schedule st ~t_start:cal_t0 ~deadline:None
+      ~headroom:(fun _ -> 0.)
+      ~service:note_service ~lat ~adm_lat ~tenant_lat ~max_wq cal_sched
   in
   let cal_dt = Simclock.Clock.now clock -. cal_t0 in
   let capacity =
@@ -789,6 +800,11 @@ let run ?(config = default_config) ~seed () =
   in
   trace st "calibration: %d ops in %.3fs -> capacity %.1f ops/s"
     config.calibration_ops cal_dt capacity;
+  let headroom kind =
+    match Hashtbl.find_opt svc kind with
+    | Some (sum, n) -> 1.5 *. sum /. float_of_int n
+    | None -> 1.5 /. capacity (* a kind the calibration never ran *)
+  in
   (* The sweep. *)
   let ops_total = ref config.calibration_ops and applied_total = ref 0 in
   let levels =
@@ -804,8 +820,9 @@ let run ?(config = default_config) ~seed () =
         let skips0 = st.lock_skips in
         let sd0 = st.shed_deadline and so0 = st.shed_overload in
         let applied, slo_ok =
-          run_schedule st ~t_start ~deadline:config.deadline_s
-            ~headroom:(1.5 /. capacity) ~lat ~adm_lat ~tenant_lat ~max_wq sched
+          run_schedule st ~t_start ~deadline:config.deadline_s ~headroom
+            ~service:(fun _ _ -> ())
+            ~lat ~adm_lat ~tenant_lat ~max_wq sched
         in
         let t_end = Simclock.Clock.now clock in
         let last_arrival =

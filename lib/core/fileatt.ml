@@ -77,26 +77,24 @@ let insert t txn a =
 
 let historical = function Relstore.Snapshot.As_of _ -> true | _ -> false
 
+(* A current snapshot sees at most one version of a file's attribute
+   row, and every auto-committed write adds a version: probe the indexed
+   versions newest (highest TID) first, as [Inv_file] does for chunks,
+   so the lookup finds the live row on the first fetch instead of
+   walking the whole version chain. *)
 let find_record t snap ~file =
   if historical snap then begin
     let hit = ref None in
     H.scan t.heap snap (fun r -> if r.oid = file then hit := Some r);
     !hit
   end
-  else begin
-    let hit = ref None in
-    (try
-       List.iter
-         (fun v ->
-           match H.fetch t.heap snap (Relstore.Tid.decode v) with
-           | Some r when r.oid = file ->
-             hit := Some r;
-             raise Exit
-           | Some _ | None -> ())
-         (Index.Btree.lookup t.by_oid ~key:(Index.Key.of_int64 file))
-     with Exit -> ());
-    !hit
-  end
+  else
+    List.find_map
+      (fun v ->
+        match H.fetch t.heap snap (Relstore.Tid.decode v) with
+        | Some r when r.oid = file -> Some r
+        | Some _ | None -> None)
+      (List.rev (Index.Btree.lookup t.by_oid ~key:(Index.Key.of_int64 file)))
 
 let get t snap ~file =
   Option.map (fun (r : H.record) -> decode r.payload) (find_record t snap ~file)

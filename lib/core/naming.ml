@@ -72,26 +72,23 @@ let scan_filter t snap pred =
       if pred e then acc := e :: !acc);
   List.rev !acc
 
+(* The visible entry under [key] of [tree] satisfying [pred].  A
+   current snapshot sees at most one version per name and per file, so
+   the indexed versions are probed newest (highest TID) first: the live
+   one is nearly always the latest. *)
+let find_indexed t snap tree ~key pred =
+  List.find_map
+    (fun v ->
+      match fetch_entry t snap (Relstore.Tid.decode v) with
+      | Some e when pred e -> Some e
+      | Some _ | None -> None)
+    (List.rev (Index.Btree.lookup tree ~key))
+
 let lookup t snap ~parentid ~name =
+  let is_it e = e.parentid = parentid && String.equal e.name name in
   if historical snap then
-    match scan_filter t snap (fun e -> e.parentid = parentid && String.equal e.name name) with
-    | e :: _ -> Some e
-    | [] -> None
-  else begin
-    let key = Index.Key.dir_name ~parentid ~name in
-    let hit = ref None in
-    (try
-       List.iter
-         (fun v ->
-           match fetch_entry t snap (Relstore.Tid.decode v) with
-           | Some e when e.parentid = parentid && String.equal e.name name ->
-             hit := Some e;
-             raise Exit
-           | Some _ | None -> ())
-         (Index.Btree.lookup t.by_dir ~key)
-     with Exit -> ());
-    !hit
-  end
+    match scan_filter t snap is_it with e :: _ -> Some e | [] -> None
+  else find_indexed t snap t.by_dir ~key:(Index.Key.dir_name ~parentid ~name) is_it
 
 let list_dir t snap ~parentid =
   let entries =
@@ -111,22 +108,10 @@ let list_dir t snap ~parentid =
   List.sort (fun a b -> String.compare a.name b.name) entries
 
 let by_oid t snap ~file =
+  let is_it e = e.file = file in
   if historical snap then
-    match scan_filter t snap (fun e -> e.file = file) with e :: _ -> Some e | [] -> None
-  else begin
-    let hit = ref None in
-    (try
-       List.iter
-         (fun v ->
-           match fetch_entry t snap (Relstore.Tid.decode v) with
-           | Some e when e.file = file ->
-             hit := Some e;
-             raise Exit
-           | Some _ | None -> ())
-         (Index.Btree.lookup t.by_oid ~key:(Index.Key.of_int64 file))
-     with Exit -> ());
-    !hit
-  end
+    match scan_filter t snap is_it with e :: _ -> Some e | [] -> None
+  else find_indexed t snap t.by_oid ~key:(Index.Key.of_int64 file) is_it
 
 let iter_all t snap f = H.scan t.heap snap (fun r -> f (decode r.tid r.payload))
 

@@ -113,8 +113,8 @@ let mutating = function
    cannot resume — the fd died with the session. *)
 let reissuable = function
   | Wire.Readdir _ | Wire.Stat _ | Wire.Exists _ | Wire.Query _ | Wire.Open _
-  | Wire.Begin | Wire.Ping | Wire.Shard_read _ | Wire.Fetch_chunks _
-  | Wire.Get_placement ->
+  | Wire.Read_file _ | Wire.Begin | Wire.Ping | Wire.Shard_read _
+  | Wire.Fetch_chunks _ | Wire.Get_placement ->
     true
   | _ -> false
 
@@ -634,24 +634,22 @@ let write_file t path data =
     (if own_txn && in_txn t then try c_abort t with _ -> ());
     raise e
 
+(* One [Read_file] per [Wire.max_read_len] bytes, until a short reply:
+   a file up to that size costs one round trip and comes from one
+   snapshot.  A file whose size is an exact multiple pays one more
+   request to learn it has ended. *)
 let read_whole_file t ?timestamp path =
-  let size = (c_stat t ?timestamp path).Invfs.Fileatt.size in
-  let fd = c_open t ?timestamp path Fs.Rdonly in
-  let buf = Bytes.create (Int64.to_int size) in
-  let rec go filled =
-    if filled >= Bytes.length buf then filled
-    else
-      let chunk = Bytes.create (Bytes.length buf - filled) in
-      let n = c_read t fd chunk (Bytes.length chunk) in
-      if n = 0 then filled
-      else begin
-        Bytes.blit chunk 0 buf filled n;
-        go (filled + n)
-      end
+  let buf = Buffer.create 256 in
+  let rec go off =
+    let data =
+      expect_data (rpc t (Wire.Read_file { path; timestamp; off; len = Wire.max_read_len }))
+    in
+    Buffer.add_string buf data;
+    if String.length data = Wire.max_read_len then
+      go (Int64.add off (Int64.of_int Wire.max_read_len))
   in
-  let n = go 0 in
-  c_close t fd;
-  if n = Bytes.length buf then buf else Bytes.sub buf 0 n
+  go 0L;
+  Buffer.to_bytes buf
 
 let write_many t files =
   with_txn t (fun t -> List.iter (fun (path, data) -> write_file t path data) files)

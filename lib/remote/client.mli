@@ -19,13 +19,13 @@
       partial progress is never visible.
 
     After a reset, side-effect-free session-free requests (stat, readdir,
-    exists, query, open, begin) are silently re-issued on the fresh
-    session.  A {e mutating auto-commit} request, or a [Commit] itself,
-    whose session died before the reply arrived is the one genuinely
-    ambiguous case in any RPC system; the client surfaces it honestly as
-    [Fs_error (ECONNRESET, "... outcome indeterminate")] and the caller
-    decides (the Nettest harness resolves it with a lock-free time-travel
-    probe of the committed state).
+    exists, query, open, whole-file read, begin) are silently re-issued
+    on the fresh session.  A {e mutating auto-commit} request, or a
+    [Commit] itself, whose session died before the reply arrived is the
+    one genuinely ambiguous case in any RPC system; the client surfaces
+    it honestly as [Fs_error (ECONNRESET, "... outcome indeterminate")]
+    and the caller decides (the Nettest harness resolves it with a
+    lock-free time-travel probe of the committed state).
 
     File positions are client-side state: seeks are free of round trips
     (except [Seek_end], which asks the server for the size) and every
@@ -182,6 +182,11 @@ val write_many : t -> (string * bytes) list -> unit
     across crashes and faults (the paper's batched-operations interface). *)
 
 val read_whole_file : t -> ?timestamp:int64 -> string -> bytes
+(** The whole file, in one {!Wire.Read_file} round trip per
+    {!Wire.max_read_len} bytes: a file up to that size is read from one
+    snapshot; a longer one is read in slices, each its own snapshot
+    unless [timestamp] pins them all.  [Fs_error (ENOENT|EISDIR, _)] as
+    for [c_open]. *)
 
 (** {2 Reliability counters} *)
 

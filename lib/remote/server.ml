@@ -123,7 +123,10 @@ type t = {
      modeled from the bottleneck member: T_par = max over machines of
      busy time (see DESIGN.md, "Sharding"). *)
   mutable busy_s : float;
+  read_buf : Bytes.t; (* [read_head_len] bytes of scratch for [read_whole] *)
 }
+
+let read_head_len = 1 lsl 16
 
 let default_on_crash t = ignore (Fs.crash_and_recover t.fs : Fs.recovery)
 
@@ -173,6 +176,7 @@ let create ~fs ?(lease_s = 120.) ?(dedup_window = 16) ?(run_cap = 256)
       unsupported = 0;
       group_defers = 0;
       busy_s = 0.;
+      read_buf = Bytes.create read_head_len;
     }
   in
   (match on_crash with Some f -> t.on_crash <- f | None -> ());
@@ -260,9 +264,9 @@ let expire_leases t =
   end
 
 let read_only = function
-  | Wire.Open _ | Wire.Read _ | Wire.Readdir _ | Wire.Stat _ | Wire.Exists _
-  | Wire.Query _ | Wire.Filesize _ | Wire.Shard_read _ | Wire.Fetch_chunks _
-  | Wire.Get_placement ->
+  | Wire.Open _ | Wire.Read _ | Wire.Read_file _ | Wire.Readdir _ | Wire.Stat _
+  | Wire.Exists _ | Wire.Query _ | Wire.Filesize _ | Wire.Shard_read _
+  | Wire.Fetch_chunks _ | Wire.Get_placement ->
     true
   | _ -> false
 
@@ -288,11 +292,9 @@ let shard_path oid = Printf.sprintf "/o%Ld" oid
    and so would escape the reply path and kill the pump — and a huge one
    would size a real allocation from a single request.  Refuse the
    former, clamp the latter: a short read is already in-contract. *)
-let max_read_len = 1 lsl 22
-
 let checked_read_len len =
   if len < 0 then Errors.fail Errors.EINVAL "negative read length %d" len;
-  min len max_read_len
+  min len Wire.max_read_len
 
 let oid_of_shard_name name =
   if String.length name > 1 && name.[0] = 'o' then
@@ -337,6 +339,28 @@ let shard_only t =
 let with_fd fsess fd f =
   Fun.protect ~finally:(fun () -> try Fs.p_close fsess fd with _ -> ()) (fun () -> f fd)
 
+let read_into fsess fd buf len = Bytes.sub_string buf 0 (Fs.p_read fsess fd buf len)
+
+(* Up to [len] bytes of [fd] from [off], [len] checked as above. *)
+let read_at fsess fd ~off ~len =
+  let len = checked_read_len len in
+  ignore (Fs.p_lseek fsess fd off Fs.Seek_set : int64);
+  read_into fsess fd (Bytes.create len) len
+
+(* [read_at] for a whole-file read, which asks for [Wire.max_read_len]
+   bytes whatever the file's size.  The first [read_head_len] bytes go
+   through the server's reused buffer, and only a file that fills it
+   pays for a buffer sized to the rest — not a 4 MiB allocation per
+   request.  No other request runs between the two reads, so both see
+   the same version of the file. *)
+let read_whole t fsess fd ~off ~len =
+  let len = checked_read_len len in
+  ignore (Fs.p_lseek fsess fd off Fs.Seek_set : int64);
+  let head = min len read_head_len in
+  let first = read_into fsess fd t.read_buf head in
+  if String.length first < head || head = len then first
+  else first ^ read_into fsess fd (Bytes.create (len - head)) (len - head)
+
 let open_or_creat fsess path =
   if Fs.exists fsess path then Fs.p_open fsess path Fs.Rdwr
   else Fs.p_creat fsess ~compressed:false path
@@ -370,12 +394,12 @@ let exec t (s : sess) (req : Wire.req) : Wire.result =
   | Wire.Close { fd } ->
     Fs.p_close fsess fd;
     Wire.R_unit
-  | Wire.Read { fd; off; len } ->
-    let len = checked_read_len len in
-    ignore (Fs.p_lseek fsess fd off Fs.Seek_set : int64);
-    let buf = Bytes.create len in
-    let n = Fs.p_read fsess fd buf len in
-    Wire.R_data (Bytes.sub_string buf 0 n)
+  | Wire.Read { fd; off; len } -> Wire.R_data (read_at fsess fd ~off ~len)
+  | Wire.Read_file { path; timestamp; off; len } ->
+    (* open, read and close inside one dispatch: nothing else runs in
+       between, so the bytes come from one snapshot of the file *)
+    with_fd fsess (Fs.p_open fsess ?timestamp path Fs.Rdonly) (fun fd ->
+        Wire.R_data (read_whole t fsess fd ~off ~len))
   | Wire.Write { fd; off; data } ->
     ignore (Fs.p_lseek fsess fd off Fs.Seek_set : int64);
     let b = Bytes.of_string data in
@@ -422,15 +446,11 @@ let exec t (s : sess) (req : Wire.req) : Wire.result =
     | Standalone | Shard _ -> Errors.fail Errors.ENOTSUP "not a coordinator")
   | Wire.Shard_read { oid; off; len; epoch } ->
     shard_fence t ~epoch ~oid;
-    let len = checked_read_len len in
     let path = shard_path oid in
     if not (Fs.exists fsess path) then Wire.R_data "" (* never written: sparse-empty *)
     else
       with_fd fsess (Fs.p_open fsess path Fs.Rdonly) (fun fd ->
-          ignore (Fs.p_lseek fsess fd off Fs.Seek_set : int64);
-          let buf = Bytes.create len in
-          let n = Fs.p_read fsess fd buf len in
-          Wire.R_data (Bytes.sub_string buf 0 n))
+          Wire.R_data (read_at fsess fd ~off ~len))
   | Wire.Shard_write { oid; off; data; epoch } ->
     shard_fence t ~epoch ~oid;
     with_fd fsess (open_or_creat fsess (shard_path oid)) (fun fd ->

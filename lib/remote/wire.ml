@@ -2,6 +2,7 @@ let magic = "INVW"
 let version = 1
 let header_bytes = 96
 let max_fragment = Invfs.Chunk.capacity + 64
+let max_read_len = 1 lsl 22
 
 (* ---------------- CRC-32 (IEEE, reflected) ---------------- *)
 
@@ -137,6 +138,7 @@ type req =
   | Snapshot
   | Clone of { src : string; dst : string }
   | Vacuum_step of { pages : int }
+  | Read_file of { path : string; timestamp : int64 option; off : int64; len : int }
 
 (* Chunk-range addressing: a file's data lives in the placement bucket
    its oid hashes to.  Mixed rather than [oid mod n] so renumbering one
@@ -184,6 +186,7 @@ let req_name = function
   | Snapshot -> "snapshot"
   | Clone _ -> "clone"
   | Vacuum_step _ -> "vacuum_step"
+  | Read_file _ -> "read_file"
 
 let encode_req_payload req =
   let b = Buffer.create 64 in
@@ -307,7 +310,13 @@ let encode_req_payload req =
     put_str b dst
   | Vacuum_step { pages } ->
     put_u8 b 36;
-    put_i32 b pages);
+    put_i32 b pages
+  | Read_file { path; timestamp; off; len } ->
+    put_u8 b 37;
+    put_str b path;
+    put_opt_i64 b timestamp;
+    put_i64 b off;
+    put_i32 b len);
   Buffer.contents b
 
 (* Distinguishes an opcode from the future ([`Unknown]) from a payload
@@ -423,6 +432,12 @@ let decode_request_any payload =
         let dst = get_str c in
         Clone { src; dst }
       | 36 -> Vacuum_step { pages = get_i32 c }
+      | 37 ->
+        let path = get_str c in
+        let timestamp = get_opt_i64 c in
+        let off = get_i64 c in
+        let len = get_i32 c in
+        Read_file { path; timestamp; off; len }
       | op -> raise (Unknown_opcode op)
     in
     if c.pos <> String.length payload then raise Decode;

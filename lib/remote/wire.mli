@@ -49,6 +49,11 @@ val max_fragment : int
 (** Payload bytes per frame: {!Invfs.Chunk.capacity}[ + 64], one chunk
     plus record framing — the paper-era bulk-transfer unit. *)
 
+val max_read_len : int
+(** 4 MiB: the most data one read request returns.  The server clamps a
+    longer [len] to this (a short read is in-contract), so one wire
+    request never sizes a larger allocation. *)
+
 (** One operation of the {!Invfs.Fs} client library, on the wire.
     [Hello] opens a session (its request id is a client nonce); [Bye]
     closes one; [Ping] is the liveness probe and needs no session;
@@ -103,13 +108,19 @@ type req =
   | Snapshot
       (** capture a point-in-time version horizon; O(1) — the reply is
           the timestamp usable with the [timestamp] field of [Open],
-          [Readdir], [Stat], [Exists] and [Query] *)
+          [Read_file], [Readdir], [Stat], [Exists] and [Query] *)
   | Clone of { src : string; dst : string }
       (** create [dst] as a copy-on-write clone of [src] at the current
           horizon; O(1) in file size *)
   | Vacuum_step of { pages : int }
       (** run one budgeted increment of the concurrent archive vacuum;
           the reply is the number of record versions scanned *)
+  | Read_file of { path : string; timestamp : int64 option; off : int64; len : int }
+      (** path-addressed read in one dispatch: open [path] (as of
+          [timestamp] when given), read up to [len] bytes (clamped to
+          {!max_read_len}) from [off], close.  Holds no fd, so it is
+          read-only, parkable and safe to re-issue on a fresh session;
+          the reply is the bytes read, short at end of file *)
 
 val bucket_of : nbuckets:int -> int64 -> int
 (** The placement bucket an oid's chunk range hashes to (mixed, so

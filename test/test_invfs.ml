@@ -312,6 +312,34 @@ let test_stat_root () =
   let att = Fs.stat s "/" in
   Alcotest.(check string) "root is a directory" "directory" att.Invfs.Fileatt.ftype
 
+(* Every auto-committed write adds a version of the file's attribute
+   row.  A current lookup must find the live one without walking that
+   chain: its buffer-cache traffic stays flat as the history grows. *)
+let test_fileatt_get_cost_flat () =
+  let fs, s = fresh () in
+  let db = Fs.db fs in
+  let cache = Relstore.Db.cache db in
+  let fd = Fs.p_creat s "/hot" in
+  let oid = (Fs.stat s "/hot").Invfs.Fileatt.file in
+  let grow n = for _ = 1 to n do ignore (Fs.p_write s fd (bytes_of "x") 1 : int) done in
+  let gets_per_get () =
+    let txn = Relstore.Db.begin_txn db in
+    let g0 = Pagestore.Bufcache.gets cache in
+    let att = Invfs.Fileatt.get (Fs.fileatt_catalog fs) (Relstore.Txn.snapshot txn) ~file:oid in
+    let gets = Pagestore.Bufcache.gets cache - g0 in
+    Relstore.Txn.abort txn;
+    Alcotest.(check bool) "live row found" true (att <> None);
+    gets
+  in
+  grow 4;
+  let few = gets_per_get () in
+  grow 200;
+  let many = gets_per_get () in
+  Alcotest.(check bool)
+    (Printf.sprintf "gets flat in history length (%d after 4 writes, %d after 204)" few many)
+    true
+    (many <= few + 1)
+
 let test_sparse_far_offset () =
   (* 64-bit addressing: write beyond 4 GB (the FFS limit the paper
      contrasts with) and read it back *)
@@ -985,6 +1013,8 @@ let () =
           Alcotest.test_case "device placement" `Quick test_device_placement;
           Alcotest.test_case "17.6TB limit" `Quick test_file_size_limit;
           Alcotest.test_case "stat root" `Quick test_stat_root;
+          Alcotest.test_case "attribute lookup cost flat in history" `Quick
+            test_fileatt_get_cost_flat;
           Alcotest.test_case "offsets past 4GB" `Quick test_sparse_far_offset;
         ] );
       ( "transactions",

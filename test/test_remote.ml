@@ -130,6 +130,23 @@ let raw_fd r server req =
 
 (* ---- wire framing ---- *)
 
+(* Reassemble a frame list the way the receiver does: parse + CRC-check
+   every frame, feed it to Assembly, return the completed payload. *)
+let assemble frames =
+  let asm = Wire.Assembly.create () in
+  let payload =
+    List.fold_left
+      (fun acc frame ->
+        match Wire.decode_header frame with
+        | None -> Alcotest.fail "frame failed parse/CRC"
+        | Some h -> (
+          match Wire.Assembly.add asm h with `Complete p -> Some p | `Pending -> acc))
+      None frames
+  in
+  match payload with
+  | Some p -> p
+  | None -> Alcotest.fail "frames did not complete a message"
+
 let test_wire_roundtrip () =
   let req =
     Wire.Creat { path = "/a/b"; device = Some "disk0"; ftype = None; compressed = true }
@@ -163,7 +180,21 @@ let test_wire_roundtrip () =
   let frames = Wire.encode_request ~sid:1L ~rid:2L (Wire.Write { fd = 3; off = 0L; data = big }) in
   Alcotest.(check bool) "fragmented" true (List.length frames >= 4);
   let last = List.nth frames (List.length frames - 1) in
-  Alcotest.(check int) "trailer is bare header" Wire.header_bytes (String.length last)
+  Alcotest.(check int) "trailer is bare header" Wire.header_bytes (String.length last);
+  (* the path-addressed whole-file read, with and without a timestamp *)
+  List.iter
+    (fun timestamp ->
+      let req = Wire.Read_file { path = "/f"; timestamp; off = 5L; len = 4096 } in
+      let frames = Wire.encode_request ~sid:1L ~rid:3L req in
+      Alcotest.(check int) "read_file is one frame" 1 (List.length frames);
+      match Wire.decode_request (assemble frames) with
+      | Some (Wire.Read_file r) ->
+        Alcotest.(check string) "path" "/f" r.path;
+        Alcotest.(check (option int64)) "timestamp" timestamp r.timestamp;
+        Alcotest.(check int64) "off" 5L r.off;
+        Alcotest.(check int) "len" 4096 r.len
+      | _ -> Alcotest.fail "read_file decoded to the wrong request")
+    [ None; Some 123_456L ]
 
 let test_wire_crc_rejects_corruption () =
   let frames = Wire.encode_request ~sid:1L ~rid:1L (Wire.Mkdir { path = "/d" }) in
@@ -180,23 +211,6 @@ let test_wire_crc_rejects_corruption () =
           true
           (Wire.decode_header mangled = None))
     frame
-
-(* Reassemble a frame list the way the receiver does: parse + CRC-check
-   every frame, feed it to Assembly, return the completed payload. *)
-let assemble frames =
-  let asm = Wire.Assembly.create () in
-  let payload =
-    List.fold_left
-      (fun acc frame ->
-        match Wire.decode_header frame with
-        | None -> Alcotest.fail "frame failed parse/CRC"
-        | Some h -> (
-          match Wire.Assembly.add asm h with `Complete p -> Some p | `Pending -> acc))
-      None frames
-  in
-  match payload with
-  | Some p -> p
-  | None -> Alcotest.fail "frames did not complete a message"
 
 let roundtrip_write data =
   let frames =
@@ -492,7 +506,54 @@ let test_transparent_reissue_after_crash () =
   Alcotest.(check (list string)) "readdir after silent reconnect" [ "d" ]
     (Client.c_readdir c "/");
   Alcotest.(check int) "session was replaced" 1 (Client.sessions_lost c);
-  Alcotest.(check bool) "reconnected" true (Client.reconnects c >= 1)
+  Alcotest.(check bool) "reconnected" true (Client.reconnects c >= 1);
+  (* a whole-file read holds no fd, so it is re-issued the same way *)
+  Client.write_file c "/d/f" (Bytes.of_string "kept");
+  Server.crash_now server;
+  Alcotest.(check string) "read_whole_file after silent reconnect" "kept"
+    (Bytes.to_string (Client.read_whole_file c "/d/f"));
+  Alcotest.(check int) "second session replaced" 2 (Client.sessions_lost c)
+
+(* ---- a remote whole-file read is one request and one snapshot ----
+
+   A server-side writer commits new, longer contents the moment the
+   read's second request goes out.  A read composed of several requests
+   (stat for the size, then open/read/close) returns the new bytes cut
+   to the old size; a single [Read_file] never sends a second request
+   and returns one version whole. *)
+
+let test_read_whole_file_one_snapshot () =
+  let _, fs, server, net = mk () in
+  let c = mk_client server net 12L in
+  Client.write_file c "/f" (Bytes.of_string "aaaa");
+  let sent = ref 0 in
+  Link.set_fault_hook (Client.link c)
+    (Some
+       (fun dir ~bytes:_ ->
+         if dir = Link.To_server then begin
+           incr sent;
+           if !sent = 2 then Fs.write_file (Fs.new_session fs) "/f" (Bytes.of_string "bbbbbbbb")
+         end;
+         None));
+  let got = Bytes.to_string (Client.read_whole_file c "/f") in
+  Link.set_fault_hook (Client.link c) None;
+  Alcotest.(check bool) ("one version, not torn: " ^ got) true (got = "aaaa" || got = "bbbbbbbb");
+  let m0 = Netsim.messages net in
+  ignore (Client.read_whole_file c "/f" : bytes);
+  Alcotest.(check int) "small file: one request, one reply" 2 (Netsim.messages net - m0);
+  (* past the per-request clamp the read goes in slices until a short
+     reply; an exact multiple needs one more request to see the end *)
+  let requests_for size =
+    Fs.write_file (Fs.new_session fs) "/big" (Bytes.make size 'z');
+    let r0 = Server.requests server in
+    let back = Client.read_whole_file c "/big" in
+    Alcotest.(check int) "whole file back" size (Bytes.length back);
+    Server.requests server - r0
+  in
+  Alcotest.(check int) "just over the clamp: two slices" 2
+    (requests_for (Wire.max_read_len + 1));
+  Alcotest.(check int) "exactly the clamp: one slice plus the empty one" 2
+    (requests_for Wire.max_read_len)
 
 (* ---- admin crash op: crash, recover, answer ---- *)
 
@@ -903,6 +964,10 @@ let test_group_commit_defers_replies () =
 (* ---- same inputs, same answers: the overload machinery is deterministic ---- *)
 
 let overload_scenario () =
+  (* the retry-after hint reads the process-wide service-time histogram;
+     start each run from an empty one so earlier tests (and the first
+     run) cannot shift it *)
+  Obs.Metrics.hist_reset (Obs.Metrics.histogram "net.server.service_us");
   let clock, _, server, net = mk ~run_cap:1 () in
   Simclock.Clock.advance clock 1.;
   let r = raw_connect server net in
@@ -1066,6 +1131,8 @@ let () =
             test_lease_expiry_frees_locks;
           Alcotest.test_case "transparent reissue of reads" `Quick
             test_transparent_reissue_after_crash;
+          Alcotest.test_case "whole-file read is one request, one snapshot" `Quick
+            test_read_whole_file_one_snapshot;
           Alcotest.test_case "crash_server admin op" `Quick test_crash_server_op;
         ] );
       ( "overload",
