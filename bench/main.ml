@@ -352,9 +352,11 @@ type json =
   | J_str of string
   | J_num of float
   | J_int of int
+  | J_bool of bool
 
 let rec json_to_buf buf indent = function
   | J_str s -> Buffer.add_string buf (Printf.sprintf "%S" s)
+  | J_bool b -> Buffer.add_string buf (string_of_bool b)
   | J_int i -> Buffer.add_string buf (string_of_int i)
   | J_num f ->
     (* %.17g roundtrips but is noisy; six significant decimals is far
@@ -664,6 +666,7 @@ let shard_bench () =
         ("wall_s", J_num p.Sh.sp_wall_s);
         ("bottleneck_busy_s", J_num p.Sh.sp_bottleneck_s);
         ("throughput_ops_s", J_num p.Sh.sp_throughput);
+        ("modeled", J_bool true);
       ]
   in
   let obj =
@@ -961,32 +964,47 @@ let json_number = function
   | Some (J_int i) -> Some (float_of_int i)
   | _ -> None
 
-(* The headline the regression gate watches: simulated seconds per
+let json_path doc keys =
+  List.fold_left (fun acc k -> Option.bind acc (json_member k)) (Some doc) keys
+
+(* The headlines the regression gate watches: simulated seconds per
    Table-3 op on the client/server system — the number every PR is
-   ultimately trying to move down.  Returns [(op, seconds)]. *)
-let headline_seconds doc =
+   ultimately trying to move down — plus the vacuum differential's
+   foreground p99 (lower is better), and the load sweep's capacity and
+   the protected overload run's SLO goodput at 4x (higher is better).
+   Returns [(name, value, direction)]. *)
+let headline_metrics doc =
   let t3 =
-    match json_member "table3_seconds" doc with
-    | None -> []
-    | Some t3 -> (
-      match json_member "inversion_client_server" t3 with
-      | Some (J_obj fields) ->
-        List.filter_map
-          (fun (k, v) -> Option.map (fun f -> (k, f)) (json_number (Some v)))
-          fields
-      | _ -> [])
+    match json_path doc [ "table3_seconds"; "inversion_client_server" ] with
+    | Some (J_obj fields) ->
+      List.filter_map
+        (fun (k, v) -> Option.map (fun f -> (k, f, `Lower)) (json_number (Some v)))
+        fields
+    | _ -> []
   in
-  (* the vacuum differential rides the same gate: foreground p99 with
-     the incremental vacuum interleaved must not creep either *)
-  let vac =
-    match json_member "vacuum" doc with
-    | None -> []
-    | Some v -> (
-      match json_number (json_member "foreground_p99_vacuum_s" v) with
-      | Some f -> [ ("vacuum.foreground_p99_vacuum_s", f) ]
-      | None -> [])
+  let one name keys dir =
+    Option.map (fun f -> (name, f, dir)) (json_number (json_path doc keys))
   in
-  t3 @ vac
+  let goodput_4x =
+    match json_path doc [ "overload"; "protected"; "levels" ] with
+    | Some (J_arr levels) ->
+      List.find_map
+        (fun l ->
+          if json_number (json_member "factor" l) = Some 4.0 then
+            Option.map
+              (fun f -> ("overload.protected.slo_goodput_4x_ops_s", f, `Higher))
+              (json_number (json_member "slo_goodput_ops_s" l))
+          else None)
+        levels
+    | _ -> None
+  in
+  t3
+  @ List.filter_map Fun.id
+      [
+        one "vacuum.foreground_p99_vacuum_s" [ "vacuum"; "foreground_p99_vacuum_s" ] `Lower;
+        one "load.capacity_ops_s" [ "load"; "capacity_ops_s" ] `Higher;
+        goodput_4x;
+      ]
 
 let compare_headline ~prev_path ~current =
   let prev_doc =
@@ -996,21 +1014,24 @@ let compare_headline ~prev_path ~current =
     close_in ic;
     json_parse s
   in
-  let prev = headline_seconds prev_doc in
-  let cur = headline_seconds current in
+  let prev = headline_metrics prev_doc in
+  let cur = List.map (fun (name, v, _) -> (name, v)) (headline_metrics current) in
   if prev = [] then [ Printf.sprintf "%s has no table3_seconds headline" prev_path ]
   else
     List.filter_map
-      (fun (op, before) ->
-        match List.assoc_opt op cur with
-        | None -> Some (Printf.sprintf "%s: missing from current run (was %.3fs)" op before)
+      (fun (name, before, dir) ->
+        match List.assoc_opt name cur with
+        | None -> Some (Printf.sprintf "%s: missing from current run (was %.3f)" name before)
         | Some now ->
-          (* >10% slower on any headline op is a regression; faster or
-             within noise passes *)
-          if before > 1e-9 && now > before *. 1.10 then
+          (* >10% worse on any headline is a regression; better or within
+             noise passes *)
+          let worse =
+            before > 1e-9
+            && match dir with `Lower -> now > before *. 1.10 | `Higher -> now < before *. 0.90
+          in
+          if worse then
             Some
-              (Printf.sprintf "%s: %.3fs -> %.3fs (+%.1f%%, gate is 10%%)" op before
-                 now
+              (Printf.sprintf "%s: %.3f -> %.3f (%+.1f%%, gate is 10%%)" name before now
                  ((now /. before -. 1.) *. 100.))
           else None)
       prev
@@ -1107,7 +1128,9 @@ let bench_json ~mb ~out ~smoke ~compare_prev =
              shard: the sharded fleet: scale-out write throughput modeled \
              from the bottleneck member's busy share at N=1/2/4 chunk shards \
              (one simulated clock serializes machines, so throughput = ops / \
-             busiest member's simulated seconds; N=4 must beat 2x N=1), plus \
+             busiest member's simulated seconds; N=4 must beat 2x N=1; every \
+             scaleout point is marked modeled: true, derived from busy shares \
+             rather than observed), plus \
              a heartbeat-partition failover drill reporting the longest \
              single-op stall (blackout_s), the detection horizon, \
              fence/stale-reject/migration counts and post-failover \
@@ -1406,8 +1429,10 @@ let () =
        additionally asserts the cache-performance invariants (flat
        eviction cost, read-ahead wins, scan resistance), the shard
        scale-out and failover bounds, and exits 1 on violation.
-       --compare diffs the headline Table-3 seconds against a previous
-       run's json; with --smoke, any op more than 10% slower fails. *)
+       --compare diffs the headlines (Table-3 seconds and the vacuum p99,
+       lower is better; load capacity and the protected 4x SLO goodput,
+       higher is better) against a previous run's json; with --smoke, any
+       headline more than 10% worse fails. *)
     let out =
       let rec go = function
         | "--out" :: p :: _ -> Some p

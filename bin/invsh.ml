@@ -338,6 +338,7 @@ let run_command shell line =
       say "  %-22s %8d" "net.messages" (Netsim.messages net);
       say "  %-22s %8d" "net.bytes_sent" (Netsim.bytes_sent net);
       say "  %-22s %8d" "client.retries" (Remote.Client.retries c);
+      say "  %-22s %8d" "client.piggybacked" (Remote.Client.piggybacked c);
       say "  %-22s %8d" "client.timeouts" (Remote.Client.timeouts c);
       say "  %-22s %8d" "client.reconnects" (Remote.Client.reconnects c));
     (match shell.cluster with

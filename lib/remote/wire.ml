@@ -3,6 +3,7 @@ let version = 1
 let header_bytes = 96
 let max_fragment = Invfs.Chunk.capacity + 64
 let max_read_len = 1 lsl 22
+let max_carried_closes = 256
 
 (* ---------------- CRC-32 (IEEE, reflected) ---------------- *)
 
@@ -139,6 +140,9 @@ type req =
   | Clone of { src : string; dst : string }
   | Vacuum_step of { pages : int }
   | Read_file of { path : string; timestamp : int64 option; off : int64; len : int }
+  | Carry of { closes : int list; begin_txn : bool; req : req }
+
+let carried = function Carry { req; _ } -> req | req -> req
 
 (* Chunk-range addressing: a file's data lives in the placement bucket
    its oid hashes to.  Mixed rather than [oid mod n] so renumbering one
@@ -149,7 +153,7 @@ let bucket_of ~nbuckets oid =
   let h = Int64.logxor h (Int64.shift_right_logical h 32) in
   Int64.to_int (Int64.rem (Int64.logand h Int64.max_int) (Int64.of_int nbuckets))
 
-let req_name = function
+let rec req_name = function
   | Hello -> "hello"
   | Bye -> "bye"
   | Ping -> "ping"
@@ -187,10 +191,9 @@ let req_name = function
   | Clone _ -> "clone"
   | Vacuum_step _ -> "vacuum_step"
   | Read_file _ -> "read_file"
+  | Carry { req; _ } -> req_name req
 
-let encode_req_payload req =
-  let b = Buffer.create 64 in
-  (match req with
+let rec put_req b = function
   | Hello -> put_u8 b 1
   | Bye -> put_u8 b 2
   | Ping -> put_u8 b 3
@@ -316,130 +319,150 @@ let encode_req_payload req =
     put_str b path;
     put_opt_i64 b timestamp;
     put_i64 b off;
-    put_i32 b len);
+    put_i32 b len
+  | Carry { closes; begin_txn; req } ->
+    put_u8 b 38;
+    put_i32 b (List.length closes);
+    List.iter (put_i32 b) closes;
+    put_bool b begin_txn;
+    put_req b req
+
+let encode_req_payload req =
+  let b = Buffer.create 64 in
+  put_req b req;
   Buffer.contents b
 
 (* Distinguishes an opcode from the future ([`Unknown]) from a payload
    that is damaged or truncated ([`Malformed]): the server answers the
    former with a structured [Unsupported] reply — version skew must not
    look like packet loss — and drops only the latter. *)
+let rec get_req c ~nested =
+  match get_u8 c with
+  | 1 -> Hello
+  | 2 -> Bye
+  | 3 -> Ping
+  | 4 -> Begin
+  | 5 -> Commit
+  | 6 -> Abort
+  | 7 ->
+    let path = get_str c in
+    let device = get_opt_str c in
+    let ftype = get_opt_str c in
+    let compressed = get_bool c in
+    Creat { path; device; ftype; compressed }
+  | 8 ->
+    let path = get_str c in
+    let mode = get_u8 c in
+    let timestamp = get_opt_i64 c in
+    Open { path; mode; timestamp }
+  | 9 -> Close { fd = get_i32 c }
+  | 10 ->
+    let fd = get_i32 c in
+    let off = get_i64 c in
+    let len = get_i32 c in
+    Read { fd; off; len }
+  | 11 ->
+    let fd = get_i32 c in
+    let off = get_i64 c in
+    let data = get_str c in
+    Write { fd; off; data }
+  | 12 ->
+    let fd = get_i32 c in
+    let size = get_i64 c in
+    Ftruncate { fd; size }
+  | 13 -> Filesize { fd = get_i32 c }
+  | 14 -> Mkdir { path = get_str c }
+  | 15 ->
+    let path = get_str c in
+    let timestamp = get_opt_i64 c in
+    Readdir { path; timestamp }
+  | 16 -> Unlink { path = get_str c }
+  | 17 -> Rmdir { path = get_str c }
+  | 18 ->
+    let src = get_str c in
+    let dst = get_str c in
+    Rename { src; dst }
+  | 19 ->
+    let path = get_str c in
+    let timestamp = get_opt_i64 c in
+    Stat { path; timestamp }
+  | 20 ->
+    let path = get_str c in
+    let timestamp = get_opt_i64 c in
+    Exists { path; timestamp }
+  | 21 ->
+    let text = get_str c in
+    let timestamp = get_opt_i64 c in
+    Query { text; timestamp }
+  | 22 ->
+    let path = get_str c in
+    let owner = get_str c in
+    Set_owner { path; owner }
+  | 23 ->
+    let path = get_str c in
+    let ftype = get_str c in
+    Set_type { path; ftype }
+  | 24 -> Define_type { name = get_str c }
+  | 25 -> Crash_server
+  | 26 ->
+    let shard = get_i32 c in
+    let epoch = get_i32 c in
+    Heartbeat { shard; epoch }
+  | 27 -> Get_placement
+  | 28 ->
+    let oid = get_i64 c in
+    let off = get_i64 c in
+    let len = get_i32 c in
+    let epoch = get_i32 c in
+    Shard_read { oid; off; len; epoch }
+  | 29 ->
+    let oid = get_i64 c in
+    let off = get_i64 c in
+    let epoch = get_i32 c in
+    let data = get_str c in
+    Shard_write { oid; off; data; epoch }
+  | 30 ->
+    let oid = get_i64 c in
+    let size = get_i64 c in
+    let epoch = get_i32 c in
+    Shard_truncate { oid; size; epoch }
+  | 31 -> Fetch_chunks { oid = get_i64 c }
+  | 32 ->
+    let oid = get_i64 c in
+    let epoch = get_i32 c in
+    let data = get_str c in
+    Migrate_in { oid; epoch; data }
+  | 33 ->
+    let bucket = get_i32 c in
+    let epoch = get_i32 c in
+    Drop_bucket { bucket; epoch }
+  | 34 -> Snapshot
+  | 35 ->
+    let src = get_str c in
+    let dst = get_str c in
+    Clone { src; dst }
+  | 36 -> Vacuum_step { pages = get_i32 c }
+  | 37 ->
+    let path = get_str c in
+    let timestamp = get_opt_i64 c in
+    let off = get_i64 c in
+    let len = get_i32 c in
+    Read_file { path; timestamp; off; len }
+  | 38 ->
+    (* one level only: a carrier inside a carrier is malformed, so
+       hostile input cannot drive the recursion deeper *)
+    if nested then raise Decode;
+    let n = get_i32 c in
+    if n < 0 || n > max_carried_closes then raise Decode;
+    let closes = List.init n (fun _ -> get_i32 c) in
+    let begin_txn = get_bool c in
+    Carry { closes; begin_txn; req = get_req c ~nested:true }
+  | op -> raise (Unknown_opcode op)
+
 let decode_request_any payload =
   let c = { data = payload; pos = 0 } in
   try
-    let req =
-      match get_u8 c with
-      | 1 -> Hello
-      | 2 -> Bye
-      | 3 -> Ping
-      | 4 -> Begin
-      | 5 -> Commit
-      | 6 -> Abort
-      | 7 ->
-        let path = get_str c in
-        let device = get_opt_str c in
-        let ftype = get_opt_str c in
-        let compressed = get_bool c in
-        Creat { path; device; ftype; compressed }
-      | 8 ->
-        let path = get_str c in
-        let mode = get_u8 c in
-        let timestamp = get_opt_i64 c in
-        Open { path; mode; timestamp }
-      | 9 -> Close { fd = get_i32 c }
-      | 10 ->
-        let fd = get_i32 c in
-        let off = get_i64 c in
-        let len = get_i32 c in
-        Read { fd; off; len }
-      | 11 ->
-        let fd = get_i32 c in
-        let off = get_i64 c in
-        let data = get_str c in
-        Write { fd; off; data }
-      | 12 ->
-        let fd = get_i32 c in
-        let size = get_i64 c in
-        Ftruncate { fd; size }
-      | 13 -> Filesize { fd = get_i32 c }
-      | 14 -> Mkdir { path = get_str c }
-      | 15 ->
-        let path = get_str c in
-        let timestamp = get_opt_i64 c in
-        Readdir { path; timestamp }
-      | 16 -> Unlink { path = get_str c }
-      | 17 -> Rmdir { path = get_str c }
-      | 18 ->
-        let src = get_str c in
-        let dst = get_str c in
-        Rename { src; dst }
-      | 19 ->
-        let path = get_str c in
-        let timestamp = get_opt_i64 c in
-        Stat { path; timestamp }
-      | 20 ->
-        let path = get_str c in
-        let timestamp = get_opt_i64 c in
-        Exists { path; timestamp }
-      | 21 ->
-        let text = get_str c in
-        let timestamp = get_opt_i64 c in
-        Query { text; timestamp }
-      | 22 ->
-        let path = get_str c in
-        let owner = get_str c in
-        Set_owner { path; owner }
-      | 23 ->
-        let path = get_str c in
-        let ftype = get_str c in
-        Set_type { path; ftype }
-      | 24 -> Define_type { name = get_str c }
-      | 25 -> Crash_server
-      | 26 ->
-        let shard = get_i32 c in
-        let epoch = get_i32 c in
-        Heartbeat { shard; epoch }
-      | 27 -> Get_placement
-      | 28 ->
-        let oid = get_i64 c in
-        let off = get_i64 c in
-        let len = get_i32 c in
-        let epoch = get_i32 c in
-        Shard_read { oid; off; len; epoch }
-      | 29 ->
-        let oid = get_i64 c in
-        let off = get_i64 c in
-        let epoch = get_i32 c in
-        let data = get_str c in
-        Shard_write { oid; off; data; epoch }
-      | 30 ->
-        let oid = get_i64 c in
-        let size = get_i64 c in
-        let epoch = get_i32 c in
-        Shard_truncate { oid; size; epoch }
-      | 31 -> Fetch_chunks { oid = get_i64 c }
-      | 32 ->
-        let oid = get_i64 c in
-        let epoch = get_i32 c in
-        let data = get_str c in
-        Migrate_in { oid; epoch; data }
-      | 33 ->
-        let bucket = get_i32 c in
-        let epoch = get_i32 c in
-        Drop_bucket { bucket; epoch }
-      | 34 -> Snapshot
-      | 35 ->
-        let src = get_str c in
-        let dst = get_str c in
-        Clone { src; dst }
-      | 36 -> Vacuum_step { pages = get_i32 c }
-      | 37 ->
-        let path = get_str c in
-        let timestamp = get_opt_i64 c in
-        let off = get_i64 c in
-        let len = get_i32 c in
-        Read_file { path; timestamp; off; len }
-      | op -> raise (Unknown_opcode op)
-    in
+    let req = get_req c ~nested:false in
     if c.pos <> String.length payload then raise Decode;
     `Req req
   with
@@ -768,7 +791,7 @@ let encode_request ?(retry = false) ?(deadline_us = 0L) ~sid ~rid req =
      hottest path in the system (the 8 KB chunk writes of a file
      create). *)
   let trailer =
-    match req with
+    match carried req with
     | Write _ | Shard_write _ | Migrate_in _ -> String.length payload > max_fragment
     | _ -> false
   in

@@ -49,6 +49,10 @@ val max_fragment : int
 (** Payload bytes per frame: {!Invfs.Chunk.capacity}[ + 64], one chunk
     plus record framing — the paper-era bulk-transfer unit. *)
 
+val max_carried_closes : int
+(** 256: the most deferred closes one {!req.Carry} may hold.  A longer
+    count decodes as [`Malformed]. *)
+
 val max_read_len : int
 (** 4 MiB: the most data one read request returns.  The server clamps a
     longer [len] to this (a short read is in-contract), so one wire
@@ -121,6 +125,17 @@ type req =
           {!max_read_len}) from [off], close.  Holds no fd, so it is
           read-only, parkable and safe to re-issue on a fresh session;
           the reply is the bytes read, short at end of file *)
+  | Carry of { closes : int list; begin_txn : bool; req : req }
+      (** the piggyback carrier: close every fd in [closes] (an fd the
+          session no longer has is skipped, since fds are never reused
+          within a session), then, when [begin_txn], begin a transaction
+          unless one is already open, then execute [req], all in one
+          dispatch.  Classified everywhere by [req]; [req] is never
+          itself a carrier, and a request with nothing to carry is sent
+          unwrapped, so every other frame encodes as before *)
+
+val carried : req -> req
+(** The request a {!req.Carry} carries; any other request itself. *)
 
 val bucket_of : nbuckets:int -> int64 -> int
 (** The placement bucket an oid's chunk range hashes to (mixed, so
