@@ -634,17 +634,26 @@ let on_server_crash st _server =
      overlays now so the oracle's views stay in lockstep with what those
      clients will actually see once they discover the death.  The client
      whose RPC is in flight is left alone — its own exception handler
-     resolves its outcome (by probe if ambiguous) and clears it. *)
+     resolves its outcome (by probe if ambiguous) and clears it.  So is
+     a transaction that is still only a pending begin: it never reached
+     the server, and its first request begins it on a fresh session. *)
   Array.iter
     (fun cs ->
       let is_current = match st.current with Some c -> c == cs | None -> false in
-      if not is_current then begin
+      if not (is_current || Client.begin_pending cs.c) then begin
         if cs.in_txn then st.aborts <- st.aborts + 1;
         clear_overlay cs;
         cs.pending <- None
       end)
     st.clients;
-  if st.in_flight then st.verify_pending <- true
+  (* an op riding a pending begin runs inside the transaction and cannot
+     have committed anything, so the verify need not wait for it — and
+     must not: the client begins again on a fresh session, and that
+     transaction's locks would block the walk *)
+  let may_commit =
+    match st.current with Some cs -> not (Client.begin_pending cs.c) | None -> true
+  in
+  if st.in_flight && may_commit then st.verify_pending <- true
   else begin
     verify_full_state st ~phase:"post-crash";
     check_time_travel st
