@@ -19,39 +19,21 @@ let progress fmt = Printf.eprintf (fmt ^^ "\n%!")
 (* Paper workload on the three configurations                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The commit-pipeline configuration the headline systems run with: group
-   commit batching 8 status writes behind one force (age-bounded at 2 ms
-   of simulated time), index inserts staged per transaction and
-   bulk-applied at the force, locks released before the force.  The
-   create-gap ablation below isolates each knob; the crash sweeps re-run
-   their seeds with the same settings and demand oracle-identical
-   outcomes. *)
-let knobs_group_commit = 8
-
-(* The age bound must comfortably exceed the time a batch takes to fill,
-   or the server pump's age trigger forces after every operation and the
-   batch never forms: a client/server chunk write is ~50 ms of simulated
-   time (wire + execution), so a batch of 8 fills in ~0.4 s.  One second
-   bounds how stale the disk copy of the NVRAM-backed status table may
-   go; it costs nothing in durability (commits are stable in NVRAM the
-   moment they land). *)
-let knobs_flush_wait_us = 1_000_000
-
+(* The commit-pipeline configuration the headline systems run with:
+   index inserts staged per transaction and bulk-applied at the batched
+   force.  Commits always run in groups (Status_log.group_size behind one
+   force, Status_log.max_age_s age bound).  The create-gap ablation below
+   isolates the deferred index; the crash sweeps re-run their seeds with
+   it on and demand oracle-identical outcomes. *)
 let run_three ~mb =
   progress "running Inversion client/server (%d MB)..." mb;
-  let s_cs =
-    S.inversion_client_server ~group_commit:knobs_group_commit
-      ~flush_wait_us:knobs_flush_wait_us ~deferred_index:true ~early_release:true ()
-  in
+  let s_cs = S.inversion_client_server ~deferred_index:true () in
   let inv_cs = W.run ~file_mb:mb s_cs in
   progress "running ULTRIX NFS + PRESTOserve (%d MB)..." mb;
   let s_nfs = S.ultrix_nfs () in
   let nfs = W.run ~file_mb:mb s_nfs in
   progress "running Inversion single-process (%d MB)..." mb;
-  let s_sp =
-    S.inversion_single_process ~group_commit:knobs_group_commit
-      ~flush_wait_us:knobs_flush_wait_us ~deferred_index:true ~early_release:true ()
-  in
+  let s_sp = S.inversion_single_process ~deferred_index:true () in
   let inv_sp = W.run ~file_mb:mb s_sp in
   let netstats =
     List.map (fun (s : S.t) -> (s.S.sys_name, s.S.net_stats ())) [ s_cs; s_nfs; s_sp ]
@@ -549,20 +531,15 @@ let eviction_microbench () =
     ratio )
 
 (* Create-gap ablation: the paper's worst number is file creation
-   (Figure 3 / Table 3), dominated by per-chunk auto-commit forces and
+   (Figure 3 / Table 3), dominated by per-chunk auto-commits and
    interleaved index writes.  Time just the create phase on the
-   single-process system under four incremental knob combinations, so
-   each mechanism's contribution is isolated: (b)-(a) is group commit,
-   (c)-(b) is deferred batched index inserts, (d)-(c) is early lock
-   release (≈0 single-session — there is no one to hand the locks to;
-   kept for honesty). *)
+   single-process system with deferred batched index inserts off and on
+   (commits grouped on both sides), so the deferred index's contribution
+   is isolated. *)
 let create_gap_ablation ~mb =
   let mbytes = mb * 1024 * 1024 in
-  let run_one ~group_commit ~deferred_index ~early_release =
-    let sys =
-      S.inversion_single_process ~group_commit ~flush_wait_us:knobs_flush_wait_us
-        ~deferred_index ~early_release ()
-    in
+  let run_one ~deferred_index =
+    let sys = S.inversion_single_process ~deferred_index () in
     let t0 = Simclock.Clock.now sys.S.clock in
     let f = sys.S.create "/gap.dat" in
     let off = ref 0 in
@@ -576,30 +553,17 @@ let create_gap_ablation ~mb =
     sys.S.flush_caches ();
     (Simclock.Clock.now sys.S.clock -. t0) *. (25. /. float_of_int mb)
   in
-  let off_s = run_one ~group_commit:1 ~deferred_index:false ~early_release:false in
-  let grp_s =
-    run_one ~group_commit:knobs_group_commit ~deferred_index:false ~early_release:false
-  in
-  let idx_s =
-    run_one ~group_commit:knobs_group_commit ~deferred_index:true ~early_release:false
-  in
-  let all_s =
-    run_one ~group_commit:knobs_group_commit ~deferred_index:true ~early_release:true
-  in
+  let grp_s = run_one ~deferred_index:false in
+  let idx_s = run_one ~deferred_index:true in
   ( J_obj
       [
         ("create_mb", J_int mb);
-        ("all_off_s", J_num off_s);
         ("group_commit_s", J_num grp_s);
         ("group_plus_deferred_index_s", J_num idx_s);
-        ("all_on_s", J_num all_s);
-        ("group_commit_saves_s", J_num (off_s -. grp_s));
         ("deferred_index_saves_s", J_num (grp_s -. idx_s));
-        ("early_release_saves_s", J_num (idx_s -. all_s));
       ],
-    off_s,
     grp_s,
-    all_s )
+    idx_s )
 
 module Lt = Benchlib.Loadtest
 
@@ -1063,8 +1027,8 @@ let bench_json ~mb ~out ~smoke ~compare_prev =
              Some (name, J_obj (List.map (fun (k, v) -> (k, J_int v)) stats)))
          netstats)
   in
-  progress "bench json: create-gap ablation (group commit / deferred index)...";
-  let cg_obj, cg_off, cg_grp, cg_all = create_gap_ablation ~mb in
+  progress "bench json: create-gap ablation (deferred index off / on)...";
+  let cg_obj, cg_grp, cg_idx = create_gap_ablation ~mb in
   progress "bench json: read-ahead ablation...";
   let ra_obj, cold_ra, cold_off, _warm_rate, hot_rate = readahead_ablation ~mb in
   progress "bench json: eviction microbench (wall-clock)...";
@@ -1144,22 +1108,23 @@ let bench_json ~mb ~out ~smoke ~compare_prev =
              cold-cache cost of an As_of read faulting history back through \
              the archive vs a current read; \
              knobs: the commit-pipeline settings the Inversion systems ran \
-             with (group_commit = status writes batched behind one force, \
-             1 = off; flush_wait_us = age bound on a pending batch, in \
-             simulated microseconds; deferred_index = index inserts staged \
-             per transaction and bulk-applied at the force; early_release = \
-             locks released before the force); create_gap: the create phase \
-             timed alone on the single-process system under incremental \
-             knob combos, each *_saves_s isolating one mechanism" );
+             with (deferred_index = index inserts staged per transaction and \
+             bulk-applied at the force, the one remaining knob; \
+             group_commit = status writes batched behind one force and \
+             flush_wait_us = age bound on a pending batch in simulated \
+             microseconds, both fixed constants of the only commit path); \
+             create_gap: the create phase timed alone on the single-process \
+             system with commits grouped and the deferred index off then on, \
+             deferred_index_saves_s isolating it" );
         ("generated", J_str date);
         ("file_mb", J_int mb);
         ( "knobs",
           J_obj
             [
-              ("group_commit", J_int knobs_group_commit);
-              ("flush_wait_us", J_int knobs_flush_wait_us);
+              ("group_commit", J_int Relstore.Status_log.group_size);
+              ( "flush_wait_us",
+                J_int (int_of_float (Relstore.Status_log.max_age_s *. 1e6)) );
               ("deferred_index", J_int 1);
-              ("early_release", J_int 1);
             ] );
         ( "table3_seconds",
           J_obj
@@ -1231,22 +1196,21 @@ let bench_json ~mb ~out ~smoke ~compare_prev =
     lockstep "device.read_cont" "device.read_cont.latency_us";
     lockstep "device.write" "device.write.latency_us";
     lockstep "txn.commit" "txn.commit.latency_us";
-    (* The create gap this PR closes: with the commit pipeline on, the
-       client/server create must sit within the seed's 2.63x of NFS, and
-       the ablation must show group commit actually paying. *)
+    (* The create gap: with the commit pipeline on, the client/server
+       create must sit within the seed's 2.63x of NFS, and the ablation
+       must show the deferred index not losing. *)
     (let ratio = W.find inv_cs W.Create_file /. W.find nfs W.Create_file in
      check "create-gap-ratio" (ratio <= 2.63)
        (Printf.sprintf "create_25mb_file inversion/nfs ratio %.2fx (seed was 2.63x)"
           ratio));
-    check "create-gap-ablation" (cg_off > cg_grp && cg_all <= cg_grp +. 1e-9)
+    check "create-gap-ablation" (cg_idx <= cg_grp +. 1e-9)
       (Printf.sprintf
-         "create ablation: all-off %.2fs, group-commit %.2fs, all-on %.2fs — \
-          batching must win and the remaining knobs must not lose"
-         cg_off cg_grp cg_all);
+         "create ablation: group only %.2fs, group + deferred index %.2fs — \
+          the deferred index must not lose"
+         cg_grp cg_idx);
     (* Group-size accounting closes: every flush observes its batch size
-       into txn.commit.group_size (disabled-path commits observe 1), so
-       flushes x mean group size — the histogram's sum — must equal the
-       durable-commit counter exactly. *)
+       into txn.commit.group_size, so flushes x mean group size — the
+       histogram's sum — must equal the durable-commit counter exactly. *)
     (let h_group = Obs.Metrics.histogram "txn.commit.group_size" in
      let flushes = Obs.Metrics.hist_count h_group in
      let commits_via_hist = Obs.Metrics.hist_sum h_group *. 1e6 in

@@ -29,8 +29,7 @@ type shell = {
   mutable marks : (string * int64) list; (* named timestamps *)
 }
 
-let make_shell ~cache_pages ~remote ~shards ~group_commit ~flush_wait_us
-    ~deferred_index ~early_release =
+let make_shell ~cache_pages ~remote ~shards ~deferred_index =
   if shards > 0 then begin
     if remote then failwith "--remote is implied by --shards; pass only one";
     let clock = Simclock.Clock.create () in
@@ -59,8 +58,7 @@ let make_shell ~cache_pages ~remote ~shards ~group_commit ~flush_wait_us
     add "nvram0" Pagestore.Device.Nvram;
     add "jukebox" Pagestore.Device.Worm_jukebox;
     let db =
-      Relstore.Db.create ~switch ~clock ~cache_capacity:cache_pages ~group_commit
-        ~flush_wait_us ~deferred_index ~early_release ()
+      Relstore.Db.create ~switch ~clock ~cache_capacity:cache_pages ~deferred_index ()
     in
     let fs = Fs.make db () in
     let remote =
@@ -105,7 +103,7 @@ let help () =
     \  vacuum PATH archive|discard   vacuum one file's table (stop-the-world)\n\
     \  vacuumstep [PAGES]       one budgeted increment of the concurrent vacuum\n\
     \  crash                    crash the machine (instant recovery)\n\
-    \  sync                     force the pending commit group (see --group-commit)\n\
+    \  sync                     force the pending commit group\n\
     \  fsck                     run the audit that never finds anything\n\
     \  devices | clock | stats  inspect the simulated machine\n\
     \  trace on [SUB...]        enable tracing (all, or: device cache heap\n\
@@ -439,12 +437,8 @@ let repl shell ~input ~interactive =
 
 (* ---- cmdliner wiring ---- *)
 
-let main script cache_pages remote shards group_commit flush_wait_us
-    deferred_index early_release =
-  let shell =
-    make_shell ~cache_pages ~remote ~shards ~group_commit ~flush_wait_us
-      ~deferred_index ~early_release
-  in
+let main script cache_pages remote shards deferred_index =
+  let shell = make_shell ~cache_pages ~remote ~shards ~deferred_index in
   match script with
   | None ->
     say "Inversion file system shell — 'help' lists commands.%s"
@@ -498,28 +492,6 @@ let () =
              audit.  Implies the wire protocol; do not combine with \
              $(b,--remote).")
   in
-  let group_commit =
-    Arg.(
-      value & opt int 1
-      & info [ "group-commit" ]
-          ~docv:"N"
-          ~doc:
-            "Batch up to $(docv) commits behind one stable status-table \
-             write (1 = every commit forces its own, the seed behaviour).  \
-             Commits are durable the moment they are logged — the NVRAM \
-             status area makes the force a cost event, not a durability \
-             boundary.")
-  in
-  let flush_wait_us =
-    Arg.(
-      value & opt int 2_000
-      & info [ "flush-wait-us" ]
-          ~docv:"US"
-          ~doc:
-            "Age bound on a pending commit group, in simulated \
-             microseconds: a partially-filled batch is forced once its \
-             oldest member has waited this long.")
-  in
   let deferred_index =
     Arg.(
       value & flag
@@ -529,19 +501,10 @@ let () =
              bulk-apply them (sorted runs, one leaf touch each) at the \
              batch force; logical REDO replays them after a crash.")
   in
-  let early_release =
-    Arg.(
-      value & flag
-      & info [ "early-release" ]
-          ~doc:
-            "Release a transaction's locks as soon as its status entry and \
-             index intents are logged, without waiting for the batch force.")
-  in
   let cmd =
     Cmd.v
       (Cmd.info "invsh" ~doc:"Interactive shell over the Inversion file system")
       Term.(
-        const main $ script $ cache_pages $ remote $ shards $ group_commit
-        $ flush_wait_us $ deferred_index $ early_release)
+        const main $ script $ cache_pages $ remote $ shards $ deferred_index)
   in
   exit (Cmd.eval cmd)

@@ -41,12 +41,9 @@ type config = {
   stuck_interval : int;
   kill_mirror_at : int;
   scrub_interval : int;
-  (* Commit-pipeline knobs (Db.create): the sweep runs each seed with the
-     pipeline off and on and demands oracle-identical outcomes. *)
-  group_commit : int;
-  flush_wait_us : int;
+  (* Deferred index inserts (Db.create): the [@creategap] sweep runs each
+     seed with them off and on and demands oracle-identical outcomes. *)
   deferred_index : bool;
-  early_release : bool;
 }
 
 let default_config =
@@ -64,10 +61,7 @@ let default_config =
     stuck_interval = 0;
     kill_mirror_at = 0;
     scrub_interval = 0;
-    group_commit = 1;
-    flush_wait_us = 2_000;
     deferred_index = false;
-    early_release = false;
   }
 
 (* Mirrored pair under continuous media decay: bitrot and stuck blocks
@@ -621,9 +615,7 @@ let run ?(config = default_config) ~seed () =
     Pagestore.Switch.mirror switch ~primary:"disk0" ~secondary:"disk1"
   end;
   let db =
-    Relstore.Db.create ~switch ~clock ~group_commit:config.group_commit
-      ~flush_wait_us:config.flush_wait_us ~deferred_index:config.deferred_index
-      ~early_release:config.early_release ()
+    Relstore.Db.create ~switch ~clock ~deferred_index:config.deferred_index ()
   in
   let fs = Fs.make db () in
   let plan = Faultsim.create () in
@@ -778,8 +770,7 @@ let run ?(config = default_config) ~seed () =
    acceptance contract: files on the survivor stay byte-identical, files
    on the dead device fail with EIO and nothing worse, and Fsck/Recovery
    name the exact degraded relation set while auditing clean. *)
-let run_degraded ?(files = 12) ?(group_commit = 1) ?(deferred_index = false)
-    ?(early_release = false) ~seed () =
+let run_degraded ?(files = 12) ?(deferred_index = false) ~seed () =
   let rng = Rng.create seed in
   let clock = Simclock.Clock.create () in
   let switch = Pagestore.Switch.create ~clock in
@@ -789,9 +780,7 @@ let run_degraded ?(files = 12) ?(group_commit = 1) ?(deferred_index = false)
   let (_ : Device.t) =
     Pagestore.Switch.add_device switch ~name:"disk1" ~kind:Device.Magnetic_disk ()
   in
-  let db =
-    Relstore.Db.create ~switch ~clock ~group_commit ~deferred_index ~early_release ()
-  in
+  let db = Relstore.Db.create ~switch ~clock ~deferred_index () in
   let fs = Fs.make db () in
   let s = Fs.new_session fs in
   let mismatches = ref [] in

@@ -32,13 +32,10 @@ type config = {
   stuck_interval : int;  (** ops between scheduled stuck-block faults (0 = none) *)
   kill_mirror_at : int;  (** op index at which the mirror dies (0 = never) *)
   scrub_interval : int;  (** ops between background scrubber steps (0 = off) *)
-  group_commit : int;
-      (** group-commit batch size handed to {!Relstore.Db.create}
-          (default 1 = off) — the [@creategap] sweep re-runs seeds with the
-          commit pipeline on and demands oracle-identical outcomes *)
-  flush_wait_us : int;  (** group-commit age bound (µs of simulated time) *)
-  deferred_index : bool;  (** stage index inserts, apply at the batched force *)
-  early_release : bool;  (** release locks before the commit force *)
+  deferred_index : bool;
+      (** stage index inserts, apply at the batched force — the
+          [@creategap] sweep re-runs seeds with it on and demands
+          oracle-identical outcomes *)
 }
 
 val default_config : config
@@ -85,9 +82,7 @@ val run : ?config:config -> seed:int64 -> unit -> outcome
 
 val run_degraded :
   ?files:int ->
-  ?group_commit:int ->
   ?deferred_index:bool ->
-  ?early_release:bool ->
   seed:int64 ->
   unit ->
   string list

@@ -44,10 +44,7 @@ val inversion_client_server :
   ?index_write_through:bool ->
   ?cpu_scale:float ->
   ?compressed:bool ->
-  ?group_commit:int ->
-  ?flush_wait_us:int ->
   ?deferred_index:bool ->
-  ?early_release:bool ->
   unit ->
   t
 
@@ -57,17 +54,12 @@ val inversion_single_process :
   ?index_write_through:bool ->
   ?cpu_scale:float ->
   ?compressed:bool ->
-  ?group_commit:int ->
-  ?flush_wait_us:int ->
   ?deferred_index:bool ->
-  ?early_release:bool ->
   unit ->
   t
-(** The commit-pipeline knobs ([group_commit] batch size, default 1 = off;
-    [flush_wait_us] age bound; [deferred_index] staged index inserts
-    applied at the batched force; [early_release] lock release before the
-    force) are threaded to {!Relstore.Db.create} — the create-gap
-    optimisation of DESIGN.md's "Group commit & logical recovery".
+(** [deferred_index] (staged index inserts applied at the batched force)
+    is threaded to {!Relstore.Db.create}; commits always run in groups —
+    DESIGN.md's "Group commit & logical recovery".
     Phase boundaries ([flush_caches]) and explicit single-process commits
     ([end_batch]) settle the pipeline so no cost leaks across
     measurements. *)

@@ -20,8 +20,8 @@ type t = {
   vacuum_cursors : (string, int) Hashtbl.t;
 }
 
-let create ?(cache_capacity = 300) ?os_cache_blocks ?readahead_window ?group_commit
-    ?flush_wait_us ?deferred_index ?early_release ?switch ?clock () =
+let create ?(cache_capacity = 300) ?os_cache_blocks ?readahead_window ?deferred_index
+    ?switch ?clock () =
   let clock = match clock with Some c -> c | None -> Simclock.Clock.create () in
   let switch =
     match switch with
@@ -40,10 +40,7 @@ let create ?(cache_capacity = 300) ?os_cache_blocks ?readahead_window ?group_com
   let log = Status_log.create ~clock in
   let locks = Lock_mgr.create () in
   let mgr = Txn.create_manager ~clock ~log ~locks ~cache in
-  Option.iter (Status_log.set_group_size log) group_commit;
-  Option.iter (Status_log.set_flush_wait_us log) flush_wait_us;
   Option.iter (Txn.set_deferred_index mgr) deferred_index;
-  Option.iter (Txn.set_early_release mgr) early_release;
   (* Any system built the normal way gets trace timestamps for free. *)
   Obs.set_clock clock;
   {

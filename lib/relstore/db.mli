@@ -17,10 +17,7 @@ val create :
   ?cache_capacity:int ->
   ?os_cache_blocks:int ->
   ?readahead_window:int ->
-  ?group_commit:int ->
-  ?flush_wait_us:int ->
   ?deferred_index:bool ->
-  ?early_release:bool ->
   ?switch:Pagestore.Switch.t ->
   ?clock:Simclock.Clock.t ->
   unit ->
@@ -29,9 +26,9 @@ val create :
     magnetic disk named ["disk0"] is created.  [cache_capacity] defaults
     to 300 pages (the Berkeley configuration).  [readahead_window] is
     passed to {!Pagestore.Bufcache.create} (0 disables read-ahead — the
-    benchmark ablation uses this).  [group_commit] (batch size, default 1
-    = off), [flush_wait_us], [deferred_index] and [early_release] are the
-    create-path knobs — see {!Status_log} and {!Txn}. *)
+    benchmark ablation uses this).  [deferred_index] (default off) stages
+    index inserts until the batch force — see {!Txn}.  Commits always
+    run in groups of {!Status_log.group_size}. *)
 
 val clock : t -> Simclock.Clock.t
 val switch : t -> Pagestore.Switch.t
@@ -80,7 +77,7 @@ val force_group : t -> unit
 val crash : t -> unit
 (** Simulate a machine failure and instant recovery: the buffer cache is
     lost, in-progress transactions become aborted, all locks vanish.
-    Committed data (forced at commit) is intact; no fsck, no log replay.
+    Committed data (flushed at commit) is intact; no fsck, no log replay.
     The database is immediately usable. *)
 
 val degraded_relations : t -> string list

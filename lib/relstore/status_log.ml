@@ -4,8 +4,6 @@ type t = {
   clock : Simclock.Clock.t;
   table : (Xid.t, state) Hashtbl.t;
   mutable next_xid : Xid.t;
-  mutable group_size : int;
-  mutable flush_wait_us : int;
   mutable pending_force : int;
   mutable oldest_pending : float;
   (* Logical index intents, keyed by xid, newest first.  They live in the
@@ -24,6 +22,17 @@ type t = {
    seek to the log area plus half a rotation on an RZ58-class disk. *)
 let commit_force_cost = 2. *. (0.0007 +. 0.002 +. (60. /. 5400. /. 2.))
 
+(* The commit group: a force covers up to [group_size] logged commits,
+   and a partial batch waits at most [max_age_s] of simulated time.  The
+   age bound must comfortably exceed the time a batch takes to fill, or
+   the server pump's age trigger forces after every operation and the
+   batch never forms: a client/server chunk write is ~50 ms of simulated
+   time, so a batch of 8 fills in ~0.4 s.  It costs nothing in
+   durability — the status area is NVRAM-backed, so a commit is stable
+   the moment its entry is logged. *)
+let group_size = 8
+let max_age_s = 1.0
+
 let m_durable = Obs.Metrics.counter "log.commit.durable"
 
 (* Group sizes are counts, not latencies; we feed them to the log-2
@@ -37,18 +46,12 @@ let create ~clock =
     clock;
     table = Hashtbl.create 256;
     next_xid = 1;
-    group_size = 1;
-    flush_wait_us = 2_000;
     pending_force = 0;
     oldest_pending = 0.;
     intents = Hashtbl.create 64;
     begin_times = Hashtbl.create 64;
   }
 
-let set_group_size t n = t.group_size <- max 1 n
-let group_size t = t.group_size
-let set_flush_wait_us t us = t.flush_wait_us <- max 0 us
-let flush_wait_us t = t.flush_wait_us
 let pending_force t = t.pending_force
 
 let begin_txn t =
@@ -72,18 +75,8 @@ let commit ?(force = true) t xid =
     Hashtbl.replace t.table xid (Committed ts);
     Hashtbl.remove t.begin_times xid;
     if force then begin
-      if t.group_size <= 1 then begin
-        (* Batching disabled: cost-identical to the ungrouped model —
-           every commit pays its own stable write, recorded as a
-           one-commit "batch" so the flush/commit coherence holds. *)
-        charge_force t;
-        Obs.Metrics.incr m_durable;
-        Obs.Metrics.observe h_group 1e-6
-      end
-      else begin
-        if t.pending_force = 0 then t.oldest_pending <- Simclock.Clock.now t.clock;
-        t.pending_force <- t.pending_force + 1
-      end
+      if t.pending_force = 0 then t.oldest_pending <- Simclock.Clock.now t.clock;
+      t.pending_force <- t.pending_force + 1
     end;
     Simclock.Clock.tick t.clock "txn.commit";
     ts
@@ -100,11 +93,8 @@ let force_pending t =
   end;
   n
 
-let size_due t = t.group_size > 1 && t.pending_force >= t.group_size
-
 let age_due t =
-  t.pending_force > 0
-  && Simclock.Clock.now t.clock -. t.oldest_pending >= float_of_int t.flush_wait_us *. 1e-6
+  t.pending_force > 0 && Simclock.Clock.now t.clock -. t.oldest_pending >= max_age_s
 
 let abort t xid =
   match state t xid with

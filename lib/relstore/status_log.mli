@@ -7,19 +7,18 @@
     therefore instantaneous — readers just consult this log and ignore
     records whose inserting transaction never committed.
 
-    The log survives {!crash}: commits force their status entry to stable
-    storage (we charge one small I/O per commit).  Transactions that were
-    in progress at the crash are marked aborted by recovery.
+    The log survives {!crash}: a commit's status entry is stable once
+    logged (we charge one small I/O per batch of commits, below).
+    Transactions that were in progress at the crash are marked aborted by
+    recovery.
 
-    {b Group commit.}  With {!set_group_size} above 1, a commit enqueues
-    its status entry instead of paying its own stable write; a later
-    {!force_pending} (triggered by batch size, the {!set_flush_wait_us}
-    age bound, or an explicit sync) charges {e one} force for the whole
-    batch.  The status area is modeled as NVRAM-backed (a PRESTOserve-
-    style stable buffer), so enqueued entries already survive a crash —
-    the batch force is an I/O-cost event, not a durability boundary —
-    which is what keeps the differential crash sweeps oracle-equivalent
-    with batching on or off.
+    {b Group commit.}  A writing commit logs its status entry and does
+    not pay its own stable write; one {!force_pending} (triggered by a
+    full batch of {!group_size}, the {!max_age_s} age bound, or an
+    explicit sync) charges {e one} force for the whole batch.  The status
+    area is modeled as NVRAM-backed (a PRESTOserve-style stable buffer),
+    so a logged entry already survives a crash — the batch force is an
+    I/O-cost event, not a durability boundary.
 
     {b Logical index intents.}  Deferred B-tree inserts record a logical
     (tree, key, value) intent here at stage time.  Intents ride the same
@@ -38,30 +37,25 @@ val begin_txn : t -> Xid.t
 
 val commit : ?force:bool -> t -> Xid.t -> int64
 (** Mark committed at the current simulated time; returns the commit
-    timestamp.  Charges the forced status-file write unless [force:false]
-    (read-only transactions, which have nothing to make durable).  With
-    group commit enabled the force is enqueued instead of charged; see
-    {!force_pending}.  Raises [Invalid_argument] if the xid is not in
-    progress. *)
+    timestamp.  The entry joins the pending batch, to be covered by the
+    next {!force_pending}, unless [force:false] (read-only transactions,
+    which have nothing to make durable).  Raises [Invalid_argument] if
+    the xid is not in progress. *)
 
 val abort : t -> Xid.t -> unit
 (** Mark aborted.  Idempotent on already-aborted transactions; raises
     [Invalid_argument] on a committed one.  Drops the xid's intents. *)
 
-(** {2 Group-commit knobs and the batch force} *)
+(** {2 The batch force} *)
 
-val set_group_size : t -> int -> unit
-(** Target batch size; [1] (the default) disables batching and keeps the
-    commit path cost-identical to the ungrouped model. *)
+val group_size : int
+(** Commits one force covers: a commit that fills a batch of 8 forces it. *)
 
-val group_size : t -> int
+val max_age_s : float
+(** Age bound on a partial batch, 1 s of simulated time.  The log never
+    polls its own clock; callers (the server pump) ask {!age_due} and
+    then {!force_pending}. *)
 
-val set_flush_wait_us : t -> int -> unit
-(** Age bound for a partially filled batch, µs of simulated time.  The
-    log never polls its own clock; callers (the server pump, explicit
-    syncs) ask {!age_due} and then {!force_pending}. *)
-
-val flush_wait_us : t -> int
 val pending_force : t -> int
 (** Commits enqueued and not yet covered by a batch force. *)
 
@@ -70,12 +64,9 @@ val force_pending : t -> int
     batch size (0 = nothing pending, nothing charged).  Feeds the
     [txn.commit.group_size] histogram and [log.commit.durable] counter. *)
 
-val size_due : t -> bool
-(** Batching is on and the pending batch reached [group_size]. *)
-
 val age_due : t -> bool
-(** Something is pending and the oldest enqueued commit has waited at
-    least [flush_wait_us] of simulated time. *)
+(** Something is pending and the oldest logged commit has waited at
+    least {!max_age_s}. *)
 
 (** {2 Logical index intents} *)
 

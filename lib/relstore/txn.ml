@@ -4,13 +4,9 @@ type manager = {
   locks : Lock_mgr.t;
   cache : Pagestore.Bufcache.t;
   mutable deferred_index : bool;
-  mutable early_release : bool;
   (* Apply hooks registered by indexes holding a deferred-insert overlay;
      run (sorted runs, one leaf touch each) right before the batch force. *)
   mutable pending_applies : (unit -> unit) list;
-  (* Bumped on every batch force; the server's event loop uses it to
-     drain commit replies parked behind the group flush. *)
-  mutable force_generation : int;
 }
 
 type state = Active | Committed | Aborted
@@ -23,16 +19,7 @@ type t = {
 }
 
 let create_manager ~clock ~log ~locks ~cache =
-  {
-    clock;
-    log;
-    locks;
-    cache;
-    deferred_index = false;
-    early_release = false;
-    pending_applies = [];
-    force_generation = 0;
-  }
+  { clock; log; locks; cache; deferred_index = false; pending_applies = [] }
 
 let clock m = m.clock
 let log m = m.log
@@ -41,9 +28,6 @@ let cache m = m.cache
 
 let set_deferred_index m b = m.deferred_index <- b
 let deferred_index m = m.deferred_index
-let set_early_release m b = m.early_release <- b
-let early_release m = m.early_release
-let force_generation m = m.force_generation
 let register_apply_hook m f = m.pending_applies <- f :: m.pending_applies
 
 let m_begin = Obs.Metrics.counter "txn.begin"
@@ -58,8 +42,7 @@ let run_apply_hooks m =
     m.pending_applies <- [];
     List.iter (fun f -> f ()) (List.rev hooks)
 
-let with_flush_span m f =
-  ignore m;
+let with_flush_span f =
   if Obs.on Obs.Txn then begin
     Obs.span_begin Obs.Txn "log.flush" ();
     let n = f () in
@@ -69,19 +52,17 @@ let with_flush_span m f =
   else f ()
 
 (* The accounting half of a batch force: one stable-write charge covers
-   every pending status entry, the settled intents become dead letters,
-   and parked commit acknowledgements may drain.  Pure clock charge — no
-   device I/O happens here. *)
+   every pending status entry, and the settled intents become dead
+   letters.  Pure clock charge — no device I/O happens here. *)
 let settle_pending m =
   let n = Status_log.force_pending m.log in
   Status_log.clear_settled_intents m.log;
-  m.force_generation <- m.force_generation + 1;
   n
 
 let force_group m =
   if m.pending_applies <> [] || Status_log.pending_force m.log > 0 then
     ignore
-      (with_flush_span m (fun () ->
+      (with_flush_span (fun () ->
            (* Deferred index effects first, then the data flush that
               covers them, then one stable status write for the whole
               batch. *)
@@ -97,13 +78,10 @@ let force_group m =
     Status_log.clear_settled_intents m.log
   end
 
-let maybe_force_by_age m = if Status_log.age_due m.log then force_group m
-
 let crash_reset_manager m =
   (* Overlay contents are volatile; the indexes drop theirs in their own
      crash resets, so the hooks that would apply them must die too. *)
-  m.pending_applies <- [];
-  m.force_generation <- m.force_generation + 1
+  m.pending_applies <- []
 
 let begin_txn mgr =
   let txn_xid = Status_log.begin_txn mgr.log in
@@ -143,44 +121,30 @@ let commit t =
       (fun (_, mode) -> mode = Lock_mgr.Exclusive)
       (Lock_mgr.held_by t.mgr.locks t.txn_xid)
   in
-  let grouped = Status_log.group_size mgr.log > 1 in
   (* Will this commit fill the batch?  Decided before the status write:
      the force's real device I/O (deferred index apply + data flush) must
      run while this transaction is still active, so a crash injected
      mid-flush rolls it back cleanly — there must be no window where the
      status table says committed but the caller saw an exception. *)
   let fills_batch =
-    grouped && wrote
-    && Status_log.pending_force mgr.log + 1 >= Status_log.group_size mgr.log
+    wrote && Status_log.pending_force mgr.log + 1 >= Status_log.group_size
   in
   (* Data before status: a half-done flush without the status entry is a
      transaction that never happened. *)
   if wrote then begin
     Cpu_model.charge_txn_overhead mgr.clock;
-    (* Deferred index effects ride the flush directly below — either this
-       commit's own (ungrouped) or the one covering the whole batch
-       (fills_batch) — so the pages land exactly where the eager inserts
-       would have put them. *)
-    if (not grouped) || fills_batch then run_apply_hooks mgr;
+    (* Deferred index effects ride the flush that covers the whole batch,
+       so the pages land exactly where the eager inserts would have put
+       them. *)
+    if fills_batch then run_apply_hooks mgr;
     Pagestore.Bufcache.flush mgr.cache
   end;
   let ts = Status_log.commit ~force:wrote mgr.log t.txn_xid in
-  (* Intents become dead letters only once the effects they describe are
-     on disk — which just happened iff this commit ran the hooks and the
-     flush above.  A read-only commit (wrote = false) must leave them for
-     the next flush point, or a crash in between would lose the staged
-     entries with nothing to replay. *)
-  if (not grouped) && wrote then Status_log.clear_settled_intents mgr.log;
-  (* Early release drops locks as soon as the status entry (and the
-     logical intents backing any unapplied index effects) are logged,
-     before a batch force; logical REDO covers the crash window.  The
-     conservative order holds them across the force charge. *)
-  if mgr.early_release then Lock_mgr.release_all mgr.locks t.txn_xid;
-  (* The batch force itself is now pure accounting — its device writes
-     already happened above, while this transaction was still active. *)
-  if fills_batch then
-    ignore (with_flush_span mgr (fun () -> settle_pending mgr) : int);
-  if not mgr.early_release then Lock_mgr.release_all mgr.locks t.txn_xid;
+  (* The batch force itself is pure accounting — its device writes
+     already happened above, while this transaction was still active.
+     Locks are held across it. *)
+  if fills_batch then ignore (with_flush_span (fun () -> settle_pending mgr) : int);
+  Lock_mgr.release_all mgr.locks t.txn_xid;
   t.txn_state <- Committed;
   (* Counter and histogram move in lockstep unconditionally — the bench
      smoke check asserts hist_count(txn.commit.latency_us) = txn.commit. *)

@@ -8,15 +8,13 @@
     invisible, and recovery costs nothing.  Abort writes nothing back: the
     status entry is all it takes to undo.
 
-    {b Group commit} (manager-wide, via {!Status_log.set_group_size}):
-    commits enqueue their status entry and {!force_group} pays one stable
-    write per batch.  {b Deferred index inserts} ([set_deferred_index]):
-    B-tree inserts stage into per-index overlays plus logical intents and
-    are applied as sorted runs by hooks run at the flush point.
-    {b Early lock release} ([set_early_release]): locks drop once the
-    status entry and intents are logged, before the batch force, relying
-    on logical REDO after a crash; the conservative order holds them
-    across the force.
+    {b Group commit} is the only commit path: a writing commit logs its
+    status entry, and one stable write covers each batch of
+    {!Status_log.group_size} — paid by the commit that fills it, or by
+    {!force_group} for a partial batch.  {b Deferred index inserts}
+    ([set_deferred_index]): B-tree inserts stage into per-index overlays
+    plus logical intents and are applied as sorted runs by hooks run at
+    the flush point.
 
     Neither POSTGRES nor Inversion supports nested transactions, so a
     session may hold only one active transaction at a time; the manager
@@ -49,9 +47,6 @@ val set_deferred_index : manager -> bool -> unit
 
 val deferred_index : manager -> bool
 
-val set_early_release : manager -> bool -> unit
-val early_release : manager -> bool
-
 val register_apply_hook : manager -> (unit -> unit) -> unit
 (** Called by an index whose overlay just became non-empty; the hook
     applies (and empties) the overlay.  Hooks run once, in registration
@@ -63,17 +58,9 @@ val force_group : manager -> unit
     settled intents.  A no-op when nothing is staged or pending.  Wrapped
     in a [log.flush] trace span carrying the batch size. *)
 
-val maybe_force_by_age : manager -> unit
-(** {!force_group} if the oldest pending commit has waited at least
-    [flush_wait_us] — called from pollers (the server pump). *)
-
-val force_generation : manager -> int
-(** Bumped by every {!force_group} that did work; the server parks
-    commit replies behind the flush and drains them when this advances. *)
-
 val crash_reset_manager : manager -> unit
 (** Drop registered apply hooks (the overlays they would apply are
-    volatile and gone) and advance the generation. *)
+    volatile and gone). *)
 
 val begin_txn : manager -> t
 (** Start a transaction: assign an xid and record its start time. *)
@@ -101,8 +88,9 @@ val log_index_intent : t -> tree:string -> key:string -> value:int64 -> unit
     log, for REDO if the applied pages never reach disk. *)
 
 val commit : t -> int64
-(** Force dirty pages, then the status entry; release locks.  Returns the
-    commit timestamp (µs).  Raises [Invalid_argument] if not active. *)
+(** Flush dirty pages, then log the status entry (forcing the batch if
+    this commit fills it); release locks.  Returns the commit timestamp
+    (µs).  Raises [Invalid_argument] if not active. *)
 
 val abort : t -> unit
 (** Mark aborted and release locks.  No data is written or unwritten —

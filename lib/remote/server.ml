@@ -96,11 +96,6 @@ type t = {
   run_q : task Queue.t;
   mutable parked : task list; (* FIFO: oldest first *)
   mutable parked_n : int;
-  (* Group commit: a [Commit] whose status write joined a pending batch
-     is answered only once the batch forces — the acknowledgement is the
-     durability receipt.  Entries are (sid, rid, reply, force generation
-     at defer time), FIFO. *)
-  mutable deferred_replies : (int64 * int64 * Wire.reply * int) list;
   mutable next_sid : int64;
   mutable hello_window : (int64 * string list) list; (* nonce -> reply frames *)
   mutable crashes : int;
@@ -116,7 +111,6 @@ type t = {
   mutable park_timeouts : int;
   mutable deadlock_aborts : int;
   mutable unsupported : int;
-  mutable group_defers : int;
   (* Simulated seconds this machine spent inside [pump] — its share of
      the one global clock.  A cluster bench on a single simulated clock
      cannot observe parallelism directly, so scale-out throughput is
@@ -158,7 +152,6 @@ let create ~fs ?(lease_s = 120.) ?(dedup_window = 16) ?(run_cap = 256)
       run_q = Queue.create ();
       parked = [];
       parked_n = 0;
-      deferred_replies = [];
       next_sid = 1L;
       hello_window = [];
       crashes = 0;
@@ -174,7 +167,6 @@ let create ~fs ?(lease_s = 120.) ?(dedup_window = 16) ?(run_cap = 256)
       park_timeouts = 0;
       deadlock_aborts = 0;
       unsupported = 0;
-      group_defers = 0;
       busy_s = 0.;
       read_buf = Bytes.create read_head_len;
     }
@@ -206,7 +198,6 @@ let deadlock_aborts t = t.deadlock_aborts
 let unsupported t = t.unsupported
 let parked_now t = t.parked_n
 let run_queue_depth t = Queue.length t.run_q
-let group_defers t = t.group_defers
 
 let fd_open t sid fd =
   match Hashtbl.find_opt t.sessions sid with
@@ -251,7 +242,6 @@ let crash_now t =
   Queue.clear t.run_q;
   t.parked <- [];
   t.parked_n <- 0;
-  t.deferred_replies <- [];
   List.iter Link.clear t.links;
   t.on_crash t
 
@@ -678,21 +668,7 @@ let run_task t (tk : task) ~(was_parked : bool) =
            t.park_resumes <- t.park_resumes + 1;
            Obs.Metrics.incr m_park_resumes
          end);
-        let joined_batch =
-          Wire.carried tk.tk_req = Wire.Commit
-          && (match reply with Wire.Ok_reply _ -> true | _ -> false)
-          && Relstore.Status_log.pending_force (Relstore.Db.status_log (Fs.db t.fs)) > 0
-        in
-        if joined_batch then begin
-          (* The status write is queued behind the group-commit batch:
-             hold the acknowledgement until the batch forces (end of this
-             pump at the latest).  The rid stays inflight, so a
-             retransmission is dropped, not re-executed. *)
-          t.group_defers <- t.group_defers + 1;
-          let gen = Relstore.Txn.force_generation (Relstore.Db.txn_manager (Fs.db t.fs)) in
-          t.deferred_replies <- t.deferred_replies @ [ (tk.tk_sid, tk.tk_rid, reply, gen) ]
-        end
-        else record_and_send t s ~rid:tk.tk_rid reply;
+        record_and_send t s ~rid:tk.tk_rid reply;
         true
       | `Shed_park_full ->
         (* no parking slot left: shed rather than spin *)
@@ -976,34 +952,14 @@ let process t link frame =
           reply_now link ~sid:h.sid ~rid:h.rid (Wire.Unsupported { opcode }))
       | `Req req -> handle t link ~h req))
 
-(* Group-commit service at the end of a pump turn.  Every request that
-   could join the batch this turn has run, so if any [Commit]
-   acknowledgement is waiting on the force, force now — one stable write
-   answers the whole batch.  Independently, the age timer bounds how long
-   an auto-commit straggler's status write may sit pending.  Then any
-   deferred reply whose force generation has advanced goes out. *)
+(* Group-commit service at the end of a pump turn: the age timer bounds
+   how long a partial batch may sit unforced.  A commit is acknowledged
+   as soon as its status entry is logged (the status area is NVRAM), so
+   no reply ever waits here. *)
 let flush_group t =
   let db = Fs.db t.fs in
-  let mgr = Relstore.Db.txn_manager db in
-  let log = Relstore.Db.status_log db in
-  if t.deferred_replies <> [] || Relstore.Status_log.age_due log then
-    Relstore.Txn.force_group mgr;
-  if t.deferred_replies <> [] then begin
-    let gen = Relstore.Txn.force_generation mgr in
-    let still =
-      List.filter
-        (fun (sid, rid, reply, g) ->
-          if gen > g then begin
-            (match Hashtbl.find_opt t.sessions sid with
-            | Some s -> record_and_send t s ~rid reply
-            | None -> () (* the session died while the reply waited *));
-            false
-          end
-          else true)
-        t.deferred_replies
-    in
-    t.deferred_replies <- still
-  end
+  if Relstore.Status_log.age_due (Relstore.Db.status_log db) then
+    Relstore.Txn.force_group (Relstore.Db.txn_manager db)
 
 (* The event loop.  One pump is one turn: timers first (lease expiry),
    then admission — every link drained, each complete request either

@@ -224,12 +224,6 @@ val unsupported : t -> int
 (** Cleanly-framed requests with an opcode from a future protocol
     revision, answered {!Wire.Unsupported}. *)
 
-val group_defers : t -> int
-(** [Commit] acknowledgements held back for a group-commit force: the
-    commit's status write joined a pending batch, so the reply waited for
-    the batched stable write (end of the same pump turn at the latest)
-    rather than charging a private force.  Zero when group commit is off. *)
-
 val fd_open : t -> int64 -> int -> bool
 (** Whether session [sid] holds [fd] open on the server (false for an
     unknown session): how tests see when a deferred close has landed. *)

@@ -314,8 +314,8 @@ let test_bulk_insert_duplicates () =
   Alcotest.(check int) "count" 3 (Index.Btree.count t);
   check_ok t
 
-let mk_db_tree ?group_commit ?deferred_index () =
-  let db = Relstore.Db.create ?group_commit ?deferred_index () in
+let mk_db_tree ?deferred_index () =
+  let db = Relstore.Db.create ?deferred_index () in
   let clock = Relstore.Db.clock db in
   let device =
     Pagestore.Device.create ~clock ~name:"ix" ~kind:Pagestore.Device.Magnetic_disk ()
@@ -323,7 +323,7 @@ let mk_db_tree ?group_commit ?deferred_index () =
   (db, Index.Btree.create ~cache:(Relstore.Db.cache db) ~device ~klen:8)
 
 let test_overlay_grouped_visibility () =
-  let db, t = mk_db_tree ~group_commit:8 ~deferred_index:true () in
+  let db, t = mk_db_tree ~deferred_index:true () in
   Index.Btree.insert t ~key:(key 1) ~value:10L;
   Relstore.Db.with_txn db (fun txn ->
       Relstore.Txn.lock txn ~resource:"ix" Relstore.Lock_mgr.Exclusive;
@@ -342,19 +342,6 @@ let test_overlay_grouped_visibility () =
   Alcotest.(check (list int64)) "visible once applied" [ 20L ]
     (Index.Btree.lookup t ~key:(key 2));
   Alcotest.(check int) "intents settled" 0
-    (Relstore.Status_log.intent_count (Relstore.Db.status_log db));
-  check_ok t
-
-let test_overlay_ungrouped_applies_at_commit () =
-  let db, t = mk_db_tree ~deferred_index:true () in
-  Relstore.Db.with_txn db (fun txn ->
-      Relstore.Txn.lock txn ~resource:"ix" Relstore.Lock_mgr.Exclusive;
-      Index.Btree.insert_logged t txn ~key:(key 4) ~value:40L;
-      Alcotest.(check int) "staged inside txn" 1 (Index.Btree.pending_count t));
-  (* no batching: the committing transaction's own flush applies it *)
-  Alcotest.(check int) "applied by own commit" 0 (Index.Btree.pending_count t);
-  Alcotest.(check (list int64)) "visible" [ 40L ] (Index.Btree.lookup t ~key:(key 4));
-  Alcotest.(check int) "no intents left" 0
     (Relstore.Status_log.intent_count (Relstore.Db.status_log db));
   check_ok t
 
@@ -386,8 +373,6 @@ let () =
           Alcotest.test_case "duplicates dropped" `Quick test_bulk_insert_duplicates;
           Alcotest.test_case "deferred overlay, grouped" `Quick
             test_overlay_grouped_visibility;
-          Alcotest.test_case "deferred overlay, ungrouped" `Quick
-            test_overlay_ungrouped_applies_at_commit;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

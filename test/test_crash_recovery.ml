@@ -133,13 +133,10 @@ let make_fs_knobs () =
   ignore
     (Pagestore.Switch.add_device switch ~name:"disk0" ~kind:D.Magnetic_disk ()
       : D.t);
-  (* a batch size no workload here fills, and an age bound it never
-     reaches: every staged index insert is still an unapplied intent when
-     the crash lands *)
-  let db =
-    Relstore.Db.create ~switch ~clock ~group_commit:1024
-      ~flush_wait_us:1_000_000_000 ~deferred_index:true ~early_release:true ()
-  in
+  (* the workloads here commit fewer than a batch's worth, and nothing
+     polls the age bound without a server: every staged index insert is
+     still an unapplied intent when the crash lands *)
+  let db = Relstore.Db.create ~switch ~clock ~deferred_index:true () in
   Fs.make db ()
 
 let test_redo_replays_deferred_intents () =

@@ -683,60 +683,73 @@ let test_db_oids_unique () =
 
 let read_counter name = match Obs.Metrics.read name with Some v -> v | None -> 0
 
+let group_flushes () = Obs.Metrics.hist_count (Obs.Metrics.histogram "txn.commit.group_size")
+
 let test_group_commit_batches_forces () =
-  let h = Obs.Metrics.histogram "txn.commit.group_size" in
-  let run ?group_commit () =
-    let db = Db.create ?group_commit () in
-    let heap = Db.create_relation db ~name:"r" () in
-    let d0 = read_counter "log.commit.durable" in
-    let f0 = Obs.Metrics.hist_count h in
-    let t0 = Simclock.Clock.now (Db.clock db) in
-    for i = 1 to 8 do
-      Db.with_txn db (fun txn ->
-          ignore (H.insert heap txn ~oid:(Int64.of_int i) (payload "x") : Relstore.Tid.t))
-    done;
-    Db.force_group db;
-    ( Simclock.Clock.now (Db.clock db) -. t0,
-      read_counter "log.commit.durable" - d0,
-      Obs.Metrics.hist_count h - f0 )
+  let db = Db.create () in
+  let heap = Db.create_relation db ~name:"r" () in
+  let d0 = read_counter "log.commit.durable" in
+  let f0 = group_flushes () in
+  let commit i =
+    Db.with_txn db (fun txn ->
+        ignore (H.insert heap txn ~oid:(Int64.of_int i) (payload "x") : Relstore.Tid.t))
   in
-  let off_t, off_durable, off_flushes = run () in
-  let on_t, on_durable, on_flushes = run ~group_commit:8 () in
-  Alcotest.(check int) "durable commits equal" off_durable on_durable;
-  Alcotest.(check int) "off: one force per commit" 8 off_flushes;
-  Alcotest.(check int) "on: one force for the batch" 1 on_flushes;
-  (* the batch is charged one stable write where the seed path pays
-     eight: the grouped run must finish earlier on the simulated clock *)
-  Alcotest.(check bool) "batched run is cheaper" true (on_t < off_t)
+  for i = 1 to SL.group_size - 1 do
+    commit i
+  done;
+  Alcotest.(check int) "seven commits pending" (SL.group_size - 1)
+    (SL.pending_force (Db.status_log db));
+  Alcotest.(check (float 0.)) "no force charged yet" 0.
+    (Simclock.Clock.charged (Db.clock db) "xlog.commit");
+  commit SL.group_size;
+  Alcotest.(check int) "the eighth commit forced the batch" 0
+    (SL.pending_force (Db.status_log db));
+  Alcotest.(check int) "exactly one force" (f0 + 1) (group_flushes ());
+  Alcotest.(check int) "eight durable commits" (d0 + 8) (read_counter "log.commit.durable");
+  Alcotest.(check bool) "the force was charged" true
+    (Simclock.Clock.charged (Db.clock db) "xlog.commit" > 0.)
+
+let test_sync_forces_partial_batch () =
+  let fs = Invfs.Fs.make (Db.create ()) () in
+  let db = Invfs.Fs.db fs in
+  Db.force_group db;
+  Invfs.Fs.write_file (Invfs.Fs.new_session fs) "/partial" (Bytes.of_string "x");
+  let pending = SL.pending_force (Db.status_log db) in
+  Alcotest.(check bool) "a partial batch is pending" true
+    (pending > 0 && pending < SL.group_size);
+  let d0 = read_counter "log.commit.durable" in
+  let f0 = group_flushes () in
+  Invfs.Fs.sync fs;
+  Alcotest.(check int) "drained" 0 (SL.pending_force (Db.status_log db));
+  Alcotest.(check int) "one force" (f0 + 1) (group_flushes ());
+  Alcotest.(check int) "covering the partial batch" (d0 + pending)
+    (read_counter "log.commit.durable")
 
 let test_status_log_group_api () =
   let clock = Simclock.Clock.create () in
   let log = SL.create ~clock in
-  SL.set_group_size log 3;
-  SL.set_flush_wait_us log 500;
   let commit_one () =
     let x = SL.begin_txn log in
     ignore (SL.commit ~force:true log x : int64)
   in
   commit_one ();
   Alcotest.(check int) "pending 1" 1 (SL.pending_force log);
-  Alcotest.(check bool) "not size_due yet" false (SL.size_due log);
-  commit_one ();
-  commit_one ();
-  Alcotest.(check bool) "size_due at 3" true (SL.size_due log);
-  Alcotest.(check int) "force covers the batch" 3 (SL.force_pending log);
+  for _ = 2 to SL.group_size do
+    commit_one ()
+  done;
+  Alcotest.(check int) "force covers the batch" SL.group_size (SL.force_pending log);
   Alcotest.(check int) "drained" 0 (SL.pending_force log);
-  (* age bound: a lone pending commit comes due after flush_wait_us *)
+  (* age bound: a lone pending commit comes due after max_age_s *)
   commit_one ();
-  Alcotest.(check bool) "fresh batch not age_due" false (SL.age_due log);
-  Simclock.Clock.advance clock 0.001;
+  Simclock.Clock.advance clock (SL.max_age_s /. 2.);
+  Alcotest.(check bool) "young batch not age_due" false (SL.age_due log);
+  Simclock.Clock.advance clock SL.max_age_s;
   Alcotest.(check bool) "age_due after the wait" true (SL.age_due log);
   Alcotest.(check int) "age force covers it" 1 (SL.force_pending log)
 
 let test_intents_follow_transaction_outcome () =
   let clock = Simclock.Clock.create () in
   let log = SL.create ~clock in
-  SL.set_group_size log 4;
   let x1 = SL.begin_txn log in
   SL.log_intent log x1 ~tree:"d:1" ~key:"k1" ~value:1L;
   let x2 = SL.begin_txn log in
@@ -753,7 +766,6 @@ let test_intents_follow_transaction_outcome () =
 let test_group_commit_survives_crash () =
   let clock = Simclock.Clock.create () in
   let log = SL.create ~clock in
-  SL.set_group_size log 4;
   let x1 = SL.begin_txn log in
   SL.log_intent log x1 ~tree:"d:1" ~key:"k1" ~value:1L;
   ignore (SL.commit ~force:true log x1 : int64);
@@ -958,6 +970,8 @@ let () =
           Alcotest.test_case "batched force accounting" `Quick
             test_group_commit_batches_forces;
           Alcotest.test_case "size and age triggers" `Quick test_status_log_group_api;
+          Alcotest.test_case "Fs.sync forces a partial batch" `Quick
+            test_sync_forces_partial_batch;
           Alcotest.test_case "intent lifecycle" `Quick
             test_intents_follow_transaction_outcome;
           Alcotest.test_case "enqueued commits survive crash" `Quick

@@ -1060,60 +1060,55 @@ let test_parked_deadlock_victim () =
   Alcotest.(check int) "nothing left parked" 0 (Server.parked_now server);
   Alcotest.(check bool) "resumes counted" true (Server.park_resumes server >= 3)
 
-(* ---- group commit: explicit commit replies ride the batch force ---- *)
+(* ---- group commit: the server's age bound, and commit acknowledgement ---- *)
 
-let test_group_commit_defers_replies () =
-  let clock = Simclock.Clock.create () in
-  let switch = Pagestore.Switch.create ~clock in
-  ignore
-    (Pagestore.Switch.add_device switch ~name:"disk0"
-       ~kind:Pagestore.Device.Magnetic_disk ()
-      : Pagestore.Device.t);
-  let db =
-    Relstore.Db.create ~switch ~clock ~group_commit:8 ~flush_wait_us:1_000_000
-      ~deferred_index:true ~early_release:true ()
-  in
-  let fs = Fs.make db () in
-  let server = Server.create ~fs () in
-  let net = Netsim.create ~clock Netsim.tcp_1993 in
-  (* set up /fb outside any explicit transaction so B's writes don't
-     contend with A's create on the naming relation *)
-  let setup = raw_connect server net in
-  ignore
-    (raw_ok setup server
-       (Wire.Creat { path = "/fb"; device = None; ftype = None; compressed = false })
-      : Wire.result);
-  let a = raw_connect server net and b = raw_connect server net in
-  ignore (raw_ok a server Wire.Begin : Wire.result);
-  ignore
-    (raw_ok a server
-       (Wire.Creat { path = "/fa"; device = None; ftype = None; compressed = false })
-      : Wire.result);
-  ignore (raw_ok b server Wire.Begin : Wire.result);
-  let fd_b = raw_fd b server (Wire.Open { path = "/fb"; mode = 1; timestamp = None }) in
-  ignore
-    (raw_ok b server (Wire.Write { fd = fd_b; off = 0L; data = "group" })
-      : Wire.result);
-  Alcotest.(check int) "no deferrals yet" 0 (Server.group_defers server);
-  (* both commits land in one pump: each joins the pending batch, so
-     neither acknowledgement may go out before the end-of-pump force *)
-  let ra = raw_send a Wire.Commit in
-  let rb = raw_send b Wire.Commit in
+let group_flushes () = Obs.Metrics.hist_count (Obs.Metrics.histogram "txn.commit.group_size")
+
+let test_group_commit_age_force () =
+  let clock, fs, server, net = mk () in
+  let log = Relstore.Db.status_log (Fs.db fs) in
+  let r = raw_connect server net in
+  Relstore.Db.force_group (Fs.db fs);
+  ignore (raw_ok r server (Wire.Mkdir { path = "/lone" }) : Wire.result);
+  Alcotest.(check int) "the auto-commit joined the batch" 1
+    (Relstore.Status_log.pending_force log);
+  let f0 = group_flushes () in
+  Simclock.Clock.advance clock (Relstore.Status_log.max_age_s /. 2.);
   Server.pump server;
-  Alcotest.(check int) "both commit replies deferred" 2 (Server.group_defers server);
-  (match raw_reply a ra with
-  | Wire.Ok_reply _ -> ()
-  | _ -> Alcotest.fail "A's commit should succeed after the group force");
-  (match raw_reply b rb with
-  | Wire.Ok_reply _ -> ()
-  | _ -> Alcotest.fail "B's commit should succeed after the group force");
-  (* the force drained the batch: nothing pending, files durable *)
-  Alcotest.(check int) "batch drained" 0
-    (Relstore.Status_log.pending_force (Relstore.Db.status_log db));
-  let c = raw_connect server net in
-  match raw_ok c server (Wire.Exists { path = "/fa"; timestamp = None }) with
-  | Wire.R_bool true -> ()
-  | _ -> Alcotest.fail "/fa should exist after the batched commit"
+  Alcotest.(check int) "younger than the age bound: still pending" 1
+    (Relstore.Status_log.pending_force log);
+  Simclock.Clock.advance clock Relstore.Status_log.max_age_s;
+  Server.pump server;
+  Alcotest.(check int) "the pump forced it" 0 (Relstore.Status_log.pending_force log);
+  Alcotest.(check int) "one force for the lone commit" (f0 + 1) (group_flushes ())
+
+let test_commit_acked_before_force () =
+  let _, fs, server, net = mk () in
+  let log = Relstore.Db.status_log (Fs.db fs) in
+  Relstore.Db.force_group (Fs.db fs);
+  let a = raw_connect server net in
+  ignore (raw_ok a server Wire.Begin : Wire.result);
+  let fd =
+    raw_fd a server
+      (Wire.Creat { path = "/acked"; device = None; ftype = None; compressed = false })
+  in
+  ignore (raw_ok a server (Wire.Write { fd; off = 0L; data = "logged" }) : Wire.result);
+  ignore (raw_ok a server (Wire.Close { fd }) : Wire.result);
+  let f0 = group_flushes () in
+  (* the acknowledgement goes out as soon as the status entry is logged:
+     the batch it joined has not forced *)
+  ignore (raw_ok a server Wire.Commit : Wire.result);
+  Alcotest.(check int) "commit pending in the batch" 1
+    (Relstore.Status_log.pending_force log);
+  Alcotest.(check int) "no force before the reply" f0 (group_flushes ());
+  Server.crash_now server;
+  let b = raw_connect server net in
+  let fd = raw_fd b server (Wire.Open { path = "/acked"; mode = 0; timestamp = None }) in
+  (match raw_ok b server (Wire.Read { fd; off = 0L; len = 64 }) with
+  | Wire.R_data d -> Alcotest.(check string) "visible over the wire" "logged" d
+  | _ -> Alcotest.fail "read should return data");
+  Alcotest.(check string) "visible through the library" "logged"
+    (Bytes.to_string (Fs.read_whole_file (Fs.new_session fs) "/acked"))
 
 (* ---- same inputs, same answers: the overload machinery is deterministic ---- *)
 
@@ -1657,7 +1652,9 @@ let () =
         ] );
       ( "group commit",
         [
-          Alcotest.test_case "commit replies ride the batch force" `Quick
-            test_group_commit_defers_replies;
+          Alcotest.test_case "age bound forces a lone commit" `Quick
+            test_group_commit_age_force;
+          Alcotest.test_case "commit acked before its force survives a crash" `Quick
+            test_commit_acked_before_force;
         ] );
     ]
