@@ -121,37 +121,11 @@ let iter_all t snap f = H.scan t.heap snap (fun r -> f (decode r.payload))
 
 let crash_reset t = Index.Btree.crash t.by_oid
 
-let index_check t =
-  match Index.Btree.check_invariants t.by_oid with
-  | exception e -> Error ("by_oid: walk failed: " ^ Printexc.to_string e)
-  | Error msg -> Error ("by_oid: " ^ msg)
-  | Ok () ->
-    let log = H.status_log t.heap in
-    let problem = ref None in
-    (try
-       H.scan_raw t.heap (fun r ->
-           if !problem = None && Relstore.Status_log.is_committed log r.xmin then begin
-             let indexed =
-               Index.Btree.lookup t.by_oid ~key:(Index.Key.of_int64 r.oid)
-             in
-             if not (List.mem (Relstore.Tid.encode r.tid) indexed) then
-               problem :=
-                 Some
-                   (Printf.sprintf "oid %Ld: committed attribute version not indexed"
-                      r.oid)
-           end);
-       (* Reverse direction: dangling or aliased entries mean a crash
-          split an index flush from its heap flush; rebuild. *)
-       Index.Btree.iter t.by_oid (fun key v ->
-           if !problem = None then
-             match H.fetch_any t.heap (Relstore.Tid.decode v) with
-             | None -> problem := Some "by_oid: dangling index entry"
-             | Some r ->
-               if not (String.equal key (Index.Key.of_int64 r.oid)) then
-                 problem :=
-                   Some (Printf.sprintf "by_oid: index entry aliases oid %Ld" r.oid))
-     with ex -> problem := Some ("index probe failed: " ^ Printexc.to_string ex));
-    (match !problem with None -> Ok () | Some msg -> Error msg)
+let audit_indexes t =
+  [ { Index.Audit.name = "by_oid"; tree = t.by_oid;
+      key_of = (fun r -> Index.Key.of_int64 r.H.oid) } ]
+
+let audit t = Index.Audit.run t.heap (audit_indexes t)
 
 let rebuild_indexes t =
   Index.Btree.reinit t.by_oid;

@@ -54,9 +54,14 @@ val index_maintenance_on_vacuum : t -> Relstore.Heap.record -> unit
 val crash_reset : t -> unit
 (** Forget volatile index state after a simulated machine crash. *)
 
-val index_check : t -> (unit, string) result
-(** Crash-recovery audit of the oid index: structure plus completeness
-    (every committed attribute record reachable under its oid). *)
+val audit_indexes : t -> Index.Audit.index list
+(** The oid tree with the key each [fileatt] record version is indexed
+    under: the input {!audit} hands to {!Index.Audit.run}. *)
+
+val audit : t -> Index.Audit.verdict
+(** Crash-recovery audit ({!Index.Audit.run}) of the [fileatt] heap's
+    pages and the oid index: every committed attribute record reachable
+    under its oid, no entry dangling or aliased. *)
 
 val rebuild_indexes : t -> unit
 (** Reconstruct the oid index from the [fileatt] heap. *)

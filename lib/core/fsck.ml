@@ -45,17 +45,12 @@ let audit fs =
      covers what is still answering. *)
   let degraded = Relstore.Db.degraded_relations db in
   let is_degraded name = List.mem name degraded in
-  (* 1. media-level: every page self-identifies *)
+  (* 1. media-level: every page self-identifies.  The same page pass
+     audits the B-tree indexes over each heap; their verdicts are
+     reported under 3. *)
   let rels = Relstore.Db.relations db in
-  let check_pages name =
-    if not (is_degraded name) then
-      match Relstore.Heap.verify (Relstore.Db.find_relation db name) with
-      | Ok () -> ()
-      | Error msg -> push name msg
-      | exception Pagestore.Device.Media_failure m ->
-        push name (Printf.sprintf "media failure: %s (%s/%d/%d)" m.reason m.device m.segid m.blkno)
-  in
-  List.iter check_pages rels;
+  let page_problems, index_verdict = Fs.audit_relations fs in
+  List.iter (fun (name, msg) -> push name msg) page_problems;
   (* 2. namespace structure *)
   let files_checked = ref 0 in
   Fs.iter_files fs snap (fun entry att ->
@@ -102,18 +97,14 @@ let audit fs =
   (* 3. index consistency: the B-trees are update-in-place, the one layer
      a crash can actually damage, so audit structure and completeness
      against the (self-identifying, no-overwrite) heaps *)
-  (match Naming.index_check (Fs.naming_catalog fs) with
-  | Ok () -> ()
-  | Error msg -> push "naming" ("index: " ^ msg));
-  (match Fileatt.index_check (Fs.fileatt_catalog fs) with
-  | Ok () -> ()
-  | Error msg -> push "fileatt" ("index: " ^ msg));
-  Fs.iter_file_handles fs (fun oid inv ->
-      if not (is_degraded (Inv_file.relname oid)) then
-        match Inv_file.index_check inv with
-        | Ok () -> ()
-        | Error msg -> push (Inv_file.relname oid) ("index: " ^ msg)
-        | exception Pagestore.Device.Media_failure _ -> ());
+  let index_problem name =
+    match index_verdict name with
+    | Some (Error msg) -> push name ("index: " ^ msg)
+    | Some (Ok ()) | None -> ()
+  in
+  index_problem (Relstore.Heap.name (Naming.heap (Fs.naming_catalog fs)));
+  index_problem (Relstore.Heap.name (Fileatt.heap (Fs.fileatt_catalog fs)));
+  Fs.iter_file_handles fs (fun oid _ -> index_problem (Inv_file.relname oid));
   (* 4. archive tier: WORM heaps may hold only dead history.  Every
      archived version must carry a committed inserter AND a committed
      deleter — the vacuum judges on exactly that, so a live or undecided

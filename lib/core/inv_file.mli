@@ -92,11 +92,17 @@ val crash_reset : t -> unit
 (** Forget volatile per-file state after a simulated machine crash
     (currently the B-tree's cached entry count). *)
 
-val index_check : t -> (unit, string) result
-(** Crash-recovery audit of the chunk index: structural invariants plus
-    completeness — every committed heap record must be reachable under
-    its chunk number.  (The index is update-in-place, so unlike the
-    no-overwrite heap it {e can} be damaged by an ill-timed crash.) *)
+val audit_indexes : t -> Index.Audit.index list
+(** The chunk tree with the key (chunk number) each version is indexed
+    under: the input {!audit} hands to {!Index.Audit.run}. *)
+
+val audit : t -> Index.Audit.verdict
+(** Crash-recovery audit ({!Index.Audit.run}) of the file's heap pages
+    and chunk index: every committed version reachable under its chunk
+    number, no entry dangling or aliased.  (The index is update-in-place,
+    so unlike the no-overwrite heap it {e can} be damaged by an
+    ill-timed crash.)  A file with nothing committed passes whatever its
+    index holds. *)
 
 val rebuild_index : t -> unit
 (** Reconstruct the chunk index from the heap (all versions re-inserted).

@@ -119,57 +119,17 @@ let crash_reset t =
   Index.Btree.crash t.by_dir;
   Index.Btree.crash t.by_oid
 
-let index_check t =
-  let log = H.status_log t.heap in
-  let structural name tree =
-    match Index.Btree.check_invariants tree with
-    | exception e -> Some (name ^ ": walk failed: " ^ Printexc.to_string e)
-    | Error msg -> Some (name ^ ": " ^ msg)
-    | Ok () -> None
-  in
-  match structural "by_dir" t.by_dir with
-  | Some msg -> Error msg
-  | None -> (
-    match structural "by_oid" t.by_oid with
-    | Some msg -> Error msg
-    | None ->
-      let problem = ref None in
-      (try
-         H.scan_raw t.heap (fun r ->
-             if !problem = None && Relstore.Status_log.is_committed log r.xmin then begin
-               let e = decode r.tid r.payload in
-               let v = Relstore.Tid.encode r.tid in
-               let in_dir =
-                 List.mem v
-                   (Index.Btree.lookup t.by_dir
-                      ~key:(Index.Key.dir_name ~parentid:e.parentid ~name:e.name))
-               in
-               let in_oid =
-                 List.mem v (Index.Btree.lookup t.by_oid ~key:(Index.Key.of_int64 e.file))
-               in
-               if not (in_dir && in_oid) then
-                 problem :=
-                   Some (Printf.sprintf "entry %S: committed version not indexed" e.name)
-             end);
-         (* Reverse direction: no index entry may dangle (heap slot never
-            flushed before a crash) or alias a record that encodes under a
-            different key (the slot was reused after recovery missed it). *)
-         let reverse tree name key_of =
-           Index.Btree.iter tree (fun key v ->
-               if !problem = None then
-                 match H.fetch_any t.heap (Relstore.Tid.decode v) with
-                 | None -> problem := Some (name ^ ": dangling index entry")
-                 | Some r ->
-                   let e = decode r.tid r.payload in
-                   if not (String.equal key (key_of e)) then
-                     problem :=
-                       Some (Printf.sprintf "%s: index entry aliases %S" name e.name))
-         in
-         reverse t.by_dir "by_dir" (fun e ->
-             Index.Key.dir_name ~parentid:e.parentid ~name:e.name);
-         reverse t.by_oid "by_oid" (fun e -> Index.Key.of_int64 e.file)
-       with ex -> problem := Some ("index probe failed: " ^ Printexc.to_string ex));
-      (match !problem with None -> Ok () | Some msg -> Error msg))
+let audit_indexes t =
+  let entry (r : H.record) = decode r.tid r.payload in
+  [
+    { Index.Audit.name = "by_dir"; tree = t.by_dir;
+      key_of = (fun r ->
+        let e = entry r in
+        Index.Key.dir_name ~parentid:e.parentid ~name:e.name) };
+    { name = "by_oid"; tree = t.by_oid; key_of = (fun r -> Index.Key.of_int64 (entry r).file) };
+  ]
+
+let audit t = Index.Audit.run t.heap (audit_indexes t)
 
 let rebuild_indexes t =
   Index.Btree.reinit t.by_dir;

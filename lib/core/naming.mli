@@ -58,10 +58,14 @@ val index_maintenance_on_vacuum : t -> Relstore.Heap.record -> unit
 val crash_reset : t -> unit
 (** Forget volatile index state after a simulated machine crash. *)
 
-val index_check : t -> (unit, string) result
-(** Crash-recovery audit of both namespace indexes: structure plus
-    completeness (every committed catalog record reachable by (parent,
-    name) and by oid). *)
+val audit_indexes : t -> Index.Audit.index list
+(** Both trees with the key each [naming] record version is indexed
+    under: the input {!audit} hands to {!Index.Audit.run}. *)
+
+val audit : t -> Index.Audit.verdict
+(** Crash-recovery audit ({!Index.Audit.run}) of the [naming] heap's pages
+    and both namespace indexes: every committed catalog record reachable
+    by (parent, name) and by oid, no entry dangling or aliased. *)
 
 val rebuild_indexes : t -> unit
 (** Reconstruct both indexes from the [naming] heap. *)

@@ -578,13 +578,12 @@ let max_entry t =
 
 let check_invariants t =
   let root, hgt, _ = read_meta t in
-  (* Recount via the leaf chain rather than trusting the volatile cached
-     count — after a crash the cache is stale by design, and the audit's
-     job is to compare chain vs tree walk, two independent traversals. *)
-  let cnt = count_leaves t (leftmost_leaf t) 0 in
   let errors = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  (* Walk the tree checking levels and in-node order; count leaf items. *)
+  (* Walk the tree checking levels, in-node order and subtree bounds
+     (which together put the leaves it reaches in key order); collect
+     those leaves, left to right, and count their items. *)
+  let walk_leaves = ref [] in
   let leaf_items = ref 0 in
   let rec walk blkno expected_level ~lo ~hi =
     with_page t blkno (fun p ->
@@ -609,7 +608,10 @@ let check_invariants t =
             fail "block %d: item %d above subtree bound" blkno i
           | _ -> ()
         done;
-        if level = 0 then leaf_items := !leaf_items + n
+        if level = 0 then begin
+          walk_leaves := blkno :: !walk_leaves;
+          leaf_items := !leaf_items + n
+        end
         else begin
           let children =
             Page.get_u32 p n_child0
@@ -626,15 +628,27 @@ let check_invariants t =
         end)
   in
   walk root (hgt - 1) ~lo:None ~hi:None;
-  if !leaf_items <> cnt then
-    fail "leaf chain holds %d items but tree walk found %d" cnt !leaf_items
-  else if !errors = [] then t.mem_count <- cnt;
-  (* Leaf chain must be globally sorted. *)
-  let prev = ref None in
-  iter t (fun k v ->
-      let item = item_of t ~key:k ~value:v in
-      (match !prev with
-      | Some p when String.compare p item >= 0 -> fail "leaf chain out of order"
-      | _ -> ());
-      prev := Some item);
-  match !errors with [] -> Ok () | e :: _ -> Error e
+  let walk_leaves = Array.of_list (List.rev !walk_leaves) in
+  (* The leaf chain from the leftmost leaf must visit exactly the leaves
+     the walk reached, in the same order.  Then a lookup (descend, then
+     follow the chain) and a whole-chain scan see the same entries, and
+     the chain is as sorted as the walk's leaves.  The chain walk stops
+     one leaf past the walk's count, so a stale next pointer that closes
+     a cycle ends as a mismatch, not a loop. *)
+  let nleaves = Array.length walk_leaves in
+  let rec chain blkno i =
+    if blkno = no_block then begin
+      if i < nleaves then fail "leaf chain ends after %d of %d leaves" i nleaves
+    end
+    else if i >= nleaves then fail "leaf chain runs past the %d leaves of the tree walk" nleaves
+    else if blkno <> walk_leaves.(i) then
+      fail "leaf chain visits block %d where the tree walk reaches block %d" blkno
+        walk_leaves.(i)
+    else chain (with_page t blkno (fun p -> Page.get_u32 p n_next)) (i + 1)
+  in
+  chain (leftmost_leaf t) 0;
+  match List.rev !errors with
+  | [] ->
+    t.mem_count <- !leaf_items;
+    Ok ()
+  | e :: _ -> Error e

@@ -92,5 +92,9 @@ val min_entry : t -> (string * int64) option
 val max_entry : t -> (string * int64) option
 
 val check_invariants : t -> (unit, string) result
-(** Structural audit: node sort order, separator correctness, leaf-chain
-    order, entry count.  Used by tests and the property suite. *)
+(** Structural audit of the durable pages: node levels, sort order and
+    separator bounds from a walk down the tree, and a leaf chain (from
+    the leftmost leaf) that visits exactly the leaves the walk reaches,
+    in the same order — so membership in one chain scan ({!iter}) agrees
+    with {!lookup}.  A cyclic chain is reported, not followed forever.
+    Used by the index audit, tests and the property suite. *)

@@ -163,13 +163,13 @@ let relation_degraded heap =
 
 let degraded_relations t = List.filter (fun name -> relation_degraded (find_relation t name)) (relations t)
 
-let verify_relations t =
+let verify_relations ?(check = fun heap -> Heap.verify heap) t =
   List.filter_map
     (fun name ->
       let heap = find_relation t name in
       if relation_degraded heap then None (* unreachable, reported via degraded_relations *)
       else
-        match Heap.verify heap with
+        match check heap with
         | Ok () -> None
         | Error msg -> Some (name, msg)
         | exception Pagestore.Device.Media_failure m ->

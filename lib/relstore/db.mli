@@ -86,13 +86,16 @@ val degraded_relations : t -> string list
     live mirror holds a copy.  Sorted.  The rest of the database keeps
     serving — this is degraded-mode operation, not failure. *)
 
-val verify_relations : t -> (string * string) list
-(** Run {!Heap.verify} over every relation and collect
-    [(relation, problem)] pairs; empty means every durable page passed its
-    self-identification check.  Degraded relations (see
-    {!degraded_relations}) are skipped — they are reported as degraded,
-    not corrupt; an unexpected media failure elsewhere is reported as a
-    problem. *)
+val verify_relations :
+  ?check:(Heap.t -> (unit, string) result) -> t -> (string * string) list
+(** Run [check] (default {!Heap.verify}) over every relation and collect
+    [(relation, problem)] pairs, in relation-name order; empty means every
+    durable page passed its self-identification check.  A caller that
+    audits a relation's indexes passes a [check] that runs the audit
+    inside the same page pass ([Heap.verify ~on_record]).  Degraded
+    relations (see {!degraded_relations}) are skipped — they are reported
+    as degraded, not corrupt; a media failure raised by [check] is
+    reported as a ["media failure: ..."] problem. *)
 
 val crash_and_recover : t -> Xid.t list * (string * string) list
 (** Whole-system crash + recovery as one call: {!crash} (which composes

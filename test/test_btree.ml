@@ -214,6 +214,95 @@ let test_duplicate_heavy () =
     (List.mem 1000L (Index.Btree.lookup t ~key:(key 5)));
   check_ok t
 
+(* ---- the leaf chain must be the tree walk's leaves ----
+
+   Leaf surgery through the buffer cache.  Node pages carry their magic
+   (u16) at byte 0, their level (u16) at byte 2 and, on a leaf, the next
+   leaf's block (u32) at byte 6. *)
+
+let make_tree_and_cache () =
+  let clock = Simclock.Clock.create () in
+  let device =
+    Pagestore.Device.create ~clock ~name:"d" ~kind:Pagestore.Device.Magnetic_disk ()
+  in
+  let cache = Pagestore.Bufcache.create ~capacity:64 () in
+  (Index.Btree.create ~cache ~device ~klen:8, cache)
+
+let node_page cache t blkno f =
+  Pagestore.Bufcache.with_page cache (Index.Btree.device t) ~segid:(Index.Btree.segid t)
+    ~blkno f
+
+let next_of cache t blkno = node_page cache t blkno (fun p -> Pagestore.Page.get_u32 p 6)
+
+let set_next cache t blkno next =
+  node_page cache t blkno (fun p -> Pagestore.Page.set_u32 p 6 next)
+
+(* The healthy chain, head first: the one leaf no other leaf points at. *)
+let leaf_chain cache t =
+  let nblocks =
+    Pagestore.Device.nblocks (Index.Btree.device t) (Index.Btree.segid t)
+  in
+  let leaves =
+    List.filter
+      (fun b ->
+        node_page cache t b (fun p ->
+            Pagestore.Page.get_u16 p 0 = 0x424E && Pagestore.Page.get_u16 p 2 = 0))
+      (List.init (nblocks - 1) (fun i -> i + 1))
+  in
+  let nexts = List.map (next_of cache t) leaves in
+  let head = List.find (fun b -> not (List.mem b nexts)) leaves in
+  let rec follow b acc = if b = 0 then List.rev acc else follow (next_of cache t b) (b :: acc) in
+  follow head []
+
+let tree_of_leaves n =
+  let t, cache = make_tree_and_cache () in
+  for i = 0 to n - 1 do
+    Index.Btree.insert t ~key:(key i) ~value:(Int64.of_int i)
+  done;
+  check_ok t;
+  let chain = leaf_chain cache t in
+  Alcotest.(check bool) "at least three leaves" true (List.length chain >= 3);
+  (t, cache, chain)
+
+let expect_broken what t =
+  match Index.Btree.check_invariants t with
+  | Ok () -> Alcotest.failf "check_invariants accepted %s" what
+  | Error _ -> ()
+
+(* The chain skips leaf B and re-links through a stale copy of it.  Item
+   counts and global order still agree, and a lookup (which descends to
+   B itself) still finds B's entries — only the leaf sequence tells. *)
+let test_chain_detours_through_stale_copy () =
+  let n = 1500 in
+  let t, cache, chain = tree_of_leaves n in
+  let a, b = (List.nth chain 0, List.nth chain 1) in
+  let copy = Pagestore.Bufcache.new_block cache (Index.Btree.device t) ~segid:(Index.Btree.segid t) in
+  node_page cache t b (fun pb ->
+      node_page cache t copy (fun pc ->
+          Bytes.blit (Pagestore.Page.raw pb) 0 (Pagestore.Page.raw pc) 0 Pagestore.Page.size));
+  set_next cache t a copy;
+  let seen = ref [] in
+  Index.Btree.iter t (fun k _ -> seen := Index.Key.to_int64 k :: !seen);
+  Alcotest.(check (list int64)) "chain still yields every entry in order"
+    (List.init n Int64.of_int) (List.rev !seen);
+  let in_b = node_page cache t b (fun p -> Index.Key.to_int64 (Pagestore.Page.get_string p 16 8)) in
+  Alcotest.(check (list int64)) "lookup still finds B's entries" [ in_b ]
+    (Index.Btree.lookup t ~key:(Index.Key.of_int64 in_b));
+  expect_broken "a chain through a stale copy of a leaf" t
+
+(* A stale next pointer closes the chain into a cycle: the audit must
+   report it, not follow it forever. *)
+let test_cyclic_chain_reported () =
+  let t, cache, chain = tree_of_leaves 1500 in
+  set_next cache t (List.nth chain (List.length chain - 1)) (List.nth chain 1);
+  expect_broken "a cyclic leaf chain" t
+
+(* A chain that ends early — the last leaves unreachable by a scan. *)
+let test_truncated_chain_reported () =
+  let t, cache, chain = tree_of_leaves 1500 in
+  set_next cache t (List.nth chain 1) 0;
+  expect_broken "a truncated leaf chain" t
+
 (* ---- properties ---- *)
 
 let prop_model_equivalence =
@@ -363,6 +452,14 @@ let () =
           Alcotest.test_case "klen bounds" `Quick test_klen_bounds;
           Alcotest.test_case "empty range scans" `Quick test_empty_range_scan;
           Alcotest.test_case "duplicate-heavy keys" `Quick test_duplicate_heavy;
+        ] );
+      ( "leaf chain",
+        [
+          Alcotest.test_case "detour through a stale copy" `Quick
+            test_chain_detours_through_stale_copy;
+          Alcotest.test_case "cycle reported" `Quick test_cyclic_chain_reported;
+          Alcotest.test_case "truncated chain reported" `Quick
+            test_truncated_chain_reported;
         ] );
       ( "bulk insert",
         [

@@ -244,6 +244,38 @@ let test_harness_seed seed () =
   Alcotest.(check bool) "workload crashed at least once" true (o.CT.crashes > 0);
   Alcotest.(check bool) "workload applied real operations" true (o.CT.ops_applied > 50)
 
+(* ---- recovery reads each page once ---- *)
+
+(* A file whose heap outgrows both the OS cache and the buffer pool: a
+   second pass over it (or a fetch per index entry) has to go back to the
+   disk.  Recovery's device reads must stay within one read of every
+   block the device holds — the file's heap and chunk index plus the
+   catalogs' heaps and trees. *)
+let test_recovery_reads_each_page_once () =
+  let clock = Simclock.Clock.create () in
+  let switch = Pagestore.Switch.create ~clock in
+  let dev = Pagestore.Switch.add_device switch ~name:"disk0" ~kind:D.Magnetic_disk () in
+  let db = Db.create ~cache_capacity:32 ~os_cache_blocks:64 ~switch ~clock () in
+  let fs = Fs.make db () in
+  let s = Fs.new_session fs in
+  Fs.write_file s "/big" (Bytes.make (Invfs.Chunk.capacity * 200) 'r');
+  let inv = Option.get (Fs.file_handle fs ~oid:(Fs.lookup_oid s "/big")) in
+  Alcotest.(check bool) "heap larger than OS cache and pool" true
+    (Relstore.Heap.nblocks (Invfs.Inv_file.heap inv) > 64 + 32);
+  let every_block =
+    List.fold_left (fun acc segid -> acc + D.nblocks dev segid) 0 (D.segments dev)
+  in
+  let before = D.reads dev in
+  let r = Fs.crash_and_recover fs in
+  let reads = D.reads dev - before in
+  Alcotest.(check int) "no page problems" 0 (List.length r.Fs.page_problems);
+  Alcotest.(check (list int64)) "no index rebuilt" [] r.Fs.file_indexes_rebuilt;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d device reads for %d blocks" reads every_block)
+    true (reads <= every_block);
+  Alcotest.(check bytes) "file intact" (Bytes.make (Invfs.Chunk.capacity * 200) 'r')
+    (Fs.read_whole_file (Fs.new_session fs) "/big")
+
 let test_harness_deterministic () =
   let a = CT.run ~seed:42L () and b = CT.run ~seed:42L () in
   Alcotest.(check string) "identical outcomes for identical seeds"
@@ -274,6 +306,11 @@ let () =
             test_crash_with_multiple_open_sessions;
           Alcotest.test_case "logical REDO of deferred intents" `Quick
             test_redo_replays_deferred_intents;
+        ] );
+      ( "page reads",
+        [
+          Alcotest.test_case "recovery reads each page once" `Quick
+            test_recovery_reads_each_page_once;
         ] );
       ( "time travel",
         [
