@@ -54,7 +54,7 @@ let sony_worm =
     xfer_bytes_per_s = 0.6e6;
     per_io_s = 0.002;
     total_blocks = 327_000_000_000 / 8192;
-    extent_blocks = 16;
+    extent_blocks = 1;
     platter_blocks = 3_270_000_000 / 8192;
     platter_load_s = 8.0;
     cache_blocks = 10 * 1024 * 1024 / 8192;
@@ -248,16 +248,21 @@ let nblocks t segid =
   | None -> invalid_arg (Printf.sprintf "Device.nblocks: no segment %d on %s" segid t.name)
 
 (* Extent-based physical allocation: a segment's blocks come in runs of
-   [extent_blocks] contiguous physical blocks, so sequential scans of one
-   relation stream without long seeks even when relations interleave. *)
+   contiguous physical blocks, so sequential scans of one relation stream
+   without long seeks even when relations interleave.  A segment's next
+   extent is as large as the segment already is, capped at
+   [extent_blocks] (runs of 1, 1, 2, 4, 8, 8, ... on disk): a small
+   relation reserves no tail, so relations created together stay packed
+   end to end, and a WORM (cap 1) always writes at its frontier. *)
 let fresh_phys t segid =
   let next, remaining =
     match Hashtbl.find_opt t.seg_extent segid with
     | Some (next, remaining) when remaining > 0 -> (next, remaining)
     | _ ->
+      let size = max 1 (min t.geometry.extent_blocks (nblocks t segid)) in
       let next = t.next_phys in
-      t.next_phys <- next + t.geometry.extent_blocks;
-      (next, t.geometry.extent_blocks)
+      t.next_phys <- next + size;
+      (next, size)
   in
   Hashtbl.replace t.seg_extent segid (next + 1, remaining - 1);
   next

@@ -32,7 +32,9 @@ type geometry = {
   xfer_bytes_per_s : float;  (** sustained media transfer rate *)
   per_io_s : float;  (** fixed controller/driver overhead per I/O *)
   total_blocks : int;  (** capacity in 8 KB blocks, for seek scaling *)
-  extent_blocks : int;  (** allocation unit, physically contiguous *)
+  extent_blocks : int;
+      (** largest allocation unit, physically contiguous (see
+          {!allocate_block}) *)
   platter_blocks : int;  (** jukebox only: blocks per platter side *)
   platter_load_s : float;  (** jukebox only: platter exchange time *)
   cache_blocks : int;  (** jukebox only: magnetic-disk cache size *)
@@ -47,7 +49,9 @@ val nvram_geometry : geometry
 
 val sony_worm : geometry
 (** Sony WMJ-class optical jukebox: ~8 s platter exchange, ~0.6 MB/s
-    reads, 16-page extents, 10 MB disk cache (paper defaults). *)
+    reads, 10 MB disk cache (paper defaults).  Extents are one block, so
+    every write, a logical rewrite included, lands at the platter
+    frontier: a write-once medium is written as an append log. *)
 
 (** {1 Fault injection}
 
@@ -126,7 +130,11 @@ val nblocks : t -> int -> int
 val allocate_block : t -> int -> int
 (** [allocate_block dev segid] extends the segment by one zeroed block and
     returns the new block number.  Allocation is extent-based: blocks of a
-    segment are physically contiguous in runs of [extent_blocks]. *)
+    segment are physically contiguous in runs, and when a run is used up
+    the segment's next extent is as large as the segment already is,
+    capped at [extent_blocks].  On a magnetic disk that gives runs of 1,
+    1, 2, 4, 8, 8, ... blocks, so a small relation reserves no unused tail
+    and relations created one after another sit end to end. *)
 
 val read_block : t -> segid:int -> blkno:int -> Page.t
 (** Read one block (a fresh copy), charging simulated time.  Raises
@@ -241,7 +249,11 @@ val crash : t -> unit
     it lives on disk) is reset. *)
 
 val used_blocks : t -> int
-(** Total physical blocks allocated on the device. *)
+(** The allocation frontier: one past the highest physical block any
+    extent has reserved.  This counts the unused tail of each segment's
+    current extent and the extents of dropped segments (and, on the
+    jukebox, every superseded write-once block); none of them is ever
+    reclaimed. *)
 
 val worm_written_blocks : t -> int
 (** Jukebox only: how many write-once physical blocks have been consumed

@@ -1,8 +1,19 @@
 #!/bin/sh
 # Print the outcome lines of every differential sweep, with the
 # buffer-cache counters (cache=, ra=) stripped: those move with any
-# change to I/O order, while every other field is a same-seed invariant
-# of a behaviour-preserving change.
+# change to I/O order.
+#
+# The other fields are same-seed invariants of a change that keeps both
+# behaviour and I/O order, but not of one that reorders or relocates
+# device I/O.  Faultsim fires its scheduled faults on the Nth device
+# read or write, so a change to I/O order moves which block a bitrot or
+# stuck fault hits, and the counts on a scrub media line (ops=,
+# crashes=, media_events=, ...) can then differ while every run still
+# ends mismatches=0.  Timings printed on the simulated clock (the creategap
+# lines, a cluster sweep's hb=/msgs=) move when the device cost of the
+# same I/O changes, for example when blocks are laid out differently.
+# Explain each such line; only mismatches= and the exit status must
+# never move.
 #
 #   test/sweep_outcomes.sh [--full] [SOURCE_TREE] > outcomes.txt
 #

@@ -276,6 +276,72 @@ let test_recovery_reads_each_page_once () =
   Alcotest.(check bytes) "file intact" (Bytes.make (Invfs.Chunk.capacity * 200) 'r')
     (Fs.read_whole_file (Fs.new_session fs) "/big")
 
+(* A relation's trees are allocated before its first heap block, and
+   extents grow with their segment, so recovery's trees-then-heap audit
+   streams from one small file into the next: almost no arm
+   repositioning, and still exactly one device read per block. *)
+let test_recovery_streams_small_files () =
+  let fs = make_fs () in
+  let dev = Pagestore.Switch.find (Db.switch (Fs.db fs)) "disk0" in
+  let clock = Fs.clock fs in
+  let s = Fs.new_session fs in
+  for i = 1 to 200 do
+    Fs.write_file s (Printf.sprintf "/f%03d" i) (Bytes.make 600 'x')
+  done;
+  let rotate0 = Simclock.Clock.charged clock "disk.rotate" and reads0 = D.reads dev in
+  let r = Fs.crash_and_recover fs in
+  let repositionings =
+    int_of_float
+      (Float.round
+         ((Simclock.Clock.charged clock "disk.rotate" -. rotate0)
+         /. (D.rz58.D.rotation_s /. 2.)))
+  in
+  Alcotest.(check int) "no page problems" 0 (List.length r.Fs.page_problems);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d repositionings" repositionings)
+    true (repositionings <= 20);
+  (* The streaming saves arm movement, never reads: every block is read
+     exactly once. *)
+  let every_block =
+    List.fold_left (fun acc segid -> acc + D.nblocks dev segid) 0 (D.segments dev)
+  in
+  Alcotest.(check int) "one device read per block" every_block (D.reads dev - reads0)
+
+(* Files whose heaps never got a block hold no version, so their chunk
+   indexes are moot: recovery reads none of their index blocks and says
+   nothing about them. *)
+let test_moot_trees_stay_unread () =
+  let fs = make_fs () in
+  let dev = Pagestore.Switch.find (Db.switch (Fs.db fs)) "disk0" in
+  let s = Fs.new_session fs in
+  let index_segid fd =
+    Invfs.Inv_file.index_segid (Option.get (Fs.file_handle fs ~oid:(Fs.fd_oid s fd)))
+  in
+  Fs.write_file s "/full" (bytes_of "data");
+  let fd = Fs.p_creat s "/empty" in
+  let empty = index_segid fd in
+  Fs.p_close s fd;
+  Fs.p_begin s;
+  let fd = Fs.p_creat s "/aborted" in
+  let aborted = index_segid fd in
+  Fs.p_close s fd;
+  Fs.p_abort s;
+  let read_segids = ref [] in
+  D.set_fault_hook dev
+    (Some
+       (fun io ~segid ~blkno:_ ->
+         if io = D.Io_read then read_segids := segid :: !read_segids;
+         None));
+  let r = Fs.crash_and_recover fs in
+  D.set_fault_hook dev None;
+  Alcotest.(check bool) "recovery read something" true (!read_segids <> []);
+  Alcotest.(check bool) "empty file's index unread" false (List.mem empty !read_segids);
+  Alcotest.(check bool) "aborted file's index unread" false (List.mem aborted !read_segids);
+  Alcotest.(check (list (pair string string))) "no page problems" [] r.Fs.page_problems;
+  Alcotest.(check (list string)) "no catalog rebuilt" [] r.Fs.catalogs_rebuilt;
+  Alcotest.(check (list int64)) "no index rebuilt" [] r.Fs.file_indexes_rebuilt;
+  Alcotest.(check (list string)) "nothing degraded" [] r.Fs.degraded
+
 let test_harness_deterministic () =
   let a = CT.run ~seed:42L () and b = CT.run ~seed:42L () in
   Alcotest.(check string) "identical outcomes for identical seeds"
@@ -311,6 +377,9 @@ let () =
         [
           Alcotest.test_case "recovery reads each page once" `Quick
             test_recovery_reads_each_page_once;
+          Alcotest.test_case "recovery streams small files" `Quick
+            test_recovery_streams_small_files;
+          Alcotest.test_case "moot trees stay unread" `Quick test_moot_trees_stay_unread;
         ] );
       ( "time travel",
         [

@@ -149,6 +149,45 @@ let test_drop_segment () =
   D.drop_segment dev seg;
   Alcotest.(check bool) "gone" false (D.segment_exists dev seg)
 
+(* ---- extent allocation ---- *)
+
+let test_small_segment_reserves_no_tail () =
+  let _, dev = fresh_disk () in
+  let seg = D.create_segment dev in
+  let before = D.used_blocks dev in
+  ignore (D.allocate_block dev seg);
+  Alcotest.(check int) "one block moves the frontier by one" 1 (D.used_blocks dev - before)
+
+let test_worm_writes_at_frontier () =
+  let clock = Simclock.Clock.create () in
+  let dev = D.create ~clock ~name:"jb" ~kind:D.Worm_jukebox () in
+  let a = D.create_segment dev and b = D.create_segment dev in
+  let page = P.create () in
+  let append seg = D.write_block dev ~segid:seg ~blkno:(D.allocate_block dev seg) page in
+  append a;
+  Simclock.Clock.reset clock;
+  List.iter append [ b; a; b; a ];
+  D.write_block dev ~segid:a ~blkno:0 page;
+  Alcotest.(check (float 0.)) "no platter seek after the first write" 0.
+    (Simclock.Clock.charged clock "jukebox.seek")
+
+let test_grown_segment_is_one_run () =
+  let clock, dev = fresh_disk () in
+  let seg = D.create_segment dev in
+  for _ = 1 to 64 do
+    ignore (D.allocate_block dev seg)
+  done;
+  Simclock.Clock.reset clock;
+  for blkno = 0 to 63 do
+    ignore (D.read_block dev ~segid:seg ~blkno)
+  done;
+  (* Every arm repositioning pays half a rotation. *)
+  let n =
+    int_of_float
+      (Float.round (Simclock.Clock.charged clock "disk.rotate" /. (D.rz58.D.rotation_s /. 2.)))
+  in
+  Alcotest.(check bool) (Printf.sprintf "%d repositionings" n) true (n <= 1)
+
 (* ---- Switch ---- *)
 
 let test_switch_registry () =
@@ -666,6 +705,13 @@ let () =
           Alcotest.test_case "jukebox load + cache" `Quick test_jukebox_platter_load_and_cache;
           Alcotest.test_case "WORM rewrite allocates" `Quick test_jukebox_worm_rewrite_allocates;
           Alcotest.test_case "drop segment" `Quick test_drop_segment;
+        ] );
+      ( "extents",
+        [
+          Alcotest.test_case "small segment reserves no tail" `Quick
+            test_small_segment_reserves_no_tail;
+          Alcotest.test_case "WORM writes at the frontier" `Quick test_worm_writes_at_frontier;
+          Alcotest.test_case "grown segment is one run" `Quick test_grown_segment_is_one_run;
         ] );
       ( "switch",
         [
