@@ -1115,6 +1115,7 @@ type recovery = {
   file_indexes_rebuilt : int64 list;
   degraded : string list;
   intents_replayed : int;
+  relations_audited : string list;
 }
 
 let is_file_table name =
@@ -1145,14 +1146,16 @@ let ensure_handle t oid =
       true
     | Some _ | None -> false)
 
-(* Verify every relation's pages.  A catalog or a file (attached first if
-   it has no handle yet) is verified by its index audit, whose one read of
-   each heap page also feeds the check of its B-trees ({!Index.Audit});
-   the rest (archive heaps, the clonemap) get the plain page check. *)
-let audit_relations t =
-  let verdicts = Hashtbl.create 64 in
-  let check heap =
+(* Verify the pages of every relation [only] admits.  A catalog or a file
+   (attached first if it has no handle yet) is verified by its index
+   audit, whose one read of each heap page also feeds the check of its
+   B-trees ({!Index.Audit}); the rest (archive heaps, the clonemap) get
+   the plain page check. *)
+let audit_relations ?(only = fun _ -> true) t =
+  let verdicts = Hashtbl.create 64 and audited = ref [] in
+  let audit_one heap =
     let name = Relstore.Heap.name heap in
+    audited := name :: !audited;
     let audit =
       if String.equal name (Relstore.Heap.name (Naming.heap t.naming)) then
         Some (Naming.audit t.naming)
@@ -1168,8 +1171,51 @@ let audit_relations t =
       Hashtbl.replace verdicts name v.Index.Audit.indexes;
       v.Index.Audit.pages
   in
+  let check heap = if only heap then audit_one heap else Ok () in
   let page_problems = Db.verify_relations t.db ~check in
-  (page_problems, Hashtbl.find_opt verdicts)
+  (page_problems, Hashtbl.find_opt verdicts, List.rev !audited)
+
+(* Restart's filter: a relation needs auditing only if a store since the
+   last complete flush could have torn it, that is if its heap segment or
+   any of its trees' segments carries a dirty mark on either mirror copy.
+   The mark tables are read once per device.  A file relation with no
+   handle has no known trees, so it counts as marked; the handle is looked
+   up in [t.files] only, as attaching one would read the catalog. *)
+let torn_by_crash t =
+  let marks = Hashtbl.create 16 in
+  List.iter
+    (fun dev ->
+      List.iter
+        (fun segid -> Hashtbl.replace marks (Pagestore.Device.id dev, segid) ())
+        (Pagestore.Device.read_marks dev))
+    (Pagestore.Switch.devices (Db.switch t.db));
+  let marked dev segid =
+    Hashtbl.mem marks (Pagestore.Device.id dev, segid)
+    ||
+    match Pagestore.Device.segment_mirror dev ~segid with
+    | Some (m, msegid) -> Hashtbl.mem marks (Pagestore.Device.id m, msegid)
+    | None -> false
+  in
+  fun heap ->
+    let name = Relstore.Heap.name heap in
+    let trees =
+      if String.equal name (Relstore.Heap.name (Naming.heap t.naming)) then
+        Some (Naming.indexes t.naming)
+      else if String.equal name (Relstore.Heap.name (Fileatt.heap t.fileatt)) then
+        Some (Fileatt.indexes t.fileatt)
+      else if is_file_table name then
+        Option.map
+          (fun inv -> [ Inv_file.index inv ])
+          (Hashtbl.find_opt t.files (oid_of_file_table name))
+      else Some []
+    in
+    match trees with
+    | None -> true
+    | Some trees ->
+      marked (Relstore.Heap.device heap) (Relstore.Heap.segid heap)
+      || List.exists
+           (fun tree -> marked (Index.Btree.device tree) (Index.Btree.segid tree))
+           trees
 
 let crash_and_recover t =
   let rolled_back = Relstore.Status_log.active (Db.status_log t.db) in
@@ -1183,7 +1229,9 @@ let crash_and_recover t =
      as its heap), and a heap that cannot be read leaves nothing to
      rebuild from: neither gets a verdict, so neither is rebuilt — they
      are reported in [degraded] and [page_problems] instead. *)
-  let page_problems, index_verdict = audit_relations t in
+  let page_problems, index_verdict, relations_audited =
+    audit_relations t ~only:(torn_by_crash t)
+  in
   let damaged name =
     match index_verdict name with Some (Error _) -> true | Some (Ok ()) | None -> false
   in
@@ -1208,6 +1256,7 @@ let crash_and_recover t =
     file_indexes_rebuilt = List.rev !files_rebuilt;
     degraded;
     intents_replayed = t.last_intents_replayed;
+    relations_audited;
   }
 
 let vacuum_file t ~oid ?horizon ~mode () =

@@ -243,27 +243,43 @@ type recovery = {
   intents_replayed : int;
       (** logical index intents REDO-replayed for committed transactions
           whose deferred inserts never reached disk *)
+  relations_audited : string list;
+      (** the relations restart audited, in relation-name order: those a
+          dirty mark said the crash could have torn *)
 }
 
 val crash_and_recover : t -> recovery
 (** Whole-system crash and recovery in one call: {!crash}, then
-    {!audit_relations}, then rebuild from its heap every update-in-place
-    B-tree index the audit found damaged.  The no-overwrite heaps need no
-    repair — that is the paper's recovery claim, and the returned report
-    is its evidence.  Recovery reads each heap page once. *)
+    {!audit_relations} over the relations the crash could have torn, then
+    rebuild from its heap every update-in-place B-tree index the audit
+    found damaged.  Heaps are no-overwrite and every writing commit
+    flushes the whole pool, so a crash can tear only relations with a
+    store since the last complete flush: those whose heap or tree segment
+    carries a dirty mark ({!Pagestore.Device.is_marked}) on either mirror
+    copy, plus any file relation with no open handle.  Restart reads the
+    mark tables (one NVRAM read per device) and audits only those;
+    after a sync it reads no page at all.  Damage at rest in a clean
+    relation is left to the page-CRC read path, the scrubber and
+    {!Fsck.audit}, which keeps the full pass.  The no-overwrite heaps
+    need no repair — that is the paper's recovery claim, and the
+    returned report is its evidence. *)
 
 val audit_relations :
-  t -> (string * string) list * (string -> (unit, string) result option)
-(** Verify every relation's pages ({!Relstore.Db.verify_relations}).  The
+  ?only:(Relstore.Heap.t -> bool) ->
+  t ->
+  (string * string) list * (string -> (unit, string) result option) * string list
+(** Verify the pages of every relation [only] admits (default: all)
+    ({!Relstore.Db.verify_relations}).  The
     catalogs and every file relation are verified by their index audit
     ({!Index.Audit.run}), which checks their B-trees against the records
     of that same page pass; a file with no open handle is attached first
     (as {!file_handle} does, or from a historical attribute version for
     an unlinked file).  The other relations (archive heaps, the clonemap)
     get the plain page check.  Returns the page
-    problems and the index verdict by relation name: [None] for a
-    relation not audited — unindexed, degraded, or with a heap page that
-    could not be read (already a page problem). *)
+    problems, the index verdict by relation name ([None] for a
+    relation not audited — skipped by [only], unindexed, degraded, or
+    with a heap page that could not be read, already a page problem),
+    and the names of the relations audited, in name order. *)
 
 val iter_file_handles : t -> (int64 -> Inv_file.t -> unit) -> unit
 (** Every open storage handle, in ascending oid order (recovery, fsck). *)

@@ -49,7 +49,7 @@ let audit fs =
      audits the B-tree indexes over each heap; their verdicts are
      reported under 3. *)
   let rels = Relstore.Db.relations db in
-  let page_problems, index_verdict = Fs.audit_relations fs in
+  let page_problems, index_verdict, _ = Fs.audit_relations fs in
   List.iter (fun (name, msg) -> push name msg) page_problems;
   (* 2. namespace structure *)
   let files_checked = ref 0 in

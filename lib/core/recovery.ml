@@ -5,6 +5,7 @@ type report = {
   file_indexes_rebuilt : int64 list;
   degraded : string list;
   intents_replayed : int;
+  relations_audited : string list;
   audit : Fsck.report;
 }
 
@@ -24,6 +25,7 @@ let crash_and_recover fs =
           ("file_indexes_rebuilt", Obs.I (List.length r.Fs.file_indexes_rebuilt));
           ("degraded", Obs.I (List.length r.Fs.degraded));
           ("intents_replayed", Obs.I r.Fs.intents_replayed);
+          ("relations_audited", Obs.I (List.length r.Fs.relations_audited));
         ]
       ();
   {
@@ -33,6 +35,7 @@ let crash_and_recover fs =
     file_indexes_rebuilt = r.Fs.file_indexes_rebuilt;
     degraded = r.Fs.degraded;
     intents_replayed = r.Fs.intents_replayed;
+    relations_audited = r.Fs.relations_audited;
     audit;
   }
 
@@ -43,9 +46,10 @@ let indexes_rebuilt r =
 
 let report_to_string r =
   Printf.sprintf
-    "rolled back %d txn(s) [%s]; %d page problem(s)%s; rebuilt indexes: %s; replayed %d intent(s); degraded: %s; audit: %s"
+    "rolled back %d txn(s) [%s]; audited %d relation(s); %d page problem(s)%s; rebuilt indexes: %s; replayed %d intent(s); degraded: %s; audit: %s"
     (List.length r.rolled_back)
     (String.concat "," (List.map string_of_int r.rolled_back))
+    (List.length r.relations_audited)
     (List.length r.page_problems)
     (match r.page_problems with
     | [] -> ""

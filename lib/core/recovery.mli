@@ -6,9 +6,12 @@
     module is the claim made executable: {!crash_and_recover} crashes the
     machine ({!Fs.crash_and_recover}: cache dropped, in-progress
     transactions aborted, locks cleared, volatile index state forgotten,
-    damaged B-tree indexes rebuilt from their heaps) and then runs the
-    full {!Fsck.audit}, returning everything a test needs to assert that
-    recovery was clean — or to print why it was not. *)
+    the relations a dirty mark names audited and their damaged B-tree
+    indexes rebuilt from their heaps) and then runs the full
+    {!Fsck.audit}, which reads every page.  A torn relation restart
+    wrongly skipped therefore shows up in [audit].  The report carries
+    everything a test needs to assert that recovery was clean — or to
+    print why it was not. *)
 
 type report = {
   rolled_back : Relstore.Xid.t list;
@@ -21,6 +24,9 @@ type report = {
   intents_replayed : int;
       (** logical index intents REDO-replayed for committed transactions
           (deferred inserts lost from the buffer pool) *)
+  relations_audited : string list;
+      (** the relations restart audited ({!Fs.recovery}); [audit] always
+          covers them all *)
   audit : Fsck.report;
 }
 

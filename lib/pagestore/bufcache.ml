@@ -168,6 +168,7 @@ type t = {
   hot : Lru.t;
   cold : Lru.t;
   os_cache : Os_cache.t;
+  written : (int, Device.t) Hashtbl.t; (* device id -> every device a store reached *)
   mutable gets : int;
   mutable hits : int;
   mutable misses : int;
@@ -206,6 +207,7 @@ let make ?(capacity = 300) ?(os_cache_blocks = 16384) ?(readahead_window = 8)
     hot = Lru.create ();
     cold = Lru.create ();
     os_cache = Os_cache.create os_cache_blocks;
+    written = Hashtbl.create 4;
     gets = 0;
     hits = 0;
     misses = 0;
@@ -290,6 +292,7 @@ let os_cached_device dev = Device.kind dev = Device.Magnetic_disk
    magnetic disks the page lands in the FS buffer cache (contents stored,
    platter write asynchronous); other kinds write through, charged. *)
 let store_copy t dev ~segid ~blkno page =
+  Hashtbl.replace t.written (Device.id dev) dev;
   if os_cached_device dev then begin
     Resilient.write_block ~charged:false dev ~segid ~blkno page;
     Simclock.Clock.advance (Device.clock dev) ~account:"oscache.write" os_copy_cost;
@@ -595,7 +598,11 @@ let flush t =
           if c <> 0 then c else compare a.blkno b.blkno)
       dirty
   in
-  List.iter (write_back t) dirty
+  List.iter (write_back t) dirty;
+  (* Every page this pool ever stored is now durable, so no crash can
+     tear one: clear the dirty marks.  Only a complete flush may; one
+     that raised above leaves them all set. *)
+  Hashtbl.iter (fun _ dev -> Device.clear_marks dev) t.written
 
 let flush_segment t dev ~segid =
   let skey = pack_seg ~devid:(Device.id dev) ~segid in

@@ -91,11 +91,15 @@ val flush : t -> unit
 (** Write back every dirty page (pages stay resident and become clean).
     Transaction commit uses this to make updates durable.  Write-back
     order is deterministic: (device name, segid, blkno) ascending —
-    crash-sweep fault injection depends on it. *)
+    crash-sweep fault injection depends on it.  Once the last write-back
+    returns, every page the pool ever stored is durable, so the flush
+    clears the dirty marks ({!Device.clear_marks}) on every device it has
+    written to, mirrors included.  A flush that raises clears none. *)
 
 val flush_segment : t -> Device.t -> segid:int -> unit
 (** Write back dirty pages of one segment only (blkno ascending).
-    O(resident pages of that segment). *)
+    O(resident pages of that segment).  Other segments may still hold
+    dirty pages, so it clears no dirty mark; neither does an eviction. *)
 
 val invalidate_segment : t -> Device.t -> segid:int -> unit
 (** Discard resident pages of a dropped segment without write-back.

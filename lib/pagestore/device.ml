@@ -132,6 +132,7 @@ type t = {
   seg_len : (int, int) Hashtbl.t; (* segid -> nblocks *)
   seg_extent : (int, int * int) Hashtbl.t; (* segid -> (next phys, remaining) *)
   mirror_seg : (int, int) Hashtbl.t; (* segid -> segid on the mirror device *)
+  marks : (int, unit) Hashtbl.t; (* NVRAM: segments a store may have torn *)
   mutable mirror : t option; (* paired secondary, lockstep allocation *)
   mutable dead : bool;
   mutable next_segid : int;
@@ -164,6 +165,7 @@ let create ~clock ~name ~kind ?geometry () =
     seg_len = Hashtbl.create 32;
     seg_extent = Hashtbl.create 32;
     mirror_seg = Hashtbl.create 32;
+    marks = Hashtbl.create 32;
     mirror = None;
     dead = false;
     next_segid = 1;
@@ -453,9 +455,32 @@ let peek_block t ~segid ~blkno =
    histogram the charged transfers get, since they cost no simulated time. *)
 let m_poke = Obs.Metrics.counter "device.poke"
 
+(* The dirty marks live in battery-backed RAM beside the status log: one
+   NVRAM store of a 16-byte table entry per set or clear, one read of the
+   table at restart, all on the "nvram.mark" account. *)
+let mark_io_cost = nvram_geometry.per_io_s +. (16. /. nvram_geometry.xfer_bytes_per_s)
+let charge_mark_io t = Simclock.Clock.advance t.clock ~account:"nvram.mark" mark_io_cost
+let is_marked t ~segid = Hashtbl.mem t.marks segid
+
+let read_marks t =
+  charge_mark_io t;
+  List.sort compare (Hashtbl.fold (fun segid () acc -> segid :: acc) t.marks [])
+
+let clear_marks t =
+  if Hashtbl.length t.marks > 0 then begin
+    charge_mark_io t;
+    Hashtbl.reset t.marks
+  end
+
 let poke_block t ~segid ~blkno page =
   check_alive t ~segid ~blkno;
   check_block t segid blkno;
+  (* Mark before the store: a crash that tears this block finds the
+     segment marked at restart. *)
+  if not (Hashtbl.mem t.marks segid) then begin
+    charge_mark_io t;
+    Hashtbl.replace t.marks segid ()
+  end;
   (* Writing a pending (stuck) sector triggers reallocation, as real
      drives do: the logical block is remapped onto a spare physical
      block, the pending state clears, and the write proceeds. *)

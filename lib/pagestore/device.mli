@@ -158,8 +158,10 @@ val peek_block : t -> segid:int -> blkno:int -> Page.t
     (the FFS baseline) that do their own cost accounting. *)
 
 val poke_block : t -> segid:int -> blkno:int -> Page.t -> unit
-(** Write contents without charging.  WORM accounting is bypassed too —
-    use only from models layered over magnetic-disk devices. *)
+(** Write contents without charging the transfer.  WORM accounting is
+    bypassed too — use only from models layered over magnetic-disk
+    devices.  Every store, charged or not, lands here, so this is where
+    the segment's dirty mark is set (see {!is_marked}). *)
 
 val charge_read : t -> segid:int -> blkno:int -> unit
 (** Apply the read cost model (seek/rotate/transfer, counters) without
@@ -219,6 +221,29 @@ val mark_stuck : t -> segid:int -> blkno:int -> unit
 
 val is_stuck : t -> segid:int -> blkno:int -> bool
 
+(** {1 Dirty marks}
+
+    Each device keeps, in battery-backed RAM, the set of segments a crash
+    could have torn.  {!poke_block} marks a segment before its store when
+    it is unmarked; the buffer cache clears a device's marks once a
+    complete flush has made every page it wrote durable
+    ({!Bufcache.flush}).  Marks survive {!crash}, so restart audits only
+    the relations they name.  Setting a mark, clearing a device's marks
+    and reading the table each cost one NVRAM store or read of a 16-byte
+    entry ({!nvram_geometry}: about 20 µs), charged to the ["nvram.mark"]
+    account; a segment already marked costs nothing more. *)
+
+val is_marked : t -> segid:int -> bool
+(** Whether the segment is marked.  Free: tests and assertions. *)
+
+val read_marks : t -> int list
+(** The marked segment ids, sorted, as restart reads them: one charged
+    NVRAM read. *)
+
+val clear_marks : t -> unit
+(** Clear every mark, charging one NVRAM store if any was set.  Only a
+    complete buffer-cache flush may call this. *)
+
 (** {1 Mirrored pairs}
 
     A device may be paired with a same-shape secondary.  Segment creation
@@ -244,9 +269,9 @@ val segments : t -> int list
 (** All live segment ids, sorted — the scrubber's walk order. *)
 
 val crash : t -> unit
-(** Simulate a machine crash: media contents survive; transient cost-model
-    state (head position, loaded platter, jukebox cache residency is kept —
-    it lives on disk) is reset. *)
+(** Simulate a machine crash: media contents and the dirty marks survive;
+    transient cost-model state (head position, loaded platter, jukebox
+    cache residency is kept — it lives on disk) is reset. *)
 
 val used_blocks : t -> int
 (** The allocation frontier: one past the highest physical block any

@@ -259,8 +259,12 @@ let detect_failures t =
                 | Some (_, s0, _) -> s0
                 | None -> dead
               in
+              (* Failing back to that original source needs no handoff: it
+                 still holds the one complete copy, and completing a
+                 handoff would queue a drop of it. *)
               c.Server.c_handoff <-
-                (b, src, dst) :: List.filter (fun (b', _, _) -> b' <> b) c.Server.c_handoff;
+                (if src = dst then [] else [ (b, src, dst) ])
+                @ List.filter (fun (b', _, _) -> b' <> b) c.Server.c_handoff;
               (* A pending drop aimed at the shard that just became the
                  owner would discard the soon-to-be-authoritative copy
                  once the handoff commits: cancel it. *)

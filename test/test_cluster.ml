@@ -343,6 +343,56 @@ let test_chained_failover_drops_abandoned_dst () =
     true
     (Invfs.Fsck.is_shard_clean audit)
 
+(* ---- failing back to a handoff's source keeps the source's copy ----
+
+   A handoff off shard 1 stalls with only one of two files pushed; then
+   shard 1 returns and every other shard dies, so the bucket fails back
+   to shard 1.  The source still holds the one complete copy: there is
+   nothing to hand off, and no drop may be queued against it. *)
+
+let test_failback_to_handoff_source () =
+  let clock, _net, cluster, conn = mk ~nshards:3 ~nbuckets:4 ~hb:0.2 () in
+  let oid1, b1 = file_on conn cluster ~shard:1 in
+  let rec second () =
+    let oid, b = file_on conn cluster ~shard:1 in
+    if b = b1 && oid <> oid1 then oid else second ()
+  in
+  let oid2 = second () in
+  ignore (Cluster.shard_write conn ~oid:oid1 ~off:0L ~data:"file one" : int);
+  ignore (Cluster.shard_write conn ~oid:oid2 ~off:0L ~data:"file two" : int);
+  let pushed = ref [] in
+  Cluster.set_on_migrate cluster
+    (Some
+       (fun ~oid ~bucket ->
+         if bucket = b1 then begin
+           if !pushed <> [] && not (List.mem oid !pushed) then raise Exit;
+           pushed := oid :: !pushed
+         end));
+  Cluster.set_partitioned cluster ~shard:1 true;
+  tick clock cluster ~step:0.1 11;
+  let owner () = (Client.c_get_placement (Cluster.coord conn)).Wire.p_owner.(b1) in
+  Alcotest.(check bool) "bucket moved off shard 1" true (owner () <> 1);
+  Alcotest.(check bool) "its handoff is stalled" true
+    ((Cluster.stats cluster).Cluster.handoffs_pending >= 1);
+  Cluster.set_partitioned cluster ~shard:1 false;
+  List.iter (fun sh -> Cluster.set_partitioned cluster ~shard:sh true) [ 2; 3 ];
+  tick clock cluster ~step:0.1 11;
+  Alcotest.(check int) "failed back to the source" 1 (owner ());
+  Cluster.set_on_migrate cluster None;
+  List.iter (fun sh -> Cluster.set_partitioned cluster ~shard:sh false) [ 2; 3 ];
+  tick clock cluster ~step:0.1 6;
+  settle clock cluster;
+  let s = Cluster.stats cluster in
+  Alcotest.(check int) "handoffs drained" 0 s.Cluster.handoffs_pending;
+  Alcotest.(check int) "drops drained" 0 s.Cluster.drops_pending;
+  Alcotest.(check string) "file one intact" "file one" (Cluster.peek_data cluster ~oid:oid1);
+  Alcotest.(check string) "file two intact" "file two" (Cluster.peek_data cluster ~oid:oid2);
+  let audit = Cluster.cross_shard_audit cluster in
+  Alcotest.(check bool)
+    ("audit after failback: " ^ Invfs.Fsck.shard_report_to_string audit)
+    true
+    (Invfs.Fsck.is_shard_clean audit)
+
 (* ---- a drop aimed at the owning copy is refused by the shard ---- *)
 
 let test_drop_refused_for_owned_bucket () =
@@ -427,6 +477,8 @@ let () =
             test_failback_cancels_pending_drop;
           Alcotest.test_case "chained failover drops abandoned destination" `Quick
             test_chained_failover_drops_abandoned_dst;
+          Alcotest.test_case "failback to a handoff's source" `Quick
+            test_failback_to_handoff_source;
           Alcotest.test_case "drop refused for owned bucket" `Quick
             test_drop_refused_for_owned_bucket;
           Alcotest.test_case "read length validation" `Quick test_read_len_validation;

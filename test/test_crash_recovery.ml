@@ -248,9 +248,9 @@ let test_harness_seed seed () =
 
 (* A file whose heap outgrows both the OS cache and the buffer pool: a
    second pass over it (or a fetch per index entry) has to go back to the
-   disk.  Recovery's device reads must stay within one read of every
-   block the device holds — the file's heap and chunk index plus the
-   catalogs' heaps and trees. *)
+   disk.  A store of one of its blocks (its own image, poked back) marks
+   it, so restart audits it; recovery's device reads must stay within one
+   read of every block the device holds. *)
 let test_recovery_reads_each_page_once () =
   let clock = Simclock.Clock.create () in
   let switch = Pagestore.Switch.create ~clock in
@@ -260,8 +260,11 @@ let test_recovery_reads_each_page_once () =
   let s = Fs.new_session fs in
   Fs.write_file s "/big" (Bytes.make (Invfs.Chunk.capacity * 200) 'r');
   let inv = Option.get (Fs.file_handle fs ~oid:(Fs.lookup_oid s "/big")) in
+  let heap = Invfs.Inv_file.heap inv in
   Alcotest.(check bool) "heap larger than OS cache and pool" true
-    (Relstore.Heap.nblocks (Invfs.Inv_file.heap inv) > 64 + 32);
+    (Relstore.Heap.nblocks heap > 64 + 32);
+  let segid = Relstore.Heap.segid heap in
+  D.poke_block dev ~segid ~blkno:0 (D.peek_block dev ~segid ~blkno:0);
   let every_block =
     List.fold_left (fun acc segid -> acc + D.nblocks dev segid) 0 (D.segments dev)
   in
@@ -269,6 +272,8 @@ let test_recovery_reads_each_page_once () =
   let r = Fs.crash_and_recover fs in
   let reads = D.reads dev - before in
   Alcotest.(check int) "no page problems" 0 (List.length r.Fs.page_problems);
+  Alcotest.(check (list string)) "the marked file audited"
+    [ Relstore.Heap.name heap ] r.Fs.relations_audited;
   Alcotest.(check (list int64)) "no index rebuilt" [] r.Fs.file_indexes_rebuilt;
   Alcotest.(check bool)
     (Printf.sprintf "%d device reads for %d blocks" reads every_block)
@@ -276,10 +281,12 @@ let test_recovery_reads_each_page_once () =
   Alcotest.(check bytes) "file intact" (Bytes.make (Invfs.Chunk.capacity * 200) 'r')
     (Fs.read_whole_file (Fs.new_session fs) "/big")
 
-(* A relation's trees are allocated before its first heap block, and
-   extents grow with their segment, so recovery's trees-then-heap audit
-   streams from one small file into the next: almost no arm
-   repositioning, and still exactly one device read per block. *)
+(* After a sync no store is in flight, so no relation is marked and
+   restart reads nothing.  The full pass ({!Invfs.Fsck.audit}) still
+   reads every block: a relation's trees are allocated before its first
+   heap block, and extents grow with their segment, so the
+   trees-then-heap audit streams from one small file into the next with
+   almost no arm repositioning, and exactly one device read per block. *)
 let test_recovery_streams_small_files () =
   let fs = make_fs () in
   let dev = Pagestore.Switch.find (Db.switch (Fs.db fs)) "disk0" in
@@ -288,15 +295,21 @@ let test_recovery_streams_small_files () =
   for i = 1 to 200 do
     Fs.write_file s (Printf.sprintf "/f%03d" i) (Bytes.make 600 'x')
   done;
-  let rotate0 = Simclock.Clock.charged clock "disk.rotate" and reads0 = D.reads dev in
+  Fs.sync fs;
+  let reads0 = D.reads dev in
   let r = Fs.crash_and_recover fs in
+  Alcotest.(check int) "restart after a sync reads nothing" 0 (D.reads dev - reads0);
+  Alcotest.(check (list string)) "no relation audited" [] r.Fs.relations_audited;
+  let rotate0 = Simclock.Clock.charged clock "disk.rotate" and reads0 = D.reads dev in
+  let a = Invfs.Fsck.audit fs in
   let repositionings =
     int_of_float
       (Float.round
          ((Simclock.Clock.charged clock "disk.rotate" -. rotate0)
          /. (D.rz58.D.rotation_s /. 2.)))
   in
-  Alcotest.(check int) "no page problems" 0 (List.length r.Fs.page_problems);
+  Alcotest.(check bool) ("audit clean: " ^ Invfs.Fsck.report_to_string a) true
+    (Invfs.Fsck.is_clean a);
   Alcotest.(check bool)
     (Printf.sprintf "%d repositionings" repositionings)
     true (repositionings <= 20);
@@ -308,8 +321,8 @@ let test_recovery_streams_small_files () =
   Alcotest.(check int) "one device read per block" every_block (D.reads dev - reads0)
 
 (* Files whose heaps never got a block hold no version, so their chunk
-   indexes are moot: recovery reads none of their index blocks and says
-   nothing about them. *)
+   indexes are moot: the full audit reads none of their index blocks and
+   says nothing about them. *)
 let test_moot_trees_stay_unread () =
   let fs = make_fs () in
   let dev = Pagestore.Switch.find (Db.switch (Fs.db fs)) "disk0" in
@@ -332,15 +345,195 @@ let test_moot_trees_stay_unread () =
        (fun io ~segid ~blkno:_ ->
          if io = D.Io_read then read_segids := segid :: !read_segids;
          None));
-  let r = Fs.crash_and_recover fs in
+  Fs.crash fs;
+  let a = Invfs.Fsck.audit fs in
   D.set_fault_hook dev None;
-  Alcotest.(check bool) "recovery read something" true (!read_segids <> []);
+  Alcotest.(check bool) "audit read something" true (!read_segids <> []);
   Alcotest.(check bool) "empty file's index unread" false (List.mem empty !read_segids);
   Alcotest.(check bool) "aborted file's index unread" false (List.mem aborted !read_segids);
-  Alcotest.(check (list (pair string string))) "no page problems" [] r.Fs.page_problems;
-  Alcotest.(check (list string)) "no catalog rebuilt" [] r.Fs.catalogs_rebuilt;
-  Alcotest.(check (list int64)) "no index rebuilt" [] r.Fs.file_indexes_rebuilt;
-  Alcotest.(check (list string)) "nothing degraded" [] r.Fs.degraded
+  Alcotest.(check bool) ("audit clean: " ^ Invfs.Fsck.report_to_string a) true
+    (Invfs.Fsck.is_clean a);
+  Alcotest.(check (list string)) "nothing degraded" [] a.Invfs.Fsck.degraded
+
+(* ---- dirty marks: every store path marks what it writes ----
+
+   A crash can tear only a relation with a store since the last complete
+   flush; restart audits exactly the relations whose heap or tree
+   segments are marked.  One test per store path: the relation must come
+   out marked and audited, and rebuilt where the crash left it damaged.
+   [recover_clean] also runs the full audit, so a torn relation restart
+   skipped would fail it. *)
+
+let disk fs name = Pagestore.Switch.find (Db.switch (Fs.db fs)) name
+
+let handle fs s path = Option.get (Fs.file_handle fs ~oid:(Fs.lookup_oid s path))
+
+let heap_segid inv = Relstore.Heap.segid (Invfs.Inv_file.heap inv)
+
+(* The relation whose heap or one of whose trees is [segid] on disk0. *)
+let owner fs segid =
+  let naming = Fs.naming_catalog fs and fileatt = Fs.fileatt_catalog fs in
+  let rels =
+    ref
+      [ (Invfs.Naming.heap naming, Invfs.Naming.indexes naming);
+        (Invfs.Fileatt.heap fileatt, Invfs.Fileatt.indexes fileatt) ]
+  in
+  Fs.iter_file_handles fs (fun _ inv ->
+      rels := (Invfs.Inv_file.heap inv, [ Invfs.Inv_file.index inv ]) :: !rels);
+  match
+    List.find_opt
+      (fun (heap, trees) ->
+        Relstore.Heap.segid heap = segid
+        || List.exists (fun tree -> Index.Btree.segid tree = segid) trees)
+      !rels
+  with
+  | Some (heap, _) -> Relstore.Heap.name heap
+  | None -> Alcotest.failf "segment %d belongs to no relation" segid
+
+let check_audited (r : Rec.report) rel =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s audited (%s)" rel (String.concat "," r.Rec.relations_audited))
+    true
+    (List.mem rel r.Rec.relations_audited)
+
+(* Committed two-chunk files /f and /g, both overwritten by an open
+   transaction that is ready to commit. *)
+let committed_then_overwritten fs =
+  let s = Fs.new_session fs in
+  List.iter (fun path -> Fs.write_file s path (Bytes.make (Invfs.Chunk.capacity * 2) 'a'))
+    [ "/f"; "/g" ];
+  Fs.p_begin s;
+  List.iter (fun path -> Fs.write_file s path (Bytes.make (Invfs.Chunk.capacity * 3) 'b'))
+    [ "/f"; "/g" ];
+  s
+
+let check_committed_contents fs =
+  Alcotest.(check bytes) "the committed contents survive"
+    (Bytes.make (Invfs.Chunk.capacity * 2) 'a')
+    (Fs.read_whole_file (Fs.new_session fs) "/f")
+
+(* Crash on each write of the commit flush in turn: the write that never
+   landed marked its segment first.  Then tear the flush's write of /f's
+   chunk index and crash on the next one (/g's): restart rebuilds it. *)
+let test_mark_commit_flush_crash () =
+  let rec crash_on n segs =
+    let fs, plan = armed_fs () in
+    let s = committed_then_overwritten fs in
+    F.schedule plan ~io:F.Write ~after:n F.Crash;
+    match Fs.p_commit s with
+    | () -> List.rev segs
+    | exception D.Crash_injected { segid; _ } ->
+      F.clear_schedule plan;
+      Alcotest.(check bool) (Printf.sprintf "write %d: segment marked" n) true
+        (D.is_marked (disk fs "disk0") ~segid);
+      let rel = owner fs segid in
+      check_audited (recover_clean fs) rel;
+      check_committed_contents fs;
+      crash_on (n + 1) ((n, segid) :: segs)
+  in
+  let segs = crash_on 1 [] in
+  Alcotest.(check bool) "the flush spans several writes" true (List.length segs > 3);
+  let fs, plan = armed_fs () in
+  let s = committed_then_overwritten fs in
+  let inv = handle fs s "/f" in
+  let index_write =
+    match List.find_opt (fun (_, segid) -> segid = Invfs.Inv_file.index_segid inv) segs with
+    | Some (n, _) -> n
+    | None -> Alcotest.fail "the flush never wrote the chunk index"
+  in
+  F.schedule plan ~io:F.Write ~after:index_write (F.Torn 64);
+  F.schedule plan ~io:F.Write ~after:(index_write + 1) F.Crash;
+  (match Fs.p_commit s with
+  | () -> Alcotest.fail "expected the commit flush to crash"
+  | exception D.Crash_injected _ -> ());
+  F.clear_schedule plan;
+  let r = recover_clean fs in
+  check_audited r (Invfs.Inv_file.relname (Invfs.Inv_file.oid inv));
+  Alcotest.(check (list int64)) "the torn index rebuilt" [ Invfs.Inv_file.oid inv ]
+    r.Rec.file_indexes_rebuilt;
+  check_committed_contents fs
+
+(* A pool too small for the transaction steals its dirty heap pages:
+   eviction stores them, and only a complete flush would clear the
+   mark. *)
+let test_mark_eviction_steal () =
+  let clock = Simclock.Clock.create () in
+  let switch = Pagestore.Switch.create ~clock in
+  let dev = Pagestore.Switch.add_device switch ~name:"disk0" ~kind:D.Magnetic_disk () in
+  let db = Db.create ~cache_capacity:16 ~os_cache_blocks:16 ~switch ~clock () in
+  let fs = Fs.make db () in
+  let s = Fs.new_session fs in
+  Fs.write_file s "/f" (Bytes.make (Invfs.Chunk.capacity * 2) 'a');
+  let segid = heap_segid (handle fs s "/f") in
+  Alcotest.(check bool) "the commit cleared the mark" false (D.is_marked dev ~segid);
+  let evictions = Pagestore.Bufcache.evictions (Db.cache db) in
+  Fs.p_begin s;
+  Fs.write_file s "/f" (Bytes.make (Invfs.Chunk.capacity * 40) 'b');
+  Alcotest.(check bool) "the pool stole pages" true
+    (Pagestore.Bufcache.evictions (Db.cache db) > evictions);
+  Alcotest.(check bool) "heap marked" true (D.is_marked dev ~segid);
+  check_audited (recover_clean fs) (owner fs segid);
+  check_committed_contents fs
+
+(* Write-through of the chunk index stores the tree while the heap page
+   its new entry points at is still only in the pool: at the crash the
+   entry dangles, and restart rebuilds the index. *)
+let test_mark_write_through () =
+  let fs = make_fs () in
+  let dev = disk fs "disk0" in
+  let s = Fs.new_session fs in
+  Fs.write_file s "/f" (Bytes.make (Invfs.Chunk.capacity * 2) 'a');
+  let inv = handle fs s "/f" in
+  Invfs.Inv_file.set_write_through inv true;
+  Fs.p_begin s;
+  Fs.write_file s "/f" (Bytes.make (Invfs.Chunk.capacity * 3) 'b');
+  Alcotest.(check bool) "tree marked" true
+    (D.is_marked dev ~segid:(Invfs.Inv_file.index_segid inv));
+  Alcotest.(check bool) "heap still dirty, unmarked" false
+    (D.is_marked dev ~segid:(heap_segid inv));
+  let r = recover_clean fs in
+  check_audited r (Invfs.Inv_file.relname (Invfs.Inv_file.oid inv));
+  Alcotest.(check (list int64)) "the dangling index rebuilt" [ Invfs.Inv_file.oid inv ]
+    r.Rec.file_indexes_rebuilt;
+  check_committed_contents fs
+
+let mirrored_fs () =
+  let clock = Simclock.Clock.create () in
+  let switch = Pagestore.Switch.create ~clock in
+  ignore (Pagestore.Switch.add_device switch ~name:"disk0" ~kind:D.Magnetic_disk () : D.t);
+  ignore (Pagestore.Switch.add_device switch ~name:"disk1" ~kind:D.Magnetic_disk () : D.t);
+  Pagestore.Switch.mirror switch ~primary:"disk0" ~secondary:"disk1";
+  let fs = Fs.make (Db.create ~switch ~clock ()) () in
+  let s = Fs.new_session fs in
+  Fs.write_file s "/f" (Bytes.make (Invfs.Chunk.capacity * 2) 'a');
+  let segid = heap_segid (handle fs s "/f") in
+  Fs.crash fs;
+  Alcotest.(check bool) "nothing marked at rest" false (D.is_marked (disk fs "disk0") ~segid);
+  (fs, segid)
+
+(* A read that fails over to the mirror repairs the primary in place:
+   that repair is a store. *)
+let test_mark_failover_repair () =
+  let fs, segid = mirrored_fs () in
+  let dev = disk fs "disk0" in
+  D.rot_block dev ~segid ~blkno:0;
+  check_committed_contents fs;
+  Alcotest.(check bool) "the repair marked the primary" true (D.is_marked dev ~segid);
+  check_audited (recover_clean fs) (owner fs segid)
+
+(* The scrubber refreshes a rotten mirror copy from the primary: a mark
+   on either copy makes restart audit the relation. *)
+let test_mark_scrub_repair () =
+  let fs, segid = mirrored_fs () in
+  let dev = disk fs "disk0" in
+  let mdev, msegid = Option.get (D.segment_mirror dev ~segid) in
+  D.rot_block mdev ~segid:msegid ~blkno:0;
+  let stats = Pagestore.Scrub.run (Db.switch (Fs.db fs)) in
+  Alcotest.(check int) "the scrubber repaired the copy" 1 stats.Pagestore.Scrub.repaired;
+  Alcotest.(check bool) "the mirror copy marked" true (D.is_marked mdev ~segid:msegid);
+  Alcotest.(check bool) "the primary unmarked" false (D.is_marked dev ~segid);
+  check_audited (recover_clean fs) (owner fs segid);
+  check_committed_contents fs
 
 let test_harness_deterministic () =
   let a = CT.run ~seed:42L () and b = CT.run ~seed:42L () in
@@ -380,6 +573,14 @@ let () =
           Alcotest.test_case "recovery streams small files" `Quick
             test_recovery_streams_small_files;
           Alcotest.test_case "moot trees stay unread" `Quick test_moot_trees_stay_unread;
+        ] );
+      ( "dirty marks",
+        [
+          Alcotest.test_case "crash mid commit flush" `Quick test_mark_commit_flush_crash;
+          Alcotest.test_case "eviction steal" `Quick test_mark_eviction_steal;
+          Alcotest.test_case "index write-through" `Quick test_mark_write_through;
+          Alcotest.test_case "failover repair" `Quick test_mark_failover_repair;
+          Alcotest.test_case "scrub mirror repair" `Quick test_mark_scrub_repair;
         ] );
       ( "time travel",
         [

@@ -208,11 +208,13 @@ let test_mirror_masks_device_death () =
 
 (* ---- media failures in recovery and fsck ----
 
-   Recovery verifies every heap page in the same pass that audits the
-   file's chunk index.  A page that cannot be read must still come out
-   as a "media failure" page problem, worded as the page check words it,
-   and a dead unmirrored device as a degraded relation — from
-   [Fs.crash_and_recover] and [Fsck.audit] alike. *)
+   Recovery verifies every heap page of a relation a dirty mark names in
+   the same pass that audits the file's chunk index.  A page that cannot
+   be read must still come out as a "media failure" page problem, worded
+   as the page check words it, and a dead unmirrored device as a
+   degraded relation — from [Fs.crash_and_recover] and [Fsck.audit]
+   alike.  A clean relation is left to the full audit and the read path:
+   restart does not read it at all. *)
 
 let media_failure_fs () =
   let _, _, _, fs = make_fs ~mirrored:false () in
@@ -222,6 +224,19 @@ let media_failure_fs () =
   let dev, seg = heap_of fs s "/f" in
   let rel = Invfs.Inv_file.relname (Fs.lookup_oid s "/f") in
   (fs, dev, seg, rel)
+
+(* Leave /f's heap marked: an uncommitted write of it goes through the
+   pool to the device (a segment flush), and the crash comes before the
+   next complete flush. *)
+let mark_by_write_through fs ~dev ~seg =
+  let s = Fs.new_session fs in
+  Fs.p_begin s;
+  Fs.write_file s "/f" (Bytes.make 100 'u');
+  Pagestore.Bufcache.flush_segment (Relstore.Db.cache (Fs.db fs)) dev ~segid:seg;
+  Alcotest.(check bool) "heap marked" true (D.is_marked dev ~segid:seg)
+
+let check_unmarked dev ~seg =
+  Alcotest.(check bool) "heap unmarked" false (D.is_marked dev ~segid:seg)
 
 let media_problems (r : Invfs.Fsck.report) =
   List.filter_map
@@ -248,6 +263,7 @@ let fail_one_read dev ~segid:seg ~blkno:blk =
 let test_retries_exhausted_in_recovery () =
   let fs, dev, seg, rel = media_failure_fs () in
   let expect = [ (rel, Printf.sprintf "media failure: i/o errors persisted through retries (disk0/%d/0)" seg) ] in
+  mark_by_write_through fs ~dev ~seg;
   fail_one_read dev ~segid:seg ~blkno:0;
   let r = Fs.crash_and_recover fs in
   Alcotest.check problem_list "recovery reports the unreadable page" expect r.Fs.page_problems;
@@ -259,6 +275,30 @@ let test_retries_exhausted_in_recovery () =
   let a = Invfs.Fsck.audit fs in
   Alcotest.check problem_list "fsck reports the same page" expect (media_problems a);
   Alcotest.(check (list string)) "fsck: nothing degraded" [] a.Invfs.Fsck.degraded
+
+(* The same fault at rest in a clean relation: restart never reads the
+   page, the full audit after it reports it, and the read path fails it
+   as EIO. *)
+let test_retries_exhausted_at_rest () =
+  let fs, dev, seg, rel = media_failure_fs () in
+  let expect = [ (rel, Printf.sprintf "media failure: i/o errors persisted through retries (disk0/%d/0)" seg) ] in
+  check_unmarked dev ~seg;
+  fail_one_read dev ~segid:seg ~blkno:0;
+  let reads0 = D.reads dev in
+  let r = Fs.crash_and_recover fs in
+  Alcotest.(check int) "restart reads nothing" 0 (D.reads dev - reads0);
+  Alcotest.check problem_list "restart reports nothing" [] r.Fs.page_problems;
+  Alcotest.(check bool) "restart leaves the relation unaudited" false
+    (List.mem rel r.Fs.relations_audited);
+  let rep = Invfs.Recovery.crash_and_recover fs in
+  Alcotest.check problem_list "restart's audit reports the page" expect
+    (media_problems rep.Invfs.Recovery.audit);
+  fail_one_read dev ~segid:seg ~blkno:0;
+  Fs.crash fs;
+  let s = Fs.new_session fs in
+  match Fs.read_whole_file s "/f" with
+  | _ -> Alcotest.fail "an unreadable unmirrored page must read as EIO"
+  | exception Errors.Fs_error (Errors.EIO, _) -> ()
 
 let test_stuck_block_in_fsck () =
   let fs, dev, seg, rel = media_failure_fs () in
@@ -275,6 +315,7 @@ let test_stuck_block_in_fsck () =
    index from: recovery reports the page and leaves the index alone. *)
 let test_stuck_block_in_recovery () =
   let fs, dev, seg, rel = media_failure_fs () in
+  mark_by_write_through fs ~dev ~seg;
   Fs.crash fs;
   D.mark_stuck dev ~segid:seg ~blkno:0;
   let r = Fs.crash_and_recover fs in
@@ -283,6 +324,28 @@ let test_stuck_block_in_recovery () =
     r.Fs.page_problems;
   Alcotest.(check (list string)) "nothing degraded" [] r.Fs.degraded;
   Alcotest.(check (list int64)) "no file index rebuilt" [] r.Fs.file_indexes_rebuilt;
+  let s = Fs.new_session fs in
+  Alcotest.(check bytes) "the other file still serves" payload (Fs.read_whole_file s "/g");
+  match Fs.read_whole_file s "/f" with
+  | _ -> Alcotest.fail "a stuck unmirrored page must read as EIO"
+  | exception Errors.Fs_error (Errors.EIO, _) -> ()
+
+let test_stuck_block_at_rest () =
+  let fs, dev, seg, rel = media_failure_fs () in
+  check_unmarked dev ~seg;
+  Fs.crash fs;
+  D.mark_stuck dev ~segid:seg ~blkno:0;
+  let reads0 = D.reads dev in
+  let r = Fs.crash_and_recover fs in
+  Alcotest.(check int) "restart reads nothing" 0 (D.reads dev - reads0);
+  Alcotest.check problem_list "restart reports nothing" [] r.Fs.page_problems;
+  Alcotest.(check bool) "restart leaves the relation unaudited" false
+    (List.mem rel r.Fs.relations_audited);
+  let rep = Invfs.Recovery.crash_and_recover fs in
+  let stuck = Printf.sprintf "media failure: stuck block (disk0/%d/0)" seg in
+  Alcotest.check problem_list "restart's audit reports the stuck page"
+    [ (rel, stuck); (rel, stuck) ]
+    (media_problems rep.Invfs.Recovery.audit);
   let s = Fs.new_session fs in
   Alcotest.(check bytes) "the other file still serves" payload (Fs.read_whole_file s "/g");
   match Fs.read_whole_file s "/f" with
@@ -350,9 +413,13 @@ let () =
         [
           Alcotest.test_case "retries exhausted on a heap page" `Quick
             test_retries_exhausted_in_recovery;
+          Alcotest.test_case "retries exhausted on a clean heap page" `Quick
+            test_retries_exhausted_at_rest;
           Alcotest.test_case "stuck heap page in fsck" `Quick test_stuck_block_in_fsck;
           Alcotest.test_case "stuck heap page in recovery" `Quick
             test_stuck_block_in_recovery;
+          Alcotest.test_case "stuck clean heap page in recovery" `Quick
+            test_stuck_block_at_rest;
           Alcotest.test_case "dead unmirrored device" `Quick test_dead_device_in_recovery;
         ] );
     ]

@@ -660,6 +660,103 @@ let test_cache_stats_snapshot () =
       "readahead_hits";
     ]
 
+(* ---- dirty marks ---- *)
+
+(* Two one-block segments on a mirrored pair, behind a pool of
+   [capacity] pages. *)
+let marked_pair ?capacity () =
+  let clock = Simclock.Clock.create () in
+  let prim = D.create ~clock ~name:"prim" ~kind:D.Magnetic_disk () in
+  let sec = D.create ~clock ~name:"sec" ~kind:D.Magnetic_disk () in
+  D.attach_mirror prim sec;
+  let a = D.create_segment prim and b = D.create_segment prim in
+  ignore (D.allocate_block prim a : int);
+  ignore (D.allocate_block prim b : int);
+  (clock, prim, a, b, B.create ?capacity ())
+
+let dirty cache dev segid =
+  B.with_page cache dev ~segid ~blkno:0 (fun p ->
+      P.set_u8 p 0 1;
+      B.mark_dirty cache dev ~segid ~blkno:0)
+
+(* Marked on both copies, or on neither. *)
+let check_marked what prim segid want =
+  let m, msegid = Option.get (D.segment_mirror prim ~segid) in
+  Alcotest.(check (pair bool bool)) what (want, want)
+    (D.is_marked prim ~segid, D.is_marked m ~segid:msegid)
+
+(* One NVRAM store of a 16-byte entry, as the clock charges it (whole
+   microseconds). *)
+let mark_cost =
+  Float.round
+    ((D.nvram_geometry.D.per_io_s +. (16. /. D.nvram_geometry.D.xfer_bytes_per_s)) *. 1e6)
+  /. 1e6
+
+let test_marks_survive_crash () =
+  let clock, dev = fresh_disk () in
+  let a = D.create_segment dev and b = D.create_segment dev in
+  ignore (D.allocate_block dev a : int);
+  ignore (D.allocate_block dev b : int);
+  D.poke_block dev ~segid:b ~blkno:0 (P.create ());
+  D.crash dev;
+  let c0 = Simclock.Clock.charged clock "nvram.mark" in
+  Alcotest.(check (list int)) "the store's segment, after the crash" [ b ] (D.read_marks dev);
+  Alcotest.(check (float 0.)) "one NVRAM read" mark_cost
+    (Simclock.Clock.charged clock "nvram.mark" -. c0);
+  D.clear_marks dev;
+  Alcotest.(check (list int)) "cleared" [] (D.read_marks dev)
+
+let test_eviction_and_segment_flush_keep_marks () =
+  let clock, prim, a, b, cache = marked_pair ~capacity:1 () in
+  dirty cache prim a;
+  check_marked "a dirty page alone marks nothing" prim a false;
+  let c0 = Simclock.Clock.charged clock "nvram.mark" in
+  dirty cache prim b;
+  Alcotest.(check int) "a was evicted" 1 (B.evictions cache);
+  check_marked "eviction marked a" prim a true;
+  Alcotest.(check (float 1e-12)) "one NVRAM store per copy" (2. *. mark_cost)
+    (Simclock.Clock.charged clock "nvram.mark" -. c0);
+  B.flush_segment cache prim ~segid:b;
+  check_marked "flush_segment marked b" prim b true;
+  check_marked "flush_segment left a marked" prim a true;
+  let c1 = Simclock.Clock.charged clock "nvram.mark" in
+  dirty cache prim b;
+  B.flush_segment cache prim ~segid:b;
+  Alcotest.(check (float 0.)) "a marked segment costs nothing more" 0.
+    (Simclock.Clock.charged clock "nvram.mark" -. c1)
+
+let test_complete_flush_clears_marks () =
+  let clock, prim, a, b, cache = marked_pair () in
+  dirty cache prim a;
+  dirty cache prim b;
+  B.flush_segment cache prim ~segid:a;
+  check_marked "a marked" prim a true;
+  check_marked "b unmarked" prim b false;
+  let c0 = Simclock.Clock.charged clock "nvram.mark" in
+  B.flush cache;
+  check_marked "a cleared" prim a false;
+  check_marked "b cleared" prim b false;
+  (* b's two copies were marked, then each device's table was cleared *)
+  Alcotest.(check (float 1e-12)) "two marks and two clears" (4. *. mark_cost)
+    (Simclock.Clock.charged clock "nvram.mark" -. c0);
+  let c1 = Simclock.Clock.charged clock "nvram.mark" in
+  B.flush cache;
+  Alcotest.(check (float 0.)) "nothing marked, nothing to clear" 0.
+    (Simclock.Clock.charged clock "nvram.mark" -. c1)
+
+let test_raising_flush_clears_no_mark () =
+  let _, prim, a, b, cache = marked_pair () in
+  dirty cache prim a;
+  dirty cache prim b;
+  B.set_writeback_hook cache
+    (Some (fun ~device:_ ~segid ~blkno:_ -> if segid = b then failwith "write-back failed"));
+  Alcotest.check_raises "the flush raises" (Failure "write-back failed") (fun () ->
+      B.flush cache);
+  check_marked "a, written before the failure, stays marked" prim a true;
+  B.set_writeback_hook cache None;
+  B.flush cache;
+  check_marked "the next complete flush clears it" prim a false
+
 let prop_cache_transparent =
   QCheck.Test.make ~name:"cache reads equal device contents" ~count:30
     QCheck.(list (pair (int_bound 15) (int_bound 255)))
@@ -753,6 +850,16 @@ let () =
             test_cache_segment_index_after_invalidate;
           Alcotest.test_case "stats snapshot coherent" `Quick
             test_cache_stats_snapshot;
+        ] );
+      ( "dirty marks",
+        [
+          Alcotest.test_case "marks survive a crash" `Quick test_marks_survive_crash;
+          Alcotest.test_case "eviction and segment flush keep marks" `Quick
+            test_eviction_and_segment_flush_keep_marks;
+          Alcotest.test_case "complete flush clears marks" `Quick
+            test_complete_flush_clears_marks;
+          Alcotest.test_case "raising flush clears no mark" `Quick
+            test_raising_flush_clears_no_mark;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_cache_transparent ] );
