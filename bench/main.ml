@@ -19,21 +19,18 @@ let progress fmt = Printf.eprintf (fmt ^^ "\n%!")
 (* Paper workload on the three configurations                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The commit-pipeline configuration the headline systems run with:
-   index inserts staged per transaction and bulk-applied at the batched
-   force.  Commits always run in groups (Status_log.group_size behind one
-   force, Status_log.max_age_s age bound).  The create-gap ablation below
-   isolates the deferred index; the crash sweeps re-run their seeds with
-   it on and demand oracle-identical outcomes. *)
+(* The headline systems: index inserts descend the B-tree inside each
+   operation, and commits always run in groups (Status_log.group_size
+   behind one force, Status_log.max_age_s age bound). *)
 let run_three ~mb =
   progress "running Inversion client/server (%d MB)..." mb;
-  let s_cs = S.inversion_client_server ~deferred_index:true () in
+  let s_cs = S.inversion_client_server () in
   let inv_cs = W.run ~file_mb:mb s_cs in
   progress "running ULTRIX NFS + PRESTOserve (%d MB)..." mb;
   let s_nfs = S.ultrix_nfs () in
   let nfs = W.run ~file_mb:mb s_nfs in
   progress "running Inversion single-process (%d MB)..." mb;
-  let s_sp = S.inversion_single_process ~deferred_index:true () in
+  let s_sp = S.inversion_single_process () in
   let inv_sp = W.run ~file_mb:mb s_sp in
   let netstats =
     List.map (fun (s : S.t) -> (s.S.sys_name, s.S.net_stats ())) [ s_cs; s_nfs; s_sp ]
@@ -530,41 +527,6 @@ let eviction_microbench () =
       ],
     ratio )
 
-(* Create-gap ablation: the paper's worst number is file creation
-   (Figure 3 / Table 3), dominated by per-chunk auto-commits and
-   interleaved index writes.  Time just the create phase on the
-   single-process system with deferred batched index inserts off and on
-   (commits grouped on both sides), so the deferred index's contribution
-   is isolated. *)
-let create_gap_ablation ~mb =
-  let mbytes = mb * 1024 * 1024 in
-  let run_one ~deferred_index =
-    let sys = S.inversion_single_process ~deferred_index () in
-    let t0 = Simclock.Clock.now sys.S.clock in
-    let f = sys.S.create "/gap.dat" in
-    let off = ref 0 in
-    while !off < mbytes do
-      let len = min sys.S.io_unit (mbytes - !off) in
-      sys.S.write f ~off:(Int64.of_int !off) (Bytes.create len);
-      off := !off + len
-    done;
-    (* settle the pipeline inside the timed region: the final partial
-       batch's force and overlay apply belong to this create *)
-    sys.S.flush_caches ();
-    (Simclock.Clock.now sys.S.clock -. t0) *. (25. /. float_of_int mb)
-  in
-  let grp_s = run_one ~deferred_index:false in
-  let idx_s = run_one ~deferred_index:true in
-  ( J_obj
-      [
-        ("create_mb", J_int mb);
-        ("group_commit_s", J_num grp_s);
-        ("group_plus_deferred_index_s", J_num idx_s);
-        ("deferred_index_saves_s", J_num (grp_s -. idx_s));
-      ],
-    grp_s,
-    idx_s )
-
 module Lt = Benchlib.Loadtest
 
 let json_of_load (o : Lt.outcome) =
@@ -1027,8 +989,6 @@ let bench_json ~mb ~out ~smoke ~compare_prev =
              Some (name, J_obj (List.map (fun (k, v) -> (k, J_int v)) stats)))
          netstats)
   in
-  progress "bench json: create-gap ablation (deferred index off / on)...";
-  let cg_obj, cg_grp, cg_idx = create_gap_ablation ~mb in
   progress "bench json: read-ahead ablation...";
   let ra_obj, cold_ra, cold_off, _warm_rate, hot_rate = readahead_ablation ~mb in
   progress "bench json: eviction microbench (wall-clock)...";
@@ -1108,14 +1068,9 @@ let bench_json ~mb ~out ~smoke ~compare_prev =
              cold-cache cost of an As_of read faulting history back through \
              the archive vs a current read; \
              knobs: the commit-pipeline settings the Inversion systems ran \
-             with (deferred_index = index inserts staged per transaction and \
-             bulk-applied at the force, the one remaining knob; \
-             group_commit = status writes batched behind one force and \
+             with (group_commit = status writes batched behind one force and \
              flush_wait_us = age bound on a pending batch in simulated \
-             microseconds, both fixed constants of the only commit path); \
-             create_gap: the create phase timed alone on the single-process \
-             system with commits grouped and the deferred index off then on, \
-             deferred_index_saves_s isolating it" );
+             microseconds, both fixed constants of the only commit path)" );
         ("generated", J_str date);
         ("file_mb", J_int mb);
         ( "knobs",
@@ -1124,7 +1079,6 @@ let bench_json ~mb ~out ~smoke ~compare_prev =
               ("group_commit", J_int Relstore.Status_log.group_size);
               ( "flush_wait_us",
                 J_int (int_of_float (Relstore.Status_log.max_age_s *. 1e6)) );
-              ("deferred_index", J_int 1);
             ] );
         ( "table3_seconds",
           J_obj
@@ -1134,7 +1088,6 @@ let bench_json ~mb ~out ~smoke ~compare_prev =
               ("inversion_single_process", sys_obj inv_sp);
             ] );
         ("network", net_obj);
-        ("create_gap", cg_obj);
         ("readahead_ablation", ra_obj);
         ("eviction_microbench", ev_obj);
         ("load", json_of_load load);
@@ -1196,18 +1149,12 @@ let bench_json ~mb ~out ~smoke ~compare_prev =
     lockstep "device.read_cont" "device.read_cont.latency_us";
     lockstep "device.write" "device.write.latency_us";
     lockstep "txn.commit" "txn.commit.latency_us";
-    (* The create gap: with the commit pipeline on, the client/server
-       create must sit within the seed's 2.63x of NFS, and the ablation
-       must show the deferred index not losing. *)
+    (* The create gap: the client/server create must sit within the
+       seed's 2.63x of NFS. *)
     (let ratio = W.find inv_cs W.Create_file /. W.find nfs W.Create_file in
      check "create-gap-ratio" (ratio <= 2.63)
        (Printf.sprintf "create_25mb_file inversion/nfs ratio %.2fx (seed was 2.63x)"
           ratio));
-    check "create-gap-ablation" (cg_idx <= cg_grp +. 1e-9)
-      (Printf.sprintf
-         "create ablation: group only %.2fs, group + deferred index %.2fs — \
-          the deferred index must not lose"
-         cg_grp cg_idx);
     (* Group-size accounting closes: every flush observes its batch size
        into txn.commit.group_size, so flushes x mean group size — the
        histogram's sum — must equal the durable-commit counter exactly. *)

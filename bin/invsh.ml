@@ -29,7 +29,7 @@ type shell = {
   mutable marks : (string * int64) list; (* named timestamps *)
 }
 
-let make_shell ~cache_pages ~remote ~shards ~deferred_index =
+let make_shell ~cache_pages ~remote ~shards =
   if shards > 0 then begin
     if remote then failwith "--remote is implied by --shards; pass only one";
     let clock = Simclock.Clock.create () in
@@ -57,9 +57,7 @@ let make_shell ~cache_pages ~remote ~shards ~deferred_index =
     add "disk0" Pagestore.Device.Magnetic_disk;
     add "nvram0" Pagestore.Device.Nvram;
     add "jukebox" Pagestore.Device.Worm_jukebox;
-    let db =
-      Relstore.Db.create ~switch ~clock ~cache_capacity:cache_pages ~deferred_index ()
-    in
+    let db = Relstore.Db.create ~switch ~clock ~cache_capacity:cache_pages () in
     let fs = Fs.make db () in
     let remote =
       if not remote then None
@@ -437,8 +435,8 @@ let repl shell ~input ~interactive =
 
 (* ---- cmdliner wiring ---- *)
 
-let main script cache_pages remote shards deferred_index =
-  let shell = make_shell ~cache_pages ~remote ~shards ~deferred_index in
+let main script cache_pages remote shards =
+  let shell = make_shell ~cache_pages ~remote ~shards in
   match script with
   | None ->
     say "Inversion file system shell — 'help' lists commands.%s"
@@ -492,19 +490,10 @@ let () =
              audit.  Implies the wire protocol; do not combine with \
              $(b,--remote).")
   in
-  let deferred_index =
-    Arg.(
-      value & flag
-      & info [ "deferred-index" ]
-          ~doc:
-            "Stage B-tree inserts per transaction as logical intents and \
-             bulk-apply them (sorted runs, one leaf touch each) at the \
-             batch force; logical REDO replays them after a crash.")
-  in
   let cmd =
     Cmd.v
       (Cmd.info "invsh" ~doc:"Interactive shell over the Inversion file system")
       Term.(
-        const main $ script $ cache_pages $ remote $ shards $ deferred_index)
+        const main $ script $ cache_pages $ remote $ shards)
   in
   exit (Cmd.eval cmd)

@@ -41,9 +41,6 @@ type config = {
   stuck_interval : int;
   kill_mirror_at : int;
   scrub_interval : int;
-  (* Deferred index inserts (Db.create): the [@creategap] sweep runs each
-     seed with them off and on and demands oracle-identical outcomes. *)
-  deferred_index : bool;
 }
 
 let default_config =
@@ -61,7 +58,6 @@ let default_config =
     stuck_interval = 0;
     kill_mirror_at = 0;
     scrub_interval = 0;
-    deferred_index = false;
   }
 
 (* Mirrored pair under continuous media decay: bitrot and stuck blocks
@@ -614,9 +610,7 @@ let run ?(config = default_config) ~seed () =
     in
     Pagestore.Switch.mirror switch ~primary:"disk0" ~secondary:"disk1"
   end;
-  let db =
-    Relstore.Db.create ~switch ~clock ~deferred_index:config.deferred_index ()
-  in
+  let db = Relstore.Db.create ~switch ~clock () in
   let fs = Fs.make db () in
   let plan = Faultsim.create () in
   Faultsim.arm_switch plan (Relstore.Db.switch db);
@@ -770,7 +764,7 @@ let run ?(config = default_config) ~seed () =
    acceptance contract: files on the survivor stay byte-identical, files
    on the dead device fail with EIO and nothing worse, and Fsck/Recovery
    name the exact degraded relation set while auditing clean. *)
-let run_degraded ?(files = 12) ?(deferred_index = false) ~seed () =
+let run_degraded ?(files = 12) ~seed () =
   let rng = Rng.create seed in
   let clock = Simclock.Clock.create () in
   let switch = Pagestore.Switch.create ~clock in
@@ -780,7 +774,7 @@ let run_degraded ?(files = 12) ?(deferred_index = false) ~seed () =
   let (_ : Device.t) =
     Pagestore.Switch.add_device switch ~name:"disk1" ~kind:Device.Magnetic_disk ()
   in
-  let db = Relstore.Db.create ~switch ~clock ~deferred_index () in
+  let db = Relstore.Db.create ~switch ~clock () in
   let fs = Fs.make db () in
   let s = Fs.new_session fs in
   let mismatches = ref [] in

@@ -32,10 +32,6 @@ type config = {
   stuck_interval : int;  (** ops between scheduled stuck-block faults (0 = none) *)
   kill_mirror_at : int;  (** op index at which the mirror dies (0 = never) *)
   scrub_interval : int;  (** ops between background scrubber steps (0 = off) *)
-  deferred_index : bool;
-      (** stage index inserts, apply at the batched force — the
-          [@creategap] sweep re-runs seeds with it on and demands
-          oracle-identical outcomes *)
 }
 
 val default_config : config
@@ -82,7 +78,6 @@ val run : ?config:config -> seed:int64 -> unit -> outcome
 
 val run_degraded :
   ?files:int ->
-  ?deferred_index:bool ->
   seed:int64 ->
   unit ->
   string list

@@ -21,7 +21,7 @@ type t = {
 
 (* ---------------- Inversion ---------------- *)
 
-let inversion_machine ~cache_pages ~os_cache_pages ?deferred_index () =
+let inversion_machine ~cache_pages ~os_cache_pages () =
   let clock = Simclock.Clock.create () in
   let switch = Pagestore.Switch.create ~clock in
   let (_ : Pagestore.Device.t) =
@@ -29,7 +29,7 @@ let inversion_machine ~cache_pages ~os_cache_pages ?deferred_index () =
   in
   let db =
     Relstore.Db.create ~switch ~clock ~cache_capacity:cache_pages
-      ~os_cache_blocks:os_cache_pages ?deferred_index ()
+      ~os_cache_blocks:os_cache_pages ()
   in
   let fs = Fs.make db () in
   (clock, db, fs)
@@ -50,8 +50,8 @@ let flush_db_caches db () =
    back one fragment per chunk, bulk writes overlap the wire with the
    server's work through the client's pipelined path. *)
 let inversion_remote ~cache_pages ~os_cache_pages ~index_write_through ~cpu_scale
-    ~compressed ?deferred_index name =
-  let clock, db, fs = inversion_machine ~cache_pages ~os_cache_pages ?deferred_index () in
+    ~compressed name =
+  let clock, db, fs = inversion_machine ~cache_pages ~os_cache_pages () in
   (* the benchmark connection is fault-free and some simulated ops are
      long (synchronous 1 MB writes take ~30 s), so lease reaping is off *)
   let server = Remote.Server.create ~fs ~lease_s:0. () in
@@ -126,8 +126,8 @@ let inversion_remote ~cache_pages ~os_cache_pages ~index_write_through ~cpu_scal
 
 (* Single process: the benchmark runs inside the data manager, no network. *)
 let inversion_local ~cache_pages ~os_cache_pages ~index_write_through ~cpu_scale
-    ~compressed ?deferred_index name =
-  let clock, db, fs = inversion_machine ~cache_pages ~os_cache_pages ?deferred_index () in
+    ~compressed name =
+  let clock, db, fs = inversion_machine ~cache_pages ~os_cache_pages () in
   let session = Fs.new_session fs in
   let apply_cpu_scale () = Relstore.Cpu_model.scale := cpu_scale in
   let mk_file fd =
@@ -187,15 +187,15 @@ let inversion_local ~cache_pages ~os_cache_pages ~index_write_through ~cpu_scale
 
 let inversion_client_server ?(cache_pages = 300) ?(os_cache_pages = 16384)
     ?(index_write_through = false) ?(cpu_scale = 1.0) ?(compressed = false)
-    ?deferred_index () =
+    () =
   inversion_remote ~cache_pages ~os_cache_pages ~index_write_through ~cpu_scale
-    ~compressed ?deferred_index "Inversion client/server"
+    ~compressed "Inversion client/server"
 
 let inversion_single_process ?(cache_pages = 300) ?(os_cache_pages = 16384)
     ?(index_write_through = false) ?(cpu_scale = 1.0) ?(compressed = false)
-    ?deferred_index () =
+    () =
   inversion_local ~cache_pages ~os_cache_pages ~index_write_through ~cpu_scale
-    ~compressed ?deferred_index "Inversion single process"
+    ~compressed "Inversion single process"
 
 (* ---------------- ULTRIX NFS ---------------- *)
 

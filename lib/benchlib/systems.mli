@@ -44,7 +44,6 @@ val inversion_client_server :
   ?index_write_through:bool ->
   ?cpu_scale:float ->
   ?compressed:bool ->
-  ?deferred_index:bool ->
   unit ->
   t
 
@@ -54,12 +53,9 @@ val inversion_single_process :
   ?index_write_through:bool ->
   ?cpu_scale:float ->
   ?compressed:bool ->
-  ?deferred_index:bool ->
   unit ->
   t
-(** [deferred_index] (staged index inserts applied at the batched force)
-    is threaded to {!Relstore.Db.create}; commits always run in groups —
-    DESIGN.md's "Group commit & logical recovery".
+(** Commits always run in groups — DESIGN.md's "Group commit".
     Phase boundaries ([flush_caches]) and explicit single-process commits
     ([end_batch]) settle the pipeline so no cost leaks across
     measurements. *)

@@ -72,7 +72,7 @@ let indexes t = [ t.by_oid ]
 
 let insert t txn a =
   let tid = H.insert t.heap txn ~oid:a.file (encode a) in
-  Index.Btree.insert_logged t.by_oid txn ~key:(Index.Key.of_int64 a.file)
+  Index.Btree.insert t.by_oid ~key:(Index.Key.of_int64 a.file)
     ~value:(Relstore.Tid.encode tid)
 
 let historical = function Relstore.Snapshot.As_of _ -> true | _ -> false
@@ -104,7 +104,7 @@ let set t txn a =
   | None -> raise Not_found
   | Some r ->
     let tid = H.update t.heap txn r.tid (encode a) in
-    Index.Btree.insert_logged t.by_oid txn ~key:(Index.Key.of_int64 a.file)
+    Index.Btree.insert t.by_oid ~key:(Index.Key.of_int64 a.file)
       ~value:(Relstore.Tid.encode tid)
 
 let remove t txn ~file =

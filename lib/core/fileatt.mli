@@ -47,7 +47,7 @@ val iter_all : t -> Relstore.Snapshot.t -> (att -> unit) -> unit
 val heap : t -> Relstore.Heap.t
 
 val indexes : t -> Index.Btree.t list
-(** The oid index, for logical REDO replay. *)
+(** The oid index, for the recovery audit. *)
 
 val index_maintenance_on_vacuum : t -> Relstore.Heap.record -> unit
 

@@ -25,7 +25,6 @@ type t = {
   atime_enabled : bool;
   files : (int64, Inv_file.t) Hashtbl.t; (* open storage handles by oid *)
   mutable qsnap : Snapshot.t; (* snapshot of the query being evaluated *)
-  mutable last_intents_replayed : int; (* REDO work done by the last crash *)
   clone_bases : (int64, clone_base) Hashtbl.t; (* dst oid -> base view *)
   mutable clones_loaded : bool; (* lazy reload of the durable clonemap *)
   mutable vac_rr : int; (* incremental vacuum's round-robin position *)
@@ -473,7 +472,6 @@ let make db ?default_device ?(atime = false) () =
       atime_enabled = atime;
       files = Hashtbl.create 64;
       qsnap = Snapshot.As_of 0L;
-      last_intents_replayed = 0;
       clone_bases = Hashtbl.create 16;
       clones_loaded = false;
       vac_rr = 0;
@@ -1059,45 +1057,9 @@ let fileatt_catalog t = t.fileatt
 
 let sync t = Db.force_group t.db
 
-(* Logical REDO: replay the logged index intents of committed
-   transactions.  Deferred inserts staged in the (volatile) overlays die
-   with the machine; the intents survive in the status log's stable area,
-   and re-inserting them is idempotent (an exact duplicate is a no-op),
-   so a crash mid-replay just means the next recovery replays again. *)
-let replay_intents t =
-  let log = Db.status_log t.db in
-  let intents = Relstore.Status_log.committed_intents log in
-  if intents = [] then 0
-  else begin
-    let trees = Hashtbl.create 16 in
-    let note tree = Hashtbl.replace trees (Index.Btree.tag tree) tree in
-    List.iter note (Naming.indexes t.naming);
-    List.iter note (Fileatt.indexes t.fileatt);
-    iter_file_handles t (fun _ inv -> note (Inv_file.index inv));
-    let replayed = ref 0 in
-    List.iter
-      (fun (_xid, items) ->
-        List.iter
-          (fun (tag, key, value) ->
-            match Hashtbl.find_opt trees tag with
-            | None -> () (* tree dropped (migration, unlink) — entry is moot *)
-            | Some tree -> (
-              try
-                Index.Btree.insert tree ~key ~value;
-                incr replayed
-              with Pagestore.Device.Media_failure _ ->
-                (* Degraded device: the index is unreachable on every copy
-                   and will be reported as degraded, not repaired here. *)
-                ()))
-          items)
-      intents;
-    !replayed
-  end
-
 let crash t =
   Db.crash t.db;
-  (* Volatile per-index state (cached entry counts, deferred overlays)
-     died with the machine. *)
+  (* Volatile per-index state (cached entry counts) died with the machine. *)
   Naming.crash_reset t.naming;
   Fileatt.crash_reset t.fileatt;
   iter_file_handles t (fun _ inv -> Inv_file.crash_reset inv);
@@ -1105,8 +1067,7 @@ let crash t =
      clonemap; they reload lazily, re-registering their leases. *)
   Hashtbl.reset t.clone_bases;
   t.clones_loaded <- false;
-  t.vac_rr <- 0;
-  t.last_intents_replayed <- replay_intents t
+  t.vac_rr <- 0
 
 type recovery = {
   rolled_back : Relstore.Xid.t list;
@@ -1114,7 +1075,6 @@ type recovery = {
   catalogs_rebuilt : string list;
   file_indexes_rebuilt : int64 list;
   degraded : string list;
-  intents_replayed : int;
   relations_audited : string list;
 }
 
@@ -1255,7 +1215,6 @@ let crash_and_recover t =
     catalogs_rebuilt;
     file_indexes_rebuilt = List.rev !files_rebuilt;
     degraded;
-    intents_replayed = t.last_intents_replayed;
     relations_audited;
   }
 
@@ -1384,8 +1343,8 @@ let migrate_file t ~oid ~device =
   | Some old_inv ->
     if String.equal (Inv_file.device_name old_inv) device then ()
     else begin
-      (* Settle overlays and pending commits before the old index (and
-         the intents naming it) are abandoned. *)
+      (* A durability point before the copy: the pool is flushed and
+         the pending commit batch forced. *)
       sync t;
       let tmp_name = Inv_file.relname oid ^ ".migrating" in
       let dst =

@@ -212,17 +212,17 @@ val with_query_snapshot : t -> Relstore.Snapshot.t -> (unit -> 'a) -> 'a
 (* {2 Maintenance} *)
 
 val sync : t -> unit
-(** The group-commit flush point ({!Relstore.Db.force_group}): apply
-    deferred index overlays and charge the batched status force.  A
-    no-op when nothing is pending. *)
+(** The group-commit flush point ({!Relstore.Db.force_group}): flush
+    dirty pages and charge the batched status force, if any commit is
+    pending. *)
 
 val crash : t -> unit
 (** Crash the machine: buffer cache gone, open transactions rolled back,
     volatile index state forgotten.  Sessions created before the crash
     must be discarded.  Recovery is instantaneous — the next operation
-    just runs.  Logical REDO runs here too: logged index intents of
-    committed transactions are replayed (idempotently) so deferred
-    inserts whose pages never left the buffer pool are reinstated. *)
+    just runs; nothing is replayed.  A writing commit flushes its index
+    pages before its status entry is logged, so every committed index
+    entry is already on disk. *)
 
 type recovery = {
   rolled_back : Relstore.Xid.t list;
@@ -240,9 +240,6 @@ type recovery = {
           with no live mirror ({!Db.degraded_relations}).  The file system
           keeps serving everything else; operations touching these fail
           with [EIO]. *)
-  intents_replayed : int;
-      (** logical index intents REDO-replayed for committed transactions
-          whose deferred inserts never reached disk *)
   relations_audited : string list;
       (** the relations restart audited, in relation-name order: those a
           dirty mark said the crash could have torn *)

@@ -161,7 +161,7 @@ let write_chunk t txn ~chunkno data =
    with Exit -> ());
   let payload = Chunk.encode (encode_for_storage t ~chunkno data) in
   let tid = H.insert t.heap txn ~oid:t.oid payload in
-  Index.Btree.insert_logged t.index txn ~key:(Index.Key.of_int64 chunkno)
+  Index.Btree.insert t.index ~key:(Index.Key.of_int64 chunkno)
     ~value:(Relstore.Tid.encode tid);
   t.memo <-
     Some { m_chunkno = chunkno; m_tid = tid; m_payload = payload; m_data = Bytes.copy data };

@@ -38,7 +38,7 @@ val oid : t -> int64
 val heap : t -> Relstore.Heap.t
 
 val index : t -> Index.Btree.t
-(** The chunk-number index, for logical REDO replay. *)
+(** The chunk-number index, for the recovery audit. *)
 
 val index_segid : t -> int
 val device_name : t -> string

@@ -48,9 +48,9 @@ let indexes t = [ t.by_dir; t.by_oid ]
 let insert t txn ~parentid ~file ~name =
   let payload = encode ~parentid ~file ~name in
   let tid = H.insert t.heap txn ~oid:file payload in
-  Index.Btree.insert_logged t.by_dir txn ~key:(Index.Key.dir_name ~parentid ~name)
+  Index.Btree.insert t.by_dir ~key:(Index.Key.dir_name ~parentid ~name)
     ~value:(Relstore.Tid.encode tid);
-  Index.Btree.insert_logged t.by_oid txn ~key:(Index.Key.of_int64 file)
+  Index.Btree.insert t.by_oid ~key:(Index.Key.of_int64 file)
     ~value:(Relstore.Tid.encode tid);
   { name; parentid; file; tid }
 

@@ -50,7 +50,7 @@ val heap : t -> Relstore.Heap.t
 (** The underlying relation (vacuum, tests). *)
 
 val indexes : t -> Index.Btree.t list
-(** Both namespace indexes, for logical REDO replay. *)
+(** Both namespace indexes, for the recovery audit. *)
 
 val index_maintenance_on_vacuum : t -> Relstore.Heap.record -> unit
 (** [on_remove] hook: drop index entries for a vacuumed record. *)

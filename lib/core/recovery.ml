@@ -4,7 +4,6 @@ type report = {
   catalogs_rebuilt : string list;
   file_indexes_rebuilt : int64 list;
   degraded : string list;
-  intents_replayed : int;
   relations_audited : string list;
   audit : Fsck.report;
 }
@@ -24,7 +23,6 @@ let crash_and_recover fs =
           ("catalogs_rebuilt", Obs.I (List.length r.Fs.catalogs_rebuilt));
           ("file_indexes_rebuilt", Obs.I (List.length r.Fs.file_indexes_rebuilt));
           ("degraded", Obs.I (List.length r.Fs.degraded));
-          ("intents_replayed", Obs.I r.Fs.intents_replayed);
           ("relations_audited", Obs.I (List.length r.Fs.relations_audited));
         ]
       ();
@@ -34,7 +32,6 @@ let crash_and_recover fs =
     catalogs_rebuilt = r.Fs.catalogs_rebuilt;
     file_indexes_rebuilt = r.Fs.file_indexes_rebuilt;
     degraded = r.Fs.degraded;
-    intents_replayed = r.Fs.intents_replayed;
     relations_audited = r.Fs.relations_audited;
     audit;
   }
@@ -46,7 +43,7 @@ let indexes_rebuilt r =
 
 let report_to_string r =
   Printf.sprintf
-    "rolled back %d txn(s) [%s]; audited %d relation(s); %d page problem(s)%s; rebuilt indexes: %s; replayed %d intent(s); degraded: %s; audit: %s"
+    "rolled back %d txn(s) [%s]; audited %d relation(s); %d page problem(s)%s; rebuilt indexes: %s; degraded: %s; audit: %s"
     (List.length r.rolled_back)
     (String.concat "," (List.map string_of_int r.rolled_back))
     (List.length r.relations_audited)
@@ -59,6 +56,5 @@ let report_to_string r =
      with
     | [] -> "none"
     | l -> String.concat "," l)
-    r.intents_replayed
     (match r.degraded with [] -> "none" | l -> String.concat "," l)
     (Fsck.report_to_string r.audit)

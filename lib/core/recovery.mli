@@ -21,9 +21,6 @@ type report = {
   degraded : string list;
       (** relations unreachable on every copy (dead device, no live
           mirror): the file system keeps serving everything else *)
-  intents_replayed : int;
-      (** logical index intents REDO-replayed for committed transactions
-          (deferred inserts lost from the buffer pool) *)
   relations_audited : string list;
       (** the relations restart audited ({!Fs.recovery}); [audit] always
           covers them all *)

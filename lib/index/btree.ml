@@ -30,18 +30,11 @@ type t = {
   klen : int;
   isize : int; (* klen + 8-byte value suffix *)
   mutable mem_count : int; (* -1 = unknown (recount from leaves) *)
-  (* Deferred-insert overlay: staged items (newest first) not yet in the
-     tree.  Volatile — a crash drops it; logical REDO from the status
-     log's intents reinstates the committed part.  Reads merge it. *)
-  mutable pending : string list;
-  mutable hook_registered : bool;
 }
 
 let klen t = t.klen
 let segid t = t.segid
 let device t = t.device
-
-let tag t = Device.name t.device ^ ":" ^ string_of_int t.segid
 
 let leaf_cap t = (Page.size - items_base) / t.isize
 let internal_cap t = (Page.size - items_base) / (t.isize + 4)
@@ -139,9 +132,6 @@ let leftmost_leaf t =
 let count t =
   if t.mem_count < 0 then t.mem_count <- count_leaves t (leftmost_leaf t) 0;
   t.mem_count
-  + (match t.pending with [] -> 0 | ps -> List.length (List.sort_uniq String.compare ps))
-
-let pending_count t = List.length t.pending
 
 let height t =
   let _, h, _ = read_meta t in
@@ -152,10 +142,7 @@ let height t =
 let create ~cache ~device ~klen =
   if klen < 1 || klen > 64 then invalid_arg "Btree.create: klen out of range";
   let segid = Device.create_segment device in
-  let t =
-    { cache; device; segid; klen; isize = klen + 8; mem_count = 0; pending = [];
-      hook_registered = false }
-  in
+  let t = { cache; device; segid; klen; isize = klen + 8; mem_count = 0 } in
   let meta_blk = Bufcache.new_block cache device ~segid in
   assert (meta_blk = 0);
   let root = alloc_node t ~level:0 in
@@ -163,25 +150,15 @@ let create ~cache ~device ~klen =
   t
 
 let attach ~cache ~device ~segid =
-  let probe =
-    { cache; device; segid; klen = 8; isize = 16; mem_count = -1; pending = [];
-      hook_registered = false }
-  in
+  let probe = { cache; device; segid; klen = 8; isize = 16; mem_count = -1 } in
   let klen =
     with_page probe 0 (fun p ->
         if Page.get_u16 p m_magic <> meta_magic then failwith "Btree.attach: bad meta page";
         Page.get_u16 p m_klen)
   in
-  { cache; device; segid; klen; isize = klen + 8; mem_count = -1; pending = [];
-    hook_registered = false }
+  { cache; device; segid; klen; isize = klen + 8; mem_count = -1 }
 
-let crash t =
-  t.mem_count <- -1;
-  (* The overlay is volatile by definition: staged-but-unapplied inserts
-     die with the machine.  Recovery replays the committed ones from the
-     logged intents. *)
-  t.pending <- [];
-  t.hook_registered <- false
+let crash t = t.mem_count <- -1
 
 let reinit t =
   (* Point the meta page at a fresh empty leaf.  The old nodes are left
@@ -189,8 +166,6 @@ let reinit t =
      rebuilds are rare — crash recovery only — so the leak is accepted. *)
   let root = alloc_node t ~level:0 in
   t.mem_count <- 0;
-  t.pending <- [];
-  t.hook_registered <- false;
   write_meta t ~root ~height:1 ~count:0
 
 (* ---- descent ---- *)
@@ -320,7 +295,9 @@ let rec insert_at t blkno item : promotion option =
     | Some (Some (sep, right)) -> Some (insert_internal t blkno ~sep ~right)
   end
 
-let insert_item t item =
+let insert t ~key ~value =
+  Relstore.Cpu_model.charge_index_op (Device.clock t.device);
+  let item = item_of t ~key ~value in
   let root, hgt, cnt = read_meta t in
   match insert_at t root item with
   | None -> () (* exact duplicate *)
@@ -337,138 +314,10 @@ let insert_item t item =
       dirty t new_root;
       write_meta t ~root:new_root ~height:(hgt + 1) ~count:cnt)
 
-let insert t ~key ~value =
-  Relstore.Cpu_model.charge_index_op (Device.clock t.device);
-  insert_item t (item_of t ~key ~value)
-
-(* ---- sorted-run bulk insert ---- *)
-
-(* Descent for bulk loading: like [find_leaf], but track the tightest
-   upper separator on the path so the caller knows which of its sorted
-   run still belongs to this leaf (exclusive bound; exact separator
-   matches route right, so every in-leaf item is strictly below it). *)
-let rec descend_bounded t blkno item hi =
-  let level = with_page t blkno node_level in
-  if level = 0 then (blkno, hi)
-  else begin
-    let child, hi =
-      with_page t blkno (fun p ->
-          let n = node_nitems p in
-          let pos = lower_bound n (fun i -> int_item t p i) item in
-          let pos =
-            if pos < n && String.equal (int_item t p pos) item then pos + 1 else pos
-          in
-          let child = if pos = 0 then Page.get_u32 p n_child0 else int_child t p (pos - 1) in
-          let hi = if pos < n then Some (int_item t p pos) else hi in
-          (child, hi))
-    in
-    descend_bounded t child item hi
-  end
-
-(* Insert as many leading items of the sorted run as fit this leaf
-   in place (no splits); returns the rest.  Items equal to an existing
-   entry are duplicates and skipped. *)
-let fill_leaf t leaf hi items =
-  let in_bound item =
-    match hi with None -> true | Some h -> String.compare item h < 0
-  in
-  let rec go items =
-    match items with
-    | [] -> []
-    | item :: rest ->
-      if not (in_bound item) then items
-      else begin
-        let status =
-          with_page t leaf (fun p ->
-              let n = node_nitems p in
-              let pos = lower_bound n (fun i -> leaf_item t p i) item in
-              if pos < n && String.equal (leaf_item t p pos) item then `Dup
-              else if n >= leaf_cap t then `Full
-              else begin
-                let raw = Page.raw p in
-                Bytes.blit raw (items_base + (pos * t.isize)) raw
-                  (items_base + ((pos + 1) * t.isize))
-                  ((n - pos) * t.isize);
-                leaf_set_item t p pos item;
-                Page.set_u16 p n_nitems (n + 1);
-                `Inserted
-              end)
-        in
-        match status with
-        | `Inserted ->
-          dirty t leaf;
-          bump_count t 1;
-          go rest
-        | `Dup -> go rest
-        | `Full -> items
-      end
-  in
-  go items
-
-(* One descent per touched leaf: consecutive keys of the sorted run land
-   in the same leaf, so a batch of n inserts into k leaves costs k
-   descents instead of n — the paper's interleaved-descent overhead. *)
-let bulk_insert_sorted t sorted =
-  let rec go items =
-    match items with
-    | [] -> ()
-    | first :: rest ->
-      Relstore.Cpu_model.charge_index_op (Device.clock t.device);
-      let root, _, _ = read_meta t in
-      let leaf, hi = descend_bounded t root first None in
-      let remaining = fill_leaf t leaf hi items in
-      if remaining == items then begin
-        (* Leaf is full: push the first item through the splitting path,
-           then resume the run (the split changed the leaf map). *)
-        insert_item t first;
-        go rest
-      end
-      else go remaining
-  in
-  go sorted
-
-let bulk_insert t entries =
-  let items = List.map (fun (key, value) -> item_of t ~key ~value) entries in
-  bulk_insert_sorted t (List.sort_uniq String.compare items)
-
-(* ---- deferred (overlay) inserts ---- *)
-
-let apply_pending t =
-  t.hook_registered <- false;
-  match t.pending with
-  | [] -> ()
-  | items ->
-    t.pending <- [];
-    bulk_insert_sorted t (List.sort_uniq String.compare items)
-
-let insert_logged t txn ~key ~value =
-  if Relstore.Txn.defers_index txn then begin
-    (* Same CPU charge as the eager path; the I/O saving comes from the
-       batched leaf touches at apply time. *)
-    Relstore.Cpu_model.charge_index_op (Device.clock t.device);
-    let item = item_of t ~key ~value in
-    if not t.hook_registered then begin
-      t.hook_registered <- true;
-      Relstore.Txn.register_apply_hook (Relstore.Txn.manager txn) (fun () -> apply_pending t)
-    end;
-    t.pending <- item :: t.pending;
-    Relstore.Txn.log_index_intent txn ~tree:(tag t) ~key ~value
-  end
-  else insert t ~key ~value
-
 (* ---- deletion (lazy: leaves may become underfull or empty) ---- *)
 
 let delete t ~key ~value =
   let item = item_of t ~key ~value in
-  if List.exists (String.equal item) t.pending then begin
-    (* Still staged: the entry dies before ever touching a page.  (Its
-       logged intent, if any, is only replayed for committed xids whose
-       pages were lost — and the deleting paths force the overlay down
-       first, so this branch is a pre-apply un-stage, not a lost delete.) *)
-    t.pending <- List.filter (fun it -> not (String.equal it item)) t.pending;
-    true
-  end
-  else begin
   let root, _, _ = read_meta t in
   let leaf = find_leaf t root item in
   let removed =
@@ -490,7 +339,6 @@ let delete t ~key ~value =
   in
   if removed then bump_count t (-1);
   removed
-  end
 
 (* ---- scans ---- *)
 
@@ -500,35 +348,7 @@ let scan_range t ~lo ~hi f =
      use explicit zero bytes instead. *)
   let lo_item = item_key t lo_item ^ String.make 8 '\x00' in
   let hi_item = hi ^ String.make 8 '\xff' in
-  (* Merge the deferred overlay in key order: staged entries are visible
-     to readers exactly as eagerly inserted ones would be. *)
-  let overlay =
-    match t.pending with
-    | [] -> ref []
-    | ps ->
-      ref
-        (List.sort_uniq String.compare
-           (List.filter
-              (fun it ->
-                String.compare it lo_item >= 0 && String.compare it hi_item <= 0)
-              ps))
-  in
   let visit item = f (item_key t item) (item_value t item) in
-  let emit item =
-    (* Drain staged items ordered before this tree item; an exact match
-       is the same entry staged twice — tree copy wins. *)
-    let rec drain () =
-      match !overlay with
-      | p :: rest when String.compare p item < 0 ->
-        overlay := rest;
-        visit p;
-        drain ()
-      | p :: rest when String.equal p item -> overlay := rest
-      | _ -> ()
-    in
-    drain ();
-    visit item
-  in
   let root, _, _ = read_meta t in
   let leaf = ref (find_leaf t root lo_item) in
   let stop = ref false in
@@ -545,11 +365,9 @@ let scan_range t ~lo ~hi f =
           done;
           Page.get_u32 p n_next)
     in
-    List.iter emit (List.rev !batch);
+    List.iter visit (List.rev !batch);
     leaf := next
-  done;
-  (* Staged entries beyond the last in-range tree item. *)
-  List.iter visit !overlay
+  done
 
 let lookup t ~key =
   Relstore.Cpu_model.charge_index_op (Device.clock t.device);

@@ -40,15 +40,8 @@ val klen : t -> int
 val segid : t -> int
 val device : t -> Pagestore.Device.t
 
-val tag : t -> string
-(** Stable name for this tree ("device:segid") — the [tree] field of
-    logical index intents, resolved back at REDO time. *)
-
 val count : t -> int
-(** Number of (key, value) entries, including staged (deferred) ones. *)
-
-val pending_count : t -> int
-(** Entries staged in the deferred overlay, not yet applied. *)
+(** Number of (key, value) entries. *)
 
 val height : t -> int
 (** 1 for a leaf-only tree. *)
@@ -56,23 +49,6 @@ val height : t -> int
 val insert : t -> key:string -> value:int64 -> unit
 (** Add an entry.  Inserting an exact (key, value) duplicate is a no-op.
     Raises [Invalid_argument] if [key] is not [klen] bytes. *)
-
-val insert_logged : t -> Relstore.Txn.t -> key:string -> value:int64 -> unit
-(** Transactional insert.  When the transaction's manager defers index
-    inserts, the entry is staged in the tree's volatile overlay (visible
-    to every read through this handle) and a logical intent is logged
-    for REDO; the overlay is applied as one sorted run at the next flush
-    point.  Otherwise identical to {!insert}. *)
-
-val bulk_insert : t -> (string * int64) list -> unit
-(** Sorted-run bulk insert: sort the batch, then descend once per
-    touched leaf instead of once per entry.  Exact duplicates (within
-    the batch or against the tree) are dropped.  Equivalent to folding
-    {!insert} over the batch. *)
-
-val apply_pending : t -> unit
-(** Apply and empty the deferred overlay as a sorted run (normally run
-    by the flush-point hook registered by {!insert_logged}). *)
 
 val delete : t -> key:string -> value:int64 -> bool
 (** Remove the exact entry; [false] if absent.  Deletion is lazy (no node

@@ -20,8 +20,8 @@ type t = {
   vacuum_cursors : (string, int) Hashtbl.t;
 }
 
-let create ?(cache_capacity = 300) ?os_cache_blocks ?readahead_window ?deferred_index
-    ?switch ?clock () =
+let create ?(cache_capacity = 300) ?os_cache_blocks ?readahead_window ?switch
+    ?clock () =
   let clock = match clock with Some c -> c | None -> Simclock.Clock.create () in
   let switch =
     match switch with
@@ -40,7 +40,6 @@ let create ?(cache_capacity = 300) ?os_cache_blocks ?readahead_window ?deferred_
   let log = Status_log.create ~clock in
   let locks = Lock_mgr.create () in
   let mgr = Txn.create_manager ~clock ~log ~locks ~cache in
-  Option.iter (Txn.set_deferred_index mgr) deferred_index;
   (* Any system built the normal way gets trace timestamps for free. *)
   Obs.set_clock clock;
   {
@@ -140,7 +139,6 @@ let crash t =
   Pagestore.Bufcache.crash t.cache;
   Status_log.crash_recover t.log;
   Lock_mgr.reset t.locks;
-  Txn.crash_reset_manager t.mgr;
   Pagestore.Switch.crash t.switch;
   (* Leases died with the sessions that held them; surviving holders
      (clone bases) re-register as they are reloaded.  Vacuum cursors are
@@ -200,9 +198,8 @@ let attach_archive t heap =
   end
 
 let vacuum t ~relation ?horizon ~mode ?on_remove () =
-  (* Settle the deferred overlay and pending commits first: the vacuum
-     deletes index entries for the records it removes, and an entry still
-     staged (or an intent still replayable) must not resurrect them. *)
+  (* Close the pending commit batch first: the stop-the-world pass starts
+     from a flushed pool with every logged commit forced. *)
   Txn.force_group t.mgr;
   let heap = find_relation t relation in
   (* Clamp to the safe horizon even here: the quiescence guard makes

@@ -17,7 +17,6 @@ val create :
   ?cache_capacity:int ->
   ?os_cache_blocks:int ->
   ?readahead_window:int ->
-  ?deferred_index:bool ->
   ?switch:Pagestore.Switch.t ->
   ?clock:Simclock.Clock.t ->
   unit ->
@@ -26,9 +25,8 @@ val create :
     magnetic disk named ["disk0"] is created.  [cache_capacity] defaults
     to 300 pages (the Berkeley configuration).  [readahead_window] is
     passed to {!Pagestore.Bufcache.create} (0 disables read-ahead — the
-    benchmark ablation uses this).  [deferred_index] (default off) stages
-    index inserts until the batch force — see {!Txn}.  Commits always
-    run in groups of {!Status_log.group_size}. *)
+    benchmark ablation uses this).  Commits always run in groups of
+    {!Status_log.group_size}. *)
 
 val clock : t -> Simclock.Clock.t
 val switch : t -> Pagestore.Switch.t
@@ -70,9 +68,9 @@ val relations : t -> string list
 (** All relation names, sorted. *)
 
 val force_group : t -> unit
-(** The group-commit flush point ({!Txn.force_group}): apply deferred
-    index overlays, flush dirty pages, charge one stable status write
-    for every pending commit.  A no-op when nothing is pending. *)
+(** The group-commit flush point ({!Txn.force_group}): flush dirty
+    pages, then charge one stable status write for every pending
+    commit (none when nothing is pending). *)
 
 val crash : t -> unit
 (** Simulate a machine failure and instant recovery: the buffer cache is

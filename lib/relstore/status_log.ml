@@ -6,11 +6,6 @@ type t = {
   mutable next_xid : Xid.t;
   mutable pending_force : int;
   mutable oldest_pending : float;
-  (* Logical index intents, keyed by xid, newest first.  They live in the
-     same NVRAM-backed area as the status table, so they survive a crash;
-     REDO replays the committed ones whose index pages never made it out
-     of the buffer pool. *)
-  intents : (Xid.t, (string * string * int64) list ref) Hashtbl.t;
   (* Begin timestamps of in-progress transactions, µs.  The vacuum safe
      horizon must not pass the oldest active begin time; entries are
      dropped when the transaction settles. *)
@@ -48,7 +43,6 @@ let create ~clock =
     next_xid = 1;
     pending_force = 0;
     oldest_pending = 0.;
-    intents = Hashtbl.create 64;
     begin_times = Hashtbl.create 64;
   }
 
@@ -101,44 +95,9 @@ let abort t xid =
   | In_progress | Aborted ->
     Hashtbl.replace t.table xid Aborted;
     Hashtbl.remove t.begin_times xid;
-    (* An aborted transaction's intents will never be redone. *)
-    Hashtbl.remove t.intents xid;
     Simclock.Clock.tick t.clock "txn.abort"
   | Committed _ ->
     invalid_arg (Printf.sprintf "Status_log.abort: xid %d already committed" xid)
-
-let log_intent t xid ~tree ~key ~value =
-  let r =
-    match Hashtbl.find_opt t.intents xid with
-    | Some r -> r
-    | None ->
-      let r = ref [] in
-      Hashtbl.replace t.intents xid r;
-      r
-  in
-  r := (tree, key, value) :: !r
-
-let intent_count t = Hashtbl.fold (fun _ r acc -> acc + List.length !r) t.intents 0
-
-let committed_intents t =
-  Hashtbl.fold
-    (fun xid r acc ->
-      match Hashtbl.find_opt t.table xid with
-      | Some (Committed _) -> (xid, List.rev !r) :: acc
-      | _ -> acc)
-    t.intents []
-  |> List.sort (fun (a, _) (b, _) -> Xid.compare a b)
-
-let clear_settled_intents t =
-  let settled =
-    Hashtbl.fold
-      (fun xid _ acc ->
-        match Hashtbl.find_opt t.table xid with
-        | Some In_progress -> acc
-        | Some (Committed _) | Some Aborted | None -> xid :: acc)
-      t.intents []
-  in
-  List.iter (Hashtbl.remove t.intents) settled
 
 let is_committed t xid =
   match Hashtbl.find_opt t.table xid with Some (Committed _) -> true | _ -> false
@@ -173,16 +132,6 @@ let crash_recover t =
   (* The status area is NVRAM-backed: enqueued-but-unforced entries are
      already stable, so nothing is pending after a crash — the batch
      force is purely an I/O-cost event, not a durability boundary. *)
-  t.pending_force <- 0;
-  (* Intents of transactions that did not commit are dead weight. *)
-  let dead =
-    Hashtbl.fold
-      (fun xid _ acc ->
-        match Hashtbl.find_opt t.table xid with
-        | Some (Committed _) -> acc
-        | _ -> xid :: acc)
-      t.intents []
-  in
-  List.iter (Hashtbl.remove t.intents) dead
+  t.pending_force <- 0
 
 let last_xid t = t.next_xid - 1

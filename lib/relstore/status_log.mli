@@ -18,13 +18,7 @@
     explicit sync) charges {e one} force for the whole batch.  The status
     area is modeled as NVRAM-backed (a PRESTOserve-style stable buffer),
     so a logged entry already survives a crash — the batch force is an
-    I/O-cost event, not a durability boundary.
-
-    {b Logical index intents.}  Deferred B-tree inserts record a logical
-    (tree, key, value) intent here at stage time.  Intents ride the same
-    stable area; after a crash, {!committed_intents} feeds REDO-only
-    recovery, which replays intents of committed transactions whose index
-    pages never left the buffer pool. *)
+    I/O-cost event, not a durability boundary. *)
 
 type state = In_progress | Committed of int64  (** commit time, µs *) | Aborted
 
@@ -44,7 +38,7 @@ val commit : ?force:bool -> t -> Xid.t -> int64
 
 val abort : t -> Xid.t -> unit
 (** Mark aborted.  Idempotent on already-aborted transactions; raises
-    [Invalid_argument] on a committed one.  Drops the xid's intents. *)
+    [Invalid_argument] on a committed one. *)
 
 (** {2 The batch force} *)
 
@@ -67,22 +61,6 @@ val force_pending : t -> int
 val age_due : t -> bool
 (** Something is pending and the oldest logged commit has waited at
     least {!max_age_s}. *)
-
-(** {2 Logical index intents} *)
-
-val log_intent : t -> Xid.t -> tree:string -> key:string -> value:int64 -> unit
-(** Record a deferred index insert for REDO.  [tree] names the index
-    (device:segment). *)
-
-val intent_count : t -> int
-
-val committed_intents : t -> (Xid.t * (string * string * int64) list) list
-(** Intents of committed transactions, in xid order, each transaction's
-    intents in stage order.  Recovery replays these idempotently. *)
-
-val clear_settled_intents : t -> unit
-(** Drop intents whose transaction is committed or aborted — called after
-    a batch force once the applied index pages are on disk. *)
 
 val state : t -> Xid.t -> state
 (** Raises [Not_found] for an unknown xid. *)
@@ -107,8 +85,7 @@ val crash_recover : t -> unit
 (** Simulate crash + instant recovery: every in-progress transaction is
     marked aborted.  Committed and aborted entries survive untouched
     (including enqueued-but-unforced commits — the status area is NVRAM-
-    backed), the pending-force count resets, intents of transactions that
-    never committed are dropped, and the (volatile) xid counter is
+    backed), the pending-force count resets, and the (volatile) xid counter is
     revalidated against the highest logged xid so post-recovery
     transactions never reuse one. *)
 

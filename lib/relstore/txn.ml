@@ -3,10 +3,6 @@ type manager = {
   log : Status_log.t;
   locks : Lock_mgr.t;
   cache : Pagestore.Bufcache.t;
-  mutable deferred_index : bool;
-  (* Apply hooks registered by indexes holding a deferred-insert overlay;
-     run (sorted runs, one leaf touch each) right before the batch force. *)
-  mutable pending_applies : (unit -> unit) list;
 }
 
 type state = Active | Committed | Aborted
@@ -19,28 +15,17 @@ type t = {
 }
 
 let create_manager ~clock ~log ~locks ~cache =
-  { clock; log; locks; cache; deferred_index = false; pending_applies = [] }
+  { clock; log; locks; cache }
 
 let clock m = m.clock
 let log m = m.log
 let locks m = m.locks
 let cache m = m.cache
 
-let set_deferred_index m b = m.deferred_index <- b
-let deferred_index m = m.deferred_index
-let register_apply_hook m f = m.pending_applies <- f :: m.pending_applies
-
 let m_begin = Obs.Metrics.counter "txn.begin"
 let m_commit = Obs.Metrics.counter "txn.commit"
 let m_abort = Obs.Metrics.counter "txn.abort"
 let h_commit = Obs.Metrics.histogram "txn.commit.latency_us"
-
-let run_apply_hooks m =
-  match m.pending_applies with
-  | [] -> ()
-  | hooks ->
-    m.pending_applies <- [];
-    List.iter (fun f -> f ()) (List.rev hooks)
 
 let with_flush_span f =
   if Obs.on Obs.Txn then begin
@@ -51,37 +36,16 @@ let with_flush_span f =
   end
   else f ()
 
-(* The accounting half of a batch force: one stable-write charge covers
-   every pending status entry, and the settled intents become dead
-   letters.  Pure clock charge — no device I/O happens here. *)
-let settle_pending m =
-  let n = Status_log.force_pending m.log in
-  Status_log.clear_settled_intents m.log;
-  n
-
 let force_group m =
-  if m.pending_applies <> [] || Status_log.pending_force m.log > 0 then
+  if Status_log.pending_force m.log > 0 then
     ignore
       (with_flush_span (fun () ->
-           (* Deferred index effects first, then the data flush that
-              covers them, then one stable status write for the whole
+           (* The data flush, then one stable status write for the whole
               batch. *)
-           run_apply_hooks m;
            Pagestore.Bufcache.flush m.cache;
-           settle_pending m)
+           Status_log.force_pending m.log)
         : int)
-  else begin
-    (* Nothing enqueued and no overlay hooks: any settled intents still
-       logged (recovery's eager REDO replay) are already applied in the
-       buffer pool — put those pages down and retire the intents. *)
-    Pagestore.Bufcache.flush m.cache;
-    Status_log.clear_settled_intents m.log
-  end
-
-let crash_reset_manager m =
-  (* Overlay contents are volatile; the indexes drop theirs in their own
-     crash resets, so the hooks that would apply them must die too. *)
-  m.pending_applies <- []
+  else Pagestore.Bufcache.flush m.cache
 
 let begin_txn mgr =
   let txn_xid = Status_log.begin_txn mgr.log in
@@ -105,11 +69,6 @@ let lock t ~resource mode =
   require_active t "lock";
   Lock_mgr.acquire t.mgr.locks t.txn_xid ~resource mode
 
-let defers_index t = t.txn_state = Active && t.mgr.deferred_index
-
-let log_index_intent t ~tree ~key ~value =
-  Status_log.log_intent t.mgr.log t.txn_xid ~tree ~key ~value
-
 let commit t =
   require_active t "commit";
   let mgr = t.mgr in
@@ -121,29 +80,21 @@ let commit t =
       (fun (_, mode) -> mode = Lock_mgr.Exclusive)
       (Lock_mgr.held_by t.mgr.locks t.txn_xid)
   in
-  (* Will this commit fill the batch?  Decided before the status write:
-     the force's real device I/O (deferred index apply + data flush) must
-     run while this transaction is still active, so a crash injected
-     mid-flush rolls it back cleanly — there must be no window where the
-     status table says committed but the caller saw an exception. *)
-  let fills_batch =
-    wrote && Status_log.pending_force mgr.log + 1 >= Status_log.group_size
-  in
   (* Data before status: a half-done flush without the status entry is a
-     transaction that never happened. *)
+     transaction that never happened.  The flush runs while this
+     transaction is still active, so a crash injected mid-flush rolls it
+     back cleanly — there is no window where the status table says
+     committed but the caller saw an exception. *)
   if wrote then begin
     Cpu_model.charge_txn_overhead mgr.clock;
-    (* Deferred index effects ride the flush that covers the whole batch,
-       so the pages land exactly where the eager inserts would have put
-       them. *)
-    if fills_batch then run_apply_hooks mgr;
     Pagestore.Bufcache.flush mgr.cache
   end;
   let ts = Status_log.commit ~force:wrote mgr.log t.txn_xid in
-  (* The batch force itself is pure accounting — its device writes
-     already happened above, while this transaction was still active.
-     Locks are held across it. *)
-  if fills_batch then ignore (with_flush_span (fun () -> settle_pending mgr) : int);
+  (* A commit that fills the batch pays its force.  The force is pure
+     accounting — its device writes already happened above.  Locks are
+     held across it. *)
+  if wrote && Status_log.pending_force mgr.log >= Status_log.group_size then
+    ignore (with_flush_span (fun () -> Status_log.force_pending mgr.log) : int);
   Lock_mgr.release_all mgr.locks t.txn_xid;
   t.txn_state <- Committed;
   (* Counter and histogram move in lockstep unconditionally — the bench

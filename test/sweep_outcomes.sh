@@ -9,9 +9,9 @@
 # read or write, so a change to I/O order moves which block a bitrot or
 # stuck fault hits, and the counts on a scrub media line (ops=,
 # crashes=, media_events=, ...) can then differ while every run still
-# ends mismatches=0.  Timings printed on the simulated clock (the creategap
-# lines, a cluster sweep's hb=/msgs=) move when the device cost of the
-# same I/O changes, for example when blocks are laid out differently.
+# ends mismatches=0.  Timings printed on the simulated clock (a cluster
+# sweep's hb=/msgs=) move when the device cost of the same I/O changes,
+# for example when blocks are laid out differently.
 # Explain each such line; only mismatches= and the exit status must
 # never move.
 #
@@ -26,7 +26,7 @@ set -u
 mode=--quick
 if [ "${1:-}" = "--full" ]; then mode=; shift; fi
 root=${1:-.}
-sweeps="crash scrub net load overload creategap shard vacuum"
+sweeps="crash scrub net load overload shard vacuum"
 targets=""
 for s in $sweeps; do targets="$targets ./test/${s}_sweep.exe"; done
 # shellcheck disable=SC2086

@@ -345,95 +345,6 @@ let prop_delete_then_absent =
           (Index.Btree.lookup t ~key:(key k) <> []) = expect)
         (ins @ del))
 
-(* ---- sorted-run bulk insert & the deferred overlay ---- *)
-
-let drain t =
-  let acc = ref [] in
-  Index.Btree.iter t (fun k v -> acc := (k, v) :: !acc);
-  List.rev !acc
-
-let test_bulk_insert_equivalence () =
-  let rng = Simclock.Rng.create 7L in
-  let batch =
-    List.init 2_000 (fun _ ->
-        (key (Simclock.Rng.int rng 500), Int64.of_int (Simclock.Rng.int rng 50)))
-  in
-  let one = make_tree () in
-  List.iter (fun (k, v) -> Index.Btree.insert one ~key:k ~value:v) batch;
-  let bulk = make_tree () in
-  Index.Btree.bulk_insert bulk batch;
-  check_ok one;
-  check_ok bulk;
-  Alcotest.(check int) "same count" (Index.Btree.count one) (Index.Btree.count bulk);
-  Alcotest.(check bool) "same entries" true (drain one = drain bulk);
-  for k = 0 to 499 do
-    Alcotest.(check (list int64))
-      (Printf.sprintf "lookup %d" k)
-      (Index.Btree.lookup one ~key:(key k))
-      (Index.Btree.lookup bulk ~key:(key k))
-  done
-
-let test_bulk_insert_into_populated () =
-  (* interleave a sorted run into a tree that already splits: every new
-     key lands between existing ones, so the run crosses many leaves *)
-  let one = make_tree () and bulk = make_tree () in
-  for i = 0 to 4_999 do
-    let k = key (i * 2) and v = Int64.of_int i in
-    Index.Btree.insert one ~key:k ~value:v;
-    Index.Btree.insert bulk ~key:k ~value:v
-  done;
-  let batch = List.init 5_000 (fun i -> (key ((i * 2) + 1), Int64.of_int i)) in
-  List.iter (fun (k, v) -> Index.Btree.insert one ~key:k ~value:v) batch;
-  Index.Btree.bulk_insert bulk batch;
-  check_ok bulk;
-  Alcotest.(check bool) "height grew" true (Index.Btree.height bulk > 1);
-  Alcotest.(check int) "same count" (Index.Btree.count one) (Index.Btree.count bulk);
-  Alcotest.(check bool) "same entries" true (drain one = drain bulk)
-
-let test_bulk_insert_duplicates () =
-  let t = make_tree () in
-  Index.Btree.insert t ~key:(key 5) ~value:50L;
-  Index.Btree.bulk_insert t
-    [ (key 5, 50L); (key 5, 50L); (key 5, 51L); (key 9, 90L); (key 9, 90L) ];
-  Alcotest.(check (list int64))
-    "dup against tree dropped, new value kept" [ 50L; 51L ]
-    (Index.Btree.lookup t ~key:(key 5));
-  Alcotest.(check (list int64)) "batch-internal dup dropped" [ 90L ]
-    (Index.Btree.lookup t ~key:(key 9));
-  Alcotest.(check int) "count" 3 (Index.Btree.count t);
-  check_ok t
-
-let mk_db_tree ?deferred_index () =
-  let db = Relstore.Db.create ?deferred_index () in
-  let clock = Relstore.Db.clock db in
-  let device =
-    Pagestore.Device.create ~clock ~name:"ix" ~kind:Pagestore.Device.Magnetic_disk ()
-  in
-  (db, Index.Btree.create ~cache:(Relstore.Db.cache db) ~device ~klen:8)
-
-let test_overlay_grouped_visibility () =
-  let db, t = mk_db_tree ~deferred_index:true () in
-  Index.Btree.insert t ~key:(key 1) ~value:10L;
-  Relstore.Db.with_txn db (fun txn ->
-      Relstore.Txn.lock txn ~resource:"ix" Relstore.Lock_mgr.Exclusive;
-      Index.Btree.insert_logged t txn ~key:(key 2) ~value:20L;
-      Index.Btree.insert_logged t txn ~key:(key 3) ~value:30L;
-      Alcotest.(check int) "staged" 2 (Index.Btree.pending_count t);
-      Alcotest.(check (list int64)) "overlay point lookup" [ 20L ]
-        (Index.Btree.lookup t ~key:(key 2));
-      Alcotest.(check int) "count sees overlay" 3 (Index.Btree.count t));
-  (* the commit joined a batch: still staged, backed by logged intents *)
-  Alcotest.(check int) "staged after commit" 2 (Index.Btree.pending_count t);
-  Alcotest.(check bool) "intents logged" true
-    (Relstore.Status_log.intent_count (Relstore.Db.status_log db) > 0);
-  Relstore.Db.force_group db;
-  Alcotest.(check int) "applied at the batch force" 0 (Index.Btree.pending_count t);
-  Alcotest.(check (list int64)) "visible once applied" [ 20L ]
-    (Index.Btree.lookup t ~key:(key 2));
-  Alcotest.(check int) "intents settled" 0
-    (Relstore.Status_log.intent_count (Relstore.Db.status_log db));
-  check_ok t
-
 let () =
   Alcotest.run "btree"
     [
@@ -460,16 +371,6 @@ let () =
           Alcotest.test_case "cycle reported" `Quick test_cyclic_chain_reported;
           Alcotest.test_case "truncated chain reported" `Quick
             test_truncated_chain_reported;
-        ] );
-      ( "bulk insert",
-        [
-          Alcotest.test_case "sorted-run vs one-at-a-time" `Quick
-            test_bulk_insert_equivalence;
-          Alcotest.test_case "into a populated tree" `Quick
-            test_bulk_insert_into_populated;
-          Alcotest.test_case "duplicates dropped" `Quick test_bulk_insert_duplicates;
-          Alcotest.test_case "deferred overlay, grouped" `Quick
-            test_overlay_grouped_visibility;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

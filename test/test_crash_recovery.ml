@@ -125,51 +125,30 @@ let test_crash_mid_multichunk_autocommit () =
   Alcotest.(check string) "atomic: old contents survive whole" "original contents"
     (str (Fs.read_whole_file s "/f"))
 
-(* ---- logical REDO of deferred index intents ---- *)
+(* ---- no replay: committed index entries are already on disk ---- *)
 
-let make_fs_knobs () =
-  let clock = Simclock.Clock.create () in
-  let switch = Pagestore.Switch.create ~clock in
-  ignore
-    (Pagestore.Switch.add_device switch ~name:"disk0" ~kind:D.Magnetic_disk ()
-      : D.t);
-  (* the workloads here commit fewer than a batch's worth, and nothing
-     polls the age bound without a server: every staged index insert is
-     still an unapplied intent when the crash lands *)
-  let db = Relstore.Db.create ~switch ~clock ~deferred_index:true () in
-  Fs.make db ()
-
-let test_redo_replays_deferred_intents () =
-  let fs = make_fs_knobs () in
+(* A writing commit flushes its heap and index pages before its status
+   entry is logged, so a commit whose batch force has not yet been paid
+   is still whole on disk: restart aborts the in-flight and audits the
+   dirty-marked relations, and finds nothing to rebuild. *)
+let test_unforced_batch_needs_no_replay () =
+  let fs = make_fs () in
   let s = Fs.new_session fs in
-  Fs.write_file s "/redo.txt" (bytes_of "deferred but committed");
-  Alcotest.(check bool) "intents staged, not applied" true
-    (SL.intent_count (Db.status_log (Fs.db fs)) > 0);
-  (* crash with the whole batch pending: the naming and fileatt index
-     entries exist only as logical intents in the NVRAM status area *)
-  let r = recover_clean fs in
-  Alcotest.(check bool)
-    ("intents replayed: " ^ Rec.report_to_string r)
-    true
-    (r.Rec.intents_replayed > 0);
-  Alcotest.(check int) "nothing rebuilt the hard way" 0
-    (List.length r.Rec.file_indexes_rebuilt);
-  let s = Fs.new_session fs in
-  Alcotest.(check string) "file reachable by name after REDO"
-    "deferred but committed"
-    (str (Fs.read_whole_file s "/redo.txt"));
-  (* intents outlive the replay until a batch force lands the replayed
-     pages (crash mid-replay just replays again — idempotent).  After a
-     sync they are settled, and the next recovery has nothing to redo. *)
-  let r_again = recover_clean fs in
-  Alcotest.(check bool) "pre-sync crash replays again" true
-    (r_again.Rec.intents_replayed > 0);
-  Fs.sync fs;
-  let r2 = recover_clean fs in
-  Alcotest.(check int) "after sync, nothing to replay" 0 r2.Rec.intents_replayed;
-  let s = Fs.new_session fs in
-  Alcotest.(check string) "still intact" "deferred but committed"
-    (str (Fs.read_whole_file s "/redo.txt"))
+  Fs.write_file s "/unforced.txt" (bytes_of "committed, batch unforced");
+  Alcotest.(check bool) "batch still unforced" true
+    (SL.pending_force (Db.status_log (Fs.db fs)) > 0);
+  let check_recovered label =
+    let r = recover_clean fs in
+    Alcotest.(check (list string)) (label ^ ": no catalog rebuilt") [] r.Rec.catalogs_rebuilt;
+    Alcotest.(check (list int64)) (label ^ ": no file index rebuilt") []
+      r.Rec.file_indexes_rebuilt;
+    let s = Fs.new_session fs in
+    Alcotest.(check string) (label ^ ": file reachable by name") "committed, batch unforced"
+      (str (Fs.read_whole_file s "/unforced.txt"))
+  in
+  check_recovered "first crash";
+  (* no sync in between: the second restart sees the same disk *)
+  check_recovered "second crash"
 
 let test_crash_with_multiple_open_sessions () =
   let fs, _plan = armed_fs () in
@@ -563,8 +542,8 @@ let () =
             test_crash_mid_multichunk_autocommit;
           Alcotest.test_case "multiple open sessions" `Quick
             test_crash_with_multiple_open_sessions;
-          Alcotest.test_case "logical REDO of deferred intents" `Quick
-            test_redo_replays_deferred_intents;
+          Alcotest.test_case "unforced batch, no replay" `Quick
+            test_unforced_batch_needs_no_replay;
         ] );
       ( "page reads",
         [

@@ -747,40 +747,51 @@ let test_status_log_group_api () =
   Alcotest.(check bool) "age_due after the wait" true (SL.age_due log);
   Alcotest.(check int) "age force covers it" 1 (SL.force_pending log)
 
-let test_intents_follow_transaction_outcome () =
-  let clock = Simclock.Clock.create () in
-  let log = SL.create ~clock in
-  let x1 = SL.begin_txn log in
-  SL.log_intent log x1 ~tree:"d:1" ~key:"k1" ~value:1L;
-  let x2 = SL.begin_txn log in
-  SL.log_intent log x2 ~tree:"d:1" ~key:"k2" ~value:2L;
-  ignore (SL.commit ~force:true log x1 : int64);
-  SL.abort log x2;
-  Alcotest.(check int) "aborted intent dropped" 1 (SL.intent_count log);
-  (match SL.committed_intents log with
-  | [ (x, [ ("d:1", "k1", 1L) ]) ] -> Alcotest.(check int) "xid" x1 x
-  | _ -> Alcotest.fail "committed_intents should list exactly x1's intent");
-  SL.clear_settled_intents log;
-  Alcotest.(check int) "settled cleared" 0 (SL.intent_count log)
-
 let test_group_commit_survives_crash () =
   let clock = Simclock.Clock.create () in
   let log = SL.create ~clock in
   let x1 = SL.begin_txn log in
-  SL.log_intent log x1 ~tree:"d:1" ~key:"k1" ~value:1L;
   ignore (SL.commit ~force:true log x1 : int64);
   let x2 = SL.begin_txn log in
-  SL.log_intent log x2 ~tree:"d:1" ~key:"k2" ~value:2L;
   Alcotest.(check int) "one pending" 1 (SL.pending_force log);
   SL.crash_recover log;
   (* the status area is NVRAM-backed: the enqueued-but-unforced commit
-     survives the crash; the in-flight transaction dies with its intent *)
+     survives the crash; the in-flight transaction is rolled back *)
   Alcotest.(check bool) "x1 committed" true (SL.is_committed log x1);
   Alcotest.(check bool) "x2 aborted" true (SL.state log x2 = SL.Aborted);
-  Alcotest.(check int) "pending reset" 0 (SL.pending_force log);
-  match SL.committed_intents log with
-  | [ (_, [ ("d:1", "k1", 1L) ]) ] -> ()
-  | _ -> Alcotest.fail "x1's intent must survive for REDO; x2's must not"
+  Alcotest.(check int) "pending reset" 0 (SL.pending_force log)
+
+(* The create path end to end: a 64-chunk file written one auto-commit
+   chunk at a time must form real batches on both Inversion systems, and
+   the group-size histogram must account for every durable commit
+   (flushes x mean group size = commits). *)
+let test_create_path_forms_groups () =
+  let module S = Benchlib.Systems in
+  List.iter
+    (fun make ->
+      let sys : S.t = make () in
+      let h = Obs.Metrics.histogram "txn.commit.group_size" in
+      (* drain the setup commits so the deltas cover the create alone *)
+      sys.S.flush_caches ();
+      let d0 = read_counter "log.commit.durable" in
+      let f0 = Obs.Metrics.hist_count h and s0 = Obs.Metrics.hist_sum h in
+      let f = sys.S.create "/groups.dat" in
+      for i = 0 to 63 do
+        sys.S.write f ~off:(Int64.of_int (i * sys.S.io_unit)) (Bytes.make sys.S.io_unit 'g')
+      done;
+      sys.S.flush_caches ();
+      let commits = read_counter "log.commit.durable" - d0 in
+      let flushes = Obs.Metrics.hist_count h - f0 in
+      let mean = float_of_int commits /. float_of_int (max 1 flushes) in
+      Alcotest.(check int)
+        (sys.S.sys_name ^ ": flushes x mean group size = commits")
+        commits
+        (Float.to_int (Float.round ((Obs.Metrics.hist_sum h -. s0) *. 1e6)));
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: mean group %.2f > 1.5 (%d commits, %d flushes)" sys.S.sys_name
+           mean commits flushes)
+        true (mean > 1.5))
+    [ S.inversion_single_process; S.inversion_client_server ]
 
 let test_fsck_detects_media_corruption () =
   (* "The only difficulties arise when the physical storage medium is
@@ -972,10 +983,10 @@ let () =
           Alcotest.test_case "size and age triggers" `Quick test_status_log_group_api;
           Alcotest.test_case "Fs.sync forces a partial batch" `Quick
             test_sync_forces_partial_batch;
-          Alcotest.test_case "intent lifecycle" `Quick
-            test_intents_follow_transaction_outcome;
           Alcotest.test_case "enqueued commits survive crash" `Quick
             test_group_commit_survives_crash;
+          Alcotest.test_case "create path forms groups" `Quick
+            test_create_path_forms_groups;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
