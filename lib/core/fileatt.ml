@@ -73,7 +73,8 @@ let indexes t = [ t.by_oid ]
 let insert t txn a =
   let tid = H.insert t.heap txn ~oid:a.file (encode a) in
   Index.Btree.insert t.by_oid ~key:(Index.Key.of_int64 a.file)
-    ~value:(Relstore.Tid.encode tid)
+    ~value:(Relstore.Tid.encode tid);
+  tid
 
 let historical = function Relstore.Snapshot.As_of _ -> true | _ -> false
 
@@ -96,21 +97,22 @@ let find_record t snap ~file =
         | Some _ | None -> None)
       (List.rev (Index.Btree.lookup t.by_oid ~key:(Index.Key.of_int64 file)))
 
-let get t snap ~file =
-  Option.map (fun (r : H.record) -> decode r.payload) (find_record t snap ~file)
+let locate t snap ~file =
+  Option.map (fun (r : H.record) -> (r.tid, decode r.payload)) (find_record t snap ~file)
+
+let get t snap ~file = Option.map snd (locate t snap ~file)
+
+let update t txn tid a =
+  let tid = H.update t.heap txn tid (encode a) in
+  Index.Btree.insert t.by_oid ~key:(Index.Key.of_int64 a.file)
+    ~value:(Relstore.Tid.encode tid)
 
 let set t txn a =
   match find_record t (Relstore.Txn.snapshot txn) ~file:a.file with
   | None -> raise Not_found
-  | Some r ->
-    let tid = H.update t.heap txn r.tid (encode a) in
-    Index.Btree.insert t.by_oid ~key:(Index.Key.of_int64 a.file)
-      ~value:(Relstore.Tid.encode tid)
+  | Some r -> update t txn r.tid a
 
-let remove t txn ~file =
-  match find_record t (Relstore.Txn.snapshot txn) ~file with
-  | None -> raise Not_found
-  | Some r -> H.delete t.heap txn r.tid
+let remove t txn tid = H.delete t.heap txn tid
 
 let find_any t ~file =
   let hit = ref None in

@@ -25,18 +25,28 @@ type t
 val create : Relstore.Db.t -> ?device:string -> unit -> t
 (** Create the [fileatt] relation and its oid index. *)
 
-val insert : t -> Relstore.Txn.t -> att -> unit
-(** Record attributes for a new file. *)
+val insert : t -> Relstore.Txn.t -> att -> Relstore.Tid.t
+(** Record attributes for a new file; returns the new record's TID. *)
+
+val locate : t -> Relstore.Snapshot.t -> file:int64 -> (Relstore.Tid.t * att) option
+(** The attribute record visible under the snapshot, with its TID, so
+    a caller that goes on to {!update} or {!remove} it need not find it
+    again. *)
 
 val get : t -> Relstore.Snapshot.t -> file:int64 -> att option
 
-val set : t -> Relstore.Txn.t -> att -> unit
-(** Replace the visible attribute record (no-overwrite update), so
-    attribute history time-travels like everything else.  Raises
-    [Not_found] if the file has no visible attributes. *)
+val update : t -> Relstore.Txn.t -> Relstore.Tid.t -> att -> unit
+(** Replace the attribute record at that TID (no-overwrite update), so
+    attribute history time-travels like everything else.  The TID must
+    be the version the transaction sees, as {!locate} or {!insert}
+    returned it. *)
 
-val remove : t -> Relstore.Txn.t -> file:int64 -> unit
-(** Delete the attribute record (file removal). *)
+val set : t -> Relstore.Txn.t -> att -> unit
+(** {!update} of the visible record for [att.file], found first.
+    Raises [Not_found] if the file has no visible attributes. *)
+
+val remove : t -> Relstore.Txn.t -> Relstore.Tid.t -> unit
+(** Delete the attribute record at that TID (file removal). *)
 
 val find_any : t -> file:int64 -> att option
 (** Any attribute version for the oid, visible or not — how the vacuum

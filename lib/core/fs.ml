@@ -54,6 +54,9 @@ type session = {
   mutable next_fd : int;
   mutable txn : Txn.t option;
   pending_att : (int64, Fileatt.att) Hashtbl.t;
+  created : (int64, Relstore.Tid.t * Fileatt.att) Hashtbl.t;
+      (* attribute rows the open transaction inserted, by oid: no other
+         session can see them, so they cannot go stale before commit *)
 }
 
 let chunk_capacity = Chunk.capacity
@@ -97,8 +100,15 @@ let lock_blocked = function
   | _ -> None
 
 let flush_pending_atts s txn =
-  Hashtbl.iter (fun _ att -> Fileatt.set s.owner_fs.fileatt txn att) s.pending_att;
-  Hashtbl.reset s.pending_att
+  let fileatt = s.owner_fs.fileatt in
+  Hashtbl.iter
+    (fun oid att ->
+      match Hashtbl.find_opt s.created oid with
+      | Some (tid, _) -> Fileatt.update fileatt txn tid att
+      | None -> Fileatt.set fileatt txn att)
+    s.pending_att;
+  Hashtbl.reset s.pending_att;
+  Hashtbl.reset s.created
 
 (* Run one operation in the session's transaction, or in a private
    auto-commit transaction when none is open. *)
@@ -118,7 +128,8 @@ let p_begin s =
 
 let discard_all_pending s =
   Hashtbl.iter (fun _ of_ -> of_.pending <- None) s.fds;
-  Hashtbl.reset s.pending_att
+  Hashtbl.reset s.pending_att;
+  Hashtbl.reset s.created
 
 (* forward declared: flush_pending needs write_at defined below *)
 let flush_pending_ref :
@@ -158,7 +169,10 @@ let with_transaction s f =
 let session_att s txn ~oid =
   match Hashtbl.find_opt s.pending_att oid with
   | Some att -> Some att
-  | None -> Fileatt.get s.owner_fs.fileatt (Txn.snapshot txn) ~file:oid
+  | None -> (
+    match Hashtbl.find_opt s.created oid with
+    | Some (_, att) -> Some att
+    | None -> Fileatt.get s.owner_fs.fileatt (Txn.snapshot txn) ~file:oid)
 
 let stage_att s txn att =
   match s.txn with
@@ -190,10 +204,12 @@ let split_path path =
 
 let is_dir (att : Fileatt.att) = String.equal att.ftype directory_type
 
-let att_of t snap oid =
-  match Fileatt.get t.fileatt snap ~file:oid with
-  | Some att -> att
+let row_of t snap oid =
+  match Fileatt.locate t.fileatt snap ~file:oid with
+  | Some row -> row
   | None -> Errors.fail Errors.ENOENT "dangling oid %Ld" oid
+
+let att_of t snap oid = snd (row_of t snap oid)
 
 (* Walk to the oid of the directory containing the last component;
    returns (parent oid, basename).  "/" itself has no parent. *)
@@ -227,19 +243,38 @@ let resolve_oid t snap path =
 
 let now_ts t = Db.now t.db
 
+let dir_att t ~oid ~owner =
+  {
+    Fileatt.file = oid;
+    size = 0L;
+    owner;
+    ftype = directory_type;
+    device = "";
+    index_segid = -1;
+    compressed = false;
+    ctime = now_ts t;
+    mtime = now_ts t;
+    atime = now_ts t;
+  }
+
+(* The storage handle of [oid], attached from its attribute row [att]
+   if it has none yet. *)
+let attach t oid (att : Fileatt.att) =
+  match Hashtbl.find_opt t.files oid with
+  | Some inv -> Some inv
+  | None when is_dir att -> None
+  | None ->
+    let inv =
+      Inv_file.attach t.db ~oid ~index_segid:att.Fileatt.index_segid
+        ~compressed:att.Fileatt.compressed
+    in
+    Hashtbl.replace t.files oid inv;
+    Some inv
+
 let get_inv t snap oid =
   match Hashtbl.find_opt t.files oid with
   | Some inv -> Some inv
-  | None -> (
-    match Fileatt.get t.fileatt snap ~file:oid with
-    | Some att when not (is_dir att) ->
-      let inv =
-        Inv_file.attach t.db ~oid ~index_segid:att.Fileatt.index_segid
-          ~compressed:att.Fileatt.compressed
-      in
-      Hashtbl.replace t.files oid inv;
-      Some inv
-    | Some _ | None -> None)
+  | None -> Option.bind (Fileatt.get t.fileatt snap ~file:oid) (attach t oid)
 
 let file_handle t ~oid =
   match Hashtbl.find_opt t.files oid with
@@ -482,19 +517,8 @@ let make db ?default_device ?(atime = false) () =
       ignore
         (Naming.insert naming txn ~parentid:Naming.root_parent ~file:root_oid ~name:"/"
           : Naming.entry);
-      Fileatt.insert fileatt txn
-        {
-          Fileatt.file = root_oid;
-          size = 0L;
-          owner = "root";
-          ftype = directory_type;
-          device = "";
-          index_segid = -1;
-          compressed = false;
-          ctime = now_ts t;
-          mtime = now_ts t;
-          atime = now_ts t;
-        });
+      ignore
+        (Fileatt.insert fileatt txn (dir_att t ~oid:root_oid ~owner:"root") : Relstore.Tid.t));
   register_builtins t;
   t
 
@@ -509,6 +533,7 @@ let new_session t =
     next_fd = 3;
     txn = None;
     pending_att = Hashtbl.create 8;
+    created = Hashtbl.create 8;
   }
 
 let alloc_fd s of_ =
@@ -631,41 +656,66 @@ let default_device_name t =
   | Some d -> d
   | None -> Pagestore.Device.name (Pagestore.Switch.default_device (Db.switch t.db))
 
-let p_creat s ?device ?(ftype = "unknown") ?(owner = "user") ?(compressed = false) path =
+(* Create [base] in directory [parent], whose lookup of [base] came back
+   empty under [txn]'s snapshot; returns the oid and storage handle.
+   Inside an explicit transaction the new attribute row stays in the
+   session, so the file's writes and the commit need not fetch it back. *)
+let create_file s txn ~parent ~base ?device ?(ftype = "unknown") ?(owner = "user")
+    ?(compressed = false) () =
   let t = s.owner_fs in
-  let oid =
-    with_op s (fun txn ->
-        let snap = Txn.snapshot txn in
-        let parent, base = resolve_parent t snap path in
-        (match Naming.lookup t.naming snap ~parentid:parent ~name:base with
-        | Some _ -> Errors.fail Errors.EEXIST "%s" path
-        | None -> ());
-        let oid = Db.allocate_oid t.db in
-        let device = match device with Some d -> d | None -> default_device_name t in
-        if Pagestore.Switch.find_opt (Db.switch t.db) device = None then
-          Errors.fail Errors.EINVAL "no device named %s on the switch" device;
-        let inv = Inv_file.create t.db ~oid ~device ~compressed in
-        Hashtbl.replace t.files oid inv;
-        ignore (Naming.insert t.naming txn ~parentid:parent ~file:oid ~name:base : Naming.entry);
-        Fileatt.insert t.fileatt txn
-          {
-            Fileatt.file = oid;
-            size = 0L;
-            owner;
-            ftype;
-            device;
-            index_segid = Inv_file.index_segid inv;
-            compressed;
-            ctime = now_ts t;
-            mtime = now_ts t;
-            atime = now_ts t;
-          };
-        oid)
+  let oid = Db.allocate_oid t.db in
+  let device = match device with Some d -> d | None -> default_device_name t in
+  if Pagestore.Switch.find_opt (Db.switch t.db) device = None then
+    Errors.fail Errors.EINVAL "no device named %s on the switch" device;
+  let inv = Inv_file.create t.db ~oid ~device ~compressed in
+  Hashtbl.replace t.files oid inv;
+  ignore (Naming.insert t.naming txn ~parentid:parent ~file:oid ~name:base : Naming.entry);
+  let att =
+    {
+      Fileatt.file = oid;
+      size = 0L;
+      owner;
+      ftype;
+      device;
+      index_segid = Inv_file.index_segid inv;
+      compressed;
+      ctime = now_ts t;
+      mtime = now_ts t;
+      atime = now_ts t;
+    }
   in
-  let inv = Hashtbl.find t.files oid in
-  alloc_fd s
-    { oid; inv = Some inv; mode = Rdwr; hist = None; hist_lease = -1; pos = 0L;
-      pending = None }
+  let tid = Fileatt.insert t.fileatt txn att in
+  if in_transaction s then Hashtbl.replace s.created oid (tid, att);
+  (oid, Some inv)
+
+let open_rdwr s (oid, inv) =
+  alloc_fd s { oid; inv; mode = Rdwr; hist = None; hist_lease = -1; pos = 0L; pending = None }
+
+let p_creat s ?device ?ftype ?owner ?compressed path =
+  let t = s.owner_fs in
+  with_op s (fun txn ->
+      let snap = Txn.snapshot txn in
+      let parent, base = resolve_parent t snap path in
+      (match Naming.lookup t.naming snap ~parentid:parent ~name:base with
+      | Some _ -> Errors.fail Errors.EEXIST "%s" path
+      | None -> ());
+      create_file s txn ~parent ~base ?device ?ftype ?owner ?compressed ())
+  |> open_rdwr s
+
+let open_or_creat s path =
+  let t = s.owner_fs in
+  if split_path path = [] then Errors.fail Errors.EISDIR "%s" path;
+  with_op s (fun txn ->
+      let snap = Txn.snapshot txn in
+      let parent, base = resolve_parent t snap path in
+      match Naming.lookup t.naming snap ~parentid:parent ~name:base with
+      | None -> create_file s txn ~parent ~base ()
+      | Some e ->
+        let oid = e.Naming.file in
+        let att = att_of t snap oid in
+        if is_dir att then Errors.fail Errors.EISDIR "%s" path;
+        (oid, attach t oid att))
+  |> open_rdwr s
 
 let p_open s ?timestamp path mode =
   let t = s.owner_fs in
@@ -701,24 +751,23 @@ let p_close s fd =
   if of_.hist_lease >= 0 then Db.release_lease s.owner_fs.db of_.hist_lease;
   Hashtbl.remove s.fds fd
 
-let maybe_touch_atime s txn of_ =
+(* One read at the fd's position into the buffer [alloc] picks from the
+   file's attribute row, which is read once: under the open's snapshot
+   for a historical fd, else in one transaction that flushes the fd's
+   pending write, share-locks the file's data and touches atime.
+   Returns the buffer and the count, which advances the position. *)
+let read_fd s of_ alloc =
   let t = s.owner_fs in
-  if t.atime_enabled then
-    match session_att s txn ~oid:of_.oid with
-    | Some att -> stage_att s txn { att with Fileatt.atime = now_ts t }
-    | None -> ()
-
-let p_read s fd buf len =
-  let t = s.owner_fs in
-  let of_ = find_fd s fd in
-  if len < 0 || len > Bytes.length buf then Errors.fail Errors.EINVAL "bad length %d" len;
   let inv = require_inv of_ in
-  let n =
+  let read snap (att : Fileatt.att) =
+    let buf, len = alloc att in
+    (buf, read_at t snap inv ~oid:of_.oid ~size:att.Fileatt.size ~pos:of_.pos buf len)
+  in
+  let buf, n =
     match of_.hist with
     | Some ts ->
       let snap = Snapshot.As_of ts in
-      let att = att_of t snap of_.oid in
-      read_at t snap inv ~oid:of_.oid ~size:att.Fileatt.size ~pos:of_.pos buf len
+      read snap (att_of t snap of_.oid)
     | None ->
       with_op s (fun txn ->
           flush_pending s txn of_;
@@ -728,15 +777,17 @@ let p_read s fd buf len =
             | Some a -> a
             | None -> Errors.fail Errors.ENOENT "file oid %Ld vanished" of_.oid
           in
-          let n =
-            read_at t (Txn.snapshot txn) inv ~oid:of_.oid ~size:att.Fileatt.size
-              ~pos:of_.pos buf len
-          in
-          maybe_touch_atime s txn of_;
-          n)
+          let r = read (Txn.snapshot txn) att in
+          if t.atime_enabled then stage_att s txn { att with Fileatt.atime = now_ts t };
+          r)
   in
   of_.pos <- Int64.add of_.pos (Int64.of_int n);
-  n
+  (buf, n)
+
+let p_read s fd buf len =
+  let of_ = find_fd s fd in
+  if len < 0 || len > Bytes.length buf then Errors.fail Errors.EINVAL "bad length %d" len;
+  snd (read_fd s of_ (fun _ -> (buf, len)))
 
 let p_write s fd buf len =
   let of_ = find_fd s fd in
@@ -884,19 +935,7 @@ let mkdir s ?(owner = "user") path =
       | None -> ());
       let oid = Db.allocate_oid t.db in
       ignore (Naming.insert t.naming txn ~parentid:parent ~file:oid ~name:base : Naming.entry);
-      Fileatt.insert t.fileatt txn
-        {
-          Fileatt.file = oid;
-          size = 0L;
-          owner;
-          ftype = directory_type;
-          device = "";
-          index_segid = -1;
-          compressed = false;
-          ctime = now_ts t;
-          mtime = now_ts t;
-          atime = now_ts t;
-        })
+      ignore (Fileatt.insert t.fileatt txn (dir_att t ~oid ~owner) : Relstore.Tid.t))
 
 let readdir s ?timestamp path =
   let t = s.owner_fs in
@@ -945,10 +984,12 @@ let unlink s path =
       match resolve_entry t snap path with
       | None -> Errors.fail Errors.ENOENT "%s" path
       | Some e ->
-        if is_dir (att_of t snap e.Naming.file) then Errors.fail Errors.EISDIR "%s" path;
+        let tid, att = row_of t snap e.Naming.file in
+        if is_dir att then Errors.fail Errors.EISDIR "%s" path;
         Naming.remove t.naming txn e;
-        Fileatt.remove t.fileatt txn ~file:e.Naming.file;
-        Hashtbl.remove s.pending_att e.Naming.file)
+        Fileatt.remove t.fileatt txn tid;
+        Hashtbl.remove s.pending_att e.Naming.file;
+        Hashtbl.remove s.created e.Naming.file)
 
 let rmdir s path =
   let t = s.owner_fs in
@@ -957,12 +998,12 @@ let rmdir s path =
       match resolve_entry t snap path with
       | None -> Errors.fail Errors.ENOENT "%s" path
       | Some e ->
-        if not (is_dir (att_of t snap e.Naming.file)) then
-          Errors.fail Errors.ENOTDIR "%s" path;
+        let tid, att = row_of t snap e.Naming.file in
+        if not (is_dir att) then Errors.fail Errors.ENOTDIR "%s" path;
         if Naming.list_dir t.naming snap ~parentid:e.Naming.file <> [] then
           Errors.fail Errors.ENOTEMPTY "%s" path;
         Naming.remove t.naming txn e;
-        Fileatt.remove t.fileatt txn ~file:e.Naming.file)
+        Fileatt.remove t.fileatt txn tid)
 
 let rename s src dst =
   let t = s.owner_fs in
@@ -1277,15 +1318,17 @@ let clone s ~src ~dst =
             ignore
               (Naming.insert t.naming txn ~parentid:parent ~file:oid ~name:base
                 : Naming.entry);
-            Fileatt.insert t.fileatt txn
-              {
-                src_att with
-                Fileatt.file = oid;
-                index_segid = Inv_file.index_segid inv;
-                ctime = now_ts t;
-                mtime = now_ts t;
-                atime = now_ts t;
-              };
+            ignore
+              (Fileatt.insert t.fileatt txn
+                 {
+                   src_att with
+                   Fileatt.file = oid;
+                   index_segid = Inv_file.index_segid inv;
+                   ctime = now_ts t;
+                   mtime = now_ts t;
+                   atime = now_ts t;
+                 }
+                : Relstore.Tid.t);
             let cm = clonemap_heap t in
             ignore
               (Relstore.Heap.insert cm txn ~oid
@@ -1408,9 +1451,7 @@ let vacuum_all t ?horizon ~mode () =
 
 let write_file s path data =
   let run () =
-    let fd =
-      if exists s path then p_open s path Rdwr else p_creat s path
-    in
+    let fd = open_or_creat s path in
     match
       ignore (p_write s fd data (Bytes.length data) : int);
       ftruncate s fd (Int64.of_int (Bytes.length data))
@@ -1433,7 +1474,9 @@ let read_whole_file s ?timestamp path =
   Fun.protect
     ~finally:(fun () -> p_close s fd)
     (fun () ->
-      let size = Int64.to_int (file_size_now s (find_fd s fd)) in
-      let buf = Bytes.create size in
-      let n = p_read s fd buf size in
-      if n = size then buf else Bytes.sub buf 0 n)
+      let buf, n =
+        read_fd s (find_fd s fd) (fun att ->
+            let size = Int64.to_int att.Fileatt.size in
+            (Bytes.create size, size))
+      in
+      if n = Bytes.length buf then buf else Bytes.sub buf 0 n)

@@ -108,6 +108,11 @@ val p_open : session -> ?timestamp:int64 -> string -> open_mode -> fd
 (** Open an existing file.  [timestamp] gives a historical, read-only
     view: "Historical files may not be opened for writing." *)
 
+val open_or_creat : session -> string -> fd
+(** Open the file read-write, or create it with {!p_creat}'s defaults if
+    the name is free: one transaction that resolves the path once.
+    [EISDIR] on a directory. *)
+
 val p_close : session -> fd -> unit
 val p_read : session -> fd -> bytes -> int -> int
 (** Read up to [len] bytes at the file position into the buffer prefix;
@@ -354,10 +359,12 @@ val clone : session -> src:string -> dst:string -> int64
 
 val write_file : session -> string -> bytes -> unit
 (** Convenience: create-or-truncate and write whole contents in one
-    transaction. *)
+    transaction, resolving the path once ({!open_or_creat}). *)
 
 val read_whole_file : session -> ?timestamp:int64 -> string -> bytes
-(** Convenience: open, read everything, close. *)
+(** Convenience: open, read everything, close.  The read is one
+    operation (one auto-commit transaction outside an explicit one) that
+    reads the file's attribute row once. *)
 
 val iter_files : t -> Relstore.Snapshot.t -> (Naming.entry -> Fileatt.att -> unit) -> unit
 (** Every (naming, fileatt) join row visible under the snapshot — the

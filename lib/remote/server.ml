@@ -365,10 +365,6 @@ let read_whole t fsess fd ~off ~len =
   if String.length first < head || head = len then first
   else first ^ read_into fsess fd (Bytes.create (len - head)) (len - head)
 
-let open_or_creat fsess path =
-  if Fs.exists fsess path then Fs.p_open fsess path Fs.Rdwr
-  else Fs.p_creat fsess ~compressed:false path
-
 let rec exec t (s : sess) (req : Wire.req) : Wire.result =
   let fsess = s.fsess in
   match req with
@@ -457,13 +453,13 @@ let rec exec t (s : sess) (req : Wire.req) : Wire.result =
           Wire.R_data (read_at fsess fd ~off ~len))
   | Wire.Shard_write { oid; off; data; epoch } ->
     shard_fence t ~epoch ~oid;
-    with_fd fsess (open_or_creat fsess (shard_path oid)) (fun fd ->
+    with_fd fsess (Fs.open_or_creat fsess (shard_path oid)) (fun fd ->
         ignore (Fs.p_lseek fsess fd off Fs.Seek_set : int64);
         let b = Bytes.of_string data in
         Wire.R_int (Int64.of_int (Fs.p_write fsess fd b (Bytes.length b))))
   | Wire.Shard_truncate { oid; size; epoch } ->
     shard_fence t ~epoch ~oid;
-    with_fd fsess (open_or_creat fsess (shard_path oid)) (fun fd ->
+    with_fd fsess (Fs.open_or_creat fsess (shard_path oid)) (fun fd ->
         Fs.ftruncate fsess fd size;
         Wire.R_unit)
   | Wire.Fetch_chunks { oid } ->

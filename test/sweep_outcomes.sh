@@ -12,6 +12,15 @@
 # ends mismatches=0.  Timings printed on the simulated clock (a cluster
 # sweep's hb=/msgs=) move when the device cost of the same I/O changes,
 # for example when blocks are laid out differently.
+# A change to the simulated CPU cost of an operation moves every figure
+# read off the simulated clock.  On the load and overload level lines
+# that is achieved= and slo_good=, and, through deadline shedding,
+# applied= and shed=.  On a cluster sweep, the crash and heartbeat
+# schedule then lands differently, so its stale=, redirects=, replays=,
+# migr=, faults=, lost=, indet= and ops= counts can move with hb=/msgs=.
+# The net sweep's bytes= moves when a run begins a different number of
+# transactions: a lock-conflict error reply names the holder's xid in
+# its text.
 # Explain each such line; only mismatches= and the exit status must
 # never move.
 #

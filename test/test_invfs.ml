@@ -5,7 +5,7 @@ module Fs = Invfs.Fs
 module E = Invfs.Errors
 module V = Postquel.Value
 
-let make_fs ?(devices = [ ("disk0", Pagestore.Device.Magnetic_disk) ]) () =
+let make_fs ?(devices = [ ("disk0", Pagestore.Device.Magnetic_disk) ]) ?atime () =
   let clock = Simclock.Clock.create () in
   let switch = Pagestore.Switch.create ~clock in
   List.iter
@@ -13,7 +13,7 @@ let make_fs ?(devices = [ ("disk0", Pagestore.Device.Magnetic_disk) ]) () =
       ignore (Pagestore.Switch.add_device switch ~name ~kind () : Pagestore.Device.t))
     devices;
   let db = Relstore.Db.create ~switch ~clock () in
-  Fs.make db ()
+  Fs.make db ?atime ()
 
 let fresh () =
   let fs = make_fs () in
@@ -972,6 +972,131 @@ let prop_fs_matches_model =
         (fun path expect acc -> acc && str (Fs.read_whole_file s path) = expect)
         model true)
 
+(* ---- whole-file operations ---- *)
+
+let test_write_file_errors () =
+  let _, s = fresh () in
+  Fs.mkdir s "/d";
+  Fs.write_file s "/d/f" (bytes_of "x");
+  expect_error E.EISDIR (fun () -> Fs.write_file s "/d" (bytes_of "y"));
+  expect_error E.EISDIR (fun () -> Fs.write_file s "/" (bytes_of "y"));
+  expect_error E.ENOENT (fun () -> Fs.write_file s "/nope/f" (bytes_of "y"));
+  expect_error E.ENOTDIR (fun () -> Fs.write_file s "/d/f/g" (bytes_of "y"));
+  expect_error E.EISDIR (fun () -> Fs.read_whole_file s "/d");
+  Alcotest.(check string) "failed writes left the file alone" "x"
+    (str (Fs.read_whole_file s "/d/f"))
+
+let test_write_file_overwrite_shrinks () =
+  let _, s = fresh () in
+  Fs.write_file s "/f" (Bytes.make (3 * Fs.chunk_capacity) 'a');
+  Fs.write_file s "/f" (bytes_of "short");
+  Alcotest.(check string) "contents" "short" (str (Fs.read_whole_file s "/f"));
+  Alcotest.(check int64) "size" 5L (Fs.stat s "/f").Invfs.Fileatt.size
+
+let test_read_whole_file_sees_own_txn () =
+  let _, s = fresh () in
+  Fs.write_file s "/old" (bytes_of "committed");
+  Fs.with_transaction s (fun () ->
+      Fs.write_file s "/new" (bytes_of "fresh");
+      Fs.write_file s "/old" (bytes_of "rewritten");
+      Alcotest.(check string) "own create" "fresh" (str (Fs.read_whole_file s "/new"));
+      Alcotest.(check string) "own overwrite" "rewritten"
+        (str (Fs.read_whole_file s "/old")));
+  Alcotest.(check string) "committed" "rewritten" (str (Fs.read_whole_file s "/old"))
+
+(* Files created inside a transaction keep their attribute row in the
+   session until commit or abort; every later use of it must agree with
+   what the catalog holds. *)
+let test_created_in_txn () =
+  let _, s = fresh () in
+  Fs.with_transaction s (fun () ->
+      let fd = Fs.p_creat s "/kept" in
+      ignore (Fs.p_write s fd (bytes_of "abc") 3 : int);
+      Fs.p_close s fd;
+      Fs.set_owner s "/kept" "alice";
+      Alcotest.(check int64) "size in txn" 3L (Fs.stat s "/kept").Invfs.Fileatt.size;
+      Fs.write_file s "/gone" (bytes_of "x");
+      Fs.unlink s "/gone");
+  let att = Fs.stat s "/kept" in
+  Alcotest.(check int64) "size" 3L att.Invfs.Fileatt.size;
+  Alcotest.(check string) "owner" "alice" att.Invfs.Fileatt.owner;
+  Alcotest.(check bool) "unlinked in txn" false (Fs.exists s "/gone");
+  Fs.with_transaction s (fun () -> Fs.write_file s "/kept" (bytes_of "abcdef"));
+  let att = Fs.stat s "/kept" in
+  Alcotest.(check int64) "rewritten size" 6L att.Invfs.Fileatt.size;
+  Alcotest.(check string) "owner kept" "alice" att.Invfs.Fileatt.owner;
+  Fs.p_begin s;
+  Fs.write_file s "/aborted" (bytes_of "y");
+  Fs.p_abort s;
+  Alcotest.(check bool) "aborted create" false (Fs.exists s "/aborted");
+  Fs.write_file s "/aborted" (bytes_of "z");
+  Alcotest.(check string) "recreated" "z" (str (Fs.read_whole_file s "/aborted"))
+
+let test_read_touches_atime () =
+  let fs = make_fs ~atime:true () in
+  let s = Fs.new_session fs in
+  Fs.write_file s "/f" (bytes_of "data");
+  let written = Fs.stat s "/f" in
+  advance fs 1.0;
+  Alcotest.(check string) "read" "data" (str (Fs.read_whole_file s "/f"));
+  let read = Fs.stat s "/f" in
+  Alcotest.(check bool) "atime moved" true
+    (Int64.compare read.Invfs.Fileatt.atime written.Invfs.Fileatt.atime > 0);
+  Alcotest.(check int64) "mtime kept" written.Invfs.Fileatt.mtime read.Invfs.Fileatt.mtime;
+  advance fs 1.0;
+  Fs.with_transaction s (fun () -> ignore (Fs.read_whole_file s "/f" : bytes));
+  Alcotest.(check bool) "atime moved in a transaction" true
+    (Int64.compare (Fs.stat s "/f").Invfs.Fileatt.atime read.Invfs.Fileatt.atime > 0)
+
+let cpu fs = Simclock.Clock.charged (Fs.clock fs) "dbms.cpu"
+
+(* A whole-file read is one transaction that reads the attribute row
+   once: no more CPU than one p_read of the same file on an open fd. *)
+let test_read_whole_file_one_txn () =
+  let fs, s = fresh () in
+  let clock = Fs.clock fs in
+  let data = Bytes.make (2 * Fs.chunk_capacity) 'r' in
+  Fs.write_file s "/f" data;
+  Fs.sync fs;
+  let commits = Simclock.Clock.ticks clock "txn.commit" in
+  let c0 = cpu fs in
+  Alcotest.(check int) "contents" (Bytes.length data)
+    (Bytes.length (Fs.read_whole_file s "/f"));
+  let whole = cpu fs -. c0 in
+  Alcotest.(check int) "one commit" 1 (Simclock.Clock.ticks clock "txn.commit" - commits);
+  let fd = Fs.p_open s "/f" Fs.Rdonly in
+  let buf = Bytes.create (Bytes.length data) in
+  let c0 = cpu fs in
+  ignore (Fs.p_read s fd buf (Bytes.length buf) : int);
+  let one_read = cpu fs -. c0 in
+  Fs.p_close s fd;
+  Alcotest.(check bool)
+    (Printf.sprintf "read_whole_file cpu %.4f s <= p_read %.4f s" whole one_read)
+    true
+    (whole <= one_read +. 1e-9)
+
+(* write_file resolves its path once: a new file costs no more CPU than
+   the same create, write, truncate and commit issued by hand. *)
+let test_write_file_one_resolution () =
+  let fs, s = fresh () in
+  Fs.mkdir s "/d";
+  let data = Bytes.make 100 'w' in
+  let c0 = cpu fs in
+  Fs.write_file s "/d/a" data;
+  let whole = cpu fs -. c0 in
+  let c0 = cpu fs in
+  Fs.p_begin s;
+  let fd = Fs.p_creat s "/d/b" in
+  ignore (Fs.p_write s fd data (Bytes.length data) : int);
+  Fs.ftruncate s fd (Int64.of_int (Bytes.length data));
+  Fs.p_close s fd;
+  Fs.p_commit s;
+  let by_hand = cpu fs -. c0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "write_file cpu %.4f s <= by hand %.4f s" whole by_hand)
+    true
+    (whole <= by_hand +. 1e-9)
+
 let () =
   Alcotest.run "invfs"
     [
@@ -1075,6 +1200,17 @@ let () =
           Alcotest.test_case "clone survives crash" `Quick test_clone_survives_crash;
         ] );
       ("fsck", [ Alcotest.test_case "clean audit" `Quick test_fsck_clean_system ]);
+      ( "whole-file ops",
+        [
+          Alcotest.test_case "write_file error codes" `Quick test_write_file_errors;
+          Alcotest.test_case "overwrite shrinks" `Quick test_write_file_overwrite_shrinks;
+          Alcotest.test_case "read sees own transaction" `Quick
+            test_read_whole_file_sees_own_txn;
+          Alcotest.test_case "created in a transaction" `Quick test_created_in_txn;
+          Alcotest.test_case "read touches atime" `Quick test_read_touches_atime;
+          Alcotest.test_case "read is one transaction" `Quick test_read_whole_file_one_txn;
+          Alcotest.test_case "write resolves once" `Quick test_write_file_one_resolution;
+        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
