@@ -323,51 +323,8 @@ let op_key = function
   | W.Write_1mb_seq -> "write_1mb_seq"
   | W.Write_1mb_rand -> "write_1mb_rand"
 
-(* Hand-rolled JSON: the values are flat (strings, numbers, one level of
-   nesting), so a printer over a tiny syntax tree keeps us dependency-free. *)
-type json =
-  | J_obj of (string * json) list
-  | J_arr of json list
-  | J_str of string
-  | J_num of float
-  | J_int of int
-  | J_bool of bool
-
-let rec json_to_buf buf indent = function
-  | J_str s -> Buffer.add_string buf (Printf.sprintf "%S" s)
-  | J_bool b -> Buffer.add_string buf (string_of_bool b)
-  | J_int i -> Buffer.add_string buf (string_of_int i)
-  | J_num f ->
-    (* %.17g roundtrips but is noisy; six significant decimals is far
-       below the cost model's meaningful precision. *)
-    Buffer.add_string buf (Printf.sprintf "%.6g" f)
-  | J_arr [] -> Buffer.add_string buf "[]"
-  | J_arr items ->
-    let pad = String.make indent ' ' in
-    Buffer.add_string buf "[\n";
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_string buf ",\n";
-        Buffer.add_string buf (pad ^ "  ");
-        json_to_buf buf (indent + 2) v)
-      items;
-    Buffer.add_string buf (Printf.sprintf "\n%s]" pad)
-  | J_obj fields ->
-    let pad = String.make indent ' ' in
-    Buffer.add_string buf "{\n";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_string buf ",\n";
-        Buffer.add_string buf (Printf.sprintf "%s  %S: " pad k);
-        json_to_buf buf (indent + 2) v)
-      fields;
-    Buffer.add_string buf (Printf.sprintf "\n%s}" pad)
-
-let json_to_string j =
-  let buf = Buffer.create 4096 in
-  json_to_buf buf 0 j;
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+(* The trajectory document is an Obs.Json value. *)
+open Obs.Json
 
 let json_of_stats (s : Bc.stats) =
   J_obj
@@ -746,153 +703,6 @@ let vacuum_bench () =
 (* --compare: regression gate against a previous bench json            *)
 (* ------------------------------------------------------------------ *)
 
-(* Just enough of a JSON reader for our own output (and any conforming
-   producer): objects, arrays, strings with escapes, numbers, literals. *)
-let json_parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = failwith (Printf.sprintf "json: %s at byte %d" msg !pos) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = Some c then advance ()
-    else fail (Printf.sprintf "expected %C" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some 'n' -> Buffer.add_char buf '\n'
-        | Some 't' -> Buffer.add_char buf '\t'
-        | Some 'r' -> Buffer.add_char buf '\r'
-        | Some 'b' -> Buffer.add_char buf '\b'
-        | Some 'u' ->
-          (* skip the four hex digits; our own output never emits these *)
-          for _ = 1 to 4 do
-            advance ()
-          done
-        | Some c -> Buffer.add_char buf c
-        | None -> fail "unterminated escape");
-        advance ();
-        go ()
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while (match peek () with Some c -> num_char c | None -> false) do
-      advance ()
-    done;
-    let tok = String.sub s start (!pos - start) in
-    match int_of_string_opt tok with
-    | Some i -> J_int i
-    | None -> (
-      match float_of_string_opt tok with
-      | Some f -> J_num f
-      | None -> fail (Printf.sprintf "bad number %S" tok))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        J_obj []
-      end
-      else begin
-        let rec fields acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            fields ((k, v) :: acc)
-          | Some '}' ->
-            advance ();
-            J_obj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected , or } in object"
-        in
-        fields []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        J_arr []
-      end
-      else begin
-        let rec items acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            items (v :: acc)
-          | Some ']' ->
-            advance ();
-            J_arr (List.rev (v :: acc))
-          | _ -> fail "expected , or ] in array"
-        in
-        items []
-      end
-    | Some '"' -> J_str (parse_string ())
-    | Some 't' ->
-      pos := !pos + 4;
-      J_int 1
-    | Some 'f' ->
-      pos := !pos + 5;
-      J_int 0
-    | Some 'n' ->
-      pos := !pos + 4;
-      J_obj []
-    | Some _ -> parse_number ()
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  v
-
-let json_member key = function
-  | J_obj fields -> List.assoc_opt key fields
-  | _ -> None
-
-let json_number = function
-  | Some (J_num f) -> Some f
-  | Some (J_int i) -> Some (float_of_int i)
-  | _ -> None
-
-let json_path doc keys =
-  List.fold_left (fun acc k -> Option.bind acc (json_member k)) (Some doc) keys
-
 (* The headlines the regression gate watches: simulated seconds per
    Table-3 op on the client/server system — the number every PR is
    ultimately trying to move down — plus the vacuum differential's
@@ -901,25 +711,24 @@ let json_path doc keys =
    Returns [(name, value, direction)]. *)
 let headline_metrics doc =
   let t3 =
-    match json_path doc [ "table3_seconds"; "inversion_client_server" ] with
+    match Obs.Json.path doc [ "table3_seconds"; "inversion_client_server" ] with
     | Some (J_obj fields) ->
       List.filter_map
-        (fun (k, v) -> Option.map (fun f -> (k, f, `Lower)) (json_number (Some v)))
+        (fun (k, v) -> Option.map (fun f -> (k, f, `Lower)) (Obs.Json.number v))
         fields
     | _ -> []
   in
-  let one name keys dir =
-    Option.map (fun f -> (name, f, dir)) (json_number (json_path doc keys))
-  in
+  let number doc keys = Option.bind (Obs.Json.path doc keys) Obs.Json.number in
+  let one name keys dir = Option.map (fun f -> (name, f, dir)) (number doc keys) in
   let goodput_4x =
-    match json_path doc [ "overload"; "protected"; "levels" ] with
+    match Obs.Json.path doc [ "overload"; "protected"; "levels" ] with
     | Some (J_arr levels) ->
       List.find_map
         (fun l ->
-          if json_number (json_member "factor" l) = Some 4.0 then
+          if number l [ "factor" ] = Some 4.0 then
             Option.map
               (fun f -> ("overload.protected.slo_goodput_4x_ops_s", f, `Higher))
-              (json_number (json_member "slo_goodput_ops_s" l))
+              (number l [ "slo_goodput_ops_s" ])
           else None)
         levels
     | _ -> None
@@ -934,11 +743,7 @@ let headline_metrics doc =
 
 let compare_headline ~prev_path ~current =
   let prev_doc =
-    let ic = open_in prev_path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    json_parse s
+    Obs.Json.parse (In_channel.with_open_bin prev_path In_channel.input_all)
   in
   let prev = headline_metrics prev_doc in
   let cur = List.map (fun (name, v, _) -> (name, v)) (headline_metrics current) in
@@ -1105,7 +910,7 @@ let bench_json ~mb ~out ~smoke ~compare_prev =
       ]
   in
   let oc = open_out out in
-  output_string oc (json_to_string doc);
+  output_string oc (Obs.Json.to_string doc);
   close_out oc;
   progress "bench json: wrote %s" out;
   let regression_msgs =
@@ -1122,6 +927,15 @@ let bench_json ~mb ~out ~smoke ~compare_prev =
   if smoke then begin
     let fail = ref [] in
     let check name ok detail = if not ok then fail := (name ^ ": " ^ detail) :: !fail in
+    (* The file must be JSON that reads back to what was printed: an
+       escape or literal the parser misreads fails here, not in a later
+       --compare. *)
+    (let written = In_channel.with_open_bin out In_channel.input_all in
+     match Obs.Json.parse written with
+     | v ->
+       check "json-roundtrip" (Obs.Json.to_string v = written)
+         (Printf.sprintf "%s does not reprint identically once parsed" out)
+     | exception Failure msg -> check "json-roundtrip" false (out ^ ": " ^ msg));
     check "eviction-flat" (ev_ratio < 2.0)
       (Printf.sprintf "4096/300 per-miss ratio %.2f (must be < 2.0)" ev_ratio);
     check "readahead-helps" (cold_ra < cold_off)
@@ -1337,7 +1151,8 @@ let () =
     (* Machine-readable benchmark trajectory:
          bench json [--mb N] [--out PATH] [--smoke] [--compare PREV.json]
        Writes BENCH_<date>.json (schema "inversion-bench/1").  --smoke
-       additionally asserts the cache-performance invariants (flat
+       additionally asserts that the file parses back to what was
+       printed, the cache-performance invariants (flat
        eviction cost, read-ahead wins, scan resistance), the shard
        scale-out and failover bounds, and exits 1 on violation.
        --compare diffs the headlines (Table-3 seconds and the vacuum p99,

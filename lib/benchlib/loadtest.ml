@@ -23,13 +23,12 @@
 
    The sweep calibrates first: a closed-loop prefix measures service
    capacity, then each level offers [factor × capacity] so the knee is
-   always inside the swept range.  Correctness rides along: a
-   Nettest-style oid-keyed oracle shadows every mutation (per-session
-   overlays for open transactions), reads are checked against it
+   always inside the swept range.  Correctness rides along: the shared
+   Oracle shadows every mutation (per-session overlays for open
+   transactions), reads are checked against it
    mid-flight, snapshots feed time-travel checks, and a full-tree walk
    closes the run. *)
 
-module OM = Map.Make (Int64)
 module Rng = Simclock.Rng
 module Fs = Invfs.Fs
 module Errors = Invfs.Errors
@@ -311,9 +310,8 @@ type csess = {
   id : int;
   tenant : int;
   c : Client.t;
-  mutable in_txn : bool;
-  mutable ov_names : (string * int64) list; (* creates not yet committed *)
-  mutable ov_files : bytes OM.t; (* oid -> content written in this txn *)
+  ov : Oracle.overlay;
+  mutable created : (string * int64) list; (* this txn's creates, newest first *)
 }
 
 type popn = { mutable entries : (string * int64) array; mutable count : int }
@@ -334,80 +332,36 @@ type state = {
   clock : Simclock.Clock.t;
   clients : csess array;
   zipf : zipf;
-  pop : popn; (* committed files, creation order = zipf rank *)
-  mutable files : bytes OM.t; (* oid -> committed contents *)
-  mutable history : (int64 * (string * bytes) list) list; (* newest first *)
-  mutable next_name : int;
-  mutable next_oid : int64;
+  pop : popn;
+      (* committed files, creation order = zipf rank; the oracle names
+         exactly these, so a remembered instant holds a prefix of it *)
+  ora : Oracle.t;
   mutable commits : int;
   mutable aborts : int;
   mutable lock_skips : int;
   mutable shed_deadline : int;
   mutable shed_overload : int;
   mutable time_travel_checks : int;
-  mutable full_verifies : int;
-  mutable mismatches : string list;
 }
 
-let max_mismatches = 50
+(* A committed create joins the Zipf population. *)
+let grow st path oid =
+  popn_add st.pop path oid;
+  zipf_add st.zipf
 
-let trace st fmt =
-  Printf.ksprintf (fun msg -> if st.cfg.trace then Printf.eprintf "%s\n%!" msg) fmt
-
-let mismatch st fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if List.length st.mismatches < max_mismatches then
-        st.mismatches <- msg :: st.mismatches)
-    fmt
-
-let view_content st cs oid =
-  match OM.find_opt oid cs.ov_files with
-  | Some b -> b
-  | None -> Option.value ~default:Bytes.empty (OM.find_opt oid st.files)
-
-let bytes_diff a b =
-  if Bytes.equal a b then None
-  else begin
-    let la = Bytes.length a and lb = Bytes.length b in
-    let n = min la lb in
-    let i = ref 0 in
-    while !i < n && Bytes.get a !i = Bytes.get b !i do
-      incr i
-    done;
-    Some (Printf.sprintf "lengths %d vs %d, first difference at byte %d" la lb !i)
-  end
-
-let splice cur ~off data =
-  let len = Bytes.length cur and dlen = Bytes.length data in
-  let out = Bytes.make (max len (off + dlen)) '\000' in
-  Bytes.blit cur 0 out 0 len;
-  Bytes.blit data 0 out off dlen;
-  out
-
-let clear_overlay cs =
-  cs.in_txn <- false;
-  cs.ov_names <- [];
-  cs.ov_files <- OM.empty
-
-let commit_overlay st cs =
-  List.iter
-    (fun (path, oid) ->
-      popn_add st.pop path oid;
-      zipf_add st.zipf)
-    (List.rev cs.ov_names);
-  OM.iter (fun oid b -> st.files <- OM.add oid b st.files) cs.ov_files;
-  clear_overlay cs
+let end_txn cs =
+  Oracle.clear cs.ov;
+  cs.created <- []
 
 (* Abandon the session's open transaction (if any) and its overlay.
    [c_abort] is deadline-exempt on the client and never shed by the
    server, so cleanup always lands. *)
 let drop_txn st cs =
-  if cs.in_txn then begin
+  if Oracle.in_txn cs.ov then begin
     (try Client.c_abort cs.c with _ -> ());
     st.aborts <- st.aborts + 1
   end;
-  clear_overlay cs
+  end_txn cs
 
 (* A conflicting two-phase lock is not a failure, it is the measurement:
    the op aborts cleanly, the oracle applies nothing. *)
@@ -437,28 +391,28 @@ let exec_read st cs op =
   match pick_file st op with
   | None -> ()
   | Some (path, oid) -> (
-    trace st "s%d read %s" cs.id path;
-    let expect = view_content st cs oid in
+    Oracle.trace st.ora "s%d read %s" cs.id path;
+    let expect = Oracle.view_content st.ora cs.ov oid in
     let real = Client.read_whole_file cs.c path in
-    match bytes_diff expect real with
+    match Oracle.bytes_diff expect real with
     | None -> ()
-    | Some d -> mismatch st "read %s diverged: %s" path d)
+    | Some d -> Oracle.mismatch st.ora "read %s diverged: %s" path d)
 
 let exec_write st cs op =
   match pick_file st op with
   | None -> ()
   | Some (path, oid) ->
     let orng = Rng.create op.o_seed in
-    let cur = view_content st cs oid in
+    let cur = Oracle.view_content st.ora cs.ov oid in
     let len = Bytes.length cur in
     let dlen = 1 + Rng.int orng st.cfg.write_bytes in
     let off =
       if len + dlen > st.cfg.max_file_bytes then Rng.int orng (max 1 (len - dlen + 1))
       else Rng.int orng (len + 1)
     in
-    trace st "s%d write %s off=%d len=%d" cs.id path off dlen;
+    Oracle.trace st.ora "s%d write %s off=%d len=%d" cs.id path off dlen;
     let data = Rng.bytes orng dlen in
-    let after = splice cur ~off data in
+    let after = Oracle.splice cur ~off data in
     let fd = Client.c_open cs.c path Fs.Rdwr in
     ignore (Client.c_lseek cs.c fd (Int64.of_int off) Fs.Seek_set : int64);
     ignore (Client.c_write cs.c fd data dlen : int);
@@ -467,66 +421,63 @@ let exec_write st cs op =
        dies with the transaction if anything later aborts.  Updating
        after the close would let a deadline-shed close strand a committed
        write outside the oracle. *)
-    if cs.in_txn then cs.ov_files <- OM.add oid after cs.ov_files
-    else st.files <- OM.add oid after st.files;
+    Oracle.record st.ora cs.ov { Oracle.no_updates with u_files = [ (oid, after) ] };
     Client.c_close cs.c fd
 
 let exec_create st cs _op =
-  let n = st.next_name in
-  st.next_name <- n + 1;
-  let path = Printf.sprintf "/t%d/f%d" cs.tenant n in
-  let oid = st.next_oid in
-  st.next_oid <- Int64.add oid 1L;
-  trace st "s%d creat %s" cs.id path;
+  let path = Oracle.fresh_name st.ora (Printf.sprintf "/t%d/f" cs.tenant) in
+  let oid = Oracle.fresh_oid st.ora in
+  Oracle.trace st.ora "s%d creat %s" cs.id path;
   let fd = Client.c_creat cs.c path in
   (* As with writes, the create RPC — not the close — is the oracle's
      commit point. *)
-  if cs.in_txn then begin
-    cs.ov_names <- (path, oid) :: cs.ov_names;
-    cs.ov_files <- OM.add oid Bytes.empty cs.ov_files
-  end
-  else begin
-    popn_add st.pop path oid;
-    zipf_add st.zipf;
-    st.files <- OM.add oid Bytes.empty st.files
-  end;
+  Oracle.record st.ora cs.ov
+    {
+      Oracle.no_updates with
+      u_names = [ (path, Some oid) ];
+      u_files = [ (oid, Bytes.empty) ];
+    };
+  if Oracle.in_txn cs.ov then cs.created <- (path, oid) :: cs.created
+  else grow st path oid;
   Client.c_close cs.c fd
 
 let exec_time_travel st cs op =
-  match st.history with
+  match Oracle.history st.ora with
   | [] -> exec_read st cs op (* nothing to travel to yet *)
   | history -> (
     let orng = Rng.create op.o_seed in
-    let ts, snap = List.nth history (Rng.int orng (List.length history)) in
-    match snap with
-    | [] -> exec_read st cs op
-    | snap -> (
-      let path, expect = List.nth snap (Rng.int orng (List.length snap)) in
-      trace st "s%d tt @%Ld %s" cs.id ts path;
+    let ts, snap, _ = List.nth history (Rng.int orng (List.length history)) in
+    if Oracle.SM.is_empty snap then exec_read st cs op
+    else
+      let path, _ = st.pop.entries.(Rng.int orng (Oracle.SM.cardinal snap)) in
+      let expect = Oracle.SM.find path snap in
+      Oracle.trace st.ora "s%d tt @%Ld %s" cs.id ts path;
       st.time_travel_checks <- st.time_travel_checks + 1;
       match Client.read_whole_file cs.c ~timestamp:ts path with
       | real -> (
-        match bytes_diff expect real with
+        match Oracle.bytes_diff expect real with
         | None -> ()
-        | Some d -> mismatch st "time travel @%Ld: %s differs: %s" ts path d)
+        | Some d -> Oracle.mismatch st.ora "time travel @%Ld: %s differs: %s" ts path d)
       | exception (Errors.Fs_error _ as e) when is_shed_exn e -> raise e
       | exception Errors.Fs_error (code, msg) ->
-        mismatch st "time travel @%Ld: %s unreadable (%s: %s)" ts path
-          (Errors.code_to_string code) msg))
+        Oracle.mismatch st.ora "time travel @%Ld: %s unreadable (%s: %s)" ts path
+          (Errors.code_to_string code) msg)
 
 let exec_begin st cs =
-  trace st "s%d begin" cs.id;
-  if not cs.in_txn then begin
+  Oracle.trace st.ora "s%d begin" cs.id;
+  if not (Oracle.in_txn cs.ov) then begin
     Client.c_begin cs.c;
-    cs.in_txn <- true
+    Oracle.begin_txn cs.ov
   end
 
 let exec_commit st cs =
-  trace st "s%d commit" cs.id;
-  if cs.in_txn then begin
+  Oracle.trace st.ora "s%d commit" cs.id;
+  if Oracle.in_txn cs.ov then begin
     Client.c_commit cs.c;
     st.commits <- st.commits + 1;
-    commit_overlay st cs
+    Oracle.commit st.ora (Oracle.overlay_updates cs.ov);
+    List.iter (fun (path, oid) -> grow st path oid) (List.rev cs.created);
+    end_txn cs
   end
 
 let exec_op st cs op =
@@ -543,77 +494,24 @@ let run_op st op =
   match exec_op st cs op with
   | () -> `Applied
   | exception Errors.Fs_error (Errors.ETIMEDOUT, msg) when is_deadline_msg msg ->
-    trace st "s%d .. deadline shed" cs.id;
+    Oracle.trace st.ora "s%d .. deadline shed" cs.id;
     st.shed_deadline <- st.shed_deadline + 1;
     drop_txn st cs;
     `Shed
   | exception Errors.Fs_error (Errors.EBUSY, _) ->
-    trace st "s%d .. overload shed" cs.id;
+    Oracle.trace st.ora "s%d .. overload shed" cs.id;
     st.shed_overload <- st.shed_overload + 1;
     drop_txn st cs;
     `Shed
   | exception
       Errors.Fs_error ((Errors.EAGAIN | Errors.EDEADLK | Errors.ETIMEDOUT), _) ->
-    trace st "s%d .. lock skip" cs.id;
+    Oracle.trace st.ora "s%d .. lock skip" cs.id;
     lock_skip st cs;
     `Skipped
   | exception Errors.Fs_error (code, msg) ->
-    mismatch st "unexpected fs error %s: %s" (Errors.code_to_string code) msg;
+    Oracle.mismatch st.ora "unexpected fs error %s: %s" (Errors.code_to_string code) msg;
     lock_skip st cs;
     `Skipped
-
-(* ---------- snapshots, verification ---------- *)
-
-let take_snapshot st =
-  let ts = Relstore.Db.now st.db in
-  let snap = ref [] in
-  for i = st.pop.count - 1 downto 0 do
-    let path, oid = st.pop.entries.(i) in
-    snap :=
-      (path, Bytes.copy (Option.value ~default:Bytes.empty (OM.find_opt oid st.files)))
-      :: !snap
-  done;
-  st.history <- (ts, !snap) :: st.history;
-  (let rec cap n = function
-     | [] -> []
-     | _ when n = 0 -> []
-     | x :: tl -> x :: cap (n - 1) tl
-   in
-   st.history <- cap 4 st.history);
-  (* Move past the snapshot instant: As_of visibility uses <=, so no
-     later commit may share its timestamp. *)
-  Simclock.Clock.advance st.clock ~account:"load.mark" 1e-6
-
-let join dir name = if dir = "/" then "/" ^ name else dir ^ "/" ^ name
-
-let verify_full_state st ~phase =
-  st.full_verifies <- st.full_verifies + 1;
-  let s = Fs.new_session st.fs in
-  let real = Hashtbl.create 256 in
-  let rec go dir =
-    List.iter
-      (fun name ->
-        let path = join dir name in
-        let att = Fs.stat s path in
-        if att.Invfs.Fileatt.ftype = "directory" then go path
-        else Hashtbl.replace real path (Fs.read_whole_file s path))
-      (Fs.readdir s dir)
-  in
-  go "/";
-  for i = 0 to st.pop.count - 1 do
-    let path, oid = st.pop.entries.(i) in
-    let expect = Option.value ~default:Bytes.empty (OM.find_opt oid st.files) in
-    match Hashtbl.find_opt real path with
-    | None -> mismatch st "%s: %s missing from real fs" phase path
-    | Some r -> (
-      Hashtbl.remove real path;
-      match bytes_diff expect r with
-      | None -> ()
-      | Some d -> mismatch st "%s: %s content differs: %s" phase path d)
-  done;
-  Hashtbl.iter
-    (fun path _ -> mismatch st "%s: real fs has unexpected file %s" phase path)
-    real
 
 (* ---------- the engine ---------- *)
 
@@ -643,7 +541,7 @@ let run_schedule st ~t_start ~deadline ~headroom ~service ~lat ~adm_lat ~tenant_
       let res =
         match deadline with
         | Some d when now -. arrival >= d -. headroom op.o_kind ->
-          trace st "s%d .. deadline give-up (%.0fms queued)" cs.id
+          Oracle.trace st.ora "s%d .. deadline give-up (%.0fms queued)" cs.id
             (1e3 *. (now -. arrival));
           st.shed_deadline <- st.shed_deadline + 1;
           drop_txn st cs;
@@ -674,14 +572,7 @@ let run_schedule st ~t_start ~deadline ~headroom ~service ~lat ~adm_lat ~tenant_
     sched;
   (* Settle: any transaction the schedule left open aborts untimed, so
      the next level starts from committed state only. *)
-  Array.iter
-    (fun cs ->
-      if cs.in_txn then begin
-        (try Client.c_abort cs.c with _ -> ());
-        st.aborts <- st.aborts + 1;
-        clear_overlay cs
-      end)
-    st.clients;
+  Array.iter (drop_txn st) st.clients;
   (!applied, !slo_ok)
 
 let run ?(config = default_config) ~seed () =
@@ -710,9 +601,8 @@ let run ?(config = default_config) ~seed () =
       id;
       tenant = id * config.tenants / config.clients;
       c = Client.connect ~server ~link:links.(id) ~rng:(Rng.split rng) ();
-      in_txn = false;
-      ov_names = [];
-      ov_files = OM.empty;
+      ov = Oracle.overlay ();
+      created = [];
     }
   in
   let st =
@@ -724,37 +614,31 @@ let run ?(config = default_config) ~seed () =
       clients = Array.init config.clients mk_client;
       zipf = zipf_create config.zipf_theta;
       pop = { entries = Array.make 64 ("", 0L); count = 0 };
-      files = OM.empty;
-      history = [];
-      next_name = 0;
-      next_oid = 1L;
+      ora = Oracle.create ~trace:config.trace ~depth:4;
       commits = 0;
       aborts = 0;
       lock_skips = 0;
       shed_deadline = 0;
       shed_overload = 0;
       time_travel_checks = 0;
-      full_verifies = 0;
-      mismatches = [];
     }
   in
   (* Tenant directories, then the seed population (written through the
      wire so client and server agree on every byte). *)
   for t = 0 to config.tenants - 1 do
-    Client.c_mkdir st.clients.(0).c (Printf.sprintf "/t%d" t)
+    let dir = Printf.sprintf "/t%d" t in
+    Client.c_mkdir st.clients.(0).c dir;
+    Oracle.commit st.ora { Oracle.no_updates with u_dirs = [ dir ] }
   done;
   for i = 0 to config.initial_files - 1 do
     let cs = st.clients.(i mod config.clients) in
-    let n = st.next_name in
-    st.next_name <- n + 1;
-    let path = Printf.sprintf "/t%d/f%d" cs.tenant n in
-    let oid = st.next_oid in
-    st.next_oid <- Int64.add oid 1L;
+    let path = Oracle.fresh_name st.ora (Printf.sprintf "/t%d/f" cs.tenant) in
+    let oid = Oracle.fresh_oid st.ora in
     let data = Rng.bytes rng config.file_bytes in
     Client.write_file cs.c path data;
-    popn_add st.pop path oid;
-    zipf_add st.zipf;
-    st.files <- OM.add oid data st.files
+    grow st path oid;
+    Oracle.commit st.ora
+      { Oracle.no_updates with u_names = [ (path, Some oid) ]; u_files = [ (oid, data) ] }
   done;
   let lat = Metrics.histogram "load.latency_us" in
   let adm_lat = Metrics.histogram "load.admitted_latency_us" in
@@ -798,7 +682,7 @@ let run ?(config = default_config) ~seed () =
     if cal_dt <= 0. then 1.
     else float_of_int config.calibration_ops /. cal_dt
   in
-  trace st "calibration: %d ops in %.3fs -> capacity %.1f ops/s"
+  Oracle.trace st.ora "calibration: %d ops in %.3fs -> capacity %.1f ops/s"
     config.calibration_ops cal_dt capacity;
   let headroom kind =
     match Hashtbl.find_opt svc kind with
@@ -812,7 +696,7 @@ let run ?(config = default_config) ~seed () =
       (fun factor ->
         let rate = factor *. capacity in
         let level_seed = Rng.next rng in
-        take_snapshot st;
+        Oracle.remember_now st.ora st.db;
         reset_phase ();
         let sched = schedule ~config ~seed:level_seed ~rate ~ops:config.ops_per_level in
         let t_start = Simclock.Clock.now clock in
@@ -833,7 +717,8 @@ let run ?(config = default_config) ~seed () =
         let n = List.length sched in
         ops_total := !ops_total + n;
         applied_total := !applied_total + applied;
-        if config.verify_each_level then verify_full_state st ~phase:"post-level";
+        if config.verify_each_level then
+          Oracle.verify st.ora (Fs.new_session fs) ~phase:"post-level";
         {
           l_factor = factor;
           l_offered_ops_s = rate;
@@ -860,7 +745,7 @@ let run ?(config = default_config) ~seed () =
         })
       config.load_factors
   in
-  verify_full_state st ~phase:"final";
+  Oracle.verify st.ora (Fs.new_session fs) ~phase:"final";
   (* Knee: the first level that can no longer keep up with what is
      offered (achieved < 90% of realized offered) or that blows the p99
      SLO; if neither fires, the curve never bent in the swept range. *)
@@ -892,8 +777,8 @@ let run ?(config = default_config) ~seed () =
     commits = st.commits;
     aborts = st.aborts;
     time_travel_checks = st.time_travel_checks;
-    full_verifies = st.full_verifies;
-    mismatches = List.rev st.mismatches;
+    full_verifies = Oracle.verifies st.ora;
+    mismatches = Oracle.mismatches st.ora;
     shed_deadline = st.shed_deadline;
     shed_overload = st.shed_overload;
   }

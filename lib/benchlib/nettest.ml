@@ -19,8 +19,8 @@
    and a client whose session dies mid-transaction must observe a clean
    abort with none of its writes visible. *)
 
-module SM = Map.Make (String)
-module OM = Map.Make (Int64)
+module SM = Oracle.SM
+module OM = Oracle.OM
 module Rng = Simclock.Rng
 module Fs = Invfs.Fs
 module Errors = Invfs.Errors
@@ -94,47 +94,6 @@ let outcome_to_string o =
     o.timeouts o.net_faults o.time_travel_checks o.full_verifies
     (List.length o.mismatches)
 
-(* ---------- oracle ----------
-
-   Oid-keyed, like Crashtest's: [names] binds paths to file identities
-   and [files] holds content per identity.  The split matters even
-   without hard links — a transaction that renames a file holds only
-   directory locks, so another client can keep addressing the same file
-   through its committed name and commit writes to it; a path-keyed
-   oracle would freeze the renamed file's content at rename time and
-   diverge.  The oids are minted by the harness (identity tokens), not
-   read back from the server. *)
-
-type oracle = {
-  mutable names : int64 SM.t; (* path -> oid *)
-  mutable files : bytes OM.t; (* oid -> committed contents *)
-  mutable dirs : unit SM.t;
-  mutable history : (int64 * bytes SM.t * string list) list; (* newest first *)
-}
-
-type updates = {
-  u_names : (string * int64 option) list; (* None = unlinked *)
-  u_files : (int64 * bytes) list;
-  u_dirs : string list;
-}
-
-let no_updates = { u_names = []; u_files = []; u_dirs = [] }
-
-let commit_updates ora u =
-  List.iter
-    (fun (path, v) ->
-      match v with
-      | Some oid -> ora.names <- SM.add path oid ora.names
-      | None -> ora.names <- SM.remove path ora.names)
-    u.u_names;
-  let named = SM.fold (fun _ oid acc -> OM.add oid () acc) ora.names OM.empty in
-  List.iter
-    (fun (oid, data) ->
-      if OM.mem oid named then ora.files <- OM.add oid data ora.files)
-    u.u_files;
-  ora.files <- OM.filter (fun oid _ -> OM.mem oid named) ora.files;
-  List.iter (fun d -> ora.dirs <- SM.add d () ora.dirs) u.u_dirs
-
 (* ---------- time-travel probes ----------
 
    A probe answers "did this op's effects commit?" by reading the
@@ -174,7 +133,8 @@ let probe_always =
    state and "landed" is vacuously true.  Name changes probe first (a
    created or vacated path is the crispest signal); content updates need
    a path that would name the oid after the commit. *)
-let probe_of_updates ora u =
+let probe_of_updates ora (u : Oracle.updates) =
+  let committed = Oracle.names ora in
   let tombstoned p = List.exists (fun (q, v) -> q = p && v = None) u.u_names in
   let path_of_oid oid =
     match List.find_opt (fun (_, v) -> v = Some oid) u.u_names with
@@ -183,7 +143,7 @@ let probe_of_updates ora u =
       SM.fold
         (fun p o acc ->
           if acc = None && o = oid && not (tombstoned p) then Some p else acc)
-        ora.names None
+        committed None
   in
   let rec files = function
     | [] -> (
@@ -192,16 +152,16 @@ let probe_of_updates ora u =
       match path_of_oid oid with
       | None -> files rest
       | Some path -> (
-        match OM.find_opt oid ora.files with
+        match OM.find_opt oid (Oracle.files ora) with
         | Some cur when Bytes.equal b cur -> files rest
         | _ -> probe_content path b))
   in
   let rec names = function
     | [] -> files u.u_files
     | (path, Some _) :: rest ->
-      if SM.mem path ora.names then names rest else probe_exists path
+      if SM.mem path committed then names rest else probe_exists path
     | (path, None) :: rest ->
-      if SM.mem path ora.names then probe_absent path else names rest
+      if SM.mem path committed then probe_absent path else names rest
   in
   names u.u_names
 
@@ -210,55 +170,12 @@ let probe_of_updates ora u =
 type csess = {
   id : int;
   c : Client.t;
-  mutable in_txn : bool;
-  mutable ov_names : int64 option SM.t; (* None = unlinked in this txn *)
-  mutable ov_files : bytes OM.t;
-  mutable ov_dirs : string list;
+  ov : Oracle.overlay;
   (* what the op in flight intends to change, registered before its
      mutating RPC: the handler for an indeterminate session loss uses it
      to probe whether the change committed *)
-  mutable pending : (updates * probe) option;
+  mutable pending : (Oracle.updates * probe) option;
 }
-
-let clear_overlay cs =
-  cs.in_txn <- false;
-  cs.ov_names <- SM.empty;
-  cs.ov_files <- OM.empty;
-  cs.ov_dirs <- []
-
-let overlay_updates cs =
-  {
-    u_names = SM.bindings cs.ov_names;
-    u_files = OM.bindings cs.ov_files;
-    u_dirs = List.rev cs.ov_dirs;
-  }
-
-let record ora cs u =
-  if cs.in_txn then begin
-    List.iter (fun (p, v) -> cs.ov_names <- SM.add p v cs.ov_names) u.u_names;
-    List.iter (fun (oid, b) -> cs.ov_files <- OM.add oid b cs.ov_files) u.u_files;
-    List.iter (fun d -> cs.ov_dirs <- d :: cs.ov_dirs) u.u_dirs
-  end
-  else commit_updates ora u
-
-(* What this client currently sees: committed state overlaid with its own
-   uncommitted transaction.  Content falls through to the committed cell
-   when the transaction has not written the oid itself — a rename picks
-   up concurrent committed writes to the file it moved. *)
-let view_names ora cs =
-  SM.fold
-    (fun path v acc ->
-      match v with Some oid -> SM.add path oid acc | None -> SM.remove path acc)
-    cs.ov_names ora.names
-
-let view_content ora cs oid =
-  match OM.find_opt oid cs.ov_files with
-  | Some b -> Some b
-  | None -> OM.find_opt oid ora.files
-
-let view_dirs ora cs =
-  List.rev_append cs.ov_dirs (List.map fst (SM.bindings ora.dirs))
-  |> List.sort_uniq String.compare
 
 (* ---------- harness state ---------- *)
 
@@ -270,10 +187,8 @@ type state = {
   net : Netsim.t;
   server : Server.t;
   plan : Faultsim.t;
-  ora : oracle;
+  ora : Oracle.t;
   clients : csess array;
-  mutable next_name : int;
-  mutable next_oid : int64; (* harness-minted file identities *)
   mutable ops_attempted : int;
   mutable ops_applied : int;
   mutable commits : int;
@@ -283,70 +198,10 @@ type state = {
   mutable indeterminate : int;
   mutable landed : int;
   mutable time_travel_checks : int;
-  mutable full_verifies : int;
   mutable current : csess option; (* the client whose op is executing *)
   mutable in_flight : bool; (* an op's RPC is executing right now *)
   mutable verify_pending : bool; (* a mid-flight crash deferred its verify *)
-  mutable mismatches : string list;
 }
-
-let max_mismatches = 50
-
-let trace st fmt =
-  Printf.ksprintf (fun msg -> if st.cfg.trace then Printf.eprintf "%s\n%!" msg) fmt
-
-let mismatch st fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if List.length st.mismatches < max_mismatches then
-        st.mismatches <- msg :: st.mismatches)
-    fmt
-
-let fresh_name st prefix =
-  let n = st.next_name in
-  st.next_name <- n + 1;
-  Printf.sprintf "%s%d" prefix n
-
-let join dir name = if dir = "/" then "/" ^ name else dir ^ "/" ^ name
-
-let pick st l =
-  match l with
-  | [] -> invalid_arg "Nettest.pick: empty"
-  | l -> List.nth l (Rng.int st.rng (List.length l))
-
-let pick_dir st cs = pick st (view_dirs st.ora cs)
-
-let pick_file st cs =
-  match SM.bindings (view_names st.ora cs) with
-  | [] -> None
-  | files -> Some (pick st files)
-
-let fresh_oid st =
-  let oid = st.next_oid in
-  st.next_oid <- Int64.add oid 1L;
-  oid
-
-let content st cs oid =
-  Option.value ~default:(Bytes.create 0) (view_content st.ora cs oid)
-
-let bytes_diff a b =
-  if Bytes.equal a b then None
-  else begin
-    let la = Bytes.length a and lb = Bytes.length b in
-    let n = min la lb in
-    let i = ref 0 in
-    while !i < n && Bytes.get a !i = Bytes.get b !i do
-      incr i
-    done;
-    Some (Printf.sprintf "lengths %d vs %d, first difference at byte %d" la lb !i)
-  end
-
-let splice cur ~off data =
-  let len = Bytes.length cur and dlen = Bytes.length data in
-  let out = Bytes.make (max len (off + dlen)) '\000' in
-  Bytes.blit cur 0 out 0 len;
-  Bytes.blit data 0 out off dlen;
-  out
 
 (* ---------- ops ----------
 
@@ -357,12 +212,12 @@ let splice cur ~off data =
    record covers precisely the ambiguous call. *)
 
 let op_create st cs =
-  let path = join (pick_dir st cs) (fresh_name st "f") in
-  trace st "s%d creat %s" cs.id path;
-  let oid = fresh_oid st in
+  let path = Oracle.fresh_path st.ora cs.ov st.rng "f" in
+  Oracle.trace st.ora "s%d creat %s" cs.id path;
+  let oid = Oracle.fresh_oid st.ora in
   let u =
     {
-      no_updates with
+      Oracle.no_updates with
       u_names = [ (path, Some oid) ];
       u_files = [ (oid, Bytes.create 0) ];
     }
@@ -373,23 +228,23 @@ let op_create st cs =
   u
 
 let op_mkdir st cs =
-  if List.length (view_dirs st.ora cs) >= st.cfg.max_dirs then op_create st cs
+  if List.length (Oracle.view_dirs st.ora cs.ov) >= st.cfg.max_dirs then op_create st cs
   else begin
-    let path = join (pick_dir st cs) (fresh_name st "d") in
-    trace st "s%d mkdir %s" cs.id path;
-    let u = { no_updates with u_dirs = [ path ] } in
+    let path = Oracle.fresh_path st.ora cs.ov st.rng "d" in
+    Oracle.trace st.ora "s%d mkdir %s" cs.id path;
+    let u = { Oracle.no_updates with u_dirs = [ path ] } in
     cs.pending <- Some (u, probe_exists path);
     Client.c_mkdir cs.c path;
     u
   end
 
 let op_write st cs =
-  match pick_file st cs with
+  match Oracle.pick_file st.ora cs.ov st.rng with
   | None -> op_create st cs
   | Some (path, oid) ->
-    let cur = content st cs oid in
+    let cur = Oracle.view_content st.ora cs.ov oid in
     let len = Bytes.length cur in
-    let nseg = if cs.in_txn then 1 + Rng.int st.rng 3 else 1 in
+    let nseg = if Oracle.in_txn cs.ov then 1 + Rng.int st.rng 3 else 1 in
     let segs = List.init nseg (fun _ -> Rng.bytes st.rng (1 + Rng.int st.rng 6800)) in
     let total = List.fold_left (fun a s -> a + Bytes.length s) 0 segs in
     let off =
@@ -397,11 +252,12 @@ let op_write st cs =
         if len - total <= 0 then 0 else Rng.int st.rng (len - total + 1)
       else Rng.int st.rng (len + 1)
     in
-    trace st "s%d write %s off=%d total=%d nseg=%d cur_len=%d" cs.id path off total
+    Oracle.trace st.ora "s%d write %s off=%d total=%d nseg=%d cur_len=%d"
+      cs.id path off total
       nseg len;
     let data = Bytes.concat Bytes.empty segs in
-    let after = splice cur ~off data in
-    let u = { no_updates with u_files = [ (oid, after) ] } in
+    let after = Oracle.splice cur ~off data in
+    let u = { Oracle.no_updates with u_files = [ (oid, after) ] } in
     let fd = Client.c_open cs.c path Fs.Rdwr in
     ignore (Client.c_lseek cs.c fd (Int64.of_int off) Fs.Seek_set : int64);
     cs.pending <- Some (u, probe_content path after);
@@ -412,22 +268,15 @@ let op_write st cs =
     u
 
 let op_truncate st cs =
-  match pick_file st cs with
+  match Oracle.pick_file st.ora cs.ov st.rng with
   | None -> op_create st cs
   | Some (path, oid) ->
-    let cur = content st cs oid in
+    let cur = Oracle.view_content st.ora cs.ov oid in
     let len = Bytes.length cur in
     let new_len = Rng.int st.rng (min (len + 8000) st.cfg.max_file_bytes + 1) in
-    trace st "s%d trunc %s %d -> %d" cs.id path len new_len;
-    let data =
-      if new_len <= len then Bytes.sub cur 0 new_len
-      else begin
-        let out = Bytes.make new_len '\000' in
-        Bytes.blit cur 0 out 0 len;
-        out
-      end
-    in
-    let u = { no_updates with u_files = [ (oid, data) ] } in
+    Oracle.trace st.ora "s%d trunc %s %d -> %d" cs.id path len new_len;
+    let data = Oracle.resize cur new_len in
+    let u = { Oracle.no_updates with u_files = [ (oid, data) ] } in
     let fd = Client.c_open cs.c path Fs.Rdwr in
     cs.pending <- Some (u, probe_content path data);
     Client.c_ftruncate cs.c fd (Int64.of_int new_len);
@@ -435,64 +284,64 @@ let op_truncate st cs =
     u
 
 let op_unlink st cs =
-  match pick_file st cs with
+  match Oracle.pick_file st.ora cs.ov st.rng with
   | None -> op_create st cs
   | Some (path, _oid) ->
-    trace st "s%d unlink %s" cs.id path;
-    let u = { no_updates with u_names = [ (path, None) ] } in
+    Oracle.trace st.ora "s%d unlink %s" cs.id path;
+    let u = { Oracle.no_updates with u_names = [ (path, None) ] } in
     cs.pending <- Some (u, probe_absent path);
     Client.c_unlink cs.c path;
     u
 
 let op_rename st cs =
-  match pick_file st cs with
+  match Oracle.pick_file st.ora cs.ov st.rng with
   | None -> op_create st cs
   | Some (path, oid) ->
-    let dst = join (pick_dir st cs) (fresh_name st "r") in
-    trace st "s%d rename %s -> %s" cs.id path dst;
-    let u = { no_updates with u_names = [ (path, None); (dst, Some oid) ] } in
+    let dst = Oracle.fresh_path st.ora cs.ov st.rng "r" in
+    Oracle.trace st.ora "s%d rename %s -> %s" cs.id path dst;
+    let u = { Oracle.no_updates with u_names = [ (path, None); (dst, Some oid) ] } in
     cs.pending <- Some (u, probe_exists dst);
     Client.c_rename cs.c path dst;
     u
 
 let op_read_check st cs =
-  (match pick_file st cs with
+  (match Oracle.pick_file st.ora cs.ov st.rng with
   | None -> ()
   | Some (path, oid) -> (
-    trace st "s%d read %s" cs.id path;
-    let expect = content st cs oid in
+    Oracle.trace st.ora "s%d read %s" cs.id path;
+    let expect = Oracle.view_content st.ora cs.ov oid in
     let real = Client.read_whole_file cs.c path in
-    match bytes_diff expect real with
+    match Oracle.bytes_diff expect real with
     | None -> ()
-    | Some d -> mismatch st "read %s diverged mid-run: %s" path d));
-  no_updates
+    | Some d -> Oracle.mismatch st.ora "read %s diverged mid-run: %s" path d));
+  Oracle.no_updates
 
 let op_begin st cs =
-  trace st "s%d begin" cs.id;
+  Oracle.trace st.ora "s%d begin" cs.id;
   Client.c_begin cs.c;
-  cs.in_txn <- true;
-  no_updates
+  Oracle.begin_txn cs.ov;
+  Oracle.no_updates
 
 let op_commit st cs =
-  trace st "s%d commit" cs.id;
-  let u = overlay_updates cs in
+  Oracle.trace st.ora "s%d commit" cs.id;
+  let u = Oracle.overlay_updates cs.ov in
   cs.pending <- Some (u, probe_of_updates st.ora u);
   Client.c_commit cs.c;
-  commit_updates st.ora u;
-  clear_overlay cs;
+  Oracle.commit st.ora u;
+  Oracle.clear cs.ov;
   st.commits <- st.commits + 1;
-  no_updates
+  Oracle.no_updates
 
 let op_abort st cs =
-  trace st "s%d abort" cs.id;
+  Oracle.trace st.ora "s%d abort" cs.id;
   Client.c_abort cs.c;
-  clear_overlay cs;
+  Oracle.clear cs.ov;
   st.aborts <- st.aborts + 1;
-  no_updates
+  Oracle.no_updates
 
 let gen_op st cs =
   let r = Rng.int st.rng 100 in
-  if cs.in_txn then
+  if Oracle.in_txn cs.ov then
     if r < 30 then op_write
     else if r < 40 then op_create
     else if r < 48 then op_truncate
@@ -523,93 +372,12 @@ let random_fault st =
 
 (* ---------- crash / verification ---------- *)
 
-let take_snapshot st =
-  let ts = Relstore.Db.now st.db in
-  let materialized =
-    SM.map
-      (fun oid ->
-        match OM.find_opt oid st.ora.files with
-        | Some b -> Bytes.copy b
-        | None -> Bytes.create 0)
-      st.ora.names
-  in
-  let dirs = List.map fst (SM.bindings st.ora.dirs) in
-  st.ora.history <- (ts, materialized, dirs) :: st.ora.history;
-  (let rec cap n = function
-     | [] -> []
-     | _ when n = 0 -> []
-     | x :: tl -> x :: cap (n - 1) tl
-   in
-   st.ora.history <- cap 4 st.ora.history);
-  (* Move time past the snapshot instant so no later commit can share its
-     timestamp (As_of visibility uses <=). *)
-  Simclock.Clock.advance (Relstore.Db.clock st.db) ~account:"nettest.mark" 1e-6
-
-let walk_real st =
-  let s = Fs.new_session st.fs in
-  let files = ref SM.empty and dirs = ref SM.empty in
-  let rec go dir =
-    dirs := SM.add dir () !dirs;
-    List.iter
-      (fun name ->
-        let path = join dir name in
-        let att = Fs.stat s path in
-        if att.Invfs.Fileatt.ftype = "directory" then go path
-        else files := SM.add path (Fs.read_whole_file s path) !files)
-      (Fs.readdir s dir)
-  in
-  go "/";
-  (!files, !dirs)
-
-let verify_full_state st ~phase =
-  st.full_verifies <- st.full_verifies + 1;
-  let real_files, real_dirs = walk_real st in
-  let dirs_expect = List.map fst (SM.bindings st.ora.dirs) in
-  let dirs_real = List.map fst (SM.bindings real_dirs) in
-  if dirs_expect <> dirs_real then
-    mismatch st "%s: directories differ: oracle [%s] real [%s]" phase
-      (String.concat "," dirs_expect) (String.concat "," dirs_real);
-  SM.iter
-    (fun path oid ->
-      let expect =
-        Option.value ~default:(Bytes.create 0) (OM.find_opt oid st.ora.files)
-      in
-      match SM.find_opt path real_files with
-      | None -> mismatch st "%s: %s missing from real fs" phase path
-      | Some real -> (
-        match bytes_diff expect real with
-        | None -> ()
-        | Some d -> mismatch st "%s: %s content differs: %s" phase path d))
-    st.ora.names;
-  SM.iter
-    (fun path _ ->
-      if not (SM.mem path st.ora.names) then
-        mismatch st "%s: real fs has unexpected file %s" phase path)
-    real_files
-
-let check_time_travel st =
-  let s = Fs.new_session st.fs in
-  List.iter
-    (fun (ts, materialized, dirs) ->
-      SM.iter
-        (fun path expect ->
-          st.time_travel_checks <- st.time_travel_checks + 1;
-          match Fs.read_whole_file s ~timestamp:ts path with
-          | real -> (
-            match bytes_diff expect real with
-            | None -> ()
-            | Some d -> mismatch st "time travel @%Ld: %s differs: %s" ts path d)
-          | exception Errors.Fs_error (code, _) ->
-            mismatch st "time travel @%Ld: %s unreadable (%s)" ts path
-              (Errors.code_to_string code))
-        materialized;
-      List.iter
-        (fun dir ->
-          st.time_travel_checks <- st.time_travel_checks + 1;
-          if not (Fs.exists s ~timestamp:ts dir) then
-            mismatch st "time travel @%Ld: directory %s missing" ts dir)
-        dirs)
-    st.ora.history
+(* The whole tree through a fresh local session, then every remembered
+   instant. *)
+let check_recovered st ~phase =
+  Oracle.verify st.ora (Fs.new_session st.fs) ~phase;
+  st.time_travel_checks <-
+    st.time_travel_checks + Oracle.check_time_travel st.ora (Fs.new_session st.fs)
 
 (* On any server crash — boundary, poisoned frame, or device-injected
    mid-request — the machine must recover fault-free, and the recovered
@@ -625,11 +393,12 @@ let check_time_travel st =
    until the op's own handler has resolved the outcome (by probe if it
    was ambiguous). *)
 let on_server_crash st _server =
-  trace st "== SERVER CRASH after op %d (in_flight=%b)" st.ops_attempted st.in_flight;
+  Oracle.trace st.ora "== SERVER CRASH after op %d (in_flight=%b)"
+    st.ops_attempted st.in_flight;
   Faultsim.clear_schedule st.plan;
   let rep = Recovery.crash_and_recover st.fs in
   if not (Recovery.is_clean rep) then
-    mismatch st "recovery not clean: %s" (Recovery.report_to_string rep);
+    Oracle.mismatch st.ora "recovery not clean: %s" (Recovery.report_to_string rep);
   (* every open transaction died with the server: drop the matching
      overlays now so the oracle's views stay in lockstep with what those
      clients will actually see once they discover the death.  The client
@@ -641,8 +410,8 @@ let on_server_crash st _server =
     (fun cs ->
       let is_current = match st.current with Some c -> c == cs | None -> false in
       if not (is_current || Client.begin_pending cs.c) then begin
-        if cs.in_txn then st.aborts <- st.aborts + 1;
-        clear_overlay cs;
+        if Oracle.in_txn cs.ov then st.aborts <- st.aborts + 1;
+        Oracle.clear cs.ov;
         cs.pending <- None
       end)
     st.clients;
@@ -654,10 +423,7 @@ let on_server_crash st _server =
     match st.current with Some cs -> not (Client.begin_pending cs.c) | None -> true
   in
   if st.in_flight && may_commit then st.verify_pending <- true
-  else begin
-    verify_full_state st ~phase:"post-crash";
-    check_time_travel st
-  end
+  else check_recovered st ~phase:"post-crash"
 
 let indeterminate_of_msg msg =
   (* the client names the one genuinely ambiguous case explicitly *)
@@ -670,34 +436,34 @@ let resolve_indeterminate st cs =
   st.indeterminate <- st.indeterminate + 1;
   match cs.pending with
   | None ->
-    mismatch st "s%d: indeterminate outcome but no pending op to probe" cs.id
+    Oracle.mismatch st.ora "s%d: indeterminate outcome but no pending op to probe" cs.id
   | Some (u, probe) ->
     let s = Fs.new_session st.fs in
     let ts = Relstore.Db.now st.db in
     st.time_travel_checks <- st.time_travel_checks + 1;
     if probe.check s ts then begin
-      trace st "s%d .. probe of %s: LANDED" cs.id probe.describe;
+      Oracle.trace st.ora "s%d .. probe of %s: LANDED" cs.id probe.describe;
       st.landed <- st.landed + 1;
-      commit_updates st.ora u;
-      if cs.in_txn then st.commits <- st.commits + 1
+      Oracle.commit st.ora u;
+      if Oracle.in_txn cs.ov then st.commits <- st.commits + 1
     end
     else begin
-      trace st "s%d .. probe of %s: did not land" cs.id probe.describe;
-      if cs.in_txn then st.aborts <- st.aborts + 1
+      Oracle.trace st.ora "s%d .. probe of %s: did not land" cs.id probe.describe;
+      if Oracle.in_txn cs.ov then st.aborts <- st.aborts + 1
     end
 
 let safe_abort st cs =
   (* c_abort on a dead session reports success (aborting is exactly what
      the server's crash or lease reaping already did) *)
-  if cs.in_txn then begin
+  if Oracle.in_txn cs.ov then begin
     (try Client.c_abort cs.c with _ -> ());
     st.aborts <- st.aborts + 1
   end;
-  clear_overlay cs
+  Oracle.clear cs.ov
 
 let run_one_op st =
   st.ops_attempted <- st.ops_attempted + 1;
-  trace st "-- op %d" st.ops_attempted;
+  Oracle.trace st.ora "-- op %d" st.ops_attempted;
   let cs = st.clients.(Rng.int st.rng (Array.length st.clients)) in
   let op = gen_op st cs in
   cs.pending <- None;
@@ -706,26 +472,26 @@ let run_one_op st =
   (match op st cs with
   | u ->
     cs.pending <- None;
-    record st.ora cs u;
+    Oracle.record st.ora cs.ov u;
     st.ops_applied <- st.ops_applied + 1
   | exception Errors.Fs_error (Errors.ECONNRESET, msg) ->
-    trace st "s%d .. ECONNRESET: %s" cs.id msg;
+    Oracle.trace st.ora "s%d .. ECONNRESET: %s" cs.id msg;
     (* the session died.  If the outcome is ambiguous (a Commit or an
        auto-commit mutation may or may not have applied), probe the
        committed state; a clean "transaction aborted" just drops the
        overlay — the server rolled everything back. *)
     if indeterminate_of_msg msg then resolve_indeterminate st cs
-    else if cs.in_txn then st.aborts <- st.aborts + 1;
-    clear_overlay cs;
+    else if Oracle.in_txn cs.ov then st.aborts <- st.aborts + 1;
+    Oracle.clear cs.ov;
     cs.pending <- None
   | exception Errors.Fs_error ((Errors.EAGAIN | Errors.EDEADLK | Errors.ETIMEDOUT), _)
     ->
-    trace st "s%d .. lock skip" cs.id;
+    Oracle.trace st.ora "s%d .. lock skip" cs.id;
     st.lock_skips <- st.lock_skips + 1;
     safe_abort st cs;
     cs.pending <- None
   | exception Pagestore.Device.Io_fault _ ->
-    trace st "s%d .. io fault" cs.id;
+    Oracle.trace st.ora "s%d .. io fault" cs.id;
     st.io_faults <- st.io_faults + 1;
     safe_abort st cs;
     cs.pending <- None
@@ -736,19 +502,18 @@ let run_one_op st =
     (* the server's Not_found mapping: a commit or namespace op lost a
        race with another client's unlink — same benign abort Crashtest
        tolerates locally *)
-    trace st "s%d .. unlink race" cs.id;
+    Oracle.trace st.ora "s%d .. unlink race" cs.id;
     safe_abort st cs;
     cs.pending <- None
   | exception Errors.Fs_error (code, msg) ->
-    mismatch st "unexpected fs error %s: %s" (Errors.code_to_string code) msg;
+    Oracle.mismatch st.ora "unexpected fs error %s: %s" (Errors.code_to_string code) msg;
     safe_abort st cs;
     cs.pending <- None);
   st.current <- None;
   st.in_flight <- false;
   if st.verify_pending then begin
     st.verify_pending <- false;
-    verify_full_state st ~phase:"post-crash (deferred)";
-    check_time_travel st
+    check_recovered st ~phase:"post-crash (deferred)"
   end
 
 let run ?(config = default_config) ~seed () =
@@ -764,24 +529,13 @@ let run ?(config = default_config) ~seed () =
   let net = Netsim.create ~clock Netsim.tcp_1993 in
   let plan = Faultsim.create () in
   if config.device_crash then Faultsim.arm_switch plan switch;
-  let ora =
-    {
-      names = SM.empty;
-      files = OM.empty;
-      dirs = SM.add "/" () SM.empty;
-      history = [];
-    }
-  in
   let mk_client id =
     let link = Link.create net in
     Faultsim.arm_link plan link;
     {
       id;
       c = Client.connect ~server ~link ~rng:(Rng.split rng) ();
-      in_txn = false;
-      ov_names = SM.empty;
-      ov_files = OM.empty;
-      ov_dirs = [];
+      ov = Oracle.overlay ();
       pending = None;
     }
   in
@@ -794,10 +548,8 @@ let run ?(config = default_config) ~seed () =
       net;
       server;
       plan;
-      ora;
+      ora = Oracle.create ~trace:config.trace ~depth:4;
       clients = Array.init config.clients mk_client;
-      next_name = 0;
-      next_oid = 1L;
       ops_attempted = 0;
       ops_applied = 0;
       commits = 0;
@@ -807,11 +559,9 @@ let run ?(config = default_config) ~seed () =
       indeterminate = 0;
       landed = 0;
       time_travel_checks = 0;
-      full_verifies = 0;
       current = None;
       in_flight = false;
       verify_pending = false;
-      mismatches = [];
     }
   in
   Server.set_on_crash server (fun s -> on_server_crash st s);
@@ -819,7 +569,7 @@ let run ?(config = default_config) ~seed () =
     if i > 0 && i mod config.fault_interval = 0 && Faultsim.net_pending st.plan < 4
     then begin
       let f = random_fault st in
-      trace st "== scheduling %s" (Faultsim.net_action_to_string f);
+      Oracle.trace st.ora "== scheduling %s" (Faultsim.net_action_to_string f);
       Faultsim.schedule_net_random st.plan st.rng ~within:(1 + Rng.int st.rng 8) f
     end;
     if
@@ -832,7 +582,7 @@ let run ?(config = default_config) ~seed () =
       Faultsim.schedule_random_crash st.plan st.rng ~within:20;
     if i > 0 && i mod config.crash_interval = 0 then Server.crash_now st.server
     else run_one_op st;
-    if i > 0 && i mod config.snapshot_interval = 0 then take_snapshot st
+    if i > 0 && i mod config.snapshot_interval = 0 then Oracle.remember_now st.ora st.db
   done;
   (* Converge: stop injecting, let every client settle (aborting any open
      transaction), then a final boundary crash + full verification. *)
@@ -863,6 +613,6 @@ let run ?(config = default_config) ~seed () =
     timeouts = Netsim.timeouts net;
     net_faults;
     time_travel_checks = st.time_travel_checks;
-    full_verifies = st.full_verifies;
-    mismatches = List.rev st.mismatches;
+    full_verifies = Oracle.verifies st.ora;
+    mismatches = Oracle.mismatches st.ora;
   }

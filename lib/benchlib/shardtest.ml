@@ -9,16 +9,16 @@
    whole fleet, and heartbeat-path partitions long enough to trigger
    real failovers (fence, handoff, redirect).
 
-   The oracle is oid-keyed: [names] binds coordinator paths to global
-   file identities (the {e real} oids, learned by stat — the data plane
-   is addressed by them) and [files] holds committed chunk contents per
-   identity.  No transactions ride the data plane, so there are no
-   overlays; every op is one logical exchange and the ambiguous outcome
-   — a mutation whose session died before the reply — is resolved by a
-   durable probe: coordinator namespace for metadata, the authoritative
-   shard copy ({!Cluster.peek_data}) for chunk data.  ESTALE and EBUSY
-   refusals that survive the conn's own redirect budget are
-   definitively-not-executed and skip cleanly.
+   The shared Oracle is oid-keyed: its names bind coordinator paths to
+   global file identities (the {e real} oids, learned by stat — the data
+   plane is addressed by them) and its files hold committed chunk
+   contents per identity.  No transactions ride the data plane, so no
+   session overlay ever opens; every op is one logical exchange and the
+   ambiguous outcome — a mutation whose session died before the reply —
+   is resolved by a durable probe: coordinator namespace for metadata,
+   the authoritative shard copy ({!Cluster.peek_data}) for chunk data.
+   ESTALE and EBUSY refusals that survive the conn's own redirect budget
+   are definitively-not-executed and skip cleanly.
 
    Verification walks the coordinator namespace (dotfiles excluded —
    the durable placement map lives there) and compares every named
@@ -26,8 +26,7 @@
    follows the handoff protocol's authority rules: the migration source
    while a bucket is in flight, the owner otherwise. *)
 
-module SM = Map.Make (String)
-module OM = Map.Make (Int64)
+module SM = Oracle.SM
 module Rng = Simclock.Rng
 module Clock = Simclock.Clock
 module Fs = Invfs.Fs
@@ -102,41 +101,13 @@ let outcome_to_string o =
     o.reconnects o.sessions_lost o.indeterminate o.landed o.heartbeats
     o.net_faults o.messages o.full_verifies (List.length o.mismatches)
 
-(* ---------- oracle ---------- *)
-
-type oracle = {
-  mutable names : int64 SM.t; (* path -> real oid; 0L = not yet learned *)
-  mutable files : bytes OM.t; (* oid -> committed chunk contents *)
-  mutable dirs : unit SM.t;
-}
-
-type update =
-  | U_none
-  | U_create of string
-  | U_mkdir of string
-  | U_unlink of string
-  | U_rename of string * string
-  | U_data of int64 * bytes
-
-let apply_update ora = function
-  | U_none -> ()
-  | U_create path -> ora.names <- SM.add path 0L ora.names
-  | U_mkdir path -> ora.dirs <- SM.add path () ora.dirs
-  | U_unlink path -> ora.names <- SM.remove path ora.names
-  | U_rename (src, dst) -> (
-    match SM.find_opt src ora.names with
-    | Some oid ->
-      ora.names <- SM.add dst oid (SM.remove src ora.names);
-      ()
-    | None -> ())
-  | U_data (oid, data) -> ora.files <- OM.add oid data ora.files
-
 (* ---------- harness state ---------- *)
 
 type csess = {
   id : int;
   conn : Cluster.conn;
-  mutable pending : (update * (unit -> bool)) option;
+  ov : Oracle.overlay; (* no transactions ride the data plane: never opened *)
+  mutable pending : (Oracle.updates * (unit -> bool)) option;
       (* the in-flight op's intent plus the durable probe that decides
          an indeterminate outcome *)
 }
@@ -147,9 +118,10 @@ type state = {
   clock : Clock.t;
   cluster : Cluster.t;
   plan : Faultsim.t;
-  ora : oracle;
+  ora : Oracle.t;
+      (* names bind coordinator paths to the real oids, learned by stat;
+         0L = not yet learned *)
   clients : csess array;
-  mutable next_name : int;
   mutable ops_attempted : int;
   mutable ops_applied : int;
   mutable skips : int;
@@ -161,58 +133,7 @@ type state = {
   mutable current : csess option;
   mutable in_flight : bool;
   mutable verify_pending : bool;
-  mutable mismatches : string list;
 }
-
-let max_mismatches = 50
-
-let trace st fmt =
-  Printf.ksprintf (fun msg -> if st.cfg.trace then Printf.eprintf "%s\n%!" msg) fmt
-
-let mismatch st fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if List.length st.mismatches < max_mismatches then
-        st.mismatches <- msg :: st.mismatches)
-    fmt
-
-let fresh_name st prefix =
-  let n = st.next_name in
-  st.next_name <- n + 1;
-  Printf.sprintf "%s%d" prefix n
-
-let join dir name = if dir = "/" then "/" ^ name else dir ^ "/" ^ name
-
-let pick st = function
-  | [] -> invalid_arg "Shardtest.pick: empty"
-  | l -> List.nth l (Rng.int st.rng (List.length l))
-
-let pick_dir st = pick st (List.map fst (SM.bindings st.ora.dirs))
-
-let pick_file st =
-  match SM.bindings st.ora.names with [] -> None | files -> Some (pick st files)
-
-let content st oid =
-  Option.value ~default:(Bytes.create 0) (OM.find_opt oid st.ora.files)
-
-let bytes_diff a b =
-  if Bytes.equal a b then None
-  else begin
-    let la = Bytes.length a and lb = Bytes.length b in
-    let n = min la lb in
-    let i = ref 0 in
-    while !i < n && Bytes.get a !i = Bytes.get b !i do
-      incr i
-    done;
-    Some (Printf.sprintf "lengths %d vs %d, first difference at byte %d" la lb !i)
-  end
-
-let splice cur ~off data =
-  let len = Bytes.length cur and dlen = Bytes.length data in
-  let out = Bytes.make (max len (off + dlen)) '\000' in
-  Bytes.blit cur 0 out 0 len;
-  Bytes.blit data 0 out off dlen;
-  out
 
 (* ---------- durable probes ---------- *)
 
@@ -232,21 +153,21 @@ let probe_data st oid expect () =
    time a path's data is touched.  Reissuable and read-only, so a
    failure here is always a clean skip. *)
 let resolve_oid st cs path =
-  match SM.find_opt path st.ora.names with
+  match SM.find_opt path (Oracle.names st.ora) with
   | None -> None
   | Some oid when oid <> 0L -> Some oid
   | Some _ ->
     let att = Client.c_stat (Cluster.coord cs.conn) path in
     let oid = att.Invfs.Fileatt.file in
-    st.ora.names <- SM.add path oid st.ora.names;
+    Oracle.commit st.ora { Oracle.no_updates with u_names = [ (path, Some oid) ] };
     Some oid
 
 (* ---------- ops ---------- *)
 
 let op_create st cs =
-  let path = join (pick_dir st) (fresh_name st "f") in
-  trace st "s%d creat %s" cs.id path;
-  let u = U_create path in
+  let path = Oracle.fresh_path st.ora cs.ov st.rng "f" in
+  Oracle.trace st.ora "s%d creat %s" cs.id path;
+  let u = { Oracle.no_updates with u_names = [ (path, Some 0L) ] } in
   cs.pending <- Some (u, probe_exists st path);
   let coord = Cluster.coord cs.conn in
   let fd = Client.c_creat coord path in
@@ -254,24 +175,24 @@ let op_create st cs =
   u
 
 let op_mkdir st cs =
-  if SM.cardinal st.ora.dirs >= st.cfg.max_dirs then op_create st cs
+  if List.length (Oracle.dirs st.ora) >= st.cfg.max_dirs then op_create st cs
   else begin
-    let path = join (pick_dir st) (fresh_name st "d") in
-    trace st "s%d mkdir %s" cs.id path;
-    let u = U_mkdir path in
+    let path = Oracle.fresh_path st.ora cs.ov st.rng "d" in
+    Oracle.trace st.ora "s%d mkdir %s" cs.id path;
+    let u = { Oracle.no_updates with u_dirs = [ path ] } in
     cs.pending <- Some (u, probe_exists st path);
     Client.c_mkdir (Cluster.coord cs.conn) path;
     u
   end
 
 let op_write st cs =
-  match pick_file st with
+  match Oracle.pick_file st.ora cs.ov st.rng with
   | None -> op_create st cs
   | Some (path, _) -> (
     match resolve_oid st cs path with
-    | None -> U_none
+    | None -> Oracle.no_updates
     | Some oid ->
-      let cur = content st oid in
+      let cur = Oracle.content st.ora oid in
       let len = Bytes.length cur in
       let dlen = 1 + Rng.int st.rng 6800 in
       let off =
@@ -279,10 +200,11 @@ let op_write st cs =
           if len - dlen <= 0 then 0 else Rng.int st.rng (len - dlen + 1)
         else Rng.int st.rng (len + 1)
       in
-      trace st "s%d write oid=%Ld (%s) off=%d len=%d cur=%d" cs.id oid path off dlen len;
+      Oracle.trace st.ora "s%d write oid=%Ld (%s) off=%d len=%d cur=%d"
+        cs.id oid path off dlen len;
       let data = Rng.bytes st.rng dlen in
-      let after = splice cur ~off data in
-      let u = U_data (oid, after) in
+      let after = Oracle.splice cur ~off data in
+      let u = { Oracle.no_updates with u_files = [ (oid, after) ] } in
       cs.pending <- Some (u, probe_data st oid after);
       ignore
         (Cluster.shard_write cs.conn ~oid ~off:(Int64.of_int off)
@@ -291,63 +213,57 @@ let op_write st cs =
       u)
 
 let op_truncate st cs =
-  match pick_file st with
+  match Oracle.pick_file st.ora cs.ov st.rng with
   | None -> op_create st cs
   | Some (path, _) -> (
     match resolve_oid st cs path with
-    | None -> U_none
+    | None -> Oracle.no_updates
     | Some oid ->
-      let cur = content st oid in
+      let cur = Oracle.content st.ora oid in
       let len = Bytes.length cur in
       let new_len = Rng.int st.rng (min (len + 6000) st.cfg.max_file_bytes + 1) in
-      trace st "s%d trunc oid=%Ld (%s) %d -> %d" cs.id oid path len new_len;
-      let after =
-        if new_len <= len then Bytes.sub cur 0 new_len
-        else begin
-          let out = Bytes.make new_len '\000' in
-          Bytes.blit cur 0 out 0 len;
-          out
-        end
-      in
-      let u = U_data (oid, after) in
+      Oracle.trace st.ora "s%d trunc oid=%Ld (%s) %d -> %d" cs.id oid path len new_len;
+      let after = Oracle.resize cur new_len in
+      let u = { Oracle.no_updates with u_files = [ (oid, after) ] } in
       cs.pending <- Some (u, probe_data st oid after);
       Cluster.shard_truncate cs.conn ~oid ~size:(Int64.of_int new_len);
       u)
 
 let op_read_check st cs =
-  (match pick_file st with
+  (match Oracle.pick_file st.ora cs.ov st.rng with
   | None -> ()
   | Some (path, _) -> (
     match resolve_oid st cs path with
     | None -> ()
     | Some oid ->
-      trace st "s%d read oid=%Ld (%s)" cs.id oid path;
-      let expect = Bytes.to_string (content st oid) in
+      Oracle.trace st.ora "s%d read oid=%Ld (%s)" cs.id oid path;
+      let expect = Bytes.to_string (Oracle.content st.ora oid) in
       let real =
         Cluster.shard_read cs.conn ~oid ~off:0L ~len:(String.length expect + 64)
       in
-      (match bytes_diff (Bytes.of_string expect) (Bytes.of_string real) with
+      (match Oracle.bytes_diff (Bytes.of_string expect) (Bytes.of_string real) with
       | None -> ()
-      | Some d -> mismatch st "read oid=%Ld (%s) diverged mid-run: %s" oid path d)));
-  U_none
+      | Some d -> Oracle.mismatch st.ora "read oid=%Ld (%s) diverged mid-run: %s"
+                    oid path d)));
+  Oracle.no_updates
 
 let op_unlink st cs =
-  match pick_file st with
+  match Oracle.pick_file st.ora cs.ov st.rng with
   | None -> op_create st cs
   | Some (path, _) ->
-    trace st "s%d unlink %s" cs.id path;
-    let u = U_unlink path in
+    Oracle.trace st.ora "s%d unlink %s" cs.id path;
+    let u = { Oracle.no_updates with u_names = [ (path, None) ] } in
     cs.pending <- Some (u, probe_absent st path);
     Client.c_unlink (Cluster.coord cs.conn) path;
     u
 
 let op_rename st cs =
-  match pick_file st with
+  match Oracle.pick_file st.ora cs.ov st.rng with
   | None -> op_create st cs
-  | Some (path, _) ->
-    let dst = join (pick_dir st) (fresh_name st "r") in
-    trace st "s%d rename %s -> %s" cs.id path dst;
-    let u = U_rename (path, dst) in
+  | Some (path, oid) ->
+    let dst = Oracle.fresh_path st.ora cs.ov st.rng "r" in
+    Oracle.trace st.ora "s%d rename %s -> %s" cs.id path dst;
+    let u = { Oracle.no_updates with u_names = [ (path, None); (dst, Some oid) ] } in
     cs.pending <- Some (u, probe_exists st dst);
     Client.c_rename (Cluster.coord cs.conn) path dst;
     u
@@ -388,48 +304,45 @@ let verify st ~phase =
     List.iter
       (fun name ->
         if String.length name > 0 && name.[0] <> '.' then begin
-          let path = join dir name in
+          let path = Oracle.join dir name in
           match Fs.stat s ~timestamp:ts path with
           | att ->
             if att.Invfs.Fileatt.ftype = "directory" then go path
             else real_files := SM.add path att.Invfs.Fileatt.file !real_files
           | exception Errors.Fs_error (code, _) ->
-            mismatch st "%s: stat %s failed (%s)" phase path (Errors.code_to_string code)
+            Oracle.mismatch st.ora "%s: stat %s failed (%s)"
+              phase path (Errors.code_to_string code)
         end)
       (Fs.readdir s ~timestamp:ts dir)
   in
   go "/";
-  let dirs_expect = List.map fst (SM.bindings st.ora.dirs) in
+  let dirs_expect = Oracle.dirs st.ora in
   let dirs_real = List.map fst (SM.bindings !real_dirs) in
   if dirs_expect <> dirs_real then
-    mismatch st "%s: directories differ: oracle [%s] real [%s]" phase
+    Oracle.mismatch st.ora "%s: directories differ: oracle [%s] real [%s]" phase
       (String.concat "," dirs_expect) (String.concat "," dirs_real);
   SM.iter
     (fun path oid ->
       match SM.find_opt path !real_files with
-      | None -> mismatch st "%s: %s missing from namespace" phase path
+      | None -> Oracle.mismatch st.ora "%s: %s missing from namespace" phase path
       | Some real_oid ->
         if oid <> 0L && oid <> real_oid then
-          mismatch st "%s: %s identity differs: oracle oid %Ld, real %Ld" phase path
+          Oracle.mismatch st.ora "%s: %s identity differs: oracle oid %Ld, real %Ld"
+            phase path
             oid real_oid;
         let key = if oid = 0L then real_oid else oid in
-        let expect =
-          match OM.find_opt key st.ora.files with
-          | Some b -> Bytes.to_string b
-          | None -> ""
-        in
+        let expect = Bytes.to_string (Oracle.content st.ora key) in
         let real = Cluster.peek_data st.cluster ~oid:real_oid in
         if not (String.equal real expect) then
-          mismatch st "%s: %s (oid %Ld) chunk data differs: %s" phase path real_oid
+          Oracle.mismatch st.ora "%s: %s (oid %Ld) chunk data differs: %s"
+            phase path real_oid
             (Option.value ~default:"?"
-               (Option.map
-                  (fun d -> d)
-                  (bytes_diff (Bytes.of_string expect) (Bytes.of_string real)))))
-    st.ora.names;
+               (Oracle.bytes_diff (Bytes.of_string expect) (Bytes.of_string real))))
+    (Oracle.names st.ora);
   SM.iter
     (fun path _ ->
-      if not (SM.mem path st.ora.names) then
-        mismatch st "%s: namespace has unexpected file %s" phase path)
+      if not (SM.mem path (Oracle.names st.ora)) then
+        Oracle.mismatch st.ora "%s: namespace has unexpected file %s" phase path)
     !real_files
 
 (* ---------- indeterminate resolution ---------- *)
@@ -443,20 +356,21 @@ let indeterminate_of_msg msg =
 let resolve_indeterminate st cs =
   st.indeterminate <- st.indeterminate + 1;
   match cs.pending with
-  | None -> mismatch st "s%d: indeterminate outcome but no pending op to probe" cs.id
+  | None -> Oracle.mismatch st.ora "s%d: indeterminate outcome but no pending op to probe"
+              cs.id
   | Some (u, probe) ->
     if probe () then begin
-      trace st "s%d .. probe: LANDED" cs.id;
+      Oracle.trace st.ora "s%d .. probe: LANDED" cs.id;
       st.landed <- st.landed + 1;
-      apply_update st.ora u
+      Oracle.commit st.ora u
     end
-    else trace st "s%d .. probe: did not land" cs.id
+    else Oracle.trace st.ora "s%d .. probe: did not land" cs.id
 
 (* ---------- the run ---------- *)
 
 let run_one_op st =
   st.ops_attempted <- st.ops_attempted + 1;
-  trace st "-- op %d" st.ops_attempted;
+  Oracle.trace st.ora "-- op %d" st.ops_attempted;
   Cluster.pump st.cluster;
   let cs = st.clients.(Rng.int st.rng (Array.length st.clients)) in
   let op = gen_op st in
@@ -466,10 +380,10 @@ let run_one_op st =
   (match op st cs with
   | u ->
     cs.pending <- None;
-    apply_update st.ora u;
+    Oracle.commit st.ora u;
     st.ops_applied <- st.ops_applied + 1
   | exception Errors.Fs_error (Errors.ECONNRESET, msg) ->
-    trace st "s%d .. ECONNRESET: %s" cs.id msg;
+    Oracle.trace st.ora "s%d .. ECONNRESET: %s" cs.id msg;
     if indeterminate_of_msg msg then resolve_indeterminate st cs;
     cs.pending <- None
   | exception
@@ -480,21 +394,21 @@ let run_one_op st =
     (* all definitively-not-executed: lock conflicts, shed work whose
        re-offers ran out, and stale-placement refusals that outlived the
        conn's redirect budget *)
-    trace st "s%d .. skip" cs.id;
+    Oracle.trace st.ora "s%d .. skip" cs.id;
     st.skips <- st.skips + 1;
     cs.pending <- None
   | exception Pagestore.Device.Io_fault _ ->
-    trace st "s%d .. io fault" cs.id;
+    Oracle.trace st.ora "s%d .. io fault" cs.id;
     st.skips <- st.skips + 1;
     cs.pending <- None
   | exception Errors.Fs_error (Errors.ENOENT, _) ->
     (* a metadata op lost a race with an unlink/rename the oracle already
        applied; the op did nothing *)
-    trace st "s%d .. enoent skip" cs.id;
+    Oracle.trace st.ora "s%d .. enoent skip" cs.id;
     st.skips <- st.skips + 1;
     cs.pending <- None
   | exception Errors.Fs_error (code, msg) ->
-    mismatch st "unexpected fs error %s: %s" (Errors.code_to_string code) msg;
+    Oracle.mismatch st.ora "unexpected fs error %s: %s" (Errors.code_to_string code) msg;
     cs.pending <- None);
   st.current <- None;
   st.in_flight <- false;
@@ -506,7 +420,7 @@ let run_one_op st =
 let heal st =
   match st.cut with
   | Some (shard, _) ->
-    trace st "== healing partition of shard %d" shard;
+    Oracle.trace st.ora "== healing partition of shard %d" shard;
     Cluster.set_partitioned st.cluster ~shard false;
     st.cut <- None
   | None -> ()
@@ -525,9 +439,11 @@ let settle st =
   go 0;
   let s = Cluster.stats st.cluster in
   if s.Cluster.handoffs_pending > 0 then
-    mismatch st "converge: %d handoffs never completed" s.Cluster.handoffs_pending;
+    Oracle.mismatch st.ora "converge: %d handoffs never completed"
+      s.Cluster.handoffs_pending;
   if s.Cluster.drops_pending > 0 then
-    mismatch st "converge: %d bucket drops never completed" s.Cluster.drops_pending
+    Oracle.mismatch st.ora "converge: %d bucket drops never completed"
+      s.Cluster.drops_pending
 
 let run ?(config = default_config) ~seed () =
   let rng = Rng.create seed in
@@ -540,7 +456,6 @@ let run ?(config = default_config) ~seed () =
   in
   (* server-to-server links join the same fault plan as client traffic *)
   List.iter (fun (tag, link) -> Faultsim.arm_link plan ~tag link) (Cluster.internal_links cluster);
-  let ora = { names = SM.empty; files = OM.empty; dirs = SM.add "/" () SM.empty } in
   let mk_client id =
     {
       id;
@@ -548,6 +463,7 @@ let run ?(config = default_config) ~seed () =
         Cluster.connect cluster
           ~on_link:(fun tag link -> Faultsim.arm_link plan ~tag link)
           ~rng:(Rng.split rng) ();
+      ov = Oracle.overlay ();
       pending = None;
     }
   in
@@ -558,9 +474,8 @@ let run ?(config = default_config) ~seed () =
       clock;
       cluster;
       plan;
-      ora;
+      ora = Oracle.create ~trace:config.trace ~depth:0;
       clients = Array.init config.clients mk_client;
-      next_name = 0;
       ops_attempted = 0;
       ops_applied = 0;
       skips = 0;
@@ -572,11 +487,11 @@ let run ?(config = default_config) ~seed () =
       current = None;
       in_flight = false;
       verify_pending = false;
-      mismatches = [];
     }
   in
   Cluster.set_before_recovery cluster (fun mid ->
-      trace st "== MEMBER %d CRASH after op %d (in_flight=%b)" mid st.ops_attempted
+      Oracle.trace st.ora "== MEMBER %d CRASH after op %d (in_flight=%b)"
+        mid st.ops_attempted
         st.in_flight;
       (* recovery runs under a cleared schedule, as in Nettest *)
       Faultsim.clear_schedule st.plan);
@@ -590,19 +505,19 @@ let run ?(config = default_config) ~seed () =
     if i > 0 && i mod config.fault_interval = 0 && Faultsim.net_pending st.plan < 4
     then begin
       let f = random_fault st in
-      trace st "== scheduling %s" (Faultsim.net_action_to_string f);
+      Oracle.trace st.ora "== scheduling %s" (Faultsim.net_action_to_string f);
       Faultsim.schedule_net_random st.plan st.rng ~within:(1 + Rng.int st.rng 8) f
     end;
     if i > 0 && i mod config.partition_interval = 0 && st.cut = None then begin
       let shard = 1 + Rng.int st.rng config.nshards in
-      trace st "== cutting shard %d's heartbeat path" shard;
+      Oracle.trace st.ora "== cutting shard %d's heartbeat path" shard;
       Cluster.set_partitioned cluster ~shard true;
       st.cut <- Some (shard, i + config.partition_ops)
     end;
     if i > 0 && i mod config.crash_interval = 0 then begin
       let mid = st.crash_rr mod (config.nshards + 1) in
       st.crash_rr <- st.crash_rr + 1;
-      trace st "== boundary crash of member %d" mid;
+      Oracle.trace st.ora "== boundary crash of member %d" mid;
       Cluster.crash_member cluster mid
     end
     else run_one_op st
@@ -621,7 +536,7 @@ let run ?(config = default_config) ~seed () =
   verify st ~phase:"final";
   let audit = Cluster.cross_shard_audit cluster in
   if not (Invfs.Fsck.is_shard_clean audit) then
-    mismatch st "final %s" (Invfs.Fsck.shard_report_to_string audit);
+    Oracle.mismatch st.ora "final %s" (Invfs.Fsck.shard_report_to_string audit);
   let stats = Cluster.stats cluster in
   let member_crashes = ref 0 in
   for mid = 0 to config.nshards do
@@ -657,7 +572,7 @@ let run ?(config = default_config) ~seed () =
     net_faults = List.length (Faultsim.net_events st.plan);
     messages = Netsim.messages net;
     full_verifies = st.full_verifies;
-    mismatches = List.rev st.mismatches;
+    mismatches = Oracle.mismatches st.ora;
   }
 
 (* ---------- bench entry points ----------

@@ -31,8 +31,6 @@
    and the As_of read path de-duplicates — so the differential check
    is exactly the proof the design claims. *)
 
-module SM = Map.Make (String)
-module OM = Map.Make (Int64)
 module Rng = Simclock.Rng
 module Fs = Invfs.Fs
 module Errors = Invfs.Errors
@@ -100,102 +98,16 @@ let outcome_to_string o =
     o.archived_checked o.time_travel_checks o.full_verifies
     (List.length o.mismatches)
 
-(* ---------- oracle (see Crashtest for the commit-semantics notes) ---------- *)
-
-type oracle = {
-  mutable files : bytes OM.t;
-  mutable names : int64 SM.t;
-  mutable dirs : unit SM.t;
-  mutable history : (int64 * bytes SM.t * string list) list; (* newest first *)
-}
-
-type updates = {
-  u_names : (string * int64 option) list;
-  u_files : (int64 * bytes) list;
-  u_dirs : string list;
-}
-
-let no_updates = { u_names = []; u_files = []; u_dirs = [] }
-
-let commit_updates ora u =
-  List.iter
-    (fun (path, v) ->
-      match v with
-      | Some oid -> ora.names <- SM.add path oid ora.names
-      | None -> ora.names <- SM.remove path ora.names)
-    u.u_names;
-  let named = SM.fold (fun _ oid acc -> OM.add oid () acc) ora.names OM.empty in
-  List.iter
-    (fun (oid, data) ->
-      if OM.mem oid named then ora.files <- OM.add oid data ora.files)
-    u.u_files;
-  ora.files <- OM.filter (fun oid _ -> OM.mem oid named) ora.files;
-  List.iter (fun d -> ora.dirs <- SM.add d () ora.dirs) u.u_dirs
-
-type sess = {
-  id : int;
-  mutable s : Fs.session;
-  mutable in_txn : bool;
-  mutable ov_names : int64 option SM.t;
-  mutable ov_files : bytes OM.t;
-  mutable ov_dirs : string list;
-}
-
-let clear_overlay ss =
-  ss.in_txn <- false;
-  ss.ov_names <- SM.empty;
-  ss.ov_files <- OM.empty;
-  ss.ov_dirs <- []
-
-let overlay_updates ss =
-  {
-    u_names = SM.bindings ss.ov_names;
-    u_files = OM.bindings ss.ov_files;
-    u_dirs = List.rev ss.ov_dirs;
-  }
-
-let record ora ss u =
-  if ss.in_txn then begin
-    List.iter (fun (p, v) -> ss.ov_names <- SM.add p v ss.ov_names) u.u_names;
-    List.iter (fun (oid, b) -> ss.ov_files <- OM.add oid b ss.ov_files) u.u_files;
-    List.iter (fun d -> ss.ov_dirs <- d :: ss.ov_dirs) u.u_dirs
-  end
-  else commit_updates ora u
-
-let view_names ora ss =
-  SM.fold
-    (fun path v acc ->
-      match v with Some oid -> SM.add path oid acc | None -> SM.remove path acc)
-    ss.ov_names ora.names
-
-let view_content ora ss oid =
-  match OM.find_opt oid ss.ov_files with
-  | Some b -> Some b
-  | None -> OM.find_opt oid ora.files
-
-let view_dirs ora ss =
-  List.rev_append ss.ov_dirs (List.map fst (SM.bindings ora.dirs))
-  |> List.sort_uniq String.compare
-
 (* ---------- harness state ---------- *)
 
 type state = {
   cfg : config;
-  rng : Rng.t;
+  w : Fsops.t;
   db : Relstore.Db.t;
   fs : Fs.t;
   plan : Faultsim.t;
-  ora : oracle;
-  sessions : sess array;
-  mutable next_name : int;
-  mutable ops_attempted : int;
-  mutable ops_applied : int;
   mutable crashes : int;
   mutable injected_crashes : int;
-  mutable commits : int;
-  mutable aborts : int;
-  mutable lock_skips : int;
-  mutable io_faults : int;
   mutable clones : int;
   mutable snapshots : int;
   mutable vacuum_steps : int;
@@ -204,312 +116,97 @@ type state = {
   mutable vacuum_archived : int;
   mutable vacuum_discarded : int;
   mutable archived_checked : int;
-  mutable time_travel_checks : int;
-  mutable full_verifies : int;
-  mutable mismatches : string list;
 }
-
-let max_mismatches = 50
-
-let trace st fmt =
-  Printf.ksprintf (fun msg -> if st.cfg.trace then Printf.eprintf "%s\n%!" msg) fmt
-
-let mismatch st fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if List.length st.mismatches < max_mismatches then
-        st.mismatches <- msg :: st.mismatches)
-    fmt
-
-let fresh_name st prefix =
-  let n = st.next_name in
-  st.next_name <- n + 1;
-  Printf.sprintf "%s%d" prefix n
-
-let join dir name = if dir = "/" then "/" ^ name else dir ^ "/" ^ name
-
-let pick st l =
-  match l with
-  | [] -> invalid_arg "Vacuumtest.pick: empty"
-  | l -> List.nth l (Rng.int st.rng (List.length l))
-
-let pick_dir st ss = pick st (view_dirs st.ora ss)
-
-let pick_file st ss =
-  match SM.bindings (view_names st.ora ss) with
-  | [] -> None
-  | files -> Some (pick st files)
-
-let bytes_diff a b =
-  if Bytes.equal a b then None
-  else begin
-    let la = Bytes.length a and lb = Bytes.length b in
-    let n = min la lb in
-    let i = ref 0 in
-    while !i < n && Bytes.get a !i = Bytes.get b !i do
-      incr i
-    done;
-    Some (Printf.sprintf "lengths %d vs %d, first difference at byte %d" la lb !i)
-  end
-
-let splice cur ~off data =
-  let len = Bytes.length cur and dlen = Bytes.length data in
-  let out = Bytes.make (max len (off + dlen)) '\000' in
-  Bytes.blit cur 0 out 0 len;
-  Bytes.blit data 0 out off dlen;
-  out
 
 (* ---------- ops ---------- *)
 
-let op_create st ss =
-  let path = join (pick_dir st ss) (fresh_name st "f") in
-  let fd = Fs.p_creat ss.s path in
-  let oid = Fs.fd_oid ss.s fd in
-  Fs.p_close ss.s fd;
-  trace st "s%d creat %s -> oid %Ld" ss.id path oid;
-  { no_updates with u_names = [ (path, Some oid) ]; u_files = [ (oid, Bytes.create 0) ] }
-
-let op_mkdir st ss =
-  if List.length (view_dirs st.ora ss) >= st.cfg.max_dirs then op_create st ss
-  else begin
-    let path = join (pick_dir st ss) (fresh_name st "d") in
-    Fs.mkdir ss.s path;
-    trace st "s%d mkdir %s" ss.id path;
-    { no_updates with u_dirs = [ path ] }
-  end
-
-let op_write st ss =
-  match pick_file st ss with
-  | None -> op_create st ss
+let op_write st (ss : Fsops.sess) =
+  let w = st.w in
+  match Oracle.pick_file w.ora ss.ov w.rng with
+  | None -> Fsops.create_file w ss
   | Some (path, oid) ->
-    let cur = Option.value ~default:(Bytes.create 0) (view_content st.ora ss oid) in
+    let cur = Oracle.view_content w.ora ss.ov oid in
     let len = Bytes.length cur in
-    let data = Rng.bytes st.rng (1 + Rng.int st.rng 6800) in
+    let data = Rng.bytes w.rng (1 + Rng.int w.rng 6800) in
     let dlen = Bytes.length data in
     let off =
       if len + dlen > st.cfg.max_file_bytes then
-        if len - dlen <= 0 then 0 else Rng.int st.rng (len - dlen + 1)
-      else Rng.int st.rng (len + 1)
+        if len - dlen <= 0 then 0 else Rng.int w.rng (len - dlen + 1)
+      else Rng.int w.rng (len + 1)
     in
-    trace st "s%d write %s (oid %Ld) off=%d len=%d cur=%d" ss.id path oid off dlen len;
+    Oracle.trace w.ora "s%d write %s (oid %Ld) off=%d len=%d cur=%d" ss.id path oid off
+      dlen len;
     let fd = Fs.p_open ss.s path Fs.Rdwr in
     ignore (Fs.p_lseek ss.s fd (Int64.of_int off) Fs.Seek_set : int64);
     ignore (Fs.p_write ss.s fd data dlen : int);
     Fs.p_close ss.s fd;
-    { no_updates with u_files = [ (oid, splice cur ~off data) ] }
+    { Oracle.no_updates with u_files = [ (oid, Oracle.splice cur ~off data) ] }
 
-let op_truncate st ss =
-  match pick_file st ss with
-  | None -> op_create st ss
+let op_truncate st (ss : Fsops.sess) =
+  let w = st.w in
+  match Oracle.pick_file w.ora ss.ov w.rng with
+  | None -> Fsops.create_file w ss
   | Some (path, oid) ->
-    let cur = Option.value ~default:(Bytes.create 0) (view_content st.ora ss oid) in
+    let cur = Oracle.view_content w.ora ss.ov oid in
     let len = Bytes.length cur in
-    let new_len = Rng.int st.rng (min (len + 6000) st.cfg.max_file_bytes + 1) in
-    trace st "s%d trunc %s (oid %Ld) %d -> %d" ss.id path oid len new_len;
+    let new_len = Rng.int w.rng (min (len + 6000) st.cfg.max_file_bytes + 1) in
+    Oracle.trace w.ora "s%d trunc %s (oid %Ld) %d -> %d" ss.id path oid len new_len;
     let fd = Fs.p_open ss.s path Fs.Rdwr in
     Fs.ftruncate ss.s fd (Int64.of_int new_len);
     Fs.p_close ss.s fd;
-    let data =
-      if new_len <= len then Bytes.sub cur 0 new_len
-      else begin
-        let out = Bytes.make new_len '\000' in
-        Bytes.blit cur 0 out 0 len;
-        out
-      end
-    in
-    { no_updates with u_files = [ (oid, data) ] }
-
-let op_unlink st ss =
-  match pick_file st ss with
-  | None -> op_create st ss
-  | Some (path, _oid) ->
-    trace st "s%d unlink %s" ss.id path;
-    Fs.unlink ss.s path;
-    { no_updates with u_names = [ (path, None) ] }
-
-let op_rename st ss =
-  match pick_file st ss with
-  | None -> op_create st ss
-  | Some (path, oid) ->
-    let dst = join (pick_dir st ss) (fresh_name st "r") in
-    trace st "s%d rename %s -> %s (oid %Ld)" ss.id path dst oid;
-    Fs.rename ss.s path dst;
-    { no_updates with u_names = [ (path, None); (dst, Some oid) ] }
+    { Oracle.no_updates with u_files = [ (oid, Oracle.resize cur new_len) ] }
 
 (* The oracle models a clone as a plain byte copy of the committed
    contents at clone time — the real thing is O(1) copy-on-write over a
    version horizon, and the differential check is exactly that the
    difference is unobservable (including after writes to either side,
    truncation below the base, crashes, and vacuum of the base's table). *)
-let op_clone st ss =
-  if ss.in_txn then op_write st ss (* Fs.clone refuses inside a txn *)
+let op_clone st (ss : Fsops.sess) =
+  let w = st.w in
+  if Oracle.in_txn ss.ov then op_write st ss (* Fs.clone refuses inside a txn *)
   else
-    match SM.bindings st.ora.names with
-    | [] -> op_create st ss
+    match Oracle.SM.bindings (Oracle.names w.ora) with
+    | [] -> Fsops.create_file w ss
     | committed ->
-      let src, src_oid = pick st committed in
-      let dst = join (pick_dir st ss) (fresh_name st "c") in
-      trace st "s%d clone %s -> %s" ss.id src dst;
+      let src, src_oid = Oracle.pick w.rng committed in
+      let dst = Oracle.fresh_path w.ora ss.ov w.rng "c" in
+      Oracle.trace w.ora "s%d clone %s -> %s" ss.id src dst;
       let oid = Fs.clone ss.s ~src ~dst in
       st.clones <- st.clones + 1;
-      let data =
-        Bytes.copy (Option.value ~default:(Bytes.create 0) (OM.find_opt src_oid st.ora.files))
-      in
-      { no_updates with u_names = [ (dst, Some oid) ]; u_files = [ (oid, data) ] }
+      let data = Bytes.copy (Oracle.content w.ora src_oid) in
+      { Oracle.no_updates with u_names = [ (dst, Some oid) ]; u_files = [ (oid, data) ] }
 
-let op_read_check st ss =
-  (match pick_file st ss with
-  | None -> ()
-  | Some (path, oid) ->
-    trace st "s%d read %s (oid %Ld)" ss.id path oid;
-    let real = Fs.read_whole_file ss.s path in
-    let expect = Option.value ~default:(Bytes.create 0) (view_content st.ora ss oid) in
-    (match bytes_diff expect real with
-    | None -> ()
-    | Some d -> mismatch st "read %s diverged mid-run: %s" path d));
-  no_updates
+let gen_op st (ss : Fsops.sess) =
+  let w = st.w in
+  let r = Rng.int w.rng 100 in
+  if Oracle.in_txn ss.ov then
+    if r < 32 then op_write st
+    else if r < 42 then Fsops.create_file w
+    else if r < 50 then op_truncate st
+    else if r < 56 then Fsops.unlink w
+    else if r < 62 then Fsops.rename w
+    else if r < 74 then Fsops.read_check w
+    else if r < 90 then Fsops.commit w
+    else Fsops.abort w
+  else if r < 24 then op_write st
+  else if r < 34 then Fsops.create_file w
+  else if r < 40 then Fsops.mkdir w
+  else if r < 48 then op_truncate st
+  else if r < 56 then Fsops.unlink w
+  else if r < 63 then Fsops.rename w
+  else if r < 73 then op_clone st
+  else if r < 90 then Fsops.read_check w
+  else Fsops.begin_txn w
 
-let op_begin st ss =
-  trace st "s%d begin" ss.id;
-  Fs.p_begin ss.s;
-  ss.in_txn <- true;
-  no_updates
-
-let op_commit st ss =
-  trace st "s%d commit" ss.id;
-  Fs.p_commit ss.s;
-  commit_updates st.ora (overlay_updates ss);
-  clear_overlay ss;
-  st.commits <- st.commits + 1;
-  no_updates
-
-let op_abort st ss =
-  trace st "s%d abort" ss.id;
-  Fs.p_abort ss.s;
-  clear_overlay ss;
-  st.aborts <- st.aborts + 1;
-  no_updates
-
-let gen_op st ss =
-  let r = Rng.int st.rng 100 in
-  if ss.in_txn then
-    if r < 32 then op_write
-    else if r < 42 then op_create
-    else if r < 50 then op_truncate
-    else if r < 56 then op_unlink
-    else if r < 62 then op_rename
-    else if r < 74 then op_read_check
-    else if r < 90 then op_commit
-    else op_abort
-  else if r < 24 then op_write
-  else if r < 34 then op_create
-  else if r < 40 then op_mkdir
-  else if r < 48 then op_truncate
-  else if r < 56 then op_unlink
-  else if r < 63 then op_rename
-  else if r < 73 then op_clone
-  else if r < 90 then op_read_check
-  else op_begin
-
-(* ---------- snapshots / crash / verification ---------- *)
-
-(* A remembered instant comes from the real O(1) snapshot call: sync the
-   pending commit group, tick the clock so no later commit shares the
-   timestamp, return the horizon.  The oracle materializes what every
-   named file contained at that instant. *)
-let take_snapshot st =
-  let ts = Fs.snapshot st.fs in
-  st.snapshots <- st.snapshots + 1;
-  let materialized =
-    SM.map
-      (fun oid ->
-        match OM.find_opt oid st.ora.files with
-        | Some b -> Bytes.copy b
-        | None -> Bytes.create 0)
-      st.ora.names
-  in
-  let dirs = List.map fst (SM.bindings st.ora.dirs) in
-  st.ora.history <- (ts, materialized, dirs) :: st.ora.history;
-  let rec cap n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: tl -> x :: cap (n - 1) tl
-  in
-  st.ora.history <- cap 8 st.ora.history
-
-let walk_real st =
-  let s = st.sessions.(0).s in
-  let files = ref SM.empty and dirs = ref SM.empty in
-  let rec go dir =
-    dirs := SM.add dir () !dirs;
-    List.iter
-      (fun name ->
-        let path = join dir name in
-        let att = Fs.stat s path in
-        if att.Invfs.Fileatt.ftype = "directory" then go path
-        else files := SM.add path (Fs.read_whole_file s path) !files)
-      (Fs.readdir s dir)
-  in
-  go "/";
-  (!files, !dirs)
-
-let verify_full_state st ~phase =
-  st.full_verifies <- st.full_verifies + 1;
-  let real_files, real_dirs = walk_real st in
-  let dirs_expect = List.map fst (SM.bindings st.ora.dirs) in
-  let dirs_real = List.map fst (SM.bindings real_dirs) in
-  if dirs_expect <> dirs_real then
-    mismatch st "%s: directories differ: oracle [%s] real [%s]" phase
-      (String.concat "," dirs_expect) (String.concat "," dirs_real);
-  SM.iter
-    (fun path oid ->
-      match SM.find_opt path real_files with
-      | None -> mismatch st "%s: %s missing from real fs" phase path
-      | Some real -> (
-        let expect = Option.value ~default:(Bytes.create 0) (OM.find_opt oid st.ora.files) in
-        match bytes_diff expect real with
-        | None -> ()
-        | Some d -> mismatch st "%s: %s content differs: %s" phase path d))
-    st.ora.names;
-  SM.iter
-    (fun path _ ->
-      if not (SM.mem path st.ora.names) then
-        mismatch st "%s: real fs has unexpected file %s" phase path)
-    real_files
-
-(* Time travel through the archive tier: every remembered instant must
-   read exactly what the oracle materialized then, even after the
-   versions that back it were migrated to the jukebox. *)
-let check_time_travel st =
-  let s = st.sessions.(0).s in
-  List.iter
-    (fun (ts, materialized, dirs) ->
-      SM.iter
-        (fun path expect ->
-          st.time_travel_checks <- st.time_travel_checks + 1;
-          match Fs.read_whole_file s ~timestamp:ts path with
-          | real -> (
-            match bytes_diff expect real with
-            | None -> ()
-            | Some d -> mismatch st "time travel @%Ld: %s differs: %s" ts path d)
-          | exception Errors.Fs_error (code, _) ->
-            mismatch st "time travel @%Ld: %s unreadable (%s)" ts path
-              (Errors.code_to_string code))
-        materialized;
-      List.iter
-        (fun dir ->
-          st.time_travel_checks <- st.time_travel_checks + 1;
-          if not (Fs.exists s ~timestamp:ts dir) then
-            mismatch st "time travel @%Ld: directory %s missing" ts dir)
-        dirs)
-    st.ora.history
+(* ---------- crash / verification ---------- *)
 
 let run_audit st ~phase =
   match Fsck.audit st.fs with
   | audit ->
     st.archived_checked <- audit.Fsck.archived_checked;
     if not (Fsck.is_clean audit) then
-      mismatch st "%s: audit not clean: %s" phase (Fsck.report_to_string audit)
+      Oracle.mismatch st.w.ora "%s: audit not clean: %s" phase
+        (Fsck.report_to_string audit)
   | exception Device.Crash_injected _ ->
     (* the audit is plain read traffic; a pending fault can land on it —
        the caller's fault schedule is already cleared on the crash path,
@@ -518,50 +215,18 @@ let run_audit st ~phase =
     ()
 
 let do_crash st ~injected =
-  trace st "== CRASH (injected=%b) after op %d" injected st.ops_attempted;
+  Oracle.trace st.w.ora "== CRASH (injected=%b) after op %d" injected st.w.ops_attempted;
   st.crashes <- st.crashes + 1;
   if injected then st.injected_crashes <- st.injected_crashes + 1;
   Faultsim.clear_schedule st.plan;
   let rep = Recovery.crash_and_recover st.fs in
   if not (Recovery.is_clean rep) then
-    mismatch st "recovery not clean: %s" (Recovery.report_to_string rep);
-  Array.iter
-    (fun ss ->
-      ss.s <- Fs.new_session st.fs;
-      clear_overlay ss)
-    st.sessions;
-  verify_full_state st ~phase:"post-crash";
-  check_time_travel st;
+    Oracle.mismatch st.w.ora "recovery not clean: %s" (Recovery.report_to_string rep);
+  (* time travel reads through the archive tier: archived versions must
+     fault back in on As_of reads *)
+  Fsops.recovered st.w st.fs;
   run_audit st ~phase:"post-crash";
-  Faultsim.schedule_random_crash st.plan st.rng ~within:(30 + Rng.int st.rng 150)
-
-let safe_abort st ss =
-  if Fs.in_transaction ss.s then (try Fs.p_abort ss.s with _ -> ());
-  if ss.in_txn then st.aborts <- st.aborts + 1;
-  clear_overlay ss
-
-let run_one_op st =
-  st.ops_attempted <- st.ops_attempted + 1;
-  trace st "-- op %d" st.ops_attempted;
-  let ss = st.sessions.(Rng.int st.rng (Array.length st.sessions)) in
-  let op = gen_op st ss in
-  match op st ss with
-  | u ->
-    record st.ora ss u;
-    st.ops_applied <- st.ops_applied + 1
-  | exception Device.Crash_injected _ -> do_crash st ~injected:true
-  | exception Device.Io_fault _ ->
-    trace st "s%d .. io fault" ss.id;
-    st.io_faults <- st.io_faults + 1;
-    safe_abort st ss
-  | exception Errors.Fs_error ((Errors.EAGAIN | Errors.EDEADLK), _) ->
-    trace st "s%d .. lock skip" ss.id;
-    st.lock_skips <- st.lock_skips + 1;
-    safe_abort st ss
-  | exception Not_found -> safe_abort st ss
-  | exception Errors.Fs_error (code, msg) ->
-    mismatch st "unexpected fs error %s: %s" (Errors.code_to_string code) msg;
-    safe_abort st ss
+  Faultsim.schedule_random_crash st.plan st.w.rng ~within:(30 + Rng.int st.w.rng 150)
 
 (* One budgeted increment of the concurrent vacuum, interleaved at the
    op boundary.  A crash landing inside the step is the interesting
@@ -576,15 +241,16 @@ let vacuum_tick st =
     st.vacuum_scanned <- st.vacuum_scanned + stp.Relstore.Vacuum.s_scanned;
     st.vacuum_archived <- st.vacuum_archived + stp.Relstore.Vacuum.s_archived;
     st.vacuum_discarded <- st.vacuum_discarded + stp.Relstore.Vacuum.s_discarded;
-    trace st "vac %s: scanned=%d archived=%d discarded=%d skipped=%b" rel
+    Oracle.trace st.w.ora "vac %s: scanned=%d archived=%d discarded=%d skipped=%b" rel
       stp.Relstore.Vacuum.s_scanned stp.Relstore.Vacuum.s_archived
       stp.Relstore.Vacuum.s_discarded stp.Relstore.Vacuum.s_skipped
   | exception Device.Crash_injected _ -> do_crash st ~injected:true
-  | exception Device.Io_fault _ -> st.io_faults <- st.io_faults + 1
+  | exception Device.Io_fault _ -> st.w.io_faults <- st.w.io_faults + 1
   | exception Errors.Fs_error ((Errors.EAGAIN | Errors.EDEADLK), _) ->
     st.vacuum_skips <- st.vacuum_skips + 1
   | exception Errors.Fs_error (code, msg) ->
-    mismatch st "vacuum step failed with %s: %s" (Errors.code_to_string code) msg
+    Oracle.mismatch st.w.ora "vacuum step failed with %s: %s"
+      (Errors.code_to_string code) msg
 
 let run ?(config = default_config) ~seed () =
   let rng = Rng.create seed in
@@ -603,36 +269,17 @@ let run ?(config = default_config) ~seed () =
   let plan = Faultsim.create () in
   Faultsim.arm_switch plan (Relstore.Db.switch db);
   Faultsim.arm_cache plan (Relstore.Db.cache db);
-  let ora =
-    { files = OM.empty; names = SM.empty; dirs = SM.add "/" () SM.empty; history = [] }
-  in
   let st =
     {
       cfg = config;
-      rng;
+      w =
+        Fsops.create ~rng ~ora:(Oracle.create ~trace:config.trace ~depth:8)
+          ~max_dirs:config.max_dirs ~sessions:config.sessions fs;
       db;
       fs;
       plan;
-      ora;
-      sessions =
-        Array.init config.sessions (fun id ->
-            {
-              id;
-              s = Fs.new_session fs;
-              in_txn = false;
-              ov_names = SM.empty;
-              ov_files = OM.empty;
-              ov_dirs = [];
-            });
-      next_name = 0;
-      ops_attempted = 0;
-      ops_applied = 0;
       crashes = 0;
       injected_crashes = 0;
-      commits = 0;
-      aborts = 0;
-      lock_skips = 0;
-      io_faults = 0;
       clones = 0;
       snapshots = 0;
       vacuum_steps = 0;
@@ -641,9 +288,6 @@ let run ?(config = default_config) ~seed () =
       vacuum_archived = 0;
       vacuum_discarded = 0;
       archived_checked = 0;
-      time_travel_checks = 0;
-      full_verifies = 0;
-      mismatches = [];
     }
   in
   Faultsim.schedule_random_crash plan rng ~within:60;
@@ -653,24 +297,31 @@ let run ?(config = default_config) ~seed () =
       Faultsim.schedule plan ~io ~after:(1 + Rng.int rng 30) Faultsim.Io_error
     end;
     if i > 0 && i mod config.crash_interval = 0 then do_crash st ~injected:false
-    else run_one_op st;
+    else
+      Fsops.run_one st.w ~gen:(gen_op st) ~crash:(fun () -> do_crash st ~injected:true);
     (* the tentpole interleave: a vacuum increment at every op boundary *)
     vacuum_tick st;
-    if i > 0 && i mod config.snapshot_interval = 0 then take_snapshot st
+    (* A remembered instant comes from the real O(1) snapshot call: sync
+       the pending commit group, tick the clock so no later commit shares
+       the timestamp, return the horizon. *)
+    if i > 0 && i mod config.snapshot_interval = 0 then begin
+      Oracle.remember st.w.ora (Fs.snapshot fs);
+      st.snapshots <- st.snapshots + 1
+    end
   done;
   (* Finish with a crash, full verification, and the archive audit. *)
   do_crash st ~injected:false;
   Faultsim.disarm plan;
   {
     seed;
-    ops_attempted = st.ops_attempted;
-    ops_applied = st.ops_applied;
+    ops_attempted = st.w.ops_attempted;
+    ops_applied = st.w.ops_applied;
     crashes = st.crashes;
     injected_crashes = st.injected_crashes;
-    commits = st.commits;
-    aborts = st.aborts;
-    lock_skips = st.lock_skips;
-    io_faults = st.io_faults;
+    commits = st.w.commits;
+    aborts = st.w.aborts;
+    lock_skips = st.w.lock_skips;
+    io_faults = st.w.io_faults;
     clones = st.clones;
     snapshots = st.snapshots;
     vacuum_steps = st.vacuum_steps;
@@ -679,7 +330,7 @@ let run ?(config = default_config) ~seed () =
     vacuum_archived = st.vacuum_archived;
     vacuum_discarded = st.vacuum_discarded;
     archived_checked = st.archived_checked;
-    time_travel_checks = st.time_travel_checks;
-    full_verifies = st.full_verifies;
-    mismatches = List.rev st.mismatches;
+    time_travel_checks = st.w.time_travel_checks;
+    full_verifies = Oracle.verifies st.w.ora;
+    mismatches = Oracle.mismatches st.w.ora;
   }

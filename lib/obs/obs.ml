@@ -1,3 +1,5 @@
+module Json = Json
+
 type subsys = Device | Cache | Heap | Lock | Txn | Vacuum | Recovery | Net
 
 let all_subsystems = [ Device; Cache; Heap; Lock; Txn; Vacuum; Recovery; Net ]
@@ -159,29 +161,16 @@ module Trace = struct
      ("X") events with a stack over emission order, so even a trace
      whose begin/end pairs interleave oddly (concurrent transactions in
      a single-threaded simulation) stays loadable. *)
-  let json_escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
   let args_json args =
     "{"
     ^ String.concat ","
         (List.map
            (fun (k, v) ->
-             Printf.sprintf "\"%s\":%s" (json_escape k)
+             Printf.sprintf "\"%s\":%s" (Json.escape k)
                (match v with
                | I i -> string_of_int i
                | F f -> Printf.sprintf "%g" f
-               | S s -> Printf.sprintf "\"%s\"" (json_escape s)))
+               | S s -> Printf.sprintf "\"%s\"" (Json.escape s)))
            args)
     ^ "}"
 
@@ -199,7 +188,7 @@ module Trace = struct
       emit_json
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%Ld,\"dur\":%Ld,\"pid\":1,\"tid\":1,\"args\":%s}"
-           (json_escape name) (subsys_name subsys) t0
+           (Json.escape name) (subsys_name subsys) t0
            (Int64.max 1L (Int64.sub t1 t0))
            (args_json args))
     in
@@ -219,7 +208,7 @@ module Trace = struct
           emit_json
             (Printf.sprintf
                "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"ts\":%Ld,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":%s}"
-               (json_escape e.name) (subsys_name e.subsys) e.t_us
+               (Json.escape e.name) (subsys_name e.subsys) e.t_us
                (args_json e.args)))
       evs;
     (* spans still open when the trace was taken run to the last event *)

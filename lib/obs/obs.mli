@@ -26,6 +26,10 @@
     way is covered); with no clock installed events are stamped 0 and
     ordered by sequence number alone. *)
 
+module Json = Json
+(** The one JSON printer and parser: [bench json] output, its [--compare]
+    reader, and the string escaping of {!Trace.to_chrome_json}. *)
+
 (** {1 Subsystems} *)
 
 type subsys =

@@ -4,42 +4,15 @@
    extra comma-separated seeds, CRASH_OPS=N lengthens each run, and
    `--quick` (used by the @sweeps meta-alias) trims to a fast subset. *)
 
-let fixed_seeds = [ 1L; 2L; 3L; 5L; 7L; 11L; 13L; 17L; 42L; 1993L ]
-let quick_seeds = [ 1L; 2L; 3L; 42L ]
-
-let env_seeds () =
-  match Sys.getenv_opt "CRASH_SEEDS" with
-  | None | Some "" -> []
-  | Some s ->
-    String.split_on_char ',' s
-    |> List.filter_map (fun tok ->
-           match Int64.of_string_opt (String.trim tok) with
-           | Some n -> Some n
-           | None ->
-             Printf.eprintf "crash_sweep: ignoring bad seed %S\n" tok;
-             None)
-
-let ops () =
-  match Sys.getenv_opt "CRASH_OPS" with
-  | None | Some "" -> Benchlib.Crashtest.default_config.Benchlib.Crashtest.ops
-  | Some s -> int_of_string s
+module CT = Benchlib.Crashtest
 
 let () =
-  let quick = Array.exists (( = ) "--quick") Sys.argv in
-  let config = { Benchlib.Crashtest.default_config with ops = ops () } in
-  let seeds = (if quick then quick_seeds else fixed_seeds) @ env_seeds () in
-  let failed = ref 0 in
-  List.iter
+  let ops = Sweep.env_int "CRASH_OPS" CT.default_config.ops in
+  let config = { CT.default_config with ops } in
+  Sweep.run ~name:"crash"
+    (Sweep.seeds ~name:"crash"
+       ~full:[ 1L; 2L; 3L; 5L; 7L; 11L; 13L; 17L; 42L; 1993L ]
+       ~quick:[ 1L; 2L; 3L; 42L ])
     (fun seed ->
-      let o = Benchlib.Crashtest.run ~config ~seed () in
-      Printf.printf "%s\n%!" (Benchlib.Crashtest.outcome_to_string o);
-      List.iter
-        (fun m ->
-          incr failed;
-          Printf.printf "  MISMATCH: %s\n%!" m)
-        o.Benchlib.Crashtest.mismatches)
-    seeds;
-  if !failed > 0 then begin
-    Printf.eprintf "crash_sweep: %d mismatches\n" !failed;
-    exit 1
-  end
+      let o = CT.run ~config ~seed () in
+      [ (CT.outcome_to_string o, o.mismatches) ])

@@ -8,42 +8,15 @@
    range.  Covers 50 seeds by default; LOAD_SEEDS=5,6,7 appends extra
    comma-separated seeds, LOAD_CLIENTS=N and LOAD_OPS=N resize each
    run, and `--quick` (wired into the default `dune runtest`) trims to
-   a fast subset that also asserts same-seed determinism.  `--trace
-   SEED` replays one seed with the per-op log on stderr. *)
+   a fast subset.  Outside --trace, every run also asserts same-seed
+   determinism of the schedule and the outcome.  `--trace SEED` replays
+   one seed with the per-op log on stderr. *)
 
 module Loadtest = Benchlib.Loadtest
 
-let base_seeds = List.init 50 (fun i -> Int64.of_int (i + 1))
-let quick_seeds = [ 1L; 2L; 3L ]
-
-let env_seeds () =
-  match Sys.getenv_opt "LOAD_SEEDS" with
-  | None | Some "" -> []
-  | Some s ->
-    String.split_on_char ',' s
-    |> List.filter_map (fun tok ->
-           match Int64.of_string_opt (String.trim tok) with
-           | Some n -> Some n
-           | None ->
-             Printf.eprintf "load_sweep: ignoring bad seed %S\n" tok;
-             None)
-
-let env_int name default =
-  match Sys.getenv_opt name with
-  | None | Some "" -> default
-  | Some s -> int_of_string s
-
-let failures = ref 0
-
-let fail fmt =
-  Printf.ksprintf
-    (fun msg ->
-      incr failures;
-      Printf.printf "  FAIL: %s\n%!" msg)
-    fmt
-
-let check_invariants (o : Loadtest.outcome) =
-  List.iter (fun m -> fail "mismatch: %s" m) o.mismatches;
+let invariant_failures (o : Loadtest.outcome) =
+  let fails = ref [] in
+  let fail fmt = Printf.ksprintf (fun msg -> fails := msg :: !fails) fmt in
   if o.capacity_ops_s <= 0. then fail "capacity %.3f not positive" o.capacity_ops_s;
   List.iter
     (fun (l : Loadtest.level) ->
@@ -62,19 +35,10 @@ let check_invariants (o : Loadtest.outcome) =
   let lo = List.fold_left min infinity offered in
   let hi = List.fold_left max 0. offered in
   if o.knee_offered_ops_s < lo -. 1e-6 || o.knee_offered_ops_s > hi +. 1e-6 then
-    fail "knee %.3f outside swept range [%.3f, %.3f]" o.knee_offered_ops_s lo hi
+    fail "knee %.3f outside swept range [%.3f, %.3f]" o.knee_offered_ops_s lo hi;
+  List.rev !fails
 
 let () =
-  let quick = Array.exists (( = ) "--quick") Sys.argv in
-  let trace_seed =
-    let rec find i =
-      if i >= Array.length Sys.argv then None
-      else if Sys.argv.(i) = "--trace" && i + 1 < Array.length Sys.argv then
-        Int64.of_string_opt Sys.argv.(i + 1)
-      else find (i + 1)
-    in
-    find 1
-  in
   (* The sweep's job is breadth (many seeds), not depth: both modes use
      the small config and long mode buys coverage with 50 seeds.
      LOAD_CLIENTS/LOAD_OPS scale a run up when depth is wanted. *)
@@ -82,42 +46,27 @@ let () =
   let config =
     {
       base with
-      Loadtest.clients = env_int "LOAD_CLIENTS" base.Loadtest.clients;
-      ops_per_level = env_int "LOAD_OPS" base.Loadtest.ops_per_level;
-      trace = trace_seed <> None;
+      Loadtest.clients = Sweep.env_int "LOAD_CLIENTS" base.Loadtest.clients;
+      ops_per_level = Sweep.env_int "LOAD_OPS" base.Loadtest.ops_per_level;
+      trace = Sweep.trace_seed <> None;
     }
   in
   let seeds =
-    match trace_seed with
-    | Some s -> [ s ]
-    | None -> (if quick then quick_seeds else base_seeds) @ env_seeds ()
+    Sweep.seeds ~name:"load"
+      ~full:(List.init 50 (fun i -> Int64.of_int (i + 1)))
+      ~quick:[ 1L; 2L; 3L ]
   in
-  List.iter
+  Sweep.run ~name:"load" ~traceable:true seeds
     (fun seed ->
       let o = Loadtest.run ~config ~seed () in
-      Printf.printf "%s\n%!" (Loadtest.outcome_to_string o);
-      check_invariants o)
-    seeds;
-  (* Determinism: the differential sweep is only trustworthy if a seed
-     replays to the identical schedule and outcome. *)
-  if trace_seed = None then begin
-    let seed = List.hd seeds in
-    let d1 =
-      Loadtest.schedule_digest ~config ~seed ~rate:100. ~ops:config.ops_per_level
-    in
-    let d2 =
-      Loadtest.schedule_digest ~config ~seed ~rate:100. ~ops:config.ops_per_level
-    in
-    if d1 <> d2 then fail "schedule digest not deterministic: %s vs %s" d1 d2;
-    let o1 = Loadtest.run ~config ~seed () in
-    let o2 = Loadtest.run ~config ~seed () in
-    if Loadtest.outcome_to_string o1 <> Loadtest.outcome_to_string o2 then
-      fail "outcome not deterministic for seed %Ld:\n%s\nvs\n%s" seed
-        (Loadtest.outcome_to_string o1)
-        (Loadtest.outcome_to_string o2)
-  end;
-  if !failures > 0 then begin
-    Printf.eprintf "load_sweep: %d failures (repro: load_sweep.exe --trace SEED)\n"
-      !failures;
-    exit 1
-  end
+      [ (Loadtest.outcome_to_string o, o.mismatches @ invariant_failures o) ])
+    ~finally:(fun () ->
+      (* the op schedule is a pure function of the seed *)
+      if Sweep.trace_seed = None then begin
+        let seed = List.hd seeds in
+        let digest () =
+          Loadtest.schedule_digest ~config ~seed ~rate:100. ~ops:config.ops_per_level
+        in
+        let d1 = digest () and d2 = digest () in
+        if d1 <> d2 then Sweep.fail "schedule digest not deterministic: %s vs %s" d1 d2
+      end)

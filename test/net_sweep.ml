@@ -6,58 +6,20 @@
    subset.  `--trace SEED` replays one seed with the per-op repro log on
    stderr. *)
 
-let base_seeds = List.init 200 (fun i -> Int64.of_int (i + 1))
-let quick_seeds = [ 1L; 2L; 3L; 4L; 5L; 6L ]
-
-let env_seeds () =
-  match Sys.getenv_opt "NET_SEEDS" with
-  | None | Some "" -> []
-  | Some s ->
-    String.split_on_char ',' s
-    |> List.filter_map (fun tok ->
-           match Int64.of_string_opt (String.trim tok) with
-           | Some n -> Some n
-           | None ->
-             Printf.eprintf "net_sweep: ignoring bad seed %S\n" tok;
-             None)
-
-let ops () =
-  match Sys.getenv_opt "NET_OPS" with
-  | None | Some "" -> Benchlib.Nettest.default_config.Benchlib.Nettest.ops
-  | Some s -> int_of_string s
+module NT = Benchlib.Nettest
 
 let () =
-  let quick = Array.exists (( = ) "--quick") Sys.argv in
-  let trace_seed =
-    let rec find i =
-      if i >= Array.length Sys.argv then None
-      else if Sys.argv.(i) = "--trace" && i + 1 < Array.length Sys.argv then
-        Int64.of_string_opt Sys.argv.(i + 1)
-      else find (i + 1)
-    in
-    find 1
-  in
   let config =
-    { Benchlib.Nettest.default_config with ops = ops (); trace = trace_seed <> None }
+    {
+      NT.default_config with
+      ops = Sweep.env_int "NET_OPS" NT.default_config.ops;
+      trace = Sweep.trace_seed <> None;
+    }
   in
-  let seeds =
-    match trace_seed with
-    | Some s -> [ s ]
-    | None -> (if quick then quick_seeds else base_seeds) @ env_seeds ()
-  in
-  let failed = ref 0 in
-  List.iter
+  Sweep.run ~name:"net" ~traceable:true
+    (Sweep.seeds ~name:"net"
+       ~full:(List.init 200 (fun i -> Int64.of_int (i + 1)))
+       ~quick:[ 1L; 2L; 3L; 4L; 5L; 6L ])
     (fun seed ->
-      let o = Benchlib.Nettest.run ~config ~seed () in
-      Printf.printf "%s\n%!" (Benchlib.Nettest.outcome_to_string o);
-      List.iter
-        (fun m ->
-          incr failed;
-          Printf.printf "  MISMATCH: %s\n%!" m)
-        o.Benchlib.Nettest.mismatches)
-    seeds;
-  if !failed > 0 then begin
-    Printf.eprintf "net_sweep: %d mismatches (repro: net_sweep.exe --trace SEED)\n"
-      !failed;
-    exit 1
-  end
+      let o = NT.run ~config ~seed () in
+      [ (NT.outcome_to_string o, o.mismatches) ])

@@ -22,44 +22,18 @@
    Covers 25 seeds by default; OVERLOAD_SEEDS=5,6,7 appends extra
    comma-separated seeds, OVERLOAD_CLIENTS=N / OVERLOAD_OPS=N resize
    each run, OVERLOAD_DEADLINE_MS=N moves the deadline.  `--quick`
-   (wired into the default `dune runtest`) trims to 3 seeds and adds a
-   same-seed determinism check.  `--trace SEED` replays one seed with
-   the per-op log on stderr. *)
+   (wired into the default `dune runtest`) trims to 3 seeds.  Outside
+   --trace, every run also asserts same-seed determinism: shed
+   decisions, deadline rejections and parked retries are all on the
+   simulated clock.  `--trace SEED` replays one seed with the per-op
+   log on stderr. *)
 
 module Loadtest = Benchlib.Loadtest
 
-let base_seeds = List.init 25 (fun i -> Int64.of_int (i + 1))
-let quick_seeds = [ 1L; 2L; 3L ]
-
-let env_seeds () =
-  match Sys.getenv_opt "OVERLOAD_SEEDS" with
-  | None | Some "" -> []
-  | Some s ->
-    String.split_on_char ',' s
-    |> List.filter_map (fun tok ->
-           match Int64.of_string_opt (String.trim tok) with
-           | Some n -> Some n
-           | None ->
-             Printf.eprintf "overload_sweep: ignoring bad seed %S\n" tok;
-             None)
-
-let env_int name default =
-  match Sys.getenv_opt name with
-  | None | Some "" -> default
-  | Some s -> int_of_string s
-
-let failures = ref 0
-
-let fail fmt =
-  Printf.ksprintf
-    (fun msg ->
-      incr failures;
-      Printf.printf "  FAIL: %s\n%!" msg)
-    fmt
-
 (* The protected-server contract under sustained overload. *)
-let check_overload_invariants ~seed (o : Loadtest.outcome) =
-  List.iter (fun m -> fail "seed %Ld: mismatch: %s" seed m) o.mismatches;
+let overload_failures ~seed (o : Loadtest.outcome) =
+  let fails = ref [] in
+  let fail fmt = Printf.ksprintf (fun msg -> fails := msg :: !fails) fmt in
   if o.capacity_ops_s <= 0. then
     fail "seed %Ld: capacity %.3f not positive" seed o.capacity_ops_s;
   (* the 1x level measures what this seed's open-loop mix sustains at
@@ -92,58 +66,25 @@ let check_overload_invariants ~seed (o : Loadtest.outcome) =
       if l.l_applied + l.l_lock_skips > l.l_admitted then
         fail "seed %Ld x%.1f: applied %d + skips %d exceed admitted %d" seed
           l.l_factor l.l_applied l.l_lock_skips l.l_admitted)
-    o.levels
+    o.levels;
+  List.rev !fails
 
 let () =
-  let quick = Array.exists (( = ) "--quick") Sys.argv in
-  let trace_seed =
-    let rec find i =
-      if i >= Array.length Sys.argv then None
-      else if Sys.argv.(i) = "--trace" && i + 1 < Array.length Sys.argv then
-        Int64.of_string_opt Sys.argv.(i + 1)
-      else find (i + 1)
-    in
-    find 1
-  in
-  let base = Loadtest.quick_config in
   let config =
     {
-      base with
-      Loadtest.clients = env_int "OVERLOAD_CLIENTS" 24;
-      ops_per_level = env_int "OVERLOAD_OPS" 140;
+      Loadtest.quick_config with
+      Loadtest.clients = Sweep.env_int "OVERLOAD_CLIENTS" 24;
+      ops_per_level = Sweep.env_int "OVERLOAD_OPS" 140;
       calibration_ops = 40;
       load_factors = [ 1.0; 2.0; 4.0 ];
-      deadline_s =
-        Some (float_of_int (env_int "OVERLOAD_DEADLINE_MS" 800) /. 1e3);
-      trace = trace_seed <> None;
+      deadline_s = Some (float_of_int (Sweep.env_int "OVERLOAD_DEADLINE_MS" 800) /. 1e3);
+      trace = Sweep.trace_seed <> None;
     }
   in
-  let seeds =
-    match trace_seed with
-    | Some s -> [ s ]
-    | None -> (if quick then quick_seeds else base_seeds) @ env_seeds ()
-  in
-  List.iter
+  Sweep.run ~name:"overload" ~traceable:true
+    (Sweep.seeds ~name:"overload"
+       ~full:(List.init 25 (fun i -> Int64.of_int (i + 1)))
+       ~quick:[ 1L; 2L; 3L ])
     (fun seed ->
       let o = Loadtest.run ~config ~seed () in
-      Printf.printf "%s\n%!" (Loadtest.outcome_to_string o);
-      check_overload_invariants ~seed o)
-    seeds;
-  (* Same inputs, same answers: shed decisions, deadline rejections and
-     parked retries are all on the simulated clock, so a seed must
-     replay to the identical outcome. *)
-  if trace_seed = None then begin
-    let seed = List.hd seeds in
-    let o1 = Loadtest.run ~config ~seed () in
-    let o2 = Loadtest.run ~config ~seed () in
-    if Loadtest.outcome_to_string o1 <> Loadtest.outcome_to_string o2 then
-      fail "outcome not deterministic for seed %Ld:\n%s\nvs\n%s" seed
-        (Loadtest.outcome_to_string o1)
-        (Loadtest.outcome_to_string o2)
-  end;
-  if !failures > 0 then begin
-    Printf.eprintf
-      "overload_sweep: %d failures (repro: overload_sweep.exe --trace SEED)\n"
-      !failures;
-    exit 1
-  end
+      [ (Loadtest.outcome_to_string o, o.mismatches @ overload_failures ~seed o) ])

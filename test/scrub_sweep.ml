@@ -10,60 +10,29 @@
                  dies (Crashtest.run_degraded).
 
    Always covers the fixed seed set below; SCRUB_SEEDS=5,6,7 appends
-   extra comma-separated seeds and SCRUB_OPS=N lengthens each run. *)
+   extra comma-separated seeds and SCRUB_OPS=N lengthens each run.
+   `--quick` runs two seeds at 120 ops and ignores both variables. *)
 
 module CT = Benchlib.Crashtest
 
-let quick = Array.exists (String.equal "--quick") Sys.argv
-let fixed_seeds = if quick then [ 1L; 2L ] else [ 1L; 2L; 3L; 5L; 7L; 11L; 13L; 17L; 42L; 1993L ]
-
-let env_seeds () =
-  if quick then []
-  else
-    match Sys.getenv_opt "SCRUB_SEEDS" with
-    | None | Some "" -> []
-    | Some s ->
-      String.split_on_char ',' s
-      |> List.filter_map (fun tok ->
-             match Int64.of_string_opt (String.trim tok) with
-             | Some n -> Some n
-             | None ->
-               Printf.eprintf "scrub_sweep: ignoring bad seed %S\n" tok;
-               None)
-
-let ops default =
-  if quick then min default 120
-  else
-    match Sys.getenv_opt "SCRUB_OPS" with
-    | None | Some "" -> default
-    | Some s -> int_of_string s
-
 let () =
-  let failed = ref 0 in
-  let differential label base seed =
-    let config = { base with CT.ops = ops base.CT.ops } in
-    let o = CT.run ~config ~seed () in
-    Printf.printf "%s %s\n%!" label (CT.outcome_to_string o);
-    List.iter
-      (fun m ->
-        incr failed;
-        Printf.printf "  MISMATCH: %s\n%!" m)
-      o.CT.mismatches
+  let differential label (base : CT.config) seed =
+    let ops =
+      if Sweep.quick then min base.ops 120 else Sweep.env_int "SCRUB_OPS" base.ops
+    in
+    let o = CT.run ~config:{ base with ops } ~seed () in
+    (label ^ " " ^ CT.outcome_to_string o, o.mismatches)
   in
-  let seeds = fixed_seeds @ env_seeds () in
-  List.iter
+  Sweep.run ~name:"scrub"
+    (if Sweep.quick then [ 1L; 2L ]
+     else [ 1L; 2L; 3L; 5L; 7L; 11L; 13L; 17L; 42L; 1993L ] @ Sweep.env_seeds "scrub")
     (fun seed ->
-      differential "media" CT.media_config seed;
-      differential "kill " CT.media_kill_config seed;
-      let ms = CT.run_degraded ~seed () in
-      Printf.printf "degrd seed=%Ld mismatches=%d\n%!" seed (List.length ms);
-      List.iter
-        (fun m ->
-          incr failed;
-          Printf.printf "  MISMATCH: %s\n%!" m)
-        ms)
-    seeds;
-  if !failed > 0 then begin
-    Printf.eprintf "scrub_sweep: %d mismatches\n" !failed;
-    exit 1
-  end
+      let media = differential "media" CT.media_config seed in
+      let kill = differential "kill " CT.media_kill_config seed in
+      let degraded = CT.run_degraded ~seed () in
+      [
+        media;
+        kill;
+        ( Printf.sprintf "degrd seed=%Ld mismatches=%d" seed (List.length degraded),
+          degraded );
+      ])

@@ -9,62 +9,20 @@
    `dune runtest`) trims to a fast subset.  `--trace SEED` replays one
    seed with the per-op repro log on stderr. *)
 
-let base_seeds = List.init 40 (fun i -> Int64.of_int (i + 1))
-let quick_seeds = [ 1L; 2L; 3L; 4L; 5L ]
-
-let env_seeds () =
-  match Sys.getenv_opt "SHARD_SEEDS" with
-  | None | Some "" -> []
-  | Some s ->
-    String.split_on_char ',' s
-    |> List.filter_map (fun tok ->
-           match Int64.of_string_opt (String.trim tok) with
-           | Some n -> Some n
-           | None ->
-             Printf.eprintf "shard_sweep: ignoring bad seed %S\n" tok;
-             None)
-
-let ops () =
-  match Sys.getenv_opt "SHARD_OPS" with
-  | None | Some "" -> Benchlib.Shardtest.default_config.Benchlib.Shardtest.ops
-  | Some s -> int_of_string s
+module ST = Benchlib.Shardtest
 
 let () =
-  let quick = Array.exists (( = ) "--quick") Sys.argv in
-  let trace_seed =
-    let rec find i =
-      if i >= Array.length Sys.argv then None
-      else if Sys.argv.(i) = "--trace" && i + 1 < Array.length Sys.argv then
-        Int64.of_string_opt Sys.argv.(i + 1)
-      else find (i + 1)
-    in
-    find 1
-  in
   let config =
     {
-      Benchlib.Shardtest.default_config with
-      ops = ops ();
-      trace = trace_seed <> None;
+      ST.default_config with
+      ops = Sweep.env_int "SHARD_OPS" ST.default_config.ops;
+      trace = Sweep.trace_seed <> None;
     }
   in
-  let seeds =
-    match trace_seed with
-    | Some s -> [ s ]
-    | None -> (if quick then quick_seeds else base_seeds) @ env_seeds ()
-  in
-  let failed = ref 0 in
-  List.iter
+  Sweep.run ~name:"shard" ~traceable:true
+    (Sweep.seeds ~name:"shard"
+       ~full:(List.init 40 (fun i -> Int64.of_int (i + 1)))
+       ~quick:[ 1L; 2L; 3L; 4L; 5L ])
     (fun seed ->
-      let o = Benchlib.Shardtest.run ~config ~seed () in
-      Printf.printf "%s\n%!" (Benchlib.Shardtest.outcome_to_string o);
-      List.iter
-        (fun m ->
-          incr failed;
-          Printf.printf "  MISMATCH: %s\n%!" m)
-        o.Benchlib.Shardtest.mismatches)
-    seeds;
-  if !failed > 0 then begin
-    Printf.eprintf
-      "shard_sweep: %d mismatches (repro: shard_sweep.exe --trace SEED)\n" !failed;
-    exit 1
-  end
+      let o = ST.run ~config ~seed () in
+      [ (ST.outcome_to_string o, o.mismatches) ])

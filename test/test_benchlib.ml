@@ -179,6 +179,77 @@ let test_load_outcome_deterministic () =
     (Lt.outcome_to_string o2);
   Alcotest.(check (list string)) "no oracle mismatches" [] o1.Lt.mismatches
 
+
+module O = Benchlib.Oracle
+
+(* A transaction's rename moves the oid, not a frozen copy of its
+   content: another session's write committed meanwhile survives. *)
+let test_oracle_rename_keeps_concurrent_write () =
+  let ora = O.create ~trace:false ~depth:8 in
+  let v1 = Bytes.of_string "v1" in
+  O.commit ora { O.no_updates with u_names = [ ("/a", Some 7L) ]; u_files = [ (7L, v1) ] };
+  let txn = O.overlay () and other = O.overlay () in
+  O.begin_txn txn;
+  O.record ora txn { O.no_updates with u_names = [ ("/a", None); ("/b", Some 7L) ] };
+  O.record ora other { O.no_updates with u_files = [ (7L, Bytes.of_string "v2") ] };
+  Alcotest.(check string) "the renaming session sees the committed write" "v2"
+    (Bytes.to_string (O.view_content ora txn 7L));
+  O.commit ora (O.overlay_updates txn);
+  O.clear txn;
+  Alcotest.(check (list (pair string int64))) "only the new name" [ ("/b", 7L) ]
+    (O.SM.bindings (O.names ora));
+  Alcotest.(check string) "the write survives the rename" "v2"
+    (Bytes.to_string (O.content ora 7L))
+
+let test_oracle_unlink_drops_content () =
+  let ora = O.create ~trace:false ~depth:8 in
+  O.commit ora
+    {
+      O.no_updates with
+      u_names = [ ("/a", Some 1L); ("/b", Some 1L) ];
+      u_files = [ (1L, Bytes.of_string "x") ];
+    };
+  O.commit ora { O.no_updates with u_names = [ ("/a", None) ] };
+  Alcotest.(check bool) "a second name keeps it" true (O.OM.mem 1L (O.files ora));
+  O.commit ora { O.no_updates with u_names = [ ("/b", None) ] };
+  Alcotest.(check bool) "the last unlink drops it" false (O.OM.mem 1L (O.files ora))
+
+let test_oracle_history_depth () =
+  let ora = O.create ~trace:false ~depth:2 in
+  List.iter (O.remember ora) [ 10L; 20L; 30L ];
+  Alcotest.(check (list int64)) "newest two, newest first" [ 30L; 20L ]
+    (List.map (fun (ts, _, _) -> ts) (O.history ora))
+
+let test_oracle_verify_real_fs () =
+  let fs = Invfs.Fs.make (Relstore.Db.create ()) () in
+  let s = Invfs.Fs.new_session fs in
+  let data = Bytes.of_string "hello, inversion" in
+  Invfs.Fs.write_file s "/a" data;
+  let oid = (Invfs.Fs.stat s "/a").Invfs.Fileatt.file in
+  let oracle () =
+    let ora = O.create ~trace:false ~depth:8 in
+    O.commit ora
+      { O.no_updates with u_names = [ ("/a", Some oid) ]; u_files = [ (oid, data) ] };
+    ora
+  in
+  let ora = oracle () in
+  O.verify ora s ~phase:"clean";
+  Alcotest.(check (list string)) "in step" [] (O.mismatches ora);
+  let corrupt = Bytes.copy data in
+  Bytes.set corrupt 3 'X';
+  O.commit ora { O.no_updates with u_files = [ (oid, corrupt) ] };
+  O.verify ora s ~phase:"corrupt";
+  (match O.mismatches ora with
+  | [ m ] -> Alcotest.(check bool) m true (contains m "/a content differs")
+  | ms -> Alcotest.failf "expected one mismatch, got [%s]" (String.concat "; " ms));
+  let ora = oracle () in
+  O.commit ora { O.no_updates with u_names = [ ("/ghost", Some oid) ] };
+  Invfs.Fs.write_file s "/stray" data;
+  O.verify ora s ~phase:"names";
+  Alcotest.(check (list string)) "missing and unexpected"
+    [ "names: /ghost missing from real fs"; "names: real fs has unexpected file /stray" ]
+    (O.mismatches ora)
+
 let () =
   Alcotest.run "benchlib"
     [
@@ -207,6 +278,15 @@ let () =
         [
           Alcotest.test_case "runs clean" `Quick test_sequoia_workload;
           Alcotest.test_case "deterministic" `Quick test_sequoia_deterministic;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "rename keeps a concurrent write" `Quick
+            test_oracle_rename_keeps_concurrent_write;
+          Alcotest.test_case "last unlink drops content" `Quick
+            test_oracle_unlink_drops_content;
+          Alcotest.test_case "history depth" `Quick test_oracle_history_depth;
+          Alcotest.test_case "verify against a real fs" `Quick test_oracle_verify_real_fs;
         ] );
       ( "load replay",
         [

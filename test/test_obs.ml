@@ -363,6 +363,46 @@ let test_stats_coherence_under_workload () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+
+module J = Obs.Json
+
+let test_json_roundtrip () =
+  let v =
+    J.J_obj
+      [
+        ("modeled", J.J_bool true);
+        ("consistent", J.J_bool false);
+        ("none", J.J_null);
+        ("ctl", J.J_str "bell\007tab\tquote\"");
+        ("dash", J.J_str "before \xe2\x80\x94 after");
+        ("nums", J.J_arr [ J.J_int 42; J.J_num 0.25 ]);
+      ]
+  in
+  Alcotest.(check string) "control byte" "\\u0007" (J.escape "\007");
+  Alcotest.(check string) "UTF-8 passes through" "\xe2\x80\x94" (J.escape "\xe2\x80\x94");
+  Alcotest.(check bool) "round trip" true (J.parse (J.to_string v) = v);
+  Alcotest.(check bool) "an escaped em dash reads as UTF-8" true
+    (J.parse {|"\u2014"|} = J.J_str "\xe2\x80\x94");
+  Alcotest.(check bool) "a surrogate pair reads as one code point" true
+    (J.parse {|"\ud83d\ude00"|} = J.J_str "\xf0\x9f\x98\x80")
+
+let test_json_reads_chrome_trace () =
+  Obs.reset ();
+  Obs.enable_all ();
+  Obs.span Obs.Heap "scan\001 \xe2\x80\x94 all"
+    ~args:[ ("rel", Obs.S "t\tab"); ("n", Obs.I 3) ]
+    (fun () -> ());
+  let doc = J.parse (Obs.Trace.to_chrome_json ()) in
+  Obs.reset ();
+  match J.path doc [ "traceEvents" ] with
+  | Some (J.J_arr [ ev ]) ->
+    Alcotest.(check bool) "name" true
+      (J.member "name" ev = Some (J.J_str "scan\001 \xe2\x80\x94 all"));
+    Alcotest.(check bool) "string arg" true
+      (J.path ev [ "args"; "rel" ] = Some (J.J_str "t\tab"))
+  | _ -> Alcotest.fail "expected one traceEvents entry"
+
 let () =
   Alcotest.run "obs"
     [
@@ -388,6 +428,11 @@ let () =
         [
           Alcotest.test_case "disabled tracing allocates nothing on get" `Quick
             test_disabled_tracing_allocates_nothing;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "round trip" `Quick test_json_roundtrip;
+          Alcotest.test_case "reads the chrome trace" `Quick test_json_reads_chrome_trace;
         ] );
       ( "unification",
         [

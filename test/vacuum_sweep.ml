@@ -7,75 +7,25 @@
    (see Benchlib.Vacuumtest).  Always covers the fixed seed set below
    (30+ seeds); VACUUM_SEEDS=5,6,7 appends extra comma-separated seeds,
    VACUUM_OPS=N lengthens each run, and `--quick` (used by the @sweeps
-   meta-alias and the default `dune runtest`) trims to a fast subset
-   plus a same-seed determinism check. *)
+   meta-alias and the default `dune runtest`) trims to a fast subset. *)
 
-let fixed_seeds =
-  [
-    1L; 2L; 3L; 4L; 5L; 6L; 7L; 8L; 9L; 10L;
-    11L; 12L; 13L; 14L; 15L; 16L; 17L; 18L; 19L; 20L;
-    21L; 22L; 23L; 24L; 25L; 26L; 27L; 28L; 29L; 30L;
-    42L; 1993L;
-  ]
-
-let quick_seeds = [ 1L; 7L; 42L ]
-
-let env_seeds () =
-  match Sys.getenv_opt "VACUUM_SEEDS" with
-  | None | Some "" -> []
-  | Some s ->
-    String.split_on_char ',' s
-    |> List.filter_map (fun tok ->
-           match Int64.of_string_opt (String.trim tok) with
-           | Some n -> Some n
-           | None ->
-             Printf.eprintf "vacuum_sweep: ignoring bad seed %S\n" tok;
-             None)
-
-let ops () =
-  match Sys.getenv_opt "VACUUM_OPS" with
-  | None | Some "" -> Benchlib.Vacuumtest.default_config.Benchlib.Vacuumtest.ops
-  | Some s -> int_of_string s
+module VT = Benchlib.Vacuumtest
 
 let () =
-  let quick = Array.exists (( = ) "--quick") Sys.argv in
-  let config = { Benchlib.Vacuumtest.default_config with ops = ops () } in
-  let seeds = (if quick then quick_seeds else fixed_seeds) @ env_seeds () in
-  let failed = ref 0 in
-  let archived_total = ref 0 in
-  List.iter
+  let ops = Sweep.env_int "VACUUM_OPS" VT.default_config.ops in
+  let config = { VT.default_config with ops } in
+  let archived = ref 0 in
+  Sweep.run ~name:"vacuum"
+    (Sweep.seeds ~name:"vacuum"
+       ~full:(List.init 30 (fun i -> Int64.of_int (i + 1)) @ [ 42L; 1993L ])
+       ~quick:[ 1L; 7L; 42L ])
     (fun seed ->
-      let o = Benchlib.Vacuumtest.run ~config ~seed () in
-      Printf.printf "%s\n%!" (Benchlib.Vacuumtest.outcome_to_string o);
-      archived_total := !archived_total + o.Benchlib.Vacuumtest.vacuum_archived;
-      List.iter
-        (fun m ->
-          incr failed;
-          Printf.printf "  MISMATCH: %s\n%!" m)
-        o.Benchlib.Vacuumtest.mismatches)
-    seeds;
-  (* The sweep must actually exercise the archive path: across the seed
-     set, the incremental vacuum must have migrated versions to the WORM
-     tier, or the oracle equivalence proves nothing about it. *)
-  if !archived_total = 0 then begin
-    Printf.eprintf "vacuum_sweep: no versions were ever archived — the sweep is vacuous\n";
-    incr failed
-  end;
-  if quick then begin
-    (* Same-seed determinism: the whole run — workload, vacuum
-       interleave, fault schedule, counters — is a function of the seed. *)
-    let seed = List.hd quick_seeds in
-    let a = Benchlib.Vacuumtest.run ~config ~seed () in
-    let b = Benchlib.Vacuumtest.run ~config ~seed () in
-    let sa = Benchlib.Vacuumtest.outcome_to_string a in
-    let sb = Benchlib.Vacuumtest.outcome_to_string b in
-    if sa <> sb then begin
-      Printf.printf "  MISMATCH: same seed diverged:\n    %s\n    %s\n%!" sa sb;
-      incr failed
-    end
-    else Printf.printf "determinism: seed %Ld reproduces byte-identically\n%!" seed
-  end;
-  if !failed > 0 then begin
-    Printf.eprintf "vacuum_sweep: %d failures\n" !failed;
-    exit 1
-  end
+      let o = VT.run ~config ~seed () in
+      archived := !archived + o.vacuum_archived;
+      [ (VT.outcome_to_string o, o.mismatches) ])
+    ~finally:(fun () ->
+      (* The sweep must actually exercise the archive path: across the
+         seed set, the incremental vacuum must have migrated versions to
+         the WORM tier, or the oracle equivalence proves nothing about it. *)
+      if !archived = 0 then
+        Sweep.fail "no versions were ever archived — the sweep is vacuous")
