@@ -139,7 +139,6 @@ type outcome = {
   shed_overload : int;
 }
 
-val level_to_string : level -> string
 val outcome_to_string : outcome -> string
 
 val run : ?config:config -> seed:int64 -> unit -> outcome

@@ -49,8 +49,7 @@ let flush_db_caches db () =
    the 10 Mbit TCP/IP cost model as it is actually sent — reads stream
    back one fragment per chunk, bulk writes overlap the wire with the
    server's work through the client's pipelined path. *)
-let inversion_remote ~cache_pages ~os_cache_pages ~index_write_through ~cpu_scale
-    ~compressed name =
+let inversion_remote ~cache_pages ~os_cache_pages ~cpu_scale ~compressed name =
   let clock, db, fs = inversion_machine ~cache_pages ~os_cache_pages () in
   (* the benchmark connection is fault-free and some simulated ops are
      long (synchronous 1 MB writes take ~30 s), so lease reaping is off *)
@@ -61,14 +60,6 @@ let inversion_remote ~cache_pages ~os_cache_pages ~index_write_through ~cpu_scal
     Remote.Client.connect ~server ~link ~rng:(Simclock.Rng.create 1993L) ()
   in
   let apply_cpu_scale () = Relstore.Cpu_model.scale := cpu_scale in
-  (* index write-through is a per-file server-side admin knob, set out of
-     band (it models a server configuration, not a protocol feature) *)
-  let set_write_through path =
-    let att = Remote.Client.c_stat client path in
-    match Fs.file_handle fs ~oid:att.Invfs.Fileatt.file with
-    | Some inv -> Invfs.Inv_file.set_write_through inv index_write_through
-    | None -> ()
-  in
   let mk_file fd =
     {
       fread =
@@ -86,15 +77,11 @@ let inversion_remote ~cache_pages ~os_cache_pages ~index_write_through ~cpu_scal
   in
   let create path =
     apply_cpu_scale ();
-    let fd = Remote.Client.c_creat client ~compressed path in
-    set_write_through path;
-    mk_file fd
+    mk_file (Remote.Client.c_creat client ~compressed path)
   in
   let open_file path =
     apply_cpu_scale ();
-    let fd = Remote.Client.c_open client path Fs.Rdwr in
-    set_write_through path;
-    mk_file fd
+    mk_file (Remote.Client.c_open client path Fs.Rdwr)
   in
   {
     sys_name = name;
@@ -125,8 +112,7 @@ let inversion_remote ~cache_pages ~os_cache_pages ~index_write_through ~cpu_scal
   }
 
 (* Single process: the benchmark runs inside the data manager, no network. *)
-let inversion_local ~cache_pages ~os_cache_pages ~index_write_through ~cpu_scale
-    ~compressed name =
+let inversion_local ~cache_pages ~os_cache_pages ~cpu_scale ~compressed name =
   let clock, db, fs = inversion_machine ~cache_pages ~os_cache_pages () in
   let session = Fs.new_session fs in
   let apply_cpu_scale () = Relstore.Cpu_model.scale := cpu_scale in
@@ -145,22 +131,13 @@ let inversion_local ~cache_pages ~os_cache_pages ~index_write_through ~cpu_scale
           ignore (Fs.p_write session fd data (Bytes.length data) : int));
     }
   in
-  let with_handle fd =
-    match Fs.file_handle fs ~oid:(Fs.fd_oid session fd) with
-    | Some inv -> Invfs.Inv_file.set_write_through inv index_write_through
-    | None -> ()
-  in
   let create path =
     apply_cpu_scale ();
-    let fd = Fs.p_creat session ~compressed path in
-    with_handle fd;
-    mk_file fd
+    mk_file (Fs.p_creat session ~compressed path)
   in
   let open_file path =
     apply_cpu_scale ();
-    let fd = Fs.p_open session path Fs.Rdwr in
-    with_handle fd;
-    mk_file fd
+    mk_file (Fs.p_open session path Fs.Rdwr)
   in
   {
     sys_name = name;
@@ -186,16 +163,14 @@ let inversion_local ~cache_pages ~os_cache_pages ~index_write_through ~cpu_scale
   }
 
 let inversion_client_server ?(cache_pages = 300) ?(os_cache_pages = 16384)
-    ?(index_write_through = false) ?(cpu_scale = 1.0) ?(compressed = false)
-    () =
-  inversion_remote ~cache_pages ~os_cache_pages ~index_write_through ~cpu_scale
-    ~compressed "Inversion client/server"
+    ?(cpu_scale = 1.0) ?(compressed = false) () =
+  inversion_remote ~cache_pages ~os_cache_pages ~cpu_scale ~compressed
+    "Inversion client/server"
 
 let inversion_single_process ?(cache_pages = 300) ?(os_cache_pages = 16384)
-    ?(index_write_through = false) ?(cpu_scale = 1.0) ?(compressed = false)
-    () =
-  inversion_local ~cache_pages ~os_cache_pages ~index_write_through ~cpu_scale
-    ~compressed "Inversion single process"
+    ?(cpu_scale = 1.0) ?(compressed = false) () =
+  inversion_local ~cache_pages ~os_cache_pages ~cpu_scale ~compressed
+    "Inversion single process"
 
 (* ---------------- ULTRIX NFS ---------------- *)
 

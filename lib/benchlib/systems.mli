@@ -41,7 +41,6 @@ type t = {
 val inversion_client_server :
   ?cache_pages:int ->
   ?os_cache_pages:int ->
-  ?index_write_through:bool ->
   ?cpu_scale:float ->
   ?compressed:bool ->
   unit ->
@@ -50,7 +49,6 @@ val inversion_client_server :
 val inversion_single_process :
   ?cache_pages:int ->
   ?os_cache_pages:int ->
-  ?index_write_through:bool ->
   ?cpu_scale:float ->
   ?compressed:bool ->
   unit ->

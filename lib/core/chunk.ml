@@ -9,7 +9,6 @@ let header_size = 18
 let capacity = Relstore.Heap_page.max_payload - header_size
 
 let chunkno_of_offset off = Int64.div off (Int64.of_int capacity)
-let offset_of_chunkno no = Int64.mul no (Int64.of_int capacity)
 
 let encode t =
   let len = Bytes.length t.data in

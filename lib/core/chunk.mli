@@ -32,9 +32,6 @@ val capacity : int
 val chunkno_of_offset : int64 -> int64
 (** Which chunk holds the byte at this file offset. *)
 
-val offset_of_chunkno : int64 -> int64
-(** First file offset covered by a chunk. *)
-
 val encode : t -> bytes
 (** Raises [Invalid_argument] if the data exceeds {!capacity}. *)
 

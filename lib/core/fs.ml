@@ -22,7 +22,6 @@ type t = {
   registry : Postquel.Registry.t;
   root_oid : int64;
   default_device : string option;
-  atime_enabled : bool;
   files : (int64, Inv_file.t) Hashtbl.t; (* open storage handles by oid *)
   mutable qsnap : Snapshot.t; (* snapshot of the query being evaluated *)
   clone_bases : (int64, clone_base) Hashtbl.t; (* dst oid -> base view *)
@@ -79,9 +78,6 @@ let translate_locks f =
     Errors.fail Errors.EAGAIN "lock conflict on %s (held by xid %s)" resource
       (String.concat ", " (List.map Relstore.Xid.to_string holders))
   | Relstore.Lock_mgr.Deadlock xid -> Errors.fail Errors.EDEADLK "deadlock, victim xid %d" xid
-  | Relstore.Lock_mgr.Lock_timeout { attempts; waited_s; blocked_on } ->
-    Errors.fail Errors.ETIMEDOUT "lock wait timed out after %d attempts (%.3fs): %s"
-      attempts waited_s blocked_on
   | Pagestore.Device.Media_failure { device; segid; blkno; reason } ->
     (* Permanent media fault that retry and mirror failover could not
        absorb: the operation fails with EIO, the file system stays up. *)
@@ -92,12 +88,6 @@ let translate_locks f =
       (List.length xids)
       (String.concat ", " (List.map Relstore.Xid.to_string xids))
   | Relstore.Heap.Append_only msg -> Errors.fail Errors.EROFS "%s" msg
-
-(* Classifier for Lock_mgr.retry_backoff at this layer: after
-   [translate_locks], a lock wait is an EAGAIN. *)
-let lock_blocked = function
-  | Errors.Fs_error (Errors.EAGAIN, msg) -> Some msg
-  | _ -> None
 
 let flush_pending_atts s txn =
   let fileatt = s.owner_fs.fileatt in
@@ -178,17 +168,6 @@ let stage_att s txn att =
   match s.txn with
   | Some _ -> Hashtbl.replace s.pending_att att.Fileatt.file att
   | None -> Fileatt.set s.owner_fs.fileatt txn att
-
-let internal_att t s ~oid =
-  match Hashtbl.find_opt s.pending_att oid with
-  | Some att -> Some att
-  | None ->
-    let snap =
-      match s.txn with
-      | Some txn -> Txn.snapshot txn
-      | None -> Snapshot.As_of (Db.now t.db)
-    in
-    Fileatt.get t.fileatt snap ~file:oid
 
 (* ---------- path resolution ---------- *)
 
@@ -491,7 +470,7 @@ let register_builtins t =
         | None -> Value.Null)
       | _ -> Value.Null)
 
-let make db ?default_device ?(atime = false) () =
+let make db ?default_device () =
   let naming = Naming.create db () in
   let fileatt = Fileatt.create db () in
   let registry = Postquel.Registry.create () in
@@ -504,7 +483,6 @@ let make db ?default_device ?(atime = false) () =
       registry;
       root_oid;
       default_device;
-      atime_enabled = atime;
       files = Hashtbl.create 64;
       qsnap = Snapshot.As_of 0L;
       clone_bases = Hashtbl.create 16;
@@ -754,7 +732,7 @@ let p_close s fd =
 (* One read at the fd's position into the buffer [alloc] picks from the
    file's attribute row, which is read once: under the open's snapshot
    for a historical fd, else in one transaction that flushes the fd's
-   pending write, share-locks the file's data and touches atime.
+   pending write and share-locks the file's data.
    Returns the buffer and the count, which advances the position. *)
 let read_fd s of_ alloc =
   let t = s.owner_fs in
@@ -777,9 +755,7 @@ let read_fd s of_ alloc =
             | Some a -> a
             | None -> Errors.fail Errors.ENOENT "file oid %Ld vanished" of_.oid
           in
-          let r = read (Txn.snapshot txn) att in
-          if t.atime_enabled then stage_att s txn { att with Fileatt.atime = now_ts t };
-          r)
+          read (Txn.snapshot txn) att)
   in
   of_.pos <- Int64.add of_.pos (Int64.of_int n);
   (buf, n)

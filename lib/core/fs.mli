@@ -49,13 +49,13 @@ type fd = int
 type open_mode = Rdonly | Rdwr
 type whence = Seek_set | Seek_cur | Seek_end
 
-val make : Relstore.Db.t -> ?default_device:string -> ?atime:bool -> unit -> t
+val make : Relstore.Db.t -> ?default_device:string -> unit -> t
 (** Build a file system in the database: creates the [naming] and
     [fileatt] catalogs and the root directory ["/"], defines the built-in
     ["directory"] type and registers the built-in query functions
     ([owner], [size], [filetype], [dir], [ctime], [mtime], [atime],
-    [name]).  [atime] (default false) enables access-time maintenance on
-    reads (an extra metadata version per read transaction).
+    [name]).  A file's [atime] is set when it is created; reads do not
+    update it.
     [default_device] is where file tables land when [p_creat] does not
     say otherwise. *)
 
@@ -65,10 +65,6 @@ val registry : t -> Postquel.Registry.t
 val root_oid : t -> int64
 val chunk_capacity : int
 (** Bytes of file data per chunk (8130). *)
-
-val max_file_size : int64
-(** The paper's 17.6 TB limit (2^31 chunks × chunk capacity is far above
-    it; we enforce the paper's figure). *)
 
 (* {2 Sessions and transactions} *)
 
@@ -82,12 +78,6 @@ val in_transaction : session -> bool
 
 val with_transaction : session -> (unit -> 'a) -> 'a
 (** [p_begin], run, [p_commit]; [p_abort] if the function raises. *)
-
-val lock_blocked : exn -> string option
-(** Classifier for {!Relstore.Lock_mgr.retry_backoff} above the
-    file-system API: [Fs_error (EAGAIN, _)] is a retryable lock wait
-    (the message names the holders); anything else is not.  Exhausted
-    retries surface as [Fs_error (ETIMEDOUT, _)]. *)
 
 (* {2 The file interface} *)
 
@@ -300,10 +290,6 @@ val migrate_file : t -> oid:int64 -> device:string -> unit
     The mechanism under the {!Migrate} rules engine — the paper's
     "Services Under Investigation" file-migration feature. *)
 
-val vacuum_catalogs :
-  t -> ?horizon:int64 -> mode:[ `Archive | `Discard ] -> unit -> Relstore.Vacuum.stats
-(** Vacuum [naming] and [fileatt] (combined stats). *)
-
 val vacuum_all :
   t -> ?horizon:int64 -> mode:[ `Archive | `Discard ] -> unit -> Relstore.Vacuum.stats
 (** The vacuum cleaner's full sweep: every file table (including those of
@@ -372,7 +358,3 @@ val iter_files : t -> Relstore.Snapshot.t -> (Naming.entry -> Fileatt.att -> uni
 
 val file_handle : t -> oid:int64 -> Inv_file.t option
 (** The open storage handle for a file oid (None for directories). *)
-
-val internal_att : t -> session -> oid:int64 -> Fileatt.att option
-(** Attribute lookup that sees the session's uncommitted metadata (size
-    updates pending in its transaction). *)

@@ -30,11 +30,6 @@ let report_to_string r =
       (List.map (fun p -> Printf.sprintf "%s: %s" p.relation p.detail) r.problems)
     ^ degraded_suffix
 
-(* Cache counters are reported separately from the consistency verdict:
-   the verdict string is golden-checked by the cram tests and must not
-   pick up a counter that changes with every cache-policy tweak. *)
-let cache_to_string r = Pagestore.Bufcache.stats_to_string r.cache
-
 let audit fs =
   let db = Fs.db fs in
   let snap = Relstore.Snapshot.As_of (Relstore.Db.now db) in

@@ -45,9 +45,6 @@ val is_clean : report -> bool
 val report_to_string : report -> string
 (** Consistency verdict only — stable across cache-policy changes. *)
 
-val cache_to_string : report -> string
-(** The cache counter snapshot as one [key=value] line. *)
-
 (** {2 Cross-shard audit}
 
     When the file system is sharded (a coordinator owning the namespace

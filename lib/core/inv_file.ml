@@ -20,7 +20,6 @@ type t = {
   heap : H.t;
   index : Index.Btree.t;
   compressed : bool;
-  mutable write_through : bool;
   mutable memo : memo option;
 }
 
@@ -31,7 +30,7 @@ let create_named db ~oid ~relname ~device ~compressed =
   let index =
     Index.Btree.create ~cache:(Relstore.Db.cache db) ~device:(H.device heap) ~klen:8
   in
-  { db; oid; heap; index; compressed; write_through = false; memo = None }
+  { db; oid; heap; index; compressed; memo = None }
 
 let create db ~oid ~device ~compressed =
   create_named db ~oid ~relname:(relname oid) ~device ~compressed
@@ -42,10 +41,7 @@ let attach db ~oid ~index_segid ~compressed =
     Index.Btree.attach ~cache:(Relstore.Db.cache db) ~device:(H.device heap)
       ~segid:index_segid
   in
-  { db; oid; heap; index; compressed; write_through = false; memo = None }
-
-let set_write_through t v = t.write_through <- v
-let write_through t = t.write_through
+  { db; oid; heap; index; compressed; memo = None }
 
 let oid t = t.oid
 let heap t = t.heap
@@ -164,13 +160,7 @@ let write_chunk t txn ~chunkno data =
   Index.Btree.insert t.index ~key:(Index.Key.of_int64 chunkno)
     ~value:(Relstore.Tid.encode tid);
   t.memo <-
-    Some { m_chunkno = chunkno; m_tid = tid; m_payload = payload; m_data = Bytes.copy data };
-  (* POSTGRES interleaved B-tree page writes with data file writes --
-     the head movement Figure 3 blames for Inversion's slower creates.
-     Benchmarks can ablate this with [set_write_through]. *)
-  if t.write_through then
-    Pagestore.Bufcache.flush_segment (Relstore.Db.cache t.db) (H.device t.heap)
-      ~segid:(Index.Btree.segid t.index)
+    Some { m_chunkno = chunkno; m_tid = tid; m_payload = payload; m_data = Bytes.copy data }
 
 let delete_chunks_from t txn ~chunkno =
   t.memo <- None;

@@ -76,15 +76,6 @@ val copy_all_versions_to : t -> t -> unit
     the destination and index them there, so history survives moving a
     file between devices. *)
 
-val set_write_through : t -> bool -> unit
-(** When true, each chunk write forces dirty B-tree pages out
-    immediately — maximal index/data interleaving, an ablation knob for
-    the creation benchmark.  Default false: index pages flush with the
-    owning transaction's commit, which already interleaves index and data
-    writes whenever writes auto-commit (the paper's creation workload). *)
-
-val write_through : t -> bool
-
 val index_maintenance_on_vacuum : t -> Relstore.Heap.record -> unit
 (** Drop the index entry of a vacuumed chunk version. *)
 

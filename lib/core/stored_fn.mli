@@ -24,9 +24,6 @@
 val functions_dir : string
 (** ["/.functions"]. *)
 
-val max_depth : int
-(** Nested stored-function call limit (prevents runaway recursion). *)
-
 val define :
   Fs.t ->
   Fs.session ->

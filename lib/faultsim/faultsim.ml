@@ -57,12 +57,6 @@ type net_event = {
   naction : net_action;
 }
 
-let net_event_to_string e =
-  Printf.sprintf "net#%d %s %dB -> %s" e.nseq
-    (Netsim.Link.dir_to_string e.ndir)
-    e.nbytes
-    (net_action_to_string e.naction)
-
 type t = {
   mutable reads : int;
   mutable writes : int;
@@ -105,8 +99,6 @@ let seen t = function
   | Write -> t.writes
   | Writeback -> t.writebacks
 
-let reads_seen t = t.reads
-let writes_seen t = t.writes
 let writebacks_seen t = t.writebacks
 
 let sched t = function
@@ -173,7 +165,6 @@ let pending t =
   List.length t.sched_read + List.length t.sched_write + List.length t.sched_writeback
 
 let net_pending t = List.length t.sched_net
-let net_msgs_seen t = t.net_msgs
 let net_events t = List.rev t.net_log
 
 let pending_media t =

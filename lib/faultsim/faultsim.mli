@@ -160,15 +160,7 @@ val net_events : t -> net_event list
 (** Every network fault that fired, oldest first. *)
 
 val event_to_string : event -> string
-val io_to_string : io -> string
-val action_to_string : action -> string
-val net_event_to_string : net_event -> string
 val net_action_to_string : net_action -> string
 
-val reads_seen : t -> int
-val writes_seen : t -> int
 val writebacks_seen : t -> int
 (** Stream counters: transfers observed since the plan was created. *)
-
-val net_msgs_seen : t -> int
-(** Messages observed on armed links since the plan was created. *)

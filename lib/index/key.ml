@@ -10,39 +10,13 @@ let to_int64 s =
 
 let of_int v = of_int64 (Int64.of_int v)
 
-let crc_table =
-  lazy
-    (let table = Array.make 256 0l in
-     for n = 0 to 255 do
-       let c = ref (Int32.of_int n) in
-       for _ = 0 to 7 do
-         if Int32.logand !c 1l <> 0l then
-           c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-         else c := Int32.shift_right_logical !c 1
-       done;
-       table.(n) <- !c
-     done;
-     table)
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let crc = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let idx =
-        Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code ch))) 0xffl)
-      in
-      crc := Int32.logxor table.(idx) (Int32.shift_right_logical !crc 8))
-    s;
-  Int32.logxor !crc 0xFFFFFFFFl
-
 let dir_name ~parentid ~name =
   let b = Bytes.create 12 in
   Bytes.set_int64_be b 0 parentid;
-  Bytes.set_int32_be b 8 (crc32 name);
+  let crc = Pagestore.Page.crc32 (Bytes.unsafe_of_string name) ~off:0 ~len:(String.length name) in
+  Bytes.set_int32_be b 8 (Int32.of_int crc);
   Bytes.unsafe_to_string b
 
 let dir_prefix_lo ~parentid = of_int64 parentid ^ "\x00\x00\x00\x00"
 let dir_prefix_hi ~parentid = of_int64 parentid ^ "\xff\xff\xff\xff"
-let min_key ~width = String.make width '\x00'
 let max_key ~width = String.make width '\xff'

@@ -29,8 +29,4 @@ val dir_prefix_hi : parentid:int64 -> string
 (** Smallest/largest 12-byte keys with the given parent oid: bounds for
     "scan a whole directory". *)
 
-val min_key : width:int -> string
 val max_key : width:int -> string
-
-val crc32 : string -> int32
-(** CRC-32 (IEEE) of a string; exposed for tests. *)

@@ -69,10 +69,6 @@ let call t ~request ~reply =
 module Link = struct
   type dir = To_server | To_client
 
-  let dir_to_string = function
-    | To_server -> "to_server"
-    | To_client -> "to_client"
-
   type fault =
     | Drop
     | Duplicate
@@ -80,14 +76,6 @@ module Link = struct
     | Corrupt
     | Partition of int
     | Server_crash
-
-  let fault_to_string = function
-    | Drop -> "drop"
-    | Duplicate -> "duplicate"
-    | Reorder -> "reorder"
-    | Corrupt -> "corrupt"
-    | Partition n -> Printf.sprintf "partition:%d" n
-    | Server_crash -> "server_crash"
 
   type entry = { frame : string; poison : bool }
 
@@ -104,12 +92,11 @@ module Link = struct
     to_server : endpoint;
     to_client : endpoint;
     mutable hook : (dir -> bytes:int -> fault option) option;
+    mutable faults : int; (* sends a fault or partition acted on *)
     mutable dropped : int;
     mutable duplicated : int;
-    mutable reordered : int;
     mutable corrupted : int;
     mutable partitioned : int;
-    mutable crash_marks : int;
     mutable peak_depth : int; (* high-water mark of either direction's queue *)
   }
 
@@ -119,12 +106,11 @@ module Link = struct
       to_server = endpoint_create ();
       to_client = endpoint_create ();
       hook = None;
+      faults = 0;
       dropped = 0;
       duplicated = 0;
-      reordered = 0;
       corrupted = 0;
       partitioned = 0;
-      crash_marks = 0;
       peak_depth = 0;
     }
 
@@ -156,6 +142,7 @@ module Link = struct
     let release = ep.limbo in
     ep.limbo <- [];
     let fault = match t.hook with Some h -> h dir ~bytes | None -> None in
+    if fault <> None || ep.partition_left > 0 then t.faults <- t.faults + 1;
     (match fault with
     | Some (Partition n) ->
       t.partitioned <- t.partitioned + 1;
@@ -168,15 +155,11 @@ module Link = struct
       Queue.add { frame; poison = false } ep.q;
       ep.limbo <- [ { frame; poison = false } ];
       t.duplicated <- t.duplicated + 1
-    | Some Reorder ->
-      ep.limbo <- [ { frame; poison = false } ];
-      t.reordered <- t.reordered + 1
+    | Some Reorder -> ep.limbo <- [ { frame; poison = false } ]
     | Some Corrupt ->
       Queue.add { frame = mangle frame; poison = false } ep.q;
       t.corrupted <- t.corrupted + 1
-    | Some Server_crash ->
-      Queue.add { frame; poison = true } ep.q;
-      t.crash_marks <- t.crash_marks + 1
+    | Some Server_crash -> Queue.add { frame; poison = true } ep.q
     | None -> Queue.add { frame; poison = false } ep.q);
     List.iter (fun e -> Queue.add e ep.q) release;
     t.peak_depth <- max t.peak_depth (Queue.length ep.q)
@@ -203,12 +186,7 @@ module Link = struct
   let reset_peak_depth t = t.peak_depth <- 0
   let dropped t = t.dropped
   let duplicated t = t.duplicated
-  let reordered t = t.reordered
   let corrupted t = t.corrupted
   let partitioned t = t.partitioned
-  let crash_marks t = t.crash_marks
-
-  let faults_injected t =
-    t.dropped + t.duplicated + t.reordered + t.corrupted + t.partitioned
-    + t.crash_marks
+  let faults_injected t = t.faults
 end

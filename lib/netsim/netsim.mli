@@ -140,15 +140,11 @@ module Link : sig
 
   val dropped : t -> int
   val duplicated : t -> int
-  val reordered : t -> int
   val corrupted : t -> int
   val partitioned : t -> int
   (** Messages swallowed by one-way partitions (includes the message the
       partition fired on). *)
 
-  val crash_marks : t -> int
   val faults_injected : t -> int
-
-  val dir_to_string : dir -> string
-  val fault_to_string : fault -> string
+  (** Sends a fault acted on, of any kind. *)
 end

@@ -6,8 +6,6 @@ let max_transfer = 8192
 let rpc_header = 120 (* RPC + NFS argument overhead per message *)
 
 let make_server ~ffs ?presto () = { ffs; presto }
-let server_ffs s = s.ffs
-let server_presto s = s.presto
 let connect ~server ~net = { server; net; rpcs = 0 }
 let rpc_count t = t.rpcs
 

@@ -21,8 +21,6 @@ val max_transfer : int
 (** 8192 bytes per RPC. *)
 
 val make_server : ffs:Ffs.t -> ?presto:Presto.t -> unit -> server
-val server_ffs : server -> Ffs.t
-val server_presto : server -> Presto.t option
 
 val connect : server:server -> net:Netsim.t -> t
 (** A client on the given network path. *)

@@ -61,8 +61,6 @@ val set_clock : Simclock.Clock.t -> unit
     that run an oracle system beside the real one trace whichever
     installed last). *)
 
-val clear_clock : unit -> unit
-
 (** {1 Typed events and spans} *)
 
 type arg = I of int | S of string | F of float

@@ -46,6 +46,9 @@ let nvram_geometry =
     cache_blocks = 0;
   }
 
+(* Sony WMJ-class optical jukebox (paper defaults).  Extents are one
+   block, so every write, a logical rewrite included, lands at the platter
+   frontier: a write-once medium is written as an append log. *)
 let sony_worm =
   {
     seek_min_s = 0.08;
@@ -127,7 +130,7 @@ type t = {
   mutable fault_hook : fault_hook option;
   blocks : (int * int, bytes) Hashtbl.t; (* (segid, blkno) -> contents *)
   phys : (int * int, int) Hashtbl.t; (* (segid, blkno) -> physical block *)
-  checksums : (int * int, int32) Hashtbl.t; (* (segid, blkno) -> CRC of stored image *)
+  checksums : (int * int, int) Hashtbl.t; (* (segid, blkno) -> CRC of stored image *)
   stuck : (int * int, unit) Hashtbl.t; (* blocks that fail every transfer *)
   seg_len : (int, int) Hashtbl.t; (* segid -> nblocks *)
   seg_extent : (int, int * int) Hashtbl.t; (* segid -> (next phys, remaining) *)
@@ -212,7 +215,9 @@ let rot_bytes b =
   flip (len / 2);
   flip (len - 1)
 
-let zero_checksum = lazy (Page.checksum_bytes (Bytes.make Page.size '\000'))
+(* Every stored image is one page. *)
+let block_crc b = Page.crc32 b ~off:0 ~len:Page.size
+let zero_checksum = block_crc (Bytes.make Page.size '\000')
 
 let rec create_segment t =
   if t.dead then media_failure t ~segid:(-1) ~blkno:(-1) "device dead";
@@ -275,7 +280,7 @@ let rec allocate_block t segid =
   let phys = fresh_phys t segid in
   Hashtbl.replace t.phys (segid, len) phys;
   Hashtbl.replace t.blocks (segid, len) (Bytes.make Page.size '\000');
-  Hashtbl.replace t.checksums (segid, len) (Lazy.force zero_checksum);
+  Hashtbl.replace t.checksums (segid, len) zero_checksum;
   Hashtbl.replace t.seg_len segid (len + 1);
   (* Lockstep allocation keeps mirror block numbers identical, so failover
      reads address the mirror with the same (segid-mapped, blkno) pair. *)
@@ -519,7 +524,7 @@ let poke_block t ~segid ~blkno page =
   (* The checksum records the bytes that actually reached the medium — a
      torn write is checksum-consistent (self-identifying pages catch it);
      only post-hoc decay leaves the checksum stale. *)
-  Hashtbl.replace t.checksums (segid, blkno) (Page.checksum_bytes stored);
+  Hashtbl.replace t.checksums (segid, blkno) (block_crc stored);
   Obs.Metrics.incr m_poke;
   match fault with Some Fault_bitrot -> rot_bytes stored | _ -> ()
 
@@ -569,11 +574,11 @@ let read_block_cont t ~segid ~blkno =
 let verify_block t ~segid ~blkno =
   check_block t segid blkno;
   let stored = Hashtbl.find t.blocks (segid, blkno) in
-  let actual = Page.checksum_bytes stored in
+  let actual = block_crc stored in
   match Hashtbl.find_opt t.checksums (segid, blkno) with
   | Some want when actual <> want ->
     Error
-      (Printf.sprintf "checksum mismatch on %s segment %d block %d: recorded %08lx, stored %08lx"
+      (Printf.sprintf "checksum mismatch on %s segment %d block %d: recorded %08x, stored %08x"
          t.name segid blkno want actual)
   | _ -> Ok ()
 
@@ -581,7 +586,7 @@ let recorded_checksum t ~segid ~blkno =
   check_block t segid blkno;
   match Hashtbl.find_opt t.checksums (segid, blkno) with
   | Some c -> c
-  | None -> Page.checksum_bytes (Hashtbl.find t.blocks (segid, blkno))
+  | None -> block_crc (Hashtbl.find t.blocks (segid, blkno))
 
 let rot_block t ~segid ~blkno =
   check_block t segid blkno;

@@ -47,12 +47,6 @@ val rz58 : geometry
 val nvram_geometry : geometry
 (** Battery-backed RAM: microsecond access. *)
 
-val sony_worm : geometry
-(** Sony WMJ-class optical jukebox: ~8 s platter exchange, ~0.6 MB/s
-    reads, 10 MB disk cache (paper defaults).  Extents are one block, so
-    every write, a logical rewrite included, lands at the platter
-    frontier: a write-once medium is written as an append log. *)
-
 (** {1 Fault injection}
 
     A device can carry one fault hook, consulted on every block transfer
@@ -185,7 +179,7 @@ val set_fault_hook : t -> fault_hook option -> unit
 (** {1 Media integrity}
 
     Every durable store records a CRC-32 of the bytes that actually reached
-    the medium ({!Page.checksum_bytes}), so silent decay — rot injected by
+    the medium ({!Page.crc32}), so silent decay — rot injected by
     {!Fault_bitrot} or {!rot_block} — is detectable by comparing the stored
     image against its recorded checksum.  A torn write is
     checksum-{e consistent} (the checksum covers the torn image); torn pages
@@ -197,7 +191,7 @@ val verify_block : t -> segid:int -> blkno:int -> (unit, string) result
     charging time or consulting the fault hook.  [Error reason] on
     mismatch. *)
 
-val recorded_checksum : t -> segid:int -> blkno:int -> int32
+val recorded_checksum : t -> segid:int -> blkno:int -> int
 (** The checksum recorded at the last durable store of this block. *)
 
 val rot_block : t -> segid:int -> blkno:int -> unit

@@ -67,28 +67,24 @@ let set_string p off s =
 
 let clear p = Bytes.fill p 0 size '\000'
 
-(* CRC-32 (IEEE 802.3 polynomial), table-driven. *)
+(* CRC-32 (IEEE 802.3 polynomial, reflected), table-driven on native
+   ints: every value fits in 32 bits, so nothing is boxed. *)
 let crc_table =
-  lazy
-    (let table = Array.make 256 0l in
-     for n = 0 to 255 do
-       let c = ref (Int32.of_int n) in
-       for _ = 0 to 7 do
-         if Int32.logand !c 1l <> 0l then
-           c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-         else c := Int32.shift_right_logical !c 1
-       done;
-       table.(n) <- !c
-     done;
-     table)
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-let checksum p =
-  let table = Lazy.force crc_table in
-  let crc = ref 0xFFFFFFFFl in
-  for i = 0 to size - 1 do
-    let idx = Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code (Bytes.get p i)))) 0xffl) in
-    crc := Int32.logxor table.(idx) (Int32.shift_right_logical !crc 8)
+let crc32 b ~off ~len =
+  if off < 0 || len < 0 || off + len > Bytes.length b then invalid_arg "Page.crc32";
+  let c = ref 0xFFFFFFFF in
+  for i = off to off + len - 1 do
+    c :=
+      Array.unsafe_get crc_table ((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF)
+      lxor (!c lsr 8)
   done;
-  Int32.logxor !crc 0xFFFFFFFFl
+  !c lxor 0xFFFFFFFF
 
-let checksum_bytes b = if Bytes.length b = size then checksum b else checksum (of_bytes b)
+let checksum p = crc32 p ~off:0 ~len:size

@@ -50,10 +50,12 @@ val set_string : t -> int -> string -> unit
 val clear : t -> unit
 (** Zero the whole page. *)
 
-val checksum : t -> int32
+val crc32 : bytes -> off:int -> len:int -> int
+(** IEEE CRC-32 of [len] bytes of a buffer from [off], in
+    [0..0xFFFFFFFF].  The one CRC in the system: page checksums, the
+    name hash in {!Index.Key.dir_name} and the wire frame check all use
+    it. *)
+
+val checksum : t -> int
 (** CRC-32 of the page contents.  Self-identifying blocks (paper, "Fast
     Recovery") store this to detect medium corruption. *)
-
-val checksum_bytes : bytes -> int32
-(** CRC-32 of a raw buffer (padded/truncated to [size] first).  The device
-    layer uses this to record per-block checksums of the durable image. *)

@@ -7,14 +7,6 @@ type stats = {
 
 let empty_stats = { scanned = 0; clean = 0; repaired = 0; unrepairable = [] }
 
-let merge_stats a b =
-  {
-    scanned = a.scanned + b.scanned;
-    clean = a.clean + b.clean;
-    repaired = a.repaired + b.repaired;
-    unrepairable = a.unrepairable @ b.unrepairable;
-  }
-
 let stats_to_string s =
   Printf.sprintf "scanned %d, clean %d, repaired %d, unrepairable %d" s.scanned s.clean
     s.repaired
@@ -24,13 +16,10 @@ type t = {
   switch : Switch.t;
   policy : Resilient.policy;
   mutable pos : int; (* cursor into the flattened block walk *)
-  mutable total : stats;
 }
 
 let create ?(policy = Resilient.default_policy) switch =
-  { switch; policy; pos = 0; total = empty_stats }
-
-let totals t = t.total
+  { switch; policy; pos = 0 }
 
 (* Scrub verification streams sequentially in the background, so it is
    charged a flat per-page cost rather than the foreground seek model. *)
@@ -141,7 +130,6 @@ let step t ~pages =
           })
     done
   end;
-  t.total <- merge_stats t.total !step_stats;
   !step_stats
 
 let run ?policy switch =

@@ -22,8 +22,6 @@ type stats = {
       (** (device, segid, blkno, reason), in discovery order *)
 }
 
-val empty_stats : stats
-val merge_stats : stats -> stats -> stats
 val stats_to_string : stats -> string
 
 type t
@@ -39,9 +37,6 @@ val step : t -> pages:int -> stats
     Returns this step's stats.  {!Device.Crash_injected} raised by a
     repair write propagates — the scrubber is ordinary I/O as far as
     crash injection is concerned. *)
-
-val totals : t -> stats
-(** Aggregate stats since {!create}. *)
 
 val run : ?policy:Resilient.policy -> Switch.t -> stats
 (** One full pass over every block of every live device. *)

@@ -41,6 +41,5 @@ type statement =
   | Retrieve of { targets : expr list; where : expr option }
   | Define_type of string
 
-val binop_to_string : binop -> string
 val expr_to_string : expr -> string
 val statement_to_string : statement -> string

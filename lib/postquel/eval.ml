@@ -6,8 +6,6 @@ type env = {
   type_of : Value.t -> string option;
 }
 
-let empty_env = { lookup = (fun _ -> None); type_of = (fun _ -> None) }
-
 let compare_with op a b =
   match Value.compare_values a b with
   | None -> Value.Bool false

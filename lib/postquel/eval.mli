@@ -18,8 +18,6 @@ type env = {
       (** file type of a file-valued argument, for typed dispatch *)
 }
 
-val empty_env : env
-
 val eval : Registry.t -> env -> Ast.expr -> Value.t
 (** Short-circuiting [and]/[or]; comparisons involving [Null] or
     incomparable values are false. *)

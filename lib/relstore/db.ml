@@ -126,6 +126,10 @@ let oldest_lease t =
     (fun _ h acc -> match acc with Some best when best <= h -> acc | _ -> Some h)
     t.leases None
 
+(* The highest horizon the incremental vacuum may use right now:
+   min(now, oldest active transaction's begin time, oldest lease).
+   Nothing visible to any live snapshot or registered historical reader
+   is at or below it. *)
 let safe_horizon t =
   let h = now t in
   let h =

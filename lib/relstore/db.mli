@@ -127,14 +127,6 @@ val acquire_lease : t -> horizon:int64 -> int
 val release_lease : t -> int -> unit
 (** Drop a lease.  Unknown ids are ignored. *)
 
-val oldest_lease : t -> int64 option
-
-val safe_horizon : t -> int64
-(** The highest horizon the incremental vacuum may use right now:
-    [min(now, oldest active transaction's begin time, oldest lease)].
-    Nothing visible to any live snapshot or registered historical reader
-    is at or below it. *)
-
 val vacuum_step :
   t -> relation:string -> ?horizon:int64 -> mode:[ `Archive | `Discard ] ->
   ?pages:int -> ?on_remove:(Heap.record -> unit) -> unit -> Vacuum.step_stats

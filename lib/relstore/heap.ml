@@ -48,7 +48,6 @@ let set_archive t a =
   t.archive <- Some a
 
 let archive t = t.archive
-let is_append_only t = t.append_only
 
 let reject_if_append_only t op =
   if t.append_only then
@@ -281,9 +280,3 @@ let verify ?on_record t =
     Option.iter (fun f -> List.iter f (List.rev !records)) on_record
   done;
   !result
-
-let seal_all t =
-  for blkno = 0 to nblocks t - 1 do
-    with_page t blkno (fun page -> Heap_page.seal page);
-    dirty t blkno
-  done

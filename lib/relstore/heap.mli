@@ -65,8 +65,6 @@ val set_archive : t -> t -> unit
 
 val archive : t -> t option
 
-val is_append_only : t -> bool
-
 val arm_cache_policy : t -> unit
 (** Re-apply the cold-tier cache pin for an append-only heap — the
     cache-side flag is volatile; {!Db.crash} re-arms every archive after
@@ -142,6 +140,3 @@ val verify : ?on_record:(record -> unit) -> t -> (unit, string) result
     audit of the relation's indexes needs no second pass.  A page that
     fails still yields what {!scan_raw} would find on it (nothing, if its
     slots do not decode). *)
-
-val seal_all : t -> unit
-(** Recompute checksums on all pages (called after bulk loads/tests). *)

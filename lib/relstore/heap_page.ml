@@ -147,9 +147,10 @@ let compact page =
 
 let seal page =
   Pagestore.Page.set_u32 page off_checksum 0;
-  let crc = Pagestore.Page.checksum page in
-  Pagestore.Page.set_u32 page off_checksum (Int32.to_int crc land 0xffffffff)
+  Pagestore.Page.set_u32 page off_checksum (Pagestore.Page.checksum page)
 
+(* An allocated-but-never-written page (e.g. from a transaction that
+   crashed before committing its relation's first flush). *)
 let is_all_zero page =
   let raw = Pagestore.Page.raw page in
   let rec go i = i >= Pagestore.Page.size || (Bytes.unsafe_get raw i = '\000' && go (i + 1)) in
@@ -169,7 +170,7 @@ let verify page ~expect_relid ~expect_blkno =
   else begin
     let stored = Pagestore.Page.get_u32 page off_checksum in
     Pagestore.Page.set_u32 page off_checksum 0;
-    let crc = Int32.to_int (Pagestore.Page.checksum page) land 0xffffffff in
+    let crc = Pagestore.Page.checksum page in
     Pagestore.Page.set_u32 page off_checksum stored;
     if stored <> 0 && stored <> crc then Error "checksum mismatch" else Ok ()
   end

@@ -30,7 +30,6 @@ type record = {
 }
 
 val header_size : int
-val record_overhead : int
 
 val max_payload : int
 (** Largest payload a single record can carry: one record alone on a page
@@ -72,10 +71,6 @@ val compact : Pagestore.Page.t -> unit
 
 val seal : Pagestore.Page.t -> unit
 (** Recompute and store the checksum. *)
-
-val is_all_zero : Pagestore.Page.t -> bool
-(** An allocated-but-never-written page (e.g. from a transaction that
-    crashed before committing its relation's first flush). *)
 
 val verify : Pagestore.Page.t -> expect_relid:int64 -> expect_blkno:int -> (unit, string) result
 (** Self-identification check: magic, relid, blkno and checksum all match.

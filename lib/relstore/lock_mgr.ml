@@ -5,8 +5,6 @@ let mode_to_string = function Shared -> "shared" | Exclusive -> "exclusive"
 exception Would_block of { xid : Xid.t; resource : string; holders : Xid.t list }
 exception Deadlock of Xid.t
 
-exception Lock_timeout of { attempts : int; waited_s : float; blocked_on : string }
-
 type t = {
   locks : (string, (Xid.t, mode) Hashtbl.t) Hashtbl.t; (* resource -> holders *)
   wait_for : (Xid.t, Xid.t list) Hashtbl.t; (* waiter -> holders it waits on *)
@@ -42,7 +40,6 @@ let create () =
 let m_acquires = Obs.Metrics.counter "lock.acquires"
 let m_waits = Obs.Metrics.counter "lock.waits"
 let m_deadlocks = Obs.Metrics.counter "lock.deadlocks"
-let m_timeouts = Obs.Metrics.counter "lock.timeouts"
 let m_releases = Obs.Metrics.counter "lock.releases"
 
 let holders_table t resource =
@@ -193,52 +190,6 @@ let reset t =
   Hashtbl.reset t.locks;
   Hashtbl.reset t.wait_for;
   Hashtbl.reset t.waiters
-
-let blocked = function
-  | Would_block { resource; holders; _ } ->
-    Some
-      (Printf.sprintf "%s held by xid%s %s" resource
-         (if List.length holders = 1 then "" else "s")
-         (String.concat ", " (List.map Xid.to_string holders)))
-  | _ -> None
-
-(* In a single-threaded simulation a blocked lock cannot free itself
-   between attempts: progress happens only if [on_wait] makes some —
-   pumping other clients' messages, expiring dead sessions' leases,
-   committing the holder in a test.  The helper is honest about that: it
-   charges each backoff to the simulated clock and, when the attempts run
-   out, fails loudly, naming what it was blocked on. *)
-let retry_backoff ?clock ?rng ?(attempts = 4) ?(base_s = 0.01) ?(max_s = 0.5)
-    ?(on_wait = fun ~attempt:_ ~blocked_on:_ -> ()) ~blocked:classify f =
-  if attempts < 1 then invalid_arg "Lock_mgr.retry_backoff: attempts must be >= 1";
-  let waited = ref 0. in
-  let rec go attempt =
-    match f () with
-    | v -> v
-    | exception e ->
-      (match classify e with
-      | None -> raise e
-      | Some blocked_on ->
-        if attempt >= attempts then begin
-          Obs.Metrics.incr m_timeouts;
-          raise (Lock_timeout { attempts; waited_s = !waited; blocked_on })
-        end
-        else begin
-          let d = min max_s (base_s *. (2. ** float_of_int (attempt - 1))) in
-          let d =
-            match rng with
-            | Some rng -> d *. (0.5 +. Simclock.Rng.float rng 1.0)
-            | None -> d
-          in
-          (match clock with
-          | Some clock -> Simclock.Clock.advance clock ~account:"lock.backoff" d
-          | None -> ());
-          waited := !waited +. d;
-          on_wait ~attempt ~blocked_on;
-          go (attempt + 1)
-        end)
-  in
-  go 1
 
 (* No trace event here, only the counter: commit emits its "txn.commit"
    point *after* releasing, and the trace-checked invariant "a committed

@@ -133,5 +133,3 @@ let crash_recover t =
      already stable, so nothing is pending after a crash — the batch
      force is purely an I/O-cost event, not a durability boundary. *)
   t.pending_force <- 0
-
-let last_xid t = t.next_xid - 1

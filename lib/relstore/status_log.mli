@@ -88,6 +88,3 @@ val crash_recover : t -> unit
     backed), the pending-force count resets, and the (volatile) xid counter is
     revalidated against the highest logged xid so post-recovery
     transactions never reuse one. *)
-
-val last_xid : t -> Xid.t
-(** Highest xid ever assigned (0 if none). *)

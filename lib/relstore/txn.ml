@@ -10,7 +10,6 @@ type state = Active | Committed | Aborted
 type t = {
   mgr : manager;
   txn_xid : Xid.t;
-  started : int64;
   mutable txn_state : state;
 }
 
@@ -53,11 +52,10 @@ let begin_txn mgr =
   (* Unscoped span: the transaction outlives this call, so the matching
      span_end lives in [commit] / [abort]. *)
   if Obs.on Obs.Txn then Obs.span_begin Obs.Txn "txn" ~args:[ ("xid", Obs.I txn_xid) ] ();
-  { mgr; txn_xid; started = Simclock.Clock.timestamp mgr.clock; txn_state = Active }
+  { mgr; txn_xid; txn_state = Active }
 
 let xid t = t.txn_xid
 let state t = t.txn_state
-let start_time t = t.started
 let manager t = t.mgr
 let snapshot t = Snapshot.Current t.txn_xid
 

@@ -48,7 +48,6 @@ val begin_txn : manager -> t
 
 val xid : t -> Xid.t
 val state : t -> state
-val start_time : t -> int64
 val manager : t -> manager
 
 val snapshot : t -> Snapshot.t

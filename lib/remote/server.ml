@@ -75,7 +75,6 @@ type t = {
   clock : Simclock.Clock.t;
   locks : Relstore.Lock_mgr.t;
   lease_s : float;
-  dedup_window : int;
   run_cap : int;
   park_cap : int;
   lock_wait_s : float;
@@ -122,11 +121,13 @@ type t = {
 
 let read_head_len = 1 lsl 16
 
+(* Replies remembered per session for retransmissions to replay. *)
+let dedup_window = 16
+
 let default_on_crash t = ignore (Fs.crash_and_recover t.fs : Fs.recovery)
 
-let create ~fs ?(lease_s = 120.) ?(dedup_window = 16) ?(run_cap = 256)
-    ?(park_cap = 64) ?(lock_wait_s = 0.) ?(shed_watermark = 0.75)
-    ?(vacuum_every_s = 0.) ?(vacuum_pages = 4) ?on_crash () =
+let create ~fs ?(lease_s = 120.) ?(run_cap = 256) ?(park_cap = 64) ?(lock_wait_s = 0.)
+    ?(shed_watermark = 0.75) ?(vacuum_every_s = 0.) ?(vacuum_pages = 4) () =
   if run_cap < 1 then invalid_arg "Server.create: run_cap must be >= 1";
   if park_cap < 0 then invalid_arg "Server.create: park_cap must be >= 0";
   let t =
@@ -135,7 +136,6 @@ let create ~fs ?(lease_s = 120.) ?(dedup_window = 16) ?(run_cap = 256)
       clock = Fs.clock fs;
       locks = Relstore.Db.lock_mgr (Fs.db fs);
       lease_s;
-      dedup_window;
       run_cap;
       park_cap;
       lock_wait_s;
@@ -171,7 +171,6 @@ let create ~fs ?(lease_s = 120.) ?(dedup_window = 16) ?(run_cap = 256)
       read_buf = Bytes.create read_head_len;
     }
   in
-  (match on_crash with Some f -> t.on_crash <- f | None -> ());
   (* Event-loop health as live probes (replace-on-register: the registry
      tracks the most recently built server, the singleton in practice). *)
   Obs.Metrics.probe "net.server.run_queue" (fun () -> Queue.length t.run_q);
@@ -187,7 +186,6 @@ let replays t = t.replays
 let leases_expired t = t.leases_expired
 let fenced t = t.fenced
 let requests t = t.requests
-let sessions_live t = Hashtbl.length t.sessions
 let sheds t = t.sheds
 let retry_sheds t = t.retry_sheds
 let deadline_rejects t = t.deadline_rejects
@@ -197,7 +195,6 @@ let park_timeouts t = t.park_timeouts
 let deadlock_aborts t = t.deadlock_aborts
 let unsupported t = t.unsupported
 let parked_now t = t.parked_n
-let run_queue_depth t = Queue.length t.run_q
 
 let fd_open t sid fd =
   match Hashtbl.find_opt t.sessions sid with
@@ -547,12 +544,12 @@ let reply_now link ~sid ~rid reply = send_frames link (Wire.encode_reply ~sid ~r
 
 (* Record the reply in the session's dedup window (the request id is
    settled: retries replay this answer, never re-execute) and send it. *)
-let record_and_send t (s : sess) ~rid reply =
+let record_and_send (s : sess) ~rid reply =
   let frames = Wire.encode_reply ~sid:s.sid ~rid reply in
   s.max_rid <- max s.max_rid rid;
   s.window <- (rid, frames) :: s.window;
-  (if List.length s.window > t.dedup_window then
-     s.window <- List.filteri (fun i _ -> i < t.dedup_window) s.window);
+  (if List.length s.window > dedup_window then
+     s.window <- List.filteri (fun i _ -> i < dedup_window) s.window);
   Hashtbl.remove s.inflight rid;
   send_frames s.link frames
 
@@ -596,7 +593,7 @@ let run_task t (tk : task) ~(was_parked : bool) =
          Definitive (recorded): this request id will never execute. *)
       t.deadline_rejects <- t.deadline_rejects + 1;
       Obs.Metrics.incr m_deadline_rejects;
-      record_and_send t s ~rid:tk.tk_rid
+      record_and_send s ~rid:tk.tk_rid
         (Wire.Err_reply
            {
              txn_open = Fs.in_transaction s.fsess;
@@ -664,7 +661,7 @@ let run_task t (tk : task) ~(was_parked : bool) =
            t.park_resumes <- t.park_resumes + 1;
            Obs.Metrics.incr m_park_resumes
          end);
-        record_and_send t s ~rid:tk.tk_rid reply;
+        record_and_send s ~rid:tk.tk_rid reply;
         true
       | `Shed_park_full ->
         (* no parking slot left: shed rather than spin *)
@@ -720,7 +717,7 @@ let park_timeout t (tk : task) =
   match Hashtbl.find_opt t.sessions tk.tk_sid with
   | None -> reply_now tk.tk_link ~sid:tk.tk_sid ~rid:tk.tk_rid Wire.Unknown_session
   | Some s ->
-    record_and_send t s ~rid:tk.tk_rid
+    record_and_send s ~rid:tk.tk_rid
       (Wire.Err_reply
          {
            txn_open = Fs.in_transaction s.fsess;
@@ -869,7 +866,7 @@ let handle t link ~(h : Wire.hdr) req =
              deduplicates onto it instead of executing. *)
           t.deadline_rejects <- t.deadline_rejects + 1;
           Obs.Metrics.incr m_deadline_rejects;
-          record_and_send t s ~rid
+          record_and_send s ~rid
             (Wire.Err_reply
                {
                  txn_open = Fs.in_transaction s.fsess;
@@ -941,7 +938,7 @@ let process t link frame =
           | None ->
             t.unsupported <- t.unsupported + 1;
             Obs.Metrics.incr m_unsupported;
-            record_and_send t s ~rid:h.rid (Wire.Unsupported { opcode }))
+            record_and_send s ~rid:h.rid (Wire.Unsupported { opcode }))
         | None ->
           t.unsupported <- t.unsupported + 1;
           Obs.Metrics.incr m_unsupported;

@@ -123,19 +123,17 @@ val role : t -> role
 val create :
   fs:Invfs.Fs.t ->
   ?lease_s:float ->
-  ?dedup_window:int ->
   ?run_cap:int ->
   ?park_cap:int ->
   ?lock_wait_s:float ->
   ?shed_watermark:float ->
   ?vacuum_every_s:float ->
   ?vacuum_pages:int ->
-  ?on_crash:(t -> unit) ->
   unit ->
   t
 (** [lease_s] (default 120 simulated seconds; 0 disables) bounds how long
-    a silent client's session survives.  [dedup_window] (default 16) is
-    replies remembered per session.  [run_cap] (default 256) bounds the
+    a silent client's session survives.  Each session remembers its last
+    16 replies for retransmissions to replay.  [run_cap] (default 256) bounds the
     run queue plus parked backlog; [park_cap] (default 64) bounds parked
     requests alone; [shed_watermark] (default 0.75, a fraction of
     [run_cap]) is the depth past which retransmitted traffic sheds.
@@ -184,13 +182,8 @@ val fenced : t -> int
     expires. *)
 
 val requests : t -> int
-val sessions_live : t -> int
 
 (** {2 Event-loop health} *)
-
-val run_queue_depth : t -> int
-(** Requests admitted but not yet executed (also the Obs probe
-    ["net.server.run_queue"]; zero between pumps). *)
 
 val parked_now : t -> int
 (** Requests currently parked on a lock (probe ["net.server.parked"]). *)

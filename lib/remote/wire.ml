@@ -5,29 +5,6 @@ let max_fragment = Invfs.Chunk.capacity + 64
 let max_read_len = 1 lsl 22
 let max_carried_closes = 256
 
-(* ---------------- CRC-32 (IEEE, reflected) ---------------- *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
-
-let crc32 b ~off ~len =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  for i = off to off + len - 1 do
-    let ix = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code (Bytes.get b i)))) 0xFFl) in
-    c := Int32.logxor table.(ix) (Int32.shift_right_logical !c 8)
-  done;
-  Int32.logxor !c 0xFFFFFFFFl
-
 (* ---------------- primitive (de)serialization ---------------- *)
 
 exception Decode
@@ -755,8 +732,7 @@ let make_frame ~kind ~sid ~rid ~frame_ix ~nframes ~retry ~deadline_us fragment =
   set_i64 b 36 deadline_us;
   Bytes.blit_string fragment 0 b header_bytes n;
   (* CRC over the whole frame with the crc field zeroed *)
-  let crc = crc32 b ~off:0 ~len:(Bytes.length b) in
-  set_u32 b 32 (Int32.to_int crc land 0xffffffff);
+  set_u32 b 32 (Pagestore.Page.crc32 b ~off:0 ~len:(Bytes.length b));
   Bytes.to_string b
 
 (* Split a logical payload into CRC'd frames.  Streamed requests
@@ -816,7 +792,7 @@ let decode_header frame =
         let recorded = u32_at frame 32 in
         let b = Bytes.of_string frame in
         set_u32 b 32 0;
-        let computed = Int32.to_int (crc32 b ~off:0 ~len:n) land 0xffffffff in
+        let computed = Pagestore.Page.crc32 b ~off:0 ~len:n in
         if computed <> recorded then None
         else
           let frame_ix = u16_at frame 24 in

@@ -15,7 +15,7 @@
     24      frame index (u16)   | large payloads fragment at
     26      frame count (u16)   | [max_fragment] bytes per frame
     28      fragment length (u32)
-    32      CRC-32 of the whole frame (crc field zeroed)
+    32      CRC-32 of the whole frame (crc field zeroed), Pagestore.Page.crc32
     36      deadline (i64, absolute sim-clock µs; 0 = none)
     44..95  reserved
     96      fragment payload
@@ -235,6 +235,3 @@ module Assembly : sig
   (** Returns the whole payload once every fragment of the frame's
       message has arrived. *)
 end
-
-val crc32 : bytes -> off:int -> len:int -> int32
-(** The frame checksum (IEEE CRC-32), exposed for tests. *)

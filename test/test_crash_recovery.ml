@@ -454,18 +454,19 @@ let test_mark_eviction_steal () =
   check_audited (recover_clean fs) (owner fs segid);
   check_committed_contents fs
 
-(* Write-through of the chunk index stores the tree while the heap page
-   its new entry points at is still only in the pool: at the crash the
-   entry dangles, and restart rebuilds the index. *)
+(* Flushing the chunk index's segment stores the tree while the heap
+   page its new entry points at is still only in the pool: at the crash
+   the entry dangles, and restart rebuilds the index. *)
 let test_mark_write_through () =
   let fs = make_fs () in
   let dev = disk fs "disk0" in
   let s = Fs.new_session fs in
   Fs.write_file s "/f" (Bytes.make (Invfs.Chunk.capacity * 2) 'a');
   let inv = handle fs s "/f" in
-  Invfs.Inv_file.set_write_through inv true;
   Fs.p_begin s;
   Fs.write_file s "/f" (Bytes.make (Invfs.Chunk.capacity * 3) 'b');
+  Pagestore.Bufcache.flush_segment (Db.cache (Fs.db fs)) dev
+    ~segid:(Invfs.Inv_file.index_segid inv);
   Alcotest.(check bool) "tree marked" true
     (D.is_marked dev ~segid:(Invfs.Inv_file.index_segid inv));
   Alcotest.(check bool) "heap still dirty, unmarked" false

@@ -5,7 +5,7 @@ module Fs = Invfs.Fs
 module E = Invfs.Errors
 module V = Postquel.Value
 
-let make_fs ?(devices = [ ("disk0", Pagestore.Device.Magnetic_disk) ]) ?atime () =
+let make_fs ?(devices = [ ("disk0", Pagestore.Device.Magnetic_disk) ]) () =
   let clock = Simclock.Clock.create () in
   let switch = Pagestore.Switch.create ~clock in
   List.iter
@@ -13,7 +13,7 @@ let make_fs ?(devices = [ ("disk0", Pagestore.Device.Magnetic_disk) ]) ?atime ()
       ignore (Pagestore.Switch.add_device switch ~name ~kind () : Pagestore.Device.t))
     devices;
   let db = Relstore.Db.create ~switch ~clock () in
-  Fs.make db ?atime ()
+  Fs.make db ()
 
 let fresh () =
   let fs = make_fs () in
@@ -1032,22 +1032,6 @@ let test_created_in_txn () =
   Fs.write_file s "/aborted" (bytes_of "z");
   Alcotest.(check string) "recreated" "z" (str (Fs.read_whole_file s "/aborted"))
 
-let test_read_touches_atime () =
-  let fs = make_fs ~atime:true () in
-  let s = Fs.new_session fs in
-  Fs.write_file s "/f" (bytes_of "data");
-  let written = Fs.stat s "/f" in
-  advance fs 1.0;
-  Alcotest.(check string) "read" "data" (str (Fs.read_whole_file s "/f"));
-  let read = Fs.stat s "/f" in
-  Alcotest.(check bool) "atime moved" true
-    (Int64.compare read.Invfs.Fileatt.atime written.Invfs.Fileatt.atime > 0);
-  Alcotest.(check int64) "mtime kept" written.Invfs.Fileatt.mtime read.Invfs.Fileatt.mtime;
-  advance fs 1.0;
-  Fs.with_transaction s (fun () -> ignore (Fs.read_whole_file s "/f" : bytes));
-  Alcotest.(check bool) "atime moved in a transaction" true
-    (Int64.compare (Fs.stat s "/f").Invfs.Fileatt.atime read.Invfs.Fileatt.atime > 0)
-
 let cpu fs = Simclock.Clock.charged (Fs.clock fs) "dbms.cpu"
 
 (* A whole-file read is one transaction that reads the attribute row
@@ -1207,7 +1191,6 @@ let () =
           Alcotest.test_case "read sees own transaction" `Quick
             test_read_whole_file_sees_own_txn;
           Alcotest.test_case "created in a transaction" `Quick test_created_in_txn;
-          Alcotest.test_case "read touches atime" `Quick test_read_touches_atime;
           Alcotest.test_case "read is one transaction" `Quick test_read_whole_file_one_txn;
           Alcotest.test_case "write resolves once" `Quick test_write_file_one_resolution;
         ] );

@@ -37,6 +37,44 @@ let test_page_checksum_changes () =
   P.set_u8 p 1000 1;
   Alcotest.(check bool) "checksum differs" true (c0 <> P.checksum p)
 
+let crc_of_string s = P.crc32 (Bytes.of_string s) ~off:0 ~len:(String.length s)
+
+let test_crc_known_answers () =
+  Alcotest.(check int) "check value" 0xCBF43926 (crc_of_string "123456789");
+  Alcotest.(check int) "empty" 0 (crc_of_string "");
+  Alcotest.check_raises "range checked" (Invalid_argument "Page.crc32") (fun () ->
+      ignore (P.crc32 (Bytes.create 4) ~off:2 ~len:3))
+
+(* Bit-at-a-time reference: no table, so it shares nothing with
+   [Page.crc32] but the polynomial. *)
+let crc_bitwise b ~off ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = off to off + len - 1 do
+    c := !c lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc_matches_bitwise () =
+  let rng = Random.State.make [| 32 |] in
+  let buf = Bytes.init 12_000 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  for _ = 1 to 200 do
+    let len = Random.State.int rng 9_001 in
+    let off = Random.State.int rng (Bytes.length buf - len + 1) in
+    let got = P.crc32 buf ~off ~len and want = crc_bitwise buf ~off ~len in
+    if got <> want then Alcotest.failf "off=%d len=%d: %08x, want %08x" off len got want
+  done
+
+(* Bytes that reach the medium and the wire, pinned: a name-index key
+   and one frame's CRC field. *)
+let test_crc_golden_bytes () =
+  Alcotest.(check string) "dir_name key" "\x00\x00\x00\x00\x00\x00\x00\x01\xe8\xb7\xbe\x43"
+    (Index.Key.dir_name ~parentid:1L ~name:"a");
+  let frame = List.hd (Remote.Wire.encode_request ~sid:1L ~rid:1L Remote.Wire.Ping) in
+  Alcotest.(check string) "frame CRC field" "\xc2\x0e\x9b\xd2" (String.sub frame 32 4)
+
 let test_page_of_bytes_pads () =
   let p = P.of_bytes (Bytes.of_string "xyz") in
   Alcotest.(check string) "prefix" "xyz" (P.get_string p 0 3);
@@ -271,7 +309,7 @@ let test_device_checksums_catch_rot () =
   let recorded = D.recorded_checksum dev ~segid:seg ~blkno:blk in
   D.rot_block dev ~segid:seg ~blkno:blk;
   Alcotest.(check bool) "recorded checksum unchanged by rot" true
-    (Int32.equal recorded (D.recorded_checksum dev ~segid:seg ~blkno:blk));
+    (recorded = D.recorded_checksum dev ~segid:seg ~blkno:blk);
   (match D.verify_block dev ~segid:seg ~blkno:blk with
   | Ok () -> Alcotest.fail "rot must fail verification"
   | Error msg ->
@@ -789,6 +827,9 @@ let () =
           Alcotest.test_case "accessors roundtrip" `Quick test_page_accessors;
           Alcotest.test_case "bounds checked" `Quick test_page_bounds;
           Alcotest.test_case "checksum sensitive" `Quick test_page_checksum_changes;
+          Alcotest.test_case "crc known answers" `Quick test_crc_known_answers;
+          Alcotest.test_case "crc matches bitwise reference" `Quick test_crc_matches_bitwise;
+          Alcotest.test_case "crc golden bytes" `Quick test_crc_golden_bytes;
           Alcotest.test_case "of_bytes pads" `Quick test_page_of_bytes_pads;
         ] );
       ( "device",

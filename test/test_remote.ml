@@ -423,7 +423,7 @@ let frame_with_payload ~sid ~rid payload =
   set_u32 28 n;
   set_u32 32 0;
   Bytes.blit_string payload 0 b Wire.header_bytes n;
-  set_u32 32 (Int32.to_int (Wire.crc32 b ~off:0 ~len:(Bytes.length b)) land 0xffffffff);
+  set_u32 32 (Pagestore.Page.crc32 b ~off:0 ~len:(Bytes.length b));
   Bytes.to_string b
 
 let test_codec_hostile_carriers () =
@@ -858,11 +858,8 @@ let test_unknown_opcode_unsupported () =
   for i = 32 to 35 do
     Bytes.set frame i '\000'
   done;
-  let crc = Wire.crc32 frame ~off:0 ~len:(Bytes.length frame) in
-  Bytes.set frame 32 (Char.chr (Int32.to_int (Int32.shift_right_logical crc 24) land 0xff));
-  Bytes.set frame 33 (Char.chr (Int32.to_int (Int32.shift_right_logical crc 16) land 0xff));
-  Bytes.set frame 34 (Char.chr (Int32.to_int (Int32.shift_right_logical crc 8) land 0xff));
-  Bytes.set frame 35 (Char.chr (Int32.to_int crc land 0xff));
+  let crc = Pagestore.Page.crc32 frame ~off:0 ~len:(Bytes.length frame) in
+  Bytes.set_int32_be frame 32 (Int32.of_int crc);
   let frame = Bytes.to_string frame in
   (* the patched frame passes the CRC and is cleanly framed — distinguishable
      from wire damage — but carries an opcode this server does not have *)
