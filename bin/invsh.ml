@@ -98,7 +98,7 @@ let help () =
     \  asof NAME ls|cat|stat ARG   run a read-only command in the past\n\
     \  undelete NAME PATH       restore PATH as it was at mark NAME\n\
     \  migrate PATH DEVICE      move a file's storage (disk0|nvram0|jukebox)\n\
-    \  vacuum PATH archive|discard   vacuum one file's table (stop-the-world)\n\
+    \  vacuum PATH archive|discard   full vacuum pass over one file's table\n\
     \  vacuumstep [PAGES]       one budgeted increment of the concurrent vacuum\n\
     \  crash                    crash the machine (instant recovery)\n\
     \  sync                     force the pending commit group\n\

@@ -437,9 +437,9 @@ let run_degraded ?(files = 12) ~seed () =
   (* A machine crash on the degraded system: recovery still instantaneous,
      still reporting the same degraded set, survivors still intact. *)
   let rep = Recovery.crash_and_recover fs in
-  if rep.Recovery.degraded <> expect_degraded then
+  if rep.Recovery.restart.Fs.degraded <> expect_degraded then
     fail "recovery degraded set [%s], expected [%s]"
-      (String.concat "," rep.Recovery.degraded)
+      (String.concat "," rep.Recovery.restart.Fs.degraded)
       (String.concat "," expect_degraded);
   if not (Recovery.is_clean rep) then
     fail "degraded recovery not clean: %s" (Recovery.report_to_string rep);

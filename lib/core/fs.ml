@@ -83,10 +83,6 @@ let translate_locks f =
        absorb: the operation fails with EIO, the file system stays up. *)
     Errors.fail Errors.EIO "media failure on %s (segment %d, block %d): %s" device segid
       blkno reason
-  | Relstore.Vacuum.Busy xids ->
-    Errors.fail Errors.EBUSY "vacuum needs quiescence: %d transaction(s) active (xid %s)"
-      (List.length xids)
-      (String.concat ", " (List.map Relstore.Xid.to_string xids))
   | Relstore.Heap.Append_only msg -> Errors.fail Errors.EROFS "%s" msg
 
 let flush_pending_atts s txn =
@@ -1235,14 +1231,6 @@ let crash_and_recover t =
     relations_audited;
   }
 
-let vacuum_file t ~oid ?horizon ~mode () =
-  match file_handle t ~oid with
-  | None -> Errors.fail Errors.ENOENT "no file with oid %Ld" oid
-  | Some inv ->
-    translate_locks (fun () ->
-        Db.vacuum t.db ~relation:(Inv_file.relname oid) ?horizon ~mode
-          ~on_remove:(Inv_file.index_maintenance_on_vacuum inv) ())
-
 (* ---------- snapshots and clones ---------- *)
 
 (* An O(1) snapshot: settle everything pending, advance the clock a tick
@@ -1317,35 +1305,62 @@ let clone s ~src ~dst =
   Hashtbl.replace t.clone_bases oid { src_oid; chorizon; base_len; lease };
   oid
 
-(* ---------- incremental vacuum ---------- *)
+(* ---------- vacuum ---------- *)
+
+(* What the vacuum cleans, in relation-name order: every file table
+   (named or unlinked, attached through [ensure_handle]), the catalogs
+   and the clone map, each with the index maintenance its removed
+   versions need.  Archive relations are the destination, not a source. *)
+let vacuum_targets t =
+  List.filter_map
+    (fun rel ->
+      if is_file_table rel then begin
+        let oid = oid_of_file_table rel in
+        if ensure_handle t oid then
+          let inv = Hashtbl.find t.files oid in
+          Some (rel, Some (Inv_file.index_maintenance_on_vacuum inv))
+        else None
+      end
+      else if String.equal rel "naming" then
+        Some (rel, Some (Naming.index_maintenance_on_vacuum t.naming))
+      else if String.equal rel "fileatt" then
+        Some (rel, Some (Fileatt.index_maintenance_on_vacuum t.fileatt))
+      else if String.equal rel clonemap_rel then Some (rel, None)
+      else None)
+    (Db.relations t.db)
+
+let vacuum_target t ?horizon ~mode (rel, on_remove) =
+  translate_locks (fun () -> Db.vacuum t.db ~relation:rel ?horizon ~mode ?on_remove ())
+
+let vacuum_file t ~oid ?horizon ~mode () =
+  match file_handle t ~oid with
+  | None -> Errors.fail Errors.ENOENT "no file with oid %Ld" oid
+  | Some inv ->
+    vacuum_target t ?horizon ~mode
+      (Inv_file.relname oid, Some (Inv_file.index_maintenance_on_vacuum inv))
+
+let vacuum_all t ?horizon ~mode () =
+  List.fold_left
+    (fun (acc : Relstore.Vacuum.stats) target ->
+      let st = vacuum_target t ?horizon ~mode target in
+      {
+        Relstore.Vacuum.scanned = acc.scanned + st.Relstore.Vacuum.scanned;
+        archived = acc.archived + st.archived;
+        discarded = acc.discarded + st.discarded;
+        pages_compacted = acc.pages_compacted + st.pages_compacted;
+      })
+    { Relstore.Vacuum.scanned = 0; archived = 0; discarded = 0; pages_compacted = 0 }
+    (vacuum_targets t)
 
 (* One budgeted increment of the concurrent vacuum, round-robin over
-   every vacuumable relation: each call steps ONE relation's window; the
-   cursor stays on a relation until its pass wraps (or it skipped for a
-   writer), then moves on.  Returns the relation stepped and its stats,
-   or [None] when there is nothing to vacuum. *)
+   [vacuum_targets]: each call steps ONE relation's window; the cursor
+   stays on a relation until its pass wraps (or it skipped for a writer),
+   then moves on.  Returns the relation stepped and its stats, or [None]
+   when there is nothing to vacuum. *)
 let vacuum_step t ?pages ~mode () =
-  let targets =
-    List.filter_map
-      (fun rel ->
-        if is_file_table rel then begin
-          let oid = oid_of_file_table rel in
-          if ensure_handle t oid then
-            let inv = Hashtbl.find t.files oid in
-            Some (rel, Some (Inv_file.index_maintenance_on_vacuum inv))
-          else None
-        end
-        else if String.equal rel "naming" then
-          Some (rel, Some (Naming.index_maintenance_on_vacuum t.naming))
-        else if String.equal rel "fileatt" then
-          Some (rel, Some (Fileatt.index_maintenance_on_vacuum t.fileatt))
-        else if String.equal rel clonemap_rel then Some (rel, None)
-        else None)
-      (Db.relations t.db)
-  in
-  match targets with
+  match vacuum_targets t with
   | [] -> None
-  | _ ->
+  | targets ->
     let idx = t.vac_rr mod List.length targets in
     let rel, on_remove = List.nth targets idx in
     let st =
@@ -1381,47 +1396,6 @@ let migrate_file t ~oid ~device =
               { att with Fileatt.device; index_segid = Inv_file.index_segid dst }
           | None -> ())
     end
-
-let vacuum_catalogs t ?horizon ~mode () =
-  let s1 =
-    translate_locks (fun () ->
-        Db.vacuum t.db ~relation:"naming" ?horizon ~mode
-          ~on_remove:(Naming.index_maintenance_on_vacuum t.naming) ())
-  in
-  let s2 =
-    translate_locks (fun () ->
-        Db.vacuum t.db ~relation:"fileatt" ?horizon ~mode
-          ~on_remove:(Fileatt.index_maintenance_on_vacuum t.fileatt) ())
-  in
-  {
-    Relstore.Vacuum.scanned = s1.Relstore.Vacuum.scanned + s2.Relstore.Vacuum.scanned;
-    archived = s1.archived + s2.archived;
-    discarded = s1.discarded + s2.discarded;
-    pages_compacted = s1.pages_compacted + s2.pages_compacted;
-  }
-
-let combine_stats (a : Relstore.Vacuum.stats) (b : Relstore.Vacuum.stats) =
-  {
-    Relstore.Vacuum.scanned = a.Relstore.Vacuum.scanned + b.Relstore.Vacuum.scanned;
-    archived = a.archived + b.archived;
-    discarded = a.discarded + b.discarded;
-    pages_compacted = a.pages_compacted + b.pages_compacted;
-  }
-
-let vacuum_all t ?horizon ~mode () =
-  (* Every inv<oid> relation in the catalog — named or unlinked — then
-     the catalogs themselves.  Archive relations are skipped (they are
-     the destination, not a source). *)
-  let stats = ref { Relstore.Vacuum.scanned = 0; archived = 0; discarded = 0; pages_compacted = 0 } in
-  List.iter
-    (fun rel ->
-      if is_file_table rel then begin
-        let oid = oid_of_file_table rel in
-        if ensure_handle t oid then
-          stats := combine_stats !stats (vacuum_file t ~oid ?horizon ~mode ())
-      end)
-    (Db.relations t.db);
-  combine_stats !stats (vacuum_catalogs t ?horizon ~mode ())
 
 (* ---------- convenience ---------- *)
 

@@ -282,7 +282,9 @@ val fileatt_catalog : t -> Fileatt.t
 
 val vacuum_file :
   t -> oid:int64 -> ?horizon:int64 -> mode:[ `Archive | `Discard ] -> unit -> Relstore.Vacuum.stats
-(** Vacuum one file's chunk table, keeping its chunk index consistent. *)
+(** The full vacuum pass ({!Relstore.Db.vacuum}) over one file's chunk
+    table, keeping its chunk index consistent.  Fails with [ENOENT] when
+    the file has no storage handle. *)
 
 val migrate_file : t -> oid:int64 -> device:string -> unit
 (** Move a file's storage (all record versions, stamps intact, plus a
@@ -292,11 +294,13 @@ val migrate_file : t -> oid:int64 -> device:string -> unit
 
 val vacuum_all :
   t -> ?horizon:int64 -> mode:[ `Archive | `Discard ] -> unit -> Relstore.Vacuum.stats
-(** The vacuum cleaner's full sweep: every file table (including those of
-    unlinked files, whose storage this is what finally reclaims or
-    archives) plus the catalogs.  Combined stats.  Like every
-    stop-the-world vacuum entry point, fails with [EBUSY] while any
-    transaction is active — use {!vacuum_step} under live traffic. *)
+(** The vacuum cleaner's full sweep: one full pass
+    ({!Relstore.Db.vacuum}, a {!Relstore.Vacuum.step} over the whole heap)
+    over each relation {!vacuum_step} walks — every file table (including
+    those of unlinked files, whose storage this is what finally reclaims
+    or archives), the catalogs and the clone map.  Summed stats.  Needs
+    no quiescence: a relation a writer holds is skipped, as a step gives
+    way to it. *)
 
 val vacuum_step :
   t ->

@@ -14,17 +14,12 @@
     print why it was not. *)
 
 type report = {
-  rolled_back : Relstore.Xid.t list;
-  page_problems : (string * string) list;
-  catalogs_rebuilt : string list;
-  file_indexes_rebuilt : int64 list;
-  degraded : string list;
-      (** relations unreachable on every copy (dead device, no live
-          mirror): the file system keeps serving everything else *)
-  relations_audited : string list;
-      (** the relations restart audited ({!Fs.recovery}); [audit] always
-          covers them all *)
-  audit : Fsck.report;
+  restart : Fs.recovery;
+      (** what restart did ({!Fs.crash_and_recover}): the transactions
+          rolled back, the relations it audited, the indexes it rebuilt,
+          and the relations left degraded (unreachable on every copy —
+          the file system keeps serving everything else) *)
+  audit : Fsck.report;  (** the full audit, which covers every relation *)
 }
 
 val crash_and_recover : Fs.t -> report

@@ -178,11 +178,6 @@ let verify_relations ?(check = fun heap -> Heap.verify heap) t =
           Some (name, Printf.sprintf "media failure: %s (%s/%d/%d)" m.reason m.device m.segid m.blkno))
     (relations t)
 
-let crash_and_recover t =
-  let rolled_back = Status_log.active t.log in
-  crash t;
-  (rolled_back, verify_relations t)
-
 let find_jukebox t =
   List.find_opt
     (fun d -> Pagestore.Device.kind d = Pagestore.Device.Worm_jukebox)
@@ -201,31 +196,36 @@ let attach_archive t heap =
     Heap.set_archive heap arch
   end
 
-let vacuum t ~relation ?horizon ~mode ?on_remove () =
-  (* Close the pending commit batch first: the stop-the-world pass starts
-     from a flushed pool with every logged commit forced. *)
+(* Shared by the full pass and the incremental step: close the pending
+   commit batch, clamp the horizon to {!safe_horizon} (an explicit one may
+   only lower it, so snapshot/clone leases hold every pass back), and
+   attach the archive heap for [`Archive]. *)
+let vacuum_prologue t ~relation ?horizon ~mode () =
   Txn.force_group t.mgr;
   let heap = find_relation t relation in
-  (* Clamp to the safe horizon even here: the quiescence guard makes
-     active transactions moot, but snapshot/clone leases must hold the
-     stop-the-world pass back exactly as they hold the incremental one. *)
   let horizon =
     match horizon with
     | Some h -> min h (safe_horizon t)
     | None -> safe_horizon t
   in
   (match mode with `Discard -> () | `Archive -> attach_archive t heap);
-  Vacuum.run heap ~log:t.log ~horizon ~mode ?on_remove ()
+  (heap, horizon)
+
+let vacuum t ~relation ?horizon ~mode ?on_remove () =
+  let heap, horizon = vacuum_prologue t ~relation ?horizon ~mode () in
+  let st =
+    Vacuum.step heap ~mgr:t.mgr ~horizon ~mode ?on_remove ~start_block:0
+      ~pages:(max 1 (Heap.nblocks heap)) ()
+  in
+  {
+    Vacuum.scanned = st.Vacuum.s_scanned;
+    archived = st.s_archived;
+    discarded = st.s_discarded;
+    pages_compacted = st.s_compacted;
+  }
 
 let vacuum_step t ~relation ?horizon ~mode ?(pages = 4) ?on_remove () =
-  Txn.force_group t.mgr;
-  let heap = find_relation t relation in
-  let horizon =
-    match horizon with
-    | Some h -> min h (safe_horizon t)
-    | None -> safe_horizon t
-  in
-  (match mode with `Discard -> () | `Archive -> attach_archive t heap);
+  let heap, horizon = vacuum_prologue t ~relation ?horizon ~mode () in
   let start_block =
     Option.value (Hashtbl.find_opt t.vacuum_cursors relation) ~default:0
   in

@@ -95,25 +95,20 @@ val verify_relations :
     as degraded, not corrupt; a media failure raised by [check] is
     reported as a ["media failure: ..."] problem. *)
 
-val crash_and_recover : t -> Xid.t list * (string * string) list
-(** Whole-system crash + recovery as one call: {!crash} (which composes
-    the cache, status-log, lock and device resets), then
-    {!verify_relations}.  Returns the transactions rolled back by
-    recovery and any page-verification problems (normally [[]] — the
-    no-overwrite manager never scribbles over committed pages, so
-    recovery needs no fsck; the verification is the proof, not a repair
-    pass). *)
-
 val vacuum :
   t -> relation:string -> ?horizon:int64 -> mode:[ `Archive | `Discard ] ->
   ?on_remove:(Heap.record -> unit) -> unit -> Vacuum.stats
-(** Run the stop-the-world vacuum cleaner on one relation.  [horizon]
-    defaults to {!safe_horizon} (everything already dead that no
+(** The full pass of the vacuum cleaner on one relation: one
+    {!Vacuum.step} from block 0 over the whole heap, so it is crash-safe
+    exactly as a step is (archive copies commit before any main-heap slot
+    dies) and needs no quiescence: a relation a writer holds is skipped,
+    reported as all zeros, just as a step gives way.  The incremental
+    cursor of {!vacuum_step} is left alone.  [horizon] defaults to the
+    safe horizon (everything already dead that no active transaction or
     snapshot/clone lease still needs) and is clamped to it when given
-    explicitly.  In
-    [`Archive] mode an archive relation [name ^ "_arch"] is created on
-    demand — on a jukebox-class device if one is registered, else the
-    default device.  Raises {!Vacuum.Busy} if any transaction is active. *)
+    explicitly.  In [`Archive] mode an archive relation [name ^ "_arch"]
+    is created on demand — on a jukebox-class device if one is
+    registered, else the default device. *)
 
 (** {2 Incremental vacuum and time-travel leases} *)
 

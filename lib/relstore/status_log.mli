@@ -77,7 +77,7 @@ val active : t -> Xid.t list
 
 val oldest_active_start : t -> int64 option
 (** Begin timestamp (µs) of the oldest in-progress transaction, or [None]
-    when the system is quiescent.  The incremental vacuum clamps its
+    when the system is quiescent.  Every vacuum pass clamps its
     horizon here so it can never reclaim a version an open transaction
     might still need. *)
 

@@ -16,8 +16,6 @@ type step_stats = {
   s_skipped : bool;
 }
 
-exception Busy of Xid.t list
-
 type verdict = Keep | Archive | Discard
 
 let judge log ~horizon (r : Heap.record) =
@@ -29,68 +27,8 @@ let judge log ~horizon (r : Heap.record) =
     if Xid.is_valid r.xmax && Status_log.committed_before log r.xmax horizon then Archive
     else Keep
 
-let m_runs = Obs.Metrics.counter "vacuum.runs"
 let m_archived = Obs.Metrics.counter "vacuum.archived"
 let m_discarded = Obs.Metrics.counter "vacuum.discarded"
-
-let run heap ~log ~horizon ~mode ?(on_remove = fun _ -> ()) () =
-  (* Stop-the-world vacuum really does stop the world: it rewrites pages
-     without taking locks, so running it under active transactions would
-     yank records out from under their feet.  Demand quiescence; callers
-     with live traffic use {!step}. *)
-  (match Status_log.active log with [] -> () | xs -> raise (Busy xs));
-  Obs.Metrics.incr m_runs;
-  Obs.span Obs.Vacuum "vacuum.run" ~args:[ ("rel", Obs.S (Heap.name heap)) ] @@ fun () ->
-  let archive_heap =
-    match (mode, Heap.archive heap) with
-    | `Archive, Some a -> Some a
-    | `Archive, None -> invalid_arg "Vacuum.run: `Archive mode but no archive heap attached"
-    | `Discard, _ -> None
-  in
-  let scanned = ref 0 and archived = ref 0 and discarded = ref 0 in
-  let doomed = ref [] in
-  let classify (r : Heap.record) =
-    incr scanned;
-    match judge log ~horizon r with
-    | Keep -> ()
-    | Discard ->
-      incr discarded;
-      doomed := r :: !doomed
-    | Archive ->
-      (match archive_heap with
-      | Some arch ->
-        ignore (Heap.append_raw arch ~oid:r.oid ~xmin:r.xmin ~xmax:r.xmax r.payload : Tid.t);
-        incr archived
-      | None -> incr discarded);
-      doomed := r :: !doomed
-  in
-  Heap.scan_raw heap classify;
-  (* Kill doomed slots, then compact each touched page once. *)
-  let touched = Hashtbl.create 16 in
-  let kill (r : Heap.record) =
-    on_remove r;
-    Heap.kill_tid heap r.tid;
-    Hashtbl.replace touched r.tid.Tid.blkno ()
-  in
-  List.iter kill (List.rev !doomed);
-  Hashtbl.iter (fun blkno () -> Heap.compact_block heap blkno) touched;
-  Obs.Metrics.incr ~by:!archived m_archived;
-  Obs.Metrics.incr ~by:!discarded m_discarded;
-  if Obs.on Obs.Vacuum then
-    Obs.event Obs.Vacuum "vacuum.stats"
-      ~args:
-        [ ("scanned", Obs.I !scanned); ("archived", Obs.I !archived);
-          ("discarded", Obs.I !discarded);
-          ("pages_compacted", Obs.I (Hashtbl.length touched));
-        ]
-      ();
-  {
-    scanned = !scanned;
-    archived = !archived;
-    discarded = !discarded;
-    pages_compacted = Hashtbl.length touched;
-  }
-
 let m_steps = Obs.Metrics.counter "vacuum.steps"
 let m_steps_skipped = Obs.Metrics.counter "vacuum.steps_skipped"
 

@@ -11,7 +11,12 @@
     the heap attached with {!Heap.set_archive} — typically on the WORM
     jukebox — so [As_of] scans still see them; in [`Discard] mode history
     before the horizon is lost, which is what POSTGRES does for relations
-    whose users "have no interest in maintaining history". *)
+    whose users "have no interest in maintaining history".
+
+    There is one vacuum, {!step}: a budgeted window of pages judged and
+    moved as two ordinary transactions.  A full pass ({!Db.vacuum}) is
+    that step over the whole heap, so it is crash-safe in the same way,
+    needs no quiescence, and gives way to a writer like any step. *)
 
 type stats = {
   scanned : int;  (** record versions examined *)
@@ -19,26 +24,7 @@ type stats = {
   discarded : int;  (** physically removed without archiving *)
   pages_compacted : int;
 }
-
-exception Busy of Xid.t list
-(** Raised by {!run} when transactions are in progress: the stop-the-world
-    sweep rewrites pages without taking locks, so it demands quiescence.
-    Carries the active xids.  The file-system layer surfaces this as
-    [EBUSY]; live systems use {!step} instead. *)
-
-val run :
-  Heap.t ->
-  log:Status_log.t ->
-  horizon:int64 ->
-  mode:[ `Archive | `Discard ] ->
-  ?on_remove:(Heap.record -> unit) ->
-  unit ->
-  stats
-(** Sweep the whole heap in one stop-the-world pass.  [on_remove] fires
-    for every version leaving the main heap (archived or discarded) so
-    callers can fix index entries pointing at its TID.  [`Archive]
-    requires an attached archive heap.  Raises {!Busy} if any transaction
-    is active. *)
+(** The result of a full pass ({!Db.vacuum}). *)
 
 type step_stats = {
   s_scanned : int;

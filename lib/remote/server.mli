@@ -144,8 +144,8 @@ val create :
     timer slot: every that many simulated seconds the pump runs one
     budgeted {!Invfs.Fs.vacuum_step} increment of [vacuum_pages]
     (default 4) pages in archive mode before admitting requests — old
-    versions migrate to the WORM tier continuously instead of in a
-    stop-the-world pass. *)
+    versions migrate to the WORM tier continuously instead of in one
+    full pass ({!Invfs.Fs.vacuum_all}). *)
 
 val attach : t -> Netsim.Link.t -> unit
 (** Accept a connection (idempotent).  Clients create a link and attach

@@ -14,17 +14,17 @@ module CT = Benchlib.Crashtest
 let bytes_of = Bytes.of_string
 let str = Bytes.to_string
 
-let make_fs () =
+let make_fs ?(devices = [ ("disk0", D.Magnetic_disk) ]) () =
   let clock = Simclock.Clock.create () in
   let switch = Pagestore.Switch.create ~clock in
-  ignore
-    (Pagestore.Switch.add_device switch ~name:"disk0" ~kind:D.Magnetic_disk ()
-      : D.t);
+  List.iter
+    (fun (name, kind) -> ignore (Pagestore.Switch.add_device switch ~name ~kind () : D.t))
+    devices;
   let db = Relstore.Db.create ~switch ~clock () in
   Fs.make db ()
 
-let armed_fs () =
-  let fs = make_fs () in
+let armed_fs ?devices () =
+  let fs = make_fs ?devices () in
   let plan = F.create () in
   F.arm_switch plan (Db.switch (Fs.db fs));
   F.arm_cache plan (Db.cache (Fs.db fs));
@@ -74,7 +74,9 @@ let test_db_crash_and_recover () =
   let txn = Db.begin_txn db in
   ignore (Relstore.Heap.insert heap txn ~oid:2L (bytes_of "doomed") : Relstore.Tid.t);
   let doomed_xid = Relstore.Txn.xid txn in
-  let rolled_back, page_problems = Db.crash_and_recover db in
+  let rolled_back = SL.active (Db.status_log db) in
+  Db.crash db;
+  let page_problems = Db.verify_relations db in
   Alcotest.(check (list int)) "in-flight txn rolled back" [ doomed_xid ] rolled_back;
   Alcotest.(check int) "no page damage" 0 (List.length page_problems);
   let seen = ref [] in
@@ -125,6 +127,46 @@ let test_crash_mid_multichunk_autocommit () =
   Alcotest.(check string) "atomic: old contents survive whole" "original contents"
     (str (Fs.read_whole_file s "/f"))
 
+(* The full vacuum pass archives history crash-safely: one file written
+   three times on a disk plus a WORM jukebox, then an archive [vacuum_all]
+   and a sync, crashed at each device write in turn.  Every restart is
+   clean, and the first version still reads back [As_of] its time. *)
+let test_crash_during_archive_vacuum_all () =
+  let old_bytes = Bytes.make 100 'a' in
+  let rec crash_on k =
+    let fs, plan =
+      armed_fs ~devices:[ ("disk0", D.Magnetic_disk); ("jukebox", D.Worm_jukebox) ] ()
+    in
+    let s = Fs.new_session fs in
+    let advance () = Simclock.Clock.advance (Fs.clock fs) 1. in
+    Fs.write_file s "/f" old_bytes;
+    advance ();
+    let t_old = Db.now (Fs.db fs) in
+    advance ();
+    Fs.write_file s "/f" (Bytes.make 100 'b');
+    Fs.write_file s "/f" (Bytes.make 100 'c');
+    advance ();
+    F.schedule plan ~io:F.Write ~after:k F.Crash;
+    match
+      ignore (Fs.vacuum_all fs ~mode:`Archive () : Relstore.Vacuum.stats);
+      Fs.sync fs
+    with
+    | () -> k - 1
+    | exception D.Crash_injected _ ->
+      F.clear_schedule plan;
+      ignore (recover_clean fs : Rec.report);
+      let s = Fs.new_session fs in
+      Alcotest.(check bytes)
+        (Printf.sprintf "crash at write %d: the first version reads back" k)
+        old_bytes
+        (Fs.read_whole_file s ~timestamp:t_old "/f");
+      Alcotest.(check bytes)
+        (Printf.sprintf "crash at write %d: the current version intact" k)
+        (Bytes.make 100 'c') (Fs.read_whole_file s "/f");
+      crash_on (k + 1)
+  in
+  Alcotest.(check bool) "the vacuum and sync span several writes" true (crash_on 1 > 3)
+
 (* ---- no replay: committed index entries are already on disk ---- *)
 
 (* A writing commit flushes its heap and index pages before its status
@@ -139,9 +181,10 @@ let test_unforced_batch_needs_no_replay () =
     (SL.pending_force (Db.status_log (Fs.db fs)) > 0);
   let check_recovered label =
     let r = recover_clean fs in
-    Alcotest.(check (list string)) (label ^ ": no catalog rebuilt") [] r.Rec.catalogs_rebuilt;
+    Alcotest.(check (list string)) (label ^ ": no catalog rebuilt") []
+      r.Rec.restart.Fs.catalogs_rebuilt;
     Alcotest.(check (list int64)) (label ^ ": no file index rebuilt") []
-      r.Rec.file_indexes_rebuilt;
+      r.Rec.restart.Fs.file_indexes_rebuilt;
     let s = Fs.new_session fs in
     Alcotest.(check string) (label ^ ": file reachable by name") "committed, batch unforced"
       (str (Fs.read_whole_file s "/unforced.txt"))
@@ -166,7 +209,7 @@ let test_crash_with_multiple_open_sessions () =
   Fs.p_close s3 fd;
   let report = recover_clean fs in
   Alcotest.(check int) "both open transactions rolled back" 2
-    (List.length report.Rec.rolled_back);
+    (List.length report.Rec.restart.Fs.rolled_back);
   let s = Fs.new_session fs in
   Alcotest.(check string) "s1's txn rolled back" "a v1" (str (Fs.read_whole_file s "/a"));
   Alcotest.(check string) "s2's auto-commit survived" "b committed"
@@ -371,9 +414,10 @@ let owner fs segid =
 
 let check_audited (r : Rec.report) rel =
   Alcotest.(check bool)
-    (Printf.sprintf "%s audited (%s)" rel (String.concat "," r.Rec.relations_audited))
+    (Printf.sprintf "%s audited (%s)" rel
+       (String.concat "," r.Rec.restart.Fs.relations_audited))
     true
-    (List.mem rel r.Rec.relations_audited)
+    (List.mem rel r.Rec.restart.Fs.relations_audited)
 
 (* Committed two-chunk files /f and /g, both overwritten by an open
    transaction that is ready to commit. *)
@@ -429,7 +473,7 @@ let test_mark_commit_flush_crash () =
   let r = recover_clean fs in
   check_audited r (Invfs.Inv_file.relname (Invfs.Inv_file.oid inv));
   Alcotest.(check (list int64)) "the torn index rebuilt" [ Invfs.Inv_file.oid inv ]
-    r.Rec.file_indexes_rebuilt;
+    r.Rec.restart.Fs.file_indexes_rebuilt;
   check_committed_contents fs
 
 (* A pool too small for the transaction steals its dirty heap pages:
@@ -474,7 +518,7 @@ let test_mark_write_through () =
   let r = recover_clean fs in
   check_audited r (Invfs.Inv_file.relname (Invfs.Inv_file.oid inv));
   Alcotest.(check (list int64)) "the dangling index rebuilt" [ Invfs.Inv_file.oid inv ]
-    r.Rec.file_indexes_rebuilt;
+    r.Rec.restart.Fs.file_indexes_rebuilt;
   check_committed_contents fs
 
 let mirrored_fs () =
@@ -545,6 +589,8 @@ let () =
             test_crash_with_multiple_open_sessions;
           Alcotest.test_case "unforced batch, no replay" `Quick
             test_unforced_batch_needs_no_replay;
+          Alcotest.test_case "archive vacuum_all at every write" `Quick
+            test_crash_during_archive_vacuum_all;
         ] );
       ( "page reads",
         [

@@ -93,7 +93,7 @@ let test_corrupted_index_detected_and_rebuilt () =
   (* whole-system recovery detects the damage and rebuilds from the heap *)
   let report = Rec.crash_and_recover fs in
   Alcotest.(check bool) "index rebuilt for the file" true
-    (List.mem oid report.Rec.file_indexes_rebuilt);
+    (List.mem oid report.Rec.restart.Fs.file_indexes_rebuilt);
   Alcotest.(check bool)
     ("recovery ends clean: " ^ Rec.report_to_string report)
     true (Rec.is_clean report);

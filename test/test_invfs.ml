@@ -891,7 +891,37 @@ let test_vacuum_all_sweeps_everything () =
   (* live data untouched; system still consistent *)
   Alcotest.(check string) "live file intact" "v2" (str (Fs.read_whole_file s "/keep"));
   let report = Invfs.Fsck.audit fs in
-  Alcotest.(check bool) (Invfs.Fsck.report_to_string report) true (Invfs.Fsck.is_clean report)
+  Alcotest.(check bool) (Invfs.Fsck.report_to_string report) true (Invfs.Fsck.is_clean report);
+  (* the sweep covers the clone map too: a severed clone's map row moves
+     to the jukebox, and the pre-severance view survives a crash *)
+  let fs =
+    make_fs
+      ~devices:
+        [
+          ("disk0", Pagestore.Device.Magnetic_disk);
+          ("jukebox", Pagestore.Device.Worm_jukebox);
+        ]
+      ()
+  in
+  let s = Fs.new_session fs in
+  Fs.write_file s "/base" (bytes_of "0123456789");
+  ignore (Fs.clone s ~src:"/base" ~dst:"/copy" : int64);
+  let h_shared = Fs.snapshot fs in
+  let fd = Fs.p_open s "/copy" Fs.Rdwr in
+  Fs.ftruncate s fd 4L;
+  Fs.p_close s fd;
+  advance fs 1.;
+  ignore (Fs.vacuum_all fs ~mode:`Archive () : Relstore.Vacuum.stats);
+  Alcotest.(check bool) "the clone map's dead row archived" true
+    (match Relstore.Db.find_relation_opt (Fs.db fs) "clonemap_arch" with
+    | Some arch -> Relstore.Heap.nblocks arch > 0
+    | None -> false);
+  let r = Invfs.Recovery.crash_and_recover fs in
+  Alcotest.(check bool) (Invfs.Recovery.report_to_string r) true (Invfs.Recovery.is_clean r);
+  let s = Fs.new_session fs in
+  Alcotest.(check string) "pre-severance view survives vacuum and crash" "0123456789"
+    (str (Fs.read_whole_file s ~timestamp:h_shared "/copy"));
+  Alcotest.(check string) "severed clone intact" "0123" (str (Fs.read_whole_file s "/copy"))
 
 let test_ftruncate () =
   let _, s = fresh () in

@@ -187,7 +187,7 @@ let test_dead_device_degrades_only_its_relations () =
   Alcotest.(check bool) "fsck still audits clean" true (Invfs.Fsck.is_clean report);
   let rep = Invfs.Recovery.crash_and_recover fs in
   Alcotest.(check (list string)) "recovery reports the same degraded set"
-    [ doomed_rel ] rep.Invfs.Recovery.degraded;
+    [ doomed_rel ] rep.Invfs.Recovery.restart.Fs.degraded;
   Alcotest.(check bool) "recovery clean" true (Invfs.Recovery.is_clean rep);
   let s = Fs.new_session fs in
   Alcotest.(check bytes) "survivor intact after recovery" payload

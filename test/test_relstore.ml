@@ -433,20 +433,31 @@ let test_vacuum_removes_aborted () =
 
 (* ---- incremental concurrent vacuum & the WORM tier ---- *)
 
-let test_vacuum_run_busy_guard () =
-  (* the stop-the-world pass requires quiescence: with any transaction
-     active it must refuse outright rather than yank pages from under it *)
+let test_vacuum_full_pass_gives_way_to_writer () =
+  (* the full pass is one step over the whole heap: with a writer holding
+     the relation it removes nothing and the writer goes on to commit;
+     the next pass archives the version that writer killed *)
   let db = fresh_db () in
   let heap = Db.create_relation db ~name:"t" () in
-  let open_txn = Db.begin_txn db in
-  ignore (H.insert heap open_txn ~oid:1L (payload "x"));
-  Alcotest.(check bool) "Busy raised while a txn is active" true
-    (try
-       ignore (Db.vacuum db ~relation:"t" ~mode:`Discard () : Relstore.Vacuum.stats);
-       false
-     with Relstore.Vacuum.Busy xids -> xids <> []);
-  ignore (T.commit open_txn : int64);
-  ignore (Db.vacuum db ~relation:"t" ~mode:`Discard () : Relstore.Vacuum.stats)
+  let tid = Db.with_txn db (fun txn -> H.insert heap txn ~oid:1L (payload "v1")) in
+  Simclock.Clock.advance (Db.clock db) 5.;
+  let t_v1 = Db.now db in
+  Simclock.Clock.advance (Db.clock db) 5.;
+  let writer = Db.begin_txn db in
+  ignore (H.update heap writer tid (payload "v2") : Relstore.Tid.t);
+  let st = Db.vacuum db ~relation:"t" ~mode:`Archive () in
+  Alcotest.(check (list int)) "nothing scanned, archived or discarded" [ 0; 0; 0; 0 ]
+    [ st.scanned; st.archived; st.discarded; st.pages_compacted ];
+  Alcotest.(check bool) "old version still in the main heap" true
+    (H.fetch_any heap tid <> None);
+  ignore (T.commit writer : int64);
+  Simclock.Clock.advance (Db.clock db) 1.;
+  let st = Db.vacuum db ~relation:"t" ~mode:`Archive () in
+  Alcotest.(check int) "the writer's dead version archived" 1 st.archived;
+  Alcotest.(check bool) "gone from the main heap" true (H.fetch_any heap tid = None);
+  let seen = ref [] in
+  H.scan heap (Relstore.Snapshot.As_of t_v1) (fun r -> seen := str r.payload :: !seen);
+  Alcotest.(check (list string)) "v1 from the archive" [ "v1" ] !seen
 
 let dead_versions db heap n =
   (* [n] records, each updated once: [n] dead versions spread over the heap *)
@@ -537,7 +548,7 @@ let test_vacuum_on_remove_fires_exactly_once () =
         then dead := r.H.tid :: !dead);
     List.sort compare !dead
   in
-  (* stop-the-world *)
+  (* full pass *)
   let db = fresh_db () in
   let heap = Db.create_relation db ~name:"t" () in
   dead_versions db heap 5;
@@ -958,7 +969,8 @@ let () =
           Alcotest.test_case "archive keeps history" `Quick
             test_vacuum_archive_preserves_time_travel;
           Alcotest.test_case "aborted garbage" `Quick test_vacuum_removes_aborted;
-          Alcotest.test_case "run refuses active txns" `Quick test_vacuum_run_busy_guard;
+          Alcotest.test_case "full pass gives way to writer" `Quick
+            test_vacuum_full_pass_gives_way_to_writer;
           Alcotest.test_case "step budget and cursor" `Quick
             test_vacuum_step_budget_and_cursor;
           Alcotest.test_case "step yields to writer" `Quick test_vacuum_step_yields_to_writer;
