@@ -13,10 +13,7 @@ type att = {
   atime : int64;
 }
 
-type t = {
-  heap : H.t;
-  by_oid : Index.Btree.t;
-}
+type t = { rel : Index.Indexed.t; by_oid : Index.Audit.index }
 
 let put_str buf s =
   let b = Bytes.create (2 + String.length s) in
@@ -63,39 +60,29 @@ let decode payload =
 
 let create db ?device () =
   let heap = Relstore.Db.create_relation db ~name:"fileatt" ?device () in
-  let cache = Relstore.Db.cache db in
-  { heap; by_oid = Index.Btree.create ~cache ~device:(H.device heap) ~klen:8 }
+  let by_oid =
+    { Index.Audit.name = "by_oid";
+      tree = Index.Btree.create ~cache:(Relstore.Db.cache db) ~device:(H.device heap) ~klen:8;
+      key_of = (fun r -> Index.Key.of_int64 r.H.oid) }
+  in
+  { rel = Index.Indexed.create heap [ by_oid ]; by_oid }
 
-let heap t = t.heap
+let heap t = Index.Indexed.heap t.rel
+let relation t = t.rel
 
-let indexes t = [ t.by_oid ]
-
-let insert t txn a =
-  let tid = H.insert t.heap txn ~oid:a.file (encode a) in
-  Index.Btree.insert t.by_oid ~key:(Index.Key.of_int64 a.file)
-    ~value:(Relstore.Tid.encode tid);
-  tid
-
-let historical = function Relstore.Snapshot.As_of _ -> true | _ -> false
+let insert t txn a = Index.Indexed.insert t.rel txn ~oid:a.file (encode a)
 
 (* A current snapshot sees at most one version of a file's attribute
-   row, and every auto-committed write adds a version: probe the indexed
-   versions newest (highest TID) first, as [Inv_file] does for chunks,
-   so the lookup finds the live row on the first fetch instead of
-   walking the whole version chain. *)
+   row, and every auto-committed write adds a version: the index probe
+   finds the live row on the first fetch instead of walking the whole
+   version chain.  Historical snapshots scan. *)
 let find_record t snap ~file =
-  if historical snap then begin
+  if Index.Indexed.historical snap then begin
     let hit = ref None in
-    H.scan t.heap snap (fun r -> if r.oid = file then hit := Some r);
+    H.scan (heap t) snap (fun r -> if r.oid = file then hit := Some r);
     !hit
   end
-  else
-    List.find_map
-      (fun v ->
-        match H.fetch t.heap snap (Relstore.Tid.decode v) with
-        | Some r when r.oid = file -> Some r
-        | Some _ | None -> None)
-      (List.rev (Index.Btree.lookup t.by_oid ~key:(Index.Key.of_int64 file)))
+  else Index.Indexed.probe t.rel t.by_oid snap ~key:(Index.Key.of_int64 file) Option.some
 
 let locate t snap ~file =
   Option.map (fun (r : H.record) -> (r.tid, decode r.payload)) (find_record t snap ~file)
@@ -103,41 +90,18 @@ let locate t snap ~file =
 let get t snap ~file = Option.map snd (locate t snap ~file)
 
 let update t txn tid a =
-  let tid = H.update t.heap txn tid (encode a) in
-  Index.Btree.insert t.by_oid ~key:(Index.Key.of_int64 a.file)
-    ~value:(Relstore.Tid.encode tid)
+  ignore (Index.Indexed.update t.rel txn tid ~oid:a.file (encode a) : Relstore.Tid.t)
 
 let set t txn a =
   match find_record t (Relstore.Txn.snapshot txn) ~file:a.file with
   | None -> raise Not_found
   | Some r -> update t txn r.tid a
 
-let remove t txn tid = H.delete t.heap txn tid
+let remove t txn tid = H.delete (heap t) txn tid
 
 let find_any t ~file =
   let hit = ref None in
-  H.scan_raw t.heap (fun r -> if Int64.equal r.H.oid file then hit := Some (decode r.H.payload));
+  H.scan_raw (heap t) (fun r -> if Int64.equal r.H.oid file then hit := Some (decode r.H.payload));
   !hit
 
-let iter_all t snap f = H.scan t.heap snap (fun r -> f (decode r.payload))
-
-let crash_reset t = Index.Btree.crash t.by_oid
-
-let audit_indexes t =
-  [ { Index.Audit.name = "by_oid"; tree = t.by_oid;
-      key_of = (fun r -> Index.Key.of_int64 r.H.oid) } ]
-
-let audit t = Index.Audit.run t.heap (audit_indexes t)
-
-let rebuild_indexes t =
-  Index.Btree.reinit t.by_oid;
-  H.scan_raw t.heap (fun r ->
-      Index.Btree.insert t.by_oid ~key:(Index.Key.of_int64 r.oid)
-        ~value:(Relstore.Tid.encode r.tid))
-
-let index_maintenance_on_vacuum t (r : H.record) =
-  let a = decode r.payload in
-  ignore
-    (Index.Btree.delete t.by_oid ~key:(Index.Key.of_int64 a.file)
-       ~value:(Relstore.Tid.encode r.tid)
-      : bool)
+let iter_all t snap f = H.scan (heap t) snap (fun r -> f (decode r.payload))

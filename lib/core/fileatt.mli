@@ -3,7 +3,9 @@
     {v fileatt(file, owner, type, size, ctime, mtime, atime) v}
     plus two implementation fields the paper keeps in POSTGRES system
     state: the device the file's table lives on, and the segment id of its
-    chunk-number B-tree (needed to reattach after a crash).  "A simple
+    chunk-number B-tree (needed to reattach after a crash).  One B-tree,
+    [by_oid], keyed by the record's oid, finds a file's current row; an
+    [As_of] read scans instead.  "A simple
     two-way table join of naming and fileatt can construct all the
     metadata for a given Inversion file." *)
 
@@ -56,22 +58,6 @@ val iter_all : t -> Relstore.Snapshot.t -> (att -> unit) -> unit
 
 val heap : t -> Relstore.Heap.t
 
-val indexes : t -> Index.Btree.t list
-(** The oid index, for the recovery audit. *)
-
-val index_maintenance_on_vacuum : t -> Relstore.Heap.record -> unit
-
-val crash_reset : t -> unit
-(** Forget volatile index state after a simulated machine crash. *)
-
-val audit_indexes : t -> Index.Audit.index list
-(** The oid tree with the key each [fileatt] record version is indexed
-    under: the input {!audit} hands to {!Index.Audit.run}. *)
-
-val audit : t -> Index.Audit.verdict
-(** Crash-recovery audit ({!Index.Audit.run}) of the [fileatt] heap's
-    pages and the oid index: every committed attribute record reachable
-    under its oid, no entry dangling or aliased. *)
-
-val rebuild_indexes : t -> unit
-(** Reconstruct the oid index from the [fileatt] heap. *)
+val relation : t -> Index.Indexed.t
+(** The heap with [by_oid]: what the recovery audit, the index rebuild
+    and the vacuum work on. *)

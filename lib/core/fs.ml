@@ -39,7 +39,6 @@ type pending = { mutable pstart : int64; pbuf : Buffer.t }
 
 type open_file = {
   oid : int64;
-  inv : Inv_file.t option; (* None when opened via a historical unlink edge *)
   mode : open_mode;
   hist : int64 option;
   hist_lease : int; (* vacuum lease pinning [hist]; -1 when not historical *)
@@ -523,8 +522,10 @@ let find_fd s fd =
 
 (* ---------- data path ---------- *)
 
-let require_inv of_ =
-  match of_.inv with
+(* The fd's storage handle, looked up on every use: migration replaces
+   it. *)
+let require_inv t of_ =
+  match Hashtbl.find_opt t.files of_.oid with
   | Some inv -> inv
   | None -> Errors.fail Errors.EBADF "file storage unavailable"
 
@@ -532,7 +533,7 @@ let require_inv of_ =
    edges), and stage the size/mtime update. *)
 let write_at s txn of_ ~offset data =
   let t = s.owner_fs in
-  let inv = require_inv of_ in
+  let inv = require_inv t of_ in
   let len = Bytes.length data in
   if len > 0 then begin
     if Int64.add offset (Int64.of_int len) > max_file_size then
@@ -631,7 +632,7 @@ let default_device_name t =
   | None -> Pagestore.Device.name (Pagestore.Switch.default_device (Db.switch t.db))
 
 (* Create [base] in directory [parent], whose lookup of [base] came back
-   empty under [txn]'s snapshot; returns the oid and storage handle.
+   empty under [txn]'s snapshot; returns the oid.
    Inside an explicit transaction the new attribute row stays in the
    session, so the file's writes and the commit need not fetch it back. *)
 let create_file s txn ~parent ~base ?device ?(ftype = "unknown") ?(owner = "user")
@@ -660,10 +661,10 @@ let create_file s txn ~parent ~base ?device ?(ftype = "unknown") ?(owner = "user
   in
   let tid = Fileatt.insert t.fileatt txn att in
   if in_transaction s then Hashtbl.replace s.created oid (tid, att);
-  (oid, Some inv)
+  oid
 
-let open_rdwr s (oid, inv) =
-  alloc_fd s { oid; inv; mode = Rdwr; hist = None; hist_lease = -1; pos = 0L; pending = None }
+let open_rdwr s oid =
+  alloc_fd s { oid; mode = Rdwr; hist = None; hist_lease = -1; pos = 0L; pending = None }
 
 let p_creat s ?device ?ftype ?owner ?compressed path =
   let t = s.owner_fs in
@@ -688,7 +689,8 @@ let open_or_creat s path =
         let oid = e.Naming.file in
         let att = att_of t snap oid in
         if is_dir att then Errors.fail Errors.EISDIR "%s" path;
-        (oid, attach t oid att))
+        ignore (attach t oid att : Inv_file.t option);
+        oid)
   |> open_rdwr s
 
 let p_open s ?timestamp path mode =
@@ -709,7 +711,8 @@ let p_open s ?timestamp path mode =
   in
   let att = att_of t snap oid in
   if is_dir att then Errors.fail Errors.EISDIR "%s" path;
-  let inv = get_inv t snap oid in
+  (* Attach the storage handle [require_inv] finds. *)
+  ignore (get_inv t snap oid : Inv_file.t option);
   (* A historical open leases its horizon so the incremental vacuum
      cannot discard versions this fd may still read. *)
   let hist_lease =
@@ -717,7 +720,7 @@ let p_open s ?timestamp path mode =
     | Some ts -> Db.acquire_lease t.db ~horizon:ts
     | None -> -1
   in
-  alloc_fd s { oid; inv; mode; hist = timestamp; hist_lease; pos = 0L; pending = None }
+  alloc_fd s { oid; mode; hist = timestamp; hist_lease; pos = 0L; pending = None }
 
 let p_close s fd =
   let of_ = find_fd s fd in
@@ -732,7 +735,7 @@ let p_close s fd =
    Returns the buffer and the count, which advances the position. *)
 let read_fd s of_ alloc =
   let t = s.owner_fs in
-  let inv = require_inv of_ in
+  let inv = require_inv t of_ in
   let read snap (att : Fileatt.att) =
     let buf, len = alloc att in
     (buf, read_at t snap inv ~oid:of_.oid ~size:att.Fileatt.size ~pos:of_.pos buf len)
@@ -803,7 +806,7 @@ let ftruncate s fd new_size =
   if Int64.compare new_size 0L < 0 then Errors.fail Errors.EINVAL "negative length";
   with_op s (fun txn ->
       flush_pending s txn of_;
-      let inv = require_inv of_ in
+      let inv = require_inv t of_ in
       (* Truncation mutates file data even when it only grows the size
          attribute: the new tail reads as zeros, so concurrent chunk
          writes must serialize against it.  Take the data heap's
@@ -1070,12 +1073,15 @@ let fileatt_catalog t = t.fileatt
 
 let sync t = Db.force_group t.db
 
+(* The indexed catalogs, in the order restart rebuilds them. *)
+let catalogs t = [ Naming.relation t.naming; Fileatt.relation t.fileatt ]
+
 let crash t =
   Db.crash t.db;
-  (* Volatile per-index state (cached entry counts) died with the machine. *)
-  Naming.crash_reset t.naming;
-  Fileatt.crash_reset t.fileatt;
-  iter_file_handles t (fun _ inv -> Inv_file.crash_reset inv);
+  (* Volatile per-index state (cached entry counts, a file's chunk memo)
+     died with the machine. *)
+  List.iter Index.Indexed.crash (catalogs t);
+  Hashtbl.iter (fun _ inv -> Inv_file.crash inv) t.files;
   (* Clone bases (and the leases they held) are a cache of the durable
      clonemap; they reload lazily, re-registering their leases. *)
   Hashtbl.reset t.clone_bases;
@@ -1102,12 +1108,12 @@ let is_file_table name =
 
 let oid_of_file_table name = Int64.of_string (String.sub name 3 (String.length name - 3))
 
-(* Make sure an inv<oid> relation has a storage handle, recovering the
-   index segment of an unlinked file from any historical attribute
-   version (vacuum still owes its history maintenance). *)
-let ensure_handle t oid =
+(* The storage handle of an inv<oid> relation, attached if need be,
+   recovering the index segment of an unlinked file from any historical
+   attribute version (vacuum still owes its history maintenance). *)
+let any_handle t oid =
   match file_handle t ~oid with
-  | Some _ -> true
+  | Some _ as inv -> inv
   | None -> (
     match Fileatt.find_any t.fileatt ~file:oid with
     | Some att when att.Fileatt.index_segid >= 0 ->
@@ -1116,8 +1122,24 @@ let ensure_handle t oid =
           ~compressed:att.Fileatt.compressed
       in
       Hashtbl.replace t.files oid inv;
-      true
-    | Some _ | None -> false)
+      Some inv
+    | Some _ | None -> None)
+
+(* The indexed relation behind a relation name, with the hook the vacuum
+   runs on each version it removes (a file's also drops its chunk memo);
+   [None] for a relation with no trees, or a file table [file] finds no
+   handle for.  Restart's filter looks handles up in [t.files] only; the
+   audit and the vacuum attach them with [any_handle]. *)
+let indexed t ~file name =
+  if is_file_table name then
+    Option.map
+      (fun inv -> (Inv_file.relation inv, Inv_file.on_vacuum inv))
+      (file (oid_of_file_table name))
+  else
+    List.find_opt
+      (fun rel -> String.equal name (Relstore.Heap.name (Index.Indexed.heap rel)))
+      (catalogs t)
+    |> Option.map (fun rel -> (rel, Index.Indexed.on_vacuum rel))
 
 (* Verify the pages of every relation [only] admits.  A catalog or a file
    (attached first if it has no handle yet) is verified by its index
@@ -1130,13 +1152,9 @@ let audit_relations ?(only = fun _ -> true) t =
     let name = Relstore.Heap.name heap in
     audited := name :: !audited;
     let audit =
-      if String.equal name (Relstore.Heap.name (Naming.heap t.naming)) then
-        Some (Naming.audit t.naming)
-      else if String.equal name (Relstore.Heap.name (Fileatt.heap t.fileatt)) then
-        Some (Fileatt.audit t.fileatt)
-      else if is_file_table name && ensure_handle t (oid_of_file_table name) then
-        Some (Inv_file.audit (Hashtbl.find t.files (oid_of_file_table name)))
-      else None
+      Option.map
+        (fun (rel, _) -> Index.Indexed.audit rel)
+        (indexed t ~file:(any_handle t) name)
     in
     match audit with
     | None -> Relstore.Heap.verify heap
@@ -1169,26 +1187,18 @@ let torn_by_crash t =
     | Some (m, msegid) -> Hashtbl.mem marks (Pagestore.Device.id m, msegid)
     | None -> false
   in
+  let tree_marked (ix : Index.Audit.index) =
+    marked (Index.Btree.device ix.tree) (Index.Btree.segid ix.tree)
+  in
+  let file = Hashtbl.find_opt t.files in
   fun heap ->
     let name = Relstore.Heap.name heap in
-    let trees =
-      if String.equal name (Relstore.Heap.name (Naming.heap t.naming)) then
-        Some (Naming.indexes t.naming)
-      else if String.equal name (Relstore.Heap.name (Fileatt.heap t.fileatt)) then
-        Some (Fileatt.indexes t.fileatt)
-      else if is_file_table name then
-        Option.map
-          (fun inv -> [ Inv_file.index inv ])
-          (Hashtbl.find_opt t.files (oid_of_file_table name))
-      else Some []
-    in
-    match trees with
-    | None -> true
-    | Some trees ->
+    match indexed t ~file name with
+    | Some (rel, _) ->
       marked (Relstore.Heap.device heap) (Relstore.Heap.segid heap)
-      || List.exists
-           (fun tree -> marked (Index.Btree.device tree) (Index.Btree.segid tree))
-           trees
+      || List.exists tree_marked (Index.Indexed.indexes rel)
+    | None ->
+      is_file_table name || marked (Relstore.Heap.device heap) (Relstore.Heap.segid heap)
 
 let crash_and_recover t =
   let rolled_back = Relstore.Status_log.active (Db.status_log t.db) in
@@ -1205,28 +1215,36 @@ let crash_and_recover t =
   let page_problems, index_verdict, relations_audited =
     audit_relations t ~only:(torn_by_crash t)
   in
-  let damaged name =
-    match index_verdict name with Some (Error _) -> true | Some (Ok ()) | None -> false
+  (* Only what the audit found damaged reaches the dispatch and is
+     rebuilt, the catalogs first, then files by oid: restart costs no
+     work per clean file. *)
+  let damaged =
+    List.filter
+      (fun name ->
+        match index_verdict name with Some (Error _) -> true | Some (Ok ()) | None -> false)
+      relations_audited
   in
-  let rebuilt heap rebuild =
-    let name = Relstore.Heap.name heap in
-    if damaged name then (rebuild (); [ name ]) else []
+  let rebuilt name =
+    match indexed t ~file:(Hashtbl.find_opt t.files) name with
+    | Some (rel, _) -> Index.Indexed.rebuild rel; true
+    | None -> false
   in
   let catalogs_rebuilt =
-    rebuilt (Naming.heap t.naming) (fun () -> Naming.rebuild_indexes t.naming)
-    @ rebuilt (Fileatt.heap t.fileatt) (fun () -> Fileatt.rebuild_indexes t.fileatt)
+    List.filter
+      (fun name -> List.mem name damaged && rebuilt name)
+      (List.map (fun rel -> Relstore.Heap.name (Index.Indexed.heap rel)) (catalogs t))
   in
-  let files_rebuilt = ref [] in
-  iter_file_handles t (fun oid inv ->
-      if damaged (Inv_file.relname oid) then begin
-        Inv_file.rebuild_index inv;
-        files_rebuilt := oid :: !files_rebuilt
-      end);
+  let file_indexes_rebuilt =
+    List.filter is_file_table damaged
+    |> List.map oid_of_file_table
+    |> List.sort Int64.compare
+    |> List.filter (fun oid -> rebuilt (Inv_file.relname oid))
+  in
   {
     rolled_back;
     page_problems;
     catalogs_rebuilt;
-    file_indexes_rebuilt = List.rev !files_rebuilt;
+    file_indexes_rebuilt;
     degraded;
     relations_audited;
   }
@@ -1308,25 +1326,17 @@ let clone s ~src ~dst =
 (* ---------- vacuum ---------- *)
 
 (* What the vacuum cleans, in relation-name order: every file table
-   (named or unlinked, attached through [ensure_handle]), the catalogs
+   (named or unlinked, attached through [any_handle]), the catalogs
    and the clone map, each with the index maintenance its removed
    versions need.  Archive relations are the destination, not a source. *)
 let vacuum_targets t =
   List.filter_map
     (fun rel ->
-      if is_file_table rel then begin
-        let oid = oid_of_file_table rel in
-        if ensure_handle t oid then
-          let inv = Hashtbl.find t.files oid in
-          Some (rel, Some (Inv_file.index_maintenance_on_vacuum inv))
-        else None
-      end
-      else if String.equal rel "naming" then
-        Some (rel, Some (Naming.index_maintenance_on_vacuum t.naming))
-      else if String.equal rel "fileatt" then
-        Some (rel, Some (Fileatt.index_maintenance_on_vacuum t.fileatt))
-      else if String.equal rel clonemap_rel then Some (rel, None)
-      else None)
+      if String.equal rel clonemap_rel then Some (rel, None)
+      else
+        Option.map
+          (fun (_, on_vacuum) -> (rel, Some on_vacuum))
+          (indexed t ~file:(any_handle t) rel))
     (Db.relations t.db)
 
 let vacuum_target t ?horizon ~mode (rel, on_remove) =
@@ -1337,7 +1347,7 @@ let vacuum_file t ~oid ?horizon ~mode () =
   | None -> Errors.fail Errors.ENOENT "no file with oid %Ld" oid
   | Some inv ->
     vacuum_target t ?horizon ~mode
-      (Inv_file.relname oid, Some (Inv_file.index_maintenance_on_vacuum inv))
+      (Inv_file.relname oid, Some (Inv_file.on_vacuum inv))
 
 let vacuum_all t ?horizon ~mode () =
   List.fold_left

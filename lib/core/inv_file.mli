@@ -37,20 +37,25 @@ val attach :
 val oid : t -> int64
 val heap : t -> Relstore.Heap.t
 
+val relation : t -> Index.Indexed.t
+(** The file's table and its one tree, [chunks], keyed by chunk number
+    (read from the record's {!Chunk} header): what the recovery audit,
+    the index rebuild and the vacuum work on. *)
+
 val index : t -> Index.Btree.t
-(** The chunk-number index, for the recovery audit. *)
+(** The chunk-number tree. *)
 
 val index_segid : t -> int
 val device_name : t -> string
 val is_compressed : t -> bool
 
 val read_chunk : t -> Relstore.Snapshot.t -> chunkno:int64 -> bytes option
-(** The chunk's (decompressed) file bytes visible under the snapshot.
-    Historical snapshots fall back to an archive scan when the index
-    misses (vacuumed versions).  Re-reading the chunk just read or
-    written hits a validated last-chunk memo — the B-tree probe and the
-    decode/decompress are skipped (the visibility fetch still runs and is
-    still charged). *)
+(** The chunk's (decompressed) file bytes visible under the snapshot,
+    found by {!Index.Indexed.probe}.  Historical snapshots fall back to
+    an archive scan when the index misses (vacuumed versions).
+    Re-reading the chunk just read or written hits a validated last-chunk
+    memo — the B-tree probe and the decode/decompress are skipped (the
+    visibility fetch still runs and is still charged). *)
 
 val hint_sequential : t -> unit
 (** Arm the buffer cache's read-ahead for this file's heap segment — the
@@ -73,32 +78,15 @@ val iter_chunks : t -> Relstore.Snapshot.t -> (int64 -> bytes -> unit) -> unit
 
 val copy_all_versions_to : t -> t -> unit
 (** Migration helper: copy {e every} record version (stamps intact) into
-    the destination and index them there, so history survives moving a
-    file between devices. *)
+    the destination and index them there, and attach the source's archive
+    heap to the destination, so history survives moving a file between
+    devices. *)
 
-val index_maintenance_on_vacuum : t -> Relstore.Heap.record -> unit
-(** Drop the index entry of a vacuumed chunk version. *)
+val on_vacuum : t -> Relstore.Heap.record -> unit
+(** {!Index.Indexed.on_vacuum}, which also drops the last-chunk memo. *)
 
-val crash_reset : t -> unit
-(** Forget volatile per-file state after a simulated machine crash
-    (currently the B-tree's cached entry count). *)
-
-val audit_indexes : t -> Index.Audit.index list
-(** The chunk tree with the key (chunk number) each version is indexed
-    under: the input {!audit} hands to {!Index.Audit.run}. *)
-
-val audit : t -> Index.Audit.verdict
-(** Crash-recovery audit ({!Index.Audit.run}) of the file's heap pages
-    and chunk index: every committed version reachable under its chunk
-    number, no entry dangling or aliased.  (The index is update-in-place,
-    so unlike the no-overwrite heap it {e can} be damaged by an
-    ill-timed crash.)  A file with nothing committed passes whatever its
-    index holds. *)
-
-val rebuild_index : t -> unit
-(** Reconstruct the chunk index from the heap (all versions re-inserted).
-    The index keeps its segment id, so stored [index_segid] references
-    stay valid. *)
+val crash : t -> unit
+(** {!Index.Indexed.crash}, which also drops the last-chunk memo. *)
 
 val drop : t -> unit
 (** Release the table and index storage. *)

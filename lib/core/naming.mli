@@ -4,11 +4,12 @@
     Management"):
     {v naming(filename = char[], parentid = object_id, file = object_id) v}
     A hierarchical namespace is imposed by entries pointing at their
-    parent's oid; the root directory ["/"] has parent 0.  B-tree indexes
-    accelerate (parent, name) lookups and oid → entry reverse lookups;
-    historical ([As_of]) reads bypass the indexes and scan, which keeps
-    them correct across vacuuming at the cost the paper acknowledges for
-    historical access. *)
+    parent's oid; the root directory ["/"] has parent 0.  Two B-trees,
+    declared once in an {!Index.Indexed.t}, accelerate (parent, name)
+    lookups ([by_dir], keyed by the parent and the name's CRC) and
+    oid → entry reverse lookups ([by_oid]); historical ([As_of]) reads
+    bypass them and scan, which keeps them correct across vacuuming at
+    the cost the paper acknowledges for historical access. *)
 
 type t
 
@@ -49,23 +50,9 @@ val iter_all : t -> Relstore.Snapshot.t -> (entry -> unit) -> unit
 val heap : t -> Relstore.Heap.t
 (** The underlying relation (vacuum, tests). *)
 
+val relation : t -> Index.Indexed.t
+(** The heap with [by_dir] and [by_oid]: what the recovery audit, the
+    index rebuild and the vacuum work on. *)
+
 val indexes : t -> Index.Btree.t list
-(** Both namespace indexes, for the recovery audit. *)
-
-val index_maintenance_on_vacuum : t -> Relstore.Heap.record -> unit
-(** [on_remove] hook: drop index entries for a vacuumed record. *)
-
-val crash_reset : t -> unit
-(** Forget volatile index state after a simulated machine crash. *)
-
-val audit_indexes : t -> Index.Audit.index list
-(** Both trees with the key each [naming] record version is indexed
-    under: the input {!audit} hands to {!Index.Audit.run}. *)
-
-val audit : t -> Index.Audit.verdict
-(** Crash-recovery audit ({!Index.Audit.run}) of the [naming] heap's pages
-    and both namespace indexes: every committed catalog record reachable
-    by (parent, name) and by oid, no entry dangling or aliased. *)
-
-val rebuild_indexes : t -> unit
-(** Reconstruct both indexes from the [naming] heap. *)
+(** [by_dir], then [by_oid]. *)

@@ -1,0 +1,68 @@
+(** An indexed relation: a heap and the B-trees over it.
+
+    In the paper every Inversion file is a POSTGRES table with a B-tree
+    on chunk number, and the namespace lives in [naming] and [fileatt]
+    tables that are indexed the same way.  This is that one idea.  Each
+    tree is declared once, as an {!Audit.index} [{name; tree; key_of}],
+    and every path that adds, finds or removes entries derives its keys
+    from [key_of]: inserting and updating a version, migration's raw
+    copy, the newest-first probe, the vacuum's index maintenance, the
+    crash reset, the rebuild from the heap and the recovery audit.  The
+    heap is the sole source of truth; the trees are update-in-place and
+    can always be rebuilt from it. *)
+
+type t
+
+val create : Relstore.Heap.t -> Audit.index list -> t
+(** The relation over [heap] with these trees.  The list order is the
+    order every operation visits the trees in. *)
+
+val heap : t -> Relstore.Heap.t
+
+val indexes : t -> Audit.index list
+(** The trees and their keys, in declaration order. *)
+
+val insert : t -> Relstore.Txn.t -> oid:int64 -> bytes -> Relstore.Tid.t
+(** {!Relstore.Heap.insert}, then file the new version under every tree. *)
+
+val update :
+  t -> Relstore.Txn.t -> Relstore.Tid.t -> oid:int64 -> bytes -> Relstore.Tid.t
+(** {!Relstore.Heap.update} of the version at that TID, then file the new
+    version under every tree.  [oid] is the record's oid, which the update
+    keeps. *)
+
+val append_raw :
+  t -> oid:int64 -> xmin:Relstore.Xid.t -> xmax:Relstore.Xid.t -> bytes -> Relstore.Tid.t
+(** {!Relstore.Heap.append_raw} (stamps intact), then file the version
+    under every tree: how migration copies a relation's whole history. *)
+
+val probe :
+  t ->
+  Audit.index ->
+  Relstore.Snapshot.t ->
+  key:string ->
+  (Relstore.Heap.record -> 'a option) ->
+  'a option
+(** The first [Some] [f] returns on a version filed under [key] in that
+    tree, visible under the snapshot and whose own key is [key].  Versions
+    are probed newest (highest TID) first: a current snapshot sees at most
+    one version per key, and it is nearly always the latest.  The key
+    check re-identifies each record, so a stale entry whose slot now holds
+    a different record never matches. *)
+
+val historical : Relstore.Snapshot.t -> bool
+(** [As_of] snapshots.  Whether such a read may use the trees, which hold
+    no entry for a vacuumed version, is each catalog's rule. *)
+
+val on_vacuum : t -> Relstore.Heap.record -> unit
+(** The vacuum's [on_remove] hook: drop a removed version's entries. *)
+
+val crash : t -> unit
+(** Forget every tree's volatile state after a simulated machine crash. *)
+
+val rebuild : t -> unit
+(** Reconstruct every tree from the heap, all versions re-inserted.  The
+    trees keep their segment ids, so stored references stay valid. *)
+
+val audit : t -> Audit.verdict
+(** {!Audit.run} of the heap and its trees. *)

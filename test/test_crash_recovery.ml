@@ -394,22 +394,22 @@ let heap_segid inv = Relstore.Heap.segid (Invfs.Inv_file.heap inv)
 
 (* The relation whose heap or one of whose trees is [segid] on disk0. *)
 let owner fs segid =
-  let naming = Fs.naming_catalog fs and fileatt = Fs.fileatt_catalog fs in
   let rels =
     ref
-      [ (Invfs.Naming.heap naming, Invfs.Naming.indexes naming);
-        (Invfs.Fileatt.heap fileatt, Invfs.Fileatt.indexes fileatt) ]
+      [ Invfs.Naming.relation (Fs.naming_catalog fs);
+        Invfs.Fileatt.relation (Fs.fileatt_catalog fs) ]
   in
-  Fs.iter_file_handles fs (fun _ inv ->
-      rels := (Invfs.Inv_file.heap inv, [ Invfs.Inv_file.index inv ]) :: !rels);
+  Fs.iter_file_handles fs (fun _ inv -> rels := Invfs.Inv_file.relation inv :: !rels);
   match
     List.find_opt
-      (fun (heap, trees) ->
-        Relstore.Heap.segid heap = segid
-        || List.exists (fun tree -> Index.Btree.segid tree = segid) trees)
+      (fun rel ->
+        Relstore.Heap.segid (Index.Indexed.heap rel) = segid
+        || List.exists
+             (fun (ix : Index.Audit.index) -> Index.Btree.segid ix.tree = segid)
+             (Index.Indexed.indexes rel))
       !rels
   with
-  | Some (heap, _) -> Relstore.Heap.name heap
+  | Some rel -> Relstore.Heap.name (Index.Indexed.heap rel)
   | None -> Alcotest.failf "segment %d belongs to no relation" segid
 
 let check_audited (r : Rec.report) rel =

@@ -85,7 +85,7 @@ let test_corrupted_index_detected_and_rebuilt () =
   (* a machine crash now: caches drop, reads hit the zeroed meta page *)
   Fs.crash fs;
   let inv = Option.get (Fs.file_handle fs ~oid) in
-  (match (Invfs.Inv_file.audit inv).Index.Audit.indexes with
+  (match (Index.Indexed.audit (Invfs.Inv_file.relation inv)).Index.Audit.indexes with
   | Ok () -> Alcotest.fail "index audit missed the zeroed meta page"
   | Error _ -> ());
   let audit = Fsck.audit fs in
@@ -107,8 +107,9 @@ let test_catalog_index_rebuild () =
   Fs.write_file s "/more" (bytes_of "more data");
   (* damage the naming catalog's B-trees in memory the way a crash does,
      then let recovery prove it can rebuild them from the heap *)
-  Invfs.Naming.crash_reset (Fs.naming_catalog fs);
-  (match (Invfs.Naming.audit (Fs.naming_catalog fs)).Index.Audit.indexes with
+  let naming = Invfs.Naming.relation (Fs.naming_catalog fs) in
+  Index.Indexed.crash naming;
+  (match (Index.Indexed.audit naming).Index.Audit.indexes with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "naming index dirty before damage: %s" msg);
   let report = Rec.crash_and_recover fs in
@@ -179,23 +180,17 @@ type audited = {
   audit : unit -> Audit.verdict;
 }
 
+let audited label rel =
+  { label; heap = Index.Indexed.heap rel; indexes = Index.Indexed.indexes rel;
+    audit = (fun () -> Index.Indexed.audit rel) }
+
 let catalogs fs =
-  let naming = Fs.naming_catalog fs and fileatt = Fs.fileatt_catalog fs in
-  [
-    { label = "naming"; heap = Invfs.Naming.heap naming;
-      indexes = Invfs.Naming.audit_indexes naming;
-      audit = (fun () -> Invfs.Naming.audit naming) };
-    { label = "fileatt"; heap = Invfs.Fileatt.heap fileatt;
-      indexes = Invfs.Fileatt.audit_indexes fileatt;
-      audit = (fun () -> Invfs.Fileatt.audit fileatt) };
-  ]
+  [ audited "naming" (Invfs.Naming.relation (Fs.naming_catalog fs));
+    audited "fileatt" (Invfs.Fileatt.relation (Fs.fileatt_catalog fs)) ]
 
 let file fs path =
   let oid = Fs.lookup_oid (Fs.new_session fs) path in
-  let inv = Option.get (Fs.file_handle fs ~oid) in
-  { label = path; heap = Invfs.Inv_file.heap inv;
-    indexes = Invfs.Inv_file.audit_indexes inv;
-    audit = (fun () -> Invfs.Inv_file.audit inv) }
+  audited path (Invfs.Inv_file.relation (Option.get (Fs.file_handle fs ~oid)))
 
 (* Every tree of the audited relations, paired with its relation. *)
 let trees audited = List.concat_map (fun a -> List.map (fun ix -> (a, ix)) a.indexes) audited
@@ -511,6 +506,48 @@ let test_shard_audit_malformed_map () =
     (List.for_all (( = ) "placement") (problems r))
 
 
+(* Insert, update, migration's copy, the vacuum's index maintenance and
+   the rebuild all derive keys from each tree's one declaration, so after
+   creates, overwrites, a rename, an unlink, an aborted write and an
+   archive vacuum every tree holds exactly the entries a rebuild from
+   its heap puts there. *)
+let test_maintained_trees_equal_rebuilt () =
+  let fs, s = populated () in
+  Fs.write_file s "/a" (bytes_of "alpha");
+  Fs.write_file s "/b" (Bytes.make (Invfs.Chunk.capacity + 10) 'b');
+  for i = 1 to 3 do
+    Fs.write_file s "/a" (bytes_of (Printf.sprintf "alpha %d" i))
+  done;
+  Fs.write_file s "/notes" (bytes_of "short");
+  Fs.rename s "/a" "/docs/a";
+  Fs.unlink s "/b";
+  Fs.p_begin s;
+  Fs.write_file s "/docs/report" (bytes_of "never committed");
+  Fs.write_file s "/c" (bytes_of "never created");
+  Fs.p_abort s;
+  Simclock.Clock.advance (Relstore.Db.clock (Fs.db fs)) 1.;
+  let st = Fs.vacuum_all fs ~mode:`Archive () in
+  Alcotest.(check bool) "vacuum archived" true (st.Relstore.Vacuum.archived > 0);
+  let rels =
+    ref
+      [ ("naming", Invfs.Naming.relation (Fs.naming_catalog fs));
+        ("fileatt", Invfs.Fileatt.relation (Fs.fileatt_catalog fs)) ]
+  in
+  Fs.iter_file_handles fs (fun oid inv ->
+      rels := (Invfs.Inv_file.relname oid, Invfs.Inv_file.relation inv) :: !rels);
+  Alcotest.(check bool) "several file tables" true (List.length !rels >= 7);
+  let sorted ix = List.sort compare (entries ix) in
+  List.iter
+    (fun (label, rel) ->
+      let maintained = List.map sorted (Index.Indexed.indexes rel) in
+      Index.Indexed.rebuild rel;
+      List.iter2
+        (fun (ix : Audit.index) before ->
+          Alcotest.(check (list (pair string int64)))
+            (Printf.sprintf "%s.%s" label ix.name) (sorted ix) before)
+        (Index.Indexed.indexes rel) maintained)
+    !rels
+
 (* ---- archive-tier (WORM) audit ---- *)
 
 let populated_with_history () =
@@ -626,6 +663,8 @@ let () =
             test_audit_directed_mutations;
           Alcotest.test_case "seeded mutations match the reference" `Quick
             test_audit_random_mutations;
+          Alcotest.test_case "maintained trees equal a rebuild" `Quick
+            test_maintained_trees_equal_rebuilt;
         ] );
       ( "archive tier",
         [

@@ -670,6 +670,66 @@ let test_migrate_file_between_devices () =
   Alcotest.(check bytes) "history survives migration" data
     (Fs.read_whole_file s ~timestamp:t1 "/dataset")
 
+(* An archived version stays readable [As_of] after the file moves: the
+   migrated heap keeps the archive the vacuum attached to the old one. *)
+let test_migrate_keeps_archived_history () =
+  let fs =
+    make_fs
+      ~devices:
+        [
+          ("disk0", Pagestore.Device.Magnetic_disk);
+          ("disk1", Pagestore.Device.Magnetic_disk);
+          ("jukebox", Pagestore.Device.Worm_jukebox);
+        ]
+      ()
+  in
+  let s = Fs.new_session fs in
+  Fs.write_file s "/f" (bytes_of "ancient");
+  advance fs 1.;
+  let t1 = Relstore.Db.now (Fs.db fs) in
+  advance fs 1.;
+  Fs.write_file s "/f" (bytes_of "modern");
+  advance fs 1.;
+  let oid = Fs.lookup_oid s "/f" in
+  let stats = Fs.vacuum_file fs ~oid ~mode:`Archive () in
+  Alcotest.(check bool) "archived something" true (stats.Relstore.Vacuum.archived >= 1);
+  Fs.migrate_file fs ~oid ~device:"disk1";
+  Alcotest.(check string) "moved" "disk1" (Fs.stat s "/f").Invfs.Fileatt.device;
+  Alcotest.(check string) "current" "modern" (str (Fs.read_whole_file s "/f"));
+  Alcotest.(check string) "archived history" "ancient"
+    (str (Fs.read_whole_file s ~timestamp:t1 "/f"));
+  Alcotest.(check bool) "fsck clean" true (Invfs.Fsck.is_clean (Invfs.Fsck.audit fs));
+  Fs.crash fs;
+  Alcotest.(check string) "archived history after a crash" "ancient"
+    (str (Fs.read_whole_file (Fs.new_session fs) ~timestamp:t1 "/f"))
+
+(* An fd opened before [migrate_file] reads and writes the moved file. *)
+let migrated_fd mode =
+  let fs =
+    make_fs
+      ~devices:
+        [ ("disk0", Pagestore.Device.Magnetic_disk); ("disk1", Pagestore.Device.Magnetic_disk) ]
+      ()
+  in
+  let s = Fs.new_session fs in
+  Fs.write_file s "/f" (bytes_of "before");
+  let fd = Fs.p_open s "/f" mode in
+  Fs.migrate_file fs ~oid:(Fs.lookup_oid s "/f") ~device:"disk1";
+  (s, fd)
+
+let test_migrate_fd_read () =
+  let s, fd = migrated_fd Fs.Rdonly in
+  let buf = Bytes.create 6 in
+  Alcotest.(check int) "read count" 6 (Fs.p_read s fd buf 6);
+  Alcotest.(check string) "read bytes" "before" (str buf);
+  Fs.p_close s fd
+
+let test_migrate_fd_write () =
+  let s, fd = migrated_fd Fs.Rdwr in
+  Alcotest.(check int) "write count" 5 (Fs.p_write s fd (bytes_of "AFTER") 5);
+  Fs.p_close s fd;
+  Alcotest.(check string) "written" "AFTERe" (str (Fs.read_whole_file s "/f"))
+
 let test_migration_rules_engine () =
   let fs =
     make_fs
@@ -1194,6 +1254,10 @@ let () =
         [
           Alcotest.test_case "between devices" `Quick test_migrate_file_between_devices;
           Alcotest.test_case "rules engine" `Quick test_migration_rules_engine;
+          Alcotest.test_case "archived history survives" `Quick
+            test_migrate_keeps_archived_history;
+          Alcotest.test_case "open fd reads after migration" `Quick test_migrate_fd_read;
+          Alcotest.test_case "open fd writes after migration" `Quick test_migrate_fd_write;
         ] );
       ( "vacuum",
         [
