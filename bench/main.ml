@@ -4,7 +4,7 @@
    paper artifact against the real (wall-clock) implementation.
 
    Usage:
-     bench/main.exe [all|tab3|fig3|fig4|fig5|fig6|ablate|json|sequoia|micro|crash|net|shard|degraded] [--mb N]
+     bench/main.exe [all|tab3|fig3|fig4|fig5|fig6|ablate|json|sequoia|micro|shard|load] [--mb N]
 
    [--mb N] sizes the benchmark file (default 25, the paper's size; the
    create time is scaled for smaller files so reports stay comparable). *)
@@ -1183,79 +1183,6 @@ let () =
   | "sequoia" ->
     print_string (Benchlib.Sequoia.report_to_string (Benchlib.Sequoia.run ()))
   | "micro" -> micro ()
-  | "crash" ->
-    (* Reproduce a crash-harness run:
-         bench crash --seed N [--ops N] [--sessions N] [--trace]
-                     [--media | --media-kill]
-                     [--mirrored] [--bitrot N] [--stuck N] [--kill N] [--scrub N]
-       --media / --media-kill start from the media presets; the individual
-       flags override whichever base config is in effect.  Prints the
-       outcome line and any mismatches, exits 1 on mismatch. *)
-    let find_arg name default =
-      let rec go = function
-        | a :: v :: _ when a = name -> int_of_string v
-        | _ :: rest -> go rest
-        | [] -> default
-      in
-      go args
-    in
-    let base =
-      if List.mem "--media-kill" args then Benchlib.Crashtest.media_kill_config
-      else if List.mem "--media" args then Benchlib.Crashtest.media_config
-      else Benchlib.Crashtest.default_config
-    in
-    let seed = Int64.of_int (find_arg "--seed" 1) in
-    let cfg =
-      {
-        base with
-        ops = find_arg "--ops" base.ops;
-        sessions = find_arg "--sessions" base.sessions;
-        trace = List.mem "--trace" args;
-        mirrored = base.mirrored || List.mem "--mirrored" args;
-        bitrot_interval = find_arg "--bitrot" base.bitrot_interval;
-        stuck_interval = find_arg "--stuck" base.stuck_interval;
-        kill_mirror_at = find_arg "--kill" base.kill_mirror_at;
-        scrub_interval = find_arg "--scrub" base.scrub_interval;
-      }
-    in
-    let o = Benchlib.Crashtest.run ~config:cfg ~seed () in
-    print_endline (Benchlib.Crashtest.outcome_to_string o);
-    List.iter (fun m -> Printf.printf "  MISMATCH: %s\n" m) o.Benchlib.Crashtest.mismatches;
-    if o.Benchlib.Crashtest.mismatches <> [] then exit 1
-  | "net" ->
-    (* Reproduce a network-fault harness run:
-         bench net --seed N [--ops N] [--clients N] [--trace]
-                   [--fault-every N] [--crash-every N] [--no-device-crash]
-       Prints the outcome line and any mismatches, exits 1 on mismatch.
-       The same seed and config replay the same op stream, fault
-       schedule and message interleaving — use --trace for the per-op
-       repro log. *)
-    let find_arg name default =
-      let rec go = function
-        | a :: v :: _ when a = name -> int_of_string v
-        | _ :: rest -> go rest
-        | [] -> default
-      in
-      go args
-    in
-    let base = Benchlib.Nettest.default_config in
-    let seed = Int64.of_int (find_arg "--seed" 1) in
-    let cfg =
-      {
-        base with
-        Benchlib.Nettest.ops = find_arg "--ops" base.Benchlib.Nettest.ops;
-        clients = find_arg "--clients" base.Benchlib.Nettest.clients;
-        fault_interval = find_arg "--fault-every" base.Benchlib.Nettest.fault_interval;
-        crash_interval = find_arg "--crash-every" base.Benchlib.Nettest.crash_interval;
-        device_crash =
-          base.Benchlib.Nettest.device_crash && not (List.mem "--no-device-crash" args);
-        trace = List.mem "--trace" args;
-      }
-    in
-    let o = Benchlib.Nettest.run ~config:cfg ~seed () in
-    print_endline (Benchlib.Nettest.outcome_to_string o);
-    List.iter (fun m -> Printf.printf "  MISMATCH: %s\n" m) o.Benchlib.Nettest.mismatches;
-    if o.Benchlib.Nettest.mismatches <> [] then exit 1
   | "load" ->
     (* Open-loop load sweep:
          bench load [--seed N] [--clients N] [--tenants N] [--ops N]
@@ -1324,29 +1251,10 @@ let () =
     print_endline (Lt.outcome_to_string o);
     List.iter (fun m -> Printf.printf "  MISMATCH: %s\n" m) o.Lt.mismatches;
     if o.Lt.mismatches <> [] then exit 1
-  | "degraded" ->
-    (* Directed degraded-mode scenario: bench degraded [--seed N] [--files N].
-       Exits 1 on mismatch. *)
-    let find_arg name default =
-      let rec go = function
-        | a :: v :: _ when a = name -> int_of_string v
-        | _ :: rest -> go rest
-        | [] -> default
-      in
-      go args
-    in
-    let seed = Int64.of_int (find_arg "--seed" 1) in
-    let files = find_arg "--files" 12 in
-    let ms = Benchlib.Crashtest.run_degraded ~files ~seed () in
-    if ms = [] then Printf.printf "degraded seed=%Ld files=%d: ok\n" seed files
-    else begin
-      List.iter (fun m -> Printf.printf "  MISMATCH: %s\n" m) ms;
-      exit 1
-    end
   | other ->
     Printf.eprintf
       "unknown command %s (expected \
-       all|tab3|fig3|fig4|fig5|fig6|ablate|json|sequoia|micro|crash|net|load|degraded)\n"
+       all|tab3|fig3|fig4|fig5|fig6|ablate|json|sequoia|micro|shard|load)\n"
       other;
     exit 2);
   match trace_out with

@@ -369,7 +369,7 @@ let run ?(config = default_config) ~seed () =
    acceptance contract: files on the survivor stay byte-identical, files
    on the dead device fail with EIO and nothing worse, and Fsck/Recovery
    name the exact degraded relation set while auditing clean. *)
-let run_degraded ?(files = 12) ~seed () =
+let run_degraded ~seed () =
   let rng = Rng.create seed in
   let clock = Simclock.Clock.create () in
   let switch = Pagestore.Switch.create ~clock in
@@ -385,7 +385,7 @@ let run_degraded ?(files = 12) ~seed () =
   let mismatches = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> mismatches := m :: !mismatches) fmt in
   let placed =
-    List.init (max 2 files) (fun i ->
+    List.init 12 (fun i ->
         let device = if i mod 2 = 0 then "disk0" else "disk1" in
         let path = Printf.sprintf "/f%d" i in
         let fd = Fs.p_creat s ~device path in

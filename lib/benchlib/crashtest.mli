@@ -76,11 +76,7 @@ val run : ?config:config -> seed:int64 -> unit -> outcome
 (** One full differential run on a fresh file system.  Deterministic:
     equal seeds (and configs) give equal outcomes. *)
 
-val run_degraded :
-  ?files:int ->
-  seed:int64 ->
-  unit ->
-  string list
+val run_degraded : seed:int64 -> unit -> string list
 (** Directed degraded-mode scenario: files placed alternately on two
     {e unmirrored} devices, then one device dies.  Checks that files on
     the survivor stay byte-identical, files on the dead device fail with

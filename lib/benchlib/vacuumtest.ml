@@ -260,7 +260,7 @@ let run ?(config = default_config) ~seed () =
     Pagestore.Switch.add_device switch ~name:"disk0" ~kind:Device.Magnetic_disk ()
   in
   (* The archive tier is a real device of the WORM kind, so tiering is
-     physical: Db places every "_arch" relation here. *)
+     physical: Db.archive places every archive relation here. *)
   let (_ : Device.t) =
     Pagestore.Switch.add_device switch ~name:"jukebox" ~kind:Device.Worm_jukebox ()
   in

@@ -65,7 +65,7 @@ let create db ?device () =
       tree = Index.Btree.create ~cache:(Relstore.Db.cache db) ~device:(H.device heap) ~klen:8;
       key_of = (fun r -> Index.Key.of_int64 r.H.oid) }
   in
-  { rel = Index.Indexed.create heap [ by_oid ]; by_oid }
+  { rel = Index.Indexed.create heap ~archive:(Relstore.Db.archive db heap) [ by_oid ]; by_oid }
 
 let heap t = Index.Indexed.heap t.rel
 let relation t = t.rel
@@ -79,7 +79,7 @@ let insert t txn a = Index.Indexed.insert t.rel txn ~oid:a.file (encode a)
 let find_record t snap ~file =
   if Index.Indexed.historical snap then begin
     let hit = ref None in
-    H.scan (heap t) snap (fun r -> if r.oid = file then hit := Some r);
+    Index.Indexed.scan t.rel snap (fun r -> if r.oid = file then hit := Some r);
     !hit
   end
   else Index.Indexed.probe t.rel t.by_oid snap ~key:(Index.Key.of_int64 file) Option.some
@@ -99,9 +99,4 @@ let set t txn a =
 
 let remove t txn tid = H.delete (heap t) txn tid
 
-let find_any t ~file =
-  let hit = ref None in
-  H.scan_raw (heap t) (fun r -> if Int64.equal r.H.oid file then hit := Some (decode r.H.payload));
-  !hit
-
-let iter_all t snap f = H.scan (heap t) snap (fun r -> f (decode r.payload))
+let iter_all t snap f = Index.Indexed.scan t.rel snap (fun r -> f (decode r.payload))

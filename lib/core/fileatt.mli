@@ -3,7 +3,7 @@
     {v fileatt(file, owner, type, size, ctime, mtime, atime) v}
     plus two implementation fields the paper keeps in POSTGRES system
     state: the device the file's table lives on, and the segment id of its
-    chunk-number B-tree (needed to reattach after a crash).  One B-tree,
+    chunk-number B-tree (reported, and carried on the wire).  One B-tree,
     [by_oid], keyed by the record's oid, finds a file's current row; an
     [As_of] read scans instead.  "A simple
     two-way table join of naming and fileatt can construct all the
@@ -49,10 +49,6 @@ val set : t -> Relstore.Txn.t -> att -> unit
 
 val remove : t -> Relstore.Txn.t -> Relstore.Tid.t -> unit
 (** Delete the attribute record at that TID (file removal). *)
-
-val find_any : t -> file:int64 -> att option
-(** Any attribute version for the oid, visible or not — how the vacuum
-    cleaner locates storage of unlinked files. *)
 
 val iter_all : t -> Relstore.Snapshot.t -> (att -> unit) -> unit
 

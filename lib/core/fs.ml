@@ -15,6 +15,10 @@ type clone_base = {
   lease : int;
 }
 
+(* A relation this file system made: a catalog or the clone map, or a
+   file's table. *)
+type owned = Table of Index.Indexed.t | File of Inv_file.t
+
 type t = {
   db : Db.t;
   naming : Naming.t;
@@ -22,7 +26,10 @@ type t = {
   registry : Postquel.Registry.t;
   root_oid : int64;
   default_device : string option;
-  files : (int64, Inv_file.t) Hashtbl.t; (* open storage handles by oid *)
+  relations : (string, owned) Hashtbl.t;
+      (* every relation made here, by name, from its create, clone or
+         migration on; none is ever dropped *)
+  mutable clonemap : Index.Indexed.t option; (* made by the first clone *)
   mutable qsnap : Snapshot.t; (* snapshot of the query being evaluated *)
   clone_bases : (int64, clone_base) Hashtbl.t; (* dst oid -> base view *)
   mutable clones_loaded : bool; (* lazy reload of the durable clonemap *)
@@ -231,42 +238,33 @@ let dir_att t ~oid ~owner =
     atime = now_ts t;
   }
 
-(* The storage handle of [oid], attached from its attribute row [att]
-   if it has none yet. *)
-let attach t oid (att : Fileatt.att) =
-  match Hashtbl.find_opt t.files oid with
-  | Some inv -> Some inv
-  | None when is_dir att -> None
-  | None ->
-    let inv =
-      Inv_file.attach t.db ~oid ~index_segid:att.Fileatt.index_segid
-        ~compressed:att.Fileatt.compressed
-    in
-    Hashtbl.replace t.files oid inv;
-    Some inv
+let relation_of = function Table rel -> rel | File inv -> Inv_file.relation inv
 
-let get_inv t snap oid =
-  match Hashtbl.find_opt t.files oid with
-  | Some inv -> Some inv
-  | None -> Option.bind (Fileatt.get t.fileatt snap ~file:oid) (attach t oid)
+let register t owned =
+  let heap = Index.Indexed.heap (relation_of owned) in
+  Hashtbl.replace t.relations (Relstore.Heap.name heap) owned
 
 let file_handle t ~oid =
-  match Hashtbl.find_opt t.files oid with
-  | Some inv -> Some inv
-  | None -> get_inv t (Snapshot.As_of (now_ts t)) oid
+  match Hashtbl.find_opt t.relations (Inv_file.relname oid) with
+  | Some (File inv) -> Some inv
+  | Some (Table _) | None -> None
 
 (* ---------- clones ---------- *)
 
 (* The clone map is a raw catalog relation: one record per live clone,
    oid = the clone, payload = (base oid, base horizon, base length) as
    three big-endian int64s.  It is ordinary transactional storage, so the
-   mapping is exactly as durable as the clone's directory entry. *)
-let clonemap_rel = "clonemap"
-
-let clonemap_heap t =
-  match Db.find_relation_opt t.db clonemap_rel with
-  | Some h -> h
-  | None -> Db.create_relation t.db ~name:clonemap_rel ()
+   mapping is exactly as durable as the clone's directory entry.  An
+   indexed relation with no trees, so that it owns its archive. *)
+let clonemap t =
+  match t.clonemap with
+  | Some cm -> cm
+  | None ->
+    let heap = Db.create_relation t.db ~name:"clonemap" () in
+    let cm = Index.Indexed.create heap ~archive:(Db.archive t.db heap) [] in
+    t.clonemap <- Some cm;
+    register t (Table cm);
+    cm
 
 let encode_clone ~src_oid ~horizon ~base_len =
   let b = Bytes.create 24 in
@@ -286,10 +284,10 @@ let drop_clone_cache t =
 let load_clone_bases t =
   if not t.clones_loaded then begin
     t.clones_loaded <- true;
-    match Db.find_relation_opt t.db clonemap_rel with
+    match t.clonemap with
     | None -> ()
-    | Some h ->
-      Relstore.Heap.scan h (Snapshot.As_of (now_ts t)) (fun r ->
+    | Some cm ->
+      Index.Indexed.scan cm (Snapshot.As_of (now_ts t)) (fun r ->
           if Bytes.length r.Relstore.Heap.payload = 24 then begin
             let src_oid = Bytes.get_int64_be r.Relstore.Heap.payload 0 in
             let chorizon = Bytes.get_int64_be r.Relstore.Heap.payload 8 in
@@ -312,11 +310,11 @@ let clone_base_of t oid =
    through the archive tier like any other, so even a vacuumed-away map
    record keeps answering. *)
 let clone_base_at t ~ts oid =
-  match Db.find_relation_opt t.db clonemap_rel with
+  match t.clonemap with
   | None -> None
-  | Some h ->
+  | Some cm ->
     let found = ref None in
-    Relstore.Heap.scan h (Snapshot.As_of ts) (fun r ->
+    Index.Indexed.scan cm (Snapshot.As_of ts) (fun r ->
         if Int64.equal r.Relstore.Heap.oid oid
            && Bytes.length r.Relstore.Heap.payload = 24
         then
@@ -350,7 +348,7 @@ let rec chunk_read t snap inv ~oid ~chunkno =
       if Int64.compare chunk_start cb.base_len >= 0 then None
       else
         let bsnap = Snapshot.As_of cb.chorizon in
-        (match get_inv t bsnap cb.src_oid with
+        (match file_handle t ~oid:cb.src_oid with
         | None -> None
         | Some binv -> (
           match chunk_read t bsnap binv ~oid:cb.src_oid ~chunkno with
@@ -362,7 +360,7 @@ let rec chunk_read t snap inv ~oid ~chunkno =
             else Some d)))
 
 let read_file_at t snap ~oid =
-  match get_inv t snap oid with
+  match file_handle t ~oid with
   | None -> Bytes.create 0
   | Some inv ->
     let att =
@@ -478,13 +476,16 @@ let make db ?default_device () =
       registry;
       root_oid;
       default_device;
-      files = Hashtbl.create 64;
+      relations = Hashtbl.create 64;
+      clonemap = None;
       qsnap = Snapshot.As_of 0L;
       clone_bases = Hashtbl.create 16;
       clones_loaded = false;
       vac_rr = 0;
     }
   in
+  register t (Table (Naming.relation naming));
+  register t (Table (Fileatt.relation fileatt));
   Postquel.Registry.define_type registry directory_type;
   Db.with_txn db (fun txn ->
       ignore
@@ -525,7 +526,7 @@ let find_fd s fd =
 (* The fd's storage handle, looked up on every use: migration replaces
    it. *)
 let require_inv t of_ =
-  match Hashtbl.find_opt t.files of_.oid with
+  match file_handle t ~oid:of_.oid with
   | Some inv -> inv
   | None -> Errors.fail Errors.EBADF "file storage unavailable"
 
@@ -643,7 +644,7 @@ let create_file s txn ~parent ~base ?device ?(ftype = "unknown") ?(owner = "user
   if Pagestore.Switch.find_opt (Db.switch t.db) device = None then
     Errors.fail Errors.EINVAL "no device named %s on the switch" device;
   let inv = Inv_file.create t.db ~oid ~device ~compressed in
-  Hashtbl.replace t.files oid inv;
+  register t (File inv);
   ignore (Naming.insert t.naming txn ~parentid:parent ~file:oid ~name:base : Naming.entry);
   let att =
     {
@@ -687,9 +688,7 @@ let open_or_creat s path =
       | None -> create_file s txn ~parent ~base ()
       | Some e ->
         let oid = e.Naming.file in
-        let att = att_of t snap oid in
-        if is_dir att then Errors.fail Errors.EISDIR "%s" path;
-        ignore (attach t oid att : Inv_file.t option);
+        if is_dir (att_of t snap oid) then Errors.fail Errors.EISDIR "%s" path;
         oid)
   |> open_rdwr s
 
@@ -711,8 +710,6 @@ let p_open s ?timestamp path mode =
   in
   let att = att_of t snap oid in
   if is_dir att then Errors.fail Errors.EISDIR "%s" path;
-  (* Attach the storage handle [require_inv] finds. *)
-  ignore (get_inv t snap oid : Inv_file.t option);
   (* A historical open leases its horizon so the incremental vacuum
      cannot discard versions this fd may still read. *)
   let hist_lease =
@@ -837,12 +834,12 @@ let ftruncate s fd new_size =
             | None -> ()));
           c := Int64.add !c 1L
         done;
-        let cm = clonemap_heap t in
+        let cm = clonemap t in
         let tids = ref [] in
-        Relstore.Heap.scan cm (Txn.snapshot txn) (fun r ->
+        Index.Indexed.scan cm (Txn.snapshot txn) (fun r ->
             if Int64.equal r.Relstore.Heap.oid of_.oid then
               tids := r.Relstore.Heap.tid :: !tids);
-        List.iter (fun tid -> Relstore.Heap.delete cm txn tid) !tids;
+        List.iter (fun tid -> Relstore.Heap.delete (Index.Indexed.heap cm) txn tid) !tids;
         drop_clone_cache t
       | _ -> ());
       if Int64.compare new_size att.Fileatt.size < 0 then begin
@@ -1064,9 +1061,17 @@ let with_query_snapshot t snap f =
 (* ---------- maintenance ---------- *)
 
 let iter_file_handles t f =
-  Hashtbl.fold (fun oid inv acc -> (oid, inv) :: acc) t.files []
+  Hashtbl.fold
+    (fun _ owned acc ->
+      match owned with File inv -> (Inv_file.oid inv, inv) :: acc | Table _ -> acc)
+    t.relations []
   |> List.sort (fun (a, _) (b, _) -> Int64.compare a b)
   |> List.iter (fun (oid, inv) -> f oid inv)
+
+let relations t =
+  Hashtbl.fold (fun name owned acc -> (name, relation_of owned) :: acc) t.relations []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.map snd
 
 let naming_catalog t = t.naming
 let fileatt_catalog t = t.fileatt
@@ -1080,8 +1085,9 @@ let crash t =
   Db.crash t.db;
   (* Volatile per-index state (cached entry counts, a file's chunk memo)
      died with the machine. *)
-  List.iter Index.Indexed.crash (catalogs t);
-  Hashtbl.iter (fun _ inv -> Inv_file.crash inv) t.files;
+  Hashtbl.iter
+    (fun _ -> function Table rel -> Index.Indexed.crash rel | File inv -> Inv_file.crash inv)
+    t.relations;
   (* Clone bases (and the leases they held) are a cache of the durable
      clonemap; they reload lazily, re-registering their leases. *)
   Hashtbl.reset t.clone_bases;
@@ -1097,68 +1103,23 @@ type recovery = {
   relations_audited : string list;
 }
 
-let is_file_table name =
-  String.length name > 3
-  && String.sub name 0 3 = "inv"
-  && (not (String.length name > 5 && String.sub name (String.length name - 5) 5 = "_arch"))
-  &&
-  match Int64.of_string_opt (String.sub name 3 (String.length name - 3)) with
-  | Some _ -> true
-  | None -> false
+let on_vacuum = function
+  | Table rel -> Index.Indexed.on_vacuum rel
+  | File inv -> Inv_file.on_vacuum inv
 
-let oid_of_file_table name = Int64.of_string (String.sub name 3 (String.length name - 3))
-
-(* The storage handle of an inv<oid> relation, attached if need be,
-   recovering the index segment of an unlinked file from any historical
-   attribute version (vacuum still owes its history maintenance). *)
-let any_handle t oid =
-  match file_handle t ~oid with
-  | Some _ as inv -> inv
-  | None -> (
-    match Fileatt.find_any t.fileatt ~file:oid with
-    | Some att when att.Fileatt.index_segid >= 0 ->
-      let inv =
-        Inv_file.attach t.db ~oid ~index_segid:att.Fileatt.index_segid
-          ~compressed:att.Fileatt.compressed
-      in
-      Hashtbl.replace t.files oid inv;
-      Some inv
-    | Some _ | None -> None)
-
-(* The indexed relation behind a relation name, with the hook the vacuum
-   runs on each version it removes (a file's also drops its chunk memo);
-   [None] for a relation with no trees, or a file table [file] finds no
-   handle for.  Restart's filter looks handles up in [t.files] only; the
-   audit and the vacuum attach them with [any_handle]. *)
-let indexed t ~file name =
-  if is_file_table name then
-    Option.map
-      (fun inv -> (Inv_file.relation inv, Inv_file.on_vacuum inv))
-      (file (oid_of_file_table name))
-  else
-    List.find_opt
-      (fun rel -> String.equal name (Relstore.Heap.name (Index.Indexed.heap rel)))
-      (catalogs t)
-    |> Option.map (fun rel -> (rel, Index.Indexed.on_vacuum rel))
-
-(* Verify the pages of every relation [only] admits.  A catalog or a file
-   (attached first if it has no handle yet) is verified by its index
-   audit, whose one read of each heap page also feeds the check of its
-   B-trees ({!Index.Audit}); the rest (archive heaps, the clonemap) get
-   the plain page check. *)
+(* Verify the pages of every relation [only] admits.  A relation this
+   file system made is verified by its index audit, whose one read of
+   each heap page also feeds the check of its B-trees ({!Index.Audit});
+   the rest (the archives) get the plain page check. *)
 let audit_relations ?(only = fun _ -> true) t =
   let verdicts = Hashtbl.create 64 and audited = ref [] in
   let audit_one heap =
     let name = Relstore.Heap.name heap in
     audited := name :: !audited;
-    let audit =
-      Option.map
-        (fun (rel, _) -> Index.Indexed.audit rel)
-        (indexed t ~file:(any_handle t) name)
-    in
-    match audit with
+    match Hashtbl.find_opt t.relations name with
     | None -> Relstore.Heap.verify heap
-    | Some v ->
+    | Some owned ->
+      let v = Index.Indexed.audit (relation_of owned) in
       Hashtbl.replace verdicts name v.Index.Audit.indexes;
       v.Index.Audit.pages
   in
@@ -1169,9 +1130,7 @@ let audit_relations ?(only = fun _ -> true) t =
 (* Restart's filter: a relation needs auditing only if a store since the
    last complete flush could have torn it, that is if its heap segment or
    any of its trees' segments carries a dirty mark on either mirror copy.
-   The mark tables are read once per device.  A file relation with no
-   handle has no known trees, so it counts as marked; the handle is looked
-   up in [t.files] only, as attaching one would read the catalog. *)
+   The mark tables are read once per device. *)
 let torn_by_crash t =
   let marks = Hashtbl.create 16 in
   List.iter
@@ -1190,15 +1149,12 @@ let torn_by_crash t =
   let tree_marked (ix : Index.Audit.index) =
     marked (Index.Btree.device ix.tree) (Index.Btree.segid ix.tree)
   in
-  let file = Hashtbl.find_opt t.files in
   fun heap ->
-    let name = Relstore.Heap.name heap in
-    match indexed t ~file name with
-    | Some (rel, _) ->
-      marked (Relstore.Heap.device heap) (Relstore.Heap.segid heap)
-      || List.exists tree_marked (Index.Indexed.indexes rel)
-    | None ->
-      is_file_table name || marked (Relstore.Heap.device heap) (Relstore.Heap.segid heap)
+    marked (Relstore.Heap.device heap) (Relstore.Heap.segid heap)
+    ||
+    match Hashtbl.find_opt t.relations (Relstore.Heap.name heap) with
+    | Some owned -> List.exists tree_marked (Index.Indexed.indexes (relation_of owned))
+    | None -> false
 
 let crash_and_recover t =
   let rolled_back = Relstore.Status_log.active (Db.status_log t.db) in
@@ -1224,21 +1180,28 @@ let crash_and_recover t =
         match index_verdict name with Some (Error _) -> true | Some (Ok ()) | None -> false)
       relations_audited
   in
-  let rebuilt name =
-    match indexed t ~file:(Hashtbl.find_opt t.files) name with
-    | Some (rel, _) -> Index.Indexed.rebuild rel; true
-    | None -> false
-  in
   let catalogs_rebuilt =
-    List.filter
-      (fun name -> List.mem name damaged && rebuilt name)
-      (List.map (fun rel -> Relstore.Heap.name (Index.Indexed.heap rel)) (catalogs t))
+    List.filter_map
+      (fun rel ->
+        let name = Relstore.Heap.name (Index.Indexed.heap rel) in
+        if List.mem name damaged then begin
+          Index.Indexed.rebuild rel;
+          Some name
+        end
+        else None)
+      (catalogs t)
   in
   let file_indexes_rebuilt =
-    List.filter is_file_table damaged
-    |> List.map oid_of_file_table
-    |> List.sort Int64.compare
-    |> List.filter (fun oid -> rebuilt (Inv_file.relname oid))
+    List.filter_map
+      (fun name ->
+        match Hashtbl.find_opt t.relations name with
+        | Some (File inv) -> Some inv
+        | Some (Table _) | None -> None)
+      damaged
+    |> List.sort (fun a b -> Int64.compare (Inv_file.oid a) (Inv_file.oid b))
+    |> List.map (fun inv ->
+           Index.Indexed.rebuild (Inv_file.relation inv);
+           Inv_file.oid inv)
   in
   {
     rolled_back;
@@ -1296,7 +1259,7 @@ let clone s ~src ~dst =
               Inv_file.create t.db ~oid ~device
                 ~compressed:src_att.Fileatt.compressed
             in
-            Hashtbl.replace t.files oid inv;
+            register t (File inv);
             ignore
               (Naming.insert t.naming txn ~parentid:parent ~file:oid ~name:base
                 : Naming.entry);
@@ -1311,9 +1274,8 @@ let clone s ~src ~dst =
                    atime = now_ts t;
                  }
                 : Relstore.Tid.t);
-            let cm = clonemap_heap t in
             ignore
-              (Relstore.Heap.insert cm txn ~oid
+              (Index.Indexed.insert (clonemap t) txn ~oid
                  (encode_clone ~src_oid ~horizon:chorizon
                     ~base_len:src_att.Fileatt.size)
                 : Relstore.Tid.t);
@@ -1325,29 +1287,29 @@ let clone s ~src ~dst =
 
 (* ---------- vacuum ---------- *)
 
-(* What the vacuum cleans, in relation-name order: every file table
-   (named or unlinked, attached through [any_handle]), the catalogs
-   and the clone map, each with the index maintenance its removed
-   versions need.  Archive relations are the destination, not a source. *)
+(* What the vacuum cleans, in relation-name order: every relation this
+   file system made (every file table, named or unlinked, the catalogs
+   and the clone map).  Archive relations are the destination, not a
+   source. *)
 let vacuum_targets t =
   List.filter_map
-    (fun rel ->
-      if String.equal rel clonemap_rel then Some (rel, None)
-      else
-        Option.map
-          (fun (_, on_vacuum) -> (rel, Some on_vacuum))
-          (indexed t ~file:(any_handle t) rel))
+    (fun name -> Option.map (fun owned -> (name, owned)) (Hashtbl.find_opt t.relations name))
     (Db.relations t.db)
 
-let vacuum_target t ?horizon ~mode (rel, on_remove) =
-  translate_locks (fun () -> Db.vacuum t.db ~relation:rel ?horizon ~mode ?on_remove ())
+(* [`Archive] moves a relation's dead versions to the archive it owns. *)
+let vacuum_mode owned = function
+  | `Discard -> `Discard
+  | `Archive -> `Archive (Index.Indexed.archive (relation_of owned))
+
+let vacuum_target t ?horizon ~mode (name, owned) =
+  translate_locks (fun () ->
+      Db.vacuum t.db ~relation:name ?horizon ~mode:(vacuum_mode owned mode)
+        ~on_remove:(on_vacuum owned) ())
 
 let vacuum_file t ~oid ?horizon ~mode () =
   match file_handle t ~oid with
   | None -> Errors.fail Errors.ENOENT "no file with oid %Ld" oid
-  | Some inv ->
-    vacuum_target t ?horizon ~mode
-      (Inv_file.relname oid, Some (Inv_file.on_vacuum inv))
+  | Some inv -> vacuum_target t ?horizon ~mode (Inv_file.relname oid, File inv)
 
 let vacuum_all t ?horizon ~mode () =
   List.fold_left
@@ -1372,10 +1334,11 @@ let vacuum_step t ?pages ~mode () =
   | [] -> None
   | targets ->
     let idx = t.vac_rr mod List.length targets in
-    let rel, on_remove = List.nth targets idx in
+    let rel, owned = List.nth targets idx in
     let st =
       translate_locks (fun () ->
-          Db.vacuum_step t.db ~relation:rel ~mode ?pages ?on_remove ())
+          Db.vacuum_step t.db ~relation:rel ~mode:(vacuum_mode owned mode) ?pages
+            ~on_remove:(on_vacuum owned) ())
     in
     if st.Relstore.Vacuum.s_wrapped || st.Relstore.Vacuum.s_skipped then
       t.vac_rr <- (idx + 1) mod List.length targets;
@@ -1390,15 +1353,8 @@ let migrate_file t ~oid ~device =
       (* A durability point before the copy: the pool is flushed and
          the pending commit batch forced. *)
       sync t;
-      let tmp_name = Inv_file.relname oid ^ ".migrating" in
-      let dst =
-        Inv_file.create_named t.db ~oid ~relname:tmp_name ~device
-          ~compressed:(Inv_file.is_compressed old_inv)
-      in
-      Inv_file.copy_all_versions_to old_inv dst;
-      Inv_file.drop old_inv;
-      Db.rename_relation t.db ~old_name:tmp_name ~new_name:(Inv_file.relname oid);
-      Hashtbl.replace t.files oid dst;
+      let dst = Inv_file.migrate old_inv ~device in
+      register t (File dst);
       Db.with_txn t.db (fun txn ->
           match Fileatt.get t.fileatt (Txn.snapshot txn) ~file:oid with
           | Some att ->

@@ -248,9 +248,8 @@ val crash_and_recover : t -> recovery
     flushes the whole pool, so a crash can tear only relations with a
     store since the last complete flush: those whose heap or tree segment
     carries a dirty mark ({!Pagestore.Device.is_marked}) on either mirror
-    copy, plus any file relation with no open handle.  Restart reads the
-    mark tables (one NVRAM read per device) and audits only those;
-    after a sync it reads no page at all.  Damage at rest in a clean
+    copy.  Restart reads the mark tables (one NVRAM read per device) and
+    audits only those; after a sync it reads no page at all.  Damage at rest in a clean
     relation is left to the page-CRC read path, the scrubber and
     {!Fsck.audit}, which keeps the full pass.  The no-overwrite heaps
     need no repair — that is the paper's recovery claim, and the
@@ -261,20 +260,26 @@ val audit_relations :
   t ->
   (string * string) list * (string -> (unit, string) result option) * string list
 (** Verify the pages of every relation [only] admits (default: all)
-    ({!Relstore.Db.verify_relations}).  The
-    catalogs and every file relation are verified by their index audit
-    ({!Index.Audit.run}), which checks their B-trees against the records
-    of that same page pass; a file with no open handle is attached first
-    (as {!file_handle} does, or from a historical attribute version for
-    an unlinked file).  The other relations (archive heaps, the clonemap)
-    get the plain page check.  Returns the page
-    problems, the index verdict by relation name ([None] for a
-    relation not audited — skipped by [only], unindexed, degraded, or
-    with a heap page that could not be read, already a page problem),
-    and the names of the relations audited, in name order. *)
+    ({!Relstore.Db.verify_relations}).  Every relation this file system
+    made ({!relations}) is verified by its index audit
+    ({!Index.Audit.run}), which checks its B-trees against the records
+    of that same page pass.  The other relations (the archives) get the
+    plain page check.  Returns the page problems, the index verdict by
+    relation name ([None] for a relation not audited — skipped by
+    [only], unindexed, degraded, or with a heap page that could not be
+    read, already a page problem), and the names of the relations
+    audited, in name order. *)
 
 val iter_file_handles : t -> (int64 -> Inv_file.t -> unit) -> unit
-(** Every open storage handle, in ascending oid order (recovery, fsck). *)
+(** Every file's storage handle, in ascending oid order (recovery,
+    fsck). *)
+
+val relations : t -> Index.Indexed.t list
+(** Every relation this file system made, in relation-name order: the
+    catalogs, the clone map once a clone made it, and every file table
+    (named or unlinked) from its create, clone or migration on.  Each
+    owns its archive ({!Index.Indexed.archive}); {!Fsck.audit} checks
+    that no other relation exists. *)
 
 val naming_catalog : t -> Naming.t
 val fileatt_catalog : t -> Fileatt.t
@@ -296,11 +301,13 @@ val vacuum_all :
   t -> ?horizon:int64 -> mode:[ `Archive | `Discard ] -> unit -> Relstore.Vacuum.stats
 (** The vacuum cleaner's full sweep: one full pass
     ({!Relstore.Db.vacuum}, a {!Relstore.Vacuum.step} over the whole heap)
-    over each relation {!vacuum_step} walks — every file table (including
-    those of unlinked files, whose storage this is what finally reclaims
-    or archives), the catalogs and the clone map.  Summed stats.  Needs
-    no quiescence: a relation a writer holds is skipped, as a step gives
-    way to it. *)
+    over each relation {!vacuum_step} walks — every relation this file
+    system made ({!relations}), so every file table (including those of
+    unlinked files, whose storage this is what finally reclaims or
+    archives), the catalogs and the clone map.  In [`Archive] mode each
+    relation's dead versions move to the archive it owns.  Summed stats.
+    Needs no quiescence: a relation a writer holds is skipped, as a step
+    gives way to it. *)
 
 val vacuum_step :
   t ->
@@ -361,4 +368,5 @@ val iter_files : t -> Relstore.Snapshot.t -> (Naming.entry -> Fileatt.att -> uni
     query executor's row source, also used by migration and fsck. *)
 
 val file_handle : t -> oid:int64 -> Inv_file.t option
-(** The open storage handle for a file oid (None for directories). *)
+(** The storage handle for a file oid, from the registry of what this
+    file system made ([None] for directories). *)

@@ -68,7 +68,7 @@ let audit fs =
         else
           try
             match Fs.file_handle fs ~oid with
-            | None -> push relname "cannot attach storage handle"
+            | None -> push relname "no storage handle"
             | Some inv ->
               let max_seen = ref (-1L) and total = ref 0L in
               Inv_file.iter_chunks inv snap (fun chunkno data ->
@@ -100,48 +100,64 @@ let audit fs =
   index_problem (Relstore.Heap.name (Naming.heap (Fs.naming_catalog fs)));
   index_problem (Relstore.Heap.name (Fileatt.heap (Fs.fileatt_catalog fs)));
   Fs.iter_file_handles fs (fun oid _ -> index_problem (Inv_file.relname oid));
-  (* 4. archive tier: WORM heaps may hold only dead history.  Every
-     archived version must carry a committed inserter AND a committed
-     deleter — the vacuum judges on exactly that, so a live or undecided
-     version on the jukebox means a record readers may still need through
-     a [Current] snapshot left the main heap. *)
+  (* 4. ownership and the archive tier.  Every relation is one the file
+     system made or the archive of exactly one of those: an archive no
+     relation owns holds history no [As_of] read can reach.  WORM heaps
+     may hold only dead history: every archived version must carry a
+     committed inserter AND a committed deleter — the vacuum judges on
+     exactly that, so a live or undecided version on the jukebox means a
+     record readers may still need through a [Current] snapshot left the
+     main heap. *)
+  let made = Hashtbl.create 64 and owners = Hashtbl.create 16 in
+  List.iter
+    (fun rel ->
+      Hashtbl.replace made (Relstore.Heap.name (Index.Indexed.heap rel)) ();
+      let arch = Index.Indexed.archive rel in
+      if Lazy.is_val arch then begin
+        let name = Relstore.Heap.name (Lazy.force arch) in
+        let n = Option.value ~default:0 (Hashtbl.find_opt owners name) in
+        Hashtbl.replace owners name (n + 1)
+      end)
+    (Fs.relations fs);
   let archived_checked = ref 0 in
   let log = Relstore.Db.status_log db in
-  let is_arch name =
-    String.length name > 5 && String.sub name (String.length name - 5) 5 = "_arch"
+  let walk_archive name =
+    match
+      Relstore.Heap.scan_raw (Relstore.Db.find_relation db name)
+        (fun (r : Relstore.Heap.record) ->
+          incr archived_checked;
+          (match Relstore.Status_log.state log r.xmin with
+          | Relstore.Status_log.Committed _ -> ()
+          | Relstore.Status_log.In_progress | Relstore.Status_log.Aborted ->
+            push name
+              (Printf.sprintf "archived version of oid %Ld has uncommitted inserter xid %s"
+                 r.oid (Relstore.Xid.to_string r.xmin))
+          | exception Not_found ->
+            push name
+              (Printf.sprintf "archived version of oid %Ld has unknown inserter xid %s"
+                 r.oid (Relstore.Xid.to_string r.xmin)));
+          if not (Relstore.Xid.is_valid r.xmax) then
+            push name
+              (Printf.sprintf "live version of oid %Ld on the WORM tier (no deleter)" r.oid)
+          else if not (Relstore.Status_log.is_committed log r.xmax) then
+            push name
+              (Printf.sprintf
+                 "version of oid %Ld on the WORM tier whose deleter xid %s never committed"
+                 r.oid (Relstore.Xid.to_string r.xmax)))
+    with
+    | () -> ()
+    | exception Pagestore.Device.Media_failure m ->
+      push name
+        (Printf.sprintf "media failure: %s (%s/%d/%d)" m.reason m.device m.segid m.blkno)
   in
   List.iter
     (fun name ->
-      if is_arch name && not (is_degraded name) then
-        match
-          Relstore.Heap.scan_raw (Relstore.Db.find_relation db name)
-            (fun (r : Relstore.Heap.record) ->
-              incr archived_checked;
-              (match Relstore.Status_log.state log r.xmin with
-              | Relstore.Status_log.Committed _ -> ()
-              | Relstore.Status_log.In_progress | Relstore.Status_log.Aborted ->
-                push name
-                  (Printf.sprintf "archived version of oid %Ld has uncommitted inserter xid %s"
-                     r.oid (Relstore.Xid.to_string r.xmin))
-              | exception Not_found ->
-                push name
-                  (Printf.sprintf "archived version of oid %Ld has unknown inserter xid %s"
-                     r.oid (Relstore.Xid.to_string r.xmin)));
-              if not (Relstore.Xid.is_valid r.xmax) then
-                push name
-                  (Printf.sprintf "live version of oid %Ld on the WORM tier (no deleter)"
-                     r.oid)
-              else if not (Relstore.Status_log.is_committed log r.xmax) then
-                push name
-                  (Printf.sprintf
-                     "version of oid %Ld on the WORM tier whose deleter xid %s never committed"
-                     r.oid (Relstore.Xid.to_string r.xmax)))
-        with
-        | () -> ()
-        | exception Pagestore.Device.Media_failure m ->
-          push name
-            (Printf.sprintf "media failure: %s (%s/%d/%d)" m.reason m.device m.segid
-               m.blkno))
+      if not (Hashtbl.mem made name) then
+        match Hashtbl.find_opt owners name with
+        | Some 1 -> if not (is_degraded name) then walk_archive name
+        | Some n -> push name (Printf.sprintf "archive of %d relations" n)
+        | None ->
+          push name "no relation owns it: not made by the file system, nor an archive of one")
     rels;
   {
     relations_checked = List.length rels;

@@ -14,7 +14,10 @@
     are consistent with their stored chunks; and B-tree index structure
     plus completeness against the heaps (catalogs and per-file chunk
     indexes — the update-in-place layer a crash {e can} damage; recovery
-    rebuilds them from the heaps, see {!Fs.crash_and_recover}). *)
+    rebuilds them from the heaps, see {!Fs.crash_and_recover}); every
+    relation is one the file system made ({!Fs.relations}) or the archive
+    of exactly one of those, so no archived history is out of reach of
+    [As_of] reads; and the archives hold only dead history. *)
 
 type problem = { relation : string; detail : string }
 

@@ -23,28 +23,20 @@ type t = {
   mutable memo : memo option;
 }
 
-let relname oid = Printf.sprintf "inv%Ld" oid
+let relname oid = "inv" ^ Int64.to_string oid
 
-let make db ~oid heap tree ~compressed =
+let make db ~oid heap ~archive ~compressed =
   let chunks =
-    { Index.Audit.name = "chunks"; tree;
+    { Index.Audit.name = "chunks";
+      tree = Index.Btree.create ~cache:(Relstore.Db.cache db) ~device:(H.device heap) ~klen:8;
       key_of = (fun r -> Index.Key.of_int64 (Chunk.peek_chunkno r.H.payload)) }
   in
-  { db; oid; rel = Index.Indexed.create heap [ chunks ]; chunks; compressed; memo = None }
-
-let create_named db ~oid ~relname ~device ~compressed =
-  let heap = Relstore.Db.create_relation db ~name:relname ~device () in
-  make db ~oid heap ~compressed
-    (Index.Btree.create ~cache:(Relstore.Db.cache db) ~device:(H.device heap) ~klen:8)
+  { db; oid; rel = Index.Indexed.create heap ~archive [ chunks ]; chunks; compressed;
+    memo = None }
 
 let create db ~oid ~device ~compressed =
-  create_named db ~oid ~relname:(relname oid) ~device ~compressed
-
-let attach db ~oid ~index_segid ~compressed =
-  let heap = Relstore.Db.find_relation db (relname oid) in
-  make db ~oid heap ~compressed
-    (Index.Btree.attach ~cache:(Relstore.Db.cache db) ~device:(H.device heap)
-       ~segid:index_segid)
+  let heap = Relstore.Db.create_relation db ~name:(relname oid) ~device () in
+  make db ~oid heap ~archive:(Relstore.Db.archive db heap) ~compressed
 
 let oid t = t.oid
 let heap t = Index.Indexed.heap t.rel
@@ -52,7 +44,6 @@ let relation t = t.rel
 let index t = t.chunks.tree
 let index_segid t = Index.Btree.segid (index t)
 let device_name t = Pagestore.Device.name (H.device (heap t))
-let is_compressed t = t.compressed
 
 let decode_chunk payload =
   let c = Chunk.decode payload in
@@ -77,7 +68,7 @@ let find_visible t snap ~chunkno =
   | None ->
     if Index.Indexed.historical snap then begin
       let hit = ref None in
-      H.scan (heap t) snap (fun r ->
+      Index.Indexed.scan t.rel snap (fun r ->
           if Int64.equal (Chunk.peek_chunkno r.H.payload) chunkno then
             hit := Some (r.H.tid, r.H.payload));
       !hit
@@ -153,17 +144,9 @@ let delete_chunks_from t txn ~chunkno =
     (List.sort_uniq compare !doomed)
 
 let iter_chunks t snap f =
-  H.scan (heap t) snap (fun r ->
+  Index.Indexed.scan t.rel snap (fun r ->
       let c = Chunk.decode r.H.payload in
       f c.Chunk.chunkno (decode_chunk r.H.payload))
-
-let copy_all_versions_to src dst =
-  H.scan_raw (heap src) (fun r ->
-      ignore
-        (Index.Indexed.append_raw dst.rel ~oid:r.H.oid ~xmin:r.H.xmin ~xmax:r.H.xmax
-           r.H.payload
-          : Relstore.Tid.t));
-  Option.iter (H.set_archive (heap dst)) (H.archive (heap src))
 
 (* The chunk memo caches a version the vacuum may remove or a crash may
    lose, so both drop it along with the index state. *)
@@ -177,16 +160,30 @@ let crash t =
 
 let hint_sequential t = H.hint_sequential (heap t)
 
-let drop t =
+(* The copy is built under a temporary name and renamed into place once
+   the old relation is dropped. *)
+let migrate t ~device =
+  let tmp = relname t.oid ^ ".migrating" in
+  let copy = Relstore.Db.create_relation t.db ~name:tmp ~device () in
+  let dst =
+    make t.db ~oid:t.oid copy ~archive:(Index.Indexed.archive t.rel) ~compressed:t.compressed
+  in
+  H.scan_raw (heap t) (fun r ->
+      ignore
+        (Index.Indexed.append_raw dst.rel ~oid:r.H.oid ~xmin:r.H.xmin ~xmax:r.H.xmax
+           r.H.payload
+          : Relstore.Tid.t));
   let cache = Relstore.Db.cache t.db in
   let dev = H.device (heap t) in
   Pagestore.Bufcache.invalidate_segment cache dev ~segid:(index_segid t);
   Pagestore.Device.drop_segment dev (index_segid t);
-  Relstore.Db.drop_relation t.db (relname t.oid)
+  Relstore.Db.drop_relation t.db (relname t.oid);
+  Relstore.Db.rename_relation t.db ~old_name:tmp ~new_name:(relname t.oid);
+  dst
 
 let stored_bytes t snap =
   let total = ref 0 in
-  H.scan (heap t) snap (fun r ->
+  Index.Indexed.scan t.rel snap (fun r ->
       let c = Chunk.decode r.H.payload in
       total := !total + Bytes.length c.Chunk.data);
   !total

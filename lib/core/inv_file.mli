@@ -16,23 +16,8 @@ val relname : int64 -> string
 
 val create :
   Relstore.Db.t -> oid:int64 -> device:string -> compressed:bool -> t
-(** Create the file's table and index on the given device. *)
-
-val create_named :
-  Relstore.Db.t ->
-  oid:int64 ->
-  relname:string ->
-  device:string ->
-  compressed:bool ->
-  t
-(** Like {!create} but with an explicit relation name — migration builds
-    the relocated copy under a temporary name, then renames it into
-    place. *)
-
-val attach :
-  Relstore.Db.t -> oid:int64 -> index_segid:int -> compressed:bool -> t
-(** Reattach to existing storage (after a crash, or on first touch after
-    reopen).  Raises [Not_found] if the relation is missing. *)
+(** Create the file's table and index on the given device; its archive
+    is {!Relstore.Db.archive} of the table. *)
 
 val oid : t -> int64
 val heap : t -> Relstore.Heap.t
@@ -47,7 +32,6 @@ val index : t -> Index.Btree.t
 
 val index_segid : t -> int
 val device_name : t -> string
-val is_compressed : t -> bool
 
 val read_chunk : t -> Relstore.Snapshot.t -> chunkno:int64 -> bytes option
 (** The chunk's (decompressed) file bytes visible under the snapshot,
@@ -76,20 +60,19 @@ val iter_chunks : t -> Relstore.Snapshot.t -> (int64 -> bytes -> unit) -> unit
 (** Visible chunks in physical order (migration, fsck); bytes are
     decompressed. *)
 
-val copy_all_versions_to : t -> t -> unit
-(** Migration helper: copy {e every} record version (stamps intact) into
-    the destination and index them there, and attach the source's archive
-    heap to the destination, so history survives moving a file between
-    devices. *)
+val migrate : t -> device:string -> t
+(** Move the file's storage to [device]: copy {e every} record version
+    (stamps intact) into a new table there, index them in a new tree,
+    release this table and its tree, and rename the copy into place.  The
+    copy keeps this relation's archive ({!Index.Indexed.archive}), so
+    history survives moving a file between devices.  This handle is
+    dead afterwards; use the one returned. *)
 
 val on_vacuum : t -> Relstore.Heap.record -> unit
 (** {!Index.Indexed.on_vacuum}, which also drops the last-chunk memo. *)
 
 val crash : t -> unit
 (** {!Index.Indexed.crash}, which also drops the last-chunk memo. *)
-
-val drop : t -> unit
-(** Release the table and index storage. *)
 
 val stored_bytes : t -> Relstore.Snapshot.t -> int
 (** Total stored (possibly compressed) chunk-data bytes visible under the

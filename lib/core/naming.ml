@@ -51,7 +51,8 @@ let create db ?device () =
         let e = entry r in
         Index.Key.dir_name ~parentid:e.parentid ~name:e.name) }
   in
-  { rel = Indexed.create heap [ by_dir; by_oid ]; by_dir; by_oid }
+  { rel = Indexed.create heap ~archive:(Relstore.Db.archive db heap) [ by_dir; by_oid ];
+    by_dir; by_oid }
 
 let heap t = Indexed.heap t.rel
 let relation t = t.rel
@@ -68,12 +69,12 @@ let fetch_entry t snap tid =
   | Some r -> Some (entry r)
   | None -> None
 
-(* Historical snapshots scan (including the archive, via Heap.scan) so
-   vacuumed entries stay reachable; current snapshots probe the indexes. *)
+(* Historical snapshots scan (the archive included) so vacuumed entries
+   stay reachable; current snapshots probe the indexes. *)
 let find t snap (ix : Index.Audit.index) ~key pred =
   if Indexed.historical snap then begin
     let hit = ref None in
-    H.scan (heap t) snap (fun r ->
+    Indexed.scan t.rel snap (fun r ->
         if !hit = None then
           let e = entry r in
           if pred e then hit := Some e);
@@ -91,7 +92,7 @@ let lookup t snap ~parentid ~name =
 let list_dir t snap ~parentid =
   let acc = ref [] in
   let add e = if e.parentid = parentid then acc := e :: !acc in
-  if Indexed.historical snap then H.scan (heap t) snap (fun r -> add (entry r))
+  if Indexed.historical snap then Indexed.scan t.rel snap (fun r -> add (entry r))
   else
     Index.Btree.scan_range t.by_dir.tree
       ~lo:(Index.Key.dir_prefix_lo ~parentid)
@@ -102,4 +103,4 @@ let list_dir t snap ~parentid =
 let by_oid t snap ~file =
   find t snap t.by_oid ~key:(Index.Key.of_int64 file) (fun e -> e.file = file)
 
-let iter_all t snap f = H.scan (heap t) snap (fun r -> f (entry r))
+let iter_all t snap f = Indexed.scan t.rel snap (fun r -> f (entry r))

@@ -113,7 +113,7 @@ let lower_bound n get target =
 
 (* The entry count lives in memory: updating the meta page per insert
    would dirty block 0 on every operation and distort the I/O model.
-   After attach (or crash) it is recounted from the leaves on demand. *)
+   After a crash it is recounted from the leaves on demand. *)
 let bump_count t delta = if t.mem_count >= 0 then t.mem_count <- t.mem_count + delta
 
 let rec count_leaves t blkno acc =
@@ -148,15 +148,6 @@ let create ~cache ~device ~klen =
   let root = alloc_node t ~level:0 in
   write_meta t ~root ~height:1 ~count:0;
   t
-
-let attach ~cache ~device ~segid =
-  let probe = { cache; device; segid; klen = 8; isize = 16; mem_count = -1 } in
-  let klen =
-    with_page probe 0 (fun p ->
-        if Page.get_u16 p m_magic <> meta_magic then failwith "Btree.attach: bad meta page";
-        Page.get_u16 p m_klen)
-  in
-  { cache; device; segid; klen; isize = klen + 8; mem_count = -1 }
 
 let crash t = t.mem_count <- -1
 

@@ -20,14 +20,10 @@ val create :
   cache:Pagestore.Bufcache.t -> device:Pagestore.Device.t -> klen:int -> t
 (** A fresh empty tree on a new segment.  [klen] between 1 and 64 bytes. *)
 
-val attach :
-  cache:Pagestore.Bufcache.t -> device:Pagestore.Device.t -> segid:int -> t
-(** Re-open a tree that survived a crash (reads the meta page). *)
-
 val crash : t -> unit
 (** Forget volatile per-tree state (the cached entry count) after a
     simulated machine crash.  The durable pages are untouched; the count
-    is recounted from the leaves on demand, as after {!attach}. *)
+    is recounted from the leaves on demand. *)
 
 val reinit : t -> unit
 (** Reset the tree to empty in place: the meta page is pointed at a fresh

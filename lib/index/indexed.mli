@@ -9,15 +9,25 @@
     copy, the newest-first probe, the vacuum's index maintenance, the
     crash reset, the rebuild from the heap and the recovery audit.  The
     heap is the sole source of truth; the trees are update-in-place and
-    can always be rebuilt from it. *)
+    can always be rebuilt from it.
+
+    The relation also owns its archive tier, the append-only heap its
+    archive-mode vacuum moves dead versions to ({!Relstore.Db.archive}).
+    It is fixed when the relation is made, and a migration hands it on
+    to the relation that replaces this one, so [As_of] reads reach
+    every archived version without looking anything up by name. *)
 
 type t
 
-val create : Relstore.Heap.t -> Audit.index list -> t
-(** The relation over [heap] with these trees.  The list order is the
-    order every operation visits the trees in. *)
+val create : Relstore.Heap.t -> archive:Relstore.Heap.t Lazy.t -> Audit.index list -> t
+(** The relation over [heap] with this archive and these trees.  The
+    list order is the order every operation visits the trees in. *)
 
 val heap : t -> Relstore.Heap.t
+
+val archive : t -> Relstore.Heap.t Lazy.t
+(** The archive tier, made by the first archive-mode vacuum that forces
+    it; until then the relation has archived nothing. *)
 
 val indexes : t -> Audit.index list
 (** The trees and their keys, in declaration order. *)
@@ -53,6 +63,13 @@ val probe :
 val historical : Relstore.Snapshot.t -> bool
 (** [As_of] snapshots.  Whether such a read may use the trees, which hold
     no entry for a vacuumed version, is each catalog's rule. *)
+
+val scan : t -> Relstore.Snapshot.t -> (Relstore.Heap.record -> unit) -> unit
+(** Every version visible under the snapshot: {!Relstore.Heap.scan} of
+    the heap, and under [As_of] of the archive too, once it is made.  A
+    crash between a vacuum step's two commits can leave one version in
+    both heaps; such duplicates are collapsed on the version's identity
+    (stamps and payload), so each is handed over once. *)
 
 val on_vacuum : t -> Relstore.Heap.record -> unit
 (** The vacuum's [on_remove] hook: drop a removed version's entries. *)

@@ -72,7 +72,7 @@ let allocate_oid t =
   t.next_oid <- Int64.add oid 1L;
   oid
 
-let create_relation t ~name ?device () =
+let make_relation t ~name ?device ~append_only () =
   if Hashtbl.mem t.relations name then
     invalid_arg (Printf.sprintf "Db.create_relation: relation %s exists" name);
   let dev =
@@ -82,16 +82,17 @@ let create_relation t ~name ?device () =
   in
   let relid = t.next_relid in
   t.next_relid <- Int64.add relid 1L;
-  let heap = Heap.create ~cache:t.cache ~device:dev ~log:t.log ~name ~relid in
+  let heap = Heap.create ~cache:t.cache ~device:dev ~log:t.log ~name ~relid ~append_only in
   Hashtbl.replace t.relations name heap;
   heap
+
+let create_relation t ~name ?device () = make_relation t ~name ?device ~append_only:false ()
 
 let find_relation t name =
   match Hashtbl.find_opt t.relations name with
   | Some h -> h
   | None -> raise Not_found
 
-let find_relation_opt t name = Hashtbl.find_opt t.relations name
 let relation_exists t name = Hashtbl.mem t.relations name
 
 let drop_relation t name =
@@ -183,23 +184,17 @@ let find_jukebox t =
     (fun d -> Pagestore.Device.kind d = Pagestore.Device.Worm_jukebox)
     (Pagestore.Switch.devices t.switch)
 
-let attach_archive t heap =
-  if Heap.archive heap = None then begin
-    let arch_name = Heap.name heap ^ "_arch" in
-    let arch =
-      match find_relation_opt t arch_name with
-      | Some a -> a
-      | None ->
-        let device = Option.map Pagestore.Device.name (find_jukebox t) in
-        create_relation t ~name:arch_name ?device ()
-    in
-    Heap.set_archive heap arch
-  end
+(* Made on first force, which the vacuum does after closing the pending
+   commit batch: the first archive-mode pass over [heap]. *)
+let archive t heap =
+  lazy
+    (let device = Option.map Pagestore.Device.name (find_jukebox t) in
+     make_relation t ~name:(Heap.name heap ^ "_arch") ?device ~append_only:true ())
 
 (* Shared by the full pass and the incremental step: close the pending
    commit batch, clamp the horizon to {!safe_horizon} (an explicit one may
    only lower it, so snapshot/clone leases hold every pass back), and
-   attach the archive heap for [`Archive]. *)
+   make the archive heap for [`Archive] if this is its first pass. *)
 let vacuum_prologue t ~relation ?horizon ~mode () =
   Txn.force_group t.mgr;
   let heap = find_relation t relation in
@@ -208,11 +203,11 @@ let vacuum_prologue t ~relation ?horizon ~mode () =
     | Some h -> min h (safe_horizon t)
     | None -> safe_horizon t
   in
-  (match mode with `Discard -> () | `Archive -> attach_archive t heap);
-  (heap, horizon)
+  let mode = match mode with `Discard -> `Discard | `Archive a -> `Archive (Lazy.force a) in
+  (heap, horizon, mode)
 
 let vacuum t ~relation ?horizon ~mode ?on_remove () =
-  let heap, horizon = vacuum_prologue t ~relation ?horizon ~mode () in
+  let heap, horizon, mode = vacuum_prologue t ~relation ?horizon ~mode () in
   let st =
     Vacuum.step heap ~mgr:t.mgr ~horizon ~mode ?on_remove ~start_block:0
       ~pages:(max 1 (Heap.nblocks heap)) ()
@@ -225,7 +220,7 @@ let vacuum t ~relation ?horizon ~mode ?on_remove () =
   }
 
 let vacuum_step t ~relation ?horizon ~mode ?(pages = 4) ?on_remove () =
-  let heap, horizon = vacuum_prologue t ~relation ?horizon ~mode () in
+  let heap, horizon, mode = vacuum_prologue t ~relation ?horizon ~mode () in
   let start_block =
     Option.value (Hashtbl.find_opt t.vacuum_cursors relation) ~default:0
   in

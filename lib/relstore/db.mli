@@ -53,7 +53,6 @@ val create_relation : t -> name:string -> ?device:string -> unit -> Heap.t
 val find_relation : t -> string -> Heap.t
 (** Raises [Not_found]. *)
 
-val find_relation_opt : t -> string -> Heap.t option
 val relation_exists : t -> string -> bool
 
 val drop_relation : t -> string -> unit
@@ -95,8 +94,15 @@ val verify_relations :
     as degraded, not corrupt; a media failure raised by [check] is
     reported as a ["media failure: ..."] problem. *)
 
+val archive : t -> Heap.t -> Heap.t Lazy.t
+(** The archive tier of [heap], made when first forced: an append-only
+    relation named after [heap] with the suffix [_arch], on a
+    jukebox-class device if one is registered, else the default device.
+    The relation that owns [heap] holds this value, and hands it on when
+    a migration replaces [heap]; nothing finds an archive by its name. *)
+
 val vacuum :
-  t -> relation:string -> ?horizon:int64 -> mode:[ `Archive | `Discard ] ->
+  t -> relation:string -> ?horizon:int64 -> mode:[ `Archive of Heap.t Lazy.t | `Discard ] ->
   ?on_remove:(Heap.record -> unit) -> unit -> Vacuum.stats
 (** The full pass of the vacuum cleaner on one relation: one
     {!Vacuum.step} from block 0 over the whole heap, so it is crash-safe
@@ -106,9 +112,9 @@ val vacuum :
     cursor of {!vacuum_step} is left alone.  [horizon] defaults to the
     safe horizon (everything already dead that no active transaction or
     snapshot/clone lease still needs) and is clamped to it when given
-    explicitly.  In [`Archive] mode an archive relation [name ^ "_arch"]
-    is created on demand — on a jukebox-class device if one is
-    registered, else the default device. *)
+    explicitly.  In [`Archive] mode the archive ({!archive}) is forced
+    after the pending commit batch is closed, so an archive is made by
+    its relation's first archive pass. *)
 
 (** {2 Incremental vacuum and time-travel leases} *)
 
@@ -123,7 +129,7 @@ val release_lease : t -> int -> unit
 (** Drop a lease.  Unknown ids are ignored. *)
 
 val vacuum_step :
-  t -> relation:string -> ?horizon:int64 -> mode:[ `Archive | `Discard ] ->
+  t -> relation:string -> ?horizon:int64 -> mode:[ `Archive of Heap.t Lazy.t | `Discard ] ->
   ?pages:int -> ?on_remove:(Heap.record -> unit) -> unit -> Vacuum.step_stats
 (** One budgeted increment of the concurrent vacuum ({!Vacuum.step}) on
     one relation, resuming from the per-relation page cursor and

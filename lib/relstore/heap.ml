@@ -6,8 +6,7 @@ type t = {
   relid : int64;
   segid : int;
   mutable insert_hint : int; (* block most likely to have room *)
-  mutable archive : t option;
-  mutable append_only : bool; (* WORM archive tier: appends only, EROFS-like *)
+  append_only : bool; (* WORM archive tier: appends only, EROFS-like *)
 }
 
 exception Append_only of string
@@ -20,10 +19,19 @@ type record = {
   payload : bytes;
 }
 
-let create ~cache ~device ~log ~name ~relid =
+(* The cache treats an append-only (archive) segment as probationary
+   forever: history faulting through the pool must never evict the hot
+   working set.  The flag on the cache is volatile; [arm_cache_policy] is
+   re-run by recovery. *)
+let arm_cache_policy t =
+  if t.append_only then
+    Pagestore.Bufcache.set_cold_only t.cache t.device ~segid:t.segid
+
+let create ~cache ~device ~log ~name ~relid ~append_only =
   let segid = Pagestore.Device.create_segment device in
-  { cache; device; log; name; relid; segid; insert_hint = -1; archive = None;
-    append_only = false }
+  let t = { cache; device; log; name; relid; segid; insert_hint = -1; append_only } in
+  arm_cache_policy t;
+  t
 
 let name t = t.name
 let rename t new_name = t.name <- new_name
@@ -33,21 +41,6 @@ let segid t = t.segid
 let nblocks t = Pagestore.Device.nblocks t.device t.segid
 let status_log t = t.log
 let resource t = "rel:" ^ t.name
-
-(* The cache treats an append-only (archive) segment as probationary
-   forever: history faulting through the pool must never evict the hot
-   working set.  The flag on the cache is volatile; [arm_cache_policy] is
-   re-run by recovery. *)
-let arm_cache_policy t =
-  if t.append_only then
-    Pagestore.Bufcache.set_cold_only t.cache t.device ~segid:t.segid
-
-let set_archive t a =
-  a.append_only <- true;
-  arm_cache_policy a;
-  t.archive <- Some a
-
-let archive t = t.archive
 
 let reject_if_append_only t op =
   if t.append_only then
@@ -222,28 +215,7 @@ let scan_block t blkno f =
   end
 
 let scan t snap f =
-  match (snap, t.archive) with
-  | Snapshot.As_of _, Some arch ->
-    (* Historical read-through: archived versions join the scan.  A crash
-       between the vacuum's archive-copy commit and its main-heap kill
-       legitimately leaves the same version in both heaps (and a re-run
-       can even archive it twice), so duplicates are collapsed on the
-       version's identity — stamps plus payload. *)
-    let seen = Hashtbl.create 64 in
-    let emit r =
-      if Snapshot.visible t.log snap ~xmin:r.xmin ~xmax:r.xmax then begin
-        let key = (r.oid, r.xmin, r.xmax, Bytes.to_string r.payload) in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.replace seen key ();
-          f r
-        end
-      end
-    in
-    scan_raw t emit;
-    scan_raw arch emit
-  | _ ->
-    scan_raw t (fun r ->
-        if Snapshot.visible t.log snap ~xmin:r.xmin ~xmax:r.xmax then f r)
+  scan_raw t (fun r -> if Snapshot.visible t.log snap ~xmin:r.xmin ~xmax:r.xmax then f r)
 
 let kill_tid t (tid : Tid.t) =
   reject_if_append_only t "Heap.kill_tid";

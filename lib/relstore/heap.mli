@@ -11,8 +11,9 @@
     a shared lock.  All page traffic goes through the shared buffer cache,
     so simulated I/O cost accrues naturally.
 
-    A heap may have an {e archive} companion (populated by {!Vacuum}):
-    historical scans transparently include archived record versions. *)
+    A heap made {e append-only} is an archive tier ({!Db.archive}): the
+    vacuum moves a relation's dead versions there, and the indexed
+    relation that owns it reads through to it under [As_of]. *)
 
 type t
 
@@ -27,8 +28,9 @@ type record = {
 exception Append_only of string
 (** Raised by every overwrite/free operation ([insert], [delete],
     [update], [kill_tid], [compact_block]) on a heap serving as a WORM
-    archive tier (marked by {!set_archive}).  Only {!append_raw} and reads
-    are legal there; the file-system layer surfaces this as [EROFS]. *)
+    archive tier (created [~append_only:true]).  Only {!append_raw} and
+    reads are legal there; the file-system layer surfaces this as
+    [EROFS]. *)
 
 val create :
   cache:Pagestore.Bufcache.t ->
@@ -36,8 +38,12 @@ val create :
   log:Status_log.t ->
   name:string ->
   relid:int64 ->
+  append_only:bool ->
   t
-(** Create an empty relation: allocates a fresh device segment. *)
+(** Create an empty relation: allocates a fresh device segment.  An
+    [append_only] heap is a WORM archive tier: every overwrite or free on
+    it raises {!Append_only}, and its buffer-cache segment is pinned to
+    the cold tier (history reads never evict the hot working set). *)
 
 val name : t -> string
 
@@ -56,14 +62,6 @@ val status_log : t -> Status_log.t
 
 val resource : t -> string
 (** The lock-manager resource name for this relation. *)
-
-val set_archive : t -> t -> unit
-(** Attach an archive heap (usually on the WORM jukebox); see {!Vacuum}.
-    The archive becomes {e append-only}: every overwrite or free on it
-    raises {!Append_only}, and its buffer-cache segment is pinned to the
-    cold tier (history reads never evict the hot working set). *)
-
-val archive : t -> t option
 
 val arm_cache_policy : t -> unit
 (** Re-apply the cold-tier cache pin for an append-only heap — the
@@ -104,9 +102,9 @@ val read_lock : t -> Txn.t -> unit
 val write_lock : t -> Txn.t -> unit
 
 val scan : t -> Snapshot.t -> (record -> unit) -> unit
-(** All visible records in physical order.  With an [As_of] snapshot the
-    attached archive (if any) is scanned too, so vacuumed history remains
-    reachable. *)
+(** All visible records in physical order, main heap only: reading
+    through to an archive is the owning relation's job
+    ([Index.Indexed.scan]). *)
 
 val scan_raw : t -> (record -> unit) -> unit
 (** Every record version regardless of visibility, main heap only.

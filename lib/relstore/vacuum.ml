@@ -54,20 +54,14 @@ exception Step_skipped
 
    A crash between the two commits leaves the moved versions present in
    {e both} heaps; historical scans collapse such duplicates on the
-   version identity ({!Heap.scan}), and a re-run of the step re-judges
-   the window idempotently.  If the shared guard is unavailable (a writer
+   version identity ([Index.Indexed.scan]), and a re-run of the step
+   re-judges the window idempotently.  If the shared guard is unavailable (a writer
    holds the relation exclusively) the step gives way immediately and
    reports itself skipped — vacuum never makes a foreground writer
    wait. *)
 let step heap ~mgr ~horizon ~mode ?(on_remove = fun _ -> ()) ~start_block ~pages
     () =
   let log = Heap.status_log heap in
-  let archive_heap =
-    match (mode, Heap.archive heap) with
-    | `Archive, Some a -> Some a
-    | `Archive, None -> invalid_arg "Vacuum.step: `Archive mode but no archive heap attached"
-    | `Discard, _ -> None
-  in
   Obs.span Obs.Vacuum "vacuum.step"
     ~args:[ ("rel", Obs.S (Heap.name heap)); ("start", Obs.I start_block) ]
   @@ fun () ->
@@ -91,9 +85,9 @@ let step heap ~mgr ~horizon ~mode ?(on_remove = fun _ -> ()) ~start_block ~pages
       try
         Txn.with_txn mgr (fun txn ->
             if not (guard txn) then raise Step_skipped;
-            (match archive_heap with
-            | Some arch -> Heap.write_lock arch txn
-            | None -> ());
+            (match mode with
+            | `Archive arch -> Heap.write_lock arch txn
+            | `Discard -> ());
             for blkno = start to last - 1 do
               Heap.scan_block heap blkno (fun r ->
                   incr scanned;
@@ -103,14 +97,14 @@ let step heap ~mgr ~horizon ~mode ?(on_remove = fun _ -> ()) ~start_block ~pages
                     incr discarded;
                     doomed := r :: !doomed
                   | Archive ->
-                    (match archive_heap with
-                    | Some arch ->
+                    (match mode with
+                    | `Archive arch ->
                       ignore
                         (Heap.append_raw arch ~oid:r.oid ~xmin:r.xmin
                            ~xmax:r.xmax r.payload
                           : Tid.t);
                       incr archived
-                    | None -> incr discarded);
+                    | `Discard -> incr discarded);
                     doomed := r :: !doomed)
             done);
         false

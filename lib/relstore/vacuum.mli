@@ -8,8 +8,9 @@
     A record version is {e obsolete} at horizon [h] when its deleter
     committed at or before [h]; a version whose inserter aborted is pure
     garbage.  In [`Archive] mode obsolete versions move (stamps intact) to
-    the heap attached with {!Heap.set_archive} — typically on the WORM
-    jukebox — so [As_of] scans still see them; in [`Discard] mode history
+    the archive heap the mode names ({!Db.archive}, typically on the WORM
+    jukebox), so [As_of] reads of the relation that owns it still see
+    them; in [`Discard] mode history
     before the horizon is lost, which is what POSTGRES does for relations
     whose users "have no interest in maintaining history".
 
@@ -41,7 +42,7 @@ val step :
   Heap.t ->
   mgr:Txn.manager ->
   horizon:int64 ->
-  mode:[ `Archive | `Discard ] ->
+  mode:[ `Archive of Heap.t | `Discard ] ->
   ?on_remove:(Heap.record -> unit) ->
   start_block:int ->
   pages:int ->
@@ -57,5 +58,6 @@ val step :
     readers; the caller must clamp [horizon] below every active
     transaction's start and every registered [As_of] lease (see
     {!Db.safe_horizon}).  A crash between the two commits at worst leaves
-    archived duplicates, which {!Heap.scan} collapses; re-running the
-    step is idempotent. *)
+    archived duplicates, which the owning relation's [As_of] scan
+    ([Index.Indexed.scan]) collapses; re-running the step is
+    idempotent. *)

@@ -56,7 +56,7 @@ let () =
       ~full:(List.init 50 (fun i -> Int64.of_int (i + 1)))
       ~quick:[ 1L; 2L; 3L ]
   in
-  Sweep.run ~name:"load" ~traceable:true seeds
+  Sweep.run ~name:"load" seeds
     (fun seed ->
       let o = Loadtest.run ~config ~seed () in
       [ (Loadtest.outcome_to_string o, o.mismatches @ invariant_failures o) ])

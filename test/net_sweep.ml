@@ -16,7 +16,7 @@ let () =
       trace = Sweep.trace_seed <> None;
     }
   in
-  Sweep.run ~name:"net" ~traceable:true
+  Sweep.run ~name:"net"
     (Sweep.seeds ~name:"net"
        ~full:(List.init 200 (fun i -> Int64.of_int (i + 1)))
        ~quick:[ 1L; 2L; 3L; 4L; 5L; 6L ])

@@ -81,7 +81,7 @@ let () =
       trace = Sweep.trace_seed <> None;
     }
   in
-  Sweep.run ~name:"overload" ~traceable:true
+  Sweep.run ~name:"overload"
     (Sweep.seeds ~name:"overload"
        ~full:(List.init 25 (fun i -> Int64.of_int (i + 1)))
        ~quick:[ 1L; 2L; 3L ])

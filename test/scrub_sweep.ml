@@ -11,7 +11,8 @@
 
    Always covers the fixed seed set below; SCRUB_SEEDS=5,6,7 appends
    extra comma-separated seeds and SCRUB_OPS=N lengthens each run.
-   `--quick` runs two seeds at 120 ops and ignores both variables. *)
+   `--quick` runs two seeds at 120 ops and ignores both variables.
+   `--trace SEED` replays one seed with the per-op log on stderr. *)
 
 module CT = Benchlib.Crashtest
 
@@ -20,7 +21,7 @@ let () =
     let ops =
       if Sweep.quick then min base.ops 120 else Sweep.env_int "SCRUB_OPS" base.ops
     in
-    let o = CT.run ~config:{ base with ops } ~seed () in
+    let o = CT.run ~config:{ base with ops; trace = Sweep.trace_seed <> None } ~seed () in
     (label ^ " " ^ CT.outcome_to_string o, o.mismatches)
   in
   Sweep.run ~name:"scrub"

@@ -19,7 +19,7 @@ let () =
       trace = Sweep.trace_seed <> None;
     }
   in
-  Sweep.run ~name:"shard" ~traceable:true
+  Sweep.run ~name:"shard"
     (Sweep.seeds ~name:"shard"
        ~full:(List.init 40 (fun i -> Int64.of_int (i + 1)))
        ~quick:[ 1L; 2L; 3L; 4L; 5L ])

@@ -10,8 +10,8 @@
 
 let quick = Array.mem "--quick" Sys.argv
 
-(* --trace SEED: replay that seed alone with the per-op log on stderr,
-   in the sweeps that take it. *)
+(* --trace SEED: replay that seed alone; each sweep sets its harness's
+   trace flag from this, so the per-op log goes to stderr. *)
 let trace_seed =
   let rec find = function
     | "--trace" :: s :: _ -> Int64.of_string_opt s
@@ -51,10 +51,8 @@ let fail fmt =
 (* [run ~name seeds outcome]: [outcome seed] runs every scenario of one
    seed and returns, per scenario, its outcome line and its mismatches.
    [finally] adds whole-sweep checks before the exit status is decided. *)
-let run ~name ?(traceable = false) ?(finally = ignore) seeds outcome =
-  let seeds =
-    match trace_seed with Some s when traceable -> [ s ] | _ -> seeds
-  in
+let run ~name ?(finally = ignore) seeds outcome =
+  let seeds = match trace_seed with Some s -> [ s ] | None -> seeds in
   let first = ref [] in
   List.iteri
     (fun i seed ->
@@ -71,7 +69,7 @@ let run ~name ?(traceable = false) ?(finally = ignore) seeds outcome =
         report)
     seeds;
   (match seeds with
-  | seed :: _ when not (traceable && trace_seed <> None) ->
+  | seed :: _ when trace_seed = None ->
     let again = List.map fst (outcome seed) in
     if again <> !first then
       fail "seed %Ld is not deterministic:\n    %s\n    %s" seed
@@ -81,8 +79,7 @@ let run ~name ?(traceable = false) ?(finally = ignore) seeds outcome =
   | _ -> ());
   finally ();
   if !failures > 0 then begin
-    Printf.eprintf "%s_sweep: %d failures%s\n" name !failures
-      (if traceable then Printf.sprintf " (repro: %s_sweep.exe --trace SEED)" name
-       else "");
+    Printf.eprintf "%s_sweep: %d failures (repro: %s_sweep.exe --trace SEED)\n" name
+      !failures name;
     exit 1
   end

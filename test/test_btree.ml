@@ -121,7 +121,7 @@ let test_min_max () =
   | Some (k, _) -> Alcotest.(check int64) "max" 99L (Index.Key.to_int64 k)
   | None -> Alcotest.fail "max missing"
 
-let test_attach () =
+let test_survives_crash () =
   let clock = Simclock.Clock.create () in
   let device =
     Pagestore.Device.create ~clock ~name:"d" ~kind:Pagestore.Device.Magnetic_disk ()
@@ -133,11 +133,10 @@ let test_attach () =
   done;
   Pagestore.Bufcache.flush cache;
   Pagestore.Bufcache.crash cache;
-  let t2 = Index.Btree.attach ~cache ~device ~segid:(Index.Btree.segid t) in
-  Alcotest.(check int) "klen survives" 12 (Index.Btree.klen t2);
-  Alcotest.(check int) "count survives" 100 (Index.Btree.count t2);
+  Index.Btree.crash t;
+  Alcotest.(check int) "count survives" 100 (Index.Btree.count t);
   Alcotest.(check (list int64)) "lookup survives" [ 55L ]
-    (Index.Btree.lookup t2 ~key:(Index.Key.of_int 55 ^ "xyz!"))
+    (Index.Btree.lookup t ~key:(Index.Key.of_int 55 ^ "xyz!"))
 
 let test_key_encoding () =
   Alcotest.(check int64) "roundtrip" 123456789L (Index.Key.to_int64 (Index.Key.of_int64 123456789L));
@@ -358,7 +357,7 @@ let () =
           Alcotest.test_case "range scan" `Quick test_scan_range;
           Alcotest.test_case "delete" `Quick test_delete;
           Alcotest.test_case "min/max entries" `Quick test_min_max;
-          Alcotest.test_case "attach after crash" `Quick test_attach;
+          Alcotest.test_case "survives a crash" `Quick test_survives_crash;
           Alcotest.test_case "key encodings" `Quick test_key_encoding;
           Alcotest.test_case "klen bounds" `Quick test_klen_bounds;
           Alcotest.test_case "empty range scans" `Quick test_empty_range_scan;

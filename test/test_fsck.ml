@@ -567,18 +567,20 @@ let populated_with_history () =
   Alcotest.(check bool) "history actually migrated to the WORM tier" true (!archived > 0);
   (fs, s)
 
+(* A nonempty archive some relation owns, found through the registry of
+   what the file system made. *)
 let arch_heap fs =
-  let db = Fs.db fs in
-  let is_arch n =
-    String.length n > 5 && String.sub n (String.length n - 5) 5 = "_arch"
-  in
-  let nonempty n =
+  let nonempty h =
     let some = ref false in
-    Relstore.Heap.scan_raw (Relstore.Db.find_relation db n) (fun _ -> some := true);
+    Relstore.Heap.scan_raw h (fun _ -> some := true);
     !some
   in
-  let name = List.find (fun n -> is_arch n && nonempty n) (Relstore.Db.relations db) in
-  Relstore.Db.find_relation db name
+  List.find_map
+    (fun rel ->
+      let arch = Index.Indexed.archive rel in
+      if Lazy.is_val arch && nonempty (Lazy.force arch) then Some (Lazy.force arch) else None)
+    (Fs.relations fs)
+  |> Option.get
 
 let test_archive_audit_clean () =
   let fs, _ = populated_with_history () in
@@ -640,6 +642,37 @@ let test_archive_audit_detects_uncommitted_deleter () =
   Relstore.Txn.abort open_txn;
   Alcotest.(check bool) "audit flags the undecided deleter" false (Fsck.is_clean r)
 
+(* The state a migration that dropped its file's archive left behind: a
+   file's archived history in an archive relation that the file does not
+   own, so no [As_of] read reaches it.  The audit must name that
+   relation; every version in it has committed stamps, so the WORM walk
+   alone finds nothing wrong. *)
+let test_unowned_archive_flagged () =
+  let fs, s = populated () in
+  let db = Fs.db fs in
+  let advance () = Simclock.Clock.advance (Db.clock db) 1. in
+  advance ();
+  let t_report = Db.now db in
+  advance ();
+  Fs.write_file s "/docs/report" (bytes_of "revised numbers");
+  advance ();
+  let oid = Fs.lookup_oid s "/docs/report" in
+  let inv = Option.get (Fs.file_handle fs ~oid) in
+  let heap = Invfs.Inv_file.heap inv in
+  let stray = Db.archive db heap in
+  let st =
+    Db.vacuum db ~relation:(Relstore.Heap.name heap) ~mode:(`Archive stray)
+      ~on_remove:(Invfs.Inv_file.on_vacuum inv) ()
+  in
+  Alcotest.(check bool) "history archived" true (st.Relstore.Vacuum.archived > 0);
+  Alcotest.(check bool) "out of reach of As_of reads" false
+    (str (Fs.read_whole_file s ~timestamp:t_report "/docs/report") = "quarterly numbers");
+  let r = Fsck.audit fs in
+  Alcotest.(check bool) "audit not clean" false (Fsck.is_clean r);
+  let unowned = Relstore.Heap.name (Lazy.force stray) in
+  Alcotest.(check (list string)) "the unowned archive is the problem" [ unowned ]
+    (List.sort_uniq compare (List.map (fun p -> p.Fsck.relation) r.Fsck.problems))
+
 let () =
   Alcotest.run "fsck"
     [
@@ -674,6 +707,8 @@ let () =
             test_archive_audit_detects_live_version;
           Alcotest.test_case "uncommitted deleter on WORM flagged" `Quick
             test_archive_audit_detects_uncommitted_deleter;
+          Alcotest.test_case "archive no relation owns flagged" `Quick
+            test_unowned_archive_flagged;
         ] );
       ( "cross-shard",
         [

@@ -703,6 +703,66 @@ let test_migrate_keeps_archived_history () =
   Alcotest.(check string) "archived history after a crash" "ancient"
     (str (Fs.read_whole_file (Fs.new_session fs) ~timestamp:t1 "/f"))
 
+(* A round trip between devices keeps one archive: archive-vacuum,
+   migrate disk0 -> disk1, write and archive-vacuum again, migrate back,
+   crash.  Every remembered instant reads the bytes written then, the
+   file owns the same single archive relation throughout, and the audit
+   is clean. *)
+let test_migrate_round_trip_keeps_one_archive () =
+  let fs =
+    make_fs
+      ~devices:
+        [
+          ("disk0", Pagestore.Device.Magnetic_disk);
+          ("disk1", Pagestore.Device.Magnetic_disk);
+          ("jukebox", Pagestore.Device.Worm_jukebox);
+        ]
+      ()
+  in
+  let s = Fs.new_session fs in
+  let db = Fs.db fs in
+  let remembered = ref [] in
+  let write v =
+    Fs.write_file s "/f" (bytes_of v);
+    advance fs 1.;
+    remembered := (Relstore.Db.now db, v) :: !remembered;
+    advance fs 1.
+  in
+  write "first";
+  write "second";
+  let oid = Fs.lookup_oid s "/f" in
+  let archive () =
+    Index.Indexed.archive (Invfs.Inv_file.relation (Option.get (Fs.file_handle fs ~oid)))
+  in
+  let vacuum () =
+    let st = Fs.vacuum_file fs ~oid ~mode:`Archive () in
+    Alcotest.(check bool) "archived something" true (st.Relstore.Vacuum.archived >= 1)
+  in
+  vacuum ();
+  let arch = Lazy.force (archive ()) in
+  Fs.migrate_file fs ~oid ~device:"disk1";
+  write "third";
+  write "fourth";
+  vacuum ();
+  Fs.migrate_file fs ~oid ~device:"disk0";
+  ignore (Fs.crash_and_recover fs : Fs.recovery);
+  let s = Fs.new_session fs in
+  Alcotest.(check string) "back home" "disk0" (Fs.stat s "/f").Invfs.Fileatt.device;
+  List.iter
+    (fun (ts, v) ->
+      Alcotest.(check string) (Printf.sprintf "as of %Ld" ts) v
+        (str (Fs.read_whole_file s ~timestamp:ts "/f")))
+    !remembered;
+  Alcotest.(check bool) "the same archive throughout" true (Lazy.force (archive ()) == arch);
+  let made =
+    List.map (fun rel -> Relstore.Heap.name (Index.Indexed.heap rel)) (Fs.relations fs)
+  in
+  Alcotest.(check (list string)) "one archive relation, the file's"
+    [ Relstore.Heap.name arch ]
+    (List.filter (fun name -> not (List.mem name made)) (Relstore.Db.relations db));
+  let r = Invfs.Fsck.audit fs in
+  Alcotest.(check bool) (Invfs.Fsck.report_to_string r) true (Invfs.Fsck.is_clean r)
+
 (* An fd opened before [migrate_file] reads and writes the moved file. *)
 let migrated_fd mode =
   let fs =
@@ -973,9 +1033,13 @@ let test_vacuum_all_sweeps_everything () =
   advance fs 1.;
   ignore (Fs.vacuum_all fs ~mode:`Archive () : Relstore.Vacuum.stats);
   Alcotest.(check bool) "the clone map's dead row archived" true
-    (match Relstore.Db.find_relation_opt (Fs.db fs) "clonemap_arch" with
-    | Some arch -> Relstore.Heap.nblocks arch > 0
-    | None -> false);
+    (List.exists
+       (fun rel ->
+         let arch = Index.Indexed.archive rel in
+         String.equal (Relstore.Heap.name (Index.Indexed.heap rel)) "clonemap"
+         && Lazy.is_val arch
+         && Relstore.Heap.nblocks (Lazy.force arch) > 0)
+       (Fs.relations fs));
   let r = Invfs.Recovery.crash_and_recover fs in
   Alcotest.(check bool) (Invfs.Recovery.report_to_string r) true (Invfs.Recovery.is_clean r);
   let s = Fs.new_session fs in
@@ -1256,6 +1320,8 @@ let () =
           Alcotest.test_case "rules engine" `Quick test_migration_rules_engine;
           Alcotest.test_case "archived history survives" `Quick
             test_migrate_keeps_archived_history;
+          Alcotest.test_case "round trip keeps one archive" `Quick
+            test_migrate_round_trip_keeps_one_archive;
           Alcotest.test_case "open fd reads after migration" `Quick test_migrate_fd_read;
           Alcotest.test_case "open fd writes after migration" `Quick test_migrate_fd_write;
         ] );

@@ -58,7 +58,11 @@ type status = Active | Done_commit of int64 | Done_abort
 let run_scenario ops =
   let clock = Simclock.Clock.create () in
   let db = Db.create ~clock () in
-  let rels = Array.init 3 (fun i -> Db.create_relation db ~name:(Printf.sprintf "r%d" i) ()) in
+  let rels =
+    Array.init 3 (fun i ->
+        let heap = Db.create_relation db ~name:(Printf.sprintf "r%d" i) () in
+        Index.Indexed.create heap ~archive:(Db.archive db heap) [])
+  in
   let txns = Array.make 3 None in
   let statuses : (int, status) Hashtbl.t = Hashtbl.create 16 in
   let versions = ref [] in
@@ -86,7 +90,7 @@ let run_scenario ops =
       | Some t ->
         let oid = !next_oid in
         next_oid := Int64.add oid 1L;
-        let tid = Heap.insert rels.(slot) t ~oid (Bytes.make 24 'v') in
+        let tid = Heap.insert (Index.Indexed.heap rels.(slot)) t ~oid (Bytes.make 24 'v') in
         versions :=
           { v_oid = oid; v_slot = slot; v_tid = tid; v_xmin = Txn.xid t; v_xmax = None }
           :: !versions)
@@ -111,7 +115,7 @@ let run_scenario ops =
         match victim with
         | None -> ()
         | Some v ->
-          Heap.delete rels.(slot) t v.v_tid;
+          Heap.delete (Index.Indexed.heap rels.(slot)) t v.v_tid;
           v.v_xmax <- Some self)
     | Commit slot -> (
       match txns.(slot) with
@@ -131,11 +135,11 @@ let run_scenario ops =
       (* one budgeted increment per relation; a skip (foreground writer
          holds the relation) is a legal outcome and changes nothing *)
       Array.iteri
-        (fun i _ ->
+        (fun i rel ->
           ignore
             (Db.vacuum_step db
                ~relation:(Printf.sprintf "r%d" i)
-               ~mode:`Archive ~pages:1 ()
+               ~mode:(`Archive (Index.Indexed.archive rel)) ~pages:1 ()
               : Relstore.Vacuum.step_stats))
         rels);
     (* a strictly-later instant than anything the op just did *)
@@ -147,7 +151,9 @@ let run_scenario ops =
 
 let scan_oids rels snap =
   let acc = ref [] in
-  Array.iter (fun rel -> Heap.scan rel snap (fun r -> acc := r.Heap.oid :: !acc)) rels;
+  Array.iter
+    (fun rel -> Index.Indexed.scan rel snap (fun r -> acc := r.Heap.oid :: !acc))
+    rels;
   List.sort Int64.compare !acc
 
 let committed_by statuses xid horizon =
@@ -289,6 +295,7 @@ let test_vacuum_preserves_horizons () =
   let clock = Simclock.Clock.create () in
   let db = Db.create ~clock () in
   let rel = Db.create_relation db ~name:"r0" () in
+  let with_archive = Index.Indexed.create rel ~archive:(Db.archive db rel) [] in
   let t1 = Db.begin_txn db in
   ignore (Heap.insert rel t1 ~oid:1L (Bytes.make 8 'a') : Relstore.Tid.t);
   ignore (Txn.commit t1 : int64);
@@ -308,13 +315,16 @@ let test_vacuum_preserves_horizons () =
   Simclock.Clock.advance clock 1.0;
   let collect h =
     let acc = ref [] in
-    Heap.scan rel (Snapshot.As_of h) (fun r -> acc := r.Heap.oid :: !acc);
+    Index.Indexed.scan with_archive (Snapshot.As_of h) (fun r -> acc := r.Heap.oid :: !acc);
     List.sort Int64.compare !acc
   in
   Alcotest.(check (list int64)) "alive before the vacuum" [ 1L ] (collect h_alive);
   let archived = ref 0 and wrapped = ref false in
   while not !wrapped do
-    let st = Db.vacuum_step db ~relation:"r0" ~mode:`Archive ~pages:1 () in
+    let st =
+      Db.vacuum_step db ~relation:"r0"
+        ~mode:(`Archive (Index.Indexed.archive with_archive)) ~pages:1 ()
+    in
     archived := !archived + st.Relstore.Vacuum.s_archived;
     wrapped := st.Relstore.Vacuum.s_wrapped
   done;

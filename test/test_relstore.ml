@@ -14,6 +14,10 @@ let str b = Bytes.to_string b
 
 let fresh_db () = Db.create ()
 
+(* A relation with no trees that owns [heap]'s archive: what reads
+   [As_of] through to the archive tier. *)
+let archived db heap = Index.Indexed.create heap ~archive:(Db.archive db heap) []
+
 (* ---- Heap_page ---- *)
 
 let test_page_insert_read () =
@@ -413,12 +417,13 @@ let test_vacuum_archive_preserves_time_travel () =
   Simclock.Clock.advance (Db.clock db) 5.;
   ignore (Db.with_txn db (fun txn -> H.update heap txn tid (payload "v2")));
   Simclock.Clock.advance (Db.clock db) 1.;
-  let stats = Db.vacuum db ~relation:"t" ~mode:`Archive () in
+  let rel = archived db heap in
+  let stats = Db.vacuum db ~relation:"t" ~mode:(`Archive (Index.Indexed.archive rel)) () in
   Alcotest.(check int) "archived" 1 stats.archived;
   (* time travel to t_v1 still finds v1, via the archive *)
   let snap = Relstore.Snapshot.As_of t_v1 in
   let seen = ref [] in
-  H.scan heap snap (fun r -> seen := str r.payload :: !seen);
+  Index.Indexed.scan rel snap (fun r -> seen := str r.payload :: !seen);
   Alcotest.(check (list string)) "v1 from archive" [ "v1" ] !seen
 
 let test_vacuum_removes_aborted () =
@@ -445,18 +450,21 @@ let test_vacuum_full_pass_gives_way_to_writer () =
   Simclock.Clock.advance (Db.clock db) 5.;
   let writer = Db.begin_txn db in
   ignore (H.update heap writer tid (payload "v2") : Relstore.Tid.t);
-  let st = Db.vacuum db ~relation:"t" ~mode:`Archive () in
+  let rel = archived db heap in
+  let mode = `Archive (Index.Indexed.archive rel) in
+  let st = Db.vacuum db ~relation:"t" ~mode () in
   Alcotest.(check (list int)) "nothing scanned, archived or discarded" [ 0; 0; 0; 0 ]
     [ st.scanned; st.archived; st.discarded; st.pages_compacted ];
   Alcotest.(check bool) "old version still in the main heap" true
     (H.fetch_any heap tid <> None);
   ignore (T.commit writer : int64);
   Simclock.Clock.advance (Db.clock db) 1.;
-  let st = Db.vacuum db ~relation:"t" ~mode:`Archive () in
+  let st = Db.vacuum db ~relation:"t" ~mode () in
   Alcotest.(check int) "the writer's dead version archived" 1 st.archived;
   Alcotest.(check bool) "gone from the main heap" true (H.fetch_any heap tid = None);
   let seen = ref [] in
-  H.scan heap (Relstore.Snapshot.As_of t_v1) (fun r -> seen := str r.payload :: !seen);
+  Index.Indexed.scan rel (Relstore.Snapshot.As_of t_v1) (fun r ->
+      seen := str r.payload :: !seen);
   Alcotest.(check (list string)) "v1 from the archive" [ "v1" ] !seen
 
 let dead_versions db heap n =
@@ -584,8 +592,9 @@ let test_archive_is_append_only () =
   let db = fresh_db () in
   let heap = Db.create_relation db ~name:"t" () in
   dead_versions db heap 1;
-  ignore (Db.vacuum db ~relation:"t" ~mode:`Archive () : Relstore.Vacuum.stats);
-  let arch = Option.get (H.archive heap) in
+  let archive = Db.archive db heap in
+  ignore (Db.vacuum db ~relation:"t" ~mode:(`Archive archive) () : Relstore.Vacuum.stats);
+  let arch = Lazy.force archive in
   let archived = ref [] in
   H.scan_raw arch (fun r -> archived := r :: !archived);
   Alcotest.(check int) "one archived version" 1 (List.length !archived);
@@ -620,23 +629,26 @@ let test_archive_duplicate_collapses () =
   Simclock.Clock.advance (Db.clock db) 5.;
   ignore (Db.with_txn db (fun txn -> H.update heap txn tid (payload "v2")));
   Simclock.Clock.advance (Db.clock db) 1.;
-  (* attach the archive, then hand-plant the duplicate a torn step would
+  (* make the archive, then hand-plant the duplicate a torn step would
      leave behind: copy the dead version without killing the original *)
-  ignore (Db.vacuum_step db ~relation:"t" ~mode:`Archive ~pages:0 () : Relstore.Vacuum.step_stats);
-  let arch = Option.get (H.archive heap) in
+  let rel = archived db heap in
+  let arch = Lazy.force (Index.Indexed.archive rel) in
   let dead = Option.get (H.fetch_any heap tid) in
   ignore (H.append_raw arch ~oid:dead.H.oid ~xmin:dead.H.xmin ~xmax:dead.H.xmax dead.H.payload
            : Relstore.Tid.t);
   let versions_at ts =
     let seen = ref [] in
-    H.scan heap (Relstore.Snapshot.As_of ts) (fun r -> seen := str r.H.payload :: !seen);
+    Index.Indexed.scan rel (Relstore.Snapshot.As_of ts) (fun r ->
+        seen := str r.H.payload :: !seen);
     !seen
   in
   Alcotest.(check (list string)) "duplicate collapsed" [ "v1" ] (versions_at t_v1);
   (* now the real pass archives it and kills the original *)
   let wrapped = ref false in
   while not !wrapped do
-    let st = Db.vacuum_step db ~relation:"t" ~mode:`Archive ~pages:4 () in
+    let st =
+      Db.vacuum_step db ~relation:"t" ~mode:(`Archive (Index.Indexed.archive rel)) ~pages:4 ()
+    in
     wrapped := st.Relstore.Vacuum.s_wrapped
   done;
   Alcotest.(check bool) "original gone from the main heap" true (H.fetch_any heap tid = None);

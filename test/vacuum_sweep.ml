@@ -6,14 +6,15 @@
    injected mid-step; the run must stay oracle-equivalent throughout
    (see Benchlib.Vacuumtest).  Always covers the fixed seed set below
    (30+ seeds); VACUUM_SEEDS=5,6,7 appends extra comma-separated seeds,
-   VACUUM_OPS=N lengthens each run, and `--quick` (used by the @sweeps
-   meta-alias and the default `dune runtest`) trims to a fast subset. *)
+   VACUUM_OPS=N lengthens each run, `--quick` (used by the @sweeps
+   meta-alias and the default `dune runtest`) trims to a fast subset,
+   and `--trace SEED` replays one seed with the per-op log on stderr. *)
 
 module VT = Benchlib.Vacuumtest
 
 let () =
   let ops = Sweep.env_int "VACUUM_OPS" VT.default_config.ops in
-  let config = { VT.default_config with ops } in
+  let config = { VT.default_config with ops; trace = Sweep.trace_seed <> None } in
   let archived = ref 0 in
   Sweep.run ~name:"vacuum"
     (Sweep.seeds ~name:"vacuum"
