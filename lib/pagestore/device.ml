@@ -504,23 +504,13 @@ let poke_block t ~segid ~blkno page =
     kill t;
     media_failure t ~segid ~blkno "device dead"
   | None | Some (Fault_torn _) | Some Fault_bitrot -> ());
-  let stored =
-    match fault with
-    | Some (Fault_torn n) ->
-      (* Torn write: only the first [n] bytes of the new image reach the
-         medium; the tail keeps whatever was there before. *)
-      let prev =
-        match Hashtbl.find_opt t.blocks (segid, blkno) with
-        | Some b -> Bytes.copy b
-        | None -> Bytes.make Page.size '\000'
-      in
-      let fresh = Page.to_bytes page in
-      let n = max 0 (min n (Bytes.length fresh)) in
-      Bytes.blit fresh 0 prev 0 n;
-      prev
-    | _ -> Page.to_bytes page
-  in
-  Hashtbl.replace t.blocks (segid, blkno) stored;
+  (* The store lands in the block's own buffer: every block has one from
+     [allocate_block], and reads and resilvers copy out of it, so no one
+     else holds it.  A torn write moves only the first [n] bytes of the
+     new image; the tail keeps whatever was there before. *)
+  let stored = Hashtbl.find t.blocks (segid, blkno) in
+  let n = match fault with Some (Fault_torn n) -> max 0 (min n Page.size) | _ -> Page.size in
+  Page.blit_out page 0 stored 0 n;
   (* The checksum records the bytes that actually reached the medium — a
      torn write is checksum-consistent (self-identifying pages catch it);
      only post-hoc decay leaves the checksum stale. *)

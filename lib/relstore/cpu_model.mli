@@ -16,7 +16,9 @@ val charge_record_write : Simclock.Clock.t -> bytes:int -> unit
 (** Tuple formation + copy into the page on insert/update. *)
 
 val charge_record_read : Simclock.Clock.t -> bytes:int -> unit
-(** Visibility check + copy out on fetch/scan hit. *)
+(** Visibility check + copy out, charged by {!Heap.fetch} on a visible
+    record only.  {!Heap.scan} charges nothing, so scans are unpriced
+    on the simulated clock (ROADMAP item 2(b)). *)
 
 val charge_index_op : Simclock.Clock.t -> unit
 (** One B-tree descent/modification's comparisons and bookkeeping. *)

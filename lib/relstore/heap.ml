@@ -63,11 +63,11 @@ let record_of_page_record blkno (r : Heap_page.record) =
     payload = r.payload;
   }
 
+(* Unsealed: the one caller, [insert_payload], seals it with its first
+   record a step later. *)
 let fresh_block t =
   let blkno = Pagestore.Bufcache.new_block t.cache t.device ~segid:t.segid in
-  with_page t blkno (fun page ->
-      Heap_page.init page ~relid:t.relid ~blkno;
-      Heap_page.seal page);
+  with_page t blkno (fun page -> Heap_page.init page ~relid:t.relid ~blkno);
   dirty t blkno;
   blkno
 

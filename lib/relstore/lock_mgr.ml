@@ -42,14 +42,6 @@ let m_waits = Obs.Metrics.counter "lock.waits"
 let m_deadlocks = Obs.Metrics.counter "lock.deadlocks"
 let m_releases = Obs.Metrics.counter "lock.releases"
 
-let holders_table t resource =
-  match Hashtbl.find_opt t.locks resource with
-  | Some h -> h
-  | None ->
-    let h = Hashtbl.create 4 in
-    Hashtbl.replace t.locks resource h;
-    h
-
 let holders t ~resource =
   match Hashtbl.find_opt t.locks resource with
   | None -> []
@@ -65,6 +57,8 @@ let held_by t xid =
       | None -> acc)
     t.locks []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let locked_resources t = Hashtbl.length t.locks
 
 let waiting t xid = Option.value ~default:[] (Hashtbl.find_opt t.wait_for xid)
 
@@ -125,10 +119,13 @@ let record_waiter t xid resource mode =
   in
   Hashtbl.replace w xid mode
 
+(* A resource has a holder table only while someone holds it: a grant
+   makes the table, and the last holder's release drops it. *)
 let acquire t xid ~resource mode =
-  let h = holders_table t resource in
+  let h = Hashtbl.find_opt t.locks resource in
+  let held = match h with Some h -> Hashtbl.find_opt h xid | None -> None in
   let already =
-    match Hashtbl.find_opt h xid with
+    match held with
     | Some Exclusive -> true (* exclusive covers both requests *)
     | Some Shared -> mode = Shared
     | None -> false
@@ -138,12 +135,19 @@ let acquire t xid ~resource mode =
       (* Holders re-acquiring never queue behind waiters (that would
          deadlock the holder on its own lock); only fresh Shared
          requests defer to a pending writer. *)
-      if mode = Shared && not (Hashtbl.mem h xid) then
-        exclusive_waiters t xid resource
-      else []
+      if mode = Shared && held = None then exclusive_waiters t xid resource else []
     in
-    match (conflicting_holders h xid mode, barred) with
+    let conflicts = match h with Some h -> conflicting_holders h xid mode | None -> [] in
+    match (conflicts, barred) with
     | [], [] ->
+      let h =
+        match h with
+        | Some h -> h
+        | None ->
+          let h = Hashtbl.create 4 in
+          Hashtbl.replace t.locks resource h;
+          h
+      in
       Hashtbl.replace h xid mode;
       drop_waiter t xid resource;
       Hashtbl.remove t.wait_for xid;
@@ -200,7 +204,11 @@ let release_generation t = t.release_gen
 let release_all t xid =
   t.release_gen <- t.release_gen + 1;
   Obs.Metrics.incr m_releases;
-  Hashtbl.iter (fun _ h -> Hashtbl.remove h xid) t.locks;
+  Hashtbl.filter_map_inplace
+    (fun _ h ->
+      Hashtbl.remove h xid;
+      if Hashtbl.length h = 0 then None else Some h)
+    t.locks;
   Hashtbl.remove t.wait_for xid;
   (* A transaction that ends while blocked abandons its queue spot, so
      a dead writer cannot bar readers forever. *)

@@ -54,6 +54,11 @@ val holders : t -> resource:string -> (Xid.t * mode) list
 val held_by : t -> Xid.t -> (string * mode) list
 (** All locks a transaction holds, sorted by resource. *)
 
+val locked_resources : t -> int
+(** Number of resources some transaction holds a lock on.  A resource's
+    entry goes with its last holder, so a commit's {!held_by} and
+    {!release_all} cost the locks held, not every resource ever locked. *)
+
 val waiting : t -> Xid.t -> Xid.t list
 (** Transactions [xid] is currently recorded as waiting for. *)
 

@@ -170,6 +170,25 @@ let test_wait_queue_probe () =
   L.reset lm;
   Alcotest.(check int) "reset clears the queue" 0 (read_probe ())
 
+(* A resource's entry goes with its last holder: a commit walks the locks
+   held, not every resource ever locked. *)
+let test_release_drops_unheld_resources () =
+  let lm = L.create () in
+  for x = 1 to 100 do
+    L.acquire lm x ~resource:(Printf.sprintf "rel:inv%d" x) L.Exclusive;
+    L.acquire lm x ~resource:"shared" L.Shared;
+    Alcotest.(check int) "held while open" 2 (L.locked_resources lm);
+    L.release_all lm x
+  done;
+  Alcotest.(check int) "nothing held" 0 (L.locked_resources lm);
+  L.acquire lm 1 ~resource:"a" L.Shared;
+  L.acquire lm 2 ~resource:"a" L.Shared;
+  L.release_all lm 1;
+  Alcotest.(check int) "another holder keeps it" 1 (L.locked_resources lm);
+  Alcotest.(check (list xid)) "holder survives" [ 2 ] (List.map fst (L.holders lm ~resource:"a"));
+  L.release_all lm 2;
+  Alcotest.(check int) "last holder drops it" 0 (L.locked_resources lm)
+
 let () =
   Alcotest.run "lock_mgr"
     [
@@ -184,6 +203,8 @@ let () =
         [
           Alcotest.test_case "release_all clears wait edges" `Quick
             test_release_all_clears_wait_edges;
+          Alcotest.test_case "release drops unheld resources" `Quick
+            test_release_drops_unheld_resources;
         ] );
       ( "fairness",
         [

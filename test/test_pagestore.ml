@@ -65,7 +65,18 @@ let test_crc_matches_bitwise () =
     let off = Random.State.int rng (Bytes.length buf - len + 1) in
     let got = P.crc32 buf ~off ~len and want = crc_bitwise buf ~off ~len in
     if got <> want then Alcotest.failf "off=%d len=%d: %08x, want %08x" off len got want
-  done
+  done;
+  (* Every tail length the 8-byte loop leaves, at every alignment. *)
+  for off = 0 to 7 do
+    for len = 0 to 40 do
+      let got = P.crc32 buf ~off ~len and want = crc_bitwise buf ~off ~len in
+      if got <> want then Alcotest.failf "off=%d len=%d: %08x, want %08x" off len got want
+    done
+  done;
+  let page = P.of_bytes buf in
+  Alcotest.(check int) "whole page"
+    (crc_bitwise (P.raw page) ~off:0 ~len:P.size)
+    (P.checksum page)
 
 (* Bytes that reach the medium and the wire, pinned: a name-index key
    and one frame's CRC field. *)
@@ -96,6 +107,24 @@ let test_device_alloc_rw () =
   Alcotest.(check string) "roundtrip" "data!" (P.get_string back 0 5);
   Alcotest.(check int) "reads" 1 (D.reads dev);
   Alcotest.(check int) "writes" 1 (D.writes dev)
+
+(* A store copies the caller's page into the block: later changes to
+   that page reach neither the medium nor its recorded checksum. *)
+let test_device_store_detaches_caller_page () =
+  let _, dev = fresh_disk () in
+  let seg = D.create_segment dev in
+  ignore (D.allocate_block dev seg : int);
+  let page = P.create () in
+  P.set_string page 0 "stored";
+  D.poke_block dev ~segid:seg ~blkno:0 page;
+  P.set_string page 0 "caller";
+  P.set_string page (P.size - 6) "scrawl";
+  Alcotest.(check string) "image unchanged" "stored"
+    (P.get_string (D.peek_block dev ~segid:seg ~blkno:0) 0 6);
+  Alcotest.(check (result unit string)) "verifies" (Ok ()) (D.verify_block dev ~segid:seg ~blkno:0);
+  D.poke_block dev ~segid:seg ~blkno:0 page;
+  Alcotest.(check string) "restore lands" "scrawl"
+    (P.get_string (D.peek_block dev ~segid:seg ~blkno:0) (P.size - 6) 6)
 
 let test_device_missing_block () =
   let _, dev = fresh_disk () in
@@ -836,6 +865,8 @@ let () =
         [
           Alcotest.test_case "allocate/read/write" `Quick test_device_alloc_rw;
           Alcotest.test_case "missing block rejected" `Quick test_device_missing_block;
+          Alcotest.test_case "store detaches caller page" `Quick
+            test_device_store_detaches_caller_page;
           Alcotest.test_case "I/O charges time" `Quick test_device_charges_time;
           Alcotest.test_case "sequential beats random" `Quick
             test_device_sequential_cheaper_than_random;
