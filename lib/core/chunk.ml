@@ -25,6 +25,8 @@ let peek_chunkno b =
   if Bytes.length b < header_size then invalid_arg "Chunk.peek_chunkno: truncated header";
   Bytes.get_int64_le b 0
 
+let holds ~chunkno v = Relstore.Heap_page.payload_i64_is v ~at:0 chunkno
+
 let decode b =
   if Bytes.length b < header_size then invalid_arg "Chunk.decode: truncated header";
   let chunkno = Bytes.get_int64_le b 0 in

@@ -45,5 +45,9 @@ val peek_chunkno : bytes -> int64
     and for compressed chunks inflates — up to 8 KB per record.  Raises
     [Invalid_argument] on a truncated header. *)
 
+val holds : chunkno:int64 -> Relstore.Heap_page.view -> bool
+(** {!peek_chunkno} of a record in place, compared with [chunkno]: a
+    file scan's key test ({!Relstore.Heap.scan}). *)
+
 val make_plain : chunkno:int64 -> bytes -> t
 val make_compressed : chunkno:int64 -> uncompressed_len:int -> bytes -> t

@@ -58,6 +58,11 @@ let decode payload =
     device;
   }
 
+(* A row's key, tested in place by a historical scan (see
+   [Relstore.Heap.scan]): the record oid, which [insert] sets to the
+   file. *)
+let for_file ~file v = Relstore.Heap_page.oid_is v file
+
 let create db ?device () =
   let heap = Relstore.Db.create_relation db ~name:"fileatt" ?device () in
   let by_oid =
@@ -79,7 +84,7 @@ let insert t txn a = Index.Indexed.insert t.rel txn ~oid:a.file (encode a)
 let find_record t snap ~file =
   if Index.Indexed.historical snap then begin
     let hit = ref None in
-    Index.Indexed.scan t.rel snap (fun r -> if r.oid = file then hit := Some r);
+    Index.Indexed.scan ~where:(for_file ~file) t.rel snap (fun r -> hit := Some r);
     !hit
   end
   else Index.Indexed.probe t.rel t.by_oid snap ~key:(Index.Key.of_int64 file) Option.some

@@ -273,6 +273,11 @@ let encode_clone ~src_oid ~horizon ~base_len =
   Bytes.set_int64_be b 16 base_len;
   b
 
+(* A clone's map record, tested in place by a scan's key test (see
+   [Relstore.Heap.scan]). *)
+let maps_clone oid v =
+  Relstore.Heap_page.oid_is v oid && Relstore.Heap_page.payload_length v = 24
+
 (* In-memory clone bases (and their vacuum leases) are a volatile cache
    of the clonemap; they reload lazily from durable state, which is also
    how they come back after a crash. *)
@@ -314,18 +319,15 @@ let clone_base_at t ~ts oid =
   | None -> None
   | Some cm ->
     let found = ref None in
-    Index.Indexed.scan cm (Snapshot.As_of ts) (fun r ->
-        if Int64.equal r.Relstore.Heap.oid oid
-           && Bytes.length r.Relstore.Heap.payload = 24
-        then
-          found :=
-            Some
-              {
-                src_oid = Bytes.get_int64_be r.Relstore.Heap.payload 0;
-                chorizon = Bytes.get_int64_be r.Relstore.Heap.payload 8;
-                base_len = Bytes.get_int64_be r.Relstore.Heap.payload 16;
-                lease = -1;
-              });
+    Index.Indexed.scan ~where:(maps_clone oid) cm (Snapshot.As_of ts) (fun r ->
+        found :=
+          Some
+            {
+              src_oid = Bytes.get_int64_be r.Relstore.Heap.payload 0;
+              chorizon = Bytes.get_int64_be r.Relstore.Heap.payload 8;
+              base_len = Bytes.get_int64_be r.Relstore.Heap.payload 16;
+              lease = -1;
+            });
     !found
 
 let clone_base_for t snap oid =

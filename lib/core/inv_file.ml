@@ -68,9 +68,8 @@ let find_visible t snap ~chunkno =
   | None ->
     if Index.Indexed.historical snap then begin
       let hit = ref None in
-      Index.Indexed.scan t.rel snap (fun r ->
-          if Int64.equal (Chunk.peek_chunkno r.H.payload) chunkno then
-            hit := Some (r.H.tid, r.H.payload));
+      Index.Indexed.scan ~where:(Chunk.holds ~chunkno) t.rel snap (fun r ->
+          hit := Some (r.H.tid, r.H.payload));
       !hit
     end
     else None

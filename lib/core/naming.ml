@@ -34,6 +34,15 @@ let decode tid payload =
 
 let entry (r : H.record) = decode r.tid r.payload
 
+(* The same layout, tested in place by a historical scan's key test
+   (see [H.scan]): parentid at payload offset 0, file at 8, the name from
+   16 on. *)
+module View = Relstore.Heap_page
+
+let in_dir ~parentid v = View.payload_i64_is v ~at:0 parentid
+let named ~parentid ~name v = in_dir ~parentid v && View.payload_ends_with v ~at:16 name
+let names_file ~file v = View.payload_i64_is v ~at:8 file
+
 let create db ?device () =
   let heap = Relstore.Db.create_relation db ~name:"naming" ?device () in
   let tree klen =
@@ -70,14 +79,13 @@ let fetch_entry t snap tid =
   | None -> None
 
 (* Historical snapshots scan (the archive included) so vacuumed entries
-   stay reachable; current snapshots probe the indexes. *)
-let find t snap (ix : Index.Audit.index) ~key pred =
+   stay reachable, copying out only the records [where] passes; current
+   snapshots probe the indexes.  [where] and [pred] are one test, on the
+   record in place and on its decoded entry. *)
+let find t snap (ix : Index.Audit.index) ~key ~where pred =
   if Indexed.historical snap then begin
     let hit = ref None in
-    Indexed.scan t.rel snap (fun r ->
-        if !hit = None then
-          let e = entry r in
-          if pred e then hit := Some e);
+    Indexed.scan ~where t.rel snap (fun r -> if !hit = None then hit := Some (entry r));
     !hit
   end
   else
@@ -86,13 +94,14 @@ let find t snap (ix : Index.Audit.index) ~key pred =
         if pred e then Some e else None)
 
 let lookup t snap ~parentid ~name =
-  find t snap t.by_dir ~key:(Index.Key.dir_name ~parentid ~name) (fun e ->
-      e.parentid = parentid && String.equal e.name name)
+  find t snap t.by_dir ~key:(Index.Key.dir_name ~parentid ~name) ~where:(named ~parentid ~name)
+    (fun e -> e.parentid = parentid && String.equal e.name name)
 
 let list_dir t snap ~parentid =
   let acc = ref [] in
   let add e = if e.parentid = parentid then acc := e :: !acc in
-  if Indexed.historical snap then Indexed.scan t.rel snap (fun r -> add (entry r))
+  if Indexed.historical snap then
+    Indexed.scan ~where:(in_dir ~parentid) t.rel snap (fun r -> add (entry r))
   else
     Index.Btree.scan_range t.by_dir.tree
       ~lo:(Index.Key.dir_prefix_lo ~parentid)
@@ -101,6 +110,7 @@ let list_dir t snap ~parentid =
   List.sort (fun a b -> String.compare a.name b.name) !acc
 
 let by_oid t snap ~file =
-  find t snap t.by_oid ~key:(Index.Key.of_int64 file) (fun e -> e.file = file)
+  find t snap t.by_oid ~key:(Index.Key.of_int64 file) ~where:(names_file ~file) (fun e ->
+      e.file = file)
 
 let iter_all t snap f = Indexed.scan t.rel snap (fun r -> f (entry r))

@@ -36,28 +36,26 @@ let probe t (ix : Audit.index) snap ~key f =
 
 let historical = function Relstore.Snapshot.As_of _ -> true | _ -> false
 
-let scan t snap f =
+let scan ?where t snap f =
   if historical snap && Lazy.is_val t.archive then begin
     (* Historical read-through: archived versions join the scan.  A crash
        between the vacuum's archive-copy commit and its main-heap kill
        legitimately leaves the same version in both heaps (and a re-run
        can even archive it twice), so duplicates are collapsed on the
-       version's identity — stamps plus payload. *)
-    let log = H.status_log t.heap in
-    let seen = Hashtbl.create 64 in
+       version's identity — stamps plus payload.  Only records that pass
+       the key test are copied out, so only those are remembered. *)
+    let seen = Hashtbl.create 16 in
     let emit (r : H.record) =
-      if Relstore.Snapshot.visible log snap ~xmin:r.xmin ~xmax:r.xmax then begin
-        let key = (r.oid, r.xmin, r.xmax, Bytes.to_string r.payload) in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.replace seen key ();
-          f r
-        end
+      let key = (r.oid, r.xmin, r.xmax, Bytes.to_string r.payload) in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.replace seen key ();
+        f r
       end
     in
-    H.scan_raw t.heap emit;
-    H.scan_raw (Lazy.force t.archive) emit
+    H.scan ?where t.heap snap emit;
+    H.scan ?where (Lazy.force t.archive) snap emit
   end
-  else H.scan t.heap snap f
+  else H.scan ?where t.heap snap f
 
 let on_vacuum t (r : H.record) =
   let v = Relstore.Tid.encode r.tid in

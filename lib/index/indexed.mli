@@ -64,12 +64,24 @@ val historical : Relstore.Snapshot.t -> bool
 (** [As_of] snapshots.  Whether such a read may use the trees, which hold
     no entry for a vacuumed version, is each catalog's rule. *)
 
-val scan : t -> Relstore.Snapshot.t -> (Relstore.Heap.record -> unit) -> unit
-(** Every version visible under the snapshot: {!Relstore.Heap.scan} of
-    the heap, and under [As_of] of the archive too, once it is made.  A
-    crash between a vacuum step's two commits can leave one version in
-    both heaps; such duplicates are collapsed on the version's identity
-    (stamps and payload), so each is handed over once. *)
+val scan :
+  ?where:(Relstore.Heap_page.view -> bool) ->
+  t ->
+  Relstore.Snapshot.t ->
+  (Relstore.Heap.record -> unit) ->
+  unit
+(** Every version visible under the snapshot that passes the key test
+    [where] (default: every one): {!Relstore.Heap.scan} of the heap, and
+    under [As_of] of the archive too, once it is made.  A crash between a
+    vacuum step's two commits can leave one version in both heaps; such
+    duplicates are collapsed on the version's identity (stamps and
+    payload), so each is handed over once.
+
+    [where] runs under the page pin, as {!Relstore.Heap.scan} says: a
+    pure test of the record in place that must not touch the cache.  The
+    records handed over are exactly those, in the same order, that the
+    scan without [where] hands over and [where] would pass; the pages
+    read and the charges are the same either way. *)
 
 val on_vacuum : t -> Relstore.Heap.record -> unit
 (** The vacuum's [on_remove] hook: drop a removed version's entries. *)

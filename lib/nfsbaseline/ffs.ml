@@ -210,7 +210,8 @@ let write t ~ino ~off ~data ~mode =
       let partial = slice < block_size in
       (* read-modify-write pays a read when the block is cold *)
       if partial && Int64.compare block_start inode.isize < 0 then access_read t blkno;
-      let page = Device.peek_block t.device ~segid:t.segid ~blkno in
+      let page = Page.create () in
+      Device.peek_block t.device ~segid:t.segid ~blkno page;
       Page.blit_in page in_block data (Int64.to_int (Int64.sub lo off)) slice;
       Device.poke_block t.device ~segid:t.segid ~blkno page;
       (match mode with
@@ -248,7 +249,8 @@ let read t ~ino ~off ~buf ~len =
       | None -> () (* hole *)
       | Some blkno ->
         access_read t blkno;
-        let page = Device.peek_block t.device ~segid:t.segid ~blkno in
+        let page = Page.create () in
+        Device.peek_block t.device ~segid:t.segid ~blkno page;
         let block_start = Int64.mul (Int64.of_int idx) (Int64.of_int block_size) in
         let lo = max off block_start in
         let hi =

@@ -169,6 +169,7 @@ type t = {
   cold : Lru.t;
   os_cache : Os_cache.t;
   written : (int, Device.t) Hashtbl.t; (* device id -> every device a store reached *)
+  mutable spare : Page.t list; (* frames of evicted pages, for the next fill *)
   mutable gets : int;
   mutable hits : int;
   mutable misses : int;
@@ -208,6 +209,7 @@ let make ?(capacity = 300) ?(os_cache_blocks = 16384) ?(readahead_window = 8)
     cold = Lru.create ();
     os_cache = Os_cache.create os_cache_blocks;
     written = Hashtbl.create 4;
+    spare = [];
     gets = 0;
     hits = 0;
     misses = 0;
@@ -362,7 +364,20 @@ let evict_one t =
             ("blkno", Obs.I e.blkno); ("dirty", Obs.I (if e.dirty then 1 else 0));
           ]
         ();
-    write_back t e
+    write_back t e;
+    (* The victim was unpinned, so nothing holds its page: the frame
+       serves the next fill. *)
+    t.spare <- e.page :: t.spare
+
+(* A frame for a page about to be read or made: an evicted page's, or a
+   fresh one until the pool first fills.  Every fill overwrites the whole
+   frame (a device read, or [Page.clear] for a new block). *)
+let take_frame t =
+  match t.spare with
+  | frame :: rest ->
+    t.spare <- rest;
+    frame
+  | [] -> Page.create ()
 
 let ensure_room t = while Hashtbl.length t.table >= t.cap do evict_one t done
 
@@ -413,17 +428,16 @@ let install t dev segid blkno page ~pins ~prefetched =
    first for magnetic-disk devices: every page is checksum-verified
    (bitrot detected, never returned), transient faults retried, permanent
    ones failed over to the mirror. *)
-let fetch_page t dev ~segid ~blkno ~key ~cont =
+let fetch_page t dev ~segid ~blkno ~key ~cont frame =
   if os_cached_device dev && Os_cache.mem t.os_cache key then begin
     t.os_hits <- t.os_hits + 1;
     Simclock.Clock.advance (Device.clock dev) ~account:"oscache.read" os_copy_cost;
     Os_cache.touch t.os_cache key;
-    Resilient.read_block ~charged:false dev ~segid ~blkno
+    Resilient.read_block ~charged:false dev ~segid ~blkno frame
   end
   else begin
-    let page = Resilient.read_block ~charged:true ~cont dev ~segid ~blkno in
-    if os_cached_device dev then Os_cache.add t.os_cache key;
-    page
+    Resilient.read_block ~charged:true ~cont dev ~segid ~blkno frame;
+    if os_cached_device dev then Os_cache.add t.os_cache key
   end
 
 (* Sequential-run detection: an access at exactly the run's next block
@@ -472,7 +486,8 @@ let prefetch t dev seg ~segid ~from =
          (not (Hashtbl.mem t.table key))
          && not (os_cached_device dev && Os_cache.mem t.os_cache key)
        then begin
-         let page = Resilient.read_block ~charged:true ~cont:true dev ~segid ~blkno in
+         let page = take_frame t in
+         Resilient.read_block ~charged:true ~cont:true dev ~segid ~blkno page;
          if os_cached_device dev then Os_cache.add t.os_cache key;
          let (_ : entry) = install t dev segid blkno page ~pins:0 ~prefetched:true in
          t.readaheads <- t.readaheads + 1;
@@ -540,7 +555,8 @@ let get t dev ~segid ~blkno =
           ]
         ();
     let seg = seg_state t dev ~segid in
-    let page = fetch_page t dev ~segid ~blkno ~key ~cont:false in
+    let page = take_frame t in
+    fetch_page t dev ~segid ~blkno ~key ~cont:false page;
     let e = install t dev segid blkno page ~pins:1 ~prefetched:false in
     (* Capture the hint before note_access: a hinted scan's first miss is
        rarely at the previous run's next block, and note_access would
@@ -577,7 +593,8 @@ let with_page t dev ~segid ~blkno f =
 
 let new_block t dev ~segid =
   let blkno = Device.allocate_block dev segid in
-  let page = Page.create () in
+  let page = take_frame t in
+  Page.clear page;
   let (_ : entry) = install t dev segid blkno page ~pins:0 ~prefetched:false in
   blkno
 

@@ -24,7 +24,11 @@
     blocks pay transfer only ({!Device.read_block_cont}).
 
     Pages are pinned while in use; only unpinned pages are eviction
-    victims.  {!crash} drops the whole cache without write-back, which is
+    victims.  An eviction hands the victim's 8 KB frame to the next fill
+    (a miss, a read-ahead block or {!new_block}), so a pool at capacity
+    allocates no page: nothing may hold a page past its {!unpin} (or
+    past {!with_page}), because the frame may then hold another block.
+    {!crash} drops the whole cache without write-back, which is
     how uncommitted work disappears across a simulated failure. *)
 
 type t
@@ -54,7 +58,8 @@ val capacity : t -> int
 val get : t -> Device.t -> segid:int -> blkno:int -> Page.t
 (** Pin a page and return it.  The caller must {!unpin} it (or use
     {!with_page}).  The returned page is the cache's copy: mutations are
-    visible to other readers and must be followed by {!mark_dirty}.  A
+    visible to other readers and must be followed by {!mark_dirty}.  It
+    is valid only while pinned; copy out anything kept past {!unpin}.  A
     miss that extends a detected sequential run (or follows
     {!hint_sequential}) triggers a read-ahead burst behind it. *)
 
@@ -66,11 +71,12 @@ val mark_dirty : t -> Device.t -> segid:int -> blkno:int -> unit
 
 val with_page : t -> Device.t -> segid:int -> blkno:int -> (Page.t -> 'a) -> 'a
 (** [with_page c dev ~segid ~blkno f] pins, applies [f], unpins (also on
-    exception). *)
+    exception).  [f] must not return or keep the page itself. *)
 
 val new_block : t -> Device.t -> segid:int -> int
 (** Extend the segment by one block on the device and install the zeroed
-    page in the cache (unpinned, clean).  Returns the new block number. *)
+    page in the cache (unpinned, clean), in a recycled frame once the
+    pool is full.  Returns the new block number. *)
 
 val hint_sequential : t -> Device.t -> segid:int -> unit
 (** Declare that upcoming accesses to this segment are an ascending scan,

@@ -426,20 +426,18 @@ let set_fault_hook t hook = t.fault_hook <- hook
 let consult_hook t io ~segid ~blkno =
   match t.fault_hook with None -> None | Some hook -> hook io ~segid ~blkno
 
-let peek_block t ~segid ~blkno =
+let peek_block t ~segid ~blkno frame =
   check_alive t ~segid ~blkno;
   check_stuck t ~segid ~blkno;
   check_block t segid blkno;
   let stored = Hashtbl.find t.blocks (segid, blkno) in
   match consult_hook t Io_read ~segid ~blkno with
-  | None -> Page.of_bytes stored
+  | None -> Page.blit_in frame 0 stored 0 Page.size
   | Some (Fault_torn n) ->
     (* Transient short read: the first [n] bytes transfer, the rest come
        back as zeros.  The durable copy is untouched. *)
-    let n = max 0 (min n (Bytes.length stored)) in
-    let torn = Bytes.make Page.size '\000' in
-    Bytes.blit stored 0 torn 0 n;
-    Page.of_bytes torn
+    Page.clear frame;
+    Page.blit_in frame 0 stored 0 (max 0 (min n Page.size))
   | Some Fault_io_error -> raise (Io_fault { device = t.name; segid; blkno })
   | Some Fault_crash -> raise (Crash_injected { device = t.name; segid; blkno })
   | Some Fault_bitrot ->
@@ -447,7 +445,7 @@ let peek_block t ~segid ~blkno =
        bytes are returned.  The recorded checksum is left stale, so the
        verified read path is what catches this. *)
     rot_bytes stored;
-    Page.of_bytes stored
+    Page.blit_in frame 0 stored 0 Page.size
   | Some Fault_stuck ->
     mark_stuck t ~segid ~blkno;
     media_failure t ~segid ~blkno "stuck block"
@@ -535,30 +533,28 @@ let obs_io t name counter hist ~segid ~blkno ~t0 =
     ~args:[ ("dev", Obs.S t.name); ("segid", Obs.I segid); ("blkno", Obs.I blkno) ]
     ()
 
-let read_block t ~segid ~blkno =
+let read_block t ~segid ~blkno frame =
   if not (Obs.on Obs.Device) then begin
     charge_read t ~segid ~blkno;
-    peek_block t ~segid ~blkno
+    peek_block t ~segid ~blkno frame
   end
   else begin
     let t0 = Simclock.Clock.now t.clock in
     charge_read t ~segid ~blkno;
-    let page = peek_block t ~segid ~blkno in
-    obs_io t "device.read" m_read h_read ~segid ~blkno ~t0;
-    page
+    peek_block t ~segid ~blkno frame;
+    obs_io t "device.read" m_read h_read ~segid ~blkno ~t0
   end
 
-let read_block_cont t ~segid ~blkno =
+let read_block_cont t ~segid ~blkno frame =
   if not (Obs.on Obs.Device) then begin
     charge_read_cont t ~segid ~blkno;
-    peek_block t ~segid ~blkno
+    peek_block t ~segid ~blkno frame
   end
   else begin
     let t0 = Simclock.Clock.now t.clock in
     charge_read_cont t ~segid ~blkno;
-    let page = peek_block t ~segid ~blkno in
-    obs_io t "device.read_cont" m_read_cont h_read_cont ~segid ~blkno ~t0;
-    page
+    peek_block t ~segid ~blkno frame;
+    obs_io t "device.read_cont" m_read_cont h_read_cont ~segid ~blkno ~t0
   end
 
 let verify_block t ~segid ~blkno =

@@ -130,15 +130,17 @@ val allocate_block : t -> int -> int
     1, 2, 4, 8, 8, ... blocks, so a small relation reserves no unused tail
     and relations created one after another sit end to end. *)
 
-val read_block : t -> segid:int -> blkno:int -> Page.t
-(** Read one block (a fresh copy), charging simulated time.  Raises
-    [Invalid_argument] if the block does not exist. *)
+val read_block : t -> segid:int -> blkno:int -> Page.t -> unit
+(** [read_block dev ~segid ~blkno frame] reads one block into [frame],
+    charging simulated time.  Every byte of the frame is overwritten, so
+    a frame that held another block shows nothing of it afterwards.
+    Raises [Invalid_argument] if the block does not exist. *)
 
 val write_block : t -> segid:int -> blkno:int -> Page.t -> unit
 (** Write one block, charging simulated time.  The block must have been
     allocated. *)
 
-val read_block_cont : t -> segid:int -> blkno:int -> Page.t
+val read_block_cont : t -> segid:int -> blkno:int -> Page.t -> unit
 (** Like {!read_block}, but charged as the {e continuation} of a streaming
     burst whose first block was read with {!read_block}: positioning is
     still charged (waived when the transfer continues at the arm), the
@@ -147,9 +149,12 @@ val read_block_cont : t -> segid:int -> blkno:int -> Page.t
     only; NVRAM and jukebox devices charge exactly as {!read_block}.  The
     buffer cache's read-ahead path uses this. *)
 
-val peek_block : t -> segid:int -> blkno:int -> Page.t
-(** Read contents without charging time or counters.  For layered models
-    (the FFS baseline) that do their own cost accounting. *)
+val peek_block : t -> segid:int -> blkno:int -> Page.t -> unit
+(** Read contents into the frame without charging time or counters.  For
+    layered models (the FFS baseline) that do their own cost accounting.
+    {!read_block} and {!read_block_cont} fill their frame through this
+    one, so on every read path, torn and rotten transfers included, the
+    whole frame is overwritten. *)
 
 val poke_block : t -> segid:int -> blkno:int -> Page.t -> unit
 (** Write contents without charging the transfer.  WORM accounting is

@@ -25,23 +25,23 @@ let backoff policy clock attempt =
    transient faults and transient-looking corruption with exponential
    backoff.  Retries that do not heal are promoted to Media_failure — by
    then the fault is permanent as far as this copy is concerned. *)
-let read_with_retry policy ~charged ~cont dev ~segid ~blkno =
+let read_with_retry policy ~charged ~cont dev ~segid ~blkno frame =
   let clock = Device.clock dev in
   let transfer () =
-    if not charged then Device.peek_block dev ~segid ~blkno
-    else if cont then Device.read_block_cont dev ~segid ~blkno
-    else Device.read_block dev ~segid ~blkno
+    if not charged then Device.peek_block dev ~segid ~blkno frame
+    else if cont then Device.read_block_cont dev ~segid ~blkno frame
+    else Device.read_block dev ~segid ~blkno frame
   in
   let rec go attempt =
     match
-      let page = transfer () in
-      if Page.checksum page = Device.recorded_checksum dev ~segid ~blkno then Ok page
+      transfer ();
+      if Page.checksum frame = Device.recorded_checksum dev ~segid ~blkno then Ok ()
       else
         Error
           (Printf.sprintf "checksum mismatch on %s segment %d block %d" (Device.name dev)
              segid blkno)
     with
-    | Ok page -> page
+    | Ok () -> ()
     | Error reason ->
       if attempt >= policy.max_attempts then
         raise (Device.Media_failure { device = Device.name dev; segid; blkno; reason })
@@ -65,8 +65,8 @@ let read_with_retry policy ~charged ~cont dev ~segid ~blkno =
   go 1
 
 let read_block ?(policy = default_policy) ?(charged = true) ?(cont = false) dev ~segid
-    ~blkno =
-  try read_with_retry policy ~charged ~cont dev ~segid ~blkno
+    ~blkno frame =
+  try read_with_retry policy ~charged ~cont dev ~segid ~blkno frame
   with Device.Media_failure _ as primary_failure -> (
     match Device.segment_mirror dev ~segid with
     | None -> raise primary_failure
@@ -79,13 +79,13 @@ let read_block ?(policy = default_policy) ?(charged = true) ?(cont = false) dev 
           ();
       (* A failover read is never a continuation: the mirror's arm is
          positioned independently of the burst on the primary. *)
-      match read_with_retry policy ~charged:true ~cont:false mdev ~segid:msegid ~blkno with
-      | page ->
+      match read_with_retry policy ~charged:true ~cont:false mdev ~segid:msegid ~blkno frame with
+      | () ->
         (* Repair the bad primary copy in place, best effort: a stuck block
            or dead primary just stays degraded and the mirror keeps
            serving. *)
         (try
-           Device.poke_block dev ~segid ~blkno page;
+           Device.poke_block dev ~segid ~blkno frame;
            Simclock.Clock.tick (Device.clock dev) "resilient.repair";
            Obs.Metrics.incr m_repairs;
            if Obs.on Obs.Device then
@@ -96,8 +96,7 @@ let read_block ?(policy = default_policy) ?(charged = true) ?(cont = false) dev 
                    ("blkno", Obs.I blkno);
                  ]
                ()
-         with Device.Media_failure _ | Device.Io_fault _ -> ());
-        page
+         with Device.Media_failure _ | Device.Io_fault _ -> ())
       (* Crash_injected is deliberately not caught: it propagates. *)
       | exception (Device.Media_failure _ | Device.Io_fault _ | Invalid_argument _) ->
         raise primary_failure))
@@ -126,8 +125,8 @@ let verify_or_repair ?(policy = default_policy) dev ~segid ~blkno =
   | Error reason -> (
     (* The verified read path does the heavy lifting: retry, mirror
        failover, in-place repair of the primary. *)
-    match read_block ~policy dev ~segid ~blkno with
-    | _page -> (
+    match read_block ~policy dev ~segid ~blkno (Page.create ()) with
+    | () -> (
       match Device.verify_block dev ~segid ~blkno with
       | Ok () -> `Repaired
       | Error reason -> `Unrepairable reason)

@@ -30,8 +30,12 @@ val default_policy : policy
 
 val read_block :
   ?policy:policy -> ?charged:bool -> ?cont:bool -> Device.t -> segid:int -> blkno:int ->
-  Page.t
-(** Verified read with retry, failover, and in-place repair.  [charged]
+  Page.t -> unit
+(** Verified read into the caller's frame, with retry, failover, and
+    in-place repair.  Each attempt overwrites the whole frame, so when
+    the call returns the frame holds checksum-correct bytes of this block
+    and nothing of what it held before; when it raises, the frame's
+    contents are unspecified and must not be read.  [charged]
     (default true) selects {!Device.read_block} over {!Device.peek_block}
     for the primary; failover reads on the mirror are always charged.
     [cont] (default false) charges the primary transfer as the

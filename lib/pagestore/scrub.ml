@@ -64,7 +64,8 @@ let scrub_block t dev ~segid ~blkno =
       | Error reason -> (
         (* The mirror copy rotted; refresh it from the (verified) primary. *)
         try
-          let page = Resilient.read_block ~policy:t.policy dev ~segid ~blkno in
+          let page = Page.create () in
+          Resilient.read_block ~policy:t.policy dev ~segid ~blkno page;
           Device.poke_block mdev ~segid:msegid ~blkno page;
           `Repaired
         with Device.Media_failure _ | Device.Io_fault _ -> `Unrepairable reason))

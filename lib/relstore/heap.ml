@@ -187,7 +187,26 @@ let update t txn tid payload =
 let hint_sequential t =
   Pagestore.Bufcache.hint_sequential t.cache t.device ~segid:t.segid
 
-let scan_raw t f =
+(* The one per-page walk.  Under the pin, [check] sees the page and
+   [keep] tests each record in place; only the records it keeps are
+   copied out.  They reach [f] after the pin is released, so [f] may
+   itself touch the cache (e.g. follow the record into another relation).
+   [check] returning false marks the page damaged: a slot that does not
+   decode then empties the page's batch instead of raising. *)
+let walk_block ?(check = fun _ -> true) t ~keep blkno f =
+  let records = ref [] in
+  with_page t blkno (fun page ->
+      let sound = check page in
+      try
+        Heap_page.iter_views page (fun v ->
+            if keep v then
+              records := record_of_page_record blkno (Heap_page.materialize v) :: !records)
+      with Invalid_argument _ when not sound -> records := []);
+  List.iter f (List.rev !records)
+
+let every (_ : Heap_page.view) = true
+
+let scan_raw ?(where = every) t f =
   Obs.Metrics.incr m_scan;
   (* The span wraps the whole pass so device reads issued for the scan's
      pages nest inside it in the trace tree. *)
@@ -196,26 +215,16 @@ let scan_raw t f =
     (fun () ->
       hint_sequential t;
       for blkno = 0 to nblocks t - 1 do
-        (* Collect under the pin, apply after releasing it, so [f] may itself
-           touch the cache (e.g. follow the record into another relation). *)
-        let records = ref [] in
-        with_page t blkno (fun page ->
-            Heap_page.iter page (fun r ->
-                records := record_of_page_record blkno r :: !records));
-        List.iter f (List.rev !records)
+        walk_block t ~keep:where blkno f
       done)
 
 let scan_block t blkno f =
-  if blkno >= 0 && blkno < nblocks t then begin
-    let records = ref [] in
-    with_page t blkno (fun page ->
-        Heap_page.iter page (fun r ->
-            records := record_of_page_record blkno r :: !records));
-    List.iter f (List.rev !records)
-  end
+  if blkno >= 0 && blkno < nblocks t then walk_block t ~keep:every blkno f
 
-let scan t snap f =
-  scan_raw t (fun r -> if Snapshot.visible t.log snap ~xmin:r.xmin ~xmax:r.xmax then f r)
+let scan ?(where = every) t snap f =
+  scan_raw t f ~where:(fun v ->
+      where v
+      && Snapshot.visible t.log snap ~xmin:(Heap_page.view_xmin v) ~xmax:(Heap_page.view_xmax v))
 
 let kill_tid t (tid : Tid.t) =
   reject_if_append_only t "Heap.kill_tid";
@@ -233,22 +242,17 @@ let compact_block t blkno =
 
 let verify ?on_record t =
   let result = ref (Ok ()) in
+  let check blkno page =
+    match Heap_page.verify page ~expect_relid:t.relid ~expect_blkno:blkno with
+    | Ok () -> true
+    | Error msg ->
+      if Result.is_ok !result then
+        result := Error (Printf.sprintf "%s block %d: %s" t.name blkno msg);
+      false
+  in
   for blkno = 0 to nblocks t - 1 do
-    (* As in [scan_raw]: collect under the pin, apply after releasing it. *)
-    let records = ref [] in
-    with_page t blkno (fun page ->
-        let page_ok =
-          match Heap_page.verify page ~expect_relid:t.relid ~expect_blkno:blkno with
-          | Ok () -> true
-          | Error msg ->
-            if Result.is_ok !result then
-              result := Error (Printf.sprintf "%s block %d: %s" t.name blkno msg);
-            false
-        in
-        if Option.is_some on_record then
-          try
-            Heap_page.iter page (fun r -> records := record_of_page_record blkno r :: !records)
-          with Invalid_argument _ when not page_ok -> records := []);
-    Option.iter (fun f -> List.iter f (List.rev !records)) on_record
+    match on_record with
+    | Some f -> walk_block t ~check:(check blkno) ~keep:every blkno f
+    | None -> with_page t blkno (fun page -> ignore (check blkno page : bool))
   done;
   !result

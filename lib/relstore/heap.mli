@@ -101,15 +101,27 @@ val read_lock : t -> Txn.t -> unit
 
 val write_lock : t -> Txn.t -> unit
 
-val scan : t -> Snapshot.t -> (record -> unit) -> unit
-(** All visible records in physical order, main heap only: reading
-    through to an archive is the owning relation's job
-    ([Index.Indexed.scan]). *)
+val scan :
+  ?where:(Heap_page.view -> bool) -> t -> Snapshot.t -> (record -> unit) -> unit
+(** The visible records that pass [where] (default: every one), in
+    physical order, main heap only: reading through to an archive is the
+    owning relation's job ([Index.Indexed.scan]).
 
-val scan_raw : t -> (record -> unit) -> unit
-(** Every record version regardless of visibility, main heap only.
-    Declares the scan to the buffer cache ({!hint_sequential}) so
-    read-ahead arms from the first block. *)
+    [where] is the key test.  It runs on each record in place, while the
+    record's page is pinned and before the visibility test (it is the
+    cheaper of the two, and most records fail it), and only the records
+    that pass both are copied out of the page; so a scan for one key
+    copies one record, not the relation.  It must be a pure, total test
+    of the view: it must not touch the buffer cache (that could evict the
+    page under it) nor keep the view.  [f] runs on the copies after the
+    pin is released, and may do both.  The key test never changes which
+    pages the scan reads, in what order, or what it charges. *)
+
+val scan_raw : ?where:(Heap_page.view -> bool) -> t -> (record -> unit) -> unit
+(** Every record version that passes [where], regardless of visibility,
+    main heap only, under {!scan}'s key-test contract.  Declares the scan
+    to the buffer cache ({!hint_sequential}) so read-ahead arms from the
+    first block. *)
 
 val scan_block : t -> int -> (record -> unit) -> unit
 (** Every record version on one page, regardless of visibility; a no-op

@@ -88,24 +88,66 @@ let insert page ~oid ~xmin ~payload =
     Some slot
   end
 
-let read_record page ~slot =
-  if slot < 0 || slot >= nslots page then None
-  else
-    let off, total = slot_entry page slot in
-    if total = 0 then None
-    else begin
-      let len = total - record_overhead in
-      let payload = Bytes.create len in
-      Pagestore.Page.blit_out page (off + 16) payload 0 len;
-      Some
-        {
-          slot;
-          oid = Pagestore.Page.get_i64 page off;
-          xmin = Pagestore.Page.get_u32 page (off + 8);
-          xmax = Pagestore.Page.get_u32 page (off + 12);
-          payload;
-        }
+(* A record read in place.  One view per page walk, moved from slot to
+   slot, so testing a record allocates nothing. *)
+type view = {
+  page : Pagestore.Page.t;
+  mutable vslot : int;
+  mutable off : int; (* the record's header *)
+  mutable len : int; (* its payload's length *)
+}
+
+let view_xmin v = Pagestore.Page.get_u32 v.page (v.off + 8)
+let view_xmax v = Pagestore.Page.get_u32 v.page (v.off + 12)
+let payload_length v = v.len
+
+let payload_check v at n =
+  if at < 0 || at + n > v.len then invalid_arg "Heap_page: payload offset out of bounds"
+
+(* The integer tests compare on the raw bytes: returning the [int64]
+   from a function would box it, one allocation per record tested. *)
+let oid_is v oid = Int64.equal (Bytes.get_int64_le (Pagestore.Page.raw v.page) v.off) oid
+
+let payload_i64_is v ~at x =
+  payload_check v at 8;
+  Int64.equal (Bytes.get_int64_le (Pagestore.Page.raw v.page) (v.off + 16 + at)) x
+
+let payload_ends_with v ~at s =
+  let n = String.length s in
+  v.len = at + n
+  && begin
+    payload_check v at n;
+    let raw = Pagestore.Page.raw v.page and base = v.off + 16 + at in
+    let rec same i = i >= n || (Bytes.get raw (base + i) = String.get s i && same (i + 1)) in
+    same 0
+  end
+
+let materialize v =
+  let payload = Bytes.create v.len in
+  Pagestore.Page.blit_out v.page (v.off + 16) payload 0 v.len;
+  let oid = Pagestore.Page.get_i64 v.page v.off in
+  { slot = v.vslot; oid; xmin = view_xmin v; xmax = view_xmax v; payload }
+
+(* Point [v] at [slot]; false for a dead or out-of-range slot. *)
+let seek v slot =
+  slot >= 0 && slot < nslots v.page
+  && begin
+    (* [slot_entry]'s fields read directly: its pair would be the walk's
+       one allocation per record. *)
+    let base = line_ptr_off slot in
+    let total = Pagestore.Page.get_u16 v.page (base + 2) in
+    total <> 0
+    && begin
+      v.vslot <- slot;
+      v.off <- Pagestore.Page.get_u16 v.page base;
+      v.len <- total - record_overhead;
+      true
     end
+  end
+
+let read_record page ~slot =
+  let v = { page; vslot = 0; off = 0; len = 0 } in
+  if seek v slot then Some (materialize v) else None
 
 let set_xmax page ~slot xmax =
   if slot < 0 || slot >= nslots page then invalid_arg "Heap_page.set_xmax: bad slot";
@@ -117,10 +159,13 @@ let kill_slot page ~slot =
   if slot < 0 || slot >= nslots page then invalid_arg "Heap_page.kill_slot: bad slot";
   set_slot_entry page slot ~off:0 ~len:0
 
-let iter page f =
+let iter_views page f =
+  let v = { page; vslot = 0; off = 0; len = 0 } in
   for slot = 0 to nslots page - 1 do
-    match read_record page ~slot with Some r -> f r | None -> ()
+    if seek v slot then f v
   done
+
+let iter page f = iter_views page (fun v -> f (materialize v))
 
 let compact page =
   let live = ref [] in

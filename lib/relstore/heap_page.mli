@@ -52,6 +52,40 @@ val insert : Pagestore.Page.t -> oid:int64 -> xmin:Xid.t -> payload:bytes -> int
 val read_record : Pagestore.Page.t -> slot:int -> record option
 (** [None] if the slot is dead or out of range. *)
 
+(** {1 Records in place}
+
+    A scan tests each record where it lies, under the page's pin, and
+    copies out only the records that pass.  A view is that in-place
+    record.  It is valid only during the call it is handed to: the walk
+    moves the same view on to the next slot, and once the pin is released
+    the page's frame may hold another block. *)
+
+type view
+
+val view_xmin : view -> Xid.t
+val view_xmax : view -> Xid.t
+val payload_length : view -> int
+
+val oid_is : view -> int64 -> bool
+(** Whether the record's oid is this one. *)
+
+val payload_i64_is : view -> at:int -> int64 -> bool
+(** Whether the little-endian 64-bit integer at payload offset [at] is
+    this one.  Raises [Invalid_argument] if it does not fit in the
+    payload. *)
+
+val payload_ends_with : view -> at:int -> string -> bool
+(** Whether the payload from offset [at] to its end is exactly the
+    string. *)
+
+val materialize : view -> record
+(** Copy the record out of the page. *)
+
+val iter_views : Pagestore.Page.t -> (view -> unit) -> unit
+(** Every live slot, in slot order, as an in-place view.  A slot whose
+    line pointer or stamps do not decode raises [Invalid_argument] when
+    read. *)
+
 val set_xmax : Pagestore.Page.t -> slot:int -> Xid.t -> unit
 (** Stamp the deleting transaction.  Raises [Invalid_argument] on a dead
     slot. *)

@@ -99,16 +99,20 @@ let abort t xid =
   | Committed _ ->
     invalid_arg (Printf.sprintf "Status_log.abort: xid %d already committed" xid)
 
+(* [Hashtbl.find], not [find_opt]: a scan asks these of every record it
+   passes, and the option would be its one allocation per record. *)
 let is_committed t xid =
-  match Hashtbl.find_opt t.table xid with Some (Committed _) -> true | _ -> false
+  match Hashtbl.find t.table xid with
+  | Committed _ -> true
+  | In_progress | Aborted | (exception Not_found) -> false
 
 let commit_time t xid =
   match Hashtbl.find_opt t.table xid with Some (Committed ts) -> Some ts | _ -> None
 
 let committed_before t xid horizon =
-  match Hashtbl.find_opt t.table xid with
-  | Some (Committed ts) -> ts <= horizon
-  | _ -> false
+  match Hashtbl.find t.table xid with
+  | Committed ts -> ts <= horizon
+  | In_progress | Aborted | (exception Not_found) -> false
 
 let active t =
   Hashtbl.fold (fun xid s acc -> if s = In_progress then xid :: acc else acc) t.table []

@@ -11,6 +11,12 @@ module Rec = Invfs.Recovery
 module F = Faultsim
 module CT = Benchlib.Crashtest
 
+(* Device reads fill a frame the caller passes; these tests want a fresh one. *)
+let peek dev ~segid ~blkno =
+  let p = Pagestore.Page.create () in
+  Pagestore.Device.peek_block dev ~segid ~blkno p;
+  p
+
 let bytes_of = Bytes.of_string
 let str = Bytes.to_string
 
@@ -286,7 +292,7 @@ let test_recovery_reads_each_page_once () =
   Alcotest.(check bool) "heap larger than OS cache and pool" true
     (Relstore.Heap.nblocks heap > 64 + 32);
   let segid = Relstore.Heap.segid heap in
-  D.poke_block dev ~segid ~blkno:0 (D.peek_block dev ~segid ~blkno:0);
+  D.poke_block dev ~segid ~blkno:0 (peek dev ~segid ~blkno:0);
   let every_block =
     List.fold_left (fun acc segid -> acc + D.nblocks dev segid) 0 (D.segments dev)
   in

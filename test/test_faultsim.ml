@@ -7,6 +7,12 @@ module B = Pagestore.Bufcache
 module F = Faultsim
 module Fs = Invfs.Fs
 
+(* Device reads fill a frame the caller passes; these tests want a fresh one. *)
+let peek dev ~segid ~blkno =
+  let p = Pagestore.Page.create () in
+  Pagestore.Device.peek_block dev ~segid ~blkno p;
+  p
+
 let fresh_disk () =
   let clock = Simclock.Clock.create () in
   (clock, D.create ~clock ~name:"disk" ~kind:D.Magnetic_disk ())
@@ -24,7 +30,7 @@ let test_torn_write_keeps_old_tail () =
   F.arm_device plan dev;
   F.schedule plan ~io:F.Write ~after:1 (F.Torn 100);
   D.poke_block dev ~segid:seg ~blkno:blk (filled 0xBB);
-  let back = P.to_bytes (D.peek_block dev ~segid:seg ~blkno:blk) in
+  let back = P.to_bytes (peek dev ~segid:seg ~blkno:blk) in
   Alcotest.(check char) "head is new" '\xBB' (Bytes.get back 0);
   Alcotest.(check char) "last new byte" '\xBB' (Bytes.get back 99);
   Alcotest.(check char) "tail is old" '\xAA' (Bytes.get back 100);
@@ -40,11 +46,11 @@ let test_torn_read_zeroes_tail_medium_intact () =
   let plan = F.create () in
   F.arm_device plan dev;
   F.schedule plan ~io:F.Read ~after:1 (F.Torn 8);
-  let torn = P.to_bytes (D.peek_block dev ~segid:seg ~blkno:blk) in
+  let torn = P.to_bytes (peek dev ~segid:seg ~blkno:blk) in
   Alcotest.(check char) "head survives" '\xCC' (Bytes.get torn 0);
   Alcotest.(check char) "tail zeroed" '\x00' (Bytes.get torn 8);
   (* the medium itself was untouched: a clean re-read sees everything *)
-  let again = P.to_bytes (D.peek_block dev ~segid:seg ~blkno:blk) in
+  let again = P.to_bytes (peek dev ~segid:seg ~blkno:blk) in
   Alcotest.(check char) "re-read intact" '\xCC' (Bytes.get again (P.size - 1));
   F.disarm plan
 
@@ -63,7 +69,7 @@ let test_io_error_then_retry_succeeds () =
   (* transient: nothing remains scheduled, the retry lands *)
   Alcotest.(check int) "schedule drained" 0 (F.pending plan);
   D.poke_block dev ~segid:seg ~blkno:blk (filled 0x11);
-  let back = P.to_bytes (D.peek_block dev ~segid:seg ~blkno:blk) in
+  let back = P.to_bytes (peek dev ~segid:seg ~blkno:blk) in
   Alcotest.(check char) "retry landed" '\x11' (Bytes.get back 0);
   F.disarm plan
 
@@ -80,7 +86,7 @@ let test_crash_leaves_durable_bytes_unchanged () =
   (match D.poke_block dev ~segid:seg ~blkno:blk (filled 0x88) with
   | () -> Alcotest.fail "expected Crash_injected"
   | exception D.Crash_injected _ -> ());
-  let back = P.to_bytes (D.peek_block dev ~segid:seg ~blkno:blk) in
+  let back = P.to_bytes (peek dev ~segid:seg ~blkno:blk) in
   Alcotest.(check char) "write never landed" '\x77' (Bytes.get back 0);
   F.disarm plan
 
@@ -100,7 +106,7 @@ let test_writeback_stream_crash () =
   Alcotest.(check int) "writeback counted" 1 (F.writebacks_seen plan);
   (* the flush never reached the device *)
   Alcotest.(check int) "no durable bytes" 0
-    (P.get_u8 (D.peek_block dev ~segid:seg ~blkno:blk) 0);
+    (P.get_u8 (peek dev ~segid:seg ~blkno:blk) 0);
   F.disarm plan
 
 let test_torn_on_writeback_rejected () =
@@ -143,13 +149,13 @@ let test_event_strings_cover_media_kinds () =
   F.schedule plan ~io:F.Read ~after:1 F.Bitrot;
   F.schedule plan ~io:F.Read ~after:2 F.Stuck;
   F.schedule plan ~io:F.Read ~after:3 F.Device_dead;
-  ignore (D.peek_block dev ~segid:seg ~blkno:blk : P.t);
+  ignore (peek dev ~segid:seg ~blkno:blk : P.t);
   (* the stuck fault lands on blk2; the third read goes back to blk so it
      reaches the hook instead of tripping over the now-stuck block *)
-  (match D.peek_block dev ~segid:seg ~blkno:blk2 with
+  (match peek dev ~segid:seg ~blkno:blk2 with
   | _ -> Alcotest.fail "expected Media_failure (stuck)"
   | exception D.Media_failure _ -> ());
-  (match D.peek_block dev ~segid:seg ~blkno:blk with
+  (match peek dev ~segid:seg ~blkno:blk with
   | _ -> Alcotest.fail "expected Media_failure (dead)"
   | exception D.Media_failure _ -> ());
   F.disarm plan;

@@ -8,6 +8,12 @@ module Fs = Invfs.Fs
 module Fsck = Invfs.Fsck
 module Rec = Invfs.Recovery
 
+(* Device reads fill a frame the caller passes; these tests want a fresh one. *)
+let peek dev ~segid ~blkno =
+  let p = Pagestore.Page.create () in
+  Pagestore.Device.peek_block dev ~segid ~blkno p;
+  p
+
 let bytes_of = Bytes.of_string
 let str = Bytes.to_string
 
@@ -58,7 +64,7 @@ let test_corrupted_heap_page_detected () =
   let corrupted = ref false in
   for blkno = 0 to Relstore.Heap.nblocks heap - 1 do
     if not !corrupted then begin
-      let page = D.peek_block dev ~segid ~blkno in
+      let page = peek dev ~segid ~blkno in
       if P.to_bytes page <> Bytes.make P.size '\000' then begin
         P.set_u8 page 512 (P.get_u8 page 512 lxor 0xFF);
         D.poke_block dev ~segid ~blkno page;
@@ -218,7 +224,7 @@ let seg_of (ix : Audit.index) = (Bt.device ix.tree, Bt.segid ix.tree)
 
 let images ix =
   let dev, segid = seg_of ix in
-  Array.init (D.nblocks dev segid) (fun blkno -> P.copy (D.peek_block dev ~segid ~blkno))
+  Array.init (D.nblocks dev segid) (fun blkno -> P.copy (peek dev ~segid ~blkno))
 
 let put_block ix blkno page =
   let dev, segid = seg_of ix in
@@ -228,14 +234,14 @@ let restore ix imgs = Array.iteri (put_block ix) imgs
 
 let leaves ix =
   let dev, segid = seg_of ix in
-  let page blkno = D.peek_block dev ~segid ~blkno in
+  let page blkno = peek dev ~segid ~blkno in
   let rec leftmost b = if P.get_u16 (page b) 2 = 0 then b else leftmost (P.get_u32 (page b) 10) in
   let rec chain b acc = if b = 0 then List.rev acc else chain (P.get_u32 (page b) 6) (b :: acc) in
   chain (leftmost (P.get_u32 (page 0) 4)) []
 
 let set_next ix leaf next =
   let dev, segid = seg_of ix in
-  let p = P.copy (D.peek_block dev ~segid ~blkno:leaf) in
+  let p = P.copy (peek dev ~segid ~blkno:leaf) in
   P.set_u32 p 6 next;
   put_block ix leaf p
 

@@ -340,6 +340,39 @@ let test_fileatt_get_cost_flat () =
     true
     (many <= few + 1)
 
+(* An [As_of] lookup walks the whole naming catalog, but it must copy
+   out only the entry it returns: the key test runs on each record in
+   its page.  Minor words are counted exactly, so the bound is a
+   deterministic gate.  Copying every record before testing it costs
+   about 47 words a record. *)
+let test_asof_lookup_copies_one_record () =
+  let fs, s = fresh () in
+  for d = 0 to 31 do
+    Fs.mkdir s (Printf.sprintf "/d%02d" d)
+  done;
+  for i = 0 to 1999 do
+    Fs.p_close s (Fs.p_creat s (Printf.sprintf "/d%02d/f%04d" (i mod 32) i))
+  done;
+  let naming = Fs.naming_catalog fs in
+  let records = ref 0 in
+  Relstore.Heap.scan_raw (Invfs.Naming.heap naming) (fun _ -> incr records);
+  let parentid = Fs.lookup_oid s "/d07" in
+  let snap = Relstore.Snapshot.As_of (Relstore.Db.now (Fs.db fs)) in
+  let lookup () = Invfs.Naming.lookup naming snap ~parentid ~name:"f1767" in
+  Alcotest.(check bool) "entry found" true (lookup () <> None);
+  let rounds = 5 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    ignore (lookup () : Invfs.Naming.entry option)
+  done;
+  let per_record =
+    (Gc.minor_words () -. w0) /. float_of_int (rounds * !records)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per record scanned (%d records), at most 12" per_record
+       !records)
+    true (per_record <= 12.)
+
 let test_sparse_far_offset () =
   (* 64-bit addressing: write beyond 4 GB (the FFS limit the paper
      contrasts with) and read it back *)
@@ -1278,6 +1311,8 @@ let () =
           Alcotest.test_case "stat root" `Quick test_stat_root;
           Alcotest.test_case "attribute lookup cost flat in history" `Quick
             test_fileatt_get_cost_flat;
+          Alcotest.test_case "As_of lookup copies one record" `Quick
+            test_asof_lookup_copies_one_record;
           Alcotest.test_case "offsets past 4GB" `Quick test_sparse_far_offset;
         ] );
       ( "transactions",

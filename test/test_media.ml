@@ -10,6 +10,12 @@ module F = Faultsim
 module Fs = Invfs.Fs
 module Errors = Invfs.Errors
 
+(* Device reads fill a frame the caller passes; these tests want a fresh one. *)
+let verified_read dev ~segid ~blkno =
+  let p = Pagestore.Page.create () in
+  Pagestore.Resilient.read_block dev ~segid ~blkno p;
+  p
+
 let make_fs ~mirrored () =
   let clock = Simclock.Clock.create () in
   let switch = S.create ~clock in
@@ -130,7 +136,7 @@ let test_transient_error_retried_with_backoff () =
   F.arm_device plan dev;
   F.schedule plan ~io:F.Read ~after:1 F.Io_error;
   let t0 = Simclock.Clock.now clock in
-  let page = R.read_block dev ~segid:seg ~blkno:blk in
+  let page = verified_read dev ~segid:seg ~blkno:blk in
   let elapsed = Simclock.Clock.now clock -. t0 in
   F.disarm plan;
   Alcotest.(check char) "retry returned the bytes" 'r' (Bytes.get (P.to_bytes page) 0);
@@ -148,13 +154,13 @@ let test_retry_exhaustion_is_permanent_failure () =
   for i = 1 to R.default_policy.R.max_attempts do
     F.schedule plan ~io:F.Read ~after:i F.Io_error
   done;
-  (match R.read_block dev ~segid:seg ~blkno:blk with
+  (match verified_read dev ~segid:seg ~blkno:blk with
   | _ -> Alcotest.fail "every attempt faulted: expected Media_failure"
   | exception D.Media_failure _ -> ());
   F.disarm plan;
   (* the block itself is fine: a later clean read succeeds *)
   Alcotest.(check char) "medium intact" 'x'
-    (Bytes.get (P.to_bytes (R.read_block dev ~segid:seg ~blkno:blk)) 0)
+    (Bytes.get (P.to_bytes (verified_read dev ~segid:seg ~blkno:blk)) 0)
 
 (* ---- degraded mode ---- *)
 

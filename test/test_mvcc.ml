@@ -332,6 +332,136 @@ let test_vacuum_preserves_horizons () =
   Alcotest.(check (list int64)) "below the horizon: still alive" [ 1L ] (collect h_alive);
   Alcotest.(check (list int64)) "above the delete: still gone" [] (collect h_dead)
 
+(* ---- key tests: testing in place is testing the copies ----
+
+   A scan's key test runs on each record in its page and copies out only
+   the records it passes.  Over random histories of one relation —
+   inserts, updates, deletes, aborted writers, budgeted archive vacuum
+   steps that kill and compact slots, and torn vacuum steps that leave a
+   version in both heaps and twice in the archive — [Indexed.scan ~where]
+   must hand over exactly the records, in the same order, that the
+   unfiltered scan followed by the same test on the copies hands over,
+   under a current snapshot and at every [As_of] horizon.
+
+   Payloads are an 8-byte key then a short name, so the tests below
+   reach the record header, a payload integer and the payload's tail. *)
+
+module HP = Relstore.Heap_page
+
+let names = [| "n1"; "n1x"; "xn1"; "" |]
+
+let key_tests =
+  let tail (r : Heap.record) =
+    Bytes.sub_string r.payload 8 (Bytes.length r.payload - 8)
+  in
+  [
+    ("oid 3", (fun v -> HP.oid_is v 3L), fun (r : Heap.record) -> Int64.equal r.oid 3L);
+    ( "payload key 2",
+      (fun v -> HP.payload_i64_is v ~at:0 2L),
+      fun (r : Heap.record) -> Int64.equal (Bytes.get_int64_le r.payload 0) 2L );
+    ("payload tail n1", (fun v -> HP.payload_ends_with v ~at:8 "n1"), fun r -> tail r = "n1");
+    ( "payload length 10",
+      (fun v -> HP.payload_length v = 10),
+      fun r -> Bytes.length r.payload = 10 );
+    ("nothing", (fun _ -> false), fun _ -> false);
+  ]
+
+let prop_key_test_filters_copies codes =
+  let clock = Simclock.Clock.create () in
+  let db = Db.create ~clock () in
+  let heap = Db.create_relation db ~name:"k" () in
+  let archive = Db.archive db heap in
+  let rel = Index.Indexed.create heap ~archive [] in
+  let txn = ref None and next_oid = ref 1L and horizons = ref [] in
+  let payload n =
+    let name = names.(n mod Array.length names) in
+    let b = Bytes.create (8 + String.length name) in
+    Bytes.set_int64_le b 0 (Int64.of_int (n mod 4));
+    Bytes.blit_string name 0 b 8 (String.length name);
+    b
+  in
+  let first_visible t =
+    let hit = ref None in
+    Heap.scan heap (Txn.snapshot t) (fun r -> if !hit = None then hit := Some r);
+    !hit
+  in
+  let writer () =
+    match !txn with
+    | Some t -> t
+    | None ->
+      let t = Db.begin_txn db in
+      txn := Some t;
+      t
+  in
+  let step code =
+    let n = code / 12 in
+    (match code mod 12 with
+    | 0 | 1 | 2 | 3 ->
+      let oid = !next_oid in
+      next_oid := Int64.add oid 1L;
+      ignore (Heap.insert heap (writer ()) ~oid (payload n) : Relstore.Tid.t)
+    | 4 ->
+      let t = writer () in
+      Option.iter
+        (fun (r : Heap.record) -> ignore (Heap.update heap t r.tid (payload n) : Relstore.Tid.t))
+        (first_visible t)
+    | 5 ->
+      let t = writer () in
+      Option.iter (fun (r : Heap.record) -> Heap.delete heap t r.tid) (first_visible t)
+    | 6 | 7 ->
+      Option.iter (fun t -> ignore (Txn.commit t : int64)) !txn;
+      txn := None
+    | 8 ->
+      Option.iter Txn.abort !txn;
+      txn := None
+    | 9 | 10 ->
+      (* Gives way while the writer is open. *)
+      ignore
+        (Db.vacuum_step db ~relation:"k" ~mode:(`Archive archive) ~pages:1 ()
+          : Relstore.Vacuum.step_stats)
+    | _ ->
+      (* A torn vacuum step: the version is archived (twice, as a re-run
+         would) but never killed in the main heap. *)
+      let versions = ref [] in
+      Heap.scan_raw heap (fun r -> versions := r :: !versions);
+      (match List.rev !versions with
+      | [] -> ()
+      | vs ->
+        let (r : Heap.record) = List.nth vs (n mod List.length vs) in
+        for _ = 1 to 2 do
+          ignore
+            (Heap.append_raw (Lazy.force archive) ~oid:r.oid ~xmin:r.xmin ~xmax:r.xmax r.payload
+              : Relstore.Tid.t)
+        done));
+    Simclock.Clock.advance clock ~account:"test.step" 1.0;
+    horizons := Db.now db :: !horizons
+  in
+  List.iter step codes;
+  let check label snap =
+    List.iter
+      (fun (name, where, test) ->
+        let got = ref [] and want = ref [] in
+        Index.Indexed.scan ~where rel snap (fun r -> got := r :: !got);
+        Index.Indexed.scan rel snap (fun r -> if test r then want := r :: !want);
+        if !got <> !want then
+          QCheck.Test.fail_reportf
+            "%s, key test %s: %d records in place, %d from the copies\n  ops: %s"
+            label name (List.length !got) (List.length !want)
+            (String.concat " " (List.map string_of_int codes)))
+      key_tests
+  in
+  Option.iter (fun t -> check "writer's snapshot" (Txn.snapshot t)) !txn;
+  let observer = Db.begin_txn db in
+  check "observer's snapshot" (Txn.snapshot observer);
+  Txn.abort observer;
+  List.iter (fun h -> check (Printf.sprintf "as-of %Ld" h) (Snapshot.As_of h)) !horizons;
+  true
+
+let prop_key_test =
+  QCheck.Test.make ~name:"key test in place matches the test on copies" ~count:150
+    QCheck.(make ~print:Print.(list int) Gen.(list_size (int_bound 80) (int_bound 95)))
+    prop_key_test_filters_copies
+
 let () =
   Alcotest.run "mvcc"
     [
@@ -341,5 +471,6 @@ let () =
           Alcotest.test_case "vacuum splice preserves horizons" `Quick
             test_vacuum_preserves_horizons;
           QCheck_alcotest.to_alcotest prop_mvcc;
+          QCheck_alcotest.to_alcotest prop_key_test;
         ] );
     ]

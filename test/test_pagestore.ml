@@ -5,6 +5,22 @@ module D = Pagestore.Device
 module S = Pagestore.Switch
 module B = Pagestore.Bufcache
 
+(* Device reads fill a frame the caller passes; these tests want a fresh one. *)
+let peek dev ~segid ~blkno =
+  let p = Pagestore.Page.create () in
+  Pagestore.Device.peek_block dev ~segid ~blkno p;
+  p
+
+let read dev ~segid ~blkno =
+  let p = Pagestore.Page.create () in
+  Pagestore.Device.read_block dev ~segid ~blkno p;
+  p
+
+let verified_read dev ~segid ~blkno =
+  let p = Pagestore.Page.create () in
+  Pagestore.Resilient.read_block dev ~segid ~blkno p;
+  p
+
 let fresh_disk ?geometry () =
   let clock = Simclock.Clock.create () in
   (clock, D.create ~clock ~name:"disk" ~kind:D.Magnetic_disk ?geometry ())
@@ -103,7 +119,7 @@ let test_device_alloc_rw () =
   let page = P.create () in
   P.set_string page 0 "data!";
   D.write_block dev ~segid:seg ~blkno:0 page;
-  let back = D.read_block dev ~segid:seg ~blkno:0 in
+  let back = read dev ~segid:seg ~blkno:0 in
   Alcotest.(check string) "roundtrip" "data!" (P.get_string back 0 5);
   Alcotest.(check int) "reads" 1 (D.reads dev);
   Alcotest.(check int) "writes" 1 (D.writes dev)
@@ -120,18 +136,18 @@ let test_device_store_detaches_caller_page () =
   P.set_string page 0 "caller";
   P.set_string page (P.size - 6) "scrawl";
   Alcotest.(check string) "image unchanged" "stored"
-    (P.get_string (D.peek_block dev ~segid:seg ~blkno:0) 0 6);
+    (P.get_string (peek dev ~segid:seg ~blkno:0) 0 6);
   Alcotest.(check (result unit string)) "verifies" (Ok ()) (D.verify_block dev ~segid:seg ~blkno:0);
   D.poke_block dev ~segid:seg ~blkno:0 page;
   Alcotest.(check string) "restore lands" "scrawl"
-    (P.get_string (D.peek_block dev ~segid:seg ~blkno:0) (P.size - 6) 6)
+    (P.get_string (peek dev ~segid:seg ~blkno:0) (P.size - 6) 6)
 
 let test_device_missing_block () =
   let _, dev = fresh_disk () in
   let seg = D.create_segment dev in
   Alcotest.(check bool) "read missing raises" true
     (try
-       ignore (D.read_block dev ~segid:seg ~blkno:5);
+       ignore (read dev ~segid:seg ~blkno:5);
        false
      with Invalid_argument _ -> true)
 
@@ -139,7 +155,7 @@ let test_device_charges_time () =
   let clock, dev = fresh_disk () in
   let seg = D.create_segment dev in
   let b = D.allocate_block dev seg in
-  ignore (D.read_block dev ~segid:seg ~blkno:b);
+  ignore (read dev ~segid:seg ~blkno:b);
   Alcotest.(check bool) "time advanced" true (Simclock.Clock.now clock > 0.)
 
 let test_device_sequential_cheaper_than_random () =
@@ -150,13 +166,13 @@ let test_device_sequential_cheaper_than_random () =
   done;
   Simclock.Clock.reset clock;
   for i = 0 to 63 do
-    ignore (D.read_block dev ~segid:seg ~blkno:i)
+    ignore (read dev ~segid:seg ~blkno:i)
   done;
   let seq = Simclock.Clock.now clock in
   Simclock.Clock.reset clock;
   let rng = Simclock.Rng.create 5L in
   for _ = 0 to 63 do
-    ignore (D.read_block dev ~segid:seg ~blkno:(Simclock.Rng.int rng 64))
+    ignore (read dev ~segid:seg ~blkno:(Simclock.Rng.int rng 64))
   done;
   let rnd = Simclock.Clock.now clock in
   Alcotest.(check bool)
@@ -171,10 +187,10 @@ let test_nvram_faster_than_disk () =
   ignore (D.allocate_block disk sd);
   ignore (D.allocate_block nvram sn);
   Simclock.Clock.reset clock;
-  ignore (D.read_block disk ~segid:sd ~blkno:0);
+  ignore (read disk ~segid:sd ~blkno:0);
   let t_disk = Simclock.Clock.now clock in
   Simclock.Clock.reset clock;
-  ignore (D.read_block nvram ~segid:sn ~blkno:0);
+  ignore (read nvram ~segid:sn ~blkno:0);
   let t_nvram = Simclock.Clock.now clock in
   Alcotest.(check bool) "nvram much faster" true (t_nvram *. 10. < t_disk)
 
@@ -189,7 +205,7 @@ let test_jukebox_platter_load_and_cache () =
     (Simclock.Clock.charged clock "jukebox.load" >= 8.0);
   (* First read after write hits the disk cache: cheap. *)
   Simclock.Clock.reset clock;
-  ignore (D.read_block dev ~segid:seg ~blkno:b);
+  ignore (read dev ~segid:seg ~blkno:b);
   Alcotest.(check int) "cache hit" 1 (Simclock.Clock.ticks clock "jukebox.cache_hit");
   Alcotest.(check bool) "hit is cheap" true (Simclock.Clock.now clock < 0.05)
 
@@ -206,7 +222,7 @@ let test_jukebox_worm_rewrite_allocates () =
   Alcotest.(check int) "first write consumed one block" 1 consumed_after_first;
   Alcotest.(check int) "rewrite consumed a fresh physical block" 2
     (D.worm_written_blocks dev);
-  let back = D.read_block dev ~segid:seg ~blkno:b in
+  let back = read dev ~segid:seg ~blkno:b in
   Alcotest.(check int) "latest contents" 1 (P.get_u8 back 0)
 
 let test_drop_segment () =
@@ -246,7 +262,7 @@ let test_grown_segment_is_one_run () =
   done;
   Simclock.Clock.reset clock;
   for blkno = 0 to 63 do
-    ignore (D.read_block dev ~segid:seg ~blkno)
+    ignore (read dev ~segid:seg ~blkno)
   done;
   (* Every arm repositioning pays half a rotation. *)
   let n =
@@ -360,7 +376,7 @@ let test_device_mirror_resilver_and_repair () =
   | Some (m, mseg) ->
     Alcotest.(check bool) "mirror device" true (m == sec);
     Alcotest.(check char) "mirror holds the bytes" 'm'
-      (Bytes.get (P.to_bytes (D.peek_block sec ~segid:mseg ~blkno:blk)) 0));
+      (Bytes.get (P.to_bytes (peek sec ~segid:mseg ~blkno:blk)) 0));
   (* new allocation is lockstep: same blkno on both sides *)
   let blk2 = D.allocate_block prim seg in
   let mseg = match D.segment_mirror prim ~segid:seg with Some (_, s) -> s | None -> -1 in
@@ -368,7 +384,7 @@ let test_device_mirror_resilver_and_repair () =
   ignore blk2;
   (* rot the primary copy; the resilient read fails over and repairs *)
   D.rot_block prim ~segid:seg ~blkno:blk;
-  let page = Pagestore.Resilient.read_block prim ~segid:seg ~blkno:blk in
+  let page = verified_read prim ~segid:seg ~blkno:blk in
   Alcotest.(check char) "failover returns good bytes" 'm'
     (Bytes.get (P.to_bytes page) 0);
   (match D.verify_block prim ~segid:seg ~blkno:blk with
@@ -382,7 +398,7 @@ let test_device_kill_and_stuck () =
   D.poke_block dev ~segid:seg ~blkno:blk (P.of_bytes (Bytes.make P.size 's'));
   D.mark_stuck dev ~segid:seg ~blkno:blk;
   Alcotest.(check bool) "stuck recorded" true (D.is_stuck dev ~segid:seg ~blkno:blk);
-  (match D.peek_block dev ~segid:seg ~blkno:blk with
+  (match peek dev ~segid:seg ~blkno:blk with
   | _ -> Alcotest.fail "stuck block must not answer"
   | exception D.Media_failure { reason; _ } ->
     Alcotest.(check string) "stuck reason" "stuck block" reason);
@@ -391,7 +407,7 @@ let test_device_kill_and_stuck () =
   Alcotest.(check bool) "write remapped the sector" false
     (D.is_stuck dev ~segid:seg ~blkno:blk);
   Alcotest.(check char) "remapped block answers" 't'
-    (Bytes.get (P.to_bytes (D.peek_block dev ~segid:seg ~blkno:blk)) 0);
+    (Bytes.get (P.to_bytes (peek dev ~segid:seg ~blkno:blk)) 0);
   Alcotest.(check bool) "not dead yet" false (D.is_dead dev);
   D.kill dev;
   Alcotest.(check bool) "dead" true (D.is_dead dev);
@@ -430,7 +446,7 @@ let test_cache_eviction_writes_back () =
   B.crash cache;
   (* All data must be on the device now. *)
   let check b =
-    let p = D.read_block dev ~segid:seg ~blkno:b in
+    let p = read dev ~segid:seg ~blkno:b in
     Alcotest.(check int) (Printf.sprintf "block %d" b) (b + 1) (P.get_u32 p 0)
   in
   List.iter check blocks
@@ -452,8 +468,174 @@ let test_cache_pinned_not_evicted () =
   B.mark_dirty cache dev ~segid:seg ~blkno:b0;
   B.unpin cache dev ~segid:seg ~blkno:b0;
   B.flush cache;
-  let back = D.read_block dev ~segid:seg ~blkno:b0 in
+  let back = read dev ~segid:seg ~blkno:b0 in
   Alcotest.(check int) "pinned page intact" 7 (P.get_u32 back 0)
+
+(* ---- recycled frames ----
+
+   An eviction hands the victim's frame to the next fill.  These tests
+   run a 3-frame pool over two segments whose blocks each hold one byte
+   value that no other block holds, so a frame that kept any byte of its
+   previous tenant shows it.  Both device kinds: NVRAM reads the device
+   directly, a magnetic disk also refills from the OS cache. *)
+
+let pattern base b = Bytes.make P.size (Char.chr (base + b))
+
+let patterned_segments dev ~blocks =
+  let fill base =
+    let seg = D.create_segment dev in
+    for b = 0 to blocks - 1 do
+      ignore (D.allocate_block dev seg : int);
+      D.write_block dev ~segid:seg ~blkno:b (P.of_bytes (pattern base b))
+    done;
+    (seg, base)
+  in
+  (fill (Char.code 'A'), fill (Char.code 'a'))
+
+let holds page (_, base) b = Bytes.equal (P.to_bytes page) (pattern base b)
+
+let each_device_kind f =
+  List.iter
+    (fun kind ->
+      let clock = Simclock.Clock.create () in
+      f (D.create ~clock ~name:(D.kind_to_string kind) ~kind ()) (B.create ~capacity:3 ()))
+    [ D.Nvram; D.Magnetic_disk ]
+
+let test_recycled_frames_show_device_bytes () =
+  each_device_kind (fun dev cache ->
+      let a, b = patterned_segments dev ~blocks:4 in
+      (* 8 blocks through 3 frames: every access after the first three
+         fills an evicted page's frame. *)
+      for round = 1 to 3 do
+        List.iter
+          (fun seg ->
+            for blkno = 0 to 3 do
+              B.with_page cache dev ~segid:(fst seg) ~blkno (fun p ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s round %d: segment %d block %d" (D.name dev) round
+                       (fst seg) blkno)
+                    true (holds p seg blkno))
+            done)
+          [ a; b ]
+      done;
+      Alcotest.(check bool) "frames were recycled" true (B.evictions cache >= 21))
+
+let test_recycled_frames_faulted_reads () =
+  each_device_kind (fun dev cache ->
+      let a, b = patterned_segments dev ~blocks:4 in
+      let touch seg blkno =
+        B.with_page cache dev ~segid:(fst seg) ~blkno (fun p -> P.to_bytes p)
+      in
+      for blkno = 0 to 3 do
+        ignore (touch b blkno : bytes)
+      done;
+      (* One faulted transfer of [a]'s block, into a frame [b] held. *)
+      let faulted fault blkno =
+        let armed = ref true in
+        D.set_fault_hook dev
+          (Some
+             (fun io ~segid ~blkno:_ ->
+               if io = D.Io_read && segid = fst a && !armed then begin
+                 armed := false;
+                 Some fault
+               end
+               else None));
+        let outcome = try Some (touch a blkno) with D.Media_failure _ -> None in
+        D.set_fault_hook dev None;
+        Option.iter
+          (fun bytes ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s block %d: checksum-correct" (D.name dev) blkno)
+              (D.recorded_checksum dev ~segid:(fst a) ~blkno)
+              (P.checksum (P.of_bytes bytes)))
+          outcome;
+        outcome
+      in
+      (* At the device, a torn transfer into a used frame zeroes the
+         tail: none of the frame's old bytes survive it. *)
+      let frame = P.of_bytes (Bytes.make P.size 'z') in
+      D.set_fault_hook dev (Some (fun _ ~segid:_ ~blkno:_ -> Some (D.Fault_torn 100)));
+      D.peek_block dev ~segid:(fst a) ~blkno:2 frame;
+      D.set_fault_hook dev None;
+      Alcotest.(check bool) "torn transfer: prefix, then zeros" true
+        (Bytes.equal (P.to_bytes frame)
+           (Bytes.cat
+              (Bytes.sub (pattern (snd a) 2) 0 100)
+              (Bytes.make (P.size - 100) '\000')));
+      (match faulted (D.Fault_torn 100) 0 with
+      | Some bytes ->
+        Alcotest.(check bool) "torn read retried to the device's bytes" true
+          (holds (P.of_bytes bytes) a 0)
+      | None -> Alcotest.fail "a torn read heals on retry");
+      Alcotest.(check bool) "rotten block is a media failure" true
+        (faulted D.Fault_bitrot 1 = None);
+      for blkno = 0 to 3 do
+        Alcotest.(check bool) "pool still sound" true
+          (holds (P.of_bytes (touch b blkno)) b blkno)
+      done)
+
+let test_new_block_on_recycled_frame_is_zero () =
+  each_device_kind (fun dev cache ->
+      let a, _ = patterned_segments dev ~blocks:4 in
+      for blkno = 0 to 3 do
+        B.with_page cache dev ~segid:(fst a) ~blkno ignore
+      done;
+      Alcotest.(check bool) "an eviction freed a frame" true (B.evictions cache > 0);
+      let fresh = B.new_block cache dev ~segid:(fst a) in
+      B.with_page cache dev ~segid:(fst a) ~blkno:fresh (fun p ->
+          Alcotest.(check bool) (D.name dev ^ ": new block reads as zeros") true
+            (Bytes.equal (P.to_bytes p) (Bytes.make P.size '\000'))))
+
+let test_pinned_frame_never_reused () =
+  each_device_kind (fun dev cache ->
+      let a, b = patterned_segments dev ~blocks:4 in
+      let pinned = B.get cache dev ~segid:(fst a) ~blkno:0 in
+      for _ = 1 to 3 do
+        List.iter
+          (fun seg ->
+            for blkno = 0 to 3 do
+              if not (seg == a && blkno = 0) then
+                B.with_page cache dev ~segid:(fst seg) ~blkno (fun p ->
+                    Alcotest.(check bool) "another block got the pinned frame" false
+                      (p == pinned))
+            done)
+          [ a; b ]
+      done;
+      Alcotest.(check bool) (D.name dev ^ ": pinned page intact") true (holds pinned a 0);
+      B.unpin cache dev ~segid:(fst a) ~blkno:0)
+
+(* A warm pool's miss fills a recycled frame: it allocates no page, and
+   nothing else it allocates is large enough to go straight to the major
+   heap.  [Gc.counters] is exact, so the bound is a deterministic gate;
+   an 8 KB page is 1,025 words. *)
+let test_pool_miss_allocates_no_page () =
+  let _, dev = fresh_disk () in
+  let cache = B.create ~capacity:8 ~readahead_window:0 () in
+  let seg = D.create_segment dev in
+  for _ = 1 to 32 do
+    ignore (D.allocate_block dev seg : int)
+  done;
+  let sweep () =
+    for blkno = 0 to 31 do
+      B.with_page cache dev ~segid:seg ~blkno ignore
+    done
+  in
+  sweep ();
+  sweep ();
+  let m0 = B.misses cache in
+  let _, promoted0, major0 = Gc.counters () in
+  for _ = 1 to 4 do
+    sweep ()
+  done;
+  let _, promoted1, major1 = Gc.counters () in
+  let misses = B.misses cache - m0 in
+  let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+  Alcotest.(check int) "every access missed" 128 misses;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words straight to the major heap per miss, under 256"
+       (direct /. float_of_int misses))
+    true
+    (direct /. float_of_int misses < 256.)
 
 let test_cache_crash_loses_dirty () =
   let _, dev = fresh_disk () in
@@ -463,7 +645,7 @@ let test_cache_crash_loses_dirty () =
   B.with_page cache dev ~segid:seg ~blkno:b (fun p -> P.set_u32 p 0 99);
   B.mark_dirty cache dev ~segid:seg ~blkno:b;
   B.crash cache;
-  let p = D.read_block dev ~segid:seg ~blkno:b in
+  let p = read dev ~segid:seg ~blkno:b in
   Alcotest.(check int) "dirty page lost" 0 (P.get_u32 p 0)
 
 let test_cache_lru_order () =
@@ -904,6 +1086,15 @@ let () =
           Alcotest.test_case "eviction writes back" `Quick test_cache_eviction_writes_back;
           Alcotest.test_case "pinned pages survive" `Quick test_cache_pinned_not_evicted;
           Alcotest.test_case "crash loses dirty pages" `Quick test_cache_crash_loses_dirty;
+          Alcotest.test_case "recycled frames show device bytes" `Quick
+            test_recycled_frames_show_device_bytes;
+          Alcotest.test_case "faulted reads into recycled frames" `Quick
+            test_recycled_frames_faulted_reads;
+          Alcotest.test_case "new block on a recycled frame" `Quick
+            test_new_block_on_recycled_frame_is_zero;
+          Alcotest.test_case "pinned frame never reused" `Quick test_pinned_frame_never_reused;
+          Alcotest.test_case "warm miss allocates no page" `Quick
+            test_pool_miss_allocates_no_page;
           Alcotest.test_case "LRU keeps hot pages" `Quick test_cache_lru_order;
           Alcotest.test_case "OS cache absorbs re-reads" `Quick
             test_os_cache_absorbs_disk_rereads;

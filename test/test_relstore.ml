@@ -9,6 +9,12 @@ module SL = Relstore.Status_log
 module LM = Relstore.Lock_mgr
 module Db = Relstore.Db
 
+(* Device reads fill a frame the caller passes; these tests want a fresh one. *)
+let peek dev ~segid ~blkno =
+  let p = Pagestore.Page.create () in
+  Pagestore.Device.peek_block dev ~segid ~blkno p;
+  p
+
 let payload s = Bytes.of_string s
 let str b = Bytes.to_string b
 
@@ -829,7 +835,7 @@ let test_fsck_detects_media_corruption () =
   Alcotest.(check bool) "clean before damage" true (H.verify heap = Ok ());
   (* flip a byte directly on the medium *)
   let dev = H.device heap in
-  let page = Pagestore.Device.peek_block dev ~segid:(H.segid heap) ~blkno:0 in
+  let page = peek dev ~segid:(H.segid heap) ~blkno:0 in
   P.set_u8 page 2000 (P.get_u8 page 2000 lxor 0xFF);
   Pagestore.Device.poke_block dev ~segid:(H.segid heap) ~blkno:0 page;
   (* the cache may still hold the clean copy: drop it *)
