@@ -425,13 +425,6 @@ let on_server_crash st _server =
   if st.in_flight && may_commit then st.verify_pending <- true
   else check_recovered st ~phase:"post-crash"
 
-let indeterminate_of_msg msg =
-  (* the client names the one genuinely ambiguous case explicitly *)
-  let needle = "indeterminate" in
-  let n = String.length needle and l = String.length msg in
-  let rec scan i = i + n <= l && (String.sub msg i n = needle || scan (i + 1)) in
-  scan 0
-
 let resolve_indeterminate st cs =
   st.indeterminate <- st.indeterminate + 1;
   match cs.pending with
@@ -480,7 +473,7 @@ let run_one_op st =
        auto-commit mutation may or may not have applied), probe the
        committed state; a clean "transaction aborted" just drops the
        overlay — the server rolled everything back. *)
-    if indeterminate_of_msg msg then resolve_indeterminate st cs
+    if Client.outcome_indeterminate msg then resolve_indeterminate st cs
     else if Oracle.in_txn cs.ov then st.aborts <- st.aborts + 1;
     Oracle.clear cs.ov;
     cs.pending <- None

@@ -347,12 +347,6 @@ let verify st ~phase =
 
 (* ---------- indeterminate resolution ---------- *)
 
-let indeterminate_of_msg msg =
-  let needle = "indeterminate" in
-  let n = String.length needle and l = String.length msg in
-  let rec scan i = i + n <= l && (String.sub msg i n = needle || scan (i + 1)) in
-  scan 0
-
 let resolve_indeterminate st cs =
   st.indeterminate <- st.indeterminate + 1;
   match cs.pending with
@@ -384,7 +378,7 @@ let run_one_op st =
     st.ops_applied <- st.ops_applied + 1
   | exception Errors.Fs_error (Errors.ECONNRESET, msg) ->
     Oracle.trace st.ora "s%d .. ECONNRESET: %s" cs.id msg;
-    if indeterminate_of_msg msg then resolve_indeterminate st cs;
+    if Client.outcome_indeterminate msg then resolve_indeterminate st cs;
     cs.pending <- None
   | exception
       Errors.Fs_error

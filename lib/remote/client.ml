@@ -103,33 +103,6 @@ let fresh_rid t =
   t.next_rid <- Int64.add rid 1L;
   rid
 
-(* Which operations leave the world changed if they executed but their
-   reply was lost with the session?  [Commit] is the sharp one: losing
-   the session at the commit point means the transaction may or may not
-   have committed.  Losing it {e mid}-transaction (any other request
-   while a transaction is open) is always a clean abort — the client
-   never issued the commit, and nobody else will. *)
-let mutating req =
-  match Wire.carried req with
-  | Wire.Creat _ | Wire.Write _ | Wire.Ftruncate _ | Wire.Mkdir _ | Wire.Unlink _
-  | Wire.Rmdir _ | Wire.Rename _ | Wire.Set_owner _ | Wire.Set_type _
-  | Wire.Define_type _ | Wire.Shard_write _ | Wire.Shard_truncate _
-  | Wire.Migrate_in _ | Wire.Drop_bucket _ ->
-    true
-  | _ -> false
-
-(* Session-free, side-effect-free requests the client silently re-issues
-   on a fresh session after a reset.  [Abort] is special-cased: a lost
-   session aborted the transaction already.  Requests holding an fd
-   cannot resume — the fd died with the session. *)
-let reissuable req =
-  match Wire.carried req with
-  | Wire.Readdir _ | Wire.Stat _ | Wire.Exists _ | Wire.Query _ | Wire.Open _
-  | Wire.Read_file _ | Wire.Begin | Wire.Ping | Wire.Shard_read _
-  | Wire.Fetch_chunks _ | Wire.Get_placement ->
-    true
-  | _ -> false
-
 let conn_reset msg = raise (Errors.Fs_error (Errors.ECONNRESET, msg))
 
 (* Bounded jitter on the server's retry-after hint: every shed client
@@ -329,22 +302,31 @@ let vacuous_after_loss ~was_txn req =
   | Wire.Close _ -> not was_txn
   | _ -> false
 
+(* What a caller is told when the session died before [req]'s reply:
+   nothing, if the loss already did what it asked; a clean abort, if a
+   transaction was open (a [Commit] excepted); that the outcome is
+   unknown, if it may have changed stored state; or that it was lost. *)
+let loss_verdict ~was_txn req =
+  if vacuous_after_loss ~was_txn req then `Vacuous
+  else if was_txn && req <> Wire.Commit then `Aborted
+  else if Wire.mutating req || req = Wire.Commit then `Indeterminate
+  else `Lost
+
+let indeterminate = "outcome indeterminate"
+
+let report_loss verdict req =
+  let name = Wire.req_name req in
+  match verdict with
+  | `Vacuous -> Wire.R_unit
+  | `Aborted -> conn_reset (Printf.sprintf "session lost during %s; transaction aborted" name)
+  | `Indeterminate -> conn_reset (Printf.sprintf "session lost; %s %s" name indeterminate)
+  | `Lost -> conn_reset (Printf.sprintf "session lost during %s" name)
+
+let outcome_indeterminate msg = String.ends_with ~suffix:indeterminate msg
+
 let give_up t ~was_txn req =
   session_dead t;
-  if vacuous_after_loss ~was_txn req then Wire.R_unit
-  else if was_txn && req <> Wire.Commit then
-    conn_reset (Printf.sprintf "session lost during %s; transaction aborted" (Wire.req_name req))
-  else if mutating req || req = Wire.Commit then
-    conn_reset
-      (Printf.sprintf "session lost; %s outcome indeterminate" (Wire.req_name req))
-  else conn_reset (Printf.sprintf "session lost during %s" (Wire.req_name req))
-
-(* Requests that are always worth sending, deadline or not: they release
-   server resources or end the conversation. *)
-let deadline_exempt req =
-  match Wire.carried req with
-  | Wire.Abort | Wire.Bye | Wire.Crash_server -> true
-  | _ -> false
+  report_loss (loss_verdict ~was_txn req) req
 
 (* Piggybacking: deferred closes and a pending begin ride the session's
    next request in one {!Wire.Carry}.  [Crash_server] is answered before
@@ -389,7 +371,7 @@ let rec rpc ?(pipelined = false) ?(reissued = false) t req =
   (if
      t.deadline < infinity
      && Clock.now t.clock > t.deadline
-     && not (deadline_exempt req)
+     && not (Wire.deadline_exempt req)
    then begin
      (* fail fast: the deadline already passed, so don't spend wire time
         on work whose answer nobody wants.  Nothing was sent — the
@@ -470,18 +452,14 @@ and finish t ~was_txn ~reissued ~pipelined ~wreq req reply =
        have client-side had the begin gone out on its own) *)
     let rebegin = only_begun && not reissued in
     if rebegin then t.begin_pending <- true;
-    if vacuous_after_loss ~was_txn req then Wire.R_unit
-      (* the dying session took the transaction (and every fd) with it *)
-    else if not (reconnect t) then give_up t ~was_txn req
-    else if rebegin then rpc ~pipelined ~reissued:true t req
-    else if was_txn && req <> Wire.Commit then
-      conn_reset
-        (Printf.sprintf "session lost during %s; transaction aborted" (Wire.req_name req))
-    else if mutating req || req = Wire.Commit then
-      conn_reset
-        (Printf.sprintf "session lost; %s outcome indeterminate" (Wire.req_name req))
-    else if reissuable req && not reissued then rpc ~pipelined ~reissued:true t req
-    else conn_reset (Printf.sprintf "session lost during %s" (Wire.req_name req))
+    match loss_verdict ~was_txn req with
+    | `Vacuous -> Wire.R_unit (* the dying session took the transaction (and every fd) with it *)
+    | verdict ->
+      if not (reconnect t) then give_up t ~was_txn req
+      else if rebegin then rpc ~pipelined ~reissued:true t req
+      else if verdict = `Lost && Wire.reissuable req && not reissued then
+        rpc ~pipelined ~reissued:true t req
+      else report_loss verdict req
 
 (* ---------------- construction ---------------- *)
 
@@ -591,10 +569,16 @@ let c_close t fd =
   else t.closes <- fd :: t.closes;
   Hashtbl.remove t.fds fd
 
+(* As {!Fs.p_read} and {!Fs.p_write}: a length the buffer cannot hold
+   fails before anything is sent. *)
+let check_len buf len =
+  if len < 0 || len > Bytes.length buf then Errors.fail Errors.EINVAL "bad length %d" len
+
 (* Every request on an fd flushes its buffered write first (see
    {!Invfs.Fs.p_lseek}), so one that succeeds leaves the fd clean. *)
 let c_read t fd buf len =
   let f = fd_state t fd in
+  check_len buf len;
   match rpc t (Wire.Read { fd; off = f.pos; len }) with
   | Wire.R_data s ->
     let n = String.length s in
@@ -606,6 +590,7 @@ let c_read t fd buf len =
 
 let c_write t fd buf len =
   let f = fd_state t fd in
+  check_len buf len;
   let data = Bytes.sub_string buf 0 len in
   if in_txn t then f.dirty <- true;
   let n = expect_int (rpc ~pipelined:true t (Wire.Write { fd; off = f.pos; data })) in

@@ -216,6 +216,12 @@ val read_whole_file : t -> ?timestamp:int64 -> string -> bytes
     unless [timestamp] pins them all.  [Fs_error (ENOENT|EISDIR, _)] as
     for [c_open]. *)
 
+val outcome_indeterminate : string -> bool
+(** Whether an [Fs_error (ECONNRESET, msg)] from this client says the
+    session died after a [Commit] or a mutating auto-commit request went
+    out: the one case where the caller must find out for itself whether
+    the request took effect. *)
+
 (** {2 Reliability counters} *)
 
 val retries : t -> int

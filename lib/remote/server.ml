@@ -263,14 +263,6 @@ let expire_leases t =
       stale
   end
 
-let read_only req =
-  match Wire.carried req with
-  | Wire.Open _ | Wire.Read _ | Wire.Read_file _ | Wire.Readdir _ | Wire.Stat _
-  | Wire.Exists _ | Wire.Query _ | Wire.Filesize _ | Wire.Shard_read _
-  | Wire.Fetch_chunks _ | Wire.Get_placement ->
-    true
-  | _ -> false
-
 (* Which blocked requests may park and re-execute later?  Re-execution
    must be a clean restart: read-only requests always are; an
    auto-commit mutation rolled its implicit transaction back when the
@@ -282,7 +274,7 @@ let read_only req =
    re-run), so it keeps the immediate-EAGAIN reply and the client
    decides. *)
 let parkable s req =
-  read_only req || Wire.carried req = Wire.Commit || not (Fs.in_transaction s.fsess)
+  Wire.read_only req || Wire.carried req = Wire.Commit || not (Fs.in_transaction s.fsess)
 
 (* A shard stores each global oid's chunk range as one local file; the
    shard's own Fs namespace is private to it, so a flat root works. *)
@@ -420,11 +412,16 @@ let rec exec t (s : sess) (req : Wire.req) : Wire.result =
     Wire.R_unit
   | Wire.Stat { path; timestamp } -> Wire.R_att (Fs.stat fsess ?timestamp path)
   | Wire.Exists { path; timestamp } -> Wire.R_bool (Fs.exists fsess ?timestamp path)
-  | Wire.Query { text; timestamp } ->
-    Wire.R_rows
-      (List.map
-         (List.map Postquel.Value.to_string)
-         (Fs.query fsess ?timestamp text))
+  | Wire.Query { text; timestamp } -> (
+    (* query text is the client's: a statement that does not parse or
+       evaluate is its error, answered as one, never the pump's *)
+    match Fs.query fsess ?timestamp text with
+    | rows -> Wire.R_rows (List.map (List.map Postquel.Value.to_string) rows)
+    | exception (Postquel.Parser.Parse_error msg | Postquel.Lexer.Lex_error (msg, _)) ->
+      Errors.fail Errors.EINVAL "query: %s" msg
+    | exception Postquel.Eval.Unknown_function f -> Errors.fail Errors.EINVAL "query: no function %s" f
+    | exception Postquel.Eval.Arity_mismatch (f, _, _) ->
+      Errors.fail Errors.EINVAL "query: wrong argument count for %s" f)
   | Wire.Set_owner { path; owner } ->
     Fs.set_owner fsess path owner;
     Wire.R_unit
@@ -570,11 +567,6 @@ let now_s t = Simclock.Clock.now t.clock
 
 let deadline_of_us us = if us = 0L then infinity else Int64.to_float us /. 1e6
 
-(* Requests that release resources (or end the conversation) are never
-   shed and never deadline-rejected: refusing an Abort under overload
-   only makes the overload worse. *)
-let relief req = match Wire.carried req with Wire.Abort | Wire.Bye -> true | _ -> false
-
 (* ---------------- execution ---------------- *)
 
 (* Run one admitted task to an answer — or park it.  Returns [true] when
@@ -588,7 +580,7 @@ let run_task t (tk : task) ~(was_parked : bool) =
     true
   | Some s ->
     let now = now_s t in
-    if now > tk.tk_deadline && not (relief tk.tk_req) then begin
+    if now > tk.tk_deadline && not (Wire.relief tk.tk_req) then begin
       (* the caller has given up: abort the work before doing any of it.
          Definitive (recorded): this request id will never execute. *)
       t.deadline_rejects <- t.deadline_rejects + 1;
@@ -860,7 +852,7 @@ let handle t link ~(h : Wire.hdr) req =
       | None ->
         let now = Simclock.Clock.now t.clock in
         let deadline = deadline_of_us h.deadline_us in
-        if now > deadline && not (relief req) then begin
+        if now > deadline && not (Wire.relief req) then begin
           (* never admit work whose caller has already given up.
              Recorded: the rejection is definitive, so a racing retry
              deduplicates onto it instead of executing. *)
@@ -877,7 +869,7 @@ let handle t link ~(h : Wire.hdr) req =
                })
         end
         else if
-          (not (relief req))
+          (not (Wire.relief req))
           && (queue_depth t >= t.run_cap
               || (h.retry && queue_depth t >= t.shed_mark))
         then begin

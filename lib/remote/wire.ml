@@ -5,77 +5,159 @@ let max_fragment = Invfs.Chunk.capacity + 64
 let max_read_len = 1 lsl 22
 let max_carried_closes = 256
 
-(* ---------------- primitive (de)serialization ---------------- *)
+(* ---------------- field types ---------------- *)
 
 exception Decode
 exception Unknown_opcode of int
 
-let put_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
-let put_bool b v = put_u8 b (if v then 1 else 0)
+(* A field's wire type, as data.  [put] and [get] interpret it, and so
+   does [layout], which finds every field in an encoded payload. *)
+type _ ty =
+  | Unit : unit ty
+  | Byte : int ty
+  | Bool : bool ty (* one byte, 0 or 1 *)
+  | I32 : int ty (* signed, big-endian, like every integer here *)
+  | I64 : int64 ty
+  | Str : string ty (* i32 length, then the bytes *)
+  | Opt : 'a ty -> 'a option ty (* tag byte 0 or 1, then the value *)
+  | List : int * 'a ty -> 'a list ty (* i32 count, at most the bound, then the elements *)
+  | Pair : 'a ty * 'b ty -> ('a * 'b) ty
+  | Map : ('b -> 'a) * ('a -> 'b) * 'a ty -> 'b ty
+      (* a view of another type; its decoding half raises [Decode] on a
+         value it refuses *)
+  | Sum : 'v case option array -> 'v ty (* tag byte, then that case's fields; indexed by tag *)
 
-let put_i32 b v =
-  put_u8 b (v lsr 24);
-  put_u8 b (v lsr 16);
-  put_u8 b (v lsr 8);
-  put_u8 b v
+(* One alternative of a sum: its tag byte, its fields in wire order, and
+   how to build the value from the fields and take them out again. *)
+and 'v case = Case : { tag : int; ty : 'a ty; make : 'a -> 'v; view : 'v -> 'a option } -> 'v case
 
-let put_i64 b v =
-  for i = 7 downto 0 do
-    put_u8 b (Int64.to_int (Int64.shift_right_logical v (8 * i)))
-  done
+let ( ** ) a b = Pair (a, b)
+let t3 a b c = Map ((fun (x, y, z) -> (x, (y, z))), (fun (x, (y, z)) -> (x, y, z)), a ** b ** c)
 
-let put_str b s =
-  put_i32 b (String.length s);
-  Buffer.add_string b s
+let t4 a b c d =
+  Map ((fun (w, x, y, z) -> (w, (x, (y, z)))), (fun (w, (x, (y, z))) -> (w, x, y, z)), a ** b ** c ** d)
 
-let put_opt_i64 b = function
-  | None -> put_u8 b 0
-  | Some v ->
-    put_u8 b 1;
-    put_i64 b v
+let list ty = List (max_int, ty)
+let case tag ty make view = Case { tag; ty; make; view }
+let const tag v = case tag Unit (fun () -> v) (fun x -> if x = v then Some () else None)
 
-let put_opt_str b = function
-  | None -> put_u8 b 0
-  | Some s ->
-    put_u8 b 1;
-    put_str b s
+let by_tag cases =
+  let a = Array.make (1 + List.fold_left (fun m (Case c) -> max m c.tag) 0 cases) None in
+  List.iter (fun (Case c as k) -> a.(c.tag) <- Some k) cases;
+  a
+
+let sum cases = Sum (by_tag cases)
+
+let case_at cases tag = if tag < Array.length cases then cases.(tag) else None
+
+(* The case a value belongs to, with its fields. *)
+type 'v found = Found : 'a ty * int * 'a -> 'v found
+
+let find cases v =
+  let rec go i =
+    if i = Array.length cases then invalid_arg "Wire: value of no declared case"
+    else
+      match cases.(i) with
+      | Some (Case c) -> ( match c.view v with Some x -> Found (c.ty, c.tag, x) | None -> go (i + 1))
+      | None -> go (i + 1)
+  in
+  go 0
+
+let rec put : type a. a ty -> Buffer.t -> a -> unit =
+ fun ty b v ->
+  match ty with
+  | Unit -> ()
+  | Byte ->
+    if v < 0 || v > 0xff then invalid_arg "Wire: byte field out of range";
+    Buffer.add_uint8 b v
+  | Bool -> Buffer.add_uint8 b (Bool.to_int v)
+  | I32 ->
+    if v < -0x8000_0000 || v > 0x7fff_ffff then invalid_arg "Wire: i32 field out of range";
+    Buffer.add_int32_be b (Int32.of_int v)
+  | I64 -> Buffer.add_int64_be b v
+  | Str ->
+    put I32 b (String.length v);
+    Buffer.add_string b v
+  | Opt ty -> (
+    match v with
+    | None -> Buffer.add_uint8 b 0
+    | Some x ->
+      Buffer.add_uint8 b 1;
+      put ty b x)
+  | List (bound, ty) ->
+    let n = List.length v in
+    if n > bound then invalid_arg "Wire: list longer than its bound";
+    put I32 b n;
+    List.iter (put ty b) v
+  | Pair (ta, tb) ->
+    put ta b (fst v);
+    put tb b (snd v)
+  | Map (to_wire, _, ty) -> put ty b (to_wire v)
+  | Sum cases ->
+    let (Found (ty, tag, x)) = find cases v in
+    Buffer.add_uint8 b tag;
+    put ty b x
 
 type cursor = { data : string; mutable pos : int }
 
-let need c n = if c.pos + n > String.length c.data then raise Decode
+(* The offset of the next [n] bytes, which must all be there. *)
+let take c n =
+  let p = c.pos in
+  if n < 0 || p + n > String.length c.data then raise Decode;
+  c.pos <- p + n;
+  p
 
-let get_u8 c =
-  need c 1;
-  let v = Char.code c.data.[c.pos] in
-  c.pos <- c.pos + 1;
-  v
+let rec get : type a. a ty -> cursor -> a =
+ fun ty c ->
+  match ty with
+  | Unit -> ()
+  | Byte -> String.get_uint8 c.data (take c 1)
+  | Bool -> ( match get Byte c with 0 -> false | 1 -> true | _ -> raise Decode)
+  | I32 -> Int32.to_int (String.get_int32_be c.data (take c 4))
+  | I64 -> String.get_int64_be c.data (take c 8)
+  | Str ->
+    let n = get I32 c in
+    String.sub c.data (take c n) n
+  | Opt ty -> ( match get Byte c with 0 -> None | 1 -> Some (get ty c) | _ -> raise Decode)
+  | List (bound, ty) ->
+    let n = get I32 c in
+    (* every element takes a byte at least, so a count past the end of
+       the payload is damage and sizes nothing *)
+    if n < 0 || n > bound || n > String.length c.data - c.pos then raise Decode;
+    List.init n (fun _ -> get ty c)
+  | Pair (ta, tb) ->
+    let x = get ta c in
+    (x, get tb c)
+  | Map (_, of_wire, ty) -> of_wire (get ty c)
+  | Sum cases -> (
+    match case_at cases (get Byte c) with
+    | Some (Case k) -> k.make (get k.ty c)
+    | None -> raise Decode)
 
-let get_bool c = get_u8 c <> 0
+type field = [ `Byte | `Bool | `I32 | `I64 | `Str | `Opt | `Count ]
 
-let get_i32 c =
-  let a = get_u8 c in
-  let b = get_u8 c in
-  let d = get_u8 c in
-  let e = get_u8 c in
-  (a lsl 24) lor (b lsl 16) lor (d lsl 8) lor e
-
-let get_i64 c =
-  let v = ref 0L in
-  for _ = 0 to 7 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (get_u8 c))
-  done;
-  !v
-
-let get_str c =
-  let n = get_i32 c in
-  if n < 0 then raise Decode;
-  need c n;
-  let s = String.sub c.data c.pos n in
-  c.pos <- c.pos + n;
-  s
-
-let get_opt_i64 c = if get_u8 c = 0 then None else Some (get_i64 c)
-let get_opt_str c = if get_u8 c = 0 then None else Some (get_str c)
+(* Each field of [v] as [put] writes it from offset [off], newest first
+   onto [acc]; returns the offset after it.  A sum's tag is no field. *)
+let rec layout : type a. a ty -> a -> int -> (field * int) list ref -> int =
+ fun ty v off acc ->
+  let leaf kind width =
+    acc := (kind, off) :: !acc;
+    off + width
+  in
+  match ty with
+  | Unit -> off
+  | Byte -> leaf `Byte 1
+  | Bool -> leaf `Bool 1
+  | I32 -> leaf `I32 4
+  | I64 -> leaf `I64 8
+  | Str -> leaf `Str (4 + String.length v)
+  | Opt ty -> ( match v with None -> leaf `Opt 1 | Some x -> layout ty x (leaf `Opt 1) acc)
+  | List (_, ty) -> List.fold_left (fun off x -> layout ty x off acc) (leaf `Count 4) v
+  | Pair (ta, tb) -> layout tb (snd v) (layout ta (fst v) off acc) acc
+  | Map (to_wire, _, ty) -> layout ty (to_wire v) off acc
+  | Sum cases ->
+    let (Found (ty, _, x)) = find cases v in
+    layout ty x (off + 1) acc
 
 (* ---------------- requests ---------------- *)
 
@@ -130,311 +212,174 @@ let bucket_of ~nbuckets oid =
   let h = Int64.logxor h (Int64.shift_right_logical h 32) in
   Int64.to_int (Int64.rem (Int64.logand h Int64.max_int) (Int64.of_int nbuckets))
 
-let rec req_name = function
-  | Hello -> "hello"
-  | Bye -> "bye"
-  | Ping -> "ping"
-  | Begin -> "p_begin"
-  | Commit -> "p_commit"
-  | Abort -> "p_abort"
-  | Creat _ -> "p_creat"
-  | Open _ -> "p_open"
-  | Close _ -> "p_close"
-  | Read _ -> "p_read"
-  | Write _ -> "p_write"
-  | Ftruncate _ -> "ftruncate"
-  | Filesize _ -> "filesize"
-  | Mkdir _ -> "mkdir"
-  | Readdir _ -> "readdir"
-  | Unlink _ -> "unlink"
-  | Rmdir _ -> "rmdir"
-  | Rename _ -> "rename"
-  | Stat _ -> "stat"
-  | Exists _ -> "exists"
-  | Query _ -> "query"
-  | Set_owner _ -> "set_owner"
-  | Set_type _ -> "set_type"
-  | Define_type _ -> "define_type"
-  | Crash_server -> "crash_server"
-  | Heartbeat _ -> "heartbeat"
-  | Get_placement -> "get_placement"
-  | Shard_read _ -> "shard_read"
-  | Shard_write _ -> "shard_write"
-  | Shard_truncate _ -> "shard_truncate"
-  | Fetch_chunks _ -> "fetch_chunks"
-  | Migrate_in _ -> "migrate_in"
-  | Drop_bucket _ -> "drop_bucket"
-  | Snapshot -> "snapshot"
-  | Clone _ -> "clone"
-  | Vacuum_step _ -> "vacuum_step"
-  | Read_file _ -> "read_file"
-  | Carry { req; _ } -> req_name req
+(* What a request does, as far as retries and admission care. *)
+type cls =
+  | Read_only  (* changes nothing and names no fd: a blocked one parks,
+                  and a lost session's replacement re-issues it *)
+  | Fd_read  (* changes nothing but reads through an fd of the session:
+                parks, and dies with the session *)
+  | Restart  (* leaves nothing a fresh session must undo, but is no read:
+                re-issued after a lost session, never parked as a read *)
+  | Mutating  (* changes stored state: a reply lost with the session
+                 leaves the outcome indeterminate *)
+  | Relief  (* releases what the session holds: never shed, never
+               refused for a passed deadline *)
+  | Admin  (* the test-only server crash: sent even past a deadline *)
+  | Other
+
+(* One line per request: its tag, name, class and fields in wire order.
+   A [Vacuum_step] is [Other], not [Mutating]: it only moves committed
+   versions to the archive, which no read can tell apart, so a lost
+   reply leaves nothing indeterminate.  [Clone] creates a file. *)
+type decl = { name : string; cls : cls; case : req case }
+
+let msg tag name cls ty make view = { name; cls; case = case tag ty make view }
+let op tag name cls v = { name; cls; case = const tag v }
+
+let requests =
+  [
+    op 1 "hello" Other Hello;
+    op 2 "bye" Relief Bye;
+    op 3 "ping" Restart Ping;
+    op 4 "p_begin" Restart Begin;
+    op 5 "p_commit" Other Commit;
+    op 6 "p_abort" Relief Abort;
+    msg 7 "p_creat" Mutating (t4 Str (Opt Str) (Opt Str) Bool)
+      (fun (path, device, ftype, compressed) -> Creat { path; device; ftype; compressed })
+      (function Creat r -> Some (r.path, r.device, r.ftype, r.compressed) | _ -> None);
+    (* the mode is 0 (read-only) or 1 (read-write) *)
+    msg 8 "p_open" Read_only
+      (t3 Str (Map (Fun.id, (fun m -> if m > 1 then raise Decode else m), Byte)) (Opt I64))
+      (fun (path, mode, timestamp) -> Open { path; mode; timestamp })
+      (function Open r -> Some (r.path, r.mode, r.timestamp) | _ -> None);
+    msg 9 "p_close" Other I32 (fun fd -> Close { fd }) (function Close r -> Some r.fd | _ -> None);
+    msg 10 "p_read" Fd_read (t3 I32 I64 I32)
+      (fun (fd, off, len) -> Read { fd; off; len })
+      (function Read r -> Some (r.fd, r.off, r.len) | _ -> None);
+    msg 11 "p_write" Mutating (t3 I32 I64 Str)
+      (fun (fd, off, data) -> Write { fd; off; data })
+      (function Write r -> Some (r.fd, r.off, r.data) | _ -> None);
+    msg 12 "ftruncate" Mutating (I32 ** I64)
+      (fun (fd, size) -> Ftruncate { fd; size })
+      (function Ftruncate r -> Some (r.fd, r.size) | _ -> None);
+    msg 13 "filesize" Fd_read I32 (fun fd -> Filesize { fd }) (function Filesize r -> Some r.fd | _ -> None);
+    msg 14 "mkdir" Mutating Str (fun path -> Mkdir { path }) (function Mkdir r -> Some r.path | _ -> None);
+    msg 15 "readdir" Read_only (Str ** Opt I64)
+      (fun (path, timestamp) -> Readdir { path; timestamp })
+      (function Readdir r -> Some (r.path, r.timestamp) | _ -> None);
+    msg 16 "unlink" Mutating Str (fun path -> Unlink { path }) (function Unlink r -> Some r.path | _ -> None);
+    msg 17 "rmdir" Mutating Str (fun path -> Rmdir { path }) (function Rmdir r -> Some r.path | _ -> None);
+    msg 18 "rename" Mutating (Str ** Str)
+      (fun (src, dst) -> Rename { src; dst })
+      (function Rename r -> Some (r.src, r.dst) | _ -> None);
+    msg 19 "stat" Read_only (Str ** Opt I64)
+      (fun (path, timestamp) -> Stat { path; timestamp })
+      (function Stat r -> Some (r.path, r.timestamp) | _ -> None);
+    msg 20 "exists" Read_only (Str ** Opt I64)
+      (fun (path, timestamp) -> Exists { path; timestamp })
+      (function Exists r -> Some (r.path, r.timestamp) | _ -> None);
+    msg 21 "query" Read_only (Str ** Opt I64)
+      (fun (text, timestamp) -> Query { text; timestamp })
+      (function Query r -> Some (r.text, r.timestamp) | _ -> None);
+    msg 22 "set_owner" Mutating (Str ** Str)
+      (fun (path, owner) -> Set_owner { path; owner })
+      (function Set_owner r -> Some (r.path, r.owner) | _ -> None);
+    msg 23 "set_type" Mutating (Str ** Str)
+      (fun (path, ftype) -> Set_type { path; ftype })
+      (function Set_type r -> Some (r.path, r.ftype) | _ -> None);
+    msg 24 "define_type" Mutating Str
+      (fun name -> Define_type { name })
+      (function Define_type r -> Some r.name | _ -> None);
+    op 25 "crash_server" Admin Crash_server;
+    msg 26 "heartbeat" Other (I32 ** I32)
+      (fun (shard, epoch) -> Heartbeat { shard; epoch })
+      (function Heartbeat r -> Some (r.shard, r.epoch) | _ -> None);
+    op 27 "get_placement" Read_only Get_placement;
+    msg 28 "shard_read" Read_only (t4 I64 I64 I32 I32)
+      (fun (oid, off, len, epoch) -> Shard_read { oid; off; len; epoch })
+      (function Shard_read r -> Some (r.oid, r.off, r.len, r.epoch) | _ -> None);
+    (* the epoch travels ahead of the data *)
+    msg 29 "shard_write" Mutating (t4 I64 I64 I32 Str)
+      (fun (oid, off, epoch, data) -> Shard_write { oid; off; data; epoch })
+      (function Shard_write r -> Some (r.oid, r.off, r.epoch, r.data) | _ -> None);
+    msg 30 "shard_truncate" Mutating (t3 I64 I64 I32)
+      (fun (oid, size, epoch) -> Shard_truncate { oid; size; epoch })
+      (function Shard_truncate r -> Some (r.oid, r.size, r.epoch) | _ -> None);
+    msg 31 "fetch_chunks" Read_only I64
+      (fun oid -> Fetch_chunks { oid })
+      (function Fetch_chunks r -> Some r.oid | _ -> None);
+    msg 32 "migrate_in" Mutating (t3 I64 I32 Str)
+      (fun (oid, epoch, data) -> Migrate_in { oid; epoch; data })
+      (function Migrate_in r -> Some (r.oid, r.epoch, r.data) | _ -> None);
+    msg 33 "drop_bucket" Mutating (I32 ** I32)
+      (fun (bucket, epoch) -> Drop_bucket { bucket; epoch })
+      (function Drop_bucket r -> Some (r.bucket, r.epoch) | _ -> None);
+    op 34 "snapshot" Other Snapshot;
+    msg 35 "clone" Mutating (Str ** Str)
+      (fun (src, dst) -> Clone { src; dst })
+      (function Clone r -> Some (r.src, r.dst) | _ -> None);
+    msg 36 "vacuum_step" Other I32
+      (fun pages -> Vacuum_step { pages })
+      (function Vacuum_step r -> Some r.pages | _ -> None);
+    msg 37 "read_file" Read_only (t4 Str (Opt I64) I64 I32)
+      (fun (path, timestamp, off, len) -> Read_file { path; timestamp; off; len })
+      (function Read_file r -> Some (r.path, r.timestamp, r.off, r.len) | _ -> None);
+  ]
+
+(* The carrier is the one request declared by hand: its last field is
+   itself a request, at most one level deep, with a bounded close list. *)
+let carry_tag = 38
+let carry_prefix = List (max_carried_closes, I32) ** Bool
+let request_cases = by_tag (List.map (fun d -> d.case) requests)
+let request_ty = Sum request_cases
+let declared = List.map (fun { name; case = Case c; _ } -> (c.tag, name)) requests
+let decl_of req = List.find (fun { case = Case c; _ } -> Option.is_some (c.view req)) requests
+let req_name req = (decl_of (carried req)).name
+let class_of req = (decl_of (carried req)).cls
+let read_only req = match class_of req with Read_only | Fd_read -> true | _ -> false
+let reissuable req = match class_of req with Read_only | Restart -> true | _ -> false
+let mutating req = class_of req = Mutating
+let relief req = class_of req = Relief
+let deadline_exempt req = match class_of req with Relief | Admin -> true | _ -> false
 
 let rec put_req b = function
-  | Hello -> put_u8 b 1
-  | Bye -> put_u8 b 2
-  | Ping -> put_u8 b 3
-  | Begin -> put_u8 b 4
-  | Commit -> put_u8 b 5
-  | Abort -> put_u8 b 6
-  | Creat { path; device; ftype; compressed } ->
-    put_u8 b 7;
-    put_str b path;
-    put_opt_str b device;
-    put_opt_str b ftype;
-    put_bool b compressed
-  | Open { path; mode; timestamp } ->
-    put_u8 b 8;
-    put_str b path;
-    put_u8 b mode;
-    put_opt_i64 b timestamp
-  | Close { fd } ->
-    put_u8 b 9;
-    put_i32 b fd
-  | Read { fd; off; len } ->
-    put_u8 b 10;
-    put_i32 b fd;
-    put_i64 b off;
-    put_i32 b len
-  | Write { fd; off; data } ->
-    put_u8 b 11;
-    put_i32 b fd;
-    put_i64 b off;
-    put_str b data
-  | Ftruncate { fd; size } ->
-    put_u8 b 12;
-    put_i32 b fd;
-    put_i64 b size
-  | Filesize { fd } ->
-    put_u8 b 13;
-    put_i32 b fd
-  | Mkdir { path } ->
-    put_u8 b 14;
-    put_str b path
-  | Readdir { path; timestamp } ->
-    put_u8 b 15;
-    put_str b path;
-    put_opt_i64 b timestamp
-  | Unlink { path } ->
-    put_u8 b 16;
-    put_str b path
-  | Rmdir { path } ->
-    put_u8 b 17;
-    put_str b path
-  | Rename { src; dst } ->
-    put_u8 b 18;
-    put_str b src;
-    put_str b dst
-  | Stat { path; timestamp } ->
-    put_u8 b 19;
-    put_str b path;
-    put_opt_i64 b timestamp
-  | Exists { path; timestamp } ->
-    put_u8 b 20;
-    put_str b path;
-    put_opt_i64 b timestamp
-  | Query { text; timestamp } ->
-    put_u8 b 21;
-    put_str b text;
-    put_opt_i64 b timestamp
-  | Set_owner { path; owner } ->
-    put_u8 b 22;
-    put_str b path;
-    put_str b owner
-  | Set_type { path; ftype } ->
-    put_u8 b 23;
-    put_str b path;
-    put_str b ftype
-  | Define_type { name } ->
-    put_u8 b 24;
-    put_str b name
-  | Crash_server -> put_u8 b 25
-  | Heartbeat { shard; epoch } ->
-    put_u8 b 26;
-    put_i32 b shard;
-    put_i32 b epoch
-  | Get_placement -> put_u8 b 27
-  | Shard_read { oid; off; len; epoch } ->
-    put_u8 b 28;
-    put_i64 b oid;
-    put_i64 b off;
-    put_i32 b len;
-    put_i32 b epoch
-  | Shard_write { oid; off; data; epoch } ->
-    put_u8 b 29;
-    put_i64 b oid;
-    put_i64 b off;
-    put_i32 b epoch;
-    put_str b data
-  | Shard_truncate { oid; size; epoch } ->
-    put_u8 b 30;
-    put_i64 b oid;
-    put_i64 b size;
-    put_i32 b epoch
-  | Fetch_chunks { oid } ->
-    put_u8 b 31;
-    put_i64 b oid
-  | Migrate_in { oid; epoch; data } ->
-    put_u8 b 32;
-    put_i64 b oid;
-    put_i32 b epoch;
-    put_str b data
-  | Drop_bucket { bucket; epoch } ->
-    put_u8 b 33;
-    put_i32 b bucket;
-    put_i32 b epoch
-  | Snapshot -> put_u8 b 34
-  | Clone { src; dst } ->
-    put_u8 b 35;
-    put_str b src;
-    put_str b dst
-  | Vacuum_step { pages } ->
-    put_u8 b 36;
-    put_i32 b pages
-  | Read_file { path; timestamp; off; len } ->
-    put_u8 b 37;
-    put_str b path;
-    put_opt_i64 b timestamp;
-    put_i64 b off;
-    put_i32 b len
   | Carry { closes; begin_txn; req } ->
-    put_u8 b 38;
-    put_i32 b (List.length closes);
-    List.iter (put_i32 b) closes;
-    put_bool b begin_txn;
+    Buffer.add_uint8 b carry_tag;
+    put carry_prefix b (closes, begin_txn);
     put_req b req
+  | req -> put request_ty b req
 
 let encode_req_payload req =
   let b = Buffer.create 64 in
   put_req b req;
   Buffer.contents b
 
+let fields req =
+  let acc = ref [] in
+  let rec go off = function
+    | Carry { closes; begin_txn; req } -> go (layout carry_prefix (closes, begin_txn) (off + 1) acc) req
+    | req -> ignore (layout request_ty req off acc : int)
+  in
+  go 0 req;
+  List.rev !acc
+
 (* Distinguishes an opcode from the future ([`Unknown]) from a payload
    that is damaged or truncated ([`Malformed]): the server answers the
    former with a structured [Unsupported] reply — version skew must not
    look like packet loss — and drops only the latter. *)
 let rec get_req c ~nested =
-  match get_u8 c with
-  | 1 -> Hello
-  | 2 -> Bye
-  | 3 -> Ping
-  | 4 -> Begin
-  | 5 -> Commit
-  | 6 -> Abort
-  | 7 ->
-    let path = get_str c in
-    let device = get_opt_str c in
-    let ftype = get_opt_str c in
-    let compressed = get_bool c in
-    Creat { path; device; ftype; compressed }
-  | 8 ->
-    let path = get_str c in
-    let mode = get_u8 c in
-    let timestamp = get_opt_i64 c in
-    Open { path; mode; timestamp }
-  | 9 -> Close { fd = get_i32 c }
-  | 10 ->
-    let fd = get_i32 c in
-    let off = get_i64 c in
-    let len = get_i32 c in
-    Read { fd; off; len }
-  | 11 ->
-    let fd = get_i32 c in
-    let off = get_i64 c in
-    let data = get_str c in
-    Write { fd; off; data }
-  | 12 ->
-    let fd = get_i32 c in
-    let size = get_i64 c in
-    Ftruncate { fd; size }
-  | 13 -> Filesize { fd = get_i32 c }
-  | 14 -> Mkdir { path = get_str c }
-  | 15 ->
-    let path = get_str c in
-    let timestamp = get_opt_i64 c in
-    Readdir { path; timestamp }
-  | 16 -> Unlink { path = get_str c }
-  | 17 -> Rmdir { path = get_str c }
-  | 18 ->
-    let src = get_str c in
-    let dst = get_str c in
-    Rename { src; dst }
-  | 19 ->
-    let path = get_str c in
-    let timestamp = get_opt_i64 c in
-    Stat { path; timestamp }
-  | 20 ->
-    let path = get_str c in
-    let timestamp = get_opt_i64 c in
-    Exists { path; timestamp }
-  | 21 ->
-    let text = get_str c in
-    let timestamp = get_opt_i64 c in
-    Query { text; timestamp }
-  | 22 ->
-    let path = get_str c in
-    let owner = get_str c in
-    Set_owner { path; owner }
-  | 23 ->
-    let path = get_str c in
-    let ftype = get_str c in
-    Set_type { path; ftype }
-  | 24 -> Define_type { name = get_str c }
-  | 25 -> Crash_server
-  | 26 ->
-    let shard = get_i32 c in
-    let epoch = get_i32 c in
-    Heartbeat { shard; epoch }
-  | 27 -> Get_placement
-  | 28 ->
-    let oid = get_i64 c in
-    let off = get_i64 c in
-    let len = get_i32 c in
-    let epoch = get_i32 c in
-    Shard_read { oid; off; len; epoch }
-  | 29 ->
-    let oid = get_i64 c in
-    let off = get_i64 c in
-    let epoch = get_i32 c in
-    let data = get_str c in
-    Shard_write { oid; off; data; epoch }
-  | 30 ->
-    let oid = get_i64 c in
-    let size = get_i64 c in
-    let epoch = get_i32 c in
-    Shard_truncate { oid; size; epoch }
-  | 31 -> Fetch_chunks { oid = get_i64 c }
-  | 32 ->
-    let oid = get_i64 c in
-    let epoch = get_i32 c in
-    let data = get_str c in
-    Migrate_in { oid; epoch; data }
-  | 33 ->
-    let bucket = get_i32 c in
-    let epoch = get_i32 c in
-    Drop_bucket { bucket; epoch }
-  | 34 -> Snapshot
-  | 35 ->
-    let src = get_str c in
-    let dst = get_str c in
-    Clone { src; dst }
-  | 36 -> Vacuum_step { pages = get_i32 c }
-  | 37 ->
-    let path = get_str c in
-    let timestamp = get_opt_i64 c in
-    let off = get_i64 c in
-    let len = get_i32 c in
-    Read_file { path; timestamp; off; len }
-  | 38 ->
+  let tag = get Byte c in
+  if tag = carry_tag then begin
     (* one level only: a carrier inside a carrier is malformed, so
        hostile input cannot drive the recursion deeper *)
     if nested then raise Decode;
-    let n = get_i32 c in
-    if n < 0 || n > max_carried_closes then raise Decode;
-    let closes = List.init n (fun _ -> get_i32 c) in
-    let begin_txn = get_bool c in
+    let closes, begin_txn = get carry_prefix c in
     Carry { closes; begin_txn; req = get_req c ~nested:true }
-  | op -> raise (Unknown_opcode op)
+  end
+  else
+    match case_at request_cases tag with
+    | Some (Case k) -> k.make (get k.ty c)
+    | None -> raise (Unknown_opcode tag)
 
 let decode_request_any payload =
   let c = { data = payload; pos = 0 } in
@@ -477,198 +422,84 @@ type reply =
   | Unsupported of { opcode : int }
   | Wrong_shard of { epoch : int }
 
-let code_to_byte : Invfs.Errors.code -> int = function
-  | ENOENT -> 1
-  | EEXIST -> 2
-  | EISDIR -> 3
-  | ENOTDIR -> 4
-  | ENOTEMPTY -> 5
-  | EBADF -> 6
-  | EINVAL -> 7
-  | EROFS -> 8
-  | ETXN -> 9
-  | EDEADLK -> 10
-  | EAGAIN -> 11
-  | EIO -> 12
-  | ETIMEDOUT -> 13
-  | ECONNRESET -> 14
-  | EBUSY -> 15
-  | ENOTSUP -> 16
-  | ESTALE -> 17
+(* An errno travels as its 1-based position here. *)
+let errnos =
+  Invfs.Errors.
+    [ ENOENT; EEXIST; EISDIR; ENOTDIR; ENOTEMPTY; EBADF; EINVAL; EROFS; ETXN; EDEADLK; EAGAIN;
+      EIO; ETIMEDOUT; ECONNRESET; EBUSY; ENOTSUP; ESTALE ]
 
-let code_of_byte : int -> Invfs.Errors.code = function
-  | 1 -> ENOENT
-  | 2 -> EEXIST
-  | 3 -> EISDIR
-  | 4 -> ENOTDIR
-  | 5 -> ENOTEMPTY
-  | 6 -> EBADF
-  | 7 -> EINVAL
-  | 8 -> EROFS
-  | 9 -> ETXN
-  | 10 -> EDEADLK
-  | 11 -> EAGAIN
-  | 12 -> EIO
-  | 13 -> ETIMEDOUT
-  | 14 -> ECONNRESET
-  | 15 -> EBUSY
-  | 16 -> ENOTSUP
-  | 17 -> ESTALE
-  | _ -> raise Decode
+let errno =
+  let rec pos i code = function
+    | c :: rest -> if c = code then i else pos (i + 1) code rest
+    | [] -> invalid_arg "Wire: errno without a byte"
+  in
+  Map
+    ( (fun code -> pos 1 code errnos),
+      (fun b -> match List.nth_opt errnos (b - 1) with Some c when b > 0 -> c | _ -> raise Decode),
+      Byte )
+
+let att : Invfs.Fileatt.att ty =
+  Map
+    ( (fun (a : Invfs.Fileatt.att) ->
+        ( a.file,
+          (a.size, (a.owner, (a.ftype, (a.device, (a.index_segid, (a.compressed, (a.ctime, (a.mtime, a.atime))))))))
+        )),
+      (fun (file, (size, (owner, (ftype, (device, (index_segid, (compressed, (ctime, (mtime, atime))))))))) ->
+        { Invfs.Fileatt.file; size; owner; ftype; device; index_segid; compressed; ctime; mtime; atime }),
+      I64 ** I64 ** Str ** Str ** Str ** I32 ** Bool ** I64 ** I64 ** I64 )
+
+let placement =
+  Map
+    ( (fun p -> (p.p_epoch, Array.to_list p.p_owner, p.p_handoff)),
+      (fun (p_epoch, owner, p_handoff) -> { p_epoch; p_owner = Array.of_list owner; p_handoff }),
+      t3 I32 (List (0xffff, I32)) (List (0xffff, I32)) )
+
+let result_ty =
+  sum
+    [
+      const 0 R_unit;
+      case 1 I64 (fun v -> R_sid v) (function R_sid v -> Some v | _ -> None);
+      case 2 I32 (fun v -> R_fd v) (function R_fd v -> Some v | _ -> None);
+      case 3 I64 (fun v -> R_int v) (function R_int v -> Some v | _ -> None);
+      case 4 Bool (fun v -> R_bool v) (function R_bool v -> Some v | _ -> None);
+      case 5 Str (fun v -> R_data v) (function R_data v -> Some v | _ -> None);
+      case 6 (list Str) (fun v -> R_names v) (function R_names v -> Some v | _ -> None);
+      case 7 (list (list Str)) (fun v -> R_rows v) (function R_rows v -> Some v | _ -> None);
+      case 8 att (fun v -> R_att v) (function R_att v -> Some v | _ -> None);
+      case 9 placement (fun v -> R_placement v) (function R_placement v -> Some v | _ -> None);
+    ]
+
+let reply_ty =
+  sum
+    [
+      case 0 (Bool ** result_ty)
+        (fun (txn_open, result) -> Ok_reply { txn_open; result })
+        (function Ok_reply r -> Some (r.txn_open, r.result) | _ -> None);
+      case 1 (t3 Bool errno Str)
+        (fun (txn_open, code, msg) -> Err_reply { txn_open; code; msg })
+        (function Err_reply r -> Some (r.txn_open, r.code, r.msg) | _ -> None);
+      case 2 Bool
+        (fun txn_open -> Io_fault_reply { txn_open })
+        (function Io_fault_reply r -> Some r.txn_open | _ -> None);
+      const 3 Unknown_session;
+      (* microseconds on the wire: floats don't serialize *)
+      case 4
+        (Map ((fun s -> Int64.of_float (s *. 1e6)), (fun us -> Int64.to_float us /. 1e6), I64))
+        (fun retry_after_s -> Overloaded { retry_after_s })
+        (function Overloaded r -> Some r.retry_after_s | _ -> None);
+      case 5 Byte (fun opcode -> Unsupported { opcode }) (function Unsupported r -> Some r.opcode | _ -> None);
+      case 6 I32 (fun epoch -> Wrong_shard { epoch }) (function Wrong_shard r -> Some r.epoch | _ -> None);
+    ]
 
 let encode_reply_payload reply =
   let b = Buffer.create 64 in
-  (match reply with
-  | Ok_reply { txn_open; result } ->
-    put_u8 b 0;
-    put_bool b txn_open;
-    (match result with
-    | R_unit -> put_u8 b 0
-    | R_sid sid ->
-      put_u8 b 1;
-      put_i64 b sid
-    | R_fd fd ->
-      put_u8 b 2;
-      put_i32 b fd
-    | R_int v ->
-      put_u8 b 3;
-      put_i64 b v
-    | R_bool v ->
-      put_u8 b 4;
-      put_bool b v
-    | R_data s ->
-      put_u8 b 5;
-      put_str b s
-    | R_names names ->
-      put_u8 b 6;
-      put_i32 b (List.length names);
-      List.iter (put_str b) names
-    | R_rows rows ->
-      put_u8 b 7;
-      put_i32 b (List.length rows);
-      List.iter
-        (fun row ->
-          put_i32 b (List.length row);
-          List.iter (put_str b) row)
-        rows
-    | R_att (a : Invfs.Fileatt.att) ->
-      put_u8 b 8;
-      put_i64 b a.file;
-      put_i64 b a.size;
-      put_str b a.owner;
-      put_str b a.ftype;
-      put_str b a.device;
-      put_i32 b (a.index_segid land 0xffffffff);
-      put_bool b a.compressed;
-      put_i64 b a.ctime;
-      put_i64 b a.mtime;
-      put_i64 b a.atime
-    | R_placement { p_epoch; p_owner; p_handoff } ->
-      put_u8 b 9;
-      put_i32 b p_epoch;
-      put_i32 b (Array.length p_owner);
-      Array.iter (put_i32 b) p_owner;
-      put_i32 b (List.length p_handoff);
-      List.iter (put_i32 b) p_handoff)
-  | Err_reply { txn_open; code; msg } ->
-    put_u8 b 1;
-    put_bool b txn_open;
-    put_u8 b (code_to_byte code);
-    put_str b msg
-  | Io_fault_reply { txn_open } ->
-    put_u8 b 2;
-    put_bool b txn_open
-  | Unknown_session -> put_u8 b 3
-  | Overloaded { retry_after_s } ->
-    put_u8 b 4;
-    (* microseconds on the wire: floats don't serialize *)
-    put_i64 b (Int64.of_float (retry_after_s *. 1e6))
-  | Unsupported { opcode } ->
-    put_u8 b 5;
-    put_u8 b opcode
-  | Wrong_shard { epoch } ->
-    put_u8 b 6;
-    put_i32 b epoch);
+  put reply_ty b reply;
   Buffer.contents b
 
 let decode_reply payload =
   let c = { data = payload; pos = 0 } in
   try
-    let reply =
-      match get_u8 c with
-      | 0 ->
-        let txn_open = get_bool c in
-        let result =
-          match get_u8 c with
-          | 0 -> R_unit
-          | 1 -> R_sid (get_i64 c)
-          | 2 -> R_fd (get_i32 c)
-          | 3 -> R_int (get_i64 c)
-          | 4 -> R_bool (get_bool c)
-          | 5 -> R_data (get_str c)
-          | 6 ->
-            let n = get_i32 c in
-            if n < 0 then raise Decode;
-            R_names (List.init n (fun _ -> get_str c))
-          | 7 ->
-            let n = get_i32 c in
-            if n < 0 then raise Decode;
-            R_rows
-              (List.init n (fun _ ->
-                   let m = get_i32 c in
-                   if m < 0 then raise Decode;
-                   List.init m (fun _ -> get_str c)))
-          | 8 ->
-            let file = get_i64 c in
-            let size = get_i64 c in
-            let owner = get_str c in
-            let ftype = get_str c in
-            let device = get_str c in
-            let index_segid =
-              let v = get_i32 c in
-              if v = 0xffffffff then -1 else v
-            in
-            let compressed = get_bool c in
-            let ctime = get_i64 c in
-            let mtime = get_i64 c in
-            let atime = get_i64 c in
-            R_att
-              {
-                file;
-                size;
-                owner;
-                ftype;
-                device;
-                index_segid;
-                compressed;
-                ctime;
-                mtime;
-                atime;
-              }
-          | 9 ->
-            let p_epoch = get_i32 c in
-            let n = get_i32 c in
-            if n < 0 || n > 0xffff then raise Decode;
-            let p_owner = Array.init n (fun _ -> get_i32 c) in
-            let m = get_i32 c in
-            if m < 0 || m > 0xffff then raise Decode;
-            let p_handoff = List.init m (fun _ -> get_i32 c) in
-            R_placement { p_epoch; p_owner; p_handoff }
-          | _ -> raise Decode
-        in
-        Ok_reply { txn_open; result }
-      | 1 ->
-        let txn_open = get_bool c in
-        let code = code_of_byte (get_u8 c) in
-        let msg = get_str c in
-        Err_reply { txn_open; code; msg }
-      | 2 -> Io_fault_reply { txn_open = get_bool c }
-      | 3 -> Unknown_session
-      | 4 -> Overloaded { retry_after_s = Int64.to_float (get_i64 c) /. 1e6 }
-      | 5 -> Unsupported { opcode = get_u8 c }
-      | 6 -> Wrong_shard { epoch = get_i32 c }
-      | _ -> raise Decode
-    in
+    let reply = get reply_ty c in
     if c.pos <> String.length payload then raise Decode;
     Some reply
   with Decode -> None
@@ -686,53 +517,24 @@ type hdr = {
   payload : string;
 }
 
-let set_u16 b off v =
-  Bytes.set b off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 1) (Char.chr (v land 0xff))
-
-let set_u32 b off v =
-  Bytes.set b off (Char.chr ((v lsr 24) land 0xff));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 16) land 0xff));
-  Bytes.set b (off + 2) (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 3) (Char.chr (v land 0xff))
-
-let set_i64 b off v =
-  for i = 0 to 7 do
-    Bytes.set b (off + i)
-      (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * (7 - i))) land 0xff))
-  done
-
-let u16_at s off = (Char.code s.[off] lsl 8) lor Char.code s.[off + 1]
-
-let u32_at s off =
-  (Char.code s.[off] lsl 24)
-  lor (Char.code s.[off + 1] lsl 16)
-  lor (Char.code s.[off + 2] lsl 8)
-  lor Char.code s.[off + 3]
-
-let i64_at s off =
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code s.[off + i]))
-  done;
-  !v
+let u32_at s off = Int32.to_int (String.get_int32_be s off) land 0xffff_ffff
 
 let make_frame ~kind ~sid ~rid ~frame_ix ~nframes ~retry ~deadline_us fragment =
   let n = String.length fragment in
   let b = Bytes.make (header_bytes + n) '\000' in
   Bytes.blit_string magic 0 b 0 4;
-  set_u16 b 4 version;
-  Bytes.set b 6 (Char.chr kind);
-  Bytes.set b 7 (Char.chr (if retry then 1 else 0));
-  set_i64 b 8 sid;
-  set_i64 b 16 rid;
-  set_u16 b 24 frame_ix;
-  set_u16 b 26 nframes;
-  set_u32 b 28 n;
-  set_i64 b 36 deadline_us;
+  Bytes.set_uint16_be b 4 version;
+  Bytes.set_uint8 b 6 kind;
+  Bytes.set_uint8 b 7 (Bool.to_int retry);
+  Bytes.set_int64_be b 8 sid;
+  Bytes.set_int64_be b 16 rid;
+  Bytes.set_uint16_be b 24 frame_ix;
+  Bytes.set_uint16_be b 26 nframes;
+  Bytes.set_int32_be b 28 (Int32.of_int n);
+  Bytes.set_int64_be b 36 deadline_us;
   Bytes.blit_string fragment 0 b header_bytes n;
   (* CRC over the whole frame with the crc field zeroed *)
-  set_u32 b 32 (Pagestore.Page.crc32 b ~off:0 ~len:(Bytes.length b));
+  Bytes.set_int32_be b 32 (Int32.of_int (Pagestore.Page.crc32 b ~off:0 ~len:(Bytes.length b)));
   Bytes.to_string b
 
 (* Split a logical payload into CRC'd frames.  Streamed requests
@@ -781,9 +583,9 @@ let decode_header frame =
   let n = String.length frame in
   if n < header_bytes then None
   else if String.sub frame 0 4 <> magic then None
-  else if u16_at frame 4 <> version then None
+  else if String.get_uint16_be frame 4 <> version then None
   else
-    let kind = Char.code frame.[6] in
+    let kind = String.get_uint8 frame 6 in
     if kind > 1 then None
     else
       let plen = u32_at frame 28 in
@@ -791,23 +593,23 @@ let decode_header frame =
       else
         let recorded = u32_at frame 32 in
         let b = Bytes.of_string frame in
-        set_u32 b 32 0;
+        Bytes.set_int32_be b 32 0l;
         let computed = Pagestore.Page.crc32 b ~off:0 ~len:n in
         if computed <> recorded then None
         else
-          let frame_ix = u16_at frame 24 in
-          let nframes = u16_at frame 26 in
+          let frame_ix = String.get_uint16_be frame 24 in
+          let nframes = String.get_uint16_be frame 26 in
           if nframes < 1 || frame_ix >= nframes then None
           else
             Some
               {
                 kind;
-                sid = i64_at frame 8;
-                rid = i64_at frame 16;
+                sid = String.get_int64_be frame 8;
+                rid = String.get_int64_be frame 16;
                 frame_ix;
                 nframes;
-                retry = Char.code frame.[7] land 1 <> 0;
-                deadline_us = i64_at frame 36;
+                retry = String.get_uint8 frame 7 land 1 <> 0;
+                deadline_us = String.get_int64_be frame 36;
                 payload = String.sub frame header_bytes plen;
               }
 

@@ -40,7 +40,27 @@
 
     Streamed writes ([Write]) end with an explicit zero-length
     end-of-stream frame — the "that was all of it" marker of the windowed
-    upload path the pipelined cost model prices. *)
+    upload path the pipelined cost model prices.
+
+    {2 One declaration per message}
+
+    Every request is declared once, in one table in [wire.ml]: its tag
+    byte, its name, its fields in wire order and its retry class.  The
+    fields are built from a handful of wire types — byte, bool, signed
+    i32, i64, string (an i32 length, then the bytes), option (a tag byte
+    0 or 1, then the value), a bounded list (an i32 count, then the
+    elements) and pair — all big-endian.  The encoder, the decoder,
+    {!req_name}, the class queries ({!read_only}, {!reissuable},
+    {!mutating}, {!relief}, {!deadline_exempt}) and the field listing
+    the hostile-payload tests mutate ({!fields}) are all read off that
+    table; decoding finds a request's declaration by its tag.  Replies
+    and results are declared the same way.  Only {!req.Carry} is
+    written by hand, because its last field is itself a request.
+
+    A payload that is truncated, runs past its end, or holds a value its
+    field refuses (a negative length, a count past its bound, an option
+    or bool byte other than 0 or 1, an [Open] mode other than 0 or 1, an
+    unknown errno) decodes as malformed. *)
 
 val header_bytes : int
 (** 96. *)
@@ -142,6 +162,45 @@ val bucket_of : nbuckets:int -> int64 -> int
     sequential oids spread). *)
 
 val req_name : req -> string
+(** The request's declared name ([p_read], [stat], ...); a carrier's is
+    that of the request it carries. *)
+
+(** {2 Class queries}
+
+    Each reads the request's declared class; a {!req.Carry} is
+    classified by the request it carries. *)
+
+val read_only : req -> bool
+(** It changes nothing, so a blocked one may park and re-execute from
+    scratch: the path reads, and [Read] and [Filesize] on an fd. *)
+
+val reissuable : req -> bool
+(** After a lost session the client may silently re-issue it on the
+    fresh one: the reads that name no fd, [Begin] and [Ping]. *)
+
+val mutating : req -> bool
+(** It changes stored state, so its reply lost with the session leaves
+    the outcome indeterminate. *)
+
+val relief : req -> bool
+(** It releases what the session holds ([Abort], [Bye]): the server
+    never sheds it and never refuses it for a passed deadline. *)
+
+val deadline_exempt : req -> bool
+(** The client sends it even when its deadline has passed: the relief
+    requests and [Crash_server]. *)
+
+val declared : (int * string) list
+(** The tag and name of every declared request except {!req.Carry}, in
+    tag order. *)
+
+type field = [ `Byte | `Bool | `I32 | `I64 | `Str | `Opt | `Count ]
+(** A field as it sits in a payload: [`Str] at its length prefix,
+    [`Opt] at its tag byte, [`Count] at a list's element count. *)
+
+val fields : req -> (field * int) list
+(** Every field of the request's encoded payload with its byte offset,
+    in wire order.  The carried request's fields follow a carrier's. *)
 
 (** The placement map: [p_owner.(b)] is the shard id serving bucket [b]
     at [p_epoch]; [p_handoff] lists buckets mid-migration. *)

@@ -416,30 +416,35 @@ let test_drop_refused_for_owned_bucket () =
 
 (* ---- wire-supplied read lengths cannot kill the server ----
 
-   A negative length travels as a huge unsigned value; either way the
-   old code handed it straight to [Bytes.create], whose exception is not
-   an [Fs_error] and so would escape the reply path and take down the
-   pump.  Now it is clamped (short reads are in-contract) and the server
-   stays up. *)
+   A read length reaches the server as a signed i32, so a negative one
+   arrives as itself; handed straight to [Bytes.create], its exception
+   is not an [Fs_error] and would escape the reply path and take down
+   the pump.  The server refuses it with EINVAL, clamps a huge one (a
+   short read is in-contract), and stays up. *)
+
+let expect_einval what f =
+  match f () with
+  | _ -> Alcotest.fail (what ^ ": expected EINVAL")
+  | exception E.Fs_error (E.EINVAL, _) -> ()
 
 let test_read_len_validation () =
   let _clock, net, cluster, conn = mk () in
   let oid, _ = file_on conn cluster ~shard:2 in
   ignore (Cluster.shard_write conn ~oid ~off:0L ~data:"hello" : int);
   let direct = direct_client cluster net ~shard:2 in
-  Alcotest.(check string) "negative length is clamped, not fatal" "hello"
-    (Client.c_shard_read direct ~oid ~off:0L ~len:(-1) ~epoch:1);
+  expect_einval "negative length is refused, not fatal" (fun () ->
+      Client.c_shard_read direct ~oid ~off:0L ~len:(-1) ~epoch:1);
   Alcotest.(check string) "huge length is clamped, not allocated" "hello"
     (Client.c_shard_read direct ~oid ~off:0L ~len:(1 lsl 30) ~epoch:1);
-  (* same guard on the plain file read path *)
+  (* the plain file read checks its length against the buffer first *)
   let coord = Cluster.coord conn in
   let fd = Client.c_creat coord "/lenprobe" in
   ignore (Client.c_write coord fd (Bytes.of_string "abcde") 5 : int);
   Client.c_close coord fd;
   let fd = Client.c_open coord "/lenprobe" Fs.Rdonly in
   let buf = Bytes.create 64 in
-  Alcotest.(check int) "plain read with hostile length" 5
-    (Client.c_read coord fd buf (-1));
+  expect_einval "plain read with hostile length" (fun () -> Client.c_read coord fd buf (-1));
+  Alcotest.(check int) "plain read after the refusal" 5 (Client.c_read coord fd buf 64);
   Client.c_close coord fd;
   (* the server survived: normal traffic still flows *)
   Alcotest.(check int) "server still serving" 5

@@ -393,7 +393,19 @@ let sample_replies =
       Wire.Wrong_shard { epoch = 7 };
     ]
 
+let payload_of req =
+  match Wire.decode_header (List.hd (Wire.encode_request ~sid:1L ~rid:1L req)) with
+  | Some h -> h.Wire.payload
+  | None -> Alcotest.fail "frame failed parse/CRC"
+
+let tag_of req = Char.code (payload_of req).[0]
+
 let test_codec_every_constructor () =
+  List.iter
+    (fun (tag, name) ->
+      if not (List.exists (fun req -> tag_of req = tag) sample_reqs) then
+        Alcotest.fail (Printf.sprintf "declared request %s (tag %d) has no sample" name tag))
+    Wire.declared;
   List.iter
     (fun req ->
       match Wire.decode_request_any (assemble (Wire.encode_request ~sid:1L ~rid:2L req)) with
@@ -427,11 +439,6 @@ let frame_with_payload ~sid ~rid payload =
   Bytes.to_string b
 
 let test_codec_hostile_carriers () =
-  let payload_of req =
-    match Wire.decode_header (List.hd (Wire.encode_request ~sid:1L ~rid:1L req)) with
-    | Some h -> h.Wire.payload
-    | None -> Alcotest.fail "frame failed parse/CRC"
-  in
   let be32 v = String.init 4 (fun i -> Char.chr ((v lsr (8 * (3 - i))) land 0xff)) in
   let carrier_head ~count = "\038" ^ be32 count in
   let stat_req = Wire.Stat { path = "/f"; timestamp = None } in
@@ -473,6 +480,198 @@ let test_codec_hostile_carriers () =
   | Wire.R_names [] -> ()
   | _ -> Alcotest.fail "the session should survive hostile carriers"
 
+(* Values that do not fit a field's wire type: a signed i32 carries a
+   negative value both ways, and a byte the field refuses is damage. *)
+let test_codec_exact () =
+  let back req =
+    match Wire.decode_request_any (payload_of req) with
+    | `Req r -> r
+    | `Unknown _ | `Malformed -> Alcotest.fail ("did not decode: " ^ Wire.req_name req)
+  in
+  (match back (Wire.Read { fd = 3; off = 0L; len = -1 }) with
+  | Wire.Read { len; _ } -> Alcotest.(check int) "negative i32 roundtrips" (-1) len
+  | _ -> Alcotest.fail "read decoded to the wrong request");
+  (match back (Wire.Heartbeat { shard = -0x8000_0000; epoch = 0x7fff_ffff }) with
+  | Wire.Heartbeat { shard; epoch } ->
+    Alcotest.(check int) "i32 minimum" (-0x8000_0000) shard;
+    Alcotest.(check int) "i32 maximum" 0x7fff_ffff epoch
+  | _ -> Alcotest.fail "heartbeat decoded to the wrong request");
+  Alcotest.check_raises "an int past i32 is refused"
+    (Invalid_argument "Wire: i32 field out of range") (fun () ->
+      ignore (payload_of (Wire.Close { fd = 0x8000_0000 }) : string));
+  let opn = payload_of (Wire.Open { path = "/f"; mode = 1; timestamp = None }) in
+  let mode_at = 1 + 4 + 2 in
+  List.iter
+    (fun mode ->
+      let p = Bytes.of_string opn in
+      Bytes.set_uint8 p mode_at mode;
+      match Wire.decode_request_any (Bytes.to_string p) with
+      | `Malformed -> ()
+      | `Req _ | `Unknown _ -> Alcotest.fail (Printf.sprintf "open mode %d should be malformed" mode))
+    [ 2; 0xff ]
+
+(* The class queries, pinned for every request.  Each row: read_only,
+   reissuable, mutating, relief, deadline_exempt. *)
+let test_class_queries () =
+  let row r = Wire.[ read_only r; reissuable r; mutating r; relief r; deadline_exempt r ] in
+  let expect req =
+    match Wire.carried req with
+    | Wire.Open _ | Wire.Read_file _ | Wire.Readdir _ | Wire.Stat _ | Wire.Exists _
+    | Wire.Query _ | Wire.Shard_read _ | Wire.Fetch_chunks _ | Wire.Get_placement ->
+      [ true; true; false; false; false ]
+    | Wire.Read _ | Wire.Filesize _ -> [ true; false; false; false; false ]
+    | Wire.Begin | Wire.Ping -> [ false; true; false; false; false ]
+    | Wire.Creat _ | Wire.Write _ | Wire.Ftruncate _ | Wire.Mkdir _ | Wire.Unlink _
+    | Wire.Rmdir _ | Wire.Rename _ | Wire.Set_owner _ | Wire.Set_type _ | Wire.Define_type _
+    | Wire.Shard_write _ | Wire.Shard_truncate _ | Wire.Migrate_in _ | Wire.Drop_bucket _
+    | Wire.Clone _ ->
+      [ false; false; true; false; false ]
+    | Wire.Abort | Wire.Bye -> [ false; false; false; true; true ]
+    | Wire.Crash_server -> [ false; false; false; false; true ]
+    | Wire.Hello | Wire.Commit | Wire.Close _ | Wire.Heartbeat _ | Wire.Snapshot
+    | Wire.Vacuum_step _ | Wire.Carry _ ->
+      [ false; false; false; false; false ]
+  in
+  List.iter
+    (fun req -> Alcotest.(check (list bool)) (Wire.req_name req) (expect req) (row req))
+    sample_reqs
+
+(* ---- golden corpus: the bytes every message had before the protocol
+   became one declaration table ---- *)
+
+let golden file =
+  let ic = open_in_bin (Filename.concat "wire_golden" file) in
+  let rec go acc =
+    match input_line ic with
+    | exception End_of_file ->
+      close_in ic;
+      List.rev acc
+    | line when line = "" || line.[0] = '#' -> go acc
+    | line ->
+      let kind, hex =
+        match String.split_on_char ' ' line with
+        | [ kind; hex ] -> (kind, hex)
+        | _ -> Alcotest.fail ("bad golden line in " ^ file)
+      in
+      go ((kind, String.init (String.length hex / 2) (fun i ->
+          Char.chr (int_of_string ("0x" ^ String.sub hex (2 * i) 2)))) :: acc)
+  in
+  go []
+
+let test_golden_samples () =
+  let lines = golden "samples.txt" in
+  let of_kind k = List.filter_map (fun (kind, p) -> if kind = k then Some p else None) lines in
+  let reqs = of_kind "req" and reps = of_kind "rep" in
+  Alcotest.(check int) "a payload per sample request" (List.length sample_reqs) (List.length reqs);
+  Alcotest.(check int) "a payload per sample reply" (List.length sample_replies) (List.length reps);
+  List.iter2
+    (fun req p ->
+      let name = Wire.req_name req in
+      Alcotest.(check string) ("encodes as before: " ^ name) p (payload_of req);
+      Alcotest.(check bool) ("decodes as before: " ^ name) true (Wire.decode_request p = Some req))
+    sample_reqs reqs;
+  List.iteri
+    (fun i (reply, p) ->
+      Alcotest.(check string) (Printf.sprintf "reply %d encodes as before" i) p
+        (assemble (Wire.encode_reply ~sid:1L ~rid:2L reply));
+      Alcotest.(check bool) (Printf.sprintf "reply %d decodes as before" i) true
+        (Wire.decode_reply p = Some reply))
+    (List.combine sample_replies reps)
+
+let test_golden_net_corpus () =
+  let lines = golden "net_quick.txt" in
+  Alcotest.(check bool) "corpus is there" true (List.length lines > 1000);
+  List.iteri
+    (fun i (kind, p) ->
+      let again =
+        match kind with
+        | "req" -> (
+          match Wire.decode_request p with
+          | Some req -> payload_of req
+          | None -> Alcotest.fail (Printf.sprintf "request %d no longer decodes" i))
+        | _ -> (
+          match Wire.decode_reply p with
+          | Some reply -> assemble (Wire.encode_reply ~sid:1L ~rid:2L reply)
+          | None -> Alcotest.fail (Printf.sprintf "reply %d no longer decodes" i))
+      in
+      if again <> p then Alcotest.fail (Printf.sprintf "%s %d re-encodes to other bytes" kind i))
+    lines
+
+(* ---- hostile payloads, derived from the declarations ----
+
+   For every field of every sample request, splice in values the field's
+   type allows on the wire but a well-behaved peer never sends, put the
+   payload in a frame with a valid CRC, and send it.  Each must decode as
+   damage, as an unknown opcode, or to a request the server answers with
+   a result or a typed errno; and a second session must still be served
+   after each. *)
+let test_codec_hostile_fields () =
+  let _, _, server, net = mk () in
+  let r = raw_connect server net in
+  let other = raw_connect server net in
+  ignore (raw_ok r server (Wire.Mkdir { path = "/a" }) : Wire.result);
+  let fd = raw_fd r server (Wire.Creat { path = "/a/b"; device = None; ftype = None; compressed = false }) in
+  ignore (raw_ok r server (Wire.Write { fd; off = 0L; data = "contents" }) : Wire.result);
+  ignore (raw_ok r server (Wire.Close { fd }) : Wire.result);
+  let be32 v = String.init 4 (fun i -> Char.chr ((v asr (8 * (3 - i))) land 0xff)) in
+  let be64 v =
+    String.init 8 (fun i -> Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * (7 - i))) land 0xff))
+  in
+  let splice p off len s = String.sub p 0 off ^ s ^ String.sub p (off + len) (String.length p - off - len) in
+  let byte v = String.make 1 (Char.chr v) in
+  let mutations p (field, off) =
+    match field with
+    | `I32 -> List.map (fun v -> splice p off 4 (be32 v)) [ -1; 0; Wire.max_read_len + 1; 0x7fff_ffff ]
+    | `I64 ->
+      List.map (fun v -> splice p off 8 (be64 v))
+        [ -1L; 0L; Int64.of_int (Wire.max_read_len + 1); Int64.max_int ]
+    | `Byte -> List.map (fun v -> splice p off 1 (byte v)) [ 0; 1; 2; 0xff ]
+    | `Bool -> List.map (fun v -> splice p off 1 (byte v)) [ 2; 0xff ]
+    | `Opt -> List.init 254 (fun i -> splice p off 1 (byte (i + 2)))
+    | `Count -> List.map (fun v -> splice p off 4 (be32 v)) [ 0x8000_0000; -1; 0x7fff_ffff ]
+    | `Str ->
+      let n = Int32.to_int (String.get_int32_be p off) in
+      let rest = String.length p - off - 4 in
+      [ splice p off 4 (be32 (rest + 1)); splice p off 4 (be32 0x7fff_ffff) ]
+      @ List.map (fun s -> splice p off (4 + n) (be32 (String.length s) ^ s)) [ ""; ".."; "a\000b"; "/a/../b" ]
+  in
+  let cases = ref 0 and seen = Hashtbl.create 64 in
+  let served = Hashtbl.create 64 in
+  let try_payload req payload =
+    incr cases;
+    Hashtbl.replace seen (tag_of req) ();
+    r.r_rid <- Int64.add r.r_rid 1L;
+    Link.send r.r_link Link.To_server (frame_with_payload ~sid:r.r_sid ~rid:r.r_rid payload);
+    Server.pump server;
+    let replies = raw_replies r in
+    let what = Printf.sprintf "%s case %d" (Wire.req_name req) !cases in
+    (match (Wire.decode_request_any payload, replies) with
+    | `Malformed, [] -> ()
+    | `Unknown op, [ (_, Wire.Unsupported { opcode }) ] -> Alcotest.(check int) what op opcode
+    | `Req _, [ (_, (Wire.Ok_reply _ | Wire.Err_reply _)) ] ->
+      Hashtbl.replace served (tag_of req) ()
+    | _ -> Alcotest.fail (what ^ ": not dropped, refused or answered"));
+    (* whatever it began ends here, and the other session is still served *)
+    ignore (raw_send r Wire.Abort : int64);
+    Server.pump server;
+    ignore (raw_replies r : (int64 * Wire.reply) list);
+    match raw_ok other server (Wire.Stat { path = "/a/b"; timestamp = None }) with
+    | Wire.R_att _ -> ()
+    | _ -> Alcotest.fail (what ^ ": the other session went unserved")
+  in
+  List.iter
+    (fun req ->
+      let p = payload_of req in
+      try_payload req (p ^ "\000");
+      List.iter (fun f -> List.iter (try_payload req) (mutations p f)) (Wire.fields req))
+    sample_reqs;
+  Printf.printf "hostile payloads: %d cases over %d requests, %d of them served mutated\n" !cases
+    (Hashtbl.length seen) (Hashtbl.length served);
+  List.iter
+    (fun (tag, name) ->
+      if not (Hashtbl.mem seen tag) then Alcotest.fail ("no hostile case for " ^ name))
+    Wire.declared
+
 (* ---- a faultless session ---- *)
 
 let test_basic_session () =
@@ -493,6 +692,11 @@ let test_basic_session () =
   let rows = Client.c_query c "retrieve (filename) where size(file) > 0" in
   Alcotest.(check bool) "query saw the file" true
     (List.exists (List.exists (fun s -> s = "f" || s = "\"f\"")) rows);
+  (* a query that does not parse or evaluate is the caller's error, not
+     the server's *)
+  List.iter
+    (fun q -> ignore (expect_error E.EINVAL (fun () -> Client.c_query c q) : string))
+    [ "retrieve ("; "retrieve (nosuchfn(file))"; "retrieve (size(file, file))" ];
   Alcotest.(check int) "no retries on a clean wire" 0 (Client.retries c)
 
 (* ---- exactly-once: duplicated committed write ---- *)
@@ -594,6 +798,50 @@ let test_session_death_mid_txn_clean_abort () =
   Alcotest.(check string) "no partial progress" "stable" (Bytes.to_string back);
   Alcotest.(check int) "one session lost" 1 (Client.sessions_lost c);
   Alcotest.(check bool) "server recovered once" true (Server.crashes server = 1)
+
+(* ---- a clone whose reply died with the session ----
+
+   The clone executes and commits, its reply is dropped, and the retry
+   reaches a server that crashed on receipt: the session is gone.  A
+   clone creates a file, so the client must not report a plain loss. *)
+
+let test_lost_clone_is_indeterminate () =
+  let _, _, server, net = mk () in
+  let c = mk_client server net 12L in
+  Client.write_file c "/f" (Bytes.of_string "source");
+  let plan = F.create () in
+  F.arm_link plan (Client.link c);
+  (* message 1 = the clone; 2 = its reply: drop it; 3 = the retry: the
+     server dies as it arrives *)
+  F.schedule_net plan ~after:2 F.Net_drop;
+  F.schedule_net plan ~after:3 F.Net_server_crash;
+  let msg = expect_error E.ECONNRESET (fun () -> Client.c_clone c ~src:"/f" ~dst:"/f.clone") in
+  F.disarm plan;
+  Alcotest.(check string) "reported as indeterminate" "session lost; clone outcome indeterminate" msg;
+  Alcotest.(check bool) "the predicate recognises it" true (Client.outcome_indeterminate msg);
+  Alcotest.(check bool) "the server crashed once" true (Server.crashes server = 1);
+  Alcotest.(check string) "the clone landed" "source"
+    (Bytes.to_string (Client.read_whole_file c "/f.clone"))
+
+(* ---- a length the buffer cannot hold fails before anything is sent ---- *)
+
+let test_bad_length_sends_nothing () =
+  let _, _, server, net = mk () in
+  let c = mk_client server net 13L in
+  let fd = Client.c_creat c "/f" in
+  let buf = Bytes.create 8 in
+  let sent = Netsim.messages net in
+  List.iter
+    (fun (what, call) ->
+      ignore (expect_error E.EINVAL (fun () -> call ()) : string);
+      Alcotest.(check int) (what ^ ": nothing sent") sent (Netsim.messages net))
+    [
+      ("read, negative", fun () -> Client.c_read c fd buf (-1));
+      ("read, past the buffer", fun () -> Client.c_read c fd buf 9);
+      ("write, negative", fun () -> Client.c_write c fd buf (-1));
+      ("write, past the buffer", fun () -> Client.c_write c fd buf 9);
+    ];
+  Alcotest.(check int) "a good length still works" 8 (Client.c_write c fd buf 8)
 
 (* ---- poisoned frame: server crashes mid-request ---- *)
 
@@ -1564,6 +1812,12 @@ let () =
             test_unknown_opcode_unsupported;
           Alcotest.test_case "every constructor roundtrips" `Quick test_codec_every_constructor;
           Alcotest.test_case "hostile carriers are malformed" `Quick test_codec_hostile_carriers;
+          Alcotest.test_case "values that do not fit" `Quick test_codec_exact;
+          Alcotest.test_case "class queries" `Quick test_class_queries;
+          Alcotest.test_case "golden sample payloads" `Quick test_golden_samples;
+          Alcotest.test_case "golden net payloads" `Quick test_golden_net_corpus;
+          Alcotest.test_case "hostile payloads from the declarations" `Quick
+            test_codec_hostile_fields;
         ] );
       ( "rpc",
         [
@@ -1579,6 +1833,10 @@ let () =
         [
           Alcotest.test_case "mid-txn death is a clean abort" `Quick
             test_session_death_mid_txn_clean_abort;
+          Alcotest.test_case "lost clone reply is indeterminate" `Quick
+            test_lost_clone_is_indeterminate;
+          Alcotest.test_case "bad read/write length sends nothing" `Quick
+            test_bad_length_sends_nothing;
           Alcotest.test_case "server crash mid-request" `Quick
             test_server_crash_mid_request;
           Alcotest.test_case "lease expiry frees locks" `Quick
