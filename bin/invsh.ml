@@ -427,7 +427,6 @@ let repl shell ~input ~interactive =
        | Invalid_argument msg -> say "error: %s" msg
        | Postquel.Parser.Parse_error msg -> say "parse error: %s" msg
        | Postquel.Lexer.Lex_error (msg, pos) -> say "lex error at %d: %s" pos msg
-       | Postquel.Eval.Unknown_function f -> say "error: unknown function %s" f
        | Not_found -> say "error: not found")
      done
    with Exit | End_of_file -> ());

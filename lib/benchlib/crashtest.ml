@@ -102,7 +102,6 @@ let outcome_to_string o =
 (* ---------- harness state ---------- *)
 
 type state = {
-  cfg : config;
   w : Fsops.t;
   db : Relstore.Db.t;
   fs : Fs.t;
@@ -114,73 +113,6 @@ type state = {
   mutable scrub_repaired : int;
   mutable latent_rots : int;
 }
-
-(* ---------- ops ---------- *)
-
-let op_write st (ss : Fsops.sess) =
-  let w = st.w in
-  match Oracle.pick_file w.ora ss.ov w.rng with
-  | None -> Fsops.create_file w ss
-  | Some (path, oid) ->
-    let cur = Oracle.view_content w.ora ss.ov oid in
-    let len = Bytes.length cur in
-    (* Inside a transaction, several sequential p_writes exercise the
-       write-coalescing path; outside, one p_write is one transaction so
-       the op stays atomic (a single large write still spans chunks). *)
-    let nseg = if Oracle.in_txn ss.ov then 1 + Rng.int w.rng 3 else 1 in
-    let segs = List.init nseg (fun _ -> Rng.bytes w.rng (1 + Rng.int w.rng 6800)) in
-    let total = List.fold_left (fun a s -> a + Bytes.length s) 0 segs in
-    let off =
-      if len + total > st.cfg.max_file_bytes then
-        (* overwrite-only: stay inside the existing extent *)
-        if len - total <= 0 then 0 else Rng.int w.rng (len - total + 1)
-      else Rng.int w.rng (len + 1)
-    in
-    Oracle.trace w.ora "s%d write %s (oid %Ld) off=%d total=%d nseg=%d cur_len=%d" ss.id
-      path oid off total nseg len;
-    let fd = Fs.p_open ss.s path Fs.Rdwr in
-    ignore (Fs.p_lseek ss.s fd (Int64.of_int off) Fs.Seek_set : int64);
-    List.iter (fun seg -> ignore (Fs.p_write ss.s fd seg (Bytes.length seg) : int)) segs;
-    Fs.p_close ss.s fd;
-    let data = Bytes.concat Bytes.empty segs in
-    { Oracle.no_updates with u_files = [ (oid, Oracle.splice cur ~off data) ] }
-
-let op_truncate st (ss : Fsops.sess) =
-  let w = st.w in
-  match Oracle.pick_file w.ora ss.ov w.rng with
-  | None -> Fsops.create_file w ss
-  | Some (path, oid) ->
-    let cur = Oracle.view_content w.ora ss.ov oid in
-    let len = Bytes.length cur in
-    let new_len = Rng.int w.rng (min (len + 8000) st.cfg.max_file_bytes + 1) in
-    Oracle.trace w.ora "s%d trunc %s (oid %Ld) %d -> %d" ss.id path oid len new_len;
-    let fd = Fs.p_open ss.s path Fs.Rdwr in
-    Fs.ftruncate ss.s fd (Int64.of_int new_len);
-    Fs.p_close ss.s fd;
-    { Oracle.no_updates with u_files = [ (oid, Oracle.resize cur new_len) ] }
-
-(* Weighted op choice.  In-transaction sessions must eventually commit or
-   abort; sessions outside a transaction sometimes begin one. *)
-let gen_op st (ss : Fsops.sess) =
-  let w = st.w in
-  let r = Rng.int w.rng 100 in
-  if Oracle.in_txn ss.ov then
-    if r < 30 then op_write st
-    else if r < 40 then Fsops.create_file w
-    else if r < 48 then op_truncate st
-    else if r < 54 then Fsops.unlink w
-    else if r < 60 then Fsops.rename w
-    else if r < 72 then Fsops.read_check w
-    else if r < 90 then Fsops.commit w
-    else Fsops.abort w
-  else if r < 28 then op_write st
-  else if r < 40 then Fsops.create_file w
-  else if r < 46 then Fsops.mkdir w
-  else if r < 54 then op_truncate st
-  else if r < 62 then Fsops.unlink w
-  else if r < 70 then Fsops.rename w
-  else if r < 88 then Fsops.read_check w
-  else Fsops.begin_txn w
 
 (* ---------- crash / recovery / verification ---------- *)
 
@@ -195,7 +127,7 @@ let do_crash st ~injected =
   st.indexes_rebuilt <- st.indexes_rebuilt + Recovery.indexes_rebuilt rep;
   if not (Recovery.is_clean rep) then
     Oracle.mismatch st.w.ora "recovery not clean: %s" (Recovery.report_to_string rep);
-  Fsops.recovered st.w st.fs;
+  Fsops.recovered st.w;
   (* Arm the next random crash point. *)
   Faultsim.schedule_random_crash st.plan st.w.rng ~within:(30 + Rng.int st.w.rng 150)
 
@@ -239,10 +171,10 @@ let run ?(config = default_config) ~seed () =
   Faultsim.arm_cache plan (Relstore.Db.cache db);
   let st =
     {
-      cfg = config;
       w =
         Fsops.create ~rng ~ora:(Oracle.create ~trace:config.trace ~depth:8)
-          ~max_dirs:config.max_dirs ~sessions:config.sessions fs;
+          ~max_dirs:config.max_dirs ~max_file_bytes:config.max_file_bytes fs
+          (Array.init config.sessions (fun _ -> Fsops.Local (Fs.new_session fs)));
       db;
       fs;
       plan;
@@ -321,7 +253,7 @@ let run ?(config = default_config) ~seed () =
          transactions (crash-with-multiple-open-sessions coverage) *)
       do_crash st ~injected:false
     else
-      Fsops.run_one st.w ~gen:(gen_op st) ~crash:(fun () -> do_crash st ~injected:true);
+      Fsops.run_one st.w ~gen:(Fsops.gen_op st.w) ~crash:(fun () -> do_crash st ~injected:true);
     if config.scrub_interval > 0 && i > 0 && i mod config.scrub_interval = 0 then
       scrub_step st ~pages:64;
     if i > 0 && i mod config.snapshot_interval = 0 then Oracle.remember_now st.w.ora db

@@ -1,8 +1,8 @@
 (** Differential crash-recovery harness.
 
-    Runs a randomized workload (create/write/append/truncate/rename/
-    unlink/txn begin/commit/abort across several sessions) against the
-    real {!Invfs.Fs} while a pure in-memory oracle tracks the committed
+    Runs {!Fsops}' randomized workload (create/write/truncate/rename/
+    unlink/txn begin/commit/abort across several local sessions) against
+    the real {!Invfs.Fs} while a pure in-memory oracle tracks the committed
     state the file system must equal.  A seeded {!Faultsim} plan injects
     machine crashes at random device writes and transient I/O errors;
     after every crash the harness runs {!Invfs.Recovery.crash_and_recover}

@@ -1,71 +1,273 @@
-(* The local-session workload shared by Crashtest and Vacuumtest; see
-   fsops.mli. *)
+(* The workload shared by the harnesses that drive Inversion sessions,
+   local or remote; see fsops.mli. *)
 
+module SM = Oracle.SM
+module OM = Oracle.OM
 module Rng = Simclock.Rng
 module Fs = Invfs.Fs
 module Errors = Invfs.Errors
 module Device = Pagestore.Device
+module Client = Remote.Client
 
-type sess = { id : int; mutable s : Fs.session; ov : Oracle.overlay }
+type conn = Local of Fs.session | Remote of Client.t
+
+(* ---------- the two session kinds ---------- *)
+
+module Conn = struct
+  let creat conn path =
+    match conn with
+    | Local s -> Fs.p_close s (Fs.p_creat s path)
+    | Remote c -> Client.c_close c (Client.c_creat c path)
+
+  let mkdir conn path =
+    match conn with Local s -> Fs.mkdir s path | Remote c -> Client.c_mkdir c path
+
+  let unlink conn path =
+    match conn with Local s -> Fs.unlink s path | Remote c -> Client.c_unlink c path
+
+  let rename conn src dst =
+    match conn with
+    | Local s -> Fs.rename s src dst
+    | Remote c -> Client.c_rename c src dst
+
+  let read conn path =
+    match conn with
+    | Local s -> Fs.read_whole_file s path
+    | Remote c -> Client.read_whole_file c path
+
+  let write conn path ~off segs =
+    match conn with
+    | Local s ->
+      let fd = Fs.p_open s path Fs.Rdwr in
+      ignore (Fs.p_lseek s fd (Int64.of_int off) Fs.Seek_set : int64);
+      List.iter (fun seg -> ignore (Fs.p_write s fd seg (Bytes.length seg) : int)) segs;
+      Fs.p_close s fd
+    | Remote c ->
+      let fd = Client.c_open c path Fs.Rdwr in
+      ignore (Client.c_lseek c fd (Int64.of_int off) Fs.Seek_set : int64);
+      List.iter (fun seg -> ignore (Client.c_write c fd seg (Bytes.length seg) : int)) segs;
+      Client.c_close c fd
+
+  let truncate conn path len =
+    match conn with
+    | Local s ->
+      let fd = Fs.p_open s path Fs.Rdwr in
+      Fs.ftruncate s fd (Int64.of_int len);
+      Fs.p_close s fd
+    | Remote c ->
+      let fd = Client.c_open c path Fs.Rdwr in
+      Client.c_ftruncate c fd (Int64.of_int len);
+      Client.c_close c fd
+
+  let clone conn ~src ~dst =
+    match conn with
+    | Local s -> ignore (Fs.clone s ~src ~dst : int64)
+    | Remote c -> Client.c_clone c ~src ~dst
+
+  let begin_txn = function Local s -> Fs.p_begin s | Remote c -> Client.c_begin c
+  let commit = function Local s -> Fs.p_commit s | Remote c -> Client.c_commit c
+  let abort = function Local s -> Fs.p_abort s | Remote c -> Client.c_abort c
+end
+
+(* ---------- probes ----------
+
+   A probe answers "did this op's effects commit?" by reading the
+   committed state As_of now through a fresh local session.  Historical
+   reads take no locks (other sessions may be mid-transaction) and see
+   only committed data, which is exactly the question. *)
+
+type probe = { describe : string; check : Fs.session -> int64 -> bool }
+
+let probe_content path expect =
+  {
+    describe = Printf.sprintf "content of %s" path;
+    check =
+      (fun s ts ->
+        match Fs.read_whole_file s ~timestamp:ts path with
+        | real -> Bytes.equal real expect
+        | exception Errors.Fs_error _ -> false);
+  }
+
+let probe_exists path =
+  {
+    describe = Printf.sprintf "existence of %s" path;
+    check = (fun s ts -> Fs.exists s ~timestamp:ts path);
+  }
+
+let probe_absent path =
+  {
+    describe = Printf.sprintf "absence of %s" path;
+    check = (fun s ts -> not (Fs.exists s ~timestamp:ts path));
+  }
+
+let probe_always =
+  { describe = "(no observable difference)"; check = (fun _ _ -> true) }
+
+(* The first update whose committed-vs-new state differs decides the
+   probe; if nothing distinguishes, landing and aborting produce the same
+   state and "landed" is vacuously true.  Name changes probe first (a
+   created or vacated path is the crispest signal); content updates need
+   a path that would name the oid after the commit. *)
+let probe_of_updates ora (u : Oracle.updates) =
+  let committed = Oracle.names ora in
+  let tombstoned p = List.exists (fun (q, v) -> q = p && v = None) u.u_names in
+  let path_of_oid oid =
+    match List.find_opt (fun (_, v) -> v = Some oid) u.u_names with
+    | Some (p, _) -> Some p
+    | None ->
+      SM.fold
+        (fun p o acc ->
+          if acc = None && o = oid && not (tombstoned p) then Some p else acc)
+        committed None
+  in
+  let rec files = function
+    | [] -> (
+      match u.u_dirs with [] -> probe_always | d :: _ -> probe_exists d)
+    | (oid, b) :: rest -> (
+      match path_of_oid oid with
+      | None -> files rest
+      | Some path -> (
+        match OM.find_opt oid (Oracle.files ora) with
+        | Some cur when Bytes.equal b cur -> files rest
+        | _ -> probe_content path b))
+  in
+  let rec names = function
+    | [] -> files u.u_files
+    | (path, Some _) :: rest ->
+      if SM.mem path committed then names rest else probe_exists path
+    | (path, None) :: rest ->
+      if SM.mem path committed then probe_absent path else names rest
+  in
+  names u.u_names
+
+(* ---------- workload state ---------- *)
+
+type sess = {
+  id : int;
+  mutable conn : conn;
+  ov : Oracle.overlay;
+  mutable pending : (Oracle.updates * probe) option;
+}
 
 type t = {
   rng : Rng.t;
   ora : Oracle.t;
+  fs : Fs.t;
   max_dirs : int;
+  max_file_bytes : int;
   sessions : sess array;
+  mutable current : sess option;
   mutable ops_attempted : int;
   mutable ops_applied : int;
   mutable commits : int;
   mutable aborts : int;
   mutable lock_skips : int;
   mutable io_faults : int;
+  mutable indeterminate : int;
+  mutable landed : int;
   mutable time_travel_checks : int;
 }
 
-let create ~rng ~ora ~max_dirs ~sessions fs =
+let create ~rng ~ora ~max_dirs ~max_file_bytes fs conns =
   {
     rng;
     ora;
+    fs;
     max_dirs;
+    max_file_bytes;
     sessions =
-      Array.init sessions (fun id ->
-          { id; s = Fs.new_session fs; ov = Oracle.overlay () });
+      Array.mapi (fun id conn -> { id; conn; ov = Oracle.overlay (); pending = None }) conns;
+    current = None;
     ops_attempted = 0;
     ops_applied = 0;
     commits = 0;
     aborts = 0;
     lock_skips = 0;
     io_faults = 0;
+    indeterminate = 0;
+    landed = 0;
     time_travel_checks = 0;
   }
 
-(* ---------- ops ---------- *)
+(* ---------- ops ----------
+
+   Each mutating op registers [ss.pending] (its updates and the probe
+   that would show whether they committed) before its first mutating
+   call, and returns the updates on success.  Outside a transaction an
+   op makes exactly one mutating call, so the pending record covers
+   precisely the call whose outcome a lost session can leave unknown. *)
 
 let create_file w ss =
   let path = Oracle.fresh_path w.ora ss.ov w.rng "f" in
-  let fd = Fs.p_creat ss.s path in
-  let oid = Fs.fd_oid ss.s fd in
-  Fs.p_close ss.s fd;
+  let oid = Oracle.fresh_oid w.ora in
   Oracle.trace w.ora "s%d creat %s -> oid %Ld" ss.id path oid;
-  let u_names = [ (path, Some oid) ] and u_files = [ (oid, Bytes.empty) ] in
-  { Oracle.no_updates with u_names; u_files }
+  let u =
+    { Oracle.no_updates with u_names = [ (path, Some oid) ]; u_files = [ (oid, Bytes.empty) ] }
+  in
+  ss.pending <- Some (u, probe_exists path);
+  Conn.creat ss.conn path;
+  u
 
 let mkdir w ss =
   if List.length (Oracle.view_dirs w.ora ss.ov) >= w.max_dirs then create_file w ss
   else begin
     let path = Oracle.fresh_path w.ora ss.ov w.rng "d" in
-    Fs.mkdir ss.s path;
     Oracle.trace w.ora "s%d mkdir %s" ss.id path;
-    { Oracle.no_updates with u_dirs = [ path ] }
+    let u = { Oracle.no_updates with u_dirs = [ path ] } in
+    ss.pending <- Some (u, probe_exists path);
+    Conn.mkdir ss.conn path;
+    u
   end
+
+let write w ss =
+  match Oracle.pick_file w.ora ss.ov w.rng with
+  | None -> create_file w ss
+  | Some (path, oid) ->
+    let cur = Oracle.view_content w.ora ss.ov oid in
+    let len = Bytes.length cur in
+    (* Inside a transaction, several sequential writes exercise the
+       write-coalescing path; outside, one write is one transaction so
+       the op stays atomic (a single large write still spans chunks). *)
+    let nseg = if Oracle.in_txn ss.ov then 1 + Rng.int w.rng 3 else 1 in
+    let segs = List.init nseg (fun _ -> Rng.bytes w.rng (1 + Rng.int w.rng 6800)) in
+    let total = List.fold_left (fun a s -> a + Bytes.length s) 0 segs in
+    let off =
+      if len + total > w.max_file_bytes then
+        (* overwrite-only: stay inside the existing extent *)
+        if len - total <= 0 then 0 else Rng.int w.rng (len - total + 1)
+      else Rng.int w.rng (len + 1)
+    in
+    Oracle.trace w.ora "s%d write %s (oid %Ld) off=%d total=%d nseg=%d cur_len=%d" ss.id
+      path oid off total nseg len;
+    let after = Oracle.splice cur ~off (Bytes.concat Bytes.empty segs) in
+    let u = { Oracle.no_updates with u_files = [ (oid, after) ] } in
+    ss.pending <- Some (u, probe_content path after);
+    Conn.write ss.conn path ~off segs;
+    u
+
+let truncate w ss =
+  match Oracle.pick_file w.ora ss.ov w.rng with
+  | None -> create_file w ss
+  | Some (path, oid) ->
+    let cur = Oracle.view_content w.ora ss.ov oid in
+    let len = Bytes.length cur in
+    let new_len = Rng.int w.rng (min (len + 8000) w.max_file_bytes + 1) in
+    Oracle.trace w.ora "s%d trunc %s (oid %Ld) %d -> %d" ss.id path oid len new_len;
+    let after = Oracle.resize cur new_len in
+    let u = { Oracle.no_updates with u_files = [ (oid, after) ] } in
+    ss.pending <- Some (u, probe_content path after);
+    Conn.truncate ss.conn path new_len;
+    u
 
 let unlink w ss =
   match Oracle.pick_file w.ora ss.ov w.rng with
   | None -> create_file w ss
   | Some (path, _oid) ->
     Oracle.trace w.ora "s%d unlink %s" ss.id path;
-    Fs.unlink ss.s path;
-    { Oracle.no_updates with u_names = [ (path, None) ] }
+    let u = { Oracle.no_updates with u_names = [ (path, None) ] } in
+    ss.pending <- Some (u, probe_absent path);
+    Conn.unlink ss.conn path;
+    u
 
 let rename w ss =
   match Oracle.pick_file w.ora ss.ov w.rng with
@@ -73,15 +275,17 @@ let rename w ss =
   | Some (path, oid) ->
     let dst = Oracle.fresh_path w.ora ss.ov w.rng "r" in
     Oracle.trace w.ora "s%d rename %s -> %s (oid %Ld)" ss.id path dst oid;
-    Fs.rename ss.s path dst;
-    { Oracle.no_updates with u_names = [ (path, None); (dst, Some oid) ] }
+    let u = { Oracle.no_updates with u_names = [ (path, None); (dst, Some oid) ] } in
+    ss.pending <- Some (u, probe_exists dst);
+    Conn.rename ss.conn path dst;
+    u
 
 let read_check w ss =
   (match Oracle.pick_file w.ora ss.ov w.rng with
   | None -> ()
   | Some (path, oid) -> (
     Oracle.trace w.ora "s%d read %s (oid %Ld)" ss.id path oid;
-    let real = Fs.read_whole_file ss.s path in
+    let real = Conn.read ss.conn path in
     let expect = Oracle.view_content w.ora ss.ov oid in
     match Oracle.bytes_diff expect real with
     | None -> ()
@@ -98,43 +302,104 @@ let read_check w ss =
 
 let begin_txn w ss =
   Oracle.trace w.ora "s%d begin" ss.id;
-  Fs.p_begin ss.s;
+  Conn.begin_txn ss.conn;
   Oracle.begin_txn ss.ov;
   Oracle.no_updates
 
 let commit w ss =
   Oracle.trace w.ora "s%d commit" ss.id;
-  Fs.p_commit ss.s;
-  (* merge only after p_commit returned: if it raised, nothing lands *)
-  Oracle.commit w.ora (Oracle.overlay_updates ss.ov);
+  let u = Oracle.overlay_updates ss.ov in
+  ss.pending <- Some (u, probe_of_updates w.ora u);
+  Conn.commit ss.conn;
+  (* merge only after the commit returned: if it raised, nothing lands *)
+  Oracle.commit w.ora u;
   Oracle.clear ss.ov;
   w.commits <- w.commits + 1;
   Oracle.no_updates
 
 let abort w ss =
   Oracle.trace w.ora "s%d abort" ss.id;
-  Fs.p_abort ss.s;
+  Conn.abort ss.conn;
   Oracle.clear ss.ov;
   w.aborts <- w.aborts + 1;
   Oracle.no_updates
 
+(* Weighted op choice.  In-transaction sessions must eventually commit or
+   abort; sessions outside a transaction sometimes begin one. *)
+let gen_op w ss =
+  let r = Rng.int w.rng 100 in
+  if Oracle.in_txn ss.ov then
+    if r < 30 then write w
+    else if r < 40 then create_file w
+    else if r < 48 then truncate w
+    else if r < 54 then unlink w
+    else if r < 60 then rename w
+    else if r < 72 then read_check w
+    else if r < 90 then commit w
+    else abort w
+  else if r < 28 then write w
+  else if r < 40 then create_file w
+  else if r < 46 then mkdir w
+  else if r < 54 then truncate w
+  else if r < 62 then unlink w
+  else if r < 70 then rename w
+  else if r < 88 then read_check w
+  else begin_txn w
+
 (* ---------- running ops ---------- *)
 
+(* A local session says whether it still holds a transaction; a remote
+   one is told to abort when its overlay has one open, and an abort on a
+   dead session reports success, since aborting is what the loss already
+   did. *)
 let safe_abort w ss =
-  if Fs.in_transaction ss.s then (try Fs.p_abort ss.s with _ -> ());
+  (match ss.conn with
+  | Local s -> if Fs.in_transaction s then (try Fs.p_abort s with _ -> ())
+  | Remote c -> if Oracle.in_txn ss.ov then (try Client.c_abort c with _ -> ()));
   if Oracle.in_txn ss.ov then w.aborts <- w.aborts + 1;
   Oracle.clear ss.ov
+
+let resolve_indeterminate w ss =
+  w.indeterminate <- w.indeterminate + 1;
+  match ss.pending with
+  | None ->
+    Oracle.mismatch w.ora "s%d: indeterminate outcome but no pending op to probe" ss.id
+  | Some (u, probe) ->
+    let s = Fs.new_session w.fs in
+    let ts = Relstore.Db.now (Fs.db w.fs) in
+    w.time_travel_checks <- w.time_travel_checks + 1;
+    if probe.check s ts then begin
+      Oracle.trace w.ora "s%d .. probe of %s: LANDED" ss.id probe.describe;
+      w.landed <- w.landed + 1;
+      Oracle.commit w.ora u;
+      if Oracle.in_txn ss.ov then w.commits <- w.commits + 1
+    end
+    else begin
+      Oracle.trace w.ora "s%d .. probe of %s: did not land" ss.id probe.describe;
+      if Oracle.in_txn ss.ov then w.aborts <- w.aborts + 1
+    end
 
 let run_one w ~gen ~crash =
   w.ops_attempted <- w.ops_attempted + 1;
   Oracle.trace w.ora "-- op %d" w.ops_attempted;
   let ss = w.sessions.(Rng.int w.rng (Array.length w.sessions)) in
   let op = gen ss in
-  match op ss with
+  ss.pending <- None;
+  w.current <- Some ss;
+  (match op ss with
   | u ->
     Oracle.record w.ora ss.ov u;
     w.ops_applied <- w.ops_applied + 1
   | exception Device.Crash_injected _ -> crash ()
+  | exception Errors.Fs_error (Errors.ECONNRESET, msg) ->
+    Oracle.trace w.ora "s%d .. ECONNRESET: %s" ss.id msg;
+    (* the session died.  If the outcome is ambiguous (a commit or an
+       auto-commit mutation may or may not have applied), probe the
+       committed state; a clean "transaction aborted" just drops the
+       overlay: the server rolled everything back. *)
+    if Client.outcome_indeterminate msg then resolve_indeterminate w ss
+    else if Oracle.in_txn ss.ov then w.aborts <- w.aborts + 1;
+    Oracle.clear ss.ov
   | exception Device.Io_fault _ ->
     Oracle.trace w.ora "s%d .. io fault" ss.id;
     w.io_faults <- w.io_faults + 1;
@@ -145,7 +410,7 @@ let run_one w ~gen ~crash =
     Oracle.mismatch w.ora "op hit media failure on %s/%d/%d: %s" device segid blkno
       reason;
     safe_abort w ss
-  | exception Errors.Fs_error ((Errors.EAGAIN | Errors.EDEADLK), _) ->
+  | exception Errors.Fs_error ((Errors.EAGAIN | Errors.EDEADLK | Errors.ETIMEDOUT), _) ->
     Oracle.trace w.ora "s%d .. lock skip" ss.id;
     w.lock_skips <- w.lock_skips + 1;
     safe_abort w ss
@@ -153,17 +418,26 @@ let run_one w ~gen ~crash =
     (* commit found a file unlinked by a concurrent session: the
        transaction cannot complete *)
     safe_abort w ss
+  | exception Errors.Fs_error (Errors.ENOENT, "raced with a concurrent unlink") ->
+    (* the server's answer to the same Not_found *)
+    Oracle.trace w.ora "s%d .. unlink race" ss.id;
+    safe_abort w ss
   | exception Errors.Fs_error (code, msg) ->
     Oracle.mismatch w.ora "unexpected fs error %s: %s" (Errors.code_to_string code) msg;
-    safe_abort w ss
+    safe_abort w ss);
+  ss.pending <- None;
+  w.current <- None
 
-let recovered w fs =
+let recovered w =
   (* pre-crash sessions are dead: fresh ones, uncommitted overlays gone *)
-  Array.iter
-    (fun ss ->
-      ss.s <- Fs.new_session fs;
-      Oracle.clear ss.ov)
-    w.sessions;
-  let s0 = w.sessions.(0).s in
-  Oracle.verify w.ora s0 ~phase:"post-crash";
-  w.time_travel_checks <- w.time_travel_checks + Oracle.check_time_travel w.ora s0
+  let fresh =
+    Array.map
+      (fun ss ->
+        let s = Fs.new_session w.fs in
+        ss.conn <- Local s;
+        Oracle.clear ss.ov;
+        s)
+      w.sessions
+  in
+  Oracle.verify w.ora fresh.(0) ~phase:"post-crash";
+  w.time_travel_checks <- w.time_travel_checks + Oracle.check_time_travel w.ora fresh.(0)

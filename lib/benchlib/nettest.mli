@@ -1,7 +1,8 @@
 (** Differential network-fault harness: {!Crashtest}'s sibling for the
     client/server protocol.
 
-    A fleet of {!Remote.Client} sessions drives a randomized workload
+    A fleet of {!Remote.Client} sessions drives {!Crashtest}'s randomized
+    workload ({!Fsops}' ops, op mix and op runner on remote sessions)
     through real {!Remote.Wire} frames over {!Netsim.Link} connections
     while a seeded {!Faultsim} plan injects network faults (drop,
     duplicate, reorder, corrupt, one-way partition, poisoned

@@ -130,16 +130,13 @@ let op_write st (ss : Fsops.sess) =
     let data = Rng.bytes w.rng (1 + Rng.int w.rng 6800) in
     let dlen = Bytes.length data in
     let off =
-      if len + dlen > st.cfg.max_file_bytes then
+      if len + dlen > w.max_file_bytes then
         if len - dlen <= 0 then 0 else Rng.int w.rng (len - dlen + 1)
       else Rng.int w.rng (len + 1)
     in
     Oracle.trace w.ora "s%d write %s (oid %Ld) off=%d len=%d cur=%d" ss.id path oid off
       dlen len;
-    let fd = Fs.p_open ss.s path Fs.Rdwr in
-    ignore (Fs.p_lseek ss.s fd (Int64.of_int off) Fs.Seek_set : int64);
-    ignore (Fs.p_write ss.s fd data dlen : int);
-    Fs.p_close ss.s fd;
+    Fsops.Conn.write ss.conn path ~off [ data ];
     { Oracle.no_updates with u_files = [ (oid, Oracle.splice cur ~off data) ] }
 
 let op_truncate st (ss : Fsops.sess) =
@@ -149,11 +146,9 @@ let op_truncate st (ss : Fsops.sess) =
   | Some (path, oid) ->
     let cur = Oracle.view_content w.ora ss.ov oid in
     let len = Bytes.length cur in
-    let new_len = Rng.int w.rng (min (len + 6000) st.cfg.max_file_bytes + 1) in
+    let new_len = Rng.int w.rng (min (len + 6000) w.max_file_bytes + 1) in
     Oracle.trace w.ora "s%d trunc %s (oid %Ld) %d -> %d" ss.id path oid len new_len;
-    let fd = Fs.p_open ss.s path Fs.Rdwr in
-    Fs.ftruncate ss.s fd (Int64.of_int new_len);
-    Fs.p_close ss.s fd;
+    Fsops.Conn.truncate ss.conn path new_len;
     { Oracle.no_updates with u_files = [ (oid, Oracle.resize cur new_len) ] }
 
 (* The oracle models a clone as a plain byte copy of the committed
@@ -171,7 +166,8 @@ let op_clone st (ss : Fsops.sess) =
       let src, src_oid = Oracle.pick w.rng committed in
       let dst = Oracle.fresh_path w.ora ss.ov w.rng "c" in
       Oracle.trace w.ora "s%d clone %s -> %s" ss.id src dst;
-      let oid = Fs.clone ss.s ~src ~dst in
+      Fsops.Conn.clone ss.conn ~src ~dst;
+      let oid = Oracle.fresh_oid w.ora in
       st.clones <- st.clones + 1;
       let data = Bytes.copy (Oracle.content w.ora src_oid) in
       { Oracle.no_updates with u_names = [ (dst, Some oid) ]; u_files = [ (oid, data) ] }
@@ -224,7 +220,7 @@ let do_crash st ~injected =
     Oracle.mismatch st.w.ora "recovery not clean: %s" (Recovery.report_to_string rep);
   (* time travel reads through the archive tier: archived versions must
      fault back in on As_of reads *)
-  Fsops.recovered st.w st.fs;
+  Fsops.recovered st.w;
   run_audit st ~phase:"post-crash";
   Faultsim.schedule_random_crash st.plan st.w.rng ~within:(30 + Rng.int st.w.rng 150)
 
@@ -274,7 +270,8 @@ let run ?(config = default_config) ~seed () =
       cfg = config;
       w =
         Fsops.create ~rng ~ora:(Oracle.create ~trace:config.trace ~depth:8)
-          ~max_dirs:config.max_dirs ~sessions:config.sessions fs;
+          ~max_dirs:config.max_dirs ~max_file_bytes:config.max_file_bytes fs
+          (Array.init config.sessions (fun _ -> Fsops.Local (Fs.new_session fs)));
       db;
       fs;
       plan;

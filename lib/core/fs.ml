@@ -1015,7 +1015,7 @@ let set_type s path ftype =
 
 (* ---------- queries ---------- *)
 
-let query s ?timestamp text =
+let run_query s ?timestamp text =
   let t = s.owner_fs in
   match Postquel.Parser.parse_statement text with
   | Postquel.Ast.Define_type name ->
@@ -1054,6 +1054,16 @@ let query s ?timestamp text =
     in
     iter_files t snap run_row;
     List.rev !rows
+
+(* Query text is the caller's: a statement that does not parse or
+   evaluate is its error, reported as one. *)
+let query s ?timestamp text =
+  try run_query s ?timestamp text with
+  | Postquel.Parser.Parse_error msg | Postquel.Lexer.Lex_error (msg, _) ->
+    Errors.fail Errors.EINVAL "query: %s" msg
+  | Postquel.Eval.Unknown_function f -> Errors.fail Errors.EINVAL "query: no function %s" f
+  | Postquel.Eval.Arity_mismatch (f, _, _) ->
+    Errors.fail Errors.EINVAL "query: wrong argument count for %s" f
 
 let with_query_snapshot t snap f =
   let saved = t.qsnap in

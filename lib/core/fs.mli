@@ -197,7 +197,9 @@ val file_type_at : t -> Relstore.Snapshot.t -> int64 -> string option
 val query : session -> ?timestamp:int64 -> string -> Postquel.Value.t list list
 (** Run a [retrieve] over every file in the system; each row binds [file]
     (oid) and [filename].  [define type] statements are also accepted and
-    return no rows. *)
+    return no rows.  A statement that does not lex or parse, or names an
+    unknown function or calls one with the wrong argument count, is
+    [Fs_error (EINVAL, _)]. *)
 
 val with_query_snapshot : t -> Relstore.Snapshot.t -> (unit -> 'a) -> 'a
 (** Evaluate [f] with registered functions seeing the given snapshot —

@@ -116,6 +116,11 @@ type t = {
      modeled from the bottleneck member: T_par = max over machines of
      busy time (see DESIGN.md, "Sharding"). *)
   mutable busy_s : float;
+  (* Pure execution time of this server's dispatched requests (simulated
+     seconds around [exec]) and their count: the mean the retry-after
+     hint drains the backlog at. *)
+  mutable service_s : float;
+  mutable served : int;
   read_buf : Bytes.t; (* [read_head_len] bytes of scratch for [read_whole] *)
 }
 
@@ -168,6 +173,8 @@ let create ~fs ?(lease_s = 120.) ?(run_cap = 256) ?(park_cap = 64) ?(lock_wait_s
       deadlock_aborts = 0;
       unsupported = 0;
       busy_s = 0.;
+      service_s = 0.;
+      served = 0;
       read_buf = Bytes.create read_head_len;
     }
   in
@@ -412,16 +419,8 @@ let rec exec t (s : sess) (req : Wire.req) : Wire.result =
     Wire.R_unit
   | Wire.Stat { path; timestamp } -> Wire.R_att (Fs.stat fsess ?timestamp path)
   | Wire.Exists { path; timestamp } -> Wire.R_bool (Fs.exists fsess ?timestamp path)
-  | Wire.Query { text; timestamp } -> (
-    (* query text is the client's: a statement that does not parse or
-       evaluate is its error, answered as one, never the pump's *)
-    match Fs.query fsess ?timestamp text with
-    | rows -> Wire.R_rows (List.map (List.map Postquel.Value.to_string) rows)
-    | exception (Postquel.Parser.Parse_error msg | Postquel.Lexer.Lex_error (msg, _)) ->
-      Errors.fail Errors.EINVAL "query: %s" msg
-    | exception Postquel.Eval.Unknown_function f -> Errors.fail Errors.EINVAL "query: no function %s" f
-    | exception Postquel.Eval.Arity_mismatch (f, _, _) ->
-      Errors.fail Errors.EINVAL "query: wrong argument count for %s" f)
+  | Wire.Query { text; timestamp } ->
+    Wire.R_rows (List.map (List.map Postquel.Value.to_string) (Fs.query fsess ?timestamp text))
   | Wire.Set_owner { path; owner } ->
     Fs.set_owner fsess path owner;
     Wire.R_unit
@@ -531,8 +530,8 @@ let m_deadlock_aborts = Obs.Metrics.counter "net.server.deadlock_aborts"
 let m_unsupported = Obs.Metrics.counter "net.server.unsupported"
 
 (* Pure execution time per dispatched request (simulated clock around
-   [exec], excluding wire time and dedup replays).  The load harness
-   calibrates offered-load levels from its mean. *)
+   [exec], excluding wire time and dedup replays), over every server in
+   the process, for observability. *)
 let h_service = Obs.Metrics.histogram "net.server.service_us"
 
 let send_frames link frames = List.iter (fun f -> Link.send link Link.To_client f) frames
@@ -553,14 +552,10 @@ let record_and_send (s : sess) ~rid reply =
 let queue_depth t = Queue.length t.run_q + t.parked_n
 
 (* How long a shed client should stand back: enough pump turns for the
-   present backlog to drain at the measured mean service time.
-   Deterministic — it reads only the queue depth and the service
-   histogram. *)
+   present backlog to drain at this server's mean service time so far.
+   Deterministic — it reads only this server's queue depth and history. *)
 let retry_after_hint t =
-  let mean =
-    let n = Obs.Metrics.hist_count h_service in
-    if n = 0 then 0.005 else Obs.Metrics.hist_sum h_service /. float_of_int n
-  in
+  let mean = if t.served = 0 then 0.005 else t.service_s /. float_of_int t.served in
   min 1.0 (max 0.02 (float_of_int (queue_depth t + 1) *. mean))
 
 let now_s t = Simclock.Clock.now t.clock
@@ -646,7 +641,10 @@ let run_task t (tk : task) ~(was_parked : bool) =
                  msg = "raced with a concurrent unlink";
                })
       in
-      Obs.Metrics.observe h_service (now_s t -. t0);
+      let service = now_s t -. t0 in
+      Obs.Metrics.observe h_service service;
+      t.service_s <- t.service_s +. service;
+      t.served <- t.served + 1;
       match outcome with
       | `Reply reply ->
         (if was_parked then begin

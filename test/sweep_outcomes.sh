@@ -25,26 +25,43 @@
 # never move.
 #
 #   test/sweep_outcomes.sh [--full] [SOURCE_TREE] > outcomes.txt
+#   test/sweep_outcomes.sh --built DIR > outcomes.txt
 #
 # By default each sweep runs its --quick mode; --full runs each at its
 # full seed count, as its own alias (@crash, @net, ...) does.
 # SOURCE_TREE defaults to the current directory.  To check a refactor,
 # run it on a checkout of the parent commit and on the change, then diff
 # the two outputs.  Each sweep's block ends with its exit status.
+# --built runs the --quick mode of sweep executables already built in
+# DIR with the seed and size variables (NAME_SEEDS, NAME_OPS, ...)
+# cleared; `dune runtest` does so and diffs the output against
+# test/sweep_outcomes.expected (`dune promote` accepts a moved line).
 set -u
 mode=--quick
 if [ "${1:-}" = "--full" ]; then mode=; shift; fi
-root=${1:-.}
 sweeps="crash scrub net load overload shard vacuum"
-targets=""
-for s in $sweeps; do targets="$targets ./test/${s}_sweep.exe"; done
-# shellcheck disable=SC2086
-dune build --root "$root" $targets >&2 || exit 1
+if [ "${1:-}" = "--built" ]; then
+  bin=$2
+  # The golden is the fixed quick configuration: drop the knobs that
+  # would add seeds or resize a run.
+  for s in $sweeps; do
+    S=$(printf '%s' "$s" | tr a-z A-Z)
+    unset "${S}_SEEDS" "${S}_OPS" "${S}_CLIENTS"
+  done
+  unset OVERLOAD_DEADLINE_MS
+else
+  root=${1:-.}
+  bin=$root/_build/default/test
+  targets=""
+  for s in $sweeps; do targets="$targets ./test/${s}_sweep.exe"; done
+  # shellcheck disable=SC2086
+  dune build --root "$root" $targets >&2 || exit 1
+fi
 status=0
 for s in $sweeps; do
   echo "== $s"
   # shellcheck disable=SC2086
-  out=$("$root/_build/default/test/${s}_sweep.exe" $mode 2>/dev/null)
+  out=$("$bin/${s}_sweep.exe" $mode 2>/dev/null)
   rc=$?
   printf '%s\n' "$out" | sed -E 's/ (cache|ra)=[^ ]*//g'
   echo "== $s exit=$rc"

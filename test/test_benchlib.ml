@@ -250,6 +250,49 @@ let test_oracle_verify_real_fs () =
     [ "names: /ghost missing from real fs"; "names: real fs has unexpected file /stray" ]
     (O.mismatches ora)
 
+module F = Benchlib.Fsops
+
+(* One seeded history of the shared ops through three sessions of one
+   kind, with every transaction left open aborted at the end; returns
+   the oracle after checking the real tree against it. *)
+let shared_ops_history kind =
+  let fs = Invfs.Fs.make (Relstore.Db.create ()) () in
+  let connect =
+    match kind with
+    | `Local -> fun _ -> F.Local (Invfs.Fs.new_session fs)
+    | `Remote ->
+      let server = Remote.Server.create ~fs () in
+      let net = Netsim.create ~clock:(Invfs.Fs.clock fs) Netsim.tcp_1993 in
+      let rng = Simclock.Rng.create 7L in
+      fun _ ->
+        F.Remote
+          (Remote.Client.connect ~server ~link:(Netsim.Link.create net)
+             ~rng:(Simclock.Rng.split rng) ())
+  in
+  let w =
+    F.create ~rng:(Simclock.Rng.create 42L) ~ora:(O.create ~trace:false ~depth:4)
+      ~max_dirs:6 ~max_file_bytes:(32 * 1024) fs (Array.init 3 connect)
+  in
+  for _ = 1 to 150 do
+    F.run_one w ~gen:(F.gen_op w) ~crash:(fun () -> Alcotest.fail "no crash was scheduled")
+  done;
+  Array.iter (F.safe_abort w) w.F.sessions;
+  O.verify w.F.ora (Invfs.Fs.new_session fs) ~phase:"end";
+  Alcotest.(check (list string)) "real tree equals the oracle" [] (O.mismatches w.F.ora);
+  w
+
+let test_shared_ops_local_equals_remote () =
+  let l = shared_ops_history `Local and r = shared_ops_history `Remote in
+  let bytes_map m = List.map (fun (k, b) -> (k, Bytes.to_string b)) (O.OM.bindings m) in
+  Alcotest.(check (list (pair string int64))) "names"
+    (O.SM.bindings (O.names l.F.ora)) (O.SM.bindings (O.names r.F.ora));
+  Alcotest.(check (list (pair int64 string))) "contents"
+    (bytes_map (O.files l.F.ora)) (bytes_map (O.files r.F.ora));
+  Alcotest.(check (list string)) "directories" (O.dirs l.F.ora) (O.dirs r.F.ora);
+  Alcotest.(check (list int)) "applied, commits, aborts, lock skips"
+    [ l.F.ops_applied; l.F.commits; l.F.aborts; l.F.lock_skips ]
+    [ r.F.ops_applied; r.F.commits; r.F.aborts; r.F.lock_skips ]
+
 let () =
   Alcotest.run "benchlib"
     [
@@ -287,6 +330,11 @@ let () =
             test_oracle_unlink_drops_content;
           Alcotest.test_case "history depth" `Quick test_oracle_history_depth;
           Alcotest.test_case "verify against a real fs" `Quick test_oracle_verify_real_fs;
+        ] );
+      ( "fsops",
+        [
+          Alcotest.test_case "local and remote sessions agree" `Quick
+            test_shared_ops_local_equals_remote;
         ] );
       ( "load replay",
         [
