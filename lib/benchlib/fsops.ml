@@ -1,5 +1,5 @@
 (* The workload shared by the harnesses that drive Inversion sessions,
-   local or remote; see fsops.mli. *)
+   local, remote or on a fleet; see fsops.mli. *)
 
 module SM = Oracle.SM
 module OM = Oracle.OM
@@ -8,139 +8,18 @@ module Fs = Invfs.Fs
 module Errors = Invfs.Errors
 module Device = Pagestore.Device
 module Client = Remote.Client
+module Cluster = Remote.Cluster
 
-type conn = Local of Fs.session | Remote of Client.t
-
-(* ---------- the two session kinds ---------- *)
-
-module Conn = struct
-  let creat conn path =
-    match conn with
-    | Local s -> Fs.p_close s (Fs.p_creat s path)
-    | Remote c -> Client.c_close c (Client.c_creat c path)
-
-  let mkdir conn path =
-    match conn with Local s -> Fs.mkdir s path | Remote c -> Client.c_mkdir c path
-
-  let unlink conn path =
-    match conn with Local s -> Fs.unlink s path | Remote c -> Client.c_unlink c path
-
-  let rename conn src dst =
-    match conn with
-    | Local s -> Fs.rename s src dst
-    | Remote c -> Client.c_rename c src dst
-
-  let read conn path =
-    match conn with
-    | Local s -> Fs.read_whole_file s path
-    | Remote c -> Client.read_whole_file c path
-
-  let write conn path ~off segs =
-    match conn with
-    | Local s ->
-      let fd = Fs.p_open s path Fs.Rdwr in
-      ignore (Fs.p_lseek s fd (Int64.of_int off) Fs.Seek_set : int64);
-      List.iter (fun seg -> ignore (Fs.p_write s fd seg (Bytes.length seg) : int)) segs;
-      Fs.p_close s fd
-    | Remote c ->
-      let fd = Client.c_open c path Fs.Rdwr in
-      ignore (Client.c_lseek c fd (Int64.of_int off) Fs.Seek_set : int64);
-      List.iter (fun seg -> ignore (Client.c_write c fd seg (Bytes.length seg) : int)) segs;
-      Client.c_close c fd
-
-  let truncate conn path len =
-    match conn with
-    | Local s ->
-      let fd = Fs.p_open s path Fs.Rdwr in
-      Fs.ftruncate s fd (Int64.of_int len);
-      Fs.p_close s fd
-    | Remote c ->
-      let fd = Client.c_open c path Fs.Rdwr in
-      Client.c_ftruncate c fd (Int64.of_int len);
-      Client.c_close c fd
-
-  let clone conn ~src ~dst =
-    match conn with
-    | Local s -> ignore (Fs.clone s ~src ~dst : int64)
-    | Remote c -> Client.c_clone c ~src ~dst
-
-  let begin_txn = function Local s -> Fs.p_begin s | Remote c -> Client.c_begin c
-  let commit = function Local s -> Fs.p_commit s | Remote c -> Client.c_commit c
-  let abort = function Local s -> Fs.p_abort s | Remote c -> Client.c_abort c
-end
-
-(* ---------- probes ----------
-
-   A probe answers "did this op's effects commit?" by reading the
-   committed state As_of now through a fresh local session.  Historical
-   reads take no locks (other sessions may be mid-transaction) and see
-   only committed data, which is exactly the question. *)
-
-type probe = { describe : string; check : Fs.session -> int64 -> bool }
-
-let probe_content path expect =
-  {
-    describe = Printf.sprintf "content of %s" path;
-    check =
-      (fun s ts ->
-        match Fs.read_whole_file s ~timestamp:ts path with
-        | real -> Bytes.equal real expect
-        | exception Errors.Fs_error _ -> false);
-  }
-
-let probe_exists path =
-  {
-    describe = Printf.sprintf "existence of %s" path;
-    check = (fun s ts -> Fs.exists s ~timestamp:ts path);
-  }
-
-let probe_absent path =
-  {
-    describe = Printf.sprintf "absence of %s" path;
-    check = (fun s ts -> not (Fs.exists s ~timestamp:ts path));
-  }
-
-let probe_always =
-  { describe = "(no observable difference)"; check = (fun _ _ -> true) }
-
-(* The first update whose committed-vs-new state differs decides the
-   probe; if nothing distinguishes, landing and aborting produce the same
-   state and "landed" is vacuously true.  Name changes probe first (a
-   created or vacated path is the crispest signal); content updates need
-   a path that would name the oid after the commit. *)
-let probe_of_updates ora (u : Oracle.updates) =
-  let committed = Oracle.names ora in
-  let tombstoned p = List.exists (fun (q, v) -> q = p && v = None) u.u_names in
-  let path_of_oid oid =
-    match List.find_opt (fun (_, v) -> v = Some oid) u.u_names with
-    | Some (p, _) -> Some p
-    | None ->
-      SM.fold
-        (fun p o acc ->
-          if acc = None && o = oid && not (tombstoned p) then Some p else acc)
-        committed None
-  in
-  let rec files = function
-    | [] -> (
-      match u.u_dirs with [] -> probe_always | d :: _ -> probe_exists d)
-    | (oid, b) :: rest -> (
-      match path_of_oid oid with
-      | None -> files rest
-      | Some path -> (
-        match OM.find_opt oid (Oracle.files ora) with
-        | Some cur when Bytes.equal b cur -> files rest
-        | _ -> probe_content path b))
-  in
-  let rec names = function
-    | [] -> files u.u_files
-    | (path, Some _) :: rest ->
-      if SM.mem path committed then names rest else probe_exists path
-    | (path, None) :: rest ->
-      if SM.mem path committed then probe_absent path else names rest
-  in
-  names u.u_names
+type conn = Local of Fs.session | Remote of Client.t | Fleet of Cluster.conn
 
 (* ---------- workload state ---------- *)
+
+(* A probe answers "did this op's effects commit?" by reading the
+   committed state As_of now through a fresh local session (a fleet's
+   file content: its shard's authoritative copy).  Historical reads take
+   no locks (other sessions may be mid-transaction) and see only
+   committed data, which is exactly the question. *)
+type probe = { describe : string; check : Fs.session -> int64 -> bool }
 
 type sess = {
   id : int;
@@ -156,6 +35,7 @@ type t = {
   max_dirs : int;
   max_file_bytes : int;
   sessions : sess array;
+  fleet_oids : (int64, int64) Hashtbl.t;
   mutable current : sess option;
   mutable ops_attempted : int;
   mutable ops_applied : int;
@@ -177,6 +57,7 @@ let create ~rng ~ora ~max_dirs ~max_file_bytes fs conns =
     max_file_bytes;
     sessions =
       Array.mapi (fun id conn -> { id; conn; ov = Oracle.overlay (); pending = None }) conns;
+    fleet_oids = Hashtbl.create 64;
     current = None;
     ops_attempted = 0;
     ops_applied = 0;
@@ -188,6 +69,192 @@ let create ~rng ~ora ~max_dirs ~max_file_bytes fs conns =
     landed = 0;
     time_travel_checks = 0;
   }
+
+(* ---------- the three session kinds ---------- *)
+
+let no_fleet_txn () =
+  invalid_arg
+    "Fsops: a fleet session has no transactions (ROADMAP item 13(b), fleet transactions)"
+
+module Conn = struct
+  (* The fleet's data plane is addressed by the oid the coordinator
+     assigned: learn it by stat on the first data call that names the
+     file, and keep it for every session of the workload. *)
+  let fleet_oid w c path oid =
+    match Hashtbl.find_opt w.fleet_oids oid with
+    | Some real -> real
+    | None ->
+      let real = (Client.c_stat (Cluster.coord c) path).Invfs.Fileatt.file in
+      Hashtbl.replace w.fleet_oids oid real;
+      real
+
+  let creat conn path =
+    match conn with
+    | Local s -> Fs.p_close s (Fs.p_creat s path)
+    | Remote c -> Client.c_close c (Client.c_creat c path)
+    | Fleet f ->
+      let c = Cluster.coord f in
+      Client.c_close c (Client.c_creat c path)
+
+  let mkdir conn path =
+    match conn with
+    | Local s -> Fs.mkdir s path
+    | Remote c -> Client.c_mkdir c path
+    | Fleet f -> Client.c_mkdir (Cluster.coord f) path
+
+  let unlink conn path =
+    match conn with
+    | Local s -> Fs.unlink s path
+    | Remote c -> Client.c_unlink c path
+    | Fleet f -> Client.c_unlink (Cluster.coord f) path
+
+  let rename conn src dst =
+    match conn with
+    | Local s -> Fs.rename s src dst
+    | Remote c -> Client.c_rename c src dst
+    | Fleet f -> Client.c_rename (Cluster.coord f) src dst
+
+  let read w conn path ~oid =
+    match conn with
+    | Local s -> Fs.read_whole_file s path
+    | Remote c -> Client.read_whole_file c path
+    | Fleet f ->
+      let real = fleet_oid w f path oid in
+      let len = Bytes.length (Oracle.content w.ora oid) + 64 in
+      Bytes.of_string (Cluster.shard_read f ~oid:real ~off:0L ~len)
+
+  let write w conn path ~oid ~off segs =
+    match conn with
+    | Local s ->
+      let fd = Fs.p_open s path Fs.Rdwr in
+      ignore (Fs.p_lseek s fd (Int64.of_int off) Fs.Seek_set : int64);
+      List.iter (fun seg -> ignore (Fs.p_write s fd seg (Bytes.length seg) : int)) segs;
+      Fs.p_close s fd
+    | Remote c ->
+      let fd = Client.c_open c path Fs.Rdwr in
+      ignore (Client.c_lseek c fd (Int64.of_int off) Fs.Seek_set : int64);
+      List.iter (fun seg -> ignore (Client.c_write c fd seg (Bytes.length seg) : int)) segs;
+      Client.c_close c fd
+    | Fleet f ->
+      let real = fleet_oid w f path oid in
+      let data = Bytes.to_string (Bytes.concat Bytes.empty segs) in
+      ignore (Cluster.shard_write f ~oid:real ~off:(Int64.of_int off) ~data : int)
+
+  let truncate w conn path ~oid len =
+    match conn with
+    | Local s ->
+      let fd = Fs.p_open s path Fs.Rdwr in
+      Fs.ftruncate s fd (Int64.of_int len);
+      Fs.p_close s fd
+    | Remote c ->
+      let fd = Client.c_open c path Fs.Rdwr in
+      Client.c_ftruncate c fd (Int64.of_int len);
+      Client.c_close c fd
+    | Fleet f ->
+      Cluster.shard_truncate f ~oid:(fleet_oid w f path oid) ~size:(Int64.of_int len)
+
+  let clone conn ~src ~dst =
+    match conn with
+    | Local s -> ignore (Fs.clone s ~src ~dst : int64)
+    | Remote c -> Client.c_clone c ~src ~dst
+    | Fleet _ -> invalid_arg "Fsops: a fleet session has no clone"
+
+  let begin_txn = function
+    | Local s -> Fs.p_begin s
+    | Remote c -> Client.c_begin c
+    | Fleet _ -> no_fleet_txn ()
+
+  let commit = function
+    | Local s -> Fs.p_commit s
+    | Remote c -> Client.c_commit c
+    | Fleet _ -> no_fleet_txn ()
+
+  let abort = function
+    | Local s -> Fs.p_abort s
+    | Remote c -> Client.c_abort c
+    | Fleet _ -> no_fleet_txn ()
+end
+
+(* ---------- probes ---------- *)
+
+(* A fleet's file content lives on its shards: the probe reads the
+   authoritative copy.  An oid the fleet never learned never reached a
+   data call, so nothing of it can have landed. *)
+let probe_content w ss path oid expect =
+  match ss.conn with
+  | Local _ | Remote _ ->
+    {
+      describe = Printf.sprintf "content of %s" path;
+      check =
+        (fun s ts ->
+          match Fs.read_whole_file s ~timestamp:ts path with
+          | real -> Bytes.equal real expect
+          | exception Errors.Fs_error _ -> false);
+    }
+  | Fleet f ->
+    {
+      describe = Printf.sprintf "shard content of %s" path;
+      check =
+        (fun _ _ ->
+          match Hashtbl.find_opt w.fleet_oids oid with
+          | Some real ->
+            String.equal
+              (Cluster.peek_data (Cluster.conn_cluster f) ~oid:real)
+              (Bytes.to_string expect)
+          | None -> false);
+    }
+
+let probe_exists path =
+  {
+    describe = Printf.sprintf "existence of %s" path;
+    check = (fun s ts -> Fs.exists s ~timestamp:ts path);
+  }
+
+let probe_absent path =
+  {
+    describe = Printf.sprintf "absence of %s" path;
+    check = (fun s ts -> not (Fs.exists s ~timestamp:ts path));
+  }
+
+let probe_always =
+  { describe = "(no observable difference)"; check = (fun _ _ -> true) }
+
+(* The first update whose committed-vs-new state differs decides the
+   probe; if nothing distinguishes, landing and aborting produce the same
+   state and "landed" is vacuously true.  Name changes probe first (a
+   created or vacated path is the crispest signal); content updates need
+   a path that would name the oid after the commit. *)
+let probe_of_updates w ss (u : Oracle.updates) =
+  let committed = Oracle.names w.ora in
+  let tombstoned p = List.exists (fun (q, v) -> q = p && v = None) u.u_names in
+  let path_of_oid oid =
+    match List.find_opt (fun (_, v) -> v = Some oid) u.u_names with
+    | Some (p, _) -> Some p
+    | None ->
+      SM.fold
+        (fun p o acc ->
+          if acc = None && o = oid && not (tombstoned p) then Some p else acc)
+        committed None
+  in
+  let rec files = function
+    | [] -> (
+      match u.u_dirs with [] -> probe_always | d :: _ -> probe_exists d)
+    | (oid, b) :: rest -> (
+      match path_of_oid oid with
+      | None -> files rest
+      | Some path -> (
+        match OM.find_opt oid (Oracle.files w.ora) with
+        | Some cur when Bytes.equal b cur -> files rest
+        | _ -> probe_content w ss path oid b))
+  in
+  let rec names = function
+    | [] -> files u.u_files
+    | (path, Some _) :: rest ->
+      if SM.mem path committed then names rest else probe_exists path
+    | (path, None) :: rest ->
+      if SM.mem path committed then probe_absent path else names rest
+  in
+  names u.u_names
 
 (* ---------- ops ----------
 
@@ -219,44 +286,51 @@ let mkdir w ss =
     u
   end
 
+(* Anywhere up to the end of the file, or, when a write of [total] bytes
+   there could outgrow [max_file_bytes], inside the existing extent. *)
+let draw_offset w ~len total =
+  if len + total > w.max_file_bytes then
+    if len - total <= 0 then 0 else Rng.int w.rng (len - total + 1)
+  else Rng.int w.rng (len + 1)
+
+(* Every write ends here, whatever it drew: [segs] in turn from [off]
+   of the file at [path], whose identity is [oid]. *)
+let write_at w ss path ~oid ~off segs =
+  let cur = Oracle.view_content w.ora ss.ov oid in
+  let after = Oracle.splice cur ~off (Bytes.concat Bytes.empty segs) in
+  let u = { Oracle.no_updates with u_files = [ (oid, after) ] } in
+  ss.pending <- Some (u, probe_content w ss path oid after);
+  Conn.write w ss.conn path ~oid ~off segs;
+  u
+
 let write w ss =
   match Oracle.pick_file w.ora ss.ov w.rng with
   | None -> create_file w ss
   | Some (path, oid) ->
-    let cur = Oracle.view_content w.ora ss.ov oid in
-    let len = Bytes.length cur in
+    let len = Bytes.length (Oracle.view_content w.ora ss.ov oid) in
     (* Inside a transaction, several sequential writes exercise the
        write-coalescing path; outside, one write is one transaction so
        the op stays atomic (a single large write still spans chunks). *)
     let nseg = if Oracle.in_txn ss.ov then 1 + Rng.int w.rng 3 else 1 in
     let segs = List.init nseg (fun _ -> Rng.bytes w.rng (1 + Rng.int w.rng 6800)) in
     let total = List.fold_left (fun a s -> a + Bytes.length s) 0 segs in
-    let off =
-      if len + total > w.max_file_bytes then
-        (* overwrite-only: stay inside the existing extent *)
-        if len - total <= 0 then 0 else Rng.int w.rng (len - total + 1)
-      else Rng.int w.rng (len + 1)
-    in
+    let off = draw_offset w ~len total in
     Oracle.trace w.ora "s%d write %s (oid %Ld) off=%d total=%d nseg=%d cur_len=%d" ss.id
       path oid off total nseg len;
-    let after = Oracle.splice cur ~off (Bytes.concat Bytes.empty segs) in
-    let u = { Oracle.no_updates with u_files = [ (oid, after) ] } in
-    ss.pending <- Some (u, probe_content path after);
-    Conn.write ss.conn path ~off segs;
-    u
+    write_at w ss path ~oid ~off segs
 
-let truncate w ss =
+let truncate w ~grow ss =
   match Oracle.pick_file w.ora ss.ov w.rng with
   | None -> create_file w ss
   | Some (path, oid) ->
     let cur = Oracle.view_content w.ora ss.ov oid in
     let len = Bytes.length cur in
-    let new_len = Rng.int w.rng (min (len + 8000) w.max_file_bytes + 1) in
+    let new_len = Rng.int w.rng (min (len + grow) w.max_file_bytes + 1) in
     Oracle.trace w.ora "s%d trunc %s (oid %Ld) %d -> %d" ss.id path oid len new_len;
     let after = Oracle.resize cur new_len in
     let u = { Oracle.no_updates with u_files = [ (oid, after) ] } in
-    ss.pending <- Some (u, probe_content path after);
-    Conn.truncate ss.conn path new_len;
+    ss.pending <- Some (u, probe_content w ss path oid after);
+    Conn.truncate w ss.conn path ~oid new_len;
     u
 
 let unlink w ss =
@@ -285,7 +359,7 @@ let read_check w ss =
   | None -> ()
   | Some (path, oid) -> (
     Oracle.trace w.ora "s%d read %s (oid %Ld)" ss.id path oid;
-    let real = Conn.read ss.conn path in
+    let real = Conn.read w ss.conn path ~oid in
     let expect = Oracle.view_content w.ora ss.ov oid in
     match Oracle.bytes_diff expect real with
     | None -> ()
@@ -309,7 +383,7 @@ let begin_txn w ss =
 let commit w ss =
   Oracle.trace w.ora "s%d commit" ss.id;
   let u = Oracle.overlay_updates ss.ov in
-  ss.pending <- Some (u, probe_of_updates w.ora u);
+  ss.pending <- Some (u, probe_of_updates w ss u);
   Conn.commit ss.conn;
   (* merge only after the commit returned: if it raised, nothing lands *)
   Oracle.commit w.ora u;
@@ -331,7 +405,7 @@ let gen_op w ss =
   if Oracle.in_txn ss.ov then
     if r < 30 then write w
     else if r < 40 then create_file w
-    else if r < 48 then truncate w
+    else if r < 48 then truncate w ~grow:8000
     else if r < 54 then unlink w
     else if r < 60 then rename w
     else if r < 72 then read_check w
@@ -340,7 +414,7 @@ let gen_op w ss =
   else if r < 28 then write w
   else if r < 40 then create_file w
   else if r < 46 then mkdir w
-  else if r < 54 then truncate w
+  else if r < 54 then truncate w ~grow:8000
   else if r < 62 then unlink w
   else if r < 70 then rename w
   else if r < 88 then read_check w
@@ -351,11 +425,12 @@ let gen_op w ss =
 (* A local session says whether it still holds a transaction; a remote
    one is told to abort when its overlay has one open, and an abort on a
    dead session reports success, since aborting is what the loss already
-   did. *)
+   did.  A fleet session never opens one. *)
 let safe_abort w ss =
   (match ss.conn with
   | Local s -> if Fs.in_transaction s then (try Fs.p_abort s with _ -> ())
-  | Remote c -> if Oracle.in_txn ss.ov then (try Client.c_abort c with _ -> ()));
+  | Remote c -> if Oracle.in_txn ss.ov then (try Client.c_abort c with _ -> ())
+  | Fleet _ -> ());
   if Oracle.in_txn ss.ov then w.aborts <- w.aborts + 1;
   Oracle.clear ss.ov
 

@@ -1,29 +1,33 @@
 (** The workload shared by the differential harnesses that drive
-    Inversion sessions ({!Crashtest}, {!Nettest} and {!Vacuumtest}):
-    sessions with their {!Oracle} overlays, the op counters, the shared
-    ops and op mix, one op's execution with its fault handling, and the
-    post-crash check.  A session is local (an {!Invfs.Fs.session}) or
-    remote (a {!Remote.Client.t} speaking the wire protocol); every op
-    runs the same random draws through either, so one seeded history can
-    be checked through both.  Each harness keeps its fault model and
-    outcome record; {!Vacuumtest} also keeps its own writes, truncates,
-    clones and op mix, whose draws differ. *)
+    Inversion sessions ({!Crashtest}, {!Nettest}, {!Vacuumtest} and
+    {!Shardtest}): sessions with their {!Oracle} overlays, the op
+    counters, the shared ops and op mix, one op's execution with its
+    fault handling, and the post-crash check.  A session is local (an
+    {!Invfs.Fs.session}), remote (a {!Remote.Client.t} speaking the wire
+    protocol) or a fleet one (a {!Remote.Cluster.conn}: names through the
+    coordinator, file data on the shards); every op runs the same random
+    draws through any of them, so one seeded history can be checked
+    through each.  Each harness keeps its fault model and outcome record;
+    {!Vacuumtest} and {!Shardtest} also keep their own op mix and the ops
+    whose draws differ (a write, and Vacuumtest's clone). *)
 
-type conn = Local of Invfs.Fs.session | Remote of Remote.Client.t
+type conn =
+  | Local of Invfs.Fs.session
+  | Remote of Remote.Client.t
+  | Fleet of Remote.Cluster.conn
 
-(** The calls an op makes, on either kind of session. *)
+(** The calls an op makes that a harness makes too. *)
 module Conn : sig
-  val write : conn -> string -> off:int -> bytes list -> unit
-  (** Open for update, seek to [off], write each buffer in turn, close. *)
-
-  val truncate : conn -> string -> int -> unit
   val clone : conn -> src:string -> dst:string -> unit
+  (** [Invalid_argument] on a fleet session. *)
 end
 
 type probe
 (** How to tell, after the session died with the reply in flight,
     whether an op's updates committed: a lock-free [As_of] read of the
-    committed state through a fresh local session. *)
+    committed state through a fresh local session, or, for file content
+    on a fleet, of the shard's authoritative copy
+    ({!Remote.Cluster.peek_data}). *)
 
 type sess = {
   id : int;
@@ -37,10 +41,17 @@ type sess = {
 type t = {
   rng : Simclock.Rng.t;
   ora : Oracle.t;
-  fs : Invfs.Fs.t;  (** the file system under test, where probes and checks read *)
+  fs : Invfs.Fs.t;
+      (** the file system under test (a fleet's coordinator), where
+          probes and checks read *)
   max_dirs : int;
   max_file_bytes : int;
   sessions : sess array;
+  fleet_oids : (int64, int64) Hashtbl.t;
+      (** oracle oid -> the oid the fleet's coordinator assigned, which
+          addresses the file's data on the shards; learned by one stat on
+          the first data call that names the file, and shared by every
+          session *)
   mutable current : sess option;  (** the session whose op is executing *)
   mutable ops_attempted : int;
   mutable ops_applied : int;
@@ -76,16 +87,37 @@ val mkdir : t -> sess -> Oracle.updates
 val unlink : t -> sess -> Oracle.updates
 val rename : t -> sess -> Oracle.updates
 
+val write : t -> sess -> Oracle.updates
+(** Outside a transaction, one buffer of up to 6,800 bytes; inside one,
+    up to three.  The buffers are drawn before the offset. *)
+
+val draw_offset : t -> len:int -> int -> int
+(** Where a write of the given length starts in a file of [len] bytes:
+    anywhere up to its end, or inside the existing extent when that
+    could outgrow [max_file_bytes]. *)
+
+val write_at : t -> sess -> string -> oid:int64 -> off:int -> bytes list -> Oracle.updates
+(** The end of every write, whatever it drew: the buffers in turn from
+    [off] of the file at the path, whose identity is [oid]. *)
+
+val truncate : t -> grow:int -> sess -> Oracle.updates
+(** To a length drawn up to [grow] bytes past the current one, within
+    [max_file_bytes]. *)
+
 val read_check : t -> sess -> Oracle.updates
-(** Logs a mismatch unless the file reads back as the session's view. *)
+(** Logs a mismatch unless the file reads back as the session's view.
+    A fleet session reads the committed length plus 64 bytes from the
+    shard, so a file longer than the oracle's shows too. *)
 
 val begin_txn : t -> sess -> Oracle.updates
 val commit : t -> sess -> Oracle.updates
 val abort : t -> sess -> Oracle.updates
+(** [Invalid_argument] on a fleet session: the fleet commits file data
+    and names separately (ROADMAP item 13(b)). *)
 
 val gen_op : t -> sess -> sess -> Oracle.updates
 (** The shared op mix, adding writes of up to three segments and
-    truncates within [max_file_bytes]: a session in a transaction
+    truncates that grow by up to 8,000 bytes: a session in a transaction
     commits or aborts it in time, and one outside sometimes begins one. *)
 
 (** {1 Running} *)
@@ -97,7 +129,9 @@ val run_one : t -> gen:(sess -> sess -> Oracle.updates) -> crash:(unit -> unit) 
     the op committed when the client says the outcome is unknown.  A
     transient I/O error, a lock conflict or an unlink race aborts the
     session's transaction; a media failure or an unexpected error does
-    too, and is logged as a mismatch. *)
+    too, and is logged as a mismatch.  A fleet's stale-placement or busy
+    refusal that outlives the conn's redirect budget is such an
+    unexpected error. *)
 
 val safe_abort : t -> sess -> unit
 (** Abort the session's transaction, if any, and drop its overlay. *)

@@ -101,7 +101,7 @@ type state = {
 }
 
 let client (ss : Fsops.sess) =
-  match ss.conn with Fsops.Remote c -> c | Fsops.Local _ -> invalid_arg "Nettest.client"
+  match ss.conn with Fsops.Remote c -> c | _ -> invalid_arg "Nettest.client"
 
 (* ---------- fault plan ---------- *)
 

@@ -230,15 +230,14 @@ let walk s =
         let path = join dir name in
         let att = Fs.stat s path in
         if att.Invfs.Fileatt.ftype = "directory" then go path
-        else files := SM.add path (Fs.read_whole_file s path) !files)
+        else files := SM.add path (Lazy.from_val (Fs.read_whole_file s path)) !files)
       (Fs.readdir s dir)
   in
   go "/";
-  (!files, List.sort String.compare !dirs)
+  (List.sort String.compare !dirs, !files)
 
-let verify t s ~phase =
+let compare_tree t ~phase ~dirs:dirs_real real_files =
   t.verifies <- t.verifies + 1;
-  let real_files, dirs_real = walk s in
   let dirs_expect = dirs t in
   if dirs_expect <> dirs_real then
     mismatch t "%s: directories differ: oracle [%s] real [%s]" phase
@@ -247,7 +246,7 @@ let verify t s ~phase =
     (fun path oid ->
       match SM.find_opt path real_files with
       | None -> mismatch t "%s: %s missing from real fs" phase path
-      | Some real -> (
+      | Some (lazy real) -> (
         match bytes_diff (content t oid) real with
         | None -> ()
         | Some d -> mismatch t "%s: %s content differs: %s" phase path d))
@@ -257,6 +256,10 @@ let verify t s ~phase =
       if not (SM.mem path t.names) then
         mismatch t "%s: real fs has unexpected file %s" phase path)
     real_files
+
+let verify t s ~phase =
+  let dirs, files = walk s in
+  compare_tree t ~phase ~dirs files
 
 let verifies t = t.verifies
 

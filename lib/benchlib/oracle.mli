@@ -5,7 +5,8 @@
     identities, [files] holds content per identity, plus the directory
     set), per-session overlays for open transactions, a bounded history
     of remembered instants for time travel, and the checks that compare
-    all of it against a real tree read through an {!Invfs.Fs.session}.
+    all of it against a walked tree: one read through an
+    {!Invfs.Fs.session}, or one a harness walks itself.
     It also keeps the run's mismatch log.
 
     A harness keeps only its fault model, its op mix and its outcome
@@ -130,13 +131,19 @@ val history : t -> (int64 * bytes SM.t * string list) list
 
 (** {1 Checks against the real tree} *)
 
+val compare_tree :
+  t -> phase:string -> dirs:string list -> bytes Lazy.t SM.t -> unit
+(** Compare a walked tree with the committed state: its directories
+    (sorted, "/" included), then each file the oracle names, by path,
+    then any file it does not.  A file's content is forced only when the
+    oracle names it.  Each divergence is logged, prefixed with [phase]. *)
+
 val verify : t -> Invfs.Fs.session -> phase:string -> unit
-(** Walk the whole real tree through the session and compare directories,
-    names and contents with the committed state.  Each divergence is
-    logged, prefixed with [phase]. *)
+(** {!compare_tree} on the whole real tree, walked through the session
+    with every file read. *)
 
 val verifies : t -> int
-(** How many times {!verify} ran. *)
+(** How many times {!compare_tree} ran. *)
 
 val check_time_travel : t -> Invfs.Fs.session -> int
 (** Read every remembered instant back with [As_of] and compare; returns

@@ -1,14 +1,15 @@
 (** Differential harness for the sharded fleet ({!Remote.Cluster}).
 
-    A client fleet drives a randomized workload — metadata through the
-    coordinator, chunk data routed to owning shards by cached placement
-    — against an oid-keyed in-memory oracle, while a seeded fault plan
-    injects message faults on every link (client, heartbeat and admin),
-    mid-request crashes of any chosen member, boundary crashes rotating
-    over the whole fleet, and heartbeat partitions long enough to drive
-    real failovers (fence, handoff, redirect).  After every recovery and
-    once more after convergence, the coordinator namespace and every
-    file's authoritative shard copy are compared against the oracle. *)
+    {!Fsops}' fleet sessions — names through the coordinator, file data
+    routed to owning shards by cached placement — run a randomized
+    workload through {!Fsops.run_one} against the shared {!Oracle}, while
+    a seeded fault plan injects message faults on every link (client,
+    heartbeat and admin), mid-request crashes of any chosen member,
+    boundary crashes rotating over the whole fleet, and heartbeat
+    partitions long enough to drive real failovers (fence, handoff,
+    redirect).  After every recovery and once more after convergence,
+    {!verify} checks the coordinator namespace and every file's
+    authoritative shard copy against the oracle. *)
 
 type config = {
   ops : int;
@@ -31,7 +32,7 @@ type outcome = {
   seed : int64;
   ops_attempted : int;
   ops_applied : int;
-  skips : int;  (** definitively-not-executed refusals (busy, stale, locks) *)
+  skips : int;  (** lock skips and I/O faults, as {!Fsops.run_one} counts them *)
   member_crashes : int;  (** across the whole fleet *)
   fence_events : int;
   handoffs : int;
@@ -53,6 +54,12 @@ type outcome = {
 
 val outcome_to_string : outcome -> string
 val run : ?config:config -> seed:int64 -> unit -> outcome
+
+val verify : Fsops.t -> Remote.Cluster.t -> phase:string -> unit
+(** Walk the coordinator namespace [As_of] now, dotfiles hidden, check
+    each file's oid against the one {!Fsops} learned, and hand the tree,
+    with contents read from the authoritative shard copies, to
+    {!Oracle.compare_tree}. *)
 
 (** {2 Bench entry points}
 

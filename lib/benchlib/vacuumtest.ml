@@ -125,31 +125,13 @@ let op_write st (ss : Fsops.sess) =
   match Oracle.pick_file w.ora ss.ov w.rng with
   | None -> Fsops.create_file w ss
   | Some (path, oid) ->
-    let cur = Oracle.view_content w.ora ss.ov oid in
-    let len = Bytes.length cur in
+    let len = Bytes.length (Oracle.view_content w.ora ss.ov oid) in
     let data = Rng.bytes w.rng (1 + Rng.int w.rng 6800) in
     let dlen = Bytes.length data in
-    let off =
-      if len + dlen > w.max_file_bytes then
-        if len - dlen <= 0 then 0 else Rng.int w.rng (len - dlen + 1)
-      else Rng.int w.rng (len + 1)
-    in
+    let off = Fsops.draw_offset w ~len dlen in
     Oracle.trace w.ora "s%d write %s (oid %Ld) off=%d len=%d cur=%d" ss.id path oid off
       dlen len;
-    Fsops.Conn.write ss.conn path ~off [ data ];
-    { Oracle.no_updates with u_files = [ (oid, Oracle.splice cur ~off data) ] }
-
-let op_truncate st (ss : Fsops.sess) =
-  let w = st.w in
-  match Oracle.pick_file w.ora ss.ov w.rng with
-  | None -> Fsops.create_file w ss
-  | Some (path, oid) ->
-    let cur = Oracle.view_content w.ora ss.ov oid in
-    let len = Bytes.length cur in
-    let new_len = Rng.int w.rng (min (len + 6000) w.max_file_bytes + 1) in
-    Oracle.trace w.ora "s%d trunc %s (oid %Ld) %d -> %d" ss.id path oid len new_len;
-    Fsops.Conn.truncate ss.conn path new_len;
-    { Oracle.no_updates with u_files = [ (oid, Oracle.resize cur new_len) ] }
+    Fsops.write_at w ss path ~oid ~off [ data ]
 
 (* The oracle models a clone as a plain byte copy of the committed
    contents at clone time — the real thing is O(1) copy-on-write over a
@@ -178,7 +160,7 @@ let gen_op st (ss : Fsops.sess) =
   if Oracle.in_txn ss.ov then
     if r < 32 then op_write st
     else if r < 42 then Fsops.create_file w
-    else if r < 50 then op_truncate st
+    else if r < 50 then Fsops.truncate w ~grow:6000
     else if r < 56 then Fsops.unlink w
     else if r < 62 then Fsops.rename w
     else if r < 74 then Fsops.read_check w
@@ -187,7 +169,7 @@ let gen_op st (ss : Fsops.sess) =
   else if r < 24 then op_write st
   else if r < 34 then Fsops.create_file w
   else if r < 40 then Fsops.mkdir w
-  else if r < 48 then op_truncate st
+  else if r < 48 then Fsops.truncate w ~grow:6000
   else if r < 56 then Fsops.unlink w
   else if r < 63 then Fsops.rename w
   else if r < 73 then op_clone st

@@ -8,7 +8,6 @@ type t = {
 let header_size = 18
 let capacity = Relstore.Heap_page.max_payload - header_size
 
-let chunkno_of_offset off = Int64.div off (Int64.of_int capacity)
 
 let encode t =
   let len = Bytes.length t.data in

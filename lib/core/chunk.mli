@@ -29,9 +29,6 @@ val capacity : int
 (** Usable file bytes per chunk: {!Relstore.Heap_page.max_payload} minus
     the header — 8130 bytes, "slightly smaller than 8 KB". *)
 
-val chunkno_of_offset : int64 -> int64
-(** Which chunk holds the byte at this file offset. *)
-
 val encode : t -> bytes
 (** Raises [Invalid_argument] if the data exceeds {!capacity}. *)
 

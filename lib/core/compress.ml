@@ -118,8 +118,6 @@ let decompress src =
   done;
   Buffer.to_bytes out
 
-let worst_case len = len + (len + 127) / 128
-
 let ratio src =
   let n = Bytes.length src in
   if n = 0 then 1.0

@@ -22,5 +22,3 @@ val decompress : bytes -> bytes
 val ratio : bytes -> float
 (** [compressed length / original length] (1.0 for empty input). *)
 
-val worst_case : int -> int
-(** Maximum compressed size for an input of the given length. *)

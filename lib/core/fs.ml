@@ -1235,9 +1235,6 @@ let snapshot t =
   Simclock.Clock.tick (clock t) "fs.snapshot";
   now_ts t
 
-let pin_snapshot t ts = Db.acquire_lease t.db ~horizon:ts
-let unpin_snapshot t lease = Db.release_lease t.db lease
-
 let clone s ~src ~dst =
   let t = s.owner_fs in
   if in_transaction s then

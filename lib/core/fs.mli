@@ -333,15 +333,10 @@ val vacuum_step :
 val snapshot : t -> int64
 (** An O(1) file-system snapshot: settle pending commits and return a
     horizon timestamp strictly after them.  Reading [As_of] that horizon
-    {e is} the snapshot; nothing is copied.  Pair with {!pin_snapshot}
-    to keep a [`Discard]-mode vacuum from reclaiming its history
-    ([`Archive]-mode vacuums preserve it regardless). *)
-
-val pin_snapshot : t -> int64 -> int
-(** Register a vacuum lease at the given horizon ({!Relstore.Db.acquire_lease});
-    returns the lease id.  Volatile across crashes. *)
-
-val unpin_snapshot : t -> int -> unit
+    {e is} the snapshot; nothing is copied.  A vacuum lease at the
+    horizon ({!Relstore.Db.acquire_lease} on {!db}) keeps a
+    [`Discard]-mode vacuum from reclaiming its history ([`Archive]-mode
+    vacuums preserve it regardless). *)
 
 val clone : session -> src:string -> dst:string -> int64
 (** An O(1) writable clone: create [dst] as a copy-on-write view of

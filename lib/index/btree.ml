@@ -369,20 +369,6 @@ let lookup t ~key =
 let iter t f =
   scan_range t ~lo:(String.make t.klen '\x00') ~hi:(String.make t.klen '\xff') f
 
-let min_entry t =
-  let result = ref None in
-  (try
-     iter t (fun k v ->
-         result := Some (k, v);
-         raise Exit)
-   with Exit -> ());
-  !result
-
-let max_entry t =
-  let result = ref None in
-  iter t (fun k v -> result := Some (k, v));
-  !result
-
 (* ---- structural audit ---- *)
 
 let check_invariants t =

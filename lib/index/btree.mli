@@ -60,9 +60,6 @@ val scan_range : t -> lo:string -> hi:string -> (string -> int64 -> unit) -> uni
 val iter : t -> (string -> int64 -> unit) -> unit
 (** Whole-tree scan in key order. *)
 
-val min_entry : t -> (string * int64) option
-val max_entry : t -> (string * int64) option
-
 val check_invariants : t -> (unit, string) result
 (** Structural audit of the durable pages: node levels, sort order and
     separator bounds from a walk down the tree, and a leaf chain (from

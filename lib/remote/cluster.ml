@@ -556,6 +556,7 @@ let connect t ?config ?(on_link = fun _tag _link -> ()) ~rng () =
   { cl = t; coord_c; shard_c; pl_epoch = 0; pl_owner = [||]; redirects = 0 }
 
 let coord conn = conn.coord_c
+let conn_cluster conn = conn.cl
 let conn_clients conn = conn.coord_c :: Array.to_list conn.shard_c
 let redirects conn = conn.redirects
 

@@ -131,6 +131,9 @@ val coord : conn -> Client.t
 (** The coordinator client: the full metadata API ([c_creat], [c_stat],
     [c_rename], transactions, ...). *)
 
+val conn_cluster : conn -> t
+(** The fleet the conn talks to. *)
+
 val conn_clients : conn -> Client.t list
 (** Every underlying client (coordinator first), for teardown. *)
 

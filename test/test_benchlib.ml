@@ -252,23 +252,25 @@ let test_oracle_verify_real_fs () =
 
 module F = Benchlib.Fsops
 
+(* Sessions of one kind on [fs]: local ones, or clients of one server. *)
+let session_maker kind fs =
+  match kind with
+  | `Local -> fun _ -> F.Local (Invfs.Fs.new_session fs)
+  | `Remote ->
+    let server = Remote.Server.create ~fs () in
+    let net = Netsim.create ~clock:(Invfs.Fs.clock fs) Netsim.tcp_1993 in
+    let rng = Simclock.Rng.create 7L in
+    fun _ ->
+      F.Remote
+        (Remote.Client.connect ~server ~link:(Netsim.Link.create net)
+           ~rng:(Simclock.Rng.split rng) ())
+
 (* One seeded history of the shared ops through three sessions of one
    kind, with every transaction left open aborted at the end; returns
    the oracle after checking the real tree against it. *)
 let shared_ops_history kind =
   let fs = Invfs.Fs.make (Relstore.Db.create ()) () in
-  let connect =
-    match kind with
-    | `Local -> fun _ -> F.Local (Invfs.Fs.new_session fs)
-    | `Remote ->
-      let server = Remote.Server.create ~fs () in
-      let net = Netsim.create ~clock:(Invfs.Fs.clock fs) Netsim.tcp_1993 in
-      let rng = Simclock.Rng.create 7L in
-      fun _ ->
-        F.Remote
-          (Remote.Client.connect ~server ~link:(Netsim.Link.create net)
-             ~rng:(Simclock.Rng.split rng) ())
-  in
+  let connect = session_maker kind fs in
   let w =
     F.create ~rng:(Simclock.Rng.create 42L) ~ora:(O.create ~trace:false ~depth:4)
       ~max_dirs:6 ~max_file_bytes:(32 * 1024) fs (Array.init 3 connect)
@@ -281,17 +283,114 @@ let shared_ops_history kind =
   Alcotest.(check (list string)) "real tree equals the oracle" [] (O.mismatches w.F.ora);
   w
 
+(* The shared ops with no transaction: what a fleet session can run. *)
+let autocommit_op w _ =
+  let r = Simclock.Rng.int w.F.rng 100 in
+  if r < 28 then F.write w
+  else if r < 40 then F.create_file w
+  else if r < 46 then F.mkdir w
+  else if r < 54 then F.truncate w ~grow:8000
+  else if r < 62 then F.unlink w
+  else if r < 70 then F.rename w
+  else F.read_check w
+
+(* A fault-free fleet of two shards, [n] fleet sessions on it, and the
+   coordinator's file system, where probes read. *)
+let fleet_sessions n =
+  let clock = Simclock.Clock.create () in
+  let net = Netsim.create ~clock Netsim.tcp_1993 in
+  let rng = Simclock.Rng.create 7L in
+  let cluster =
+    Remote.Cluster.create ~clock ~net ~rng:(Simclock.Rng.split rng) ~nshards:2 ()
+  in
+  let conns =
+    Array.init n (fun _ ->
+        F.Fleet (Remote.Cluster.connect cluster ~rng:(Simclock.Rng.split rng) ()))
+  in
+  (cluster, Remote.Server.fs (Remote.Cluster.member_server cluster 0), conns)
+
+(* The auto-commit history through three sessions of one kind; a fleet
+   run is checked by the fleet's own walk. *)
+let autocommit_history kind =
+  let fs, conns, check =
+    match kind with
+    | `Fleet ->
+      let cluster, fs, conns = fleet_sessions 3 in
+      (fs, conns, fun w -> Benchlib.Shardtest.verify w cluster ~phase:"end")
+    | (`Local | `Remote) as kind ->
+      let fs = Invfs.Fs.make (Relstore.Db.create ()) () in
+      ( fs,
+        Array.init 3 (session_maker kind fs),
+        fun w -> O.verify w.F.ora (Invfs.Fs.new_session fs) ~phase:"end" )
+  in
+  let w =
+    F.create ~rng:(Simclock.Rng.create 43L) ~ora:(O.create ~trace:false ~depth:0)
+      ~max_dirs:6 ~max_file_bytes:(24 * 1024) fs conns
+  in
+  for _ = 1 to 150 do
+    F.run_one w ~gen:(autocommit_op w) ~crash:(fun () ->
+        Alcotest.fail "no crash was scheduled")
+  done;
+  check w;
+  Alcotest.(check (list string)) "real tree equals the oracle" [] (O.mismatches w.F.ora);
+  w
+
 let test_shared_ops_local_equals_remote () =
-  let l = shared_ops_history `Local and r = shared_ops_history `Remote in
   let bytes_map m = List.map (fun (k, b) -> (k, Bytes.to_string b)) (O.OM.bindings m) in
-  Alcotest.(check (list (pair string int64))) "names"
-    (O.SM.bindings (O.names l.F.ora)) (O.SM.bindings (O.names r.F.ora));
-  Alcotest.(check (list (pair int64 string))) "contents"
-    (bytes_map (O.files l.F.ora)) (bytes_map (O.files r.F.ora));
-  Alcotest.(check (list string)) "directories" (O.dirs l.F.ora) (O.dirs r.F.ora);
-  Alcotest.(check (list int)) "applied, commits, aborts, lock skips"
-    [ l.F.ops_applied; l.F.commits; l.F.aborts; l.F.lock_skips ]
-    [ r.F.ops_applied; r.F.commits; r.F.aborts; r.F.lock_skips ]
+  let agree what (a : F.t) (b : F.t) counters =
+    Alcotest.(check (list (pair string int64))) (what ^ ": names")
+      (O.SM.bindings (O.names a.ora)) (O.SM.bindings (O.names b.ora));
+    Alcotest.(check (list (pair int64 string))) (what ^ ": contents")
+      (bytes_map (O.files a.ora)) (bytes_map (O.files b.ora));
+    Alcotest.(check (list string)) (what ^ ": directories") (O.dirs a.ora) (O.dirs b.ora);
+    Alcotest.(check (list int)) (what ^ ": counters") (counters a) (counters b)
+  in
+  let l = shared_ops_history `Local and r = shared_ops_history `Remote in
+  agree "with transactions, local vs remote" l r (fun w ->
+      [ w.ops_applied; w.commits; w.aborts; w.lock_skips ]);
+  let l = autocommit_history `Local in
+  Alcotest.(check bool) "the auto-commit history writes" true
+    (O.OM.cardinal (O.files l.ora) > 3);
+  List.iter
+    (fun (what, kind) ->
+      agree ("auto-commit, local vs " ^ what) l (autocommit_history kind) (fun w ->
+          [ w.ops_applied ]))
+    [ ("remote", `Remote); ("fleet", `Fleet) ]
+
+(* A fleet write that executes on its shard, loses its reply, and whose
+   retry reaches a shard that crashed on receipt: the session is gone
+   and the outcome unknown.  The probe must find the write on the shard
+   and the oracle must take it. *)
+let test_fleet_lost_write_lands () =
+  let cluster, fs, _ = fleet_sessions 0 in
+  let plan = Faultsim.create () in
+  let conn =
+    Remote.Cluster.connect cluster
+      ~on_link:(fun tag link -> if tag > 0 then Faultsim.arm_link plan ~tag link)
+      ~rng:(Simclock.Rng.create 9L) ()
+  in
+  let w =
+    F.create ~rng:(Simclock.Rng.create 1L) ~ora:(O.create ~trace:false ~depth:0) ~max_dirs:2
+      ~max_file_bytes:4096 fs [| F.Fleet conn |]
+  in
+  let run op =
+    F.run_one w ~gen:(fun _ -> op) ~crash:(fun () -> Alcotest.fail "no device crash")
+  in
+  run (F.create_file w);
+  let path, oid = List.hd (O.SM.bindings (O.names w.ora)) in
+  run (fun ss -> F.write_at w ss path ~oid ~off:0 [ Bytes.of_string "first" ]);
+  (* the shard links carry only the data plane: message 1 = the write;
+     2 = its reply: drop it; 3 = the retry: the shard dies as it arrives *)
+  Faultsim.schedule_net plan ~after:2 Faultsim.Net_drop;
+  Faultsim.schedule_net plan ~after:3 Faultsim.Net_server_crash;
+  run (fun ss -> F.write_at w ss path ~oid ~off:3 [ Bytes.of_string "landed" ]);
+  Faultsim.disarm plan;
+  Alcotest.(check (list int)) "indeterminate, landed, applied" [ 1; 1; 2 ]
+    [ w.indeterminate; w.landed; w.ops_applied ];
+  Alcotest.(check string) "the oracle took the write" "firlanded"
+    (Bytes.to_string (O.content w.ora oid));
+  Benchlib.Shardtest.verify w cluster ~phase:"after";
+  Alcotest.(check (list string)) "the fleet walk agrees" [] (O.mismatches w.ora)
 
 let () =
   Alcotest.run "benchlib"
@@ -335,6 +434,8 @@ let () =
         [
           Alcotest.test_case "local and remote sessions agree" `Quick
             test_shared_ops_local_equals_remote;
+          Alcotest.test_case "a fleet write whose reply was lost lands" `Quick
+            test_fleet_lost_write_lands;
         ] );
       ( "load replay",
         [

@@ -108,19 +108,6 @@ let test_delete () =
   Alcotest.(check int) "count" 999 (Index.Btree.count t);
   check_ok t
 
-let test_min_max () =
-  let t = make_tree () in
-  Alcotest.(check bool) "empty min" true (Index.Btree.min_entry t = None);
-  List.iter
-    (fun i -> Index.Btree.insert t ~key:(key i) ~value:(Int64.of_int i))
-    [ 42; 7; 99; 13 ];
-  (match Index.Btree.min_entry t with
-  | Some (k, _) -> Alcotest.(check int64) "min" 7L (Index.Key.to_int64 k)
-  | None -> Alcotest.fail "min missing");
-  match Index.Btree.max_entry t with
-  | Some (k, _) -> Alcotest.(check int64) "max" 99L (Index.Key.to_int64 k)
-  | None -> Alcotest.fail "max missing"
-
 let test_survives_crash () =
   let clock = Simclock.Clock.create () in
   let device =
@@ -356,7 +343,6 @@ let () =
           Alcotest.test_case "random insertion order" `Quick test_reverse_and_random_order;
           Alcotest.test_case "range scan" `Quick test_scan_range;
           Alcotest.test_case "delete" `Quick test_delete;
-          Alcotest.test_case "min/max entries" `Quick test_min_max;
           Alcotest.test_case "survives a crash" `Quick test_survives_crash;
           Alcotest.test_case "key encodings" `Quick test_key_encoding;
           Alcotest.test_case "klen bounds" `Quick test_klen_bounds;
