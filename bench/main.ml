@@ -996,34 +996,12 @@ let bench_json ~mb ~out ~smoke ~compare_prev =
     check "readahead-subset" (metric "cache.readahead_hits" <= metric "cache.hits")
       (Printf.sprintf "cache.readahead_hits=%d > cache.hits=%d"
          (metric "cache.readahead_hits") (metric "cache.hits"));
-    (* The "load" object's invariants: enough points to draw a curve,
-       throughput bounded by what was offered, ordered percentiles, the
-       knee inside the swept range, and an oracle-equivalent run. *)
-    check "load-points" (List.length load.Lt.levels >= 4)
-      (Printf.sprintf "only %d load levels (need >= 4)" (List.length load.Lt.levels));
+    (* The "load" object's invariants: the saturation curve's, and an
+       oracle-equivalent run. *)
+    List.iter (check "load-curve" false) (Lt.curve_failures load);
     check "load-oracle" (load.Lt.mismatches = [])
       (Printf.sprintf "%d differential mismatches under load"
          (List.length load.Lt.mismatches));
-    List.iter
-      (fun (l : Lt.level) ->
-        check "load-throughput"
-          (l.Lt.l_achieved_ops_s >= 0.
-          && l.Lt.l_achieved_ops_s <= l.Lt.l_offered_realized_ops_s +. 1e-6)
-          (Printf.sprintf "x%.2f: achieved %.3f ops/s outside [0, offered %.3f]"
-             l.Lt.l_factor l.Lt.l_achieved_ops_s l.Lt.l_offered_realized_ops_s);
-        check "load-percentiles"
-          (l.Lt.l_p50_s <= l.Lt.l_p95_s && l.Lt.l_p95_s <= l.Lt.l_p99_s)
-          (Printf.sprintf "x%.2f: p50=%g p95=%g p99=%g not ordered" l.Lt.l_factor
-             l.Lt.l_p50_s l.Lt.l_p95_s l.Lt.l_p99_s))
-      load.Lt.levels;
-    (let offered = List.map (fun l -> l.Lt.l_offered_realized_ops_s) load.Lt.levels in
-     let lo = List.fold_left min infinity offered in
-     let hi = List.fold_left max 0. offered in
-     check "load-knee"
-       (load.Lt.knee_offered_ops_s >= lo -. 1e-6
-       && load.Lt.knee_offered_ops_s <= hi +. 1e-6)
-       (Printf.sprintf "knee %.3f ops/s outside swept range [%.3f, %.3f]"
-          load.Lt.knee_offered_ops_s lo hi));
     (* The overload differential: at every saturated level (factor >= 2)
        the protected run holds goodput and tail latency where the seed
        run, on identical traffic, loses both. *)
@@ -1189,10 +1167,8 @@ let () =
   | "load" ->
     (* Open-loop load sweep:
          bench load [--seed N] [--clients N] [--tenants N] [--ops N]
-                    [--factors F1,F2,...] [--overload-factors F1,F2,...]
-                    [--theta F] [--slo-ms N] [--deadline-ms N]
-                    [--lock-wait-ms N] [--run-cap N] [--park-cap N]
-                    [--quick] [--trace]
+                    [--factors F1,F2,...] [--theta F] [--slo-ms N]
+                    [--deadline-ms N] [--quick] [--trace]
        Calibrates capacity closed-loop, then offers factor x capacity at
        each level and prints the saturation curve (offered vs achieved
        ops/s, p50/p95/p99) plus the detected knee.  The differential
@@ -1203,9 +1179,8 @@ let () =
        deadline (from each op's arrival) with every request — the server
        refuses work whose caller gave up, and degradation shifts from
        unbounded queueing to clean sheds (0 = seed behaviour, no
-       deadlines).  --overload-factors is --factors spelled for the
-       saturated range (e.g. 1,2,4).  --lock-wait-ms, --run-cap and
-       --park-cap set the server's parking and admission bounds. *)
+       deadlines); --factors 1,2,4 then sweeps the saturated range.  The
+       server keeps its own parking and admission bounds. *)
     let find_arg name default =
       let rec go = function
         | a :: v :: _ when a = name -> int_of_string v
@@ -1225,7 +1200,7 @@ let () =
     let base = if List.mem "--quick" args then Lt.quick_config else Lt.default_config in
     let factors =
       let rec go = function
-        | ("--factors" | "--overload-factors") :: v :: _ ->
+        | "--factors" :: v :: _ ->
           String.split_on_char ',' v |> List.map (fun s -> float_of_string (String.trim s))
         | _ :: rest -> go rest
         | [] -> base.Lt.load_factors
@@ -1244,9 +1219,6 @@ let () =
         zipf_theta = find_float "--theta" base.Lt.zipf_theta;
         slo_p99_s = find_float "--slo-ms" (base.Lt.slo_p99_s *. 1e3) /. 1e3;
         deadline_s = (if deadline_ms > 0. then Some (deadline_ms /. 1e3) else None);
-        lock_wait_s = find_float "--lock-wait-ms" (base.Lt.lock_wait_s *. 1e3) /. 1e3;
-        run_cap = find_arg "--run-cap" base.Lt.run_cap;
-        park_cap = find_arg "--park-cap" base.Lt.park_cap;
         trace = List.mem "--trace" args;
       }
     in

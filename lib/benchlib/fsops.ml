@@ -46,6 +46,8 @@ type t = {
   mutable indeterminate : int;
   mutable landed : int;
   mutable time_travel_checks : int;
+  mutable deadline_refusals : int;
+  mutable overload_refusals : int;
 }
 
 let create ~rng ~ora ~max_dirs ~max_file_bytes fs conns =
@@ -68,6 +70,8 @@ let create ~rng ~ora ~max_dirs ~max_file_bytes fs conns =
     indeterminate = 0;
     landed = 0;
     time_travel_checks = 0;
+    deadline_refusals = 0;
+    overload_refusals = 0;
   }
 
 (* ---------- the three session kinds ---------- *)
@@ -264,8 +268,7 @@ let probe_of_updates w ss (u : Oracle.updates) =
    op makes exactly one mutating call, so the pending record covers
    precisely the call whose outcome a lost session can leave unknown. *)
 
-let create_file w ss =
-  let path = Oracle.fresh_path w.ora ss.ov w.rng "f" in
+let create_at w ss path =
   let oid = Oracle.fresh_oid w.ora in
   Oracle.trace w.ora "s%d creat %s -> oid %Ld" ss.id path oid;
   let u =
@@ -274,6 +277,8 @@ let create_file w ss =
   ss.pending <- Some (u, probe_exists path);
   Conn.creat ss.conn path;
   u
+
+let create_file w ss = create_at w ss (Oracle.fresh_path w.ora ss.ov w.rng "f")
 
 let mkdir w ss =
   if List.length (Oracle.view_dirs w.ora ss.ov) >= w.max_dirs then create_file w ss
@@ -288,10 +293,10 @@ let mkdir w ss =
 
 (* Anywhere up to the end of the file, or, when a write of [total] bytes
    there could outgrow [max_file_bytes], inside the existing extent. *)
-let draw_offset w ~len total =
+let draw_offset w rng ~len total =
   if len + total > w.max_file_bytes then
-    if len - total <= 0 then 0 else Rng.int w.rng (len - total + 1)
-  else Rng.int w.rng (len + 1)
+    if len - total <= 0 then 0 else Rng.int rng (len - total + 1)
+  else Rng.int rng (len + 1)
 
 (* Every write ends here, whatever it drew: [segs] in turn from [off]
    of the file at [path], whose identity is [oid]. *)
@@ -314,7 +319,7 @@ let write w ss =
     let nseg = if Oracle.in_txn ss.ov then 1 + Rng.int w.rng 3 else 1 in
     let segs = List.init nseg (fun _ -> Rng.bytes w.rng (1 + Rng.int w.rng 6800)) in
     let total = List.fold_left (fun a s -> a + Bytes.length s) 0 segs in
-    let off = draw_offset w ~len total in
+    let off = draw_offset w w.rng ~len total in
     Oracle.trace w.ora "s%d write %s (oid %Ld) off=%d total=%d nseg=%d cur_len=%d" ss.id
       path oid off total nseg len;
     write_at w ss path ~oid ~off segs
@@ -354,25 +359,27 @@ let rename w ss =
     Conn.rename ss.conn path dst;
     u
 
-let read_check w ss =
-  (match Oracle.pick_file w.ora ss.ov w.rng with
+let read_at w ss path ~oid =
+  Oracle.trace w.ora "s%d read %s (oid %Ld)" ss.id path oid;
+  let real = Conn.read w ss.conn path ~oid in
+  let expect = Oracle.view_content w.ora ss.ov oid in
+  (match Oracle.bytes_diff expect real with
   | None -> ()
-  | Some (path, oid) -> (
-    Oracle.trace w.ora "s%d read %s (oid %Ld)" ss.id path oid;
-    let real = Conn.read w ss.conn path ~oid in
-    let expect = Oracle.view_content w.ora ss.ov oid in
-    match Oracle.bytes_diff expect real with
-    | None -> ()
-    | Some d ->
-      let nonzero b =
-        let n = ref 0 in
-        Bytes.iter (fun c -> if c <> '\000' then incr n) b;
-        !n
-      in
-      Oracle.trace w.ora "  DIVERGED: expect nonzero=%d real nonzero=%d (len %d/%d)"
-        (nonzero expect) (nonzero real) (Bytes.length expect) (Bytes.length real);
-      Oracle.mismatch w.ora "read %s diverged mid-run: %s" path d));
+  | Some d ->
+    let nonzero b =
+      let n = ref 0 in
+      Bytes.iter (fun c -> if c <> '\000' then incr n) b;
+      !n
+    in
+    Oracle.trace w.ora "  DIVERGED: expect nonzero=%d real nonzero=%d (len %d/%d)"
+      (nonzero expect) (nonzero real) (Bytes.length expect) (Bytes.length real);
+    Oracle.mismatch w.ora "read %s diverged mid-run: %s" path d);
   Oracle.no_updates
+
+let read_check w ss =
+  match Oracle.pick_file w.ora ss.ov w.rng with
+  | None -> Oracle.no_updates
+  | Some (path, oid) -> read_at w ss path ~oid
 
 let begin_txn w ss =
   Oracle.trace w.ora "s%d begin" ss.id;
@@ -454,54 +461,94 @@ let resolve_indeterminate w ss =
       if Oracle.in_txn ss.ov then w.aborts <- w.aborts + 1
     end
 
+type result = Applied | Skipped | Refused
+
+(* The request was refused and never executed: the session lives on,
+   but the op's transaction cannot, so it aborts like a lock skip. *)
+let refuse w ss (r : Client.refusal) why =
+  (match r with
+  | Deadline ->
+    Oracle.trace w.ora "s%d .. deadline refusal: %s" ss.id why;
+    w.deadline_refusals <- w.deadline_refusals + 1
+  | Overload ->
+    Oracle.trace w.ora "s%d .. overload refusal: %s" ss.id why;
+    w.overload_refusals <- w.overload_refusals + 1);
+  safe_abort w ss;
+  Refused
+
+let apply w ss op =
+  ss.pending <- None;
+  w.current <- Some ss;
+  let result =
+    match op ss with
+    | u ->
+      Oracle.record w.ora ss.ov u;
+      w.ops_applied <- w.ops_applied + 1;
+      Applied
+    | exception Errors.Fs_error (Errors.ECONNRESET, msg) ->
+      Oracle.trace w.ora "s%d .. ECONNRESET: %s" ss.id msg;
+      (* the session died.  If the outcome is ambiguous (a commit or an
+         auto-commit mutation may or may not have applied), probe the
+         committed state; a clean "transaction aborted" just drops the
+         overlay: the server rolled everything back. *)
+      if Client.outcome_indeterminate msg then resolve_indeterminate w ss
+      else if Oracle.in_txn ss.ov then w.aborts <- w.aborts + 1;
+      Oracle.clear ss.ov;
+      Skipped
+    | exception Device.Io_fault _ ->
+      Oracle.trace w.ora "s%d .. io fault" ss.id;
+      w.io_faults <- w.io_faults + 1;
+      safe_abort w ss;
+      Skipped
+    | exception Device.Media_failure { device; segid; blkno; reason } ->
+      (* Retry and mirror failover must absorb every permanent media fault
+         before an op sees it, so this is a finding. *)
+      Oracle.mismatch w.ora "op hit media failure on %s/%d/%d: %s" device segid blkno
+        reason;
+      safe_abort w ss;
+      Skipped
+    | exception Not_found ->
+      (* commit found a file unlinked by a concurrent session: the
+         transaction cannot complete *)
+      safe_abort w ss;
+      Skipped
+    | exception Errors.Fs_error (code, msg) -> (
+      match (Client.refusal code msg, code, msg) with
+      | Some r, _, _ -> refuse w ss r msg
+      | None, (Errors.EAGAIN | Errors.EDEADLK | Errors.ETIMEDOUT), _ ->
+        Oracle.trace w.ora "s%d .. lock skip" ss.id;
+        w.lock_skips <- w.lock_skips + 1;
+        safe_abort w ss;
+        Skipped
+      | None, Errors.ENOENT, "raced with a concurrent unlink" ->
+        (* the server's answer to the same Not_found *)
+        Oracle.trace w.ora "s%d .. unlink race" ss.id;
+        safe_abort w ss;
+        Skipped
+      | None, _, _ ->
+        Oracle.mismatch w.ora "unexpected fs error %s: %s" (Errors.code_to_string code) msg;
+        safe_abort w ss;
+        Skipped)
+  in
+  ss.pending <- None;
+  w.current <- None;
+  result
+
 let run_one w ~gen ~crash =
   w.ops_attempted <- w.ops_attempted + 1;
   Oracle.trace w.ora "-- op %d" w.ops_attempted;
   let ss = w.sessions.(Rng.int w.rng (Array.length w.sessions)) in
   let op = gen ss in
-  ss.pending <- None;
-  w.current <- Some ss;
-  (match op ss with
-  | u ->
-    Oracle.record w.ora ss.ov u;
-    w.ops_applied <- w.ops_applied + 1
-  | exception Device.Crash_injected _ -> crash ()
-  | exception Errors.Fs_error (Errors.ECONNRESET, msg) ->
-    Oracle.trace w.ora "s%d .. ECONNRESET: %s" ss.id msg;
-    (* the session died.  If the outcome is ambiguous (a commit or an
-       auto-commit mutation may or may not have applied), probe the
-       committed state; a clean "transaction aborted" just drops the
-       overlay: the server rolled everything back. *)
-    if Client.outcome_indeterminate msg then resolve_indeterminate w ss
-    else if Oracle.in_txn ss.ov then w.aborts <- w.aborts + 1;
-    Oracle.clear ss.ov
-  | exception Device.Io_fault _ ->
-    Oracle.trace w.ora "s%d .. io fault" ss.id;
-    w.io_faults <- w.io_faults + 1;
-    safe_abort w ss
-  | exception Device.Media_failure { device; segid; blkno; reason } ->
-    (* Retry and mirror failover must absorb every permanent media fault
-       before an op sees it, so this is a finding. *)
-    Oracle.mismatch w.ora "op hit media failure on %s/%d/%d: %s" device segid blkno
-      reason;
-    safe_abort w ss
-  | exception Errors.Fs_error ((Errors.EAGAIN | Errors.EDEADLK | Errors.ETIMEDOUT), _) ->
-    Oracle.trace w.ora "s%d .. lock skip" ss.id;
-    w.lock_skips <- w.lock_skips + 1;
-    safe_abort w ss
-  | exception Not_found ->
-    (* commit found a file unlinked by a concurrent session: the
-       transaction cannot complete *)
-    safe_abort w ss
-  | exception Errors.Fs_error (Errors.ENOENT, "raced with a concurrent unlink") ->
-    (* the server's answer to the same Not_found *)
-    Oracle.trace w.ora "s%d .. unlink race" ss.id;
-    safe_abort w ss
-  | exception Errors.Fs_error (code, msg) ->
-    Oracle.mismatch w.ora "unexpected fs error %s: %s" (Errors.code_to_string code) msg;
-    safe_abort w ss);
-  ss.pending <- None;
-  w.current <- None
+  match apply w ss op with
+  | Applied | Skipped -> ()
+  | Refused ->
+    (* no harness that draws its own sessions sets a deadline or a load
+       its server sheds *)
+    Oracle.mismatch w.ora "s%d: request refused (deadline or overload)" ss.id
+  | exception Device.Crash_injected _ ->
+    crash ();
+    ss.pending <- None;
+    w.current <- None
 
 let recovered w =
   (* pre-crash sessions are dead: fresh ones, uncommitted overlays gone *)

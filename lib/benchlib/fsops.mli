@@ -1,15 +1,18 @@
 (** The workload shared by the differential harnesses that drive
-    Inversion sessions ({!Crashtest}, {!Nettest}, {!Vacuumtest} and
-    {!Shardtest}): sessions with their {!Oracle} overlays, the op
-    counters, the shared ops and op mix, one op's execution with its
-    fault handling, and the post-crash check.  A session is local (an
-    {!Invfs.Fs.session}), remote (a {!Remote.Client.t} speaking the wire
-    protocol) or a fleet one (a {!Remote.Cluster.conn}: names through the
-    coordinator, file data on the shards); every op runs the same random
-    draws through any of them, so one seeded history can be checked
-    through each.  Each harness keeps its fault model and outcome record;
-    {!Vacuumtest} and {!Shardtest} also keep their own op mix and the ops
-    whose draws differ (a write, and Vacuumtest's clone). *)
+    Inversion sessions ({!Crashtest}, {!Nettest}, {!Vacuumtest},
+    {!Shardtest} and {!Loadtest}): sessions with their {!Oracle}
+    overlays, the op counters, the shared ops and op mix, one op's
+    execution with its fault handling, and the post-crash check.  A
+    session is local (an {!Invfs.Fs.session}), remote (a
+    {!Remote.Client.t} speaking the wire protocol) or a fleet one (a
+    {!Remote.Cluster.conn}: names through the coordinator, file data on
+    the shards); every op runs the same random draws through any of
+    them, so one seeded history can be checked through each.  Each
+    harness keeps its fault model and outcome record; {!Vacuumtest},
+    {!Shardtest} and {!Loadtest} also keep their own op mix and the
+    draws of the ops whose draws differ, each ending in a shared call
+    ({!create_at}, {!write_at}, {!read_at}).  {!Loadtest} draws its own
+    sessions too, and runs each op through {!apply}. *)
 
 type conn =
   | Local of Invfs.Fs.session
@@ -62,6 +65,9 @@ type t = {
   mutable indeterminate : int;  (** session losses with an unknown outcome *)
   mutable landed : int;  (** ...of which the probe said "it committed" *)
   mutable time_travel_checks : int;
+  mutable deadline_refusals : int;
+      (** requests refused because their deadline had passed *)
+  mutable overload_refusals : int;  (** ...because the server shed them *)
 }
 
 val create :
@@ -83,6 +89,12 @@ val create :
     does so once [max_dirs] directories exist. *)
 
 val create_file : t -> sess -> Oracle.updates
+(** {!create_at} a fresh path in a directory the session sees. *)
+
+val create_at : t -> sess -> string -> Oracle.updates
+(** The end of every create: an empty file at the path, with a fresh
+    identity. *)
+
 val mkdir : t -> sess -> Oracle.updates
 val unlink : t -> sess -> Oracle.updates
 val rename : t -> sess -> Oracle.updates
@@ -91,10 +103,10 @@ val write : t -> sess -> Oracle.updates
 (** Outside a transaction, one buffer of up to 6,800 bytes; inside one,
     up to three.  The buffers are drawn before the offset. *)
 
-val draw_offset : t -> len:int -> int -> int
-(** Where a write of the given length starts in a file of [len] bytes:
-    anywhere up to its end, or inside the existing extent when that
-    could outgrow [max_file_bytes]. *)
+val draw_offset : t -> Simclock.Rng.t -> len:int -> int -> int
+(** Where a write of the given length starts in a file of [len] bytes,
+    drawn from the rng given: anywhere up to its end, or inside the
+    existing extent when that could outgrow [max_file_bytes]. *)
 
 val write_at : t -> sess -> string -> oid:int64 -> off:int -> bytes list -> Oracle.updates
 (** The end of every write, whatever it drew: the buffers in turn from
@@ -105,9 +117,13 @@ val truncate : t -> grow:int -> sess -> Oracle.updates
     [max_file_bytes]. *)
 
 val read_check : t -> sess -> Oracle.updates
-(** Logs a mismatch unless the file reads back as the session's view.
-    A fleet session reads the committed length plus 64 bytes from the
-    shard, so a file longer than the oracle's shows too. *)
+(** {!read_at} a file the session sees. *)
+
+val read_at : t -> sess -> string -> oid:int64 -> Oracle.updates
+(** Logs a mismatch unless the file at the path, whose identity is
+    [oid], reads back as the session's view.  A fleet session reads the
+    committed length plus 64 bytes from the shard, so a file longer than
+    the oracle's shows too. *)
 
 val begin_txn : t -> sess -> Oracle.updates
 val commit : t -> sess -> Oracle.updates
@@ -122,16 +138,36 @@ val gen_op : t -> sess -> sess -> Oracle.updates
 
 (** {1 Running} *)
 
+type result =
+  | Applied  (** the op returned, and the oracle recorded its updates *)
+  | Skipped  (** it failed, and the ladder below handled it *)
+  | Refused  (** its request was refused and never executed *)
+
+val apply : t -> sess -> (sess -> Oracle.updates) -> result
+(** Run one op on the session; {!field-current} names it while the op
+    runs.  A lost session drops its overlay, first probing whether the
+    op committed when the client says the outcome is unknown.  A
+    transient I/O error, a lock conflict (a lock wait that timed out
+    included) or an unlink race aborts the session's transaction; a
+    media failure or an unexpected error does too, and is logged as a
+    mismatch.  A request refused for its deadline or by a shedding
+    server ({!Remote.Client.refusal}) is counted in
+    [deadline_refusals] or [overload_refusals] and aborts the
+    transaction too.  A fleet's stale-placement refusal that outlives
+    the conn's redirect budget is an unexpected error.  An injected
+    device crash propagates. *)
+
+val refuse : t -> sess -> Remote.Client.refusal -> string -> result
+(** [refuse w ss r why]: the session's request was refused for [r]
+    (traced with [why]) and never executed.  Count it in
+    [deadline_refusals] or [overload_refusals], abort the session's
+    transaction and return [Refused].  {!apply} calls it on a refusal; a
+    harness that gives an op up before sending it calls it directly. *)
+
 val run_one : t -> gen:(sess -> sess -> Oracle.updates) -> crash:(unit -> unit) -> unit
-(** One op, drawn by [gen], on a random session; {!field-current} names
-    that session while the op runs.  An injected device crash goes to
-    [crash].  A lost session drops its overlay, first probing whether
-    the op committed when the client says the outcome is unknown.  A
-    transient I/O error, a lock conflict or an unlink race aborts the
-    session's transaction; a media failure or an unexpected error does
-    too, and is logged as a mismatch.  A fleet's stale-placement or busy
-    refusal that outlives the conn's redirect budget is such an
-    unexpected error. *)
+(** {!apply} an op drawn by [gen] to a random session.  An injected
+    device crash goes to [crash].  A refusal is logged as a mismatch:
+    these harnesses set no deadline and no load their server sheds. *)
 
 val safe_abort : t -> sess -> unit
 (** Abort the session's transaction, if any, and drop its overlay. *)

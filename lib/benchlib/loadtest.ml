@@ -23,11 +23,19 @@
 
    The sweep calibrates first: a closed-loop prefix measures service
    capacity, then each level offers [factor × capacity] so the knee is
-   always inside the swept range.  Correctness rides along: the shared
-   Oracle shadows every mutation (per-session overlays for open
-   transactions), reads are checked against it
-   mid-flight, snapshots feed time-travel checks, and a full-tree walk
-   closes the run. *)
+   always inside the swept range.  Correctness rides along: the sessions
+   are Fsops' remote ones, so the shared Oracle shadows every mutation
+   (per-session overlays for open transactions), reads are checked
+   against it mid-flight, snapshots feed time-travel checks, and a
+   full-tree walk closes each level.
+
+   This harness keeps only what its draws make its own: the schedule,
+   the Zipf population and the file each op picks from it, the /tN/f
+   create path, each op's payload rng, the time-travel read, and the
+   population's growth at a commit.  Every other op body ends in a
+   shared Fsops call, and the engine runs each op through Fsops.apply,
+   whose ladder counts lock skips and deadline or overload refusals and
+   aborts the transaction on either. *)
 
 module Rng = Simclock.Rng
 module Fs = Invfs.Fs
@@ -55,15 +63,11 @@ type config = {
   txn_len : int; (* mutations inside each transaction *)
   write_bytes : int; (* max bytes per write *)
   slo_p99_s : float; (* the per-level p99 SLO a knee can trip on *)
-  verify_each_level : bool; (* full-tree walk after every level *)
   trace : bool;
   deadline_s : float option;
       (* per-op deadline, relative to the op's arrival: propagated to the
          server, which refuses work whose caller gave up.  None (the
          seed behaviour) sends no deadlines and degrades by queueing. *)
-  lock_wait_s : float; (* server: how long parked requests may wait *)
-  run_cap : int; (* server: run-queue + parked bound *)
-  park_cap : int; (* server: parked-request bound *)
 }
 
 let default_config =
@@ -84,12 +88,8 @@ let default_config =
     txn_len = 3;
     write_bytes = 1024;
     slo_p99_s = 1.0;
-    verify_each_level = true;
     trace = false;
     deadline_s = None;
-    lock_wait_s = 0.;
-    run_cap = 256;
-    park_cap = 64;
   }
 
 (* Small enough that a seeded sweep of it rides `dune runtest`. *)
@@ -274,244 +274,164 @@ let outcome_to_string o =
     (List.length o.mismatches)
     (String.concat "\n" (List.map level_to_string o.levels))
 
-(* ---------- Zipf popularity over a growing population ----------
+(* What a saturation curve must show, however fast the system: enough
+   levels to draw it, a positive capacity, achieved throughput within
+   what was offered, ordered percentiles, goodput within the ops run,
+   and the knee inside the swept range. *)
+let curve_failures o =
+  let fails = ref [] in
+  let fail fmt = Printf.ksprintf (fun msg -> fails := msg :: !fails) fmt in
+  if List.length o.levels < 4 then
+    fail "only %d load levels (need >= 4)" (List.length o.levels);
+  if o.capacity_ops_s <= 0. then fail "capacity %.3f not positive" o.capacity_ops_s;
+  List.iter
+    (fun l ->
+      if l.l_achieved_ops_s < 0. then
+        fail "x%.2f: achieved %.3f negative" l.l_factor l.l_achieved_ops_s;
+      if l.l_achieved_ops_s > l.l_offered_realized_ops_s +. 1e-6 then
+        fail "x%.2f: achieved %.3f exceeds offered %.3f" l.l_factor l.l_achieved_ops_s
+          l.l_offered_realized_ops_s;
+      if not (l.l_p50_s <= l.l_p95_s && l.l_p95_s <= l.l_p99_s) then
+        fail "x%.2f: percentiles unordered p50=%g p95=%g p99=%g" l.l_factor l.l_p50_s
+          l.l_p95_s l.l_p99_s;
+      if l.l_applied > l.l_ops then
+        fail "x%.2f: applied %d > ops %d" l.l_factor l.l_applied l.l_ops)
+    o.levels;
+  let offered = List.map (fun l -> l.l_offered_realized_ops_s) o.levels in
+  let lo = List.fold_left min infinity offered in
+  let hi = List.fold_left max 0. offered in
+  if o.knee_offered_ops_s < lo -. 1e-6 || o.knee_offered_ops_s > hi +. 1e-6 then
+    fail "knee %.3f outside swept range [%.3f, %.3f]" o.knee_offered_ops_s lo hi;
+  List.rev !fails
 
-   Weight of the i-th created file is 1/(i+1)^θ: incremental cumulative
-   sums support O(1) growth on create and O(log n) inversion of the
-   schedule's pre-drawn uniform. *)
+(* ---------- the Zipf population ----------
 
-type zipf = { mutable cums : float array; mutable n : int; theta : float }
+   The committed files in creation order, which is their popularity
+   rank: the i-th weighs 1/(i+1)^θ (old files are hot).  Incremental
+   cumulative sums support O(1) growth and O(log n) inversion of the
+   schedule's pre-drawn uniform.  The oracle names exactly these files,
+   so a remembered instant holds a prefix of them. *)
 
-let zipf_create theta = { cums = Array.make 64 0.; n = 0; theta }
-
-let zipf_add z =
-  if z.n = Array.length z.cums then begin
-    let bigger = Array.make (2 * z.n) 0. in
-    Array.blit z.cums 0 bigger 0 z.n;
-    z.cums <- bigger
-  end;
-  let prev = if z.n = 0 then 0. else z.cums.(z.n - 1) in
-  z.cums.(z.n) <- prev +. (1. /. (float_of_int (z.n + 1) ** z.theta));
-  z.n <- z.n + 1
-
-let zipf_pick z u =
-  if z.n = 0 then invalid_arg "Loadtest.zipf_pick: empty population";
-  let target = u *. z.cums.(z.n - 1) in
-  let lo = ref 0 and hi = ref (z.n - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if z.cums.(mid) > target then hi := mid else lo := mid + 1
-  done;
-  !lo
-
-(* ---------- oracle + harness state ---------- *)
-
-type csess = {
-  id : int;
-  tenant : int;
-  c : Client.t;
-  ov : Oracle.overlay;
-  mutable created : (string * int64) list; (* this txn's creates, newest first *)
+type popn = {
+  mutable files : (string * int64) array;
+  mutable cums : float array;
+  mutable n : int;
+  theta : float;
 }
 
-type popn = { mutable entries : (string * int64) array; mutable count : int }
-
-let popn_add p path oid =
-  if p.count = Array.length p.entries then begin
-    let bigger = Array.make (max 64 (2 * p.count)) ("", 0L) in
-    Array.blit p.entries 0 bigger 0 p.count;
-    p.entries <- bigger
+let popn_add p (path, oid) =
+  if p.n = Array.length p.cums then begin
+    p.files <- Array.append p.files (Array.make (max 64 p.n) ("", 0L));
+    p.cums <- Array.append p.cums (Array.make (max 64 p.n) 0.)
   end;
-  p.entries.(p.count) <- (path, oid);
-  p.count <- p.count + 1
+  let prev = if p.n = 0 then 0. else p.cums.(p.n - 1) in
+  p.cums.(p.n) <- prev +. (1. /. (float_of_int (p.n + 1) ** p.theta));
+  p.files.(p.n) <- (path, oid);
+  p.n <- p.n + 1
 
-type state = {
-  cfg : config;
-  db : Relstore.Db.t;
-  fs : Fs.t;
-  clock : Simclock.Clock.t;
-  clients : csess array;
-  zipf : zipf;
-  pop : popn;
-      (* committed files, creation order = zipf rank; the oracle names
-         exactly these, so a remembered instant holds a prefix of it *)
-  ora : Oracle.t;
-  mutable commits : int;
-  mutable aborts : int;
-  mutable lock_skips : int;
-  mutable shed_deadline : int;
-  mutable shed_overload : int;
-  mutable time_travel_checks : int;
-}
+let popn_pick p u =
+  if p.n = 0 then None
+  else begin
+    let target = u *. p.cums.(p.n - 1) in
+    let lo = ref 0 and hi = ref (p.n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if p.cums.(mid) > target then hi := mid else lo := mid + 1
+    done;
+    Some p.files.(!lo)
+  end
 
-(* A committed create joins the Zipf population. *)
-let grow st path oid =
-  popn_add st.pop path oid;
-  zipf_add st.zipf
+(* ---------- harness state ---------- *)
 
-let end_txn cs =
-  Oracle.clear cs.ov;
-  cs.created <- []
+type state = { cfg : config; w : Fsops.t; clock : Simclock.Clock.t; pop : popn }
 
-(* Abandon the session's open transaction (if any) and its overlay.
-   [c_abort] is deadline-exempt on the client and never shed by the
-   server, so cleanup always lands. *)
-let drop_txn st cs =
-  if Oracle.in_txn cs.ov then begin
-    (try Client.c_abort cs.c with _ -> ());
-    st.aborts <- st.aborts + 1
-  end;
-  end_txn cs
+let client (ss : Fsops.sess) =
+  match ss.conn with Fsops.Remote c -> c | _ -> invalid_arg "Loadtest.client"
 
-(* A conflicting two-phase lock is not a failure, it is the measurement:
-   the op aborts cleanly, the oracle applies nothing. *)
-let lock_skip st cs =
-  st.lock_skips <- st.lock_skips + 1;
-  drop_txn st cs
+let tenant st (ss : Fsops.sess) = ss.id * st.cfg.tenants / st.cfg.clients
 
-(* Deadline failures — the client's fail-fast and the server's recorded
-   rejection — both say "deadline ..."; lock-wait expiries say "lock wait
-   timed out ...".  Same [ETIMEDOUT], different stories. *)
-let is_deadline_msg msg = String.length msg >= 8 && String.sub msg 0 8 = "deadline"
+(* The files an update creates join the population, oldest (lowest
+   oid) first: at the create outside a transaction, at the commit inside
+   one. *)
+let grow st (u : Oracle.updates) =
+  List.filter_map (fun (path, v) -> Option.map (fun oid -> (oid, path)) v) u.u_names
+  |> List.sort compare
+  |> List.iter (fun (oid, path) -> popn_add st.pop (path, oid))
 
-(* Clean overload refusals, classified by [run_op] — ops that catch
-   [Fs_error] themselves must let these through. *)
-let is_shed_exn = function
-  | Errors.Fs_error (Errors.ETIMEDOUT, msg) -> is_deadline_msg msg
-  | Errors.Fs_error (Errors.EBUSY, _) -> true
-  | _ -> false
+(* ---------- the ops ----------
 
-(* ---------- the ops ---------- *)
+   Each picks its file from the Zipf population and draws its payload
+   from the op's own seed, then ends in the shared Fsops call; the
+   Fsops op runner records what it returns. *)
 
-let pick_file st op =
-  if st.pop.count = 0 then None
-  else Some st.pop.entries.(zipf_pick st.zipf op.o_u)
+let pick_file st op = popn_pick st.pop op.o_u
 
-let exec_read st cs op =
+let op_read st op ss =
   match pick_file st op with
-  | None -> ()
-  | Some (path, oid) -> (
-    Oracle.trace st.ora "s%d read %s" cs.id path;
-    let expect = Oracle.view_content st.ora cs.ov oid in
-    let real = Client.read_whole_file cs.c path in
-    match Oracle.bytes_diff expect real with
-    | None -> ()
-    | Some d -> Oracle.mismatch st.ora "read %s diverged: %s" path d)
+  | None -> Oracle.no_updates
+  | Some (path, oid) -> Fsops.read_at st.w ss path ~oid
 
-let exec_write st cs op =
+let op_write st op (ss : Fsops.sess) =
   match pick_file st op with
-  | None -> ()
+  | None -> Oracle.no_updates
   | Some (path, oid) ->
+    let w = st.w in
     let orng = Rng.create op.o_seed in
-    let cur = Oracle.view_content st.ora cs.ov oid in
-    let len = Bytes.length cur in
+    let len = Bytes.length (Oracle.view_content w.ora ss.ov oid) in
     let dlen = 1 + Rng.int orng st.cfg.write_bytes in
-    let off =
-      if len + dlen > st.cfg.max_file_bytes then Rng.int orng (max 1 (len - dlen + 1))
-      else Rng.int orng (len + 1)
-    in
-    Oracle.trace st.ora "s%d write %s off=%d len=%d" cs.id path off dlen;
-    let data = Rng.bytes orng dlen in
-    let after = Oracle.splice cur ~off data in
-    let fd = Client.c_open cs.c path Fs.Rdwr in
-    ignore (Client.c_lseek cs.c fd (Int64.of_int off) Fs.Seek_set : int64);
-    ignore (Client.c_write cs.c fd data dlen : int);
-    (* The write RPC is the oracle's commit point: outside a transaction
-       it auto-committed durably right there, and inside one the overlay
-       dies with the transaction if anything later aborts.  Updating
-       after the close would let a deadline-shed close strand a committed
-       write outside the oracle. *)
-    Oracle.record st.ora cs.ov { Oracle.no_updates with u_files = [ (oid, after) ] };
-    Client.c_close cs.c fd
+    let off = Fsops.draw_offset w orng ~len dlen in
+    Oracle.trace w.ora "s%d write %s off=%d len=%d" ss.id path off dlen;
+    Fsops.write_at w ss path ~oid ~off [ Rng.bytes orng dlen ]
 
-let exec_create st cs _op =
-  let path = Oracle.fresh_name st.ora (Printf.sprintf "/t%d/f" cs.tenant) in
-  let oid = Oracle.fresh_oid st.ora in
-  Oracle.trace st.ora "s%d creat %s" cs.id path;
-  let fd = Client.c_creat cs.c path in
-  (* As with writes, the create RPC — not the close — is the oracle's
-     commit point. *)
-  Oracle.record st.ora cs.ov
-    {
-      Oracle.no_updates with
-      u_names = [ (path, Some oid) ];
-      u_files = [ (oid, Bytes.empty) ];
-    };
-  if Oracle.in_txn cs.ov then cs.created <- (path, oid) :: cs.created
-  else grow st path oid;
-  Client.c_close cs.c fd
+let op_create st (ss : Fsops.sess) =
+  let path = Oracle.fresh_name st.w.ora (Printf.sprintf "/t%d/f" (tenant st ss)) in
+  let u = Fsops.create_at st.w ss path in
+  if not (Oracle.in_txn ss.ov) then grow st u;
+  u
 
-let exec_time_travel st cs op =
-  match Oracle.history st.ora with
-  | [] -> exec_read st cs op (* nothing to travel to yet *)
+let op_time_travel st op (ss : Fsops.sess) =
+  let w = st.w in
+  match Oracle.history w.ora with
+  | [] -> op_read st op ss (* nothing to travel to yet *)
   | history -> (
     let orng = Rng.create op.o_seed in
     let ts, snap, _ = List.nth history (Rng.int orng (List.length history)) in
-    if Oracle.SM.is_empty snap then exec_read st cs op
+    if Oracle.SM.is_empty snap then op_read st op ss
     else
-      let path, _ = st.pop.entries.(Rng.int orng (Oracle.SM.cardinal snap)) in
+      let path, _ = st.pop.files.(Rng.int orng (Oracle.SM.cardinal snap)) in
       let expect = Oracle.SM.find path snap in
-      Oracle.trace st.ora "s%d tt @%Ld %s" cs.id ts path;
-      st.time_travel_checks <- st.time_travel_checks + 1;
-      match Client.read_whole_file cs.c ~timestamp:ts path with
+      Oracle.trace w.ora "s%d tt @%Ld %s" ss.id ts path;
+      w.time_travel_checks <- w.time_travel_checks + 1;
+      (match Client.read_whole_file (client ss) ~timestamp:ts path with
       | real -> (
         match Oracle.bytes_diff expect real with
         | None -> ()
-        | Some d -> Oracle.mismatch st.ora "time travel @%Ld: %s differs: %s" ts path d)
-      | exception (Errors.Fs_error _ as e) when is_shed_exn e -> raise e
-      | exception Errors.Fs_error (code, msg) ->
-        Oracle.mismatch st.ora "time travel @%Ld: %s unreadable (%s: %s)" ts path
-          (Errors.code_to_string code) msg)
+        | Some d -> Oracle.mismatch w.ora "time travel @%Ld: %s differs: %s" ts path d)
+      | exception Errors.Fs_error (code, msg) when Client.refusal code msg = None ->
+        Oracle.mismatch w.ora "time travel @%Ld: %s unreadable (%s: %s)" ts path
+          (Errors.code_to_string code) msg);
+      Oracle.no_updates)
 
-let exec_begin st cs =
-  Oracle.trace st.ora "s%d begin" cs.id;
-  if not (Oracle.in_txn cs.ov) then begin
-    Client.c_begin cs.c;
-    Oracle.begin_txn cs.ov
+(* The schedule's transaction may have died before its commit came up
+   (a conflict or a refusal aborted it, and the rest of its body ran as
+   auto-commit ops): then there is nothing to commit. *)
+let op_commit st (ss : Fsops.sess) =
+  if not (Oracle.in_txn ss.ov) then Oracle.no_updates
+  else begin
+    let u = Oracle.overlay_updates ss.ov in
+    let r = Fsops.commit st.w ss in
+    grow st u;
+    r
   end
 
-let exec_commit st cs =
-  Oracle.trace st.ora "s%d commit" cs.id;
-  if Oracle.in_txn cs.ov then begin
-    Client.c_commit cs.c;
-    st.commits <- st.commits + 1;
-    Oracle.commit st.ora (Oracle.overlay_updates cs.ov);
-    List.iter (fun (path, oid) -> grow st path oid) (List.rev cs.created);
-    end_txn cs
-  end
-
-let exec_op st cs op =
+let exec_op st op =
   match op.o_kind with
-  | Read -> exec_read st cs op
-  | Write -> exec_write st cs op
-  | Create -> exec_create st cs op
-  | Time_travel -> exec_time_travel st cs op
-  | Begin -> exec_begin st cs
-  | Commit -> exec_commit st cs
-
-let run_op st op =
-  let cs = st.clients.(op.o_client) in
-  match exec_op st cs op with
-  | () -> `Applied
-  | exception Errors.Fs_error (Errors.ETIMEDOUT, msg) when is_deadline_msg msg ->
-    Oracle.trace st.ora "s%d .. deadline shed" cs.id;
-    st.shed_deadline <- st.shed_deadline + 1;
-    drop_txn st cs;
-    `Shed
-  | exception Errors.Fs_error (Errors.EBUSY, _) ->
-    Oracle.trace st.ora "s%d .. overload shed" cs.id;
-    st.shed_overload <- st.shed_overload + 1;
-    drop_txn st cs;
-    `Shed
-  | exception
-      Errors.Fs_error ((Errors.EAGAIN | Errors.EDEADLK | Errors.ETIMEDOUT), _) ->
-    Oracle.trace st.ora "s%d .. lock skip" cs.id;
-    lock_skip st cs;
-    `Skipped
-  | exception Errors.Fs_error (code, msg) ->
-    Oracle.mismatch st.ora "unexpected fs error %s: %s" (Errors.code_to_string code) msg;
-    lock_skip st cs;
-    `Skipped
+  | Read -> op_read st op
+  | Write -> op_write st op
+  | Create -> op_create st
+  | Time_travel -> op_time_travel st op
+  | Begin -> Fsops.begin_txn st.w
+  | Commit -> op_commit st
 
 (* ---------- the engine ---------- *)
 
@@ -520,6 +440,7 @@ let run_op st op =
    forward; if it has, the op has been queueing and its latency says so. *)
 let run_schedule st ~t_start ~deadline ~headroom ~service ~lat ~adm_lat ~tenant_lat
     ~max_wq sched =
+  let w = st.w in
   let applied = ref 0 and slo_ok = ref 0 in
   List.iter
     (fun op ->
@@ -528,7 +449,7 @@ let run_schedule st ~t_start ~deadline ~headroom ~service ~lat ~adm_lat ~tenant_
       if now < arrival then
         Simclock.Clock.advance st.clock ~account:"load.idle" (arrival -. now);
       let now = Simclock.Clock.now st.clock in
-      let cs = st.clients.(op.o_client) in
+      let ss = w.sessions.(op.o_client) in
       (* The deadline is the op's, measured from its arrival: by the time
          a backlogged engine gets to it, part of the budget is already
          spent queueing — exactly what the caller experiences.  An op
@@ -541,38 +462,34 @@ let run_schedule st ~t_start ~deadline ~headroom ~service ~lat ~adm_lat ~tenant_
       let res =
         match deadline with
         | Some d when now -. arrival >= d -. headroom op.o_kind ->
-          Oracle.trace st.ora "s%d .. deadline give-up (%.0fms queued)" cs.id
-            (1e3 *. (now -. arrival));
-          st.shed_deadline <- st.shed_deadline + 1;
-          drop_txn st cs;
-          `Shed
+          Fsops.refuse w ss Client.Deadline
+            (Printf.sprintf "given up after %.0fms queued" (1e3 *. (now -. arrival)))
         | _ ->
-          (match deadline with
-          | None -> ()
-          | Some d -> Client.set_deadline cs.c (Some (arrival +. d)));
-          let r = run_op st op in
-          Client.set_deadline cs.c None;
+          let c = client ss in
+          Option.iter (fun d -> Client.set_deadline c (Some (arrival +. d))) deadline;
+          let r = Fsops.apply w ss (exec_op st op) in
+          Client.set_deadline c None;
           r
       in
       let done_t = Simclock.Clock.now st.clock in
-      if res <> `Shed then service op.o_kind (done_t -. now);
+      if res <> Fsops.Refused then service op.o_kind (done_t -. now);
       let d = done_t -. arrival in
       Metrics.observe lat d;
-      Metrics.observe tenant_lat.(cs.tenant) d;
+      Metrics.observe tenant_lat.(tenant st ss) d;
       (match res with
-      | `Applied ->
+      | Fsops.Applied ->
         incr applied;
         Metrics.observe adm_lat d;
         if d <= st.cfg.slo_p99_s then incr slo_ok
-      | `Skipped -> Metrics.observe adm_lat d
-      | `Shed -> ());
+      | Fsops.Skipped -> Metrics.observe adm_lat d
+      | Fsops.Refused -> ());
       match Metrics.read "lock.wait_queue" with
       | Some wq when wq > !max_wq -> max_wq := wq
       | _ -> ())
     sched;
   (* Settle: any transaction the schedule left open aborts untimed, so
      the next level starts from committed state only. *)
-  Array.iter (drop_txn st) st.clients;
+  Array.iter (Fsops.safe_abort w) w.sessions;
   (!applied, !slo_ok)
 
 let run ?(config = default_config) ~seed () =
@@ -590,55 +507,44 @@ let run ?(config = default_config) ~seed () =
   (* lease_s = 0: no lease reaping.  Sessions here never die, and a
      backlogged level must not have idle-looking clients reaped out from
      under the measurement. *)
-  let server =
-    Server.create ~fs ~lease_s:0. ~run_cap:config.run_cap
-      ~park_cap:config.park_cap ~lock_wait_s:config.lock_wait_s ()
-  in
+  let server = Server.create ~fs ~lease_s:0. () in
   let net = Netsim.create ~clock Netsim.tcp_1993 in
   let links = Array.init config.clients (fun _ -> Link.create net) in
-  let mk_client id =
-    {
-      id;
-      tenant = id * config.tenants / config.clients;
-      c = Client.connect ~server ~link:links.(id) ~rng:(Rng.split rng) ();
-      ov = Oracle.overlay ();
-      created = [];
-    }
+  let connect id =
+    Fsops.Remote (Client.connect ~server ~link:links.(id) ~rng:(Rng.split rng) ())
+  in
+  (* Every draw is the schedule's or an op's own: the workload's rng is
+     never drawn from, and is not split from [rng], whose draws are the
+     level seeds. *)
+  let w =
+    Fsops.create ~rng:(Rng.create seed) ~ora:(Oracle.create ~trace:config.trace ~depth:4)
+      ~max_dirs:config.tenants ~max_file_bytes:config.max_file_bytes fs
+      (Array.init config.clients connect)
   in
   let st =
     {
       cfg = config;
-      db;
-      fs;
+      w;
       clock;
-      clients = Array.init config.clients mk_client;
-      zipf = zipf_create config.zipf_theta;
-      pop = { entries = Array.make 64 ("", 0L); count = 0 };
-      ora = Oracle.create ~trace:config.trace ~depth:4;
-      commits = 0;
-      aborts = 0;
-      lock_skips = 0;
-      shed_deadline = 0;
-      shed_overload = 0;
-      time_travel_checks = 0;
+      pop = { files = [||]; cums = [||]; n = 0; theta = config.zipf_theta };
     }
   in
   (* Tenant directories, then the seed population (written through the
      wire so client and server agree on every byte). *)
   for t = 0 to config.tenants - 1 do
     let dir = Printf.sprintf "/t%d" t in
-    Client.c_mkdir st.clients.(0).c dir;
-    Oracle.commit st.ora { Oracle.no_updates with u_dirs = [ dir ] }
+    Client.c_mkdir (client w.sessions.(0)) dir;
+    Oracle.commit w.ora { Oracle.no_updates with u_dirs = [ dir ] }
   done;
   for i = 0 to config.initial_files - 1 do
-    let cs = st.clients.(i mod config.clients) in
-    let path = Oracle.fresh_name st.ora (Printf.sprintf "/t%d/f" cs.tenant) in
-    let oid = Oracle.fresh_oid st.ora in
+    let ss = w.sessions.(i mod config.clients) in
+    let path = Oracle.fresh_name w.ora (Printf.sprintf "/t%d/f" (tenant st ss)) in
+    let oid = Oracle.fresh_oid w.ora in
     let data = Rng.bytes rng config.file_bytes in
-    Client.write_file cs.c path data;
-    grow st path oid;
-    Oracle.commit st.ora
-      { Oracle.no_updates with u_names = [ (path, Some oid) ]; u_files = [ (oid, data) ] }
+    Client.write_file (client ss) path data;
+    let u = { Oracle.no_updates with u_names = [ (path, Some oid) ]; u_files = [ (oid, data) ] } in
+    grow st u;
+    Oracle.commit w.ora u
   done;
   let lat = Metrics.histogram "load.latency_us" in
   let adm_lat = Metrics.histogram "load.admitted_latency_us" in
@@ -682,7 +588,7 @@ let run ?(config = default_config) ~seed () =
     if cal_dt <= 0. then 1.
     else float_of_int config.calibration_ops /. cal_dt
   in
-  Oracle.trace st.ora "calibration: %d ops in %.3fs -> capacity %.1f ops/s"
+  Oracle.trace w.ora "calibration: %d ops in %.3fs -> capacity %.1f ops/s"
     config.calibration_ops cal_dt capacity;
   let headroom kind =
     match Hashtbl.find_opt svc kind with
@@ -696,13 +602,13 @@ let run ?(config = default_config) ~seed () =
       (fun factor ->
         let rate = factor *. capacity in
         let level_seed = Rng.next rng in
-        Oracle.remember_now st.ora st.db;
+        Oracle.remember_now w.ora db;
         reset_phase ();
         let sched = schedule ~config ~seed:level_seed ~rate ~ops:config.ops_per_level in
         let t_start = Simclock.Clock.now clock in
         let max_wq = ref 0 in
-        let skips0 = st.lock_skips in
-        let sd0 = st.shed_deadline and so0 = st.shed_overload in
+        let skips0 = w.lock_skips in
+        let sd0 = w.deadline_refusals and so0 = w.overload_refusals in
         let applied, slo_ok =
           run_schedule st ~t_start ~deadline:config.deadline_s ~headroom
             ~service:(fun _ _ -> ())
@@ -717,8 +623,7 @@ let run ?(config = default_config) ~seed () =
         let n = List.length sched in
         ops_total := !ops_total + n;
         applied_total := !applied_total + applied;
-        if config.verify_each_level then
-          Oracle.verify st.ora (Fs.new_session fs) ~phase:"post-level";
+        Oracle.verify w.ora (Fs.new_session fs) ~phase:"post-level";
         {
           l_factor = factor;
           l_offered_ops_s = rate;
@@ -726,7 +631,7 @@ let run ?(config = default_config) ~seed () =
           l_achieved_ops_s = float_of_int n /. duration;
           l_ops = n;
           l_applied = applied;
-          l_lock_skips = st.lock_skips - skips0;
+          l_lock_skips = w.lock_skips - skips0;
           l_p50_s = Metrics.percentile lat 0.50;
           l_p95_s = Metrics.percentile lat 0.95;
           l_p99_s = Metrics.percentile lat 0.99;
@@ -737,15 +642,19 @@ let run ?(config = default_config) ~seed () =
           l_peak_link_depth =
             Array.fold_left (fun acc l -> max acc (Link.peak_depth l)) 0 links;
           l_tenant_p99_s = Array.map (fun h -> Metrics.percentile h 0.99) tenant_lat;
-          l_shed_deadline = st.shed_deadline - sd0;
-          l_shed_overload = st.shed_overload - so0;
-          l_admitted = n - (st.shed_deadline - sd0) - (st.shed_overload - so0);
+          l_shed_deadline = w.deadline_refusals - sd0;
+          l_shed_overload = w.overload_refusals - so0;
+          l_admitted = n - (w.deadline_refusals - sd0) - (w.overload_refusals - so0);
           l_admitted_p99_s = Metrics.percentile adm_lat 0.99;
           l_slo_goodput_ops_s = float_of_int slo_ok /. duration;
         })
       config.load_factors
   in
-  Oracle.verify st.ora (Fs.new_session fs) ~phase:"final";
+  Oracle.verify w.ora (Fs.new_session fs) ~phase:"final";
+  (* nothing here drops a message or crashes the server, so a session
+     lost anyway is a finding, not an outcome to resolve *)
+  let lost = Array.fold_left (fun a ss -> a + Client.sessions_lost (client ss)) 0 w.sessions in
+  if lost > 0 then Oracle.mismatch w.ora "%d sessions lost without a fault" lost;
   (* Knee: the first level that can no longer keep up with what is
      offered (achieved < 90% of realized offered) or that blows the p99
      SLO; if neither fires, the curve never bent in the swept range. *)
@@ -773,12 +682,12 @@ let run ?(config = default_config) ~seed () =
     slo_p99_s = config.slo_p99_s;
     ops_total = !ops_total;
     applied_total = !applied_total;
-    lock_skips = st.lock_skips;
-    commits = st.commits;
-    aborts = st.aborts;
-    time_travel_checks = st.time_travel_checks;
-    full_verifies = Oracle.verifies st.ora;
-    mismatches = Oracle.mismatches st.ora;
-    shed_deadline = st.shed_deadline;
-    shed_overload = st.shed_overload;
+    lock_skips = w.lock_skips;
+    commits = w.commits;
+    aborts = w.aborts;
+    time_travel_checks = w.time_travel_checks;
+    full_verifies = Oracle.verifies w.ora;
+    mismatches = Oracle.mismatches w.ora;
+    shed_deadline = w.deadline_refusals;
+    shed_overload = w.overload_refusals;
   }

@@ -19,12 +19,12 @@
     EAGAIN/EDEADLK/ETIMEDOUT and are counted, aborted cleanly, and
     excluded from the oracle.
 
-    Correctness: an oid-keyed oracle (the {!Nettest} pattern, without
-    fault injection) shadows every mutation with per-session overlays
-    for open transactions; reads are checked mid-flight, per-level
-    snapshots feed time-travel checks, and full-tree walks verify
-    convergence.  Everything — schedule, payloads, outcome — is a pure
-    function of the seed. *)
+    Correctness: the sessions are {!Fsops} remote ones, as in {!Nettest}
+    without fault injection, so the shared {!Oracle} shadows every
+    mutation with per-session overlays for open transactions; reads are
+    checked mid-flight, per-level snapshots feed time-travel checks, and
+    full-tree walks verify convergence.  Everything — schedule,
+    payloads, outcome — is a pure function of the seed. *)
 
 type config = {
   clients : int;  (** sessions, grouped into... *)
@@ -43,16 +43,14 @@ type config = {
   txn_len : int;  (** mutations inside each transaction *)
   write_bytes : int;  (** max bytes per write *)
   slo_p99_s : float;  (** the per-level p99 SLO a knee can trip on *)
-  verify_each_level : bool;  (** full-tree walk after every level *)
   trace : bool;
   deadline_s : float option;
       (** per-op deadline, relative to the op's arrival, propagated to
           the server.  [None] (the seed behaviour) sends no deadlines
           and the system degrades by queueing alone. *)
-  lock_wait_s : float;  (** server: how long parked requests may wait *)
-  run_cap : int;  (** server: run-queue + parked bound *)
-  park_cap : int;  (** server: parked-request bound *)
 }
+(** The server runs with {!Remote.Server.create}'s admission and
+    parking bounds, and a full-tree walk follows every level. *)
 
 val default_config : config
 
@@ -140,6 +138,13 @@ type outcome = {
 }
 
 val outcome_to_string : outcome -> string
+
+val curve_failures : outcome -> string list
+(** What the saturation curve breaks, if anything: at least four levels,
+    a positive capacity, achieved throughput within [0, realized
+    offered], ordered percentiles, no more applied ops than ops, and the
+    knee inside the swept range.  Empty on a good curve; the oracle's
+    verdict is [mismatches]. *)
 
 val run : ?config:config -> seed:int64 -> unit -> outcome
 (** Build a fresh system (server, netsim links, client sessions, tenant

@@ -123,7 +123,7 @@ let op_write st (ss : Fsops.sess) =
   | Some (path, oid) ->
     let len = Bytes.length (Oracle.view_content w.ora ss.ov oid) in
     let dlen = 1 + Rng.int w.rng 6800 in
-    let off = Fsops.draw_offset w ~len dlen in
+    let off = Fsops.draw_offset w w.rng ~len dlen in
     Oracle.trace w.ora "s%d write %s (oid %Ld) off=%d len=%d cur=%d" ss.id path oid off
       dlen len;
     Fsops.write_at w ss path ~oid ~off [ Rng.bytes w.rng dlen ]

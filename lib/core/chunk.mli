@@ -23,8 +23,6 @@ type t = {
   data : bytes;  (** stored bytes (compressed form if [compressed]) *)
 }
 
-val header_size : int
-
 val capacity : int
 (** Usable file bytes per chunk: {!Relstore.Heap_page.max_payload} minus
     the header — 8130 bytes, "slightly smaller than 8 KB". *)

@@ -7,11 +7,6 @@ type stats = {
 
 let empty_stats = { scanned = 0; clean = 0; repaired = 0; unrepairable = [] }
 
-let stats_to_string s =
-  Printf.sprintf "scanned %d, clean %d, repaired %d, unrepairable %d" s.scanned s.clean
-    s.repaired
-    (List.length s.unrepairable)
-
 type t = {
   switch : Switch.t;
   policy : Resilient.policy;

@@ -22,8 +22,6 @@ type stats = {
       (** (device, segid, blkno, reason), in discovery order *)
 }
 
-val stats_to_string : stats -> string
-
 type t
 (** An incremental scrub cursor over one switch.  The block walk is
     re-planned at each {!step}, so segments created or dropped between

@@ -190,6 +190,8 @@ let send_and_pump t ~pipelined frames =
    executing it: definitively nothing happened.  The client stands back
    for the server's hint and re-offers — if its retry budget and the
    deadline allow; otherwise the call fails cleanly with [EBUSY]. *)
+let overloaded_msg = "server overloaded"
+
 let exchange t ~sid ~rid ~pipelined req =
   let deadline_us =
     if t.deadline = infinity then 0L else Int64.of_float (t.deadline *. 1e6)
@@ -209,12 +211,12 @@ let exchange t ~sid ~rid ~pipelined req =
       if k >= t.cfg.max_retries || not headroom_after_wait then
         raise
           (Errors.Fs_error
-             (Errors.EBUSY, Printf.sprintf "server overloaded; gave up after %d offers" (k + 1)))
+             (Errors.EBUSY, Printf.sprintf "%s; gave up after %d offers" overloaded_msg (k + 1)))
       else if not (take_token t) then begin
         t.budget_denials <- t.budget_denials + 1;
         raise
           (Errors.Fs_error
-             (Errors.EBUSY, "server overloaded and retry budget exhausted"))
+             (Errors.EBUSY, overloaded_msg ^ " and retry budget exhausted"))
       end
       else begin
         Clock.advance t.clock ~account:"net.retry_after" pause;
@@ -324,6 +326,15 @@ let report_loss verdict req =
 
 let outcome_indeterminate msg = String.ends_with ~suffix:indeterminate msg
 
+type refusal = Deadline | Overload
+
+let refusal code msg =
+  match code with
+  | Errors.ETIMEDOUT when String.starts_with ~prefix:Server.deadline_expired msg ->
+    Some Deadline
+  | Errors.EBUSY when String.starts_with ~prefix:overloaded_msg msg -> Some Overload
+  | _ -> None
+
 let give_up t ~was_txn req =
   session_dead t;
   report_loss (loss_verdict ~was_txn req) req
@@ -381,7 +392,7 @@ let rec rpc ?(pipelined = false) ?(reissued = false) t req =
      raise
        (Errors.Fs_error
           ( Errors.ETIMEDOUT,
-            Printf.sprintf "deadline expired before sending %s" (Wire.req_name req) ))
+            Printf.sprintf "%s before sending %s" Server.deadline_expired (Wire.req_name req) ))
    end);
   (* a pending begin counts: losing the session before it reached the
      server still ends the caller's transaction *)
@@ -420,7 +431,7 @@ and finish t ~was_txn ~reissued ~pipelined ~wreq req reply =
   | Wire.Overloaded _ ->
     (* normally intercepted inside [exchange]; a stray one (e.g. from the
        post-probe exchange) means the same thing: definitively shed *)
-    raise (Errors.Fs_error (Errors.EBUSY, "server overloaded"))
+    raise (Errors.Fs_error (Errors.EBUSY, overloaded_msg))
   | Wire.Unsupported { opcode } ->
     (* version skew: this server predates the opcode.  Structural and
        definitive — nothing executed. *)

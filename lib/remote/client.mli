@@ -222,6 +222,16 @@ val outcome_indeterminate : string -> bool
     out: the one case where the caller must find out for itself whether
     the request took effect. *)
 
+type refusal =
+  | Deadline  (** the deadline had passed: the client's fail-fast or the server's rejection *)
+  | Overload  (** the server shed it, and the re-offers ran out *)
+
+val refusal : Invfs.Errors.code -> string -> refusal option
+(** Whether an [Fs_error (code, msg)] from this client says the request
+    was refused and never executed, and why.  The session and its
+    transaction survive a refusal.  A lock wait that timed out
+    ([ETIMEDOUT] too) executed and is not one. *)
+
 (** {2 Reliability counters} *)
 
 val retries : t -> int

@@ -67,9 +67,6 @@ let shard_role t i =
   | Server.Shard r -> r
   | Server.Standalone | Server.Coordinator _ -> assert false
 
-(* The same flat per-shard chunk namespace the server dispatch uses. *)
-let shard_path oid = Printf.sprintf "/o%Ld" oid
-
 (* {2 Durable placement}
 
    The map lives as a dotfile in the coordinator's own namespace, written
@@ -606,7 +603,7 @@ let peek_data t ~oid =
   let fs = Server.fs t.shards.(sh - 1).server in
   let sess = Fs.new_session fs in
   let ts = Relstore.Db.now (Fs.db fs) in
-  let path = shard_path oid in
+  let path = Server.shard_path oid in
   if Fs.exists sess ~timestamp:ts path then
     Bytes.to_string (Fs.read_whole_file sess ~timestamp:ts path)
   else ""
@@ -678,12 +675,7 @@ let resident_oids t k =
   let sess = Fs.new_session fs in
   let ts = Relstore.Db.now (Fs.db fs) in
   let names = try Fs.readdir sess ~timestamp:ts "/" with Errors.Fs_error _ -> [] in
-  List.filter_map
-    (fun name ->
-      if String.length name > 1 && name.[0] = 'o' then
-        Int64.of_string_opt (String.sub name 1 (String.length name - 1))
-      else None)
-    names
+  List.filter_map Server.oid_of_shard_name names
 
 let cross_shard_audit t =
   let c = coord_role t in

@@ -126,6 +126,10 @@ type t = {
 
 let read_head_len = 1 lsl 16
 
+(* How every deadline refusal begins, the server's and the client's
+   fail-fast alike: a lock wait that timed out says something else. *)
+let deadline_expired = "deadline expired"
+
 (* Replies remembered per session for retransmissions to replay. *)
 let dedup_window = 16
 
@@ -287,6 +291,12 @@ let parkable s req =
    shard's own Fs namespace is private to it, so a flat root works. *)
 let shard_path oid = Printf.sprintf "/o%Ld" oid
 
+(* Its inverse on a root-directory entry name: [None] for anything else. *)
+let oid_of_shard_name name =
+  if String.length name > 1 && name.[0] = 'o' then
+    Int64.of_string_opt (String.sub name 1 (String.length name - 1))
+  else None
+
 (* Wire-supplied read lengths are untrusted: a negative one would make
    [Bytes.create] raise [Invalid_argument] — which is not an [Fs_error]
    and so would escape the reply path and kill the pump — and a huge one
@@ -295,11 +305,6 @@ let shard_path oid = Printf.sprintf "/o%Ld" oid
 let checked_read_len len =
   if len < 0 then Errors.fail Errors.EINVAL "negative read length %d" len;
   min len Wire.max_read_len
-
-let oid_of_shard_name name =
-  if String.length name > 1 && name.[0] = 'o' then
-    Int64.of_string_opt (String.sub name 1 (String.length name - 1))
-  else None
 
 let placement_of_coord (c : coord_role) =
   Wire.
@@ -586,7 +591,7 @@ let run_task t (tk : task) ~(was_parked : bool) =
              txn_open = Fs.in_transaction s.fsess;
              code = Errors.ETIMEDOUT;
              msg =
-               Printf.sprintf "deadline expired %.3fs before execution"
+               Printf.sprintf "%s %.3fs before execution" deadline_expired
                  (now -. tk.tk_deadline);
            });
       true
@@ -862,7 +867,7 @@ let handle t link ~(h : Wire.hdr) req =
                  txn_open = Fs.in_transaction s.fsess;
                  code = Errors.ETIMEDOUT;
                  msg =
-                   Printf.sprintf "deadline expired %.3fs before admission"
+                   Printf.sprintf "%s %.3fs before admission" deadline_expired
                      (now -. deadline);
                })
         end

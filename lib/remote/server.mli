@@ -200,6 +200,19 @@ val deadline_rejects : t -> int
 (** Requests refused (recorded [ETIMEDOUT]) because their propagated
     deadline had passed at admission or execution. *)
 
+val deadline_expired : string
+(** The words every deadline refusal's message begins with, this
+    server's and {!Client}'s fail-fast alike; a lock wait that timed out
+    ([ETIMEDOUT] too) says ["lock wait timed out"]. *)
+
+val shard_path : int64 -> string
+(** The file in a shard's own namespace that holds an oid's chunk range:
+    ["/o<oid>"], flat under the root. *)
+
+val oid_of_shard_name : string -> int64 option
+(** The oid a root-directory entry of a shard holds, if it is a
+    {!shard_path} name. *)
+
 val parks : t -> int
 (** Requests that parked on a lock conflict at least once. *)
 

@@ -14,30 +14,6 @@
 
 module Loadtest = Benchlib.Loadtest
 
-let invariant_failures (o : Loadtest.outcome) =
-  let fails = ref [] in
-  let fail fmt = Printf.ksprintf (fun msg -> fails := msg :: !fails) fmt in
-  if o.capacity_ops_s <= 0. then fail "capacity %.3f not positive" o.capacity_ops_s;
-  List.iter
-    (fun (l : Loadtest.level) ->
-      if l.l_achieved_ops_s < 0. then
-        fail "x%.2f: achieved %.3f negative" l.l_factor l.l_achieved_ops_s;
-      if l.l_achieved_ops_s > l.l_offered_realized_ops_s +. 1e-6 then
-        fail "x%.2f: achieved %.3f exceeds offered %.3f" l.l_factor
-          l.l_achieved_ops_s l.l_offered_realized_ops_s;
-      if not (l.l_p50_s <= l.l_p95_s && l.l_p95_s <= l.l_p99_s) then
-        fail "x%.2f: percentiles unordered p50=%g p95=%g p99=%g" l.l_factor
-          l.l_p50_s l.l_p95_s l.l_p99_s;
-      if l.l_applied > l.l_ops then
-        fail "x%.2f: applied %d > ops %d" l.l_factor l.l_applied l.l_ops)
-    o.levels;
-  let offered = List.map (fun l -> l.Loadtest.l_offered_realized_ops_s) o.levels in
-  let lo = List.fold_left min infinity offered in
-  let hi = List.fold_left max 0. offered in
-  if o.knee_offered_ops_s < lo -. 1e-6 || o.knee_offered_ops_s > hi +. 1e-6 then
-    fail "knee %.3f outside swept range [%.3f, %.3f]" o.knee_offered_ops_s lo hi;
-  List.rev !fails
-
 let () =
   (* The sweep's job is breadth (many seeds), not depth: both modes use
      the small config and long mode buys coverage with 50 seeds.
@@ -59,7 +35,7 @@ let () =
   Sweep.run ~name:"load" seeds
     (fun seed ->
       let o = Loadtest.run ~config ~seed () in
-      [ (Loadtest.outcome_to_string o, o.mismatches @ invariant_failures o) ])
+      [ (Loadtest.outcome_to_string o, o.mismatches @ Loadtest.curve_failures o) ])
     ~finally:(fun () ->
       (* the op schedule is a pure function of the seed *)
       if Sweep.trace_seed = None then begin

@@ -392,6 +392,110 @@ let test_fleet_lost_write_lands () =
   Benchlib.Shardtest.verify w cluster ~phase:"after";
   Alcotest.(check (list string)) "the fleet walk agrees" [] (O.mismatches w.ora)
 
+(* One Fsops.Remote session [c] on a fresh server; [connect] attaches
+   more clients to the same server. *)
+let remote_world ?run_cap ?config ~lock_wait_s () =
+  let fs = Invfs.Fs.make (Relstore.Db.create ()) () in
+  let clock = Invfs.Fs.clock fs in
+  let server = Remote.Server.create ~fs ?run_cap ~lock_wait_s () in
+  let net = Netsim.create ~clock Netsim.tcp_1993 in
+  let rng = Simclock.Rng.create 7L in
+  let connect ?config link =
+    Remote.Client.connect ?config ~server ~link ~rng:(Simclock.Rng.split rng) ()
+  in
+  let c = connect ?config (Netsim.Link.create net) in
+  let w =
+    F.create ~rng:(Simclock.Rng.create 1L) ~ora:(O.create ~trace:false ~depth:0) ~max_dirs:2
+      ~max_file_bytes:4096 fs [| F.Remote c |]
+  in
+  (fs, server, net, (fun () -> connect (Netsim.Link.create net)), c, w)
+
+(* A request refused because its deadline passed, or shed by an
+   overloaded server, never executed: the op's transaction aborts,
+   nothing reaches the oracle, and it counts as a refusal, not as a lock
+   skip.  A lock wait that timed out on the same path still is one.  A
+   harness that draws its own sessions sets no deadline and no load
+   that sheds, so there a refusal is a mismatch. *)
+let test_refusal_is_not_a_lock_skip () =
+  let fs, _, _, connect, c, w = remote_world ~lock_wait_s:2. () in
+  let clock = Invfs.Fs.clock fs in
+  let ss = w.F.sessions.(0) in
+  let write_in w path data ss = F.write_at w ss path ~oid:1L ~off:0 [ Bytes.of_string data ] in
+  let apply_in w what expect op =
+    Alcotest.(check bool) what true (F.apply w w.F.sessions.(0) op = expect)
+  in
+  let write = write_in w "/f" and apply = apply_in w in
+  let past () = Remote.Client.set_deadline c (Some (Simclock.Clock.now clock -. 1.)) in
+  apply "create" F.Applied (fun ss -> F.create_at w ss "/f");
+  apply "write" F.Applied (write "committed");
+  apply "begin" F.Applied (F.begin_txn w);
+  apply "write in the transaction" F.Applied (write "uncommitted");
+  past ();
+  apply "a write past its deadline is refused" F.Refused (write "refused");
+  Remote.Client.set_deadline c None;
+  Alcotest.(check (list int)) "deadline refusals, lock skips, aborts" [ 1; 0; 1 ]
+    [ w.deadline_refusals; w.lock_skips; w.aborts ];
+  Alcotest.(check bool) "the overlay is dropped" false (O.in_txn ss.ov);
+  Alcotest.(check string) "the committed state is unchanged" "committed"
+    (Bytes.to_string (O.content w.ora 1L));
+  (* another session holds the file's lock past the 2 s lock wait *)
+  let holder = connect () in
+  Remote.Client.c_begin holder;
+  Remote.Client.c_ftruncate holder (Remote.Client.c_open holder "/f" Invfs.Fs.Rdwr) 0L;
+  apply "a write whose lock wait timed out is skipped" F.Skipped (write "blocked");
+  Remote.Client.c_abort holder;
+  Alcotest.(check (list int)) "deadline refusals, lock skips" [ 1; 1 ]
+    [ w.deadline_refusals; w.lock_skips ];
+  O.verify w.ora (Invfs.Fs.new_session fs) ~phase:"end";
+  Alcotest.(check (list string)) "real tree equals the oracle" [] (O.mismatches w.ora);
+  past ();
+  F.run_one w ~gen:(fun _ -> write "refused") ~crash:(fun () -> Alcotest.fail "no crash");
+  Alcotest.(check int) "run_one logs the refusal" 1 (List.length (O.mismatches w.ora));
+  (* Overload: with a run queue of one, a request parked behind another
+     client's lock fills it, and the session's write inside its
+     transaction is shed; a client with no retry budget gives up at the
+     first overload answer. *)
+  let config =
+    { Remote.Client.default_config with retry_budget = 0; retry_refill_per_s = 0. }
+  in
+  let fs, server, net, connect, c, w =
+    remote_world ~run_cap:1 ~config ~lock_wait_s:1000. ()
+  in
+  let ss = w.F.sessions.(0) in
+  let write = write_in w "/g" and apply = apply_in w in
+  apply "create" F.Applied (fun ss -> F.create_at w ss "/g");
+  apply "write" F.Applied (write "committed");
+  apply "create the contended file" F.Applied (fun ss -> F.create_at w ss "/h");
+  apply "begin" F.Applied (F.begin_txn w);
+  apply "write in the transaction" F.Applied (write "uncommitted");
+  let holder = connect () in
+  Remote.Client.c_begin holder;
+  Remote.Client.c_ftruncate holder (Remote.Client.c_open holder "/h" Invfs.Fs.Rdwr) 0L;
+  (* a second client's truncate of /h, sent on the wire without waiting
+     for its reply, parks behind the holder's lock; it leaves the empty
+     file as it is when it resumes *)
+  let link = Netsim.Link.create net in
+  let parker = Remote.Client.connect ~server ~link ~rng:(Simclock.Rng.create 9L) () in
+  let fd = Remote.Client.c_open parker "/h" Invfs.Fs.Rdwr in
+  List.iter
+    (Netsim.Link.send link Netsim.Link.To_server)
+    (Remote.Wire.encode_request ~sid:(Remote.Client.sid parker) ~rid:1_000_000L
+       (Remote.Wire.Ftruncate { fd; size = 0L }));
+  Remote.Server.pump server;
+  Alcotest.(check int) "the run queue is full" 1 (Remote.Server.parked_now server);
+  apply "a shed write is refused" F.Refused (write "shed");
+  Alcotest.(check (list int)) "overload refusals, deadline refusals, lock skips, aborts"
+    [ 1; 0; 0; 1 ]
+    [ w.overload_refusals; w.deadline_refusals; w.lock_skips; w.aborts ];
+  Alcotest.(check bool) "the overlay is dropped" false (O.in_txn ss.ov);
+  Alcotest.(check bool) "the client was shed" true (Remote.Client.overloaded c >= 1);
+  Remote.Client.c_abort holder;
+  Alcotest.(check int) "the parked truncate resumed" 0 (Remote.Server.parked_now server);
+  Alcotest.(check string) "the committed state is unchanged" "committed"
+    (Bytes.to_string (O.content w.ora 1L));
+  O.verify w.ora (Invfs.Fs.new_session fs) ~phase:"end";
+  Alcotest.(check (list string)) "real tree equals the oracle" [] (O.mismatches w.ora)
+
 let () =
   Alcotest.run "benchlib"
     [
@@ -436,6 +540,8 @@ let () =
             test_shared_ops_local_equals_remote;
           Alcotest.test_case "a fleet write whose reply was lost lands" `Quick
             test_fleet_lost_write_lands;
+          Alcotest.test_case "a refusal is not a lock skip" `Quick
+            test_refusal_is_not_a_lock_skip;
         ] );
       ( "load replay",
         [

@@ -1200,6 +1200,8 @@ let test_retry_budget_exhaustion () =
   let msg = expect_error E.EBUSY (fun () -> Client.c_mkdir c "/x") in
   Alcotest.(check string) "names the dry budget"
     "server overloaded and retry budget exhausted" msg;
+  Alcotest.(check bool) "an overload refusal" true
+    (Client.refusal E.EBUSY msg = Some Client.Overload);
   Alcotest.(check int) "two overload answers" 2 (Client.overloaded c);
   Alcotest.(check int) "one budget denial" 1 (Client.budget_denials c);
   (* relief traffic is exempt from admission control: A's abort lands
@@ -1558,6 +1560,8 @@ let test_pending_begin_tracks_server () =
   Alcotest.(check bool) "refused by the server" true
     (starts_with ~prefix:"deadline expired" msg
     && not (starts_with ~prefix:"deadline expired before sending" msg));
+  Alcotest.(check bool) "a deadline refusal" true
+    (Client.refusal E.ETIMEDOUT msg = Some Client.Deadline);
   check_txn "after deadline refusal" server c ~client:true ~server_txn:false;
   Client.set_deadline c None;
   ignore (Client.c_exists c "/f" : bool);
@@ -1625,6 +1629,7 @@ let test_pending_begin_park_timeout () =
   let msg = expect_error E.ETIMEDOUT (fun () -> Client.read_whole_file c "/f") in
   Alcotest.(check bool) "the carrier parked and expired" true
     (starts_with ~prefix:"lock wait timed out" msg);
+  Alcotest.(check bool) "not a refusal" true (Client.refusal E.ETIMEDOUT msg = None);
   check_txn "after park timeout" server c ~client:true ~server_txn:true;
   Client.c_abort c;
   check_txn "after abort" server c ~client:false ~server_txn:false
