@@ -2,18 +2,14 @@ module Page = Pagestore.Page
 module Bufcache = Pagestore.Bufcache
 module Device = Pagestore.Device
 
-(* Block 0 is the meta page; nodes live in blocks >= 1, so child/next
-   pointer 0 doubles as "none". *)
-let meta_magic = 0x424D
+(* The root is always block 0.  A root split moves the root's contents
+   to a new block and rewrites block 0 in place as the parent of that
+   copy and the split's right sibling, so no meta page is needed: the
+   height is the root's level + 1 and the entry count lives in memory.
+   Block 0 is a node, so child/next pointers use an explicit "none". *)
 let node_magic = 0x424E
-let no_block = 0
-
-(* meta page offsets *)
-let m_magic = 0
-let m_klen = 2
-let m_root = 4
-let m_height = 8
-let m_count = 12
+let root = 0
+let no_block = 0xFFFF_FFFF
 
 (* node page offsets *)
 let n_magic = 0
@@ -54,39 +50,34 @@ let item_of t ~key ~value =
   Bytes.unsafe_to_string b
 
 let item_key t item = String.sub item 0 t.klen
-let item_value t item = Bytes.get_int64_be (Bytes.of_string item) t.klen
-
-(* ---- meta page ---- *)
-
-let read_meta t =
-  with_page t 0 (fun p ->
-      if Page.get_u16 p m_magic <> meta_magic then failwith "Btree: bad meta page";
-      (Page.get_u32 p m_root, Page.get_u16 p m_height, Int64.to_int (Page.get_i64 p m_count)))
-
-let write_meta t ~root ~height ~count =
-  with_page t 0 (fun p ->
-      Page.set_u16 p m_magic meta_magic;
-      Page.set_u16 p m_klen t.klen;
-      Page.set_u32 p m_root root;
-      Page.set_u16 p m_height height;
-      Page.set_i64 p m_count (Int64.of_int count));
-  dirty t 0
-
+let item_value t item = String.get_int64_be item t.klen
 
 (* ---- node primitives ---- *)
 
-let alloc_node t ~level =
-  let blkno = Bufcache.new_block t.cache t.device ~segid:t.segid in
+let init_node t blkno ~level =
   with_page t blkno (fun p ->
       Page.set_u16 p n_magic node_magic;
       Page.set_u16 p n_level level;
       Page.set_u16 p n_nitems 0;
       Page.set_u32 p n_next no_block;
       Page.set_u32 p n_child0 no_block);
-  dirty t blkno;
+  dirty t blkno
+
+let alloc_node t ~level =
+  let blkno = Bufcache.new_block t.cache t.device ~segid:t.segid in
+  init_node t blkno ~level;
   blkno
 
 let node_level p = Page.get_u16 p n_level
+
+(* A node's level, read on the way down.  A page without the node magic
+   (a zeroed root, say) fails loudly instead of reading as an empty leaf. *)
+let level_of t blkno =
+  with_page t blkno (fun p ->
+      if Page.get_u16 p n_magic <> node_magic then
+        failwith (Printf.sprintf "Btree: block %d is not a node" blkno);
+      node_level p)
+
 let node_nitems p = Page.get_u16 p n_nitems
 
 let leaf_item t p i = Page.get_string p (items_base + (i * t.isize)) t.isize
@@ -111,31 +102,24 @@ let lower_bound n get target =
   done;
   !lo
 
-(* The entry count lives in memory: updating the meta page per insert
-   would dirty block 0 on every operation and distort the I/O model.
-   After a crash it is recounted from the leaves on demand. *)
+(* The entry count lives in memory: keeping it on a page would dirty
+   that page on every insert and distort the I/O model.  After a crash
+   it is recounted from the leaves on demand. *)
 let bump_count t delta = if t.mem_count >= 0 then t.mem_count <- t.mem_count + delta
 
 let rec count_leaves t blkno acc =
   let n, next = with_page t blkno (fun p -> (node_nitems p, Page.get_u32 p n_next)) in
   if next = no_block then acc + n else count_leaves t next (acc + n)
 
-let leftmost_leaf t =
-  let root, _, _ = read_meta t in
-  let rec descend blkno =
-    let level = with_page t blkno node_level in
-    if level = 0 then blkno
-    else descend (with_page t blkno (fun p -> Page.get_u32 p n_child0))
-  in
-  descend root
+let rec leftmost_leaf t blkno =
+  if level_of t blkno = 0 then blkno
+  else leftmost_leaf t (with_page t blkno (fun p -> Page.get_u32 p n_child0))
 
 let count t =
-  if t.mem_count < 0 then t.mem_count <- count_leaves t (leftmost_leaf t) 0;
+  if t.mem_count < 0 then t.mem_count <- count_leaves t (leftmost_leaf t root) 0;
   t.mem_count
 
-let height t =
-  let _, h, _ = read_meta t in
-  h
+let height t = level_of t root + 1
 
 (* ---- construction ---- *)
 
@@ -143,21 +127,18 @@ let create ~cache ~device ~klen =
   if klen < 1 || klen > 64 then invalid_arg "Btree.create: klen out of range";
   let segid = Device.create_segment device in
   let t = { cache; device; segid; klen; isize = klen + 8; mem_count = 0 } in
-  let meta_blk = Bufcache.new_block cache device ~segid in
-  assert (meta_blk = 0);
-  let root = alloc_node t ~level:0 in
-  write_meta t ~root ~height:1 ~count:0;
+  let blkno = alloc_node t ~level:0 in
+  assert (blkno = root);
   t
 
 let crash t = t.mem_count <- -1
 
 let reinit t =
-  (* Point the meta page at a fresh empty leaf.  The old nodes are left
+  (* Rewrite the root as an empty leaf.  The old nodes below it are left
      behind in the segment (block reclamation would need a free list);
      rebuilds are rare — crash recovery only — so the leak is accepted. *)
-  let root = alloc_node t ~level:0 in
-  t.mem_count <- 0;
-  write_meta t ~root ~height:1 ~count:0
+  init_node t root ~level:0;
+  t.mem_count <- 0
 
 (* ---- descent ---- *)
 
@@ -175,8 +156,7 @@ let find_child t blkno item =
       if pos = 0 then Page.get_u32 p n_child0 else int_child t p (pos - 1))
 
 let rec find_leaf t blkno item =
-  let level = with_page t blkno node_level in
-  if level = 0 then blkno else find_leaf t (find_child t blkno item) item
+  if level_of t blkno = 0 then blkno else find_leaf t (find_child t blkno item) item
 
 (* ---- insertion ---- *)
 
@@ -276,8 +256,7 @@ let insert_internal t blkno ~sep ~right : promotion =
       end)
 
 let rec insert_at t blkno item : promotion option =
-  let level = with_page t blkno node_level in
-  if level = 0 then insert_leaf t blkno item
+  if level_of t blkno = 0 then insert_leaf t blkno item
   else begin
     let child = find_child t blkno item in
     match insert_at t child item with
@@ -286,30 +265,34 @@ let rec insert_at t blkno item : promotion option =
     | Some (Some (sep, right)) -> Some (insert_internal t blkno ~sep ~right)
   end
 
+(* The root split: the root's left half moves to a new block, and block
+   0 becomes an internal node one level higher over that copy and the
+   split's right sibling. *)
+let grow_root t ~sep ~right =
+  let left = Bufcache.new_block t.cache t.device ~segid:t.segid in
+  with_page t root (fun p ->
+      with_page t left (fun lp -> Page.blit_in lp 0 (Page.raw p) 0 Page.size);
+      Page.set_u16 p n_level (node_level p + 1);
+      Page.set_u16 p n_nitems 1;
+      Page.set_u32 p n_next no_block;
+      Page.set_u32 p n_child0 left;
+      int_set_entry t p 0 ~item:sep ~child:right);
+  dirty t left;
+  dirty t root
+
 let insert t ~key ~value =
   Relstore.Cpu_model.charge_index_op (Device.clock t.device);
   let item = item_of t ~key ~value in
-  let root, hgt, cnt = read_meta t in
   match insert_at t root item with
   | None -> () (* exact duplicate *)
   | Some promo ->
     bump_count t 1;
-    (match promo with
-    | None -> ()
-    | Some (sep, right) ->
-      let new_root = alloc_node t ~level:hgt in
-      with_page t new_root (fun p ->
-          Page.set_u32 p n_child0 root;
-          int_set_entry t p 0 ~item:sep ~child:right;
-          Page.set_u16 p n_nitems 1);
-      dirty t new_root;
-      write_meta t ~root:new_root ~height:(hgt + 1) ~count:cnt)
+    Option.iter (fun (sep, right) -> grow_root t ~sep ~right) promo
 
 (* ---- deletion (lazy: leaves may become underfull or empty) ---- *)
 
 let delete t ~key ~value =
   let item = item_of t ~key ~value in
-  let root, _, _ = read_meta t in
   let leaf = find_leaf t root item in
   let removed =
     with_page t leaf (fun p ->
@@ -340,7 +323,6 @@ let scan_range t ~lo ~hi f =
   let lo_item = item_key t lo_item ^ String.make 8 '\x00' in
   let hi_item = hi ^ String.make 8 '\xff' in
   let visit item = f (item_key t item) (item_value t item) in
-  let root, _, _ = read_meta t in
   let leaf = ref (find_leaf t root lo_item) in
   let stop = ref false in
   while (not !stop) && !leaf <> no_block do
@@ -372,7 +354,6 @@ let iter t f =
 (* ---- structural audit ---- *)
 
 let check_invariants t =
-  let root, hgt, _ = read_meta t in
   let errors = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
   (* Walk the tree checking levels, in-node order and subtree bounds
@@ -422,7 +403,7 @@ let check_invariants t =
           List.iter2 (fun child (l, h) -> walk child (level - 1) ~lo:l ~hi:h) children bounds
         end)
   in
-  walk root (hgt - 1) ~lo:None ~hi:None;
+  walk root (with_page t root node_level) ~lo:None ~hi:None;
   let walk_leaves = Array.of_list (List.rev !walk_leaves) in
   (* The leaf chain from the leftmost leaf must visit exactly the leaves
      the walk reached, in the same order.  Then a lookup (descend, then
@@ -441,7 +422,9 @@ let check_invariants t =
         walk_leaves.(i)
     else chain (with_page t blkno (fun p -> Page.get_u32 p n_next)) (i + 1)
   in
-  chain (leftmost_leaf t) 0;
+  (* A clean walk reached the leftmost leaf first; past a walk error the
+     verdict is already that error, and the chain may not be walkable. *)
+  if !errors = [] then chain walk_leaves.(0) 0;
   match List.rev !errors with
   | [] ->
     t.mem_count <- !leaf_items;

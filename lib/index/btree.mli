@@ -12,13 +12,21 @@
     s).  Duplicate keys are supported by suffixing the value onto the key
     internally, so each (key, value) pair is unique and historical versions
     of the same chunk coexist in the index — "an index on all of the
-    file's available data, including both old and current blocks". *)
+    file's available data, including both old and current blocks".
+
+    The root is always block 0 of the tree's segment, so a tree costs
+    one block until its root first splits; there is no meta page.  A
+    root split copies the root into a new block and rewrites block 0 as
+    their parent.  The entry count lives in memory.  A descent that
+    meets a page without the node magic (a zeroed root, say) raises
+    [Failure] rather than reading it as an empty tree. *)
 
 type t
 
 val create :
   cache:Pagestore.Bufcache.t -> device:Pagestore.Device.t -> klen:int -> t
-(** A fresh empty tree on a new segment.  [klen] between 1 and 64 bytes. *)
+(** A fresh empty tree on a new segment: one block, the root leaf.
+    [klen] between 1 and 64 bytes. *)
 
 val crash : t -> unit
 (** Forget volatile per-tree state (the cached entry count) after a
@@ -26,9 +34,9 @@ val crash : t -> unit
     is recounted from the leaves on demand. *)
 
 val reinit : t -> unit
-(** Reset the tree to empty in place: the meta page is pointed at a fresh
-    empty leaf on the same segment, so the segment id stays valid for
-    anyone holding it.  Old nodes are abandoned in the segment (accepted
+(** Reset the tree to empty in place: block 0 is rewritten as an empty
+    root leaf, so the segment id stays valid for anyone holding it.  The
+    old nodes below the root are abandoned in the segment (accepted
     leak; used only by crash recovery to rebuild a damaged index before
     re-inserting entries from the heap). *)
 
@@ -40,7 +48,7 @@ val count : t -> int
 (** Number of (key, value) entries. *)
 
 val height : t -> int
-(** 1 for a leaf-only tree. *)
+(** The root's level + 1: 1 for a leaf-only tree. *)
 
 val insert : t -> key:string -> value:int64 -> unit
 (** Add an entry.  Inserting an exact (key, value) duplicate is a no-op.

@@ -34,7 +34,6 @@ let mask = ref 0
 
 let on s = !mask land subsys_bit s <> 0
 let enable s = mask := !mask lor subsys_bit s
-let disable s = mask := !mask land lnot (subsys_bit s)
 let enable_all () = mask := all_mask
 let disable_all () = mask := 0
 let enabled_subsystems () = List.filter on all_subsystems

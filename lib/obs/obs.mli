@@ -51,7 +51,6 @@ val on : subsys -> bool
     before building any event payload. *)
 
 val enable : subsys -> unit
-val disable : subsys -> unit
 val enable_all : unit -> unit
 val disable_all : unit -> unit
 val enabled_subsystems : unit -> subsys list

@@ -202,17 +202,20 @@ let test_duplicate_heavy () =
 
 (* ---- the leaf chain must be the tree walk's leaves ----
 
-   Leaf surgery through the buffer cache.  Node pages carry their magic
-   (u16) at byte 0, their level (u16) at byte 2 and, on a leaf, the next
-   leaf's block (u32) at byte 6. *)
+   Leaf surgery through the buffer cache.  Every block, the root at
+   block 0 included, is a node page: its magic (u16) at byte 0, its
+   level (u16) at byte 2 and, on a leaf, the next leaf's block (u32) at
+   byte 6, 0xFFFF_FFFF at the end of the chain. *)
 
-let make_tree_and_cache () =
+let no_block = 0xFFFF_FFFF
+
+let make_tree_and_cache ?(klen = 8) () =
   let clock = Simclock.Clock.create () in
   let device =
     Pagestore.Device.create ~clock ~name:"d" ~kind:Pagestore.Device.Magnetic_disk ()
   in
   let cache = Pagestore.Bufcache.create ~capacity:64 () in
-  (Index.Btree.create ~cache ~device ~klen:8, cache)
+  (Index.Btree.create ~cache ~device ~klen, cache)
 
 let node_page cache t blkno f =
   Pagestore.Bufcache.with_page cache (Index.Btree.device t) ~segid:(Index.Btree.segid t)
@@ -233,11 +236,13 @@ let leaf_chain cache t =
       (fun b ->
         node_page cache t b (fun p ->
             Pagestore.Page.get_u16 p 0 = 0x424E && Pagestore.Page.get_u16 p 2 = 0))
-      (List.init (nblocks - 1) (fun i -> i + 1))
+      (List.init nblocks Fun.id)
   in
   let nexts = List.map (next_of cache t) leaves in
   let head = List.find (fun b -> not (List.mem b nexts)) leaves in
-  let rec follow b acc = if b = 0 then List.rev acc else follow (next_of cache t b) (b :: acc) in
+  let rec follow b acc =
+    if b = no_block then List.rev acc else follow (next_of cache t b) (b :: acc)
+  in
   follow head []
 
 let tree_of_leaves n =
@@ -286,8 +291,102 @@ let test_cyclic_chain_reported () =
 (* A chain that ends early — the last leaves unreachable by a scan. *)
 let test_truncated_chain_reported () =
   let t, cache, chain = tree_of_leaves 1500 in
-  set_next cache t (List.nth chain 1) 0;
+  set_next cache t (List.nth chain 1) no_block;
   expect_broken "a truncated leaf chain" t
+
+(* ---- the root lives at block 0 ----
+
+   Wide keys (klen 64: 113 items a leaf, 107 separators an internal
+   node) split the root twice within a few thousand inserts. *)
+
+let wide_key i = Index.Key.of_int i ^ String.make 56 '.'
+let insert_wide t i = Index.Btree.insert t ~key:(wide_key i) ~value:(Int64.of_int i)
+
+let nblocks t = Pagestore.Device.nblocks (Index.Btree.device t) (Index.Btree.segid t)
+
+let check_found t n =
+  for i = 0 to n - 1 do
+    if Index.Btree.lookup t ~key:(wide_key i) <> [ Int64.of_int i ] then
+      Alcotest.failf "entry %d of %d lost" i n
+  done
+
+(* Insert entries [from], [from + 1], ... until the tree is [height]
+   high; returns the number of entries then in the tree. *)
+let grow_to t height ~from =
+  let i = ref from in
+  while Index.Btree.height t < height do
+    insert_wide t !i;
+    incr i
+  done;
+  !i
+
+let test_root_splits_in_place () =
+  let t = make_tree ~klen:64 () in
+  Alcotest.(check int) "a new tree is one block" 1 (nblocks t);
+  Alcotest.(check int) "a new tree is a root leaf" 1 (Index.Btree.height t);
+  let n2 = grow_to t 2 ~from:0 in
+  Alcotest.(check int) "the 114th entry splits the root leaf" 114 n2;
+  Alcotest.(check int) "root, its copy and the split's sibling" 3 (nblocks t);
+  Alcotest.(check int) "height after the first root split" 2 (Index.Btree.height t);
+  check_ok t;
+  check_found t n2;
+  let n3 = grow_to t 3 ~from:n2 in
+  Alcotest.(check int) "height after the second root split" 3 (Index.Btree.height t);
+  Alcotest.(check int) "count" n3 (Index.Btree.count t);
+  check_ok t;
+  check_found t n3
+
+(* A crash at each device store of the flush that lands a 2 -> 3 root
+   split.  The tree is updated in place, so a torn flush may damage it;
+   the audit must then say so, and a tree it passes must hold every
+   entry flushed before the split.  A rebuild from the entries (recovery
+   rebuilds from the heap) leaves a clean tree either way. *)
+let test_crash_during_root_split () =
+  let split_at = grow_to (make_tree ~klen:64 ()) 3 ~from:0 - 1 in
+  let detected = ref 0 in
+  let rec crash_on k =
+    let t, cache = make_tree_and_cache ~klen:64 () in
+    let device = Index.Btree.device t in
+    for i = 0 to split_at - 1 do
+      insert_wide t i
+    done;
+    Pagestore.Bufcache.flush cache;
+    Alcotest.(check int) "height before the split" 2 (Index.Btree.height t);
+    let plan = Faultsim.create () in
+    Faultsim.arm_device plan device;
+    Faultsim.schedule plan ~io:Faultsim.Write ~after:k Faultsim.Crash;
+    match
+      insert_wide t split_at;
+      Pagestore.Bufcache.flush cache
+    with
+    | () ->
+      (* past the last store the split is whole on disk *)
+      Faultsim.disarm plan;
+      Pagestore.Bufcache.crash cache;
+      Index.Btree.crash t;
+      Alcotest.(check int) "height after the split" 3 (Index.Btree.height t);
+      check_ok t;
+      check_found t (split_at + 1);
+      k - 1
+    | exception Pagestore.Device.Crash_injected _ ->
+      Faultsim.disarm plan;
+      Pagestore.Bufcache.crash cache;
+      Pagestore.Device.crash device;
+      Index.Btree.crash t;
+      (match Index.Btree.check_invariants t with
+      | Ok () -> check_found t split_at
+      | Error _ -> incr detected);
+      Index.Btree.reinit t;
+      for i = 0 to split_at do
+        insert_wide t i
+      done;
+      check_ok t;
+      check_found t (split_at + 1);
+      crash_on (k + 1)
+  in
+  let stores = crash_on 1 in
+  Alcotest.(check bool) "the split's flush spans several stores" true (stores > 3);
+  Alcotest.(check bool) "some crash tears the tree" true (!detected > 0)
 
 (* ---- properties ---- *)
 
@@ -356,6 +455,12 @@ let () =
           Alcotest.test_case "cycle reported" `Quick test_cyclic_chain_reported;
           Alcotest.test_case "truncated chain reported" `Quick
             test_truncated_chain_reported;
+        ] );
+      ( "root at block 0",
+        [
+          Alcotest.test_case "root splits in place" `Quick test_root_splits_in_place;
+          Alcotest.test_case "crash during a 2 -> 3 root split" `Quick
+            test_crash_during_root_split;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -173,6 +173,68 @@ let test_crash_during_archive_vacuum_all () =
   in
   Alcotest.(check bool) "the vacuum and sync span several writes" true (crash_on 1 > 3)
 
+(* A root split of a file's chunk tree, crashed at each device store of
+   the flush that lands it.  One chunk written 511 times fills the root
+   leaf (511 items of klen 8); the 512th version splits it, and block 0
+   becomes the internal root over a copy of the old leaf and its new
+   sibling.  Every restart is clean, and some rebuild the torn tree;
+   every version reads back [As_of] its time, and the current contents
+   are the last committed version. *)
+let test_crash_during_chunk_root_split () =
+  let leaf_cap = 511 in
+  let rebuilt = ref 0 in
+  let version i = Bytes.of_string (Printf.sprintf "version %03d" i) in
+  let rec crash_on k =
+    let fs, plan = armed_fs () in
+    let s = Fs.new_session fs in
+    let stamps =
+      Array.init leaf_cap (fun i ->
+          Fs.write_file s "/f" (version i);
+          Simclock.Clock.advance (Fs.clock fs) 1.;
+          Db.now (Fs.db fs))
+    in
+    let oid = Fs.lookup_oid s "/f" in
+    let tree () = Invfs.Inv_file.index (Option.get (Fs.file_handle fs ~oid)) in
+    Alcotest.(check int) "the root leaf is full" leaf_cap (Index.Btree.count (tree ()));
+    Alcotest.(check int) "height before the split" 1 (Index.Btree.height (tree ()));
+    F.schedule plan ~io:F.Write ~after:k F.Crash;
+    match Fs.write_file s "/f" (version leaf_cap) with
+    | () ->
+      (* past the last store the split is whole on disk: a restart
+         finds nothing to rebuild *)
+      let r = recover_clean fs in
+      Alcotest.(check (list int64)) "no index rebuilt" [] r.Rec.restart.Fs.file_indexes_rebuilt;
+      Alcotest.(check int) "height after the split" 2 (Index.Btree.height (tree ()));
+      let s = Fs.new_session fs in
+      Alcotest.(check bytes) "the splitting version reads back" (version leaf_cap)
+        (Fs.read_whole_file s "/f");
+      k - 1
+    | exception D.Crash_injected _ ->
+      F.clear_schedule plan;
+      let r = recover_clean fs in
+      if r.Rec.restart.Fs.file_indexes_rebuilt <> [] then incr rebuilt;
+      Alcotest.(check bool)
+        (Printf.sprintf "crash at write %d: the audit is clean" k)
+        true
+        (Invfs.Fsck.is_clean (Invfs.Fsck.audit fs));
+      let s = Fs.new_session fs in
+      Array.iteri
+        (fun i ts ->
+          Alcotest.(check bytes)
+            (Printf.sprintf "crash at write %d: version %d reads back" k i)
+            (version i)
+            (Fs.read_whole_file s ~timestamp:ts "/f"))
+        stamps;
+      let current = Fs.read_whole_file s "/f" in
+      Alcotest.(check bool)
+        (Printf.sprintf "crash at write %d: the current version is the last committed" k)
+        true
+        (Bytes.equal current (version (leaf_cap - 1)) || Bytes.equal current (version leaf_cap));
+      crash_on (k + 1)
+  in
+  Alcotest.(check bool) "the split's flush spans several writes" true (crash_on 1 > 3);
+  Alcotest.(check bool) "some crash tears the chunk tree" true (!rebuilt > 0)
+
 (* ---- no replay: committed index entries are already on disk ---- *)
 
 (* A writing commit flushes its heap and index pages before its status
@@ -595,6 +657,8 @@ let () =
             test_crash_with_multiple_open_sessions;
           Alcotest.test_case "unforced batch, no replay" `Quick
             test_unforced_batch_needs_no_replay;
+          Alcotest.test_case "chunk-tree root split at every write" `Quick
+            test_crash_during_chunk_root_split;
           Alcotest.test_case "archive vacuum_all at every write" `Quick
             test_crash_during_archive_vacuum_all;
         ] );

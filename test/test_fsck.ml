@@ -86,13 +86,13 @@ let test_corrupted_index_detected_and_rebuilt () =
   let att, heap = file_heap fs "/notes" s in
   let oid = att.Invfs.Fileatt.file in
   let dev = Relstore.Heap.device heap in
-  (* zero the chunk index's meta page in the durable image *)
+  (* zero the chunk index's root (block 0) in the durable image *)
   D.poke_block dev ~segid:att.Invfs.Fileatt.index_segid ~blkno:0 (P.create ());
-  (* a machine crash now: caches drop, reads hit the zeroed meta page *)
+  (* a machine crash now: caches drop, reads hit the zeroed root *)
   Fs.crash fs;
   let inv = Option.get (Fs.file_handle fs ~oid) in
   (match (Index.Indexed.audit (Invfs.Inv_file.relation inv)).Index.Audit.indexes with
-  | Ok () -> Alcotest.fail "index audit missed the zeroed meta page"
+  | Ok () -> Alcotest.fail "index audit missed the zeroed root"
   | Error _ -> ());
   let audit = Fsck.audit fs in
   Alcotest.(check bool) "audit flags the index" false (Fsck.is_clean audit);
@@ -215,10 +215,12 @@ let differential fs (a : audited) ~what =
   | _ -> ());
   expect
 
-(* ---- durable-image surgery on a tree's segment.  Node pages hold the
-   level (u16) at byte 2, a leaf's next leaf (u32) at byte 6 and an
-   internal node's first child (u32) at byte 10; the meta page (block 0)
-   holds the root (u32) at byte 4. ---- *)
+(* ---- durable-image surgery on a tree's segment.  Every block is a
+   node page, the root at block 0: the level (u16) at byte 2, a leaf's
+   next leaf (u32) at byte 6 (0xFFFF_FFFF ends the chain) and an
+   internal node's first child (u32) at byte 10. ---- *)
+
+let no_block = 0xFFFF_FFFF
 
 let seg_of (ix : Audit.index) = (Bt.device ix.tree, Bt.segid ix.tree)
 
@@ -236,8 +238,10 @@ let leaves ix =
   let dev, segid = seg_of ix in
   let page blkno = peek dev ~segid ~blkno in
   let rec leftmost b = if P.get_u16 (page b) 2 = 0 then b else leftmost (P.get_u32 (page b) 10) in
-  let rec chain b acc = if b = 0 then List.rev acc else chain (P.get_u32 (page b) 6) (b :: acc) in
-  chain (leftmost (P.get_u32 (page 0) 4)) []
+  let rec chain b acc =
+    if b = no_block then List.rev acc else chain (P.get_u32 (page b) 6) (b :: acc)
+  in
+  chain (leftmost 0) []
 
 let set_next ix leaf next =
   let dev, segid = seg_of ix in
@@ -360,7 +364,7 @@ let test_audit_directed_mutations () =
     (fun ((a, ix) as t) ->
       let live = committed_entries a ix in
       let ((k, v) as e) = List.nth live (List.length live / 2) in
-      directed fs t ~what:"zeroed meta page" (fun () -> put_block ix 0 (P.create ()));
+      directed fs t ~what:"zeroed root" (fun () -> put_block ix 0 (P.create ()));
       directed fs t ~what:"dropped entry" (fun () ->
           edit fs (fun () -> ignore (Bt.delete ix.Audit.tree ~key:k ~value:v : bool)));
       (* the next two leave every committed version indexed: only the
@@ -378,7 +382,7 @@ let test_audit_directed_mutations () =
       | first :: _ :: rest ->
         (* the first leaf still points where it did before its right
            sibling was split off *)
-        let stale = match rest with third :: _ -> third | [] -> 0 in
+        let stale = match rest with third :: _ -> third | [] -> no_block in
         directed fs t ~what:"stale next pointer" (fun () -> set_next ix first stale)
       | _ -> ())
     (trees watched);
@@ -396,11 +400,11 @@ let test_audit_random_mutations () =
     let nblocks = Array.length saved in
     let kind =
       pick
-        [ "zero meta"; "drop entry"; "empty slot"; "other key"; "stale next"; "flip byte";
+        [ "zero root"; "drop entry"; "empty slot"; "other key"; "stale next"; "flip byte";
           "stale page" ]
     in
     (match kind with
-    | "zero meta" -> put_block ix 0 (P.create ())
+    | "zero root" -> put_block ix 0 (P.create ())
     | "drop entry" ->
       let k, v = pick (entries ix) in
       edit fs (fun () -> ignore (Bt.delete ix.Audit.tree ~key:k ~value:v : bool))
@@ -414,7 +418,10 @@ let test_audit_random_mutations () =
                ~slot:(2000 + Simclock.Rng.int rng 1000))
       in
       if Simclock.Rng.bool rng then repoint fs ix e target else add_entry fs ix k target
-    | "stale next" -> set_next ix (pick (leaves ix)) (Simclock.Rng.int rng (nblocks + 1))
+    | "stale next" ->
+      (* any block, the one past the segment, or the end of the chain *)
+      let b = Simclock.Rng.int rng (nblocks + 2) in
+      set_next ix (pick (leaves ix)) (if b = nblocks + 1 then no_block else b)
     | "flip byte" ->
       let blkno = Simclock.Rng.int rng nblocks in
       let p = P.copy saved.(blkno) in

@@ -119,6 +119,22 @@ let test_large_multi_chunk_file () =
   Alcotest.(check int) "size" size (Bytes.length back);
   Alcotest.(check bytes) "contents" data back
 
+(* A small file costs two device blocks: one heap block and its chunk
+   tree's root, which is block 0 of the tree's segment. *)
+let test_small_file_two_blocks () =
+  let fs, s = fresh () in
+  Fs.write_file s "/small" (Bytes.make 600 's');
+  let inv = Option.get (Fs.file_handle fs ~oid:(Fs.lookup_oid s "/small")) in
+  let blocks_of dev segid = Pagestore.Device.nblocks dev segid in
+  let heap = Invfs.Inv_file.heap inv in
+  let tree = Invfs.Inv_file.index inv in
+  Alcotest.(check int) "heap blocks" 1
+    (blocks_of (Relstore.Heap.device heap) (Relstore.Heap.segid heap));
+  Alcotest.(check int) "chunk-tree blocks" 1
+    (blocks_of (Index.Btree.device tree) (Index.Btree.segid tree));
+  Alcotest.(check string) "reads back" (String.make 600 's')
+    (str (Fs.read_whole_file s "/small"))
+
 let test_random_offset_rw () =
   let _, s = fresh () in
   let size = 2 * Invfs.Chunk.capacity in
@@ -1286,6 +1302,7 @@ let () =
         [
           Alcotest.test_case "create/write/read" `Quick test_create_write_read;
           Alcotest.test_case "multi-chunk file" `Quick test_large_multi_chunk_file;
+          Alcotest.test_case "small file is two blocks" `Quick test_small_file_two_blocks;
           Alcotest.test_case "random offsets" `Quick test_random_offset_rw;
           Alcotest.test_case "sparse files" `Quick test_sparse_file_reads_zeros;
           Alcotest.test_case "read past EOF" `Quick test_read_past_eof;

@@ -2,13 +2,19 @@
 # Dead-export guard: list every value a lib/**/*.mli exports that no
 # .ml file outside its own module and outside test/ names, and fail
 # unless each one is in the allowlist (test/unused_exports.allow, one
-# "name reason" per line).  A value that only test/*.ml files (the
-# Alcotest suites and the sweep drivers) name is listed as TEST-ONLY:
-# it stays only with a reason line, such as a counter a test reads as
-# its oracle.  "Appears" is a whole-word match, so the check is coarse:
-# it misses a dead value that shares its name with a live one, but a
-# name it reports really has no caller in lib/, bin/, bench/,
-# perfbench/ or examples/.
+# "Module.name reason" per line).  A value that only test/*.ml files
+# (the Alcotest suites and the sweep drivers) name is listed as
+# TEST-ONLY: it stays only with a reason line, such as a counter a test
+# reads as its oracle.
+#
+# A file names value v of module M when, outside its comments and
+# string literals, it has the word v and also the word M (M.v, open M,
+# module X = Lib.M, ...): so a common word such as "write" is not taken
+# for a use of Fsops.write by a file that never mentions Fsops.  The
+# check is still coarse: it misses a dead value whose name a file uses
+# for something else while it also uses the module, but a value it
+# reports really has no caller in lib/, bin/, bench/, perfbench/ or
+# examples/.
 #
 #   test/unused_exports.sh [ROOT]
 #
@@ -19,11 +25,37 @@ cd "$root" || exit 2
 tmp=$(mktemp -d) || exit 2
 trap 'rm -rf "$tmp"' EXIT
 
+# An OCaml source with its comments (nested), string literals ("...",
+# {|...|}) and character literals blanked out.
+cat > "$tmp/code.awk" <<'EOF'
+{
+  out = ""; n = length($0); i = 1
+  while (i <= n) {
+    c = substr($0, i, 1); c2 = substr($0, i, 2)
+    if (instr) {
+      if (c == "\\") i += 2
+      else { if (c == "\"") instr = 0; i++ }
+    } else if (inq) {
+      if (c2 == "|}") { inq = 0; i += 2 } else i++
+    } else if (c == "\"") { instr = 1; i++; out = out " " }
+    else if (c2 == "(*") { depth++; i += 2; out = out " " }
+    else if (depth > 0 && c2 == "*)") { depth--; i += 2 }
+    else if (depth > 0) i++
+    else if (c2 == "{|") { inq = 1; i += 2; out = out " " }
+    else if (c2 == "'\\") { i += 3; while (i <= n && substr($0, i, 1) != "'") i++; i++ }
+    else if (c == "'" && substr($0, i + 2, 1) == "'") i += 3
+    else { out = out c; i++ }
+  }
+  print out
+}
+EOF
+
 # "file word" for every identifier of every .ml file, once per file.
 for d in lib bin bench perfbench examples test; do
   [ -d "$d" ] && find "$d" -name '*.ml' -not -path '*/_build/*'
 done | sort | while read -r f; do
-  grep -ow "[A-Za-z_][A-Za-z0-9_']*" "$f" | sort -u | sed "s|^|$f |"
+  LC_ALL=C awk -f "$tmp/code.awk" "$f" | grep -ow "[A-Za-z_][A-Za-z0-9_']*" |
+    sort -u | sed "s|^|$f |"
 done > "$tmp/words"
 
 # "own.ml name mli" for every exported value.
@@ -32,18 +64,23 @@ find lib -name '*.mli' -not -path '*/_build/*' | sort | while read -r m; do
     sed "s|^|${m%.mli}.ml |; s|\$| $m|"
 done > "$tmp/vals"
 
-# "UNUSED mli: name" when no other file names it, "TEST-ONLY mli: name"
-# when only test/ files do.
-awk 'FNR == NR { if ($1 ~ /^test\//) t[$2]++; else n[$2]++; has[$1, $2] = 1; next }
-     n[$2] - has[$1, $2] == 0 {
-       print (t[$2] > 0 ? "TEST-ONLY" : "UNUSED") " " $3 ": " $2 }' \
+# "UNUSED mli: M.name" when no other file names it, "TEST-ONLY mli:
+# M.name" when only test/ files do.
+awk 'FNR == NR { has[$1, $2] = 1; in_files[$2] = in_files[$2] " " $1; next }
+     { m = $1; sub(/.*\//, "", m); sub(/\.ml$/, "", m)
+       m = toupper(substr(m, 1, 1)) substr(m, 2)
+       n = 0; t = 0
+       k = split(in_files[$2], f, " ")
+       for (i = 1; i <= k; i++)
+         if (f[i] != $1 && has[f[i], m]) { if (f[i] ~ /^test\//) t++; else n++ }
+       if (n == 0) print (t > 0 ? "TEST-ONLY" : "UNUSED") " " $3 ": " m "." $2 }' \
   "$tmp/words" "$tmp/vals" | sort -u > "$tmp/unused"
 
 allow=test/unused_exports.allow
 status=0
 while read -r kind line; do
   name=${line##*: }
-  if grep -q "^$name " "$allow"; then
+  if cut -d' ' -f1 "$allow" | grep -qxF "$name"; then
     echo "allowed    $line"
   else
     printf '%-10s %s\n' "$kind" "$line"
