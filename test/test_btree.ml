@@ -456,7 +456,7 @@ let () =
           Alcotest.test_case "truncated chain reported" `Quick
             test_truncated_chain_reported;
         ] );
-      ( "root at block 0",
+      ( "block 0",
         [
           Alcotest.test_case "root splits in place" `Quick test_root_splits_in_place;
           Alcotest.test_case "crash during a 2 -> 3 root split" `Quick
