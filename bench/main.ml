@@ -1,10 +1,10 @@
 (* The benchmark harness: regenerates every table and figure in the
-   paper's evaluation (Table 3 subsumes Figures 3-6), runs the ablation
-   studies DESIGN.md calls out, and runs one Bechamel microbenchmark per
-   paper artifact against the real (wall-clock) implementation.
+   paper's evaluation (Table 3 subsumes Figures 3-6) and runs the
+   ablation studies DESIGN.md calls out.  The implementation's own
+   wall-clock costs are perfbench's (perfbench/README.md).
 
    Usage:
-     bench/main.exe [all|tab3|fig3|fig4|fig5|fig6|ablate|json|sequoia|micro|shard|load] [--mb N]
+     bench/main.exe [all|tab3|fig3|fig4|fig5|fig6|ablate|json|sequoia|shard|load] [--mb N]
 
    [--mb N] sizes the benchmark file (default 25, the paper's size; the
    create time is scaled for smaller files so reports stay comparable). *)
@@ -130,8 +130,7 @@ let ablate_cpu ~mb =
   let one scale =
     let r = W.run ~file_mb:mb (S.inversion_single_process ~cpu_scale:scale ()) in
     Printf.printf "  scale %.2f: create %7.2fs  seq read %6.2fs  seq write %6.2fs\n" scale
-      (W.find r W.Create_file) (W.find r W.Read_1mb_seq) (W.find r W.Write_1mb_seq);
-    Relstore.Cpu_model.scale := 1.0
+      (W.find r W.Create_file) (W.find r W.Read_1mb_seq) (W.find r W.Write_1mb_seq)
   in
   List.iter one [ 1.0; 0.25; 0.0 ];
   print_newline ()
@@ -209,101 +208,6 @@ let ablations ~mb =
   ablate_cpu ~mb;
   ablate_coalescing ();
   ablate_compression ()
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks (real wall-clock, one per paper artifact)   *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  (* one shared file system with a prebuilt file for the data-path tests *)
-  let db = Relstore.Db.create () in
-  let fs = Invfs.Fs.make db () in
-  let s = Invfs.Fs.new_session fs in
-  let file_bytes = 64 * 1024 in
-  Invfs.Fs.write_file s "/micro.dat"
-    (Bytes.init file_bytes (fun i -> Char.chr (i mod 251)));
-  Invfs.Fs.define_type fs "tm";
-  Invfs.Fs.register_function fs ~name:"snow" ~file_type:"tm" ~arity:1 (fun _ _ ->
-      Postquel.Value.Int 42L);
-  Invfs.Fs.set_type s "/micro.dat" "tm";
-  let counter = ref 0 in
-  let rng = Simclock.Rng.create 7L in
-  let buf = Bytes.create 4096 in
-  let fig3_create () =
-    (* Figure 3's code path: create a file and stream chunks into it *)
-    incr counter;
-    let path = Printf.sprintf "/created.%d" !counter in
-    let fd = Invfs.Fs.p_creat s path in
-    ignore (Invfs.Fs.p_write s fd buf 4096 : int);
-    Invfs.Fs.p_close s fd
-  in
-  let fig4_byte () =
-    let fd = Invfs.Fs.p_open s "/micro.dat" Invfs.Fs.Rdonly in
-    let off = Int64.of_int (Simclock.Rng.int rng file_bytes) in
-    ignore (Invfs.Fs.p_lseek s fd off Invfs.Fs.Seek_set : int64);
-    ignore (Invfs.Fs.p_read s fd buf 1 : int);
-    Invfs.Fs.p_close s fd
-  in
-  let fig5_read () =
-    let fd = Invfs.Fs.p_open s "/micro.dat" Invfs.Fs.Rdonly in
-    let rec go () = if Invfs.Fs.p_read s fd buf 4096 > 0 then go () in
-    go ();
-    Invfs.Fs.p_close s fd
-  in
-  let fig6_write () =
-    let fd = Invfs.Fs.p_open s "/micro.dat" Invfs.Fs.Rdwr in
-    let off = Int64.of_int (Simclock.Rng.int rng (file_bytes - 4096)) in
-    ignore (Invfs.Fs.p_lseek s fd off Invfs.Fs.Seek_set : int64);
-    ignore (Invfs.Fs.p_write s fd buf 4096 : int);
-    Invfs.Fs.p_close s fd
-  in
-  let tab1_naming () = ignore (Invfs.Fs.stat s "/micro.dat" : Invfs.Fileatt.att) in
-  let tab2_query () =
-    ignore
-      (Invfs.Fs.query s {|retrieve (filename) where snow(file) > 0|}
-        : Postquel.Value.t list list)
-  in
-  let tab3_txn () =
-    Invfs.Fs.with_transaction s (fun () ->
-        let fd = Invfs.Fs.p_open s "/micro.dat" Invfs.Fs.Rdwr in
-        ignore (Invfs.Fs.p_write s fd buf 4096 : int);
-        Invfs.Fs.p_close s fd)
-  in
-  let tests =
-    Test.make_grouped ~name:"inversion"
-      [
-        Test.make ~name:"fig3:create+write" (Staged.stage fig3_create);
-        Test.make ~name:"fig4:random byte read" (Staged.stage fig4_byte);
-        Test.make ~name:"fig5:sequential read 64KB" (Staged.stage fig5_read);
-        Test.make ~name:"fig6:page write" (Staged.stage fig6_write);
-        Test.make ~name:"tab1:path resolution (stat)" (Staged.stage tab1_naming);
-        Test.make ~name:"tab2:typed-function query" (Staged.stage tab2_query);
-        Test.make ~name:"tab3:transactional write" (Staged.stage tab3_txn);
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  print_endline "Bechamel microbenchmarks (real wall-clock of this implementation):";
-  let rows =
-    Hashtbl.fold (fun name v acc -> (name, v) :: acc) results []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  let print_row (name, est) =
-    match Analyze.OLS.estimates est with
-    | Some [ ns ] ->
-      let label =
-        if ns > 1e6 then Printf.sprintf "%8.2f ms/op" (ns /. 1e6)
-        else Printf.sprintf "%8.2f µs/op" (ns /. 1e3)
-      in
-      Printf.printf "  %-42s %s\n" name label
-    | Some _ | None -> Printf.printf "  %-42s (no estimate)\n" name
-  in
-  List.iter print_row rows;
-  print_newline ()
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable benchmark trajectory (bench json)                  *)
@@ -1123,8 +1027,7 @@ let () =
     print_tab3 results;
     ablations ~mb;
     print_string (Benchlib.Sequoia.report_to_string (Benchlib.Sequoia.run ()));
-    print_newline ();
-    micro ()
+    print_newline ()
   | "tab3" -> print_tab3 (run_three ~mb)
   | "fig3" -> print_figures (run_three ~mb) [ `Fig3 ]
   | "fig4" -> print_figures (run_three ~mb) [ `Fig4 ]
@@ -1163,7 +1066,6 @@ let () =
   | "shard" -> print_shard ()
   | "sequoia" ->
     print_string (Benchlib.Sequoia.report_to_string (Benchlib.Sequoia.run ()))
-  | "micro" -> micro ()
   | "load" ->
     (* Open-loop load sweep:
          bench load [--seed N] [--clients N] [--tenants N] [--ops N]
@@ -1229,7 +1131,7 @@ let () =
   | other ->
     Printf.eprintf
       "unknown command %s (expected \
-       all|tab3|fig3|fig4|fig5|fig6|ablate|json|sequoia|micro|shard|load)\n"
+       all|tab3|fig3|fig4|fig5|fig6|ablate|json|sequoia|shard|load)\n"
       other;
     exit 2);
   match trace_out with

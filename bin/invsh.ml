@@ -13,19 +13,21 @@
    is a meaningful timestamp. *)
 
 module Fs = Invfs.Fs
+module Conn = Remote.Conn
+module Client = Remote.Client
+module Cluster = Remote.Cluster
 
 type shell = {
   clock : Simclock.Clock.t;
   db : Relstore.Db.t;
   fs : Fs.t;
-  mutable session : Fs.session;
-  remote : Remote.Client.t option;
-      (* with --remote: file commands cross the wire protocol; admin
-         commands (deffn, migrate, vacuum, fsck) still run server-side.
-         With --shards this is the coordinator's client. *)
-  cluster : (Remote.Cluster.t * Remote.Cluster.conn) option;
-      (* with --shards N: metadata through the coordinator ([remote]),
-         chunk data routed to the owning shard by the placement map *)
+      (* the data manager (with --shards, the coordinator's), where the
+         admin commands (deffn, migrate, vacuum, fsck, ...) run *)
+  mutable session : Fs.session;  (* their session on [fs] *)
+  mutable conn : Conn.t;
+      (* every file, namespace and transaction command: [session]
+         itself, a wire-protocol client with --remote, or a fleet conn
+         with --shards *)
   mutable marks : (string * int64) list; (* named timestamps *)
 }
 
@@ -35,18 +37,10 @@ let make_shell ~cache_pages ~remote ~shards =
     let clock = Simclock.Clock.create () in
     let net = Netsim.create ~clock Netsim.tcp_1993 in
     let rng = Simclock.Rng.create 42L in
-    let cluster = Remote.Cluster.create ~clock ~net ~rng ~nshards:shards () in
-    let conn = Remote.Cluster.connect cluster ~rng:(Simclock.Rng.split rng) () in
-    let fs = Remote.Server.fs (Remote.Cluster.member_server cluster 0) in
-    {
-      clock;
-      db = Fs.db fs;
-      fs;
-      session = Fs.new_session fs;
-      remote = Some (Remote.Cluster.coord conn);
-      cluster = Some (cluster, conn);
-      marks = [];
-    }
+    let cluster = Cluster.create ~clock ~net ~rng ~nshards:shards () in
+    let conn = Cluster.connect cluster ~rng:(Simclock.Rng.split rng) () in
+    let fs = Remote.Server.fs (Cluster.member_server cluster 0) in
+    { clock; db = Fs.db fs; fs; session = Fs.new_session fs; conn = Fleet conn; marks = [] }
   end
   else begin
     let clock = Simclock.Clock.create () in
@@ -59,17 +53,29 @@ let make_shell ~cache_pages ~remote ~shards =
     add "jukebox" Pagestore.Device.Worm_jukebox;
     let db = Relstore.Db.create ~switch ~clock ~cache_capacity:cache_pages () in
     let fs = Fs.make db () in
-    let remote =
-      if not remote then None
+    let session = Fs.new_session fs in
+    let conn =
+      if not remote then Conn.Local session
       else begin
         let server = Remote.Server.create ~fs () in
         let net = Netsim.create ~clock Netsim.tcp_1993 in
         let link = Netsim.Link.create net in
-        Some (Remote.Client.connect ~server ~link ~rng:(Simclock.Rng.create 42L) ())
+        Conn.Remote (Client.connect ~server ~link ~rng:(Simclock.Rng.create 42L) ())
       end
     in
-    { clock; db; fs; session = Fs.new_session fs; remote; cluster = None; marks = [] }
+    { clock; db; fs; session; conn; marks = [] }
   end
+
+(* The client whose counters 'stats' prints: the remote one, or a
+   fleet's coordinator. *)
+let client shell =
+  match shell.conn with
+  | Local _ -> None
+  | Remote c -> Some c
+  | Fleet f -> Some (Cluster.coord f)
+
+let fleet shell =
+  match shell.conn with Fleet f -> Some f | Local _ | Remote _ -> None
 
 let say fmt = Printf.printf (fmt ^^ "\n%!")
 
@@ -129,85 +135,27 @@ let print_stat (a : Invfs.Fileatt.att) =
 
 let run_command shell line =
   let s = shell.session in
-  let r = shell.remote in
-  (* each command goes through the wire protocol when --remote, straight
-     to the library otherwise *)
-  let readdir ?timestamp p =
-    match r with
-    | Some c -> Remote.Client.c_readdir c ?timestamp p
-    | None -> Fs.readdir s ?timestamp p
-  in
-  let write_file p data =
-    match (shell.cluster, r) with
-    | Some (_, conn), Some c ->
-      (* metadata on the coordinator, chunk data on the owning shard *)
-      if not (Remote.Client.c_exists c p) then
-        Remote.Client.c_close c (Remote.Client.c_creat c p);
-      let oid = (Remote.Client.c_stat c p).Invfs.Fileatt.file in
-      ignore
-        (Remote.Cluster.shard_write conn ~oid ~off:0L ~data:(Bytes.to_string data)
-          : int);
-      Remote.Cluster.shard_truncate conn ~oid
-        ~size:(Int64.of_int (Bytes.length data))
-    | _, Some c -> Remote.Client.write_file c p data
-    | _, None -> Fs.write_file s p data
-  in
-  let read_file ?timestamp p =
-    match (shell.cluster, r) with
-    | Some (_, conn), Some c ->
-      if timestamp <> None then
-        failwith "time travel reads only cover metadata under --shards";
-      let oid = (Remote.Client.c_stat c p).Invfs.Fileatt.file in
-      Bytes.of_string (Remote.Cluster.shard_read conn ~oid ~off:0L ~len:(1 lsl 20))
-    | _, Some c -> Remote.Client.read_whole_file c ?timestamp p
-    | _, None -> Fs.read_whole_file s ?timestamp p
-  in
-  let stat ?timestamp p =
-    match r with
-    | Some c -> Remote.Client.c_stat c ?timestamp p
-    | None -> Fs.stat s ?timestamp p
-  in
-  let query q =
-    match r with
-    | Some c -> Remote.Client.c_query c q
-    | None -> List.map (List.map Postquel.Value.to_string) (Fs.query s q)
-  in
+  let c = shell.conn in
   let words =
     String.split_on_char ' ' (String.trim line) |> List.filter (fun w -> w <> "")
   in
   match words with
   | [] -> ()
   | [ "help" ] -> help ()
-  | [ "ls" ] | [ "ls"; "/" ] ->
-    List.iter (fun n -> say "  %s" n) (readdir "/")
-  | [ "ls"; path ] -> List.iter (fun n -> say "  %s" n) (readdir path)
-  | [ "mkdir"; path ] -> (
-    match r with Some c -> Remote.Client.c_mkdir c path | None -> Fs.mkdir s path)
+  | [ "ls" ] -> List.iter (fun n -> say "  %s" n) (Conn.readdir c "/")
+  | [ "ls"; path ] -> List.iter (fun n -> say "  %s" n) (Conn.readdir c path)
+  | [ "mkdir"; path ] -> Conn.mkdir c path
   | "put" :: path :: rest ->
-    write_file path (Bytes.of_string (String.concat " " rest));
+    Conn.write_file c path (Bytes.of_string (String.concat " " rest));
     say "wrote %s" path
-  | [ "cat"; path ] -> say "%s" (Bytes.to_string (read_file path))
-  | [ "rm"; path ] -> (
-    match r with Some c -> Remote.Client.c_unlink c path | None -> Fs.unlink s path)
-  | [ "rmdir"; path ] -> (
-    match r with Some c -> Remote.Client.c_rmdir c path | None -> Fs.rmdir s path)
-  | [ "mv"; src; dst ] -> (
-    match r with
-    | Some c -> Remote.Client.c_rename c src dst
-    | None -> Fs.rename s src dst)
-  | [ "stat"; path ] -> print_stat (stat path)
-  | [ "chown"; path; owner ] -> (
-    match r with
-    | Some c -> Remote.Client.c_set_owner c path owner
-    | None -> Fs.set_owner s path owner)
-  | [ "settype"; path; ftype ] -> (
-    match r with
-    | Some c -> Remote.Client.c_set_type c path ftype
-    | None -> Fs.set_type s path ftype)
-  | [ "deftype"; name ] -> (
-    match r with
-    | Some c -> Remote.Client.c_define_type c name
-    | None -> Fs.define_type shell.fs name)
+  | [ "cat"; path ] -> say "%s" (Bytes.to_string (Conn.read_whole_file c path))
+  | [ "rm"; path ] -> Conn.unlink c path
+  | [ "rmdir"; path ] -> Conn.rmdir c path
+  | [ "mv"; src; dst ] -> Conn.rename c src dst
+  | [ "stat"; path ] -> print_stat (Conn.stat c path)
+  | [ "chown"; path; owner ] -> Conn.set_owner c path owner
+  | [ "settype"; path; ftype ] -> Conn.set_type c path ftype
+  | [ "deftype"; name ] -> Conn.define_type c name
   | "deffn" :: name :: body ->
     Invfs.Stored_fn.define shell.fs s ~name ~body:(String.concat " " body) ();
     say "defined %s (stored at %s/%s)" name Invfs.Stored_fn.functions_dir name
@@ -215,17 +163,17 @@ let run_command shell line =
   | [ "asof"; mark; "fnsrc"; name ] ->
     say "%s" (Invfs.Stored_fn.source s ~timestamp:(find_mark shell mark) name)
   | "query" :: rest ->
-    let rows = query (String.concat " " rest) in
+    let rows = Conn.query c (String.concat " " rest) in
     List.iter (fun row -> say "  %s" (String.concat ", " row)) rows;
     say "(%d rows)" (List.length rows)
   | [ "begin" ] | [ "txbegin" ] ->
-    (match r with Some c -> Remote.Client.c_begin c | None -> Fs.p_begin s);
+    Conn.begin_txn c;
     say "transaction open"
   | [ "commit" ] | [ "txcommit" ] ->
-    (match r with Some c -> Remote.Client.c_commit c | None -> Fs.p_commit s);
+    Conn.commit c;
     say "committed"
   | [ "abort" ] | [ "txabort" ] ->
-    (match r with Some c -> Remote.Client.c_abort c | None -> Fs.p_abort s);
+    Conn.abort c;
     say "aborted"
   | [ "mark"; name ] ->
     shell.marks <- (name, Relstore.Db.now shell.db) :: shell.marks;
@@ -233,30 +181,20 @@ let run_command shell line =
   | [ "marks" ] ->
     List.iter (fun (n, ts) -> say "  %-12s %s" n (fmt_time ts)) (List.rev shell.marks)
   | [ "snapshot"; name ] ->
-    let ts =
-      match r with
-      | Some c -> Remote.Client.c_snapshot c
-      | None -> Fs.snapshot shell.fs
-    in
+    let ts = Conn.snapshot c in
     shell.marks <- (name, ts) :: shell.marks;
     say "snapshot %s at %s (use with 'asof %s ...')" name (fmt_time ts) name
   | [ "clone"; src; dst ] ->
-    (match r with
-    | Some c -> Remote.Client.c_clone c ~src ~dst
-    | None -> ignore (Fs.clone s ~src ~dst : int64));
+    Conn.clone c ~src ~dst;
     say "cloned %s -> %s (copy-on-write)" src dst
   | [ "asof"; mark; "ls"; path ] ->
-    let ts = find_mark shell mark in
-    List.iter (fun n -> say "  %s" n) (readdir ~timestamp:ts path)
+    List.iter (fun n -> say "  %s" n) (Conn.readdir c ~timestamp:(find_mark shell mark) path)
   | [ "asof"; mark; "cat"; path ] ->
-    let ts = find_mark shell mark in
-    say "%s" (Bytes.to_string (read_file ~timestamp:ts path))
+    say "%s" (Bytes.to_string (Conn.read_whole_file c ~timestamp:(find_mark shell mark) path))
   | [ "asof"; mark; "stat"; path ] ->
-    let ts = find_mark shell mark in
-    print_stat (stat ~timestamp:ts path)
+    print_stat (Conn.stat c ~timestamp:(find_mark shell mark) path)
   | [ "undelete"; mark; path ] ->
-    let ts = find_mark shell mark in
-    write_file path (read_file ~timestamp:ts path);
+    Conn.write_file c path (Conn.read_whole_file c ~timestamp:(find_mark shell mark) path);
     say "restored %s as of mark %s" path mark
   | [ "migrate"; path; device ] ->
     Fs.migrate_file shell.fs ~oid:(Fs.lookup_oid s path) ~device;
@@ -277,9 +215,9 @@ let run_command shell line =
       | [ _; n ] -> (try int_of_string n with _ -> failwith "vacuumstep: PAGES must be an integer")
       | _ -> 4
     in
-    (match r with
+    (match client shell with
     | Some c ->
-      let scanned = Remote.Client.c_vacuum_step c ~pages () in
+      let scanned = Client.c_vacuum_step c ~pages () in
       say "vacuum step: scanned %d version(s)" scanned
     | None -> (
       match Fs.vacuum_step shell.fs ~pages ~mode:`Archive () with
@@ -290,15 +228,19 @@ let run_command shell line =
           st.Relstore.Vacuum.s_discarded
           (if st.Relstore.Vacuum.s_skipped then " (skipped: relation busy)" else "")))
   | [ "crash" ] ->
-    (match (shell.cluster, r) with
-    | Some (cl, _), _ ->
-      for m = 0 to Remote.Cluster.nshards cl do
-        Remote.Cluster.crash_member cl m
+    (* every machine restarts as a server does: crash, then audit and
+       repair what the crash could have torn *)
+    (match c with
+    | Fleet f ->
+      let cl = Cluster.conn_cluster f in
+      for m = 0 to Cluster.nshards cl do
+        Cluster.crash_member cl m
       done;
-      Remote.Cluster.pump cl
-    | None, Some c -> Remote.Client.c_crash_server c
-    | None, None -> Fs.crash shell.fs);
+      Cluster.pump cl
+    | Remote rc -> Client.c_crash_server rc
+    | Local _ -> ignore (Fs.crash_and_recover shell.fs : Fs.recovery));
     shell.session <- Fs.new_session shell.fs;
+    (match c with Local _ -> shell.conn <- Local shell.session | Remote _ | Fleet _ -> ());
     say "crashed and recovered (open transactions rolled back, no fsck needed)"
   | [ "sync" ] ->
     let pending =
@@ -309,10 +251,12 @@ let run_command shell line =
       (if pending = 1 then "" else "s")
   | [ "fsck" ] ->
     say "%s" (Invfs.Fsck.report_to_string (Invfs.Fsck.audit shell.fs));
-    (match shell.cluster with
+    (match fleet shell with
     | None -> ()
-    | Some (cl, _) ->
-      say "%s" (Invfs.Fsck.shard_report_to_string (Remote.Cluster.cross_shard_audit cl)))
+    | Some f ->
+      say "%s"
+        (Invfs.Fsck.shard_report_to_string
+           (Cluster.cross_shard_audit (Cluster.conn_cluster f))))
   | [ "devices" ] ->
     List.iter
       (fun d ->
@@ -326,29 +270,28 @@ let run_command shell line =
       (fun (k, v) -> say "  %-22s %8.3fs" k v)
       (Simclock.Clock.accounts shell.clock);
     List.iter (fun (k, v) -> say "  %-22s %8d" k v) (Simclock.Clock.counters shell.clock);
-    (match r with
+    (match client shell with
     | None -> ()
     | Some c ->
-      let link = Remote.Client.link c in
-      let net = Netsim.Link.net link in
+      let net = Netsim.Link.net (Client.link c) in
       say "  %-22s %8d" "net.messages" (Netsim.messages net);
       say "  %-22s %8d" "net.bytes_sent" (Netsim.bytes_sent net);
-      say "  %-22s %8d" "client.retries" (Remote.Client.retries c);
-      say "  %-22s %8d" "client.piggybacked" (Remote.Client.piggybacked c);
-      say "  %-22s %8d" "client.timeouts" (Remote.Client.timeouts c);
-      say "  %-22s %8d" "client.reconnects" (Remote.Client.reconnects c));
-    (match shell.cluster with
+      say "  %-22s %8d" "client.retries" (Client.retries c);
+      say "  %-22s %8d" "client.piggybacked" (Client.piggybacked c);
+      say "  %-22s %8d" "client.timeouts" (Client.timeouts c);
+      say "  %-22s %8d" "client.reconnects" (Client.reconnects c));
+    (match fleet shell with
     | None -> ()
-    | Some (cl, conn) ->
-      let st = Remote.Cluster.stats cl in
-      say "  %-22s %8d" "shard.epoch" st.Remote.Cluster.epoch;
-      say "  %-22s %8d" "shard.fence_events" st.Remote.Cluster.fence_events;
-      say "  %-22s %8d" "shard.heartbeats_seen" st.Remote.Cluster.heartbeats_seen;
-      say "  %-22s %8d" "shard.stale_rejects" st.Remote.Cluster.stale_rejects;
-      say "  %-22s %8d" "shard.migrations" st.Remote.Cluster.migrations;
-      say "  %-22s %8d" "shard.handoffs_done" st.Remote.Cluster.handoffs_completed;
-      say "  %-22s %8d" "shard.drops_done" st.Remote.Cluster.drops_done;
-      say "  %-22s %8d" "shard.redirects" (Remote.Cluster.redirects conn));
+    | Some f ->
+      let st = Cluster.stats (Cluster.conn_cluster f) in
+      say "  %-22s %8d" "shard.epoch" st.Cluster.epoch;
+      say "  %-22s %8d" "shard.fence_events" st.Cluster.fence_events;
+      say "  %-22s %8d" "shard.heartbeats_seen" st.Cluster.heartbeats_seen;
+      say "  %-22s %8d" "shard.stale_rejects" st.Cluster.stale_rejects;
+      say "  %-22s %8d" "shard.migrations" st.Cluster.migrations;
+      say "  %-22s %8d" "shard.handoffs_done" st.Cluster.handoffs_completed;
+      say "  %-22s %8d" "shard.drops_done" st.Cluster.drops_done;
+      say "  %-22s %8d" "shard.redirects" (Cluster.redirects f));
     say "metrics registry:";
     List.iter
       (fun (name, entry) ->
@@ -416,9 +359,7 @@ let repl shell ~input ~interactive =
        let line = input_line input in
        Simclock.Clock.advance shell.clock ~account:"shell.idle" 1.0;
        (* under --shards a second of idle time carries heartbeat rounds *)
-       (match shell.cluster with
-       | Some (cl, _) -> Remote.Cluster.pump cl
-       | None -> ());
+       Option.iter (fun f -> Cluster.pump (Cluster.conn_cluster f)) (fleet shell);
        (try run_command shell line with
        | Exit -> raise Exit
        | Invfs.Errors.Fs_error (code, msg) ->
@@ -484,7 +425,9 @@ let () =
              the namespace plus $(docv) chunk servers, each behind its own \
              simulated link.  Metadata commands go to the coordinator; put \
              and cat follow the epoch-numbered placement map to the owning \
-             shard (retrying through fencing redirects).  'stats' shows \
+             shard (retrying through fencing redirects).  Transactions, \
+             clone and historical reads of file data are refused: the fleet \
+             commits names and file data separately.  'stats' shows \
              fleet counters and 'fsck' adds the cross-shard placement \
              audit.  Implies the wire protocol; do not combine with \
              $(b,--remote).")

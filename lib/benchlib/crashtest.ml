@@ -174,7 +174,7 @@ let run ?(config = default_config) ~seed () =
       w =
         Fsops.create ~rng ~ora:(Oracle.create ~trace:config.trace ~depth:8)
           ~max_dirs:config.max_dirs ~max_file_bytes:config.max_file_bytes fs
-          (Array.init config.sessions (fun _ -> Fsops.Local (Fs.new_session fs)));
+          (Array.init config.sessions (fun _ -> Remote.Conn.Local (Fs.new_session fs)));
       db;
       fs;
       plan;

@@ -10,7 +10,7 @@ module Device = Pagestore.Device
 module Client = Remote.Client
 module Cluster = Remote.Cluster
 
-type conn = Local of Fs.session | Remote of Client.t | Fleet of Cluster.conn
+module Conn = Remote.Conn
 
 (* ---------- workload state ---------- *)
 
@@ -23,7 +23,7 @@ type probe = { describe : string; check : Fs.session -> int64 -> bool }
 
 type sess = {
   id : int;
-  mutable conn : conn;
+  mutable conn : Conn.t;
   ov : Oracle.overlay;
   mutable pending : (Oracle.updates * probe) option;
 }
@@ -74,110 +74,55 @@ let create ~rng ~ora ~max_dirs ~max_file_bytes fs conns =
     overload_refusals = 0;
   }
 
-(* ---------- the three session kinds ---------- *)
+(* ---------- the fleet's data plane ---------- *)
 
-let no_fleet_txn () =
-  invalid_arg
-    "Fsops: a fleet session has no transactions (ROADMAP item 13(b), fleet transactions)"
+(* A fleet session's file data is addressed by the oid the coordinator
+   assigned: learn it by stat on the first data call that names the
+   file, and keep it for every session of the workload.  Every other
+   call goes through [Conn]. *)
+let fleet = function Conn.Fleet f -> Some f | Conn.Local _ | Conn.Remote _ -> None
 
-module Conn = struct
-  (* The fleet's data plane is addressed by the oid the coordinator
-     assigned: learn it by stat on the first data call that names the
-     file, and keep it for every session of the workload. *)
-  let fleet_oid w c path oid =
-    match Hashtbl.find_opt w.fleet_oids oid with
-    | Some real -> real
-    | None ->
-      let real = (Client.c_stat (Cluster.coord c) path).Invfs.Fileatt.file in
-      Hashtbl.replace w.fleet_oids oid real;
-      real
+let fleet_oid w conn path oid =
+  match fleet conn with
+  | None -> None
+  | Some f ->
+    let real =
+      match Hashtbl.find_opt w.fleet_oids oid with
+      | Some real -> real
+      | None ->
+        let real = (Client.c_stat (Cluster.coord f) path).Invfs.Fileatt.file in
+        Hashtbl.replace w.fleet_oids oid real;
+        real
+    in
+    Some (f, real)
 
-  let creat conn path =
-    match conn with
-    | Local s -> Fs.p_close s (Fs.p_creat s path)
-    | Remote c -> Client.c_close c (Client.c_creat c path)
-    | Fleet f ->
-      let c = Cluster.coord f in
-      Client.c_close c (Client.c_creat c path)
+(* A fleet has no whole-file read: read the oracle's length plus 64
+   bytes from the shard, so a file longer than the oracle's shows too. *)
+let read_file w conn path ~oid =
+  match fleet_oid w conn path oid with
+  | None -> Conn.read_whole_file conn path
+  | Some (f, real) ->
+    let len = Bytes.length (Oracle.content w.ora oid) + 64 in
+    Bytes.of_string (Cluster.shard_read f ~oid:real ~off:0L ~len)
 
-  let mkdir conn path =
-    match conn with
-    | Local s -> Fs.mkdir s path
-    | Remote c -> Client.c_mkdir c path
-    | Fleet f -> Client.c_mkdir (Cluster.coord f) path
+let write_segs w conn path ~oid ~off segs =
+  match fleet_oid w conn path oid with
+  | None ->
+    let fd = Conn.open_file conn path Fs.Rdwr in
+    ignore (Conn.lseek conn fd (Int64.of_int off) Fs.Seek_set : int64);
+    List.iter (fun seg -> ignore (Conn.write conn fd seg (Bytes.length seg) : int)) segs;
+    Conn.close conn fd
+  | Some (f, real) ->
+    let data = Bytes.to_string (Bytes.concat Bytes.empty segs) in
+    ignore (Cluster.shard_write f ~oid:real ~off:(Int64.of_int off) ~data : int)
 
-  let unlink conn path =
-    match conn with
-    | Local s -> Fs.unlink s path
-    | Remote c -> Client.c_unlink c path
-    | Fleet f -> Client.c_unlink (Cluster.coord f) path
-
-  let rename conn src dst =
-    match conn with
-    | Local s -> Fs.rename s src dst
-    | Remote c -> Client.c_rename c src dst
-    | Fleet f -> Client.c_rename (Cluster.coord f) src dst
-
-  let read w conn path ~oid =
-    match conn with
-    | Local s -> Fs.read_whole_file s path
-    | Remote c -> Client.read_whole_file c path
-    | Fleet f ->
-      let real = fleet_oid w f path oid in
-      let len = Bytes.length (Oracle.content w.ora oid) + 64 in
-      Bytes.of_string (Cluster.shard_read f ~oid:real ~off:0L ~len)
-
-  let write w conn path ~oid ~off segs =
-    match conn with
-    | Local s ->
-      let fd = Fs.p_open s path Fs.Rdwr in
-      ignore (Fs.p_lseek s fd (Int64.of_int off) Fs.Seek_set : int64);
-      List.iter (fun seg -> ignore (Fs.p_write s fd seg (Bytes.length seg) : int)) segs;
-      Fs.p_close s fd
-    | Remote c ->
-      let fd = Client.c_open c path Fs.Rdwr in
-      ignore (Client.c_lseek c fd (Int64.of_int off) Fs.Seek_set : int64);
-      List.iter (fun seg -> ignore (Client.c_write c fd seg (Bytes.length seg) : int)) segs;
-      Client.c_close c fd
-    | Fleet f ->
-      let real = fleet_oid w f path oid in
-      let data = Bytes.to_string (Bytes.concat Bytes.empty segs) in
-      ignore (Cluster.shard_write f ~oid:real ~off:(Int64.of_int off) ~data : int)
-
-  let truncate w conn path ~oid len =
-    match conn with
-    | Local s ->
-      let fd = Fs.p_open s path Fs.Rdwr in
-      Fs.ftruncate s fd (Int64.of_int len);
-      Fs.p_close s fd
-    | Remote c ->
-      let fd = Client.c_open c path Fs.Rdwr in
-      Client.c_ftruncate c fd (Int64.of_int len);
-      Client.c_close c fd
-    | Fleet f ->
-      Cluster.shard_truncate f ~oid:(fleet_oid w f path oid) ~size:(Int64.of_int len)
-
-  let clone conn ~src ~dst =
-    match conn with
-    | Local s -> ignore (Fs.clone s ~src ~dst : int64)
-    | Remote c -> Client.c_clone c ~src ~dst
-    | Fleet _ -> invalid_arg "Fsops: a fleet session has no clone"
-
-  let begin_txn = function
-    | Local s -> Fs.p_begin s
-    | Remote c -> Client.c_begin c
-    | Fleet _ -> no_fleet_txn ()
-
-  let commit = function
-    | Local s -> Fs.p_commit s
-    | Remote c -> Client.c_commit c
-    | Fleet _ -> no_fleet_txn ()
-
-  let abort = function
-    | Local s -> Fs.p_abort s
-    | Remote c -> Client.c_abort c
-    | Fleet _ -> no_fleet_txn ()
-end
+let truncate_file w conn path ~oid len =
+  match fleet_oid w conn path oid with
+  | None ->
+    let fd = Conn.open_file conn path Fs.Rdwr in
+    Conn.ftruncate conn fd (Int64.of_int len);
+    Conn.close conn fd
+  | Some (f, real) -> Cluster.shard_truncate f ~oid:real ~size:(Int64.of_int len)
 
 (* ---------- probes ---------- *)
 
@@ -185,8 +130,8 @@ end
    authoritative copy.  An oid the fleet never learned never reached a
    data call, so nothing of it can have landed. *)
 let probe_content w ss path oid expect =
-  match ss.conn with
-  | Local _ | Remote _ ->
+  match fleet ss.conn with
+  | None ->
     {
       describe = Printf.sprintf "content of %s" path;
       check =
@@ -195,7 +140,7 @@ let probe_content w ss path oid expect =
           | real -> Bytes.equal real expect
           | exception Errors.Fs_error _ -> false);
     }
-  | Fleet f ->
+  | Some f ->
     {
       describe = Printf.sprintf "shard content of %s" path;
       check =
@@ -275,7 +220,7 @@ let create_at w ss path =
     { Oracle.no_updates with u_names = [ (path, Some oid) ]; u_files = [ (oid, Bytes.empty) ] }
   in
   ss.pending <- Some (u, probe_exists path);
-  Conn.creat ss.conn path;
+  Conn.create ss.conn path;
   u
 
 let create_file w ss = create_at w ss (Oracle.fresh_path w.ora ss.ov w.rng "f")
@@ -305,7 +250,7 @@ let write_at w ss path ~oid ~off segs =
   let after = Oracle.splice cur ~off (Bytes.concat Bytes.empty segs) in
   let u = { Oracle.no_updates with u_files = [ (oid, after) ] } in
   ss.pending <- Some (u, probe_content w ss path oid after);
-  Conn.write w ss.conn path ~oid ~off segs;
+  write_segs w ss.conn path ~oid ~off segs;
   u
 
 let write w ss =
@@ -335,7 +280,7 @@ let truncate w ~grow ss =
     let after = Oracle.resize cur new_len in
     let u = { Oracle.no_updates with u_files = [ (oid, after) ] } in
     ss.pending <- Some (u, probe_content w ss path oid after);
-    Conn.truncate w ss.conn path ~oid new_len;
+    truncate_file w ss.conn path ~oid new_len;
     u
 
 let unlink w ss =
@@ -361,7 +306,7 @@ let rename w ss =
 
 let read_at w ss path ~oid =
   Oracle.trace w.ora "s%d read %s (oid %Ld)" ss.id path oid;
-  let real = Conn.read w ss.conn path ~oid in
+  let real = read_file w ss.conn path ~oid in
   let expect = Oracle.view_content w.ora ss.ov oid in
   (match Oracle.bytes_diff expect real with
   | None -> ()
@@ -429,16 +374,15 @@ let gen_op w ss =
 
 (* ---------- running ops ---------- *)
 
-(* A local session says whether it still holds a transaction; a remote
-   one is told to abort when its overlay has one open, and an abort on a
-   dead session reports success, since aborting is what the loss already
-   did.  A fleet session never opens one. *)
+(* Abort when the overlay has a transaction open.  An abort on a dead
+   remote session reports success, since aborting is what the loss
+   already did; one on a local session whose transaction already ended
+   fails, and is ignored.  A fleet session never opens one. *)
 let safe_abort w ss =
-  (match ss.conn with
-  | Local s -> if Fs.in_transaction s then (try Fs.p_abort s with _ -> ())
-  | Remote c -> if Oracle.in_txn ss.ov then (try Client.c_abort c with _ -> ())
-  | Fleet _ -> ());
-  if Oracle.in_txn ss.ov then w.aborts <- w.aborts + 1;
+  if Oracle.in_txn ss.ov then begin
+    (try Conn.abort ss.conn with _ -> ());
+    w.aborts <- w.aborts + 1
+  end;
   Oracle.clear ss.ov
 
 let resolve_indeterminate w ss =
@@ -556,7 +500,7 @@ let recovered w =
     Array.map
       (fun ss ->
         let s = Fs.new_session w.fs in
-        ss.conn <- Local s;
+        ss.conn <- Conn.Local s;
         Oracle.clear ss.ov;
         s)
       w.sessions

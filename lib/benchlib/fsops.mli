@@ -3,27 +3,18 @@
     {!Shardtest} and {!Loadtest}): sessions with their {!Oracle}
     overlays, the op counters, the shared ops and op mix, one op's
     execution with its fault handling, and the post-crash check.  A
-    session is local (an {!Invfs.Fs.session}), remote (a
-    {!Remote.Client.t} speaking the wire protocol) or a fleet one (a
-    {!Remote.Cluster.conn}: names through the coordinator, file data on
-    the shards); every op runs the same random draws through any of
-    them, so one seeded history can be checked through each.  Each
+    session is a {!Remote.Conn.t}: local (an {!Invfs.Fs.session}),
+    remote (a {!Remote.Client.t} speaking the wire protocol) or a fleet
+    one (a {!Remote.Cluster.conn}: names through the coordinator, file
+    data on the shards).  Every op runs the same random draws through
+    any of them, so one seeded history can be checked through each; its
+    calls go through {!Remote.Conn}, except a fleet's file data, which
+    goes to the shard by the oid in [fleet_oids].  Each
     harness keeps its fault model and outcome record; {!Vacuumtest},
     {!Shardtest} and {!Loadtest} also keep their own op mix and the
     draws of the ops whose draws differ, each ending in a shared call
     ({!create_at}, {!write_at}, {!read_at}).  {!Loadtest} draws its own
     sessions too, and runs each op through {!apply}. *)
-
-type conn =
-  | Local of Invfs.Fs.session
-  | Remote of Remote.Client.t
-  | Fleet of Remote.Cluster.conn
-
-(** The calls an op makes that a harness makes too. *)
-module Conn : sig
-  val clone : conn -> src:string -> dst:string -> unit
-  (** [Invalid_argument] on a fleet session. *)
-end
 
 type probe
 (** How to tell, after the session died with the reply in flight,
@@ -34,7 +25,7 @@ type probe
 
 type sess = {
   id : int;
-  mutable conn : conn;
+  mutable conn : Remote.Conn.t;
   ov : Oracle.overlay;
   mutable pending : (Oracle.updates * probe) option;
       (** the op in flight's updates and their probe, registered
@@ -76,7 +67,7 @@ val create :
   max_dirs:int ->
   max_file_bytes:int ->
   Invfs.Fs.t ->
-  conn array ->
+  Remote.Conn.t array ->
   t
 (** Session [i] runs on [conns.(i)].  File identities come from
     {!Oracle.fresh_oid}, which draws nothing, so a history is the same
@@ -128,8 +119,8 @@ val read_at : t -> sess -> string -> oid:int64 -> Oracle.updates
 val begin_txn : t -> sess -> Oracle.updates
 val commit : t -> sess -> Oracle.updates
 val abort : t -> sess -> Oracle.updates
-(** [Invalid_argument] on a fleet session: the fleet commits file data
-    and names separately (ROADMAP item 13(b)). *)
+(** [Invalid_argument] on a fleet session ({!Remote.Conn}): the fleet
+    commits file data and names separately (ROADMAP item 13(b)). *)
 
 val gen_op : t -> sess -> sess -> Oracle.updates
 (** The shared op mix, adding writes of up to three segments and

@@ -346,7 +346,7 @@ let popn_pick p u =
 type state = { cfg : config; w : Fsops.t; clock : Simclock.Clock.t; pop : popn }
 
 let client (ss : Fsops.sess) =
-  match ss.conn with Fsops.Remote c -> c | _ -> invalid_arg "Loadtest.client"
+  match ss.conn with Remote.Conn.Remote c -> c | _ -> invalid_arg "Loadtest.client"
 
 let tenant st (ss : Fsops.sess) = ss.id * st.cfg.tenants / st.cfg.clients
 
@@ -511,7 +511,7 @@ let run ?(config = default_config) ~seed () =
   let net = Netsim.create ~clock Netsim.tcp_1993 in
   let links = Array.init config.clients (fun _ -> Link.create net) in
   let connect id =
-    Fsops.Remote (Client.connect ~server ~link:links.(id) ~rng:(Rng.split rng) ())
+    Remote.Conn.Remote (Client.connect ~server ~link:links.(id) ~rng:(Rng.split rng) ())
   in
   (* Every draw is the schedule's or an op's own: the workload's rng is
      never drawn from, and is not split from [rng], whose draws are the

@@ -101,7 +101,7 @@ type state = {
 }
 
 let client (ss : Fsops.sess) =
-  match ss.conn with Fsops.Remote c -> c | _ -> invalid_arg "Nettest.client"
+  match ss.conn with Remote.Conn.Remote c -> c | _ -> invalid_arg "Nettest.client"
 
 (* ---------- fault plan ---------- *)
 
@@ -193,7 +193,7 @@ let run ?(config = default_config) ~seed () =
   let connect _ =
     let link = Link.create net in
     Faultsim.arm_link plan link;
-    Fsops.Remote (Client.connect ~server ~link ~rng:(Rng.split rng) ())
+    Remote.Conn.Remote (Client.connect ~server ~link ~rng:(Rng.split rng) ())
   in
   let w =
     Fsops.create ~rng ~ora:(Oracle.create ~trace:config.trace ~depth:4)

@@ -112,7 +112,7 @@ type state = {
 }
 
 let fleet (ss : Fsops.sess) =
-  match ss.conn with Fsops.Fleet f -> f | _ -> invalid_arg "Shardtest.fleet"
+  match ss.conn with Remote.Conn.Fleet f -> f | _ -> invalid_arg "Shardtest.fleet"
 
 (* ---------- ops ---------- *)
 
@@ -242,7 +242,7 @@ let run ?(config = default_config) ~seed () =
   (* server-to-server links join the same fault plan as client traffic *)
   List.iter (fun (tag, link) -> Faultsim.arm_link plan ~tag link) (Cluster.internal_links cluster);
   let connect _ =
-    Fsops.Fleet
+    Remote.Conn.Fleet
       (Cluster.connect cluster
          ~on_link:(fun tag link -> Faultsim.arm_link plan ~tag link)
          ~rng:(Rng.split rng) ())

@@ -43,134 +43,77 @@ let flush_db_caches db () =
   Pagestore.Bufcache.flush cache;
   Pagestore.Bufcache.crash cache
 
-(* The client/server configuration drives every p_* call through the real
+(* Both Inversion columns run the benchmark through one session
+   ([Remote.Conn.t]) on a fresh machine whose CPU charges are scaled by
+   [cpu_scale].  Client/server drives every p_* call through the real
    wire protocol: Remote.Client framing requests over a Netsim.Link to a
    Remote.Server wrapping the data manager.  Each message is charged by
-   the 10 Mbit TCP/IP cost model as it is actually sent — reads stream
+   the 10 Mbit TCP/IP cost model as it is actually sent: reads stream
    back one fragment per chunk, bulk writes overlap the wire with the
-   server's work through the client's pipelined path. *)
-let inversion_remote ~cache_pages ~os_cache_pages ~cpu_scale ~compressed name =
+   server's work through the client's pipelined path.  Single process
+   runs the benchmark inside the data manager, with no network. *)
+let inversion ~remote ?(cache_pages = 300) ?(os_cache_pages = 16384) ?(cpu_scale = 1.0)
+    ?(compressed = false) () =
   let clock, db, fs = inversion_machine ~cache_pages ~os_cache_pages () in
-  (* the benchmark connection is fault-free and some simulated ops are
-     long (synchronous 1 MB writes take ~30 s), so lease reaping is off *)
-  let server = Remote.Server.create ~fs ~lease_s:0. () in
-  let net = Netsim.create ~clock Netsim.tcp_1993 in
-  let link = Netsim.Link.create net in
-  let client =
-    Remote.Client.connect ~server ~link ~rng:(Simclock.Rng.create 1993L) ()
+  Simclock.Clock.set_cpu_scale clock cpu_scale;
+  let conn, net_stats, sys_name =
+    if remote then begin
+      (* the benchmark connection is fault-free and some simulated ops
+         are long (synchronous 1 MB writes take ~30 s), so lease reaping
+         is off *)
+      let server = Remote.Server.create ~fs ~lease_s:0. () in
+      let net = Netsim.create ~clock Netsim.tcp_1993 in
+      let client =
+        Remote.Client.connect ~server ~link:(Netsim.Link.create net)
+          ~rng:(Simclock.Rng.create 1993L) ()
+      in
+      ( Remote.Conn.Remote client,
+        (fun () ->
+          [
+            ("messages", Netsim.messages net);
+            ("bytes_sent", Netsim.bytes_sent net);
+            ("retries", Remote.Client.retries client);
+            ("timeouts", Remote.Client.timeouts client);
+            ("reconnects", Remote.Client.reconnects client);
+          ]),
+        "Inversion client/server" )
+    end
+    else (Remote.Conn.Local (Fs.new_session fs), (fun () -> []), "Inversion single process")
   in
-  let apply_cpu_scale () = Relstore.Cpu_model.scale := cpu_scale in
   let mk_file fd =
     {
       fread =
         (fun ~off ~len ->
-          apply_cpu_scale ();
-          ignore (Remote.Client.c_lseek client fd off Fs.Seek_set : int64);
+          ignore (Remote.Conn.lseek conn fd off Fs.Seek_set : int64);
           let buf = Bytes.create len in
-          Remote.Client.c_read client fd buf len);
+          Remote.Conn.read conn fd buf len);
       fwrite =
         (fun ~off data ->
-          apply_cpu_scale ();
-          ignore (Remote.Client.c_lseek client fd off Fs.Seek_set : int64);
-          ignore (Remote.Client.c_write client fd data (Bytes.length data) : int));
+          ignore (Remote.Conn.lseek conn fd off Fs.Seek_set : int64);
+          ignore (Remote.Conn.write conn fd data (Bytes.length data) : int));
     }
   in
-  let create path =
-    apply_cpu_scale ();
-    mk_file (Remote.Client.c_creat client ~compressed path)
-  in
-  let open_file path =
-    apply_cpu_scale ();
-    mk_file (Remote.Client.c_open client path Fs.Rdwr)
-  in
   {
-    sys_name = name;
+    sys_name;
     clock;
     io_unit = Invfs.Chunk.capacity;
-    net_stats =
-      (fun () ->
-        [
-          ("messages", Netsim.messages net);
-          ("bytes_sent", Netsim.bytes_sent net);
-          ("retries", Remote.Client.retries client);
-          ("timeouts", Remote.Client.timeouts client);
-          ("reconnects", Remote.Client.reconnects client);
-        ]);
-    create;
-    open_file;
+    net_stats;
+    create = (fun path -> mk_file (Remote.Conn.creat conn ~compressed path));
+    open_file = (fun path -> mk_file (Remote.Conn.open_file conn path Fs.Rdwr));
     read = (fun f ~off ~len -> f.fread ~off ~len);
     write = (fun f ~off data -> f.fwrite ~off data);
-    begin_batch =
-      (fun () ->
-        apply_cpu_scale ();
-        Remote.Client.c_begin client);
+    begin_batch = (fun () -> Remote.Conn.begin_txn conn);
     end_batch =
       (fun () ->
-        apply_cpu_scale ();
-        Remote.Client.c_commit client);
-    flush_caches = flush_db_caches db;
-  }
-
-(* Single process: the benchmark runs inside the data manager, no network. *)
-let inversion_local ~cache_pages ~os_cache_pages ~cpu_scale ~compressed name =
-  let clock, db, fs = inversion_machine ~cache_pages ~os_cache_pages () in
-  let session = Fs.new_session fs in
-  let apply_cpu_scale () = Relstore.Cpu_model.scale := cpu_scale in
-  let mk_file fd =
-    {
-      fread =
-        (fun ~off ~len ->
-          apply_cpu_scale ();
-          ignore (Fs.p_lseek session fd off Fs.Seek_set : int64);
-          let buf = Bytes.create len in
-          Fs.p_read session fd buf len);
-      fwrite =
-        (fun ~off data ->
-          apply_cpu_scale ();
-          ignore (Fs.p_lseek session fd off Fs.Seek_set : int64);
-          ignore (Fs.p_write session fd data (Bytes.length data) : int));
-    }
-  in
-  let create path =
-    apply_cpu_scale ();
-    mk_file (Fs.p_creat session ~compressed path)
-  in
-  let open_file path =
-    apply_cpu_scale ();
-    mk_file (Fs.p_open session path Fs.Rdwr)
-  in
-  {
-    sys_name = name;
-    clock;
-    io_unit = Invfs.Chunk.capacity;
-    net_stats = (fun () -> []);
-    create;
-    open_file;
-    read = (fun f ~off ~len -> f.fread ~off ~len);
-    write = (fun f ~off data -> f.fwrite ~off data);
-    begin_batch =
-      (fun () ->
-        apply_cpu_scale ();
-        Fs.p_begin session);
-    end_batch =
-      (fun () ->
-        apply_cpu_scale ();
-        Fs.p_commit session;
+        Remote.Conn.commit conn;
         (* a single-process caller waits on its own commit: the batched
            force is charged here, not left pending into the next op *)
-        Fs.sync fs);
+        if not remote then Fs.sync fs);
     flush_caches = flush_db_caches db;
   }
 
-let inversion_client_server ?(cache_pages = 300) ?(os_cache_pages = 16384)
-    ?(cpu_scale = 1.0) ?(compressed = false) () =
-  inversion_remote ~cache_pages ~os_cache_pages ~cpu_scale ~compressed
-    "Inversion client/server"
-
-let inversion_single_process ?(cache_pages = 300) ?(os_cache_pages = 16384)
-    ?(cpu_scale = 1.0) ?(compressed = false) () =
-  inversion_local ~cache_pages ~os_cache_pages ~cpu_scale ~compressed
-    "Inversion single process"
+let inversion_client_server = inversion ~remote:true
+let inversion_single_process = inversion ~remote:false
 
 (* ---------------- ULTRIX NFS ---------------- *)
 

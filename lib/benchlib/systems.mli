@@ -12,7 +12,10 @@
       network, no copies out.
 
     Each constructor builds a fresh simulated machine; all times accrue
-    on the system's own clock. *)
+    on the system's own clock.  Both Inversion configurations run the
+    benchmark through one {!Remote.Conn.t} and differ only in how it is
+    made, in the single-process commit's sync and in [net_stats];
+    [cpu_scale] is the machine clock's {!Simclock.Clock.cpu_scale}. *)
 
 type file
 

@@ -148,7 +148,7 @@ let op_clone st (ss : Fsops.sess) =
       let src, src_oid = Oracle.pick w.rng committed in
       let dst = Oracle.fresh_path w.ora ss.ov w.rng "c" in
       Oracle.trace w.ora "s%d clone %s -> %s" ss.id src dst;
-      Fsops.Conn.clone ss.conn ~src ~dst;
+      Remote.Conn.clone ss.conn ~src ~dst;
       let oid = Oracle.fresh_oid w.ora in
       st.clones <- st.clones + 1;
       let data = Bytes.copy (Oracle.content w.ora src_oid) in
@@ -253,7 +253,7 @@ let run ?(config = default_config) ~seed () =
       w =
         Fsops.create ~rng ~ora:(Oracle.create ~trace:config.trace ~depth:8)
           ~max_dirs:config.max_dirs ~max_file_bytes:config.max_file_bytes fs
-          (Array.init config.sessions (fun _ -> Fsops.Local (Fs.new_session fs)));
+          (Array.init config.sessions (fun _ -> Remote.Conn.Local (Fs.new_session fs)));
       db;
       fs;
       plan;

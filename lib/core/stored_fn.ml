@@ -68,9 +68,6 @@ let make_impl fs name (ctx : Fs.query_ctx) args =
           let env = { Postquel.Eval.lookup; type_of } in
           Postquel.Eval.eval (Fs.registry fs) env (parse_body body)))
 
-let register fs ~name ~file_type ~arity =
-  Fs.register_function fs ~name ?file_type ?arity (make_impl fs name)
-
 let define fs session ~name ?file_type ?arity ~body () =
   (* parse-check up front so broken bodies are rejected at definition *)
   ignore (Postquel.Parser.parse_expr body : Postquel.Ast.expr);
@@ -79,21 +76,10 @@ let define fs session ~name ?file_type ?arity ~body () =
     Fs.mkdir session ~owner:"postgres" functions_dir;
   Fs.write_file session (fn_path name)
     (Bytes.of_string (encode ~file_type ~arity ~body));
-  register fs ~name ~file_type ~arity
+  Fs.register_function fs ~name ?file_type ?arity (make_impl fs name)
 
 let source session ?timestamp name =
   let text = Bytes.to_string (Fs.read_whole_file session ?timestamp (fn_path name)) in
   match decode text with
   | Some (_, _, body) -> body
   | None -> Errors.fail Errors.EINVAL "%s is not a stored function" name
-
-let attach fs =
-  let session = Fs.new_session fs in
-  if Fs.exists session functions_dir then
-    List.iter
-      (fun name ->
-        let text = Bytes.to_string (Fs.read_whole_file session (fn_path name)) in
-        match decode text with
-        | Some (file_type, arity, _) -> register fs ~name ~file_type ~arity
-        | None -> ())
-      (Fs.readdir session functions_dir)

@@ -34,7 +34,9 @@ val define :
   unit ->
   unit
 (** Parse-check [body] and store it as [/.functions/<name>] (creating or
-    replacing), then register the name so queries can call it.  Uses the
+    replacing), then register the name so queries can call it.  The
+    registration lives in the {!Fs.t}, which a simulated crash keeps, and
+    reads the body from the file on every call.  Uses the
     given session, so wrapping in [p_begin]/[p_commit] makes a function
     redefinition transactional with other changes.  Raises
     {!Postquel.Parser.Parse_error} on a bad body. *)
@@ -42,8 +44,3 @@ val define :
 val source : Fs.session -> ?timestamp:int64 -> string -> string
 (** The function's source at a moment in time ([ENOENT] if it did not
     exist then). *)
-
-val attach : Fs.t -> unit
-(** Re-register every function found in [/.functions] — after a crash or
-    when opening an existing store (the registry itself is volatile; the
-    sources are not). *)

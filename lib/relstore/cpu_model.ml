@@ -1,5 +1,3 @@
-let scale = ref 1.0
-
 (* Constants for a ~20 MIPS CPU: a fixed per-tuple path plus a per-byte
    copy term (several passes over the payload). *)
 let write_base = 0.0009
@@ -9,7 +7,7 @@ let read_per_byte = 0.6e-7
 let index_op = 0.0003
 
 let charge clock account cost =
-  let cost = cost *. !scale in
+  let cost = cost *. Simclock.Clock.cpu_scale clock in
   if cost > 0. then Simclock.Clock.advance clock ~account cost
 
 let charge_record_write clock ~bytes =

@@ -7,10 +7,9 @@
     as much as the disk does.  Heap and B-tree operations charge these
     costs to the shared clock under ["dbms.cpu"].
 
-    [scale] multiplies every charge: 1.0 is the 1993 machine, 0.0 is an
-    infinitely fast CPU (an ablation knob for the benchmark harness). *)
-
-val scale : float ref
+    The charged clock's {!Simclock.Clock.cpu_scale} multiplies every
+    charge: 1.0 is the 1993 machine, 0.0 is an infinitely fast CPU (an
+    ablation the benchmark harness sets when it builds the machine). *)
 
 val charge_record_write : Simclock.Clock.t -> bytes:int -> unit
 (** Tuple formation + copy into the page on insert/update. *)

@@ -2,9 +2,14 @@ type t = {
   mutable usec : int64;
   charges : (string, int64) Hashtbl.t;
   events : (string, int) Hashtbl.t;
+  mutable cpu_scale : float;
 }
 
-let create () = { usec = 0L; charges = Hashtbl.create 16; events = Hashtbl.create 16 }
+let create () =
+  { usec = 0L; charges = Hashtbl.create 16; events = Hashtbl.create 16; cpu_scale = 1.0 }
+
+let cpu_scale t = t.cpu_scale
+let set_cpu_scale t s = t.cpu_scale <- s
 
 let usec_of_sec s = Int64.of_float (s *. 1e6 +. 0.5)
 let sec_of_usec u = Int64.to_float u /. 1e6

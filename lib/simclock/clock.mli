@@ -24,6 +24,13 @@ val advance : t -> ?account:string -> float -> unit
     ["disk.seek"] or ["net.transfer"]; they let benchmarks attribute where
     simulated time went. *)
 
+val cpu_scale : t -> float
+val set_cpu_scale : t -> float -> unit
+(** The factor on every data-manager CPU charge made to this clock
+    ([Relstore.Cpu_model]): 1.0 (the default) is the 1993 machine, 0.0
+    an infinitely fast CPU.  A property of the simulated machine, which
+    {!reset} keeps. *)
+
 val reset : t -> unit
 (** Rewind to time 0 and clear all charge accounts and counters. *)
 

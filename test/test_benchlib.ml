@@ -86,7 +86,6 @@ let test_no_presto_slower () =
 
 let test_cpu_scale_moves_times () =
   let fast = W.run ~file_mb:mb (S.inversion_single_process ~cpu_scale:0.0 ()) in
-  Relstore.Cpu_model.scale := 1.0;
   Alcotest.(check bool) "free CPU is faster" true
     (W.find fast W.Create_file < W.find (inv_sp ()) W.Create_file)
 
@@ -255,13 +254,13 @@ module F = Benchlib.Fsops
 (* Sessions of one kind on [fs]: local ones, or clients of one server. *)
 let session_maker kind fs =
   match kind with
-  | `Local -> fun _ -> F.Local (Invfs.Fs.new_session fs)
+  | `Local -> fun _ -> Remote.Conn.Local (Invfs.Fs.new_session fs)
   | `Remote ->
     let server = Remote.Server.create ~fs () in
     let net = Netsim.create ~clock:(Invfs.Fs.clock fs) Netsim.tcp_1993 in
     let rng = Simclock.Rng.create 7L in
     fun _ ->
-      F.Remote
+      Remote.Conn.Remote
         (Remote.Client.connect ~server ~link:(Netsim.Link.create net)
            ~rng:(Simclock.Rng.split rng) ())
 
@@ -305,7 +304,7 @@ let fleet_sessions n =
   in
   let conns =
     Array.init n (fun _ ->
-        F.Fleet (Remote.Cluster.connect cluster ~rng:(Simclock.Rng.split rng) ()))
+        Remote.Conn.Fleet (Remote.Cluster.connect cluster ~rng:(Simclock.Rng.split rng) ()))
   in
   (cluster, Remote.Server.fs (Remote.Cluster.member_server cluster 0), conns)
 
@@ -371,7 +370,7 @@ let test_fleet_lost_write_lands () =
   in
   let w =
     F.create ~rng:(Simclock.Rng.create 1L) ~ora:(O.create ~trace:false ~depth:0) ~max_dirs:2
-      ~max_file_bytes:4096 fs [| F.Fleet conn |]
+      ~max_file_bytes:4096 fs [| Remote.Conn.Fleet conn |]
   in
   let run op =
     F.run_one w ~gen:(fun _ -> op) ~crash:(fun () -> Alcotest.fail "no device crash")
@@ -392,7 +391,7 @@ let test_fleet_lost_write_lands () =
   Benchlib.Shardtest.verify w cluster ~phase:"after";
   Alcotest.(check (list string)) "the fleet walk agrees" [] (O.mismatches w.ora)
 
-(* One Fsops.Remote session [c] on a fresh server; [connect] attaches
+(* One remote session [c] on a fresh server; [connect] attaches
    more clients to the same server. *)
 let remote_world ?run_cap ?config ~lock_wait_s () =
   let fs = Invfs.Fs.make (Relstore.Db.create ()) () in
@@ -406,7 +405,7 @@ let remote_world ?run_cap ?config ~lock_wait_s () =
   let c = connect ?config (Netsim.Link.create net) in
   let w =
     F.create ~rng:(Simclock.Rng.create 1L) ~ora:(O.create ~trace:false ~depth:0) ~max_dirs:2
-      ~max_file_bytes:4096 fs [| F.Remote c |]
+      ~max_file_bytes:4096 fs [| Remote.Conn.Remote c |]
   in
   (fs, server, net, (fun () -> connect (Netsim.Link.create net)), c, w)
 
