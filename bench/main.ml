@@ -443,8 +443,8 @@ let json_of_load (o : Lt.outcome) =
 module Sh = Benchlib.Shardtest
 
 let shard_bench () =
-  let points = List.map (fun n -> Sh.scaleout ~seed:11L ~nshards:n ()) [ 1; 2; 4 ] in
-  let bo = Sh.failover_blackout ~seed:12L () in
+  let points = List.map (fun n -> Sh.scaleout ~seed:11L ~nshards:n) [ 1; 2; 4 ] in
+  let bo = Sh.failover_blackout ~seed:12L in
   let point_obj (p : Sh.scale_point) =
     J_obj
       [

@@ -16,12 +16,6 @@ module Device = Pagestore.Device
 
 type config = {
   ops : int;
-  sessions : int;
-  crash_interval : int;
-  snapshot_interval : int;
-  io_error_interval : int;
-  max_file_bytes : int;
-  max_dirs : int;
   trace : bool;
   mirrored : bool;
   bitrot_interval : int;
@@ -33,12 +27,6 @@ type config = {
 let default_config =
   {
     ops = 200;
-    sessions = 3;
-    crash_interval = 25;
-    snapshot_interval = 20;
-    io_error_interval = 40;
-    max_file_bytes = 48 * 1024;
-    max_dirs = 10;
     trace = false;
     mirrored = false;
     bitrot_interval = 0;
@@ -65,6 +53,13 @@ let media_kill_config =
     scrub_interval = 11;
     kill_mirror_at = 100;
   }
+
+let sessions = 3
+let crash_interval = 25
+let snapshot_interval = 20
+let io_error_interval = 40
+let max_file_bytes = 48 * 1024
+let max_dirs = 10
 
 type outcome = {
   seed : int64;
@@ -173,8 +168,8 @@ let run ?(config = default_config) ~seed () =
     {
       w =
         Fsops.create ~rng ~ora:(Oracle.create ~trace:config.trace ~depth:8)
-          ~max_dirs:config.max_dirs ~max_file_bytes:config.max_file_bytes fs
-          (Array.init config.sessions (fun _ -> Remote.Conn.Local (Fs.new_session fs)));
+          ~max_dirs ~max_file_bytes fs
+          (Array.init sessions (fun _ -> Remote.Conn.Local (Fs.new_session fs)));
       db;
       fs;
       plan;
@@ -191,7 +186,7 @@ let run ?(config = default_config) ~seed () =
   in
   Faultsim.schedule_random_crash plan rng ~within:60;
   for i = 0 to config.ops - 1 do
-    if i > 0 && i mod config.io_error_interval = 0 then begin
+    if i > 0 && i mod io_error_interval = 0 then begin
       let io = if Rng.bool rng then Faultsim.Write else Faultsim.Read in
       Faultsim.schedule plan ~io ~after:(1 + Rng.int rng 30) Faultsim.Io_error
     end;
@@ -248,7 +243,7 @@ let run ?(config = default_config) ~seed () =
       Device.kill (Pagestore.Switch.find switch "disk1");
       Faultsim.schedule_random_crash st.plan rng ~within:(30 + Rng.int rng 150)
     end;
-    if i > 0 && i mod config.crash_interval = 0 then
+    if i > 0 && i mod crash_interval = 0 then
       (* boundary crash: deliberately while sessions may hold open
          transactions (crash-with-multiple-open-sessions coverage) *)
       do_crash st ~injected:false
@@ -256,7 +251,7 @@ let run ?(config = default_config) ~seed () =
       Fsops.run_one st.w ~gen:(Fsops.gen_op st.w) ~crash:(fun () -> do_crash st ~injected:true);
     if config.scrub_interval > 0 && i > 0 && i mod config.scrub_interval = 0 then
       scrub_step st ~pages:64;
-    if i > 0 && i mod config.snapshot_interval = 0 then Oracle.remember_now st.w.ora db
+    if i > 0 && i mod snapshot_interval = 0 then Oracle.remember_now st.w.ora db
   done;
   (* Always finish with a crash + full verification. *)
   do_crash st ~injected:false;

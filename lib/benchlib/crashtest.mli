@@ -18,14 +18,12 @@
     reproduces the exact run (see DESIGN.md, "Reproducing a failing
     seed"). *)
 
+(** Every run has 3 sessions, forces a boundary crash every 25 ops,
+    remembers a time-travel instant every 20 and schedules a transient
+    I/O error every 40; files stay under 48 KB, in at most 10
+    directories. *)
 type config = {
   ops : int;  (** workload length *)
-  sessions : int;  (** concurrent client sessions *)
-  crash_interval : int;  (** ops between forced boundary crashes *)
-  snapshot_interval : int;  (** ops between remembered time-travel instants *)
-  io_error_interval : int;  (** ops between scheduled transient I/O errors *)
-  max_file_bytes : int;  (** soft cap on any one file's size *)
-  max_dirs : int;  (** cap on directory count *)
   trace : bool;  (** print every op to stderr (reproducing a failing seed) *)
   mirrored : bool;  (** place the database on a mirrored device pair *)
   bitrot_interval : int;  (** ops between scheduled bitrot faults (0 = none) *)
@@ -35,7 +33,7 @@ type config = {
 }
 
 val default_config : config
-(** 200 ops, 3 sessions, boundary crash every 25 ops; no media decay. *)
+(** 200 ops; no media decay. *)
 
 val media_config : config
 (** Mirrored pair under continuous bitrot and stuck blocks, with the

@@ -51,7 +51,6 @@ type config = {
   tenants : int; (* ...this many tenants (dirs + latency accounting) *)
   initial_files : int;
   file_bytes : int; (* initial size of each pre-created file *)
-  max_file_bytes : int;
   ops_per_level : int;
   calibration_ops : int; (* closed-loop prefix that estimates capacity *)
   load_factors : float list; (* offered = factor × calibrated capacity *)
@@ -76,7 +75,6 @@ let default_config =
     tenants = 8;
     initial_files = 64;
     file_bytes = 2048;
-    max_file_bytes = 16 * 1024;
     ops_per_level = 500;
     calibration_ops = 80;
     load_factors = [ 0.25; 0.5; 0.75; 1.0; 1.25; 1.5 ];
@@ -518,7 +516,7 @@ let run ?(config = default_config) ~seed () =
      level seeds. *)
   let w =
     Fsops.create ~rng:(Rng.create seed) ~ora:(Oracle.create ~trace:config.trace ~depth:4)
-      ~max_dirs:config.tenants ~max_file_bytes:config.max_file_bytes fs
+      ~max_dirs:config.tenants ~max_file_bytes:(16 * 1024) fs
       (Array.init config.clients connect)
   in
   let st =

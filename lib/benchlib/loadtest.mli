@@ -30,8 +30,9 @@ type config = {
   clients : int;  (** sessions, grouped into... *)
   tenants : int;  (** ...this many tenants (dirs + latency accounting) *)
   initial_files : int;
-  file_bytes : int;  (** initial size of each pre-created file *)
-  max_file_bytes : int;
+  file_bytes : int;
+      (** initial size of each pre-created file; a write keeps a file
+          under 16 KB *)
   ops_per_level : int;
   calibration_ops : int;  (** closed-loop prefix that estimates capacity *)
   load_factors : float list;  (** offered = factor × calibrated capacity *)

@@ -28,32 +28,16 @@ module Client = Remote.Client
 module Server = Remote.Server
 module Link = Netsim.Link
 
-type config = {
-  ops : int;
-  clients : int;
-  fault_interval : int; (* schedule a random net fault every N ops *)
-  crash_interval : int; (* boundary server crash every N ops *)
-  device_crash : bool; (* also schedule device-level crashes mid-exec *)
-  snapshot_interval : int;
-  max_file_bytes : int;
-  max_dirs : int;
-  lease_s : float;
-  trace : bool;
-}
+type config = { ops : int; trace : bool }
 
-let default_config =
-  {
-    ops = 160;
-    clients = 3;
-    fault_interval = 4;
-    crash_interval = 45;
-    device_crash = true;
-    snapshot_interval = 25;
-    max_file_bytes = 32 * 1024;
-    max_dirs = 8;
-    lease_s = 120.;
-    trace = false;
-  }
+let default_config = { ops = 160; trace = false }
+
+let clients = 3
+let fault_interval = 4
+let crash_interval = 45
+let snapshot_interval = 25
+let max_file_bytes = 32 * 1024
+let max_dirs = 8
 
 type outcome = {
   seed : int64;
@@ -186,10 +170,10 @@ let run ?(config = default_config) ~seed () =
   in
   let db = Relstore.Db.create ~switch ~clock () in
   let fs = Fs.make db () in
-  let server = Server.create ~fs ~lease_s:config.lease_s () in
+  let server = Server.create ~fs () in
   let net = Netsim.create ~clock Netsim.tcp_1993 in
   let plan = Faultsim.create () in
-  if config.device_crash then Faultsim.arm_switch plan switch;
+  Faultsim.arm_switch plan switch;
   let connect _ =
     let link = Link.create net in
     Faultsim.arm_link plan link;
@@ -197,28 +181,27 @@ let run ?(config = default_config) ~seed () =
   in
   let w =
     Fsops.create ~rng ~ora:(Oracle.create ~trace:config.trace ~depth:4)
-      ~max_dirs:config.max_dirs ~max_file_bytes:config.max_file_bytes fs
-      (Array.init config.clients connect)
+      ~max_dirs ~max_file_bytes fs (Array.init clients connect)
   in
   let st = { w; plan; verify_pending = false } in
   Server.set_on_crash server (fun s -> on_server_crash st s);
   for i = 0 to config.ops - 1 do
-    if i > 0 && i mod config.fault_interval = 0 && Faultsim.net_pending plan < 4 then begin
+    if i > 0 && i mod fault_interval = 0 && Faultsim.net_pending plan < 4 then begin
       let f = random_fault rng in
       Oracle.trace w.ora "== scheduling %s" (Faultsim.net_action_to_string f);
       Faultsim.schedule_net_random plan rng ~within:(1 + Rng.int rng 8) f
     end;
     if
-      config.device_crash && i > 0
-      && i mod (3 * config.fault_interval) = 0
+      i > 0
+      && i mod (3 * fault_interval) = 0
       && Faultsim.pending plan = 0 && Rng.int rng 4 = 0
     then
       (* a device-level crash fires inside Fs execution: the server dies
          mid-request, after the op may have partially executed *)
       Faultsim.schedule_random_crash plan rng ~within:20;
-    if i > 0 && i mod config.crash_interval = 0 then Server.crash_now server
+    if i > 0 && i mod crash_interval = 0 then Server.crash_now server
     else run_one_op st;
-    if i > 0 && i mod config.snapshot_interval = 0 then Oracle.remember_now w.ora db
+    if i > 0 && i mod snapshot_interval = 0 then Oracle.remember_now w.ora db
   done;
   (* Converge: stop injecting, let every client settle (aborting any open
      transaction), then a final boundary crash + full verification. *)

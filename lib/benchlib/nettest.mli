@@ -20,20 +20,18 @@
     resolved by a lock-free time-travel probe of the committed state,
     with the oracle following the probe. *)
 
+(** Every run has 3 clients on a server with the default 120 s session
+    lease; it schedules a random net fault every 4 ops and, every 12, a
+    device-level crash mid-exec one time in four, crashes the server at
+    an op boundary every 45 ops and remembers a time-travel instant
+    every 25; files stay under 32 KB, in at most 8 directories. *)
 type config = {
   ops : int;
-  clients : int;
-  fault_interval : int;  (** schedule a random net fault every N ops *)
-  crash_interval : int;  (** boundary server crash every N ops *)
-  device_crash : bool;  (** also schedule device-level crashes mid-exec *)
-  snapshot_interval : int;
-  max_file_bytes : int;
-  max_dirs : int;
-  lease_s : float;
   trace : bool;  (** per-op repro log on stderr *)
 }
 
 val default_config : config
+(** 160 ops. *)
 
 type outcome = {
   seed : int64;

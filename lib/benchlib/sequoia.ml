@@ -35,8 +35,8 @@ let register_functions fs =
         V.Int (Int64.of_int !count)
       | _ -> V.Null)
 
-let run ?(images = 60) ?(image_kb = 128) ?(seed = 42L) () =
-  let rng = Simclock.Rng.create seed in
+let run ?(images = 60) ?(image_kb = 128) () =
+  let rng = Simclock.Rng.create 42L in
   let clock = Simclock.Clock.create () in
   let switch = Pagestore.Switch.create ~clock in
   let add name kind =

@@ -29,8 +29,9 @@ type report = {
   accounts : (string * float) list;  (** simulated-time breakdown *)
 }
 
-val run : ?images:int -> ?image_kb:int -> ?seed:int64 -> unit -> report
+val run : ?images:int -> ?image_kb:int -> unit -> report
 (** Default 60 images of 128 KB — a scaled-down season that runs in
-    seconds of real time.  Deterministic for a given seed. *)
+    seconds of real time.  Deterministic: its draws come from one fixed
+    seed. *)
 
 val report_to_string : report -> string

@@ -33,36 +33,20 @@ module Client = Remote.Client
 module Server = Remote.Server
 module Cluster = Remote.Cluster
 
-type config = {
-  ops : int;
-  clients : int;
-  nshards : int;
-  nbuckets : int;
-  hb_interval : float;
-  fault_interval : int; (* schedule a random net fault every N ops *)
-  crash_interval : int; (* boundary crash every N ops, rotating members *)
-  partition_interval : int; (* cut a shard's heartbeat path every N ops... *)
-  partition_ops : int; (* ...healing it this many ops later *)
-  max_file_bytes : int;
-  max_dirs : int;
-  trace : bool;
-}
+type config = { ops : int; trace : bool }
 
-let default_config =
-  {
-    ops = 140;
-    clients = 3;
-    nshards = 3;
-    nbuckets = 16;
-    hb_interval = 0.3;
-    fault_interval = 4;
-    crash_interval = 50;
-    partition_interval = 45;
-    partition_ops = 18;
-    max_file_bytes = 24 * 1024;
-    max_dirs = 6;
-    trace = false;
-  }
+let default_config = { ops = 140; trace = false }
+
+let clients = 3
+let nshards = 3
+let nbuckets = 16
+let hb_interval = 0.3
+let fault_interval = 4
+let crash_interval = 50
+let partition_interval = 45
+let partition_ops = 18
+let max_file_bytes = 24 * 1024
+let max_dirs = 6
 
 type outcome = {
   seed : int64;
@@ -101,7 +85,6 @@ let outcome_to_string o =
 (* ---------- harness state ---------- *)
 
 type state = {
-  cfg : config;
   w : Fsops.t;
   clock : Clock.t;
   cluster : Cluster.t;
@@ -151,7 +134,7 @@ let random_fault st =
   | 9 | 10 -> Faultsim.Net_partition (1 + Rng.int rng 3)
   (* targeted: crash a chosen member (coordinator included) on its next
      inbound message, mid-request *)
-  | _ -> Faultsim.Net_crash_of (Rng.int rng (st.cfg.nshards + 1))
+  | _ -> Faultsim.Net_crash_of (Rng.int rng (nshards + 1))
 
 (* ---------- verification ---------- *)
 
@@ -236,8 +219,7 @@ let run ?(config = default_config) ~seed () =
   let net = Netsim.create ~clock Netsim.tcp_1993 in
   let plan = Faultsim.create () in
   let cluster =
-    Cluster.create ~clock ~net ~rng:(Rng.split rng) ~nshards:config.nshards
-      ~nbuckets:config.nbuckets ~hb_interval:config.hb_interval ()
+    Cluster.create ~clock ~net ~rng:(Rng.split rng) ~nshards ~nbuckets ~hb_interval ()
   in
   (* server-to-server links join the same fault plan as client traffic *)
   List.iter (fun (tag, link) -> Faultsim.arm_link plan ~tag link) (Cluster.internal_links cluster);
@@ -249,12 +231,12 @@ let run ?(config = default_config) ~seed () =
   in
   let w =
     Fsops.create ~rng ~ora:(Oracle.create ~trace:config.trace ~depth:0)
-      ~max_dirs:config.max_dirs ~max_file_bytes:config.max_file_bytes
+      ~max_dirs ~max_file_bytes
       (Server.fs (Cluster.member_server cluster 0))
-      (Array.init config.clients connect)
+      (Array.init clients connect)
   in
   let st =
-    { cfg = config; w; clock; cluster; plan; crash_rr = 0; cut = None; verify_pending = false }
+    { w; clock; cluster; plan; crash_rr = 0; cut = None; verify_pending = false }
   in
   Cluster.set_before_recovery cluster (fun mid ->
       Oracle.trace w.ora "== MEMBER %d CRASH after op %d (in_flight=%b)" mid
@@ -270,19 +252,19 @@ let run ?(config = default_config) ~seed () =
     (match st.cut with
     | Some (_, heal_at) when i >= heal_at -> heal st
     | _ -> ());
-    if i > 0 && i mod config.fault_interval = 0 && Faultsim.net_pending plan < 4 then begin
+    if i > 0 && i mod fault_interval = 0 && Faultsim.net_pending plan < 4 then begin
       let f = random_fault st in
       Oracle.trace w.ora "== scheduling %s" (Faultsim.net_action_to_string f);
       Faultsim.schedule_net_random plan rng ~within:(1 + Rng.int rng 8) f
     end;
-    if i > 0 && i mod config.partition_interval = 0 && st.cut = None then begin
-      let shard = 1 + Rng.int rng config.nshards in
+    if i > 0 && i mod partition_interval = 0 && st.cut = None then begin
+      let shard = 1 + Rng.int rng nshards in
       Oracle.trace w.ora "== cutting shard %d's heartbeat path" shard;
       Cluster.set_partitioned cluster ~shard true;
-      st.cut <- Some (shard, i + config.partition_ops)
+      st.cut <- Some (shard, i + partition_ops)
     end;
-    if i > 0 && i mod config.crash_interval = 0 then begin
-      let mid = st.crash_rr mod (config.nshards + 1) in
+    if i > 0 && i mod crash_interval = 0 then begin
+      let mid = st.crash_rr mod (nshards + 1) in
       st.crash_rr <- st.crash_rr + 1;
       Oracle.trace w.ora "== boundary crash of member %d" mid;
       Cluster.crash_member cluster mid
@@ -295,7 +277,7 @@ let run ?(config = default_config) ~seed () =
   heal st;
   Faultsim.clear_schedule plan;
   converge st;
-  for mid = 0 to config.nshards do
+  for mid = 0 to nshards do
     Cluster.crash_member cluster mid
   done;
   Faultsim.disarm plan;
@@ -307,7 +289,7 @@ let run ?(config = default_config) ~seed () =
   let stats = Cluster.stats cluster in
   let sum_members f =
     let n = ref 0 in
-    for mid = 0 to config.nshards do
+    for mid = 0 to nshards do
       n := !n + f (Cluster.member_server cluster mid)
     done;
     !n
@@ -367,7 +349,8 @@ type scale_point = {
   sp_throughput : float; (* modeled saturated ops/s: ops / bottleneck *)
 }
 
-let scaleout ?(ops = 200) ~seed ~nshards () =
+let scaleout ~seed ~nshards =
+  let ops = 200 in
   let rng = Rng.create seed in
   let clock = Clock.create () in
   let net = Netsim.create ~clock Netsim.tcp_1993 in
@@ -409,14 +392,11 @@ type blackout = {
   bo_consistent : bool; (* every file readable and correct after failover *)
 }
 
-let failover_blackout ?(hb_interval = 0.3) ~seed () =
+let failover_blackout ~seed =
   let rng = Rng.create seed in
   let clock = Clock.create () in
   let net = Netsim.create ~clock Netsim.tcp_1993 in
-  let nshards = 3 in
-  let cluster =
-    Cluster.create ~clock ~net ~rng:(Rng.split rng) ~nshards ~nbuckets:16 ~hb_interval ()
-  in
+  let cluster = Cluster.create ~clock ~net ~rng:(Rng.split rng) ~nshards ~nbuckets ~hb_interval () in
   let conn = Cluster.connect cluster ~rng:(Rng.split rng) () in
   let oids = make_files conn 12 in
   let payload oid k = Printf.sprintf "gen%d of oid %Ld: %s" k oid (String.make 512 'x') in

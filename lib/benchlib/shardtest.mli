@@ -11,22 +11,18 @@
     {!verify} checks the coordinator namespace and every file's
     authoritative shard copy against the oracle. *)
 
+(** Every run has 3 clients on a fleet of 3 shards and 16 buckets that
+    heartbeats every 0.3 s; it schedules a random net fault every 4 ops,
+    crashes a member at an op boundary every 50 (rotating over the
+    fleet), and cuts a shard's heartbeat path every 45 ops, healing it 18
+    ops later; files stay under 24 KB, in at most 6 directories. *)
 type config = {
   ops : int;
-  clients : int;
-  nshards : int;
-  nbuckets : int;
-  hb_interval : float;
-  fault_interval : int;  (** schedule a random net fault every N ops *)
-  crash_interval : int;  (** boundary crash every N ops, rotating members *)
-  partition_interval : int;  (** cut a shard's heartbeat path every N ops... *)
-  partition_ops : int;  (** ...healing it this many ops later *)
-  max_file_bytes : int;
-  max_dirs : int;
-  trace : bool;
+  trace : bool;  (** per-op repro log on stderr *)
 }
 
 val default_config : config
+(** 140 ops. *)
 
 type outcome = {
   seed : int64;
@@ -76,8 +72,9 @@ type scale_point = {
   sp_throughput : float;  (** modeled saturated ops/s: ops / bottleneck *)
 }
 
-val scaleout : ?ops:int -> seed:int64 -> nshards:int -> unit -> scale_point
-(** Fault-free fixed-payload write workload over [4 * nshards] files. *)
+val scaleout : seed:int64 -> nshards:int -> scale_point
+(** Fault-free fixed-payload write workload: 200 writes over
+    [4 * nshards] files. *)
 
 type blackout = {
   bo_blackout_s : float;  (** longest single-op stall after the cut *)
@@ -88,7 +85,8 @@ type blackout = {
   bo_consistent : bool;  (** every file readable and correct after failover *)
 }
 
-val failover_blackout : ?hb_interval:float -> seed:int64 -> unit -> blackout
-(** Steady writes while one shard's heartbeat path is cut: the fence,
-    failover and handoff happen underneath, and the longest single-op
-    stall bounds the client-visible blackout. *)
+val failover_blackout : seed:int64 -> blackout
+(** Steady writes while one shard's heartbeat path is cut, on the
+    harness's fleet (3 shards, 16 buckets, a heartbeat every 0.3 s): the
+    fence, failover and handoff happen underneath, and the longest
+    single-op stall bounds the client-visible blackout. *)

@@ -21,19 +21,6 @@ type t = {
 
 (* ---------------- Inversion ---------------- *)
 
-let inversion_machine ~cache_pages ~os_cache_pages () =
-  let clock = Simclock.Clock.create () in
-  let switch = Pagestore.Switch.create ~clock in
-  let (_ : Pagestore.Device.t) =
-    Pagestore.Switch.add_device switch ~name:"disk0" ~kind:Pagestore.Device.Magnetic_disk ()
-  in
-  let db =
-    Relstore.Db.create ~switch ~clock ~cache_capacity:cache_pages
-      ~os_cache_blocks:os_cache_pages ()
-  in
-  let fs = Fs.make db () in
-  (clock, db, fs)
-
 let flush_db_caches db () =
   (* Settle the commit pipeline first: apply any staged index overlay and
      charge the pending batched force, so a phase boundary never leaves
@@ -52,9 +39,10 @@ let flush_db_caches db () =
    back one fragment per chunk, bulk writes overlap the wire with the
    server's work through the client's pipelined path.  Single process
    runs the benchmark inside the data manager, with no network. *)
-let inversion ~remote ?(cache_pages = 300) ?(os_cache_pages = 16384) ?(cpu_scale = 1.0)
-    ?(compressed = false) () =
-  let clock, db, fs = inversion_machine ~cache_pages ~os_cache_pages () in
+let inversion ~remote ?(cpu_scale = 1.0) () =
+  (* the data manager's default machine: one disk, its default pools *)
+  let db = Relstore.Db.create () in
+  let clock = Relstore.Db.clock db and fs = Fs.make db () in
   Simclock.Clock.set_cpu_scale clock cpu_scale;
   let conn, net_stats, sys_name =
     if remote then begin
@@ -98,7 +86,7 @@ let inversion ~remote ?(cache_pages = 300) ?(os_cache_pages = 16384) ?(cpu_scale
     clock;
     io_unit = Invfs.Chunk.capacity;
     net_stats;
-    create = (fun path -> mk_file (Remote.Conn.creat conn ~compressed path));
+    create = (fun path -> mk_file (Remote.Conn.creat conn path));
     open_file = (fun path -> mk_file (Remote.Conn.open_file conn path Fs.Rdwr));
     read = (fun f ~off ~len -> f.fread ~off ~len);
     write = (fun f ~off data -> f.fwrite ~off data);
@@ -117,12 +105,12 @@ let inversion_single_process = inversion ~remote:false
 
 (* ---------------- ULTRIX NFS ---------------- *)
 
-let ultrix_nfs ?(presto = true) ?(cache_pages = 2048) () =
+let ultrix_nfs ?(presto = true) () =
   let clock = Simclock.Clock.create () in
   let device =
     Pagestore.Device.create ~clock ~name:"rz58" ~kind:Pagestore.Device.Magnetic_disk ()
   in
-  let ffs = Nfsbaseline.Ffs.create ~device ~cache_pages () in
+  let ffs = Nfsbaseline.Ffs.create ~device in
   let presto_board =
     if presto then Some (Nfsbaseline.Presto.create ~clock ()) else None
   in

@@ -41,27 +41,17 @@ type t = {
   flush_caches : unit -> unit;  (** "All caches were flushed before each test" *)
 }
 
-val inversion_client_server :
-  ?cache_pages:int ->
-  ?os_cache_pages:int ->
-  ?cpu_scale:float ->
-  ?compressed:bool ->
-  unit ->
-  t
+val inversion_client_server : ?cpu_scale:float -> unit -> t
 
-val inversion_single_process :
-  ?cache_pages:int ->
-  ?os_cache_pages:int ->
-  ?cpu_scale:float ->
-  ?compressed:bool ->
-  unit ->
-  t
-(** Commits always run in groups — DESIGN.md's "Group commit".
+val inversion_single_process : ?cpu_scale:float -> unit -> t
+(** Both run on one disk under the data manager's default 300-page
+    buffer pool and 16384-page OS cache, and create uncompressed files.
+    Commits always run in groups — DESIGN.md's "Group commit".
     Phase boundaries ([flush_caches]) and explicit single-process commits
     ([end_batch]) settle the pipeline so no cost leaks across
     measurements. *)
 
-val ultrix_nfs : ?presto:bool -> ?cache_pages:int -> unit -> t
+val ultrix_nfs : ?presto:bool -> unit -> t
 (** [presto:false] is the ablation the paper couldn't run ("political
     considerations made it impossible to reconfigure the Ultrix NFS
     server"). *)

@@ -38,30 +38,17 @@ module Recovery = Invfs.Recovery
 module Fsck = Invfs.Fsck
 module Device = Pagestore.Device
 
-type config = {
-  ops : int;
-  sessions : int;
-  vacuum_pages : int; (* budget per incremental step *)
-  crash_interval : int;
-  snapshot_interval : int;
-  io_error_interval : int;
-  max_file_bytes : int;
-  max_dirs : int;
-  trace : bool;
-}
+type config = { ops : int; trace : bool }
 
-let default_config =
-  {
-    ops = 160;
-    sessions = 3;
-    vacuum_pages = 3;
-    crash_interval = 30;
-    snapshot_interval = 15;
-    io_error_interval = 45;
-    max_file_bytes = 32 * 1024;
-    max_dirs = 8;
-    trace = false;
-  }
+let default_config = { ops = 160; trace = false }
+
+let sessions = 3
+let vacuum_pages = 3
+let crash_interval = 30
+let snapshot_interval = 15
+let io_error_interval = 45
+let max_file_bytes = 32 * 1024
+let max_dirs = 8
 
 type outcome = {
   seed : int64;
@@ -101,7 +88,6 @@ let outcome_to_string o =
 (* ---------- harness state ---------- *)
 
 type state = {
-  cfg : config;
   w : Fsops.t;
   db : Relstore.Db.t;
   fs : Fs.t;
@@ -178,32 +164,19 @@ let gen_op st (ss : Fsops.sess) =
 
 (* ---------- crash / verification ---------- *)
 
-let run_audit st ~phase =
-  match Fsck.audit st.fs with
-  | audit ->
-    st.archived_checked <- audit.Fsck.archived_checked;
-    if not (Fsck.is_clean audit) then
-      Oracle.mismatch st.w.ora "%s: audit not clean: %s" phase
-        (Fsck.report_to_string audit)
-  | exception Device.Crash_injected _ ->
-    (* the audit is plain read traffic; a pending fault can land on it —
-       the caller's fault schedule is already cleared on the crash path,
-       so this only happens for audits outside recovery, and the run
-       simply proceeds to the next boundary *)
-    ()
-
 let do_crash st ~injected =
   Oracle.trace st.w.ora "== CRASH (injected=%b) after op %d" injected st.w.ops_attempted;
   st.crashes <- st.crashes + 1;
   if injected then st.injected_crashes <- st.injected_crashes + 1;
   Faultsim.clear_schedule st.plan;
+  (* recovery ends in the full Fsck audit, archive-tier phase included *)
   let rep = Recovery.crash_and_recover st.fs in
+  st.archived_checked <- rep.Recovery.audit.Fsck.archived_checked;
   if not (Recovery.is_clean rep) then
     Oracle.mismatch st.w.ora "recovery not clean: %s" (Recovery.report_to_string rep);
   (* time travel reads through the archive tier: archived versions must
      fault back in on As_of reads *)
   Fsops.recovered st.w;
-  run_audit st ~phase:"post-crash";
   Faultsim.schedule_random_crash st.plan st.w.rng ~within:(30 + Rng.int st.w.rng 150)
 
 (* One budgeted increment of the concurrent vacuum, interleaved at the
@@ -211,7 +184,7 @@ let do_crash st ~injected =
    case; a lock skip (a foreground writer holds the relation) is the
    designed yield, counted but harmless. *)
 let vacuum_tick st =
-  match Fs.vacuum_step st.fs ~pages:st.cfg.vacuum_pages ~mode:`Archive () with
+  match Fs.vacuum_step st.fs ~pages:vacuum_pages ~mode:`Archive () with
   | None -> ()
   | Some (rel, stp) ->
     st.vacuum_steps <- st.vacuum_steps + 1;
@@ -249,11 +222,10 @@ let run ?(config = default_config) ~seed () =
   Faultsim.arm_cache plan (Relstore.Db.cache db);
   let st =
     {
-      cfg = config;
       w =
         Fsops.create ~rng ~ora:(Oracle.create ~trace:config.trace ~depth:8)
-          ~max_dirs:config.max_dirs ~max_file_bytes:config.max_file_bytes fs
-          (Array.init config.sessions (fun _ -> Remote.Conn.Local (Fs.new_session fs)));
+          ~max_dirs ~max_file_bytes fs
+          (Array.init sessions (fun _ -> Remote.Conn.Local (Fs.new_session fs)));
       db;
       fs;
       plan;
@@ -271,11 +243,11 @@ let run ?(config = default_config) ~seed () =
   in
   Faultsim.schedule_random_crash plan rng ~within:60;
   for i = 0 to config.ops - 1 do
-    if i > 0 && i mod config.io_error_interval = 0 then begin
+    if i > 0 && i mod io_error_interval = 0 then begin
       let io = if Rng.bool rng then Faultsim.Write else Faultsim.Read in
       Faultsim.schedule plan ~io ~after:(1 + Rng.int rng 30) Faultsim.Io_error
     end;
-    if i > 0 && i mod config.crash_interval = 0 then do_crash st ~injected:false
+    if i > 0 && i mod crash_interval = 0 then do_crash st ~injected:false
     else
       Fsops.run_one st.w ~gen:(gen_op st) ~crash:(fun () -> do_crash st ~injected:true);
     (* the tentpole interleave: a vacuum increment at every op boundary *)
@@ -283,7 +255,7 @@ let run ?(config = default_config) ~seed () =
     (* A remembered instant comes from the real O(1) snapshot call: sync
        the pending commit group, tick the clock so no later commit shares
        the timestamp, return the horizon. *)
-    if i > 0 && i mod config.snapshot_interval = 0 then begin
+    if i > 0 && i mod snapshot_interval = 0 then begin
       Oracle.remember st.w.ora (Fs.snapshot fs);
       st.snapshots <- st.snapshots + 1
     end

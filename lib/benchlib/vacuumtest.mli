@@ -22,21 +22,17 @@
     Everything is driven from one {!Simclock.Rng} seed: a failing seed
     reproduces the exact run. *)
 
+(** Every run has 3 sessions, runs a 3-page vacuum increment after
+    every op, forces a boundary crash every 30 ops, remembers a snapshot
+    instant every 15 and schedules a transient I/O error every 45; files
+    stay under 32 KB, in at most 8 directories. *)
 type config = {
   ops : int;  (** workload length *)
-  sessions : int;  (** concurrent client sessions *)
-  vacuum_pages : int;  (** page budget per incremental vacuum step *)
-  crash_interval : int;  (** ops between forced boundary crashes *)
-  snapshot_interval : int;  (** ops between remembered snapshot instants *)
-  io_error_interval : int;  (** ops between scheduled transient I/O errors *)
-  max_file_bytes : int;  (** soft cap on any one file's size *)
-  max_dirs : int;  (** cap on directory count *)
   trace : bool;  (** print every op to stderr *)
 }
 
 val default_config : config
-(** 160 ops, 3 sessions, a 3-page vacuum increment after every op,
-    boundary crash every 30 ops. *)
+(** 160 ops. *)
 
 type outcome = {
   seed : int64;

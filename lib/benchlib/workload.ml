@@ -35,17 +35,16 @@ let time (sys : Systems.t) f =
   f ();
   Simclock.Clock.now sys.Systems.clock -. t0
 
-let pattern_data rng len =
+let pattern_data len =
   (* mildly compressible, deterministic contents *)
   let b = Bytes.create len in
   for i = 0 to len - 1 do
     Bytes.unsafe_set b i (Char.unsafe_chr ((i * 31) land 0x7f))
   done;
-  ignore rng;
   b
 
-let run ?(file_mb = 25) ?(seed = 20071993L) (sys : Systems.t) =
-  let rng = Simclock.Rng.create seed in
+let run ?(file_mb = 25) (sys : Systems.t) =
+  let rng = Simclock.Rng.create 20071993L in
   let file_bytes = file_mb * mb in
   let unit_size = sys.Systems.io_unit in
   let path = "/bench.dat" in
@@ -61,7 +60,7 @@ let run ?(file_mb = 25) ?(seed = 20071993L) (sys : Systems.t) =
         let off = ref 0 in
         while !off < file_bytes do
           let len = min unit_size (file_bytes - !off) in
-          sys.Systems.write f ~off:(Int64.of_int !off) (pattern_data rng len);
+          sys.Systems.write f ~off:(Int64.of_int !off) (pattern_data len);
           off := !off + len
         done)
   in
@@ -132,7 +131,7 @@ let run ?(file_mb = 25) ?(seed = 20071993L) (sys : Systems.t) =
   in
   let write_single =
     fresh ();
-    let data = pattern_data rng mb in
+    let data = pattern_data mb in
     time sys (fun () ->
         sys.Systems.begin_batch ();
         sys.Systems.write f ~off:0L data;
@@ -145,7 +144,7 @@ let run ?(file_mb = 25) ?(seed = 20071993L) (sys : Systems.t) =
         let off = ref 0 in
         while !off < mb do
           let len = min unit_size (mb - !off) in
-          sys.Systems.write f ~off:(Int64.of_int !off) (pattern_data rng len);
+          sys.Systems.write f ~off:(Int64.of_int !off) (pattern_data len);
           off := !off + len
         done;
         sys.Systems.end_batch ())
@@ -158,7 +157,7 @@ let run ?(file_mb = 25) ?(seed = 20071993L) (sys : Systems.t) =
         for _ = 1 to n_units do
           sys.Systems.write f
             ~off:(rand_off unit_size unit_size)
-            (pattern_data rng unit_size)
+            (pattern_data unit_size)
         done;
         sys.Systems.end_batch ())
   in

@@ -32,10 +32,10 @@ val op_label : op -> string
 type results = (op * float) list
 (** Simulated elapsed seconds per operation. *)
 
-val run : ?file_mb:int -> ?seed:int64 -> Systems.t -> results
-(** Run the whole suite on one system.  [file_mb] defaults to the paper's
-    25 (smaller values are proportionally scaled when reported — see
-    {!Report}); the create time is scaled up to the 25 MB equivalent when
-    a smaller file is used. *)
+val run : ?file_mb:int -> Systems.t -> results
+(** Run the whole suite on one system, its random offsets drawn from one
+    fixed seed.  [file_mb] defaults to the paper's 25 (smaller values are
+    proportionally scaled when reported — see {!Report}); the create time
+    is scaled up to the 25 MB equivalent when a smaller file is used. *)
 
 val find : results -> op -> float

@@ -63,8 +63,8 @@ let decode payload =
    file. *)
 let for_file ~file v = Relstore.Heap_page.oid_is v file
 
-let create db ?device () =
-  let heap = Relstore.Db.create_relation db ~name:"fileatt" ?device () in
+let create db =
+  let heap = Relstore.Db.create_relation db ~name:"fileatt" () in
   let by_oid =
     { Index.Audit.name = "by_oid";
       tree = Index.Btree.create ~cache:(Relstore.Db.cache db) ~device:(H.device heap) ~klen:8;

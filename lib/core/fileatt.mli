@@ -24,8 +24,9 @@ type att = {
 
 type t
 
-val create : Relstore.Db.t -> ?device:string -> unit -> t
-(** Create the [fileatt] relation and its oid index. *)
+val create : Relstore.Db.t -> t
+(** Create the [fileatt] relation and its oid index on the switch's
+    default device. *)
 
 val insert : t -> Relstore.Txn.t -> att -> Relstore.Tid.t
 (** Record attributes for a new file; returns the new record's TID. *)

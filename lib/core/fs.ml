@@ -25,7 +25,6 @@ type t = {
   fileatt : Fileatt.t;
   registry : Postquel.Registry.t;
   root_oid : int64;
-  default_device : string option;
   relations : (string, owned) Hashtbl.t;
       (* every relation made here, by name, from its create, clone or
          migration on; none is ever dropped *)
@@ -465,9 +464,9 @@ let register_builtins t =
         | None -> Value.Null)
       | _ -> Value.Null)
 
-let make db ?default_device () =
-  let naming = Naming.create db () in
-  let fileatt = Fileatt.create db () in
+let make db () =
+  let naming = Naming.create db in
+  let fileatt = Fileatt.create db in
   let registry = Postquel.Registry.create () in
   let root_oid = Db.allocate_oid db in
   let t =
@@ -477,7 +476,6 @@ let make db ?default_device () =
       fileatt;
       registry;
       root_oid;
-      default_device;
       relations = Hashtbl.create 64;
       clonemap = None;
       qsnap = Snapshot.As_of 0L;
@@ -630,9 +628,7 @@ let read_at t snap inv ~oid ~size ~pos buf len =
 (* ---------- the p_* interface ---------- *)
 
 let default_device_name t =
-  match t.default_device with
-  | Some d -> d
-  | None -> Pagestore.Device.name (Pagestore.Switch.default_device (Db.switch t.db))
+  Pagestore.Device.name (Pagestore.Switch.default_device (Db.switch t.db))
 
 (* Create [base] in directory [parent], whose lookup of [base] came back
    empty under [txn]'s snapshot; returns the oid.
@@ -1123,7 +1119,7 @@ let on_vacuum = function
    file system made is verified by its index audit, whose one read of
    each heap page also feeds the check of its B-trees ({!Index.Audit});
    the rest (the archives) get the plain page check. *)
-let audit_relations ?(only = fun _ -> true) t =
+let audit_some t ~only =
   let verdicts = Hashtbl.create 64 and audited = ref [] in
   let audit_one heap =
     let name = Relstore.Heap.name heap in
@@ -1138,6 +1134,8 @@ let audit_relations ?(only = fun _ -> true) t =
   let check heap = if only heap then audit_one heap else Ok () in
   let page_problems = Db.verify_relations t.db ~check in
   (page_problems, Hashtbl.find_opt verdicts, List.rev !audited)
+
+let audit_relations t = audit_some t ~only:(fun _ -> true)
 
 (* Restart's filter: a relation needs auditing only if a store since the
    last complete flush could have torn it, that is if its heap segment or
@@ -1181,7 +1179,7 @@ let crash_and_recover t =
      rebuild from: neither gets a verdict, so neither is rebuilt — they
      are reported in [degraded] and [page_problems] instead. *)
   let page_problems, index_verdict, relations_audited =
-    audit_relations t ~only:(torn_by_crash t)
+    audit_some t ~only:(torn_by_crash t)
   in
   (* Only what the audit found damaged reaches the dispatch and is
      rebuilt, the catalogs first, then files by oid: restart costs no
@@ -1310,20 +1308,20 @@ let vacuum_mode owned = function
   | `Discard -> `Discard
   | `Archive -> `Archive (Index.Indexed.archive (relation_of owned))
 
-let vacuum_target t ?horizon ~mode (name, owned) =
+let vacuum_target t ~mode (name, owned) =
   translate_locks (fun () ->
-      Db.vacuum t.db ~relation:name ?horizon ~mode:(vacuum_mode owned mode)
+      Db.vacuum t.db ~relation:name ~mode:(vacuum_mode owned mode)
         ~on_remove:(on_vacuum owned) ())
 
-let vacuum_file t ~oid ?horizon ~mode () =
+let vacuum_file t ~oid ~mode () =
   match file_handle t ~oid with
   | None -> Errors.fail Errors.ENOENT "no file with oid %Ld" oid
-  | Some inv -> vacuum_target t ?horizon ~mode (Inv_file.relname oid, File inv)
+  | Some inv -> vacuum_target t ~mode (Inv_file.relname oid, File inv)
 
-let vacuum_all t ?horizon ~mode () =
+let vacuum_all t ~mode () =
   List.fold_left
     (fun (acc : Relstore.Vacuum.stats) target ->
-      let st = vacuum_target t ?horizon ~mode target in
+      let st = vacuum_target t ~mode target in
       {
         Relstore.Vacuum.scanned = acc.scanned + st.Relstore.Vacuum.scanned;
         archived = acc.archived + st.archived;

@@ -49,15 +49,15 @@ type fd = int
 type open_mode = Rdonly | Rdwr
 type whence = Seek_set | Seek_cur | Seek_end
 
-val make : Relstore.Db.t -> ?default_device:string -> unit -> t
+val make : Relstore.Db.t -> unit -> t
 (** Build a file system in the database: creates the [naming] and
     [fileatt] catalogs and the root directory ["/"], defines the built-in
     ["directory"] type and registers the built-in query functions
     ([owner], [size], [filetype], [dir], [ctime], [mtime], [atime],
     [name]).  A file's [atime] is set when it is created; reads do not
     update it.
-    [default_device] is where file tables land when [p_creat] does not
-    say otherwise. *)
+    File tables land on the switch's default device when [p_creat] does
+    not say otherwise. *)
 
 val db : t -> Relstore.Db.t
 val clock : t -> Simclock.Clock.t
@@ -243,10 +243,10 @@ type recovery = {
 }
 
 val crash_and_recover : t -> recovery
-(** Whole-system crash and recovery in one call: {!crash}, then
-    {!audit_relations} over the relations the crash could have torn, then
-    rebuild from its heap every update-in-place B-tree index the audit
-    found damaged.  Heaps are no-overwrite and every writing commit
+(** Whole-system crash and recovery in one call: {!crash}, then the
+    {!audit_relations} pass over the relations the crash could have
+    torn, then rebuild from its heap every update-in-place B-tree index
+    the audit found damaged.  Heaps are no-overwrite and every writing commit
     flushes the whole pool, so a crash can tear only relations with a
     store since the last complete flush: those whose heap or tree segment
     carries a dirty mark ({!Pagestore.Device.is_marked}) on either mirror
@@ -258,19 +258,16 @@ val crash_and_recover : t -> recovery
     returned report is its evidence. *)
 
 val audit_relations :
-  ?only:(Relstore.Heap.t -> bool) ->
-  t ->
-  (string * string) list * (string -> (unit, string) result option) * string list
-(** Verify the pages of every relation [only] admits (default: all)
+  t -> (string * string) list * (string -> (unit, string) result option) * string list
+(** Verify the pages of every relation
     ({!Relstore.Db.verify_relations}).  Every relation this file system
     made ({!relations}) is verified by its index audit
     ({!Index.Audit.run}), which checks its B-trees against the records
     of that same page pass.  The other relations (the archives) get the
     plain page check.  Returns the page problems, the index verdict by
-    relation name ([None] for a relation not audited — skipped by
-    [only], unindexed, degraded, or with a heap page that could not be
-    read, already a page problem), and the names of the relations
-    audited, in name order. *)
+    relation name ([None] for a relation not audited — unindexed,
+    degraded, or with a heap page that could not be read, already a page
+    problem), and the names of the relations audited, in name order. *)
 
 val iter_file_handles : t -> (int64 -> Inv_file.t -> unit) -> unit
 (** Every file's storage handle, in ascending oid order (recovery,
@@ -288,7 +285,7 @@ val fileatt_catalog : t -> Fileatt.t
 (** The catalogs (fsck and recovery audits). *)
 
 val vacuum_file :
-  t -> oid:int64 -> ?horizon:int64 -> mode:[ `Archive | `Discard ] -> unit -> Relstore.Vacuum.stats
+  t -> oid:int64 -> mode:[ `Archive | `Discard ] -> unit -> Relstore.Vacuum.stats
 (** The full vacuum pass ({!Relstore.Db.vacuum}) over one file's chunk
     table, keeping its chunk index consistent.  Fails with [ENOENT] when
     the file has no storage handle. *)
@@ -299,8 +296,7 @@ val migrate_file : t -> oid:int64 -> device:string -> unit
     The mechanism under the {!Migrate} rules engine — the paper's
     "Services Under Investigation" file-migration feature. *)
 
-val vacuum_all :
-  t -> ?horizon:int64 -> mode:[ `Archive | `Discard ] -> unit -> Relstore.Vacuum.stats
+val vacuum_all : t -> mode:[ `Archive | `Discard ] -> unit -> Relstore.Vacuum.stats
 (** The vacuum cleaner's full sweep: one full pass
     ({!Relstore.Db.vacuum}, a {!Relstore.Vacuum.step} over the whole heap)
     over each relation {!vacuum_step} walks — every relation this file

@@ -180,6 +180,7 @@ type shard_report = {
   sh_shards_checked : int;
   sh_files_checked : int;
   sh_copies_checked : int;
+  sh_unreferenced : int;
   sh_problems : problem list;
   sh_unreachable : string list;
 }
@@ -189,8 +190,10 @@ let is_shard_clean r = r.sh_problems = []
 let shard_report_to_string r =
   let verdict = if is_shard_clean r then "clean" else "UNCLEAN" in
   let base =
-    Printf.sprintf "cross-shard audit: %s (%d shards, %d files, %d copies)" verdict
+    Printf.sprintf "cross-shard audit: %s (%d shards, %d files, %d copies%s)" verdict
       r.sh_shards_checked r.sh_files_checked r.sh_copies_checked
+      (if r.sh_unreferenced > 0 then Printf.sprintf ", %d unreferenced" r.sh_unreferenced
+       else "")
   in
   let unreachable =
     match r.sh_unreachable with
@@ -293,11 +296,18 @@ let cross_shard_audit ~nshards ~owner ~handoff ~drops ~bucket_of ~named ~residen
                (String.concat "," (List.map string_of_int hs)))
       end)
     named;
-  (* 4. every resident copy must be accounted for *)
+  (* 4. every resident copy must be accounted for.  A copy of an oid the
+     namespace does not name is counted, not judged: nothing collects
+     the shard copies of an unlinked file (the coordinator's unlink
+     touches only its namespace), so they stay until a handoff moves
+     their bucket and the drop that follows removes them. *)
+  let unreferenced = ref 0 in
   Hashtbl.iter
     (fun oid hs ->
       let b = bucket_of oid in
-      if valid_bucket b then begin
+      if not (Hashtbl.mem named_tbl oid) then
+        unreferenced := !unreferenced + List.length hs
+      else if valid_bucket b then begin
         let auth = authority b in
         let dst_of_handoff =
           match List.find_opt (fun (b', _, _) -> b' = b) handoff with
@@ -306,14 +316,7 @@ let cross_shard_audit ~nshards ~owner ~handoff ~drops ~bucket_of ~named ~residen
         in
         List.iter
           (fun k ->
-            let excused =
-              k = auth
-              || dst_of_handoff = Some k
-              || List.mem (b, k) drops
-              || not (Hashtbl.mem named_tbl oid)
-                 (* an unnamed oid's copies are the unlink lag the
-                    coordinator GCs lazily; placement cannot judge them *)
-            in
+            let excused = k = auth || dst_of_handoff = Some k || List.mem (b, k) drops in
             if not excused then
               push (shard_name k)
                 (Printf.sprintf
@@ -327,6 +330,7 @@ let cross_shard_audit ~nshards ~owner ~handoff ~drops ~bucket_of ~named ~residen
     sh_shards_checked = List.length resident;
     sh_files_checked = !files;
     sh_copies_checked = !copies;
+    sh_unreferenced = !unreferenced;
     sh_problems = List.rev !problems;
     sh_unreachable = List.rev !unreachable;
   }

@@ -66,6 +66,10 @@ type shard_report = {
   sh_shards_checked : int;
   sh_files_checked : int;  (** named oids whose placement was audited *)
   sh_copies_checked : int;  (** resident chunk copies across all shards *)
+  sh_unreferenced : int;
+      (** of those, copies of oids the namespace does not name: an
+          unlinked file's shard copies, which nothing collects until a
+          handoff moves their bucket and its drop removes them *)
   sh_problems : problem list;
       (** [relation] names the faulty side: ["placement"] for a
           malformed map, ["shard<k>"] for a stray or missing copy *)
@@ -96,7 +100,9 @@ val cross_shard_audit :
     legitimately have no copy at all) unless that authority is
     unreachable; and every resident copy is accounted for — authority
     copy, handoff destination's partial copy, or a queued drop —
-    anything else is a stray that fencing should have prevented. *)
+    anything else is a stray that fencing should have prevented.  A copy
+    of an oid that [named] lacks is counted in [sh_unreferenced] and not
+    judged. *)
 
 val is_shard_clean : shard_report -> bool
 

@@ -12,11 +12,8 @@ let session t = t.session
 
 let lo_name oid = Printf.sprintf "%s/lo_%Ld" lo_dir oid
 
-let lo_creat t ?(compressed = false) () =
-  let fd =
-    Fs.p_creat t.session ~owner:"postgres" ~compressed
-      (Printf.sprintf "%s/pending" lo_dir)
-  in
+let lo_creat t () =
+  let fd = Fs.p_creat t.session ~owner:"postgres" (Printf.sprintf "%s/pending" lo_dir) in
   let oid = Fs.fd_oid t.session fd in
   Fs.p_close t.session fd;
   (* name the object by its own oid, so the fs view is stable *)

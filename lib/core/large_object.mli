@@ -23,8 +23,8 @@ type descriptor
 val manager : Fs.t -> t
 (** Create/attach the manager (creates [/.largeobjects] on first use). *)
 
-val lo_creat : t -> ?compressed:bool -> unit -> int64
-(** Create an empty large object; returns its oid. *)
+val lo_creat : t -> unit -> int64
+(** Create an empty, uncompressed large object; returns its oid. *)
 
 val lo_of_path : t -> string -> int64
 (** The oid of an existing file — any Inversion file is a large object

@@ -43,8 +43,8 @@ let in_dir ~parentid v = View.payload_i64_is v ~at:0 parentid
 let named ~parentid ~name v = in_dir ~parentid v && View.payload_ends_with v ~at:16 name
 let names_file ~file v = View.payload_i64_is v ~at:8 file
 
-let create db ?device () =
-  let heap = Relstore.Db.create_relation db ~name:"naming" ?device () in
+let create db =
+  let heap = Relstore.Db.create_relation db ~name:"naming" () in
   let tree klen =
     Index.Btree.create ~cache:(Relstore.Db.cache db) ~device:(H.device heap) ~klen
   in

@@ -20,8 +20,9 @@ type entry = {
   tid : Relstore.Tid.t;  (** physical address of this catalog record *)
 }
 
-val create : Relstore.Db.t -> ?device:string -> unit -> t
-(** Create the [naming] relation and its indexes. *)
+val create : Relstore.Db.t -> t
+(** Create the [naming] relation and its indexes on the switch's default
+    device. *)
 
 val root_parent : int64
 (** 0: the pseudo-parent of "/". *)

@@ -62,13 +62,18 @@ type t = {
   inodes : (int, inode) Hashtbl.t;
   names : (string, int) Hashtbl.t;
   mutable next_ino : int;
-  inode_area : int;
-  root_dir_block : int;
 }
 
 let device t = t.device
 
-let create ~device ?(cache_pages = 2048) ?(inode_area_blocks = 64) () =
+(* The server buffer cache's size in pages (16 MB), and the metadata
+   region reserved at the start of the disk; the root directory's block
+   comes right after it. *)
+let cache_pages = 2048
+let inode_area_blocks = 64
+let root_dir_block = inode_area_blocks
+
+let create ~device =
   let segid = Device.create_segment device in
   (* reserve metadata region up front so data blocks sit beyond it *)
   for _ = 0 to inode_area_blocks do
@@ -82,8 +87,6 @@ let create ~device ?(cache_pages = 2048) ?(inode_area_blocks = 64) () =
     inodes = Hashtbl.create 64;
     names = Hashtbl.create 64;
     next_ino = 2;
-    inode_area = inode_area_blocks;
-    root_dir_block = inode_area_blocks; (* the block right after the inodes *)
   }
 
 (* ---- cache + charging primitives ---- *)
@@ -109,7 +112,7 @@ let access_read t blkno =
     cache_insert t blkno
   end
 
-let inode_block t ino = (ino / 64) mod t.inode_area
+let inode_block ino = (ino / 64) mod inode_area_blocks
 
 let charge_meta_update t blkno = function
   | Sync -> charge_write_now t blkno
@@ -180,8 +183,8 @@ let create_file t name ~mode =
   Hashtbl.replace t.inodes ino
     { ino; isize = 0L; blocks = Array.make 8 (-1); proxies = Hashtbl.create 4 };
   (* directory entry + new inode hit the metadata area *)
-  charge_meta_update t t.root_dir_block mode;
-  charge_meta_update t (inode_block t ino) mode;
+  charge_meta_update t root_dir_block mode;
+  charge_meta_update t (inode_block ino) mode;
   ino
 
 let lookup t name = Hashtbl.find_opt t.names name
@@ -231,7 +234,7 @@ let write t ~ino ~off ~data ~mode =
     let new_end = Int64.add off (Int64.of_int len) in
     if Int64.compare new_end inode.isize > 0 then inode.isize <- new_end;
     (* the inode (size, mtime) is metadata: forced under NFS *)
-    charge_meta_update t (inode_block t ino) mode
+    charge_meta_update t (inode_block ino) mode
   end
 
 let read t ~ino ~off ~buf ~len =

@@ -31,12 +31,10 @@ type write_mode =
 val block_size : int
 (** 8192. *)
 
-val create :
-  device:Pagestore.Device.t -> ?cache_pages:int -> ?inode_area_blocks:int -> unit -> t
-(** Format a file system on a magnetic-disk device.  [cache_pages] sizes
-    the server buffer cache (default 2048 = 16 MB); [inode_area_blocks]
-    reserves the metadata region whose position gives inode updates their
-    seek cost (default 64). *)
+val create : device:Pagestore.Device.t -> t
+(** Format a file system on a magnetic-disk device, with a 2048-page
+    (16 MB) server buffer cache and a 64-block metadata region whose
+    position gives inode updates their seek cost. *)
 
 val create_file : t -> string -> mode:write_mode -> int
 (** Create an (empty) file in the flat root namespace, charging the

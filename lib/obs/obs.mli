@@ -127,7 +127,7 @@ end
 module Metrics : sig
   (** Counters and log-scale histograms owned by the registry, plus
       {e probes} — live read-only views onto legacy per-instance
-      counters ([Bufcache.hits], [Netsim.messages], clock tick
+      counters ([Bufcache.misses], [Netsim.messages], clock tick
       accounts…) registered by their owners.  Everything is reachable
       by name through one {!snapshot}. *)
 

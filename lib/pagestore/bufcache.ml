@@ -162,7 +162,6 @@ type t = {
   cap : int;
   cold_cap : int; (* midpoint split: cold tier target size *)
   readahead_window : int;
-  promote_age_s : float;
   table : (int, entry) Hashtbl.t;
   segs : (int, seg_state) Hashtbl.t; (* pack_seg -> state *)
   hot : Lru.t;
@@ -192,8 +191,7 @@ type stats = {
   s_readahead_hits : int;
 }
 
-let make ?(capacity = 300) ?(os_cache_blocks = 16384) ?(readahead_window = 8)
-    ?(promote_age_s = 0.05) () =
+let make ?(capacity = 300) ?(os_cache_blocks = 16384) ?(readahead_window = 8) () =
   if capacity < 1 then invalid_arg "Bufcache.create: capacity must be >= 1";
   if readahead_window < 0 then invalid_arg "Bufcache.create: readahead_window < 0";
   {
@@ -202,7 +200,6 @@ let make ?(capacity = 300) ?(os_cache_blocks = 16384) ?(readahead_window = 8)
        tier a scan can churn; the rest holds pages that proved hot. *)
     cold_cap = max 1 (capacity * 3 / 8);
     readahead_window;
-    promote_age_s;
     table = Hashtbl.create (2 * capacity);
     segs = Hashtbl.create 64;
     hot = Lru.create ();
@@ -236,22 +233,16 @@ let register_probes t =
   p "cache.readahead_hits" (fun () -> t.readahead_hits);
   p "cache.resident" (fun () -> Hashtbl.length t.table)
 
-let create ?capacity ?os_cache_blocks ?readahead_window ?promote_age_s () =
-  let t = make ?capacity ?os_cache_blocks ?readahead_window ?promote_age_s () in
+let create ?capacity ?os_cache_blocks ?readahead_window () =
+  let t = make ?capacity ?os_cache_blocks ?readahead_window () in
   register_probes t;
   t
 
 let set_writeback_hook t hook = t.writeback_hook <- hook
 
 let capacity t = t.cap
-let gets t = t.gets
-let hits t = t.hits
 let misses t = t.misses
 let writebacks t = t.writebacks
-let evictions t = t.evictions
-let os_hits t = t.os_hits
-let readaheads t = t.readaheads
-let readahead_hits t = t.readahead_hits
 let resident t = Hashtbl.length t.table
 
 let stats t =
@@ -382,6 +373,9 @@ let take_frame t =
 let ensure_room t = while Hashtbl.length t.table >= t.cap do evict_one t done
 
 let now_of dev = Simclock.Clock.now (Device.clock dev)
+
+(* Simulated age a cold page must reach before a re-touch promotes it. *)
+let promote_age_s = 0.05
 
 (* Keep the hot tier under its cap by demoting its tail to the cold
    front; the demoted page must re-prove itself (born is reset). *)
@@ -537,7 +531,7 @@ let get t dev ~segid ~blkno =
        (Promote only after unlinking from the old tier's list.) *)
     if
       e.tier = Cold
-      && now_of dev -. e.born >= t.promote_age_s
+      && now_of dev -. e.born >= promote_age_s
       && not (seg_state t dev ~segid).cold_only
     then e.tier <- Hot;
     e.pins <- e.pins + 1;

@@ -37,7 +37,6 @@ val create :
   ?capacity:int ->
   ?os_cache_blocks:int ->
   ?readahead_window:int ->
-  ?promote_age_s:float ->
   unit ->
   t
 (** [capacity] in pages, default 300 (the Berkeley configuration).
@@ -48,10 +47,9 @@ val create :
     POSTGRES 4.0.1 wrote pages to this cache without forcing them, so
     DBMS-level write-backs cost a copy, not a platter write.
     [readahead_window] bounds how many blocks one read-ahead burst
-    fetches (default 8; 0 disables read-ahead).  [promote_age_s] is the
-    simulated age a cold page must reach before a re-touch promotes it to
-    the hot tier (default 50 ms — touches within one operation's install
-    burst do not count as reuse). *)
+    fetches (default 8; 0 disables read-ahead).  A cold page must reach a
+    simulated age of 50 ms before a re-touch promotes it to the hot tier:
+    touches within one operation's install burst do not count as reuse. *)
 
 val capacity : t -> int
 
@@ -124,29 +122,8 @@ val crash : t -> unit
     The OS buffer cache is volatile too and is cleared with it.
     Lifetime counters survive (they describe the run, not the pool). *)
 
-val os_hits : t -> int
-(** Reads absorbed by the secondary (file-system) cache. *)
-
-val gets : t -> int
-(** Total {!get} calls.  Counter coherence invariant:
-    [gets = hits + misses], always. *)
-
-val hits : t -> int
-(** Demand accesses served from the pool (includes hits on prefetched
-    pages — see {!readahead_hits}). *)
-
 val misses : t -> int
 val writebacks : t -> int
-val evictions : t -> int
-
-val readaheads : t -> int
-(** Blocks fetched speculatively by read-ahead bursts. *)
-
-val readahead_hits : t -> int
-(** Demand accesses that were the {e first} touch of a page read-ahead
-    brought in — the measure of prediction accuracy.  A strict subset of
-    {!hits} (an annotation on a hit, not a third outcome):
-    [readahead_hits <= hits] and [readahead_hits <= readaheads]. *)
 
 val resident : t -> int
 (** Current number of resident pages. *)
@@ -154,14 +131,20 @@ val resident : t -> int
 (** {1 Counter snapshots} *)
 
 type stats = {
-  s_gets : int;  (** [s_gets = s_hits + s_misses] *)
+  s_gets : int;  (** total {!get} calls: always [s_hits + s_misses] *)
   s_hits : int;
+      (** demand accesses served from the pool, hits on prefetched pages
+          included *)
   s_misses : int;
-  s_os_hits : int;
+  s_os_hits : int;  (** reads absorbed by the secondary (file-system) cache *)
   s_writebacks : int;
   s_evictions : int;
-  s_readaheads : int;
-  s_readahead_hits : int;  (** subset of [s_hits] *)
+  s_readaheads : int;  (** blocks fetched speculatively by read-ahead bursts *)
+  s_readahead_hits : int;
+      (** demand accesses that were the {e first} touch of a page
+          read-ahead brought in, the measure of prediction accuracy: an
+          annotation on a hit, not a third outcome, so at most [s_hits]
+          and at most [s_readaheads] *)
 }
 
 val stats : t -> stats

@@ -150,8 +150,8 @@ type t = {
 
 let next_id = ref 0
 
-let create ~clock ~name ~kind ?geometry () =
-  let geometry = Option.value geometry ~default:(default_geometry kind) in
+let create ~clock ~name ~kind () =
+  let geometry = default_geometry kind in
   let id = !next_id in
   incr next_id;
   {

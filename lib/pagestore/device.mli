@@ -93,10 +93,9 @@ type fault_hook = io_kind -> segid:int -> blkno:int -> fault option
 
 type t
 
-val create :
-  clock:Simclock.Clock.t -> name:string -> kind:kind -> ?geometry:geometry -> unit -> t
-(** A fresh, empty device.  [geometry] defaults to the class default for
-    [kind]. *)
+val create : clock:Simclock.Clock.t -> name:string -> kind:kind -> unit -> t
+(** A fresh, empty device with its kind's geometry ({!rz58} for a disk,
+    {!nvram_geometry} for NVRAM, a Sony WORM jukebox's for a jukebox). *)
 
 val name : t -> string
 

@@ -5,8 +5,8 @@
     the raw device models.  It distinguishes the two fault classes the
     device can surface:
 
-    - {b transient} ({!Device.Io_fault}): retried up to
-      [policy.max_attempts] times with exponential backoff, each pause
+    - {b transient} ({!Device.Io_fault}): up to 3 attempts per copy,
+      with exponential backoff between them (1 ms, then 4 ms), each pause
       charged to the simulated clock under ["resilient.backoff"] (so retry
       storms show up in benchmark time, not just counters);
     - {b permanent} ({!Device.Media_failure}: dead device, stuck block, or
@@ -19,17 +19,8 @@
     CRC before being returned, so bitrot is detected here — no
     silently-corrupt page ever reaches the relation store. *)
 
-type policy = {
-  max_attempts : int;  (** total attempts per copy, >= 1 *)
-  base_backoff_s : float;  (** pause before the first retry *)
-  backoff_multiplier : float;  (** growth factor per subsequent retry *)
-}
-
-val default_policy : policy
-(** 3 attempts, 1 ms first backoff, 4x growth (1 ms, 4 ms). *)
-
 val read_block :
-  ?policy:policy -> ?charged:bool -> ?cont:bool -> Device.t -> segid:int -> blkno:int ->
+  ?charged:bool -> ?cont:bool -> Device.t -> segid:int -> blkno:int ->
   Page.t -> unit
 (** Verified read into the caller's frame, with retry, failover, and
     in-place repair.  Each attempt overwrites the whole frame, so when
@@ -46,13 +37,13 @@ val read_block :
     propagate. *)
 
 val write_block :
-  ?policy:policy -> ?charged:bool -> Device.t -> segid:int -> blkno:int -> Page.t -> unit
+  ?charged:bool -> Device.t -> segid:int -> blkno:int -> Page.t -> unit
 (** Write with transient-fault retry.  Permanent faults propagate — the
     caller (the buffer cache) decides whether a mirror copy landing is good
     enough.  [charged] selects {!Device.write_block} vs {!Device.poke_block}. *)
 
 val verify_or_repair :
-  ?policy:policy -> Device.t -> segid:int -> blkno:int ->
+  Device.t -> segid:int -> blkno:int ->
   [ `Clean | `Repaired | `Unrepairable of string ]
 (** The scrubber's unit of work: verify one block's checksum and, on
     mismatch, drive the verified-read path to repair it from the mirror.

@@ -9,12 +9,10 @@ let empty_stats = { scanned = 0; clean = 0; repaired = 0; unrepairable = [] }
 
 type t = {
   switch : Switch.t;
-  policy : Resilient.policy;
   mutable pos : int; (* cursor into the flattened block walk *)
 }
 
-let create ?(policy = Resilient.default_policy) switch =
-  { switch; policy; pos = 0 }
+let create switch = { switch; pos = 0 }
 
 (* Scrub verification streams sequentially in the background, so it is
    charged a flat per-page cost rather than the foreground seek model. *)
@@ -48,7 +46,7 @@ let plan t =
 let scrub_block t dev ~segid ~blkno =
   let clock = Switch.clock t.switch in
   Simclock.Clock.advance clock ~account:"scrub.verify" verify_cost_s;
-  match Resilient.verify_or_repair ~policy:t.policy dev ~segid ~blkno with
+  match Resilient.verify_or_repair dev ~segid ~blkno with
   | `Unrepairable _ as u -> u
   | (`Clean | `Repaired) as primary_verdict -> (
     match Device.segment_mirror dev ~segid with
@@ -60,7 +58,7 @@ let scrub_block t dev ~segid ~blkno =
         (* The mirror copy rotted; refresh it from the (verified) primary. *)
         try
           let page = Page.create () in
-          Resilient.read_block ~policy:t.policy dev ~segid ~blkno page;
+          Resilient.read_block dev ~segid ~blkno page;
           Device.poke_block mdev ~segid:msegid ~blkno page;
           `Repaired
         with Device.Media_failure _ | Device.Io_fault _ -> `Unrepairable reason))
@@ -128,7 +126,7 @@ let step t ~pages =
   end;
   !step_stats
 
-let run ?policy switch =
-  let t = create ?policy switch in
+let run switch =
+  let t = create switch in
   let _, total = plan t in
   step t ~pages:total

@@ -28,7 +28,7 @@ type t
     steps are picked up; the cursor position wraps, giving continuous
     round-robin coverage. *)
 
-val create : ?policy:Resilient.policy -> Switch.t -> t
+val create : Switch.t -> t
 
 val step : t -> pages:int -> stats
 (** Scrub up to [pages] blocks starting at the cursor, advancing it.
@@ -36,5 +36,5 @@ val step : t -> pages:int -> stats
     repair write propagates — the scrubber is ordinary I/O as far as
     crash injection is concerned. *)
 
-val run : ?policy:Resilient.policy -> Switch.t -> stats
+val run : Switch.t -> stats
 (** One full pass over every block of every live device. *)

@@ -16,8 +16,8 @@ let register t dev =
   Hashtbl.replace t.table name dev;
   t.order <- dev :: t.order
 
-let add_device t ~name ~kind ?geometry () =
-  let dev = Device.create ~clock:t.clock ~name ~kind ?geometry () in
+let add_device t ~name ~kind () =
+  let dev = Device.create ~clock:t.clock ~name ~kind () in
   register t dev;
   dev
 

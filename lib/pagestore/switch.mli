@@ -18,8 +18,7 @@ val clock : t -> Simclock.Clock.t
 val register : t -> Device.t -> unit
 (** Add a device.  Raises [Invalid_argument] if the name is taken. *)
 
-val add_device :
-  t -> name:string -> kind:Device.kind -> ?geometry:Device.geometry -> unit -> Device.t
+val add_device : t -> name:string -> kind:Device.kind -> unit -> Device.t
 (** Create a device on this switch's clock and register it. *)
 
 val find : t -> string -> Device.t

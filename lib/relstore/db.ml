@@ -219,8 +219,8 @@ let vacuum t ~relation ?horizon ~mode ?on_remove () =
     pages_compacted = st.s_compacted;
   }
 
-let vacuum_step t ~relation ?horizon ~mode ?(pages = 4) ?on_remove () =
-  let heap, horizon, mode = vacuum_prologue t ~relation ?horizon ~mode () in
+let vacuum_step t ~relation ~mode ?(pages = 4) ?on_remove () =
+  let heap, horizon, mode = vacuum_prologue t ~relation ~mode () in
   let start_block =
     Option.value (Hashtbl.find_opt t.vacuum_cursors relation) ~default:0
   in

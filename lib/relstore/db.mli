@@ -129,10 +129,10 @@ val release_lease : t -> int -> unit
 (** Drop a lease.  Unknown ids are ignored. *)
 
 val vacuum_step :
-  t -> relation:string -> ?horizon:int64 -> mode:[ `Archive of Heap.t Lazy.t | `Discard ] ->
+  t -> relation:string -> mode:[ `Archive of Heap.t Lazy.t | `Discard ] ->
   ?pages:int -> ?on_remove:(Heap.record -> unit) -> unit -> Vacuum.step_stats
 (** One budgeted increment of the concurrent vacuum ({!Vacuum.step}) on
     one relation, resuming from the per-relation page cursor and
     advancing it.  [pages] bounds the window (default 4).  The horizon is
-    clamped to {!safe_horizon} (an explicit [horizon] may only lower it).
+    {!safe_horizon}.
     Safe under live traffic; gives way (s_skipped) to active writers. *)

@@ -4,26 +4,19 @@ module Link = Netsim.Link
 module Clock = Simclock.Clock
 module Rng = Simclock.Rng
 
-type config = {
-  timeout_s : float;
-  max_retries : int;
-  backoff_base_s : float;
-  backoff_max_s : float;
-  reconnect_attempts : int;
-  retry_budget : int;
-  retry_refill_per_s : float;
-}
+type config = { retry_budget : int; retry_refill_per_s : float }
 
-let default_config =
-  {
-    timeout_s = 0.35;
-    max_retries = 6;
-    backoff_base_s = 0.05;
-    backoff_max_s = 1.0;
-    reconnect_attempts = 4;
-    retry_budget = 8;
-    retry_refill_per_s = 2.0;
-  }
+let default_config = { retry_budget = 8; retry_refill_per_s = 2.0 }
+
+(* Per-attempt reply timeout; retransmissions after the first attempt;
+   the backoff before retry k is [backoff_base_s * 2^k], capped at
+   [backoff_max_s] and jittered 0.5-1.5x; liveness probes after the
+   first before a path is declared dead. *)
+let timeout_s = 0.35
+let max_retries = 6
+let backoff_base_s = 0.05
+let backoff_max_s = 1.0
+let reconnect_attempts = 4
 
 (* Client-side state of one open fd.  [dirty]: a [c_write] inside a
    transaction may sit in the server's write buffer, so the close must
@@ -114,7 +107,7 @@ let jitter_retry_after rng d = d *. (0.75 +. Rng.float rng 0.5)
 
 let backoff_and_note t attempt =
   let d =
-    min t.cfg.backoff_max_s (t.cfg.backoff_base_s *. (2. ** float_of_int attempt))
+    min backoff_max_s (backoff_base_s *. (2. ** float_of_int attempt))
   in
   let d = d *. (0.5 +. Rng.float t.rng 1.0) in
   Clock.advance t.clock ~account:"net.backoff" d;
@@ -127,7 +120,7 @@ let charge_timeout t =
   Netsim.note_timeout t.net;
   t.timeouts <- t.timeouts + 1;
   if Obs.on Obs.Net then Obs.event Obs.Net "net.timeout" ();
-  Clock.advance t.clock ~account:"net.timeout" t.cfg.timeout_s
+  Clock.advance t.clock ~account:"net.timeout" timeout_s
 
 (* Drain this connection's inbound queue looking for the reply to [rid].
    Frames that fail their CRC and fragments of stale replies fall on the
@@ -208,7 +201,7 @@ let exchange t ~sid ~rid ~pipelined req =
           ();
       let pause = jitter_retry_after t.rng retry_after_s in
       let headroom_after_wait = Clock.now t.clock +. pause <= t.deadline in
-      if k >= t.cfg.max_retries || not headroom_after_wait then
+      if k >= max_retries || not headroom_after_wait then
         raise
           (Errors.Fs_error
              (Errors.EBUSY, Printf.sprintf "%s; gave up after %d offers" overloaded_msg (k + 1)))
@@ -232,7 +225,7 @@ let exchange t ~sid ~rid ~pipelined req =
            stop re-offering; the outcome is whatever the usual lost-reply
            accounting concludes *)
         None
-      else if k < t.cfg.max_retries then begin
+      else if k < max_retries then begin
         backoff_and_note t k;
         attempt (k + 1)
       end
@@ -251,7 +244,7 @@ let probe_alive t =
     | Some _ -> true
     | None ->
       charge_timeout t;
-      if k < t.cfg.reconnect_attempts then begin
+      if k < reconnect_attempts then begin
         backoff_and_note t k;
         attempt (k + 1)
       end
@@ -562,8 +555,10 @@ let add_fd t fd ~hist =
   Hashtbl.replace t.fds fd { pos = 0L; hist; dirty = false };
   fd
 
-let c_creat t ?device ?ftype ?(compressed = false) path =
-  add_fd t (expect_fd (rpc t (Wire.Creat { path; device; ftype; compressed }))) ~hist:false
+let c_creat t ?device path =
+  add_fd t
+    (expect_fd (rpc t (Wire.Creat { path; device; ftype = None; compressed = false })))
+    ~hist:false
 
 let c_open t ?timestamp path mode =
   let mode = match mode with Fs.Rdonly -> 0 | Fs.Rdwr -> 1 in

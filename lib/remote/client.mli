@@ -5,14 +5,16 @@
 
     Every call is one request/reply exchange with:
 
-    - a {e per-call timeout}, charged to the simulated clock when a
-      message (or its reply) is lost;
-    - {e bounded retries} with exponential backoff plus jitter (also
-      clock-charged), every retry reusing the {e same request id} — the
+    - a {e per-attempt timeout} of 350 ms, charged to the simulated clock
+      when a message (or its reply) is lost;
+    - {e bounded retries}: up to 6 retransmissions, the one after attempt
+      k backed off 50 ms × 2{^k} (capped at 1 s) with 0.5–1.5x jitter
+      (also clock-charged), every retry reusing the {e same request id} — the
       idempotency key the server's dedup window turns into
       exactly-once-observed semantics;
     - a {e session} that transparently reconnects when the server stops
-      recognising it (crash, lease expiry).  If the session dies while a
+      recognising it (crash, lease expiry); when retries run dry, up to 5
+      liveness probes, backed off alike, decide whether the path is dead.  If the session dies while a
       transaction is open, the client observes a clean
       [Fs_error (ECONNRESET, "... transaction aborted")] — the server
       rolled the transaction back (crash) or its lease will abort it:
@@ -59,16 +61,9 @@
     [Bye] are exempt: releasing resources is always worth sending. *)
 
 type config = {
-  timeout_s : float;  (** per-attempt reply timeout *)
-  max_retries : int;  (** retransmissions after the first attempt *)
-  backoff_base_s : float;  (** backoff before retry k is [base * 2^k] ... *)
-  backoff_max_s : float;  (** ... capped here, then jittered 0.5–1.5x *)
-  reconnect_attempts : int;  (** liveness probes before declaring the path dead *)
   retry_budget : int;  (** token-bucket capacity for re-offering shed work *)
   retry_refill_per_s : float;  (** tokens regained per simulated second *)
 }
-
-val default_config : config
 
 type t
 
@@ -80,6 +75,7 @@ val connect :
   unit ->
   t
 (** Attach the link to the server and establish a session ([Hello]).
+    [config] defaults to a budget of 8 tokens refilled at 2 per second.
     [rng] drives backoff jitter and connection nonces.
     [Fs_error (ECONNRESET, _)] if no session could be established. *)
 
@@ -116,7 +112,10 @@ val c_begin : t -> unit
 
 val c_commit : t -> unit
 val c_abort : t -> unit
-val c_creat : t -> ?device:string -> ?ftype:string -> ?compressed:bool -> string -> int
+
+val c_creat : t -> ?device:string -> string -> int
+(** An uncompressed file of the default type. *)
+
 val c_open : t -> ?timestamp:int64 -> string -> Invfs.Fs.open_mode -> int
 val c_close : t -> int -> unit
 (** Returns before the server drops the fd when nothing is buffered on

@@ -15,9 +15,9 @@ module Device = Pagestore.Device
    that cannot reach the coordinator soon cannot serve at all — the
    self-fence half of the no-split-brain argument.  The coordinator's
    half is patience: it declares a shard dead only [dead_after] seconds
-   after its last heartbeat, and [dead_after] exceeds the serving lease
-   by a full lease, so by the time a new epoch exists the old owner has
-   provably stopped answering. *)
+   after its last heartbeat, and [dead_after] is two serving leases, so
+   by the time a new epoch exists the old owner has provably stopped
+   answering. *)
 
 type member = { mid : int; server : Server.t }
 
@@ -27,8 +27,6 @@ type t = {
   nshards : int;
   nbuckets : int;
   hb_interval : float;
-  serve_lease_s : float;
-  dead_after : float;
   coord : member;
   shards : member array; (* index i-1 = shard i *)
   hb_links : Link.t array; (* shard i's heartbeat connection to the coordinator *)
@@ -51,6 +49,11 @@ type t = {
 let nshards t = t.nshards
 let nbuckets t = t.nbuckets
 let hb_interval t = t.hb_interval
+
+(* A heartbeat reply arms a shard for two intervals; the coordinator
+   waits two such leases before it declares a silent shard dead. *)
+let serve_lease_s t = 2. *. t.hb_interval
+let dead_after t = 2. *. serve_lease_s t
 
 let member_server t i =
   if i = 0 then t.coord.server
@@ -171,7 +174,7 @@ let apply_placement t i (p : Wire.placement) =
     r.Server.sh_epoch <- p.Wire.p_epoch;
     r.Server.sh_owner <- Array.copy p.Wire.p_owner;
     r.Server.sh_handoff <- p.Wire.p_handoff;
-    r.Server.sh_lease_until <- Clock.now t.clock +. t.serve_lease_s
+    r.Server.sh_lease_until <- Clock.now t.clock +. serve_lease_s t
   end
 
 let drain_hb t =
@@ -206,7 +209,7 @@ let live_shards t c ~except =
   for j = t.nshards downto 1 do
     if j <> except then
       match Hashtbl.find_opt c.Server.c_last_hb j with
-      | Some l when now -. l <= t.dead_after -> live := j :: !live
+      | Some l when now -. l <= dead_after t -> live := j :: !live
       | Some _ | None -> ()
   done;
   !live
@@ -217,7 +220,7 @@ let detect_failures t =
   for dead = 1 to t.nshards do
     match Hashtbl.find_opt c.Server.c_last_hb dead with
     | Some last
-      when now -. last > t.dead_after && Array.exists (fun o -> o = dead) c.Server.c_owner -> (
+      when now -. last > dead_after t && Array.exists (fun o -> o = dead) c.Server.c_owner -> (
       match live_shards t c ~except:dead with
       | [] -> () (* nowhere to fail over to; keep waiting *)
       | live ->
@@ -294,8 +297,11 @@ let detect_failures t =
    single durable placement write, and the garbage drop retries until
    the stale copy is gone. *)
 
-let oids_in_bucket t b =
-  let sess = coord_session t in
+(* Every file oid the coordinator's namespace names As_of now, dotfiles
+   (the placement file) left out, in walk order: what a handoff copies
+   and what the cross-shard audit takes as referenced. *)
+let named_oids t =
+  let sess = Fs.new_session (Server.fs t.coord.server) in
   let ts = Relstore.Db.now (Fs.db (Server.fs t.coord.server)) in
   let acc = ref [] in
   let rec walk dir =
@@ -307,8 +313,7 @@ let oids_in_bucket t b =
           match Fs.stat sess ~timestamp:ts path with
           | att ->
             if att.Invfs.Fileatt.ftype = "directory" then walk path
-            else if Wire.bucket_of ~nbuckets:t.nbuckets att.Invfs.Fileatt.file = b then
-              acc := att.Invfs.Fileatt.file :: !acc
+            else acc := att.Invfs.Fileatt.file :: !acc
           | exception Errors.Fs_error _ -> ()
         end)
       names
@@ -325,7 +330,9 @@ let drive_handoff t =
       (fun (b, src, dst) ->
         let epoch0 = c.Server.c_epoch in
         try
-          let oids = oids_in_bucket t b in
+          let oids =
+            List.filter (fun oid -> Wire.bucket_of ~nbuckets:t.nbuckets oid = b) (named_oids t)
+          in
           List.iter
             (fun oid ->
               (* A crash injected by the migrate hook (or a fence racing
@@ -410,23 +417,15 @@ let make_member ~clock ~mid =
   let server = Server.create ~fs () in
   { mid; server }
 
-let create ~clock ~net ~rng ?(nshards = 2) ?(nbuckets = 16) ?(hb_interval = 0.5) ?serve_lease_s
-    ?dead_after () =
+let create ~clock ~net ~rng ?(nshards = 2) ?(nbuckets = 16) ?(hb_interval = 0.5) () =
   if nshards < 1 then invalid_arg "Cluster.create: nshards must be >= 1";
   if nbuckets < nshards then invalid_arg "Cluster.create: nbuckets must be >= nshards";
-  let serve_lease_s =
-    match serve_lease_s with Some x -> x | None -> 2. *. hb_interval
-  in
-  let dead_after = match dead_after with Some x -> x | None -> 2. *. serve_lease_s in
-  if dead_after <= serve_lease_s then
-    invalid_arg "Cluster.create: dead_after must exceed serve_lease_s (the fence ordering argument)";
   let coord = make_member ~clock ~mid:0 in
   let shards = Array.init nshards (fun ix -> make_member ~clock ~mid:(ix + 1)) in
   Server.set_role coord.server
     (Server.Coordinator
        {
          Server.c_nbuckets = nbuckets;
-         c_lease_s = serve_lease_s;
          c_epoch = 1;
          c_owner = Array.init nbuckets (fun b -> 1 + (b mod nshards));
          c_handoff = [];
@@ -471,8 +470,6 @@ let create ~clock ~net ~rng ?(nshards = 2) ?(nbuckets = 16) ?(hb_interval = 0.5)
       nshards;
       nbuckets;
       hb_interval;
-      serve_lease_s;
-      dead_after;
       coord;
       shards;
       hb_links;
@@ -542,11 +539,11 @@ type conn = {
   mutable redirects : int;
 }
 
-let connect t ?config ?(on_link = fun _tag _link -> ()) ~rng () =
+let connect t ?(on_link = fun _tag _link -> ()) ~rng () =
   let mk ~tag server =
     let link = Link.create t.net in
     on_link tag link;
-    Client.connect ?config ~server ~link ~rng:(Rng.split rng) ()
+    Client.connect ~server ~link ~rng:(Rng.split rng) ()
   in
   let coord_c = mk ~tag:0 t.coord.server in
   let shard_c = Array.init t.nshards (fun ix -> mk ~tag:(ix + 1) t.shards.(ix).server) in
@@ -648,27 +645,6 @@ let stats t =
    placement map, every oid the coordinator namespace references, and
    each shard's locally-resident chunk copies (a lock-free timestamped
    readdir of its flat [/o<oid>] store) — and run the placement walk. *)
-
-let named_oids t =
-  let sess = Fs.new_session (Server.fs t.coord.server) in
-  let ts = Relstore.Db.now (Fs.db (Server.fs t.coord.server)) in
-  let acc = ref [] in
-  let rec walk dir =
-    let names = try Fs.readdir sess ~timestamp:ts dir with Errors.Fs_error _ -> [] in
-    List.iter
-      (fun name ->
-        if String.length name > 0 && name.[0] <> '.' then begin
-          let path = if dir = "/" then "/" ^ name else dir ^ "/" ^ name in
-          match Fs.stat sess ~timestamp:ts path with
-          | att ->
-            if att.Invfs.Fileatt.ftype = "directory" then walk path
-            else acc := att.Invfs.Fileatt.file :: !acc
-          | exception Errors.Fs_error _ -> ()
-        end)
-      names
-  in
-  walk "/";
-  !acc
 
 let resident_oids t k =
   let fs = Server.fs t.shards.(k - 1).server in

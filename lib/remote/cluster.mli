@@ -11,14 +11,14 @@
     propagates only through heartbeat replies: each {!pump}, every shard
     whose interval elapsed sends {!Wire.Heartbeat} to the coordinator and
     the reply re-arms it — current epoch, ownership, and a {e serving
-    lease} of [serve_lease_s] from receipt.
+    lease} of two heartbeat intervals from receipt.
 
     Split brain is prevented from both ends.  A shard self-fences: every
     data op carries the client's cached epoch and is refused
     ({!Wire.Wrong_shard}) unless the lease is live, the epoch exact, and
     the bucket currently owned — so a shard cut off from the coordinator
     stops serving within one lease.  The coordinator is patient: it
-    declares a shard dead only [dead_after] (> [serve_lease_s]) seconds
+    declares a shard dead only two leases (four heartbeat intervals)
     after its last heartbeat, so a new epoch exists only after the old
     owner's lease has provably expired.  A crashed shard reboots knowing
     nothing ([sh_epoch = 0], rejects everything) until the next
@@ -49,17 +49,14 @@ val create :
   ?nshards:int ->
   ?nbuckets:int ->
   ?hb_interval:float ->
-  ?serve_lease_s:float ->
-  ?dead_after:float ->
   unit ->
   t
 (** Build and bootstrap a fleet (defaults: 2 shards, 16 buckets,
-    heartbeat every 0.5 s, lease [2 * hb_interval], dead after
-    [2 * serve_lease_s]).  Construction persists the initial placement
-    (epoch 1, buckets round-robin) and runs a heartbeat round so every
-    shard is armed before any client traffic.  [Invalid_argument] if
-    [dead_after <= serve_lease_s]: the failover epoch must postdate the
-    old owner's lease. *)
+    heartbeat every 0.5 s; the lease is always [2 * hb_interval] and a
+    shard is dead after [4 * hb_interval]).  Construction persists the
+    initial placement (epoch 1, buckets round-robin) and runs a
+    heartbeat round so every shard is armed before any client
+    traffic. *)
 
 val nshards : t -> int
 val nbuckets : t -> int
@@ -118,7 +115,6 @@ type conn
 
 val connect :
   t ->
-  ?config:Client.config ->
   ?on_link:(int -> Netsim.Link.t -> unit) ->
   rng:Simclock.Rng.t ->
   unit ->

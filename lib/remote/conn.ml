@@ -64,8 +64,7 @@ let clone t ~src ~dst =
     (fun s -> ignore (Fs.clone s ~src ~dst : int64))
     (fun c -> Client.c_clone c ~src ~dst)
 
-let creat t ~compressed path =
-  fds t (fun s -> Fs.p_creat s ~compressed path) (fun c -> Client.c_creat c ~compressed path)
+let creat t path = fds t (fun s -> Fs.p_creat s path) (fun c -> Client.c_creat c path)
 
 let open_file t path m = fds t (fun s -> Fs.p_open s path m) (fun c -> Client.c_open c path m)
 let close t fd = fds t (fun s -> Fs.p_close s fd) (fun c -> Client.c_close c fd)

@@ -47,7 +47,7 @@ val begin_txn : t -> unit
 val commit : t -> unit
 val abort : t -> unit
 val clone : t -> src:string -> dst:string -> unit
-val creat : t -> compressed:bool -> string -> int
+val creat : t -> string -> int
 val open_file : t -> string -> Invfs.Fs.open_mode -> int
 val close : t -> int -> unit
 val lseek : t -> int -> int64 -> Invfs.Fs.whence -> int64

@@ -52,7 +52,6 @@ type shard_role = {
    flight restarts idempotently). *)
 type coord_role = {
   c_nbuckets : int;
-  c_lease_s : float; (* serving-lease duration granted per heartbeat reply *)
   mutable c_epoch : int;
   mutable c_owner : int array; (* bucket -> owning shard id *)
   mutable c_handoff : (int * int * int) list; (* (bucket, src, dst) mid-migration *)

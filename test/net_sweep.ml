@@ -11,8 +11,7 @@ module NT = Benchlib.Nettest
 let () =
   let config =
     {
-      NT.default_config with
-      ops = Sweep.env_int "NET_OPS" NT.default_config.ops;
+      NT.ops = Sweep.env_int "NET_OPS" NT.default_config.ops;
       trace = Sweep.trace_seed <> None;
     }
   in

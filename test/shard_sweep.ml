@@ -14,8 +14,7 @@ module ST = Benchlib.Shardtest
 let () =
   let config =
     {
-      ST.default_config with
-      ops = Sweep.env_int "SHARD_OPS" ST.default_config.ops;
+      ST.ops = Sweep.env_int "SHARD_OPS" ST.default_config.ops;
       trace = Sweep.trace_seed <> None;
     }
   in

@@ -455,7 +455,7 @@ let test_refusal_is_not_a_lock_skip () =
      transaction is shed; a client with no retry budget gives up at the
      first overload answer. *)
   let config =
-    { Remote.Client.default_config with retry_budget = 0; retry_refill_per_s = 0. }
+    { Remote.Client.retry_budget = 0; retry_refill_per_s = 0. }
   in
   let fs, server, net, connect, c, w =
     remote_world ~run_cap:1 ~config ~lock_wait_s:1000. ()

@@ -468,6 +468,22 @@ let test_crashed_shard_reboots_fenced () =
   Alcotest.(check string) "data survived the crash then the write" "ok now!"
     (Cluster.peek_data cluster ~oid)
 
+(* ---- an unlinked file's shard copy stays, counted as unreferenced ---- *)
+
+let test_unlinked_copy_unreferenced () =
+  let _clock, _net, cluster, conn = mk () in
+  let fleet = Remote.Conn.Fleet conn in
+  Remote.Conn.write_file fleet "/doomed" (Bytes.of_string "short-lived");
+  Remote.Conn.unlink fleet "/doomed";
+  let audit = Cluster.cross_shard_audit cluster in
+  let report = Invfs.Fsck.shard_report_to_string audit in
+  Alcotest.(check bool) ("audit clean: " ^ report) true (Invfs.Fsck.is_shard_clean audit);
+  Alcotest.(check int) "no file named" 0 audit.Invfs.Fsck.sh_files_checked;
+  Alcotest.(check int) "the shard copy stays" 1 audit.Invfs.Fsck.sh_copies_checked;
+  Alcotest.(check int) "counted unreferenced" 1 audit.Invfs.Fsck.sh_unreferenced;
+  Alcotest.(check string) "report names it"
+    "cross-shard audit: clean (3 shards, 0 files, 1 copies, 1 unreferenced)" report
+
 let () =
   Alcotest.run "cluster"
     [
@@ -489,5 +505,7 @@ let () =
           Alcotest.test_case "read length validation" `Quick test_read_len_validation;
           Alcotest.test_case "crashed shard reboots fenced" `Quick
             test_crashed_shard_reboots_fenced;
+          Alcotest.test_case "unlinked copy counted unreferenced" `Quick
+            test_unlinked_copy_unreferenced;
         ] );
     ]

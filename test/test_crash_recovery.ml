@@ -557,11 +557,11 @@ let test_mark_eviction_steal () =
   Fs.write_file s "/f" (Bytes.make (Invfs.Chunk.capacity * 2) 'a');
   let segid = heap_segid (handle fs s "/f") in
   Alcotest.(check bool) "the commit cleared the mark" false (D.is_marked dev ~segid);
-  let evictions = Pagestore.Bufcache.evictions (Db.cache db) in
+  let evictions = (Pagestore.Bufcache.stats (Db.cache db)).Pagestore.Bufcache.s_evictions in
   Fs.p_begin s;
   Fs.write_file s "/f" (Bytes.make (Invfs.Chunk.capacity * 40) 'b');
   Alcotest.(check bool) "the pool stole pages" true
-    (Pagestore.Bufcache.evictions (Db.cache db) > evictions);
+    ((Pagestore.Bufcache.stats (Db.cache db)).Pagestore.Bufcache.s_evictions > evictions);
   Alcotest.(check bool) "heap marked" true (D.is_marked dev ~segid);
   check_audited (recover_clean fs) (owner fs segid);
   check_committed_contents fs

@@ -339,9 +339,9 @@ let test_fileatt_get_cost_flat () =
   let grow n = for _ = 1 to n do ignore (Fs.p_write s fd (bytes_of "x") 1 : int) done in
   let gets_per_get () =
     let txn = Relstore.Db.begin_txn db in
-    let g0 = Pagestore.Bufcache.gets cache in
+    let g0 = (Pagestore.Bufcache.stats cache).Pagestore.Bufcache.s_gets in
     let att = Invfs.Fileatt.get (Fs.fileatt_catalog fs) (Relstore.Txn.snapshot txn) ~file:oid in
-    let gets = Pagestore.Bufcache.gets cache - g0 in
+    let gets = (Pagestore.Bufcache.stats cache).Pagestore.Bufcache.s_gets - g0 in
     Relstore.Txn.abort txn;
     Alcotest.(check bool) "live row found" true (att <> None);
     gets

@@ -141,7 +141,7 @@ let test_transient_error_retried_with_backoff () =
   F.disarm plan;
   Alcotest.(check char) "retry returned the bytes" 'r' (Bytes.get (P.to_bytes page) 0);
   Alcotest.(check bool) "backoff charged simulated time" true
-    (elapsed >= R.default_policy.R.base_backoff_s)
+    (elapsed >= 0.001)
 
 let test_retry_exhaustion_is_permanent_failure () =
   let clock = Simclock.Clock.create () in
@@ -151,7 +151,7 @@ let test_retry_exhaustion_is_permanent_failure () =
   D.poke_block dev ~segid:seg ~blkno:blk (P.of_bytes (Bytes.make P.size 'x'));
   let plan = F.create () in
   F.arm_device plan dev;
-  for i = 1 to R.default_policy.R.max_attempts do
+  for i = 1 to 3 do
     F.schedule plan ~io:F.Read ~after:i F.Io_error
   done;
   (match verified_read dev ~segid:seg ~blkno:blk with

@@ -5,10 +5,10 @@ module Ffs = Nfsbaseline.Ffs
 module Presto = Nfsbaseline.Presto
 module Nfs = Nfsbaseline.Nfs
 
-let fresh_ffs ?cache_pages () =
+let fresh_ffs () =
   let clock = Simclock.Clock.create () in
   let device = D.create ~clock ~name:"rz58" ~kind:D.Magnetic_disk () in
-  (clock, Ffs.create ~device ?cache_pages ())
+  (clock, Ffs.create ~device)
 
 (* ---- FFS ---- *)
 
@@ -172,7 +172,7 @@ let test_presto_drain_all () =
 let fresh_nfs ?(presto = true) () =
   let clock = Simclock.Clock.create () in
   let device = D.create ~clock ~name:"rz58" ~kind:D.Magnetic_disk () in
-  let ffs = Ffs.create ~device () in
+  let ffs = Ffs.create ~device in
   let presto_board = if presto then Some (Presto.create ~clock ()) else None in
   let server = Nfs.make_server ~ffs ?presto:presto_board () in
   let net = Netsim.create ~clock Netsim.udp_rpc_1993 in

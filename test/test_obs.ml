@@ -167,7 +167,8 @@ let test_readahead_single_burst () =
       Alcotest.(check bool) "burst is batched (>= 2 blocks)" true (int_arg e "blocks" >= 2))
     bursts;
   (* and the legacy counter agrees with the trace *)
-  Alcotest.(check int) "readaheads counter matches trace" (B.readaheads cache) batched;
+  Alcotest.(check int) "readaheads counter matches trace" (B.stats cache).B.s_readaheads
+    batched;
   Obs.reset ()
 
 (* ------------------------------------------------------------------ *)
@@ -320,25 +321,26 @@ let test_probes_match_legacy_counters () =
     | Some v -> v
     | None -> Alcotest.failf "probe %s not registered" name
   in
-  Alcotest.(check int) "cache.gets" (B.gets cache) (probe "cache.gets");
-  Alcotest.(check int) "cache.hits" (B.hits cache) (probe "cache.hits");
+  let st = B.stats cache in
+  Alcotest.(check int) "cache.gets" st.B.s_gets (probe "cache.gets");
+  Alcotest.(check int) "cache.hits" st.B.s_hits (probe "cache.hits");
   Alcotest.(check int) "cache.misses" (B.misses cache) (probe "cache.misses");
-  Alcotest.(check int) "cache.os_hits" (B.os_hits cache) (probe "cache.os_hits");
-  Alcotest.(check int) "cache.evictions" (B.evictions cache) (probe "cache.evictions");
+  Alcotest.(check int) "cache.os_hits" st.B.s_os_hits (probe "cache.os_hits");
+  Alcotest.(check int) "cache.evictions" st.B.s_evictions (probe "cache.evictions");
   Alcotest.(check int) "cache.writebacks" (B.writebacks cache) (probe "cache.writebacks");
-  Alcotest.(check int) "cache.readaheads" (B.readaheads cache) (probe "cache.readaheads");
-  Alcotest.(check int) "cache.readahead_hits" (B.readahead_hits cache)
+  Alcotest.(check int) "cache.readaheads" st.B.s_readaheads (probe "cache.readaheads");
+  Alcotest.(check int) "cache.readahead_hits" st.B.s_readahead_hits
     (probe "cache.readahead_hits");
   Alcotest.(check int) "cache.resident" (B.resident cache) (probe "cache.resident");
   (* the double-counting fix: gets = hits + misses, readahead_hits is a
      subset of hits, never a third outcome *)
-  Alcotest.(check int) "gets = hits + misses" (B.gets cache)
-    (B.hits cache + B.misses cache);
+  Alcotest.(check int) "gets = hits + misses" st.B.s_gets
+    (st.B.s_hits + st.B.s_misses);
   Alcotest.(check bool) "readahead_hits <= hits" true
-    (B.readahead_hits cache <= B.hits cache);
+    (st.B.s_readahead_hits <= st.B.s_hits);
   Alcotest.(check bool) "readahead_hits <= readaheads" true
-    (B.readahead_hits cache <= B.readaheads cache);
-  Alcotest.(check bool) "readahead produced hits here" true (B.readahead_hits cache > 0);
+    (st.B.s_readahead_hits <= st.B.s_readaheads);
+  Alcotest.(check bool) "readahead produced hits here" true (st.B.s_readahead_hits > 0);
   Obs.reset ()
 
 let test_stats_coherence_under_workload () =
@@ -358,7 +360,8 @@ let test_stats_coherence_under_workload () =
     (st.B.s_hits + st.B.s_misses);
   Alcotest.(check bool) "readahead_hits subset" true
     (st.B.s_readahead_hits <= st.B.s_hits);
-  Alcotest.(check int) "accessor agrees with snapshot" (B.gets cache) st.B.s_gets;
+  Alcotest.(check int) "registry probe agrees with snapshot"
+    (Option.get (Obs.Metrics.read "cache.gets")) st.B.s_gets;
   Obs.reset ()
 
 (* ------------------------------------------------------------------ *)

@@ -21,9 +21,9 @@ let verified_read dev ~segid ~blkno =
   Pagestore.Resilient.read_block dev ~segid ~blkno p;
   p
 
-let fresh_disk ?geometry () =
+let fresh_disk () =
   let clock = Simclock.Clock.create () in
-  (clock, D.create ~clock ~name:"disk" ~kind:D.Magnetic_disk ?geometry ())
+  (clock, D.create ~clock ~name:"disk" ~kind:D.Magnetic_disk ())
 
 (* ---- Page ---- *)
 
@@ -427,7 +427,7 @@ let test_cache_hit_and_miss () =
   B.unpin cache dev ~segid:seg ~blkno:b;
   ignore (B.get cache dev ~segid:seg ~blkno:b);
   B.unpin cache dev ~segid:seg ~blkno:b;
-  Alcotest.(check int) "hits" 2 (B.hits cache);
+  Alcotest.(check int) "hits" 2 (B.stats cache).B.s_hits;
   Alcotest.(check int) "no device reads" 0 (D.reads dev)
 
 let test_cache_eviction_writes_back () =
@@ -440,7 +440,7 @@ let test_cache_eviction_writes_back () =
     B.mark_dirty cache dev ~segid:seg ~blkno:b
   in
   List.iter mark blocks;
-  Alcotest.(check bool) "evictions happened" true (B.evictions cache > 0);
+  Alcotest.(check bool) "evictions happened" true ((B.stats cache).B.s_evictions > 0);
   Alcotest.(check bool) "writebacks happened" true (B.writebacks cache > 0);
   B.flush cache;
   B.crash cache;
@@ -518,7 +518,7 @@ let test_recycled_frames_show_device_bytes () =
             done)
           [ a; b ]
       done;
-      Alcotest.(check bool) "frames were recycled" true (B.evictions cache >= 21))
+      Alcotest.(check bool) "frames were recycled" true ((B.stats cache).B.s_evictions >= 21))
 
 let test_recycled_frames_faulted_reads () =
   each_device_kind (fun dev cache ->
@@ -580,7 +580,7 @@ let test_new_block_on_recycled_frame_is_zero () =
       for blkno = 0 to 3 do
         B.with_page cache dev ~segid:(fst a) ~blkno ignore
       done;
-      Alcotest.(check bool) "an eviction freed a frame" true (B.evictions cache > 0);
+      Alcotest.(check bool) "an eviction freed a frame" true ((B.stats cache).B.s_evictions > 0);
       let fresh = B.new_block cache dev ~segid:(fst a) in
       B.with_page cache dev ~segid:(fst a) ~blkno:fresh (fun p ->
           Alcotest.(check bool) (D.name dev ^ ": new block reads as zeros") true
@@ -681,11 +681,11 @@ let test_os_cache_absorbs_disk_rereads () =
     blocks;
   B.flush cache;
   Simclock.Clock.reset clock;
-  let os_hits0 = B.os_hits cache and dev_reads0 = D.reads dev in
+  let os_hits0 = (B.stats cache).B.s_os_hits and dev_reads0 = D.reads dev in
   (* cycle through again: DBMS pool (2 pages) cannot hold them, the OS
      cache serves them all *)
   List.iter (fun b -> B.with_page cache dev ~segid:seg ~blkno:b (fun _ -> ())) blocks;
-  Alcotest.(check int) "all served by the OS cache" 8 (B.os_hits cache - os_hits0);
+  Alcotest.(check int) "all served by the OS cache" 8 ((B.stats cache).B.s_os_hits - os_hits0);
   Alcotest.(check int) "no platter reads" 0 (D.reads dev - dev_reads0);
   Alcotest.(check bool) "only copy cost" true (Simclock.Clock.now clock < 0.01)
 
@@ -728,11 +728,11 @@ let test_cache_eviction_order_under_pins () =
   done;
   ignore (B.get cache dev ~segid:seg ~blkno:0 : P.t);
   (* pool full: 0 (pinned) + two of 1..3 *)
-  let ev0 = B.evictions cache in
+  let ev0 = (B.stats cache).B.s_evictions in
   B.with_page cache dev ~segid:seg ~blkno:3 (fun _ -> ());
   B.with_page cache dev ~segid:seg ~blkno:2 (fun _ -> ());
   B.with_page cache dev ~segid:seg ~blkno:1 (fun _ -> ());
-  Alcotest.(check bool) "evictions happened" true (B.evictions cache > ev0);
+  Alcotest.(check bool) "evictions happened" true ((B.stats cache).B.s_evictions > ev0);
   (* the pinned page never left: touching it is a hit, not a miss *)
   let m0 = B.misses cache in
   ignore (B.get cache dev ~segid:seg ~blkno:0 : P.t);
@@ -748,16 +748,17 @@ let test_cache_scan_resistant_insertion () =
      (promoted) working set, unlike strict LRU insertion at the head *)
   let clock = Simclock.Clock.create () in
   let dev = D.create ~clock ~name:"nv" ~kind:D.Nvram () in
-  (* promote_age_s 0: any re-touch promotes (NVRAM barely advances the
-     simulated clock, so the age gate would otherwise never open) *)
-  let cache = B.create ~capacity:8 ~promote_age_s:0.0 () in
+  let cache = B.create ~capacity:8 () in
   let seg = D.create_segment dev in
   for _ = 0 to 25 do
     ignore (B.new_block cache dev ~segid:seg : int)
   done;
   B.crash cache;
   (* hot set: blocks 0 and 1, touched twice -> promoted to the hot tier *)
-  for _ = 1 to 2 do
+  for pass = 1 to 2 do
+    (* a re-touch promotes only a page older than the 50 ms promotion
+       age; NVRAM barely advances the simulated clock, so wait it out *)
+    if pass = 2 then Simclock.Clock.advance clock 0.06;
     B.with_page cache dev ~segid:seg ~blkno:0 (fun _ -> ());
     B.with_page cache dev ~segid:seg ~blkno:1 (fun _ -> ())
   done;
@@ -778,7 +779,7 @@ let test_cache_cold_only_segment_never_promotes () =
      and, symmetrically, any later scan cheaply recycles them *)
   let clock = Simclock.Clock.create () in
   let dev = D.create ~clock ~name:"nv" ~kind:D.Nvram () in
-  let cache = B.create ~capacity:8 ~promote_age_s:0.0 () in
+  let cache = B.create ~capacity:8 () in
   let seg = D.create_segment dev in
   for _ = 0 to 25 do
     ignore (B.new_block cache dev ~segid:seg : int)
@@ -789,13 +790,16 @@ let test_cache_cold_only_segment_never_promotes () =
   Alcotest.(check bool) "flag set" true (B.is_cold_only cache dev ~segid:seg);
   (* double-touch blocks 0 and 1 — on an ordinary segment this promotes
      them to the hot tier (see the scan-resistance test above) *)
-  for _ = 1 to 2 do
+  for pass = 1 to 2 do
+    (* a re-touch promotes only a page older than the 50 ms promotion
+       age; NVRAM barely advances the simulated clock, so wait it out *)
+    if pass = 2 then Simclock.Clock.advance clock 0.06;
     B.with_page cache dev ~segid:seg ~blkno:0 (fun _ -> ());
     B.with_page cache dev ~segid:seg ~blkno:1 (fun _ -> ())
   done;
-  let h0 = B.hits cache in
+  let h0 = (B.stats cache).B.s_hits in
   B.with_page cache dev ~segid:seg ~blkno:0 (fun _ -> ());
-  Alcotest.(check int) "resident cold page still serves hits" (h0 + 1) (B.hits cache);
+  Alcotest.(check int) "resident cold page still serves hits" (h0 + 1) (B.stats cache).B.s_hits;
   (* a single-touch scan 2.5x the pool recycles the cold tier; the
      re-touched pages were never promoted, so they go with it *)
   for blkno = 2 to 21 do
@@ -823,24 +827,24 @@ let test_cache_readahead_trigger_and_cancel () =
   B.crash cache;
   (* two ascending misses arm read-ahead; the burst fetches the window *)
   B.with_page cache dev ~segid:seg ~blkno:0 (fun _ -> ());
-  Alcotest.(check int) "single miss does not prefetch" 0 (B.readaheads cache);
+  Alcotest.(check int) "single miss does not prefetch" 0 (B.stats cache).B.s_readaheads;
   B.with_page cache dev ~segid:seg ~blkno:1 (fun _ -> ());
-  Alcotest.(check int) "run of 2 prefetches the window" 8 (B.readaheads cache);
+  Alcotest.(check int) "run of 2 prefetches the window" 8 (B.stats cache).B.s_readaheads;
   let m0 = B.misses cache in
   B.with_page cache dev ~segid:seg ~blkno:2 (fun _ -> ());
   Alcotest.(check int) "prefetched block is a hit" m0 (B.misses cache);
-  Alcotest.(check int) "readahead hit counted" 1 (B.readahead_hits cache);
+  Alcotest.(check int) "readahead hit counted" 1 (B.stats cache).B.s_readahead_hits;
   (* a non-sequential access cancels the run: isolated misses fetch one
      block each, no speculation *)
-  let ra0 = B.readaheads cache in
+  let ra0 = (B.stats cache).B.s_readaheads in
   B.with_page cache dev ~segid:seg ~blkno:20 (fun _ -> ());
   B.with_page cache dev ~segid:seg ~blkno:27 (fun _ -> ());
-  Alcotest.(check int) "random misses do not prefetch" ra0 (B.readaheads cache);
+  Alcotest.(check int) "random misses do not prefetch" ra0 (B.stats cache).B.s_readaheads;
   (* an explicit hint arms it from the very first miss *)
   B.hint_sequential cache dev ~segid:seg;
   B.with_page cache dev ~segid:seg ~blkno:12 (fun _ -> ());
   Alcotest.(check bool) "hinted miss prefetches immediately" true
-    (B.readaheads cache > ra0)
+    ((B.stats cache).B.s_readaheads > ra0)
 
 let test_cache_segment_index_after_invalidate () =
   let clock = Simclock.Clock.create () in
@@ -886,13 +890,15 @@ let test_cache_stats_snapshot () =
   B.with_page cache dev ~segid:seg ~blkno:5 (fun _ -> ());
   B.flush cache;
   let s = B.stats cache in
-  Alcotest.(check int) "hits" (B.hits cache) s.B.s_hits;
+  (* the snapshot agrees with the live counters the registry probes read *)
+  let probe name = Option.get (Obs.Metrics.read ("cache." ^ name)) in
+  Alcotest.(check int) "hits" (probe "hits") s.B.s_hits;
   Alcotest.(check int) "misses" (B.misses cache) s.B.s_misses;
-  Alcotest.(check int) "os_hits" (B.os_hits cache) s.B.s_os_hits;
+  Alcotest.(check int) "os_hits" (probe "os_hits") s.B.s_os_hits;
   Alcotest.(check int) "writebacks" (B.writebacks cache) s.B.s_writebacks;
-  Alcotest.(check int) "evictions" (B.evictions cache) s.B.s_evictions;
-  Alcotest.(check int) "readaheads" (B.readaheads cache) s.B.s_readaheads;
-  Alcotest.(check int) "readahead_hits" (B.readahead_hits cache) s.B.s_readahead_hits;
+  Alcotest.(check int) "evictions" (probe "evictions") s.B.s_evictions;
+  Alcotest.(check int) "readaheads" (probe "readaheads") s.B.s_readaheads;
+  Alcotest.(check int) "readahead_hits" (probe "readahead_hits") s.B.s_readahead_hits;
   Alcotest.(check bool) "misses counted" true (s.B.s_misses > 0);
   Alcotest.(check bool) "writeback counted" true (s.B.s_writebacks > 0);
   let line = B.stats_to_string s in
@@ -961,7 +967,7 @@ let test_eviction_and_segment_flush_keep_marks () =
   check_marked "a dirty page alone marks nothing" prim a false;
   let c0 = Simclock.Clock.charged clock "nvram.mark" in
   dirty cache prim b;
-  Alcotest.(check int) "a was evicted" 1 (B.evictions cache);
+  Alcotest.(check int) "a was evicted" 1 (B.stats cache).B.s_evictions;
   check_marked "eviction marked a" prim a true;
   Alcotest.(check (float 1e-12)) "one NVRAM store per copy" (2. *. mark_cost)
     (Simclock.Clock.charged clock "nvram.mark" -. c0);

@@ -1194,7 +1194,7 @@ let test_retry_budget_exhaustion () =
   (* a fresh client with a one-token budget: the first Overloaded answer
      spends the token on a re-offer, the second finds the bucket dry *)
   let config =
-    { Client.default_config with Client.retry_budget = 1; retry_refill_per_s = 0. }
+    { Client.retry_budget = 1; retry_refill_per_s = 0. }
   in
   let c = mk_client ~config server net 22L in
   let msg = expect_error E.EBUSY (fun () -> Client.c_mkdir c "/x") in
@@ -1581,7 +1581,7 @@ let test_pending_begin_overloaded () =
   let fd_b = raw_fd b server (Wire.Open { path = "/f"; mode = 1; timestamp = None }) in
   ignore (raw_send b (Wire.Ftruncate { fd = fd_b; size = 1L }) : int64);
   Server.pump server;
-  let config = { Client.default_config with Client.retry_budget = 0; retry_refill_per_s = 0. } in
+  let config = { Client.retry_budget = 0; retry_refill_per_s = 0. } in
   let c = mk_client ~config server net 75L in
   Client.c_begin c;
   ignore (expect_error E.EBUSY (fun () -> Client.c_mkdir c "/x") : string);
@@ -1607,7 +1607,7 @@ let test_shed_carrier_unbegins () =
   ignore (raw_send y (Wire.Ftruncate { fd = yfd; size = 1L }) : int64);
   Server.pump server;
   Alcotest.(check int) "the only park slot is taken" 1 (Server.parked_now server);
-  let config = { Client.default_config with Client.retry_budget = 0; retry_refill_per_s = 0. } in
+  let config = { Client.retry_budget = 0; retry_refill_per_s = 0. } in
   let c = mk_client ~config server net 81L in
   Client.c_begin c;
   ignore (expect_error E.EBUSY (fun () -> Client.read_whole_file c "/f") : string);

@@ -7,6 +7,14 @@
 # TEST-ONLY: it stays only with a reason line, such as a counter a test
 # reads as its oracle.
 #
+# Dead-option guard, by the same rule: every optional argument ?label
+# of a val in a lib/**/*.mli is listed as Module.name?label unless some
+# .ml file outside its own module and outside test/ passes it (has
+# ~label or ?label, and the word Module), and fails unless the
+# allowlist has a "Module.name?label reason" line.  An option that no
+# caller passes is a configuration that nothing runs: make it a
+# constant.
+#
 # A file names value v of module M when, outside its comments and
 # string literals, it has the word v and also the word M (M.v, open M,
 # module X = Lib.M, ...): so a common word such as "write" is not taken
@@ -50,11 +58,14 @@ cat > "$tmp/code.awk" <<'EOF'
 }
 EOF
 
-# "file word" for every identifier of every .ml file, once per file.
+# "file word" for every identifier of every .ml file, once per file,
+# and "file ~label" for every label it passes (~label or ?label).
 for d in lib bin bench perfbench examples test; do
   [ -d "$d" ] && find "$d" -name '*.ml' -not -path '*/_build/*'
 done | sort | while read -r f; do
-  LC_ALL=C awk -f "$tmp/code.awk" "$f" | grep -ow "[A-Za-z_][A-Za-z0-9_']*" |
+  LC_ALL=C awk -f "$tmp/code.awk" "$f" > "$tmp/code"
+  { grep -ow "[A-Za-z_][A-Za-z0-9_']*" "$tmp/code"
+    grep -o "[~?][a-z_][A-Za-z0-9_']*" "$tmp/code" | tr '?' '~'; } |
     sort -u | sed "s|^|$f |"
 done > "$tmp/words"
 
@@ -64,17 +75,42 @@ find lib -name '*.mli' -not -path '*/_build/*' | sort | while read -r m; do
     sed "s|^|${m%.mli}.ml |; s|\$| $m|"
 done > "$tmp/vals"
 
+# "own.ml name?label mli" for every optional argument of an exported
+# value, read with comments and strings blanked: a val runs from its
+# keyword to the next signature item.
+cat > "$tmp/opts.awk" <<'EOF'
+function flush(  s, lab) {
+  s = decl
+  while (match(s, /[?][a-z_][A-Za-z0-9_']*[ \t]*:/)) {
+    lab = substr(s, RSTART + 1, RLENGTH - 1); sub(/[ \t]*:$/, "", lab)
+    print ml, name "?" lab, mli
+    s = substr(s, RSTART + RLENGTH)
+  }
+  name = ""; decl = ""
+}
+/^[ \t]*(val|type|module|end|exception|include|open|external)([ \t]|$)/ { flush() }
+/^[ \t]*val[ \t]/ { name = $2; sub(/:.*/, "", name) }
+name != "" { decl = decl " " $0 }
+END { flush() }
+EOF
+find lib -name '*.mli' -not -path '*/_build/*' | sort | while read -r m; do
+  LC_ALL=C awk -f "$tmp/code.awk" "$m" |
+    awk -v ml="${m%.mli}.ml" -v mli="$m" -f "$tmp/opts.awk"
+done > "$tmp/opts"
+
 # "UNUSED mli: M.name" when no other file names it, "TEST-ONLY mli:
-# M.name" when only test/ files do.
+# M.name" when only test/ files do; an option "name?label" counts as
+# named by a file that passes ~label (or ?label) and has the word M.
 awk 'FNR == NR { has[$1, $2] = 1; in_files[$2] = in_files[$2] " " $1; next }
      { m = $1; sub(/.*\//, "", m); sub(/\.ml$/, "", m)
        m = toupper(substr(m, 1, 1)) substr(m, 2)
+       w = $2; if (sub(/.*[?]/, "~", w) == 0) w = $2
        n = 0; t = 0
-       k = split(in_files[$2], f, " ")
+       k = split(in_files[w], f, " ")
        for (i = 1; i <= k; i++)
          if (f[i] != $1 && has[f[i], m]) { if (f[i] ~ /^test\//) t++; else n++ }
        if (n == 0) print (t > 0 ? "TEST-ONLY" : "UNUSED") " " $3 ": " m "." $2 }' \
-  "$tmp/words" "$tmp/vals" | sort -u > "$tmp/unused"
+  "$tmp/words" "$tmp/vals" "$tmp/opts" | sort -u > "$tmp/unused"
 
 allow=test/unused_exports.allow
 status=0
@@ -88,5 +124,6 @@ while read -r kind line; do
   fi
 done < "$tmp/unused"
 [ "$status" -eq 0 ] || echo "Delete each listed value, or hide it in its .mli if its own module uses it;
-a TEST-ONLY value may instead stay with a reason line in $allow."
+make each listed option (name?label) a constant; a TEST-ONLY value or
+option may instead stay with a reason line in $allow."
 exit $status

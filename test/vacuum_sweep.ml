@@ -14,7 +14,7 @@ module VT = Benchlib.Vacuumtest
 
 let () =
   let ops = Sweep.env_int "VACUUM_OPS" VT.default_config.ops in
-  let config = { VT.default_config with ops; trace = Sweep.trace_seed <> None } in
+  let config = { VT.ops; trace = Sweep.trace_seed <> None } in
   let archived = ref 0 in
   Sweep.run ~name:"vacuum"
     (Sweep.seeds ~name:"vacuum"
