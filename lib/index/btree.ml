@@ -93,14 +93,32 @@ let int_set_entry t p i ~item ~child =
   Page.set_string p (items_base + (i * int_entry_size t)) item;
   Page.set_u32 p (items_base + (i * int_entry_size t) + t.isize) child
 
-(* First index whose item is >= target (binary search). *)
-let lower_bound n get target =
+(* [String.compare] of the [isize]-byte item at page offset [off]
+   against [item], read where it lies: a probe that copied the item out
+   would allocate once per comparison. *)
+let rec compare_from raw off item i n =
+  if i = n then 0
+  else
+    let c = Char.compare (Bytes.get raw (off + i)) (String.unsafe_get item i) in
+    if c <> 0 then c else compare_from raw off item (i + 1) n
+
+let compare_at t p off item = compare_from (Page.raw p) off item 0 t.isize
+
+(* First index in [0, n) whose item is >= target (binary search), and
+   whether item [i] is exactly [target], for items [stride] bytes apart
+   from [items_base]: [isize] in a leaf, [int_entry_size] in an internal
+   node. *)
+let lower_bound t p ~stride n target =
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if String.compare (get mid) target < 0 then lo := mid + 1 else hi := mid
+    if compare_at t p (items_base + (mid * stride)) target < 0 then lo := mid + 1
+    else hi := mid
   done;
   !lo
+
+let item_is t p ~stride n i target =
+  i < n && compare_at t p (items_base + (i * stride)) target = 0
 
 (* The entry count lives in memory: keeping it on a page would dirty
    that page on every insert and distort the I/O model.  After a crash
@@ -147,12 +165,11 @@ let reinit t =
 let find_child t blkno item =
   with_page t blkno (fun p ->
       let n = node_nitems p in
-      let pos = lower_bound n (fun i -> int_item t p i) item in
+      let stride = int_entry_size t in
+      let pos = lower_bound t p ~stride n item in
       (* pos = first separator >= item.  Exact match routes right (the
          separator is the first item of its child). *)
-      let pos =
-        if pos < n && String.equal (int_item t p pos) item then pos + 1 else pos
-      in
+      let pos = if item_is t p ~stride n pos item then pos + 1 else pos in
       if pos = 0 then Page.get_u32 p n_child0 else int_child t p (pos - 1))
 
 let rec find_leaf t blkno item =
@@ -166,8 +183,8 @@ let insert_leaf t blkno item : promotion option =
   (* Some promo = inserted (with optional split); None = duplicate no-op. *)
   with_page t blkno (fun p ->
       let n = node_nitems p in
-      let pos = lower_bound n (fun i -> leaf_item t p i) item in
-      if pos < n && String.equal (leaf_item t p pos) item then None
+      let pos = lower_bound t p ~stride:t.isize n item in
+      if item_is t p ~stride:t.isize n pos item then None
       else if n < leaf_cap t then begin
         let raw = Page.raw p in
         Bytes.blit raw (items_base + (pos * t.isize)) raw
@@ -212,7 +229,7 @@ let insert_leaf t blkno item : promotion option =
 let insert_internal t blkno ~sep ~right : promotion =
   with_page t blkno (fun p ->
       let n = node_nitems p in
-      let pos = lower_bound n (fun i -> int_item t p i) sep in
+      let pos = lower_bound t p ~stride:(int_entry_size t) n sep in
       if n < internal_cap t then begin
         let esz = int_entry_size t in
         let raw = Page.raw p in
@@ -297,8 +314,8 @@ let delete t ~key ~value =
   let removed =
     with_page t leaf (fun p ->
         let n = node_nitems p in
-        let pos = lower_bound n (fun i -> leaf_item t p i) item in
-        if pos < n && String.equal (leaf_item t p pos) item then begin
+        let pos = lower_bound t p ~stride:t.isize n item in
+        if item_is t p ~stride:t.isize n pos item then begin
           let raw = Page.raw p in
           Bytes.blit raw
             (items_base + ((pos + 1) * t.isize))
@@ -317,11 +334,10 @@ let delete t ~key ~value =
 (* ---- scans ---- *)
 
 let scan_range t ~lo ~hi f =
-  let lo_item = item_of t ~key:lo ~value:Int64.min_int in
-  (* min_int's BE encoding starts 0x80...; we want the smallest suffix, so
-     use explicit zero bytes instead. *)
-  let lo_item = item_key t lo_item ^ String.make 8 '\x00' in
-  let hi_item = hi ^ String.make 8 '\xff' in
+  (* Value suffixes 0 and -1 are the smallest and largest (8 zero bytes,
+     8 0xff bytes): every entry under [lo] .. [hi] lies between. *)
+  let lo_item = item_of t ~key:lo ~value:0L in
+  let hi_item = item_of t ~key:hi ~value:(-1L) in
   let visit item = f (item_key t item) (item_value t item) in
   let leaf = ref (find_leaf t root lo_item) in
   let stop = ref false in
@@ -329,12 +345,16 @@ let scan_range t ~lo ~hi f =
     let batch = ref [] in
     let next =
       with_page t !leaf (fun p ->
+          (* Copy out only the entries in range: start at [lo_item]'s
+             lower bound, stop at the first entry past [hi_item]. *)
           let n = node_nitems p in
-          for i = 0 to n - 1 do
-            let item = leaf_item t p i in
-            if String.compare item lo_item >= 0 then
-              if String.compare item hi_item <= 0 then batch := item :: !batch
-              else stop := true
+          let i = ref (lower_bound t p ~stride:t.isize n lo_item) in
+          while (not !stop) && !i < n do
+            if compare_at t p (items_base + (!i * t.isize)) hi_item > 0 then stop := true
+            else begin
+              batch := leaf_item t p !i :: !batch;
+              incr i
+            end
           done;
           Page.get_u32 p n_next)
     in

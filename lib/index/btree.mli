@@ -62,8 +62,11 @@ val lookup : t -> key:string -> int64 list
 (** All values stored under exactly [key], ascending. *)
 
 val scan_range : t -> lo:string -> hi:string -> (string -> int64 -> unit) -> unit
-(** Visit every entry with [lo <= key <= hi] in key order.  The callback
-    may raise to stop early. *)
+(** Visit every entry with [lo <= key <= hi] in key order.  Each leaf is
+    searched from [lo]'s lower bound, and the scan stops at the first
+    entry past [hi]; only the entries in range are copied out of the
+    page.  The callback may raise to stop early.  Raises
+    [Invalid_argument] if [lo] or [hi] is not [klen] bytes. *)
 
 val iter : t -> (string -> int64 -> unit) -> unit
 (** Whole-tree scan in key order. *)

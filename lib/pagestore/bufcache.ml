@@ -29,6 +29,7 @@ type entry = {
   blkno : int;
   page : Page.t;
   mutable dirty : bool;
+  mutable seal : (Page.t -> unit) option; (* run on the page before it is stored *)
   mutable pins : int;
   mutable tier : tier;
   mutable prefetched : bool; (* installed by read-ahead, not yet demanded *)
@@ -298,6 +299,9 @@ let write_back t e =
     (match t.writeback_hook with
     | Some hook -> hook ~device:(Device.name e.dev) ~segid:e.segid ~blkno:e.blkno
     | None -> ());
+    (* Sealed once per trip to the device, before the first copy, so the
+       primary and the mirror store the same image. *)
+    (match e.seal with Some seal -> seal e.page | None -> ());
     (* Dual writes: the mirror copy is stored even when the primary has
        failed permanently, so a degraded pair keeps accepting writes.  The
        write-back only fails when no copy lands.  Crash injection is not
@@ -321,6 +325,7 @@ let write_back t e =
     | Some exn when not mirror_landed -> raise exn
     | _ -> ());
     e.dirty <- false;
+    e.seal <- None;
     t.writebacks <- t.writebacks + 1;
     if Obs.on Obs.Cache then
       Obs.event Obs.Cache "cache.writeback"
@@ -404,6 +409,7 @@ let install t dev segid blkno page ~pins ~prefetched =
       blkno;
       page;
       dirty = false;
+      seal = None;
       pins;
       tier = Cold;
       prefetched;
@@ -577,9 +583,10 @@ let unpin t dev ~segid ~blkno =
   e.pins <- e.pins - 1;
   if e.pins = 0 then link_unpinned t e
 
-let mark_dirty t dev ~segid ~blkno =
+let mark_dirty ?seal t dev ~segid ~blkno =
   let e = find_entry t dev ~segid ~blkno in
-  e.dirty <- true
+  e.dirty <- true;
+  if Option.is_some seal then e.seal <- seal
 
 let with_page t dev ~segid ~blkno f =
   let page = get t dev ~segid ~blkno in

@@ -192,22 +192,17 @@ let archive t heap =
      make_relation t ~name:(Heap.name heap ^ "_arch") ?device ~append_only:true ())
 
 (* Shared by the full pass and the incremental step: close the pending
-   commit batch, clamp the horizon to {!safe_horizon} (an explicit one may
-   only lower it, so snapshot/clone leases hold every pass back), and
-   make the archive heap for [`Archive] if this is its first pass. *)
-let vacuum_prologue t ~relation ?horizon ~mode () =
+   commit batch, take the horizon from {!safe_horizon} (so snapshot/clone
+   leases hold every pass back), and make the archive heap for
+   [`Archive] if this is its first pass. *)
+let vacuum_prologue t ~relation ~mode =
   Txn.force_group t.mgr;
   let heap = find_relation t relation in
-  let horizon =
-    match horizon with
-    | Some h -> min h (safe_horizon t)
-    | None -> safe_horizon t
-  in
   let mode = match mode with `Discard -> `Discard | `Archive a -> `Archive (Lazy.force a) in
-  (heap, horizon, mode)
+  (heap, safe_horizon t, mode)
 
-let vacuum t ~relation ?horizon ~mode ?on_remove () =
-  let heap, horizon, mode = vacuum_prologue t ~relation ?horizon ~mode () in
+let vacuum t ~relation ~mode ?on_remove () =
+  let heap, horizon, mode = vacuum_prologue t ~relation ~mode in
   let st =
     Vacuum.step heap ~mgr:t.mgr ~horizon ~mode ?on_remove ~start_block:0
       ~pages:(max 1 (Heap.nblocks heap)) ()
@@ -220,7 +215,7 @@ let vacuum t ~relation ?horizon ~mode ?on_remove () =
   }
 
 let vacuum_step t ~relation ~mode ?(pages = 4) ?on_remove () =
-  let heap, horizon, mode = vacuum_prologue t ~relation ~mode () in
+  let heap, horizon, mode = vacuum_prologue t ~relation ~mode in
   let start_block =
     Option.value (Hashtbl.find_opt t.vacuum_cursors relation) ~default:0
   in

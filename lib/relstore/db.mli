@@ -102,19 +102,19 @@ val archive : t -> Heap.t -> Heap.t Lazy.t
     a migration replaces [heap]; nothing finds an archive by its name. *)
 
 val vacuum :
-  t -> relation:string -> ?horizon:int64 -> mode:[ `Archive of Heap.t Lazy.t | `Discard ] ->
+  t -> relation:string -> mode:[ `Archive of Heap.t Lazy.t | `Discard ] ->
   ?on_remove:(Heap.record -> unit) -> unit -> Vacuum.stats
 (** The full pass of the vacuum cleaner on one relation: one
     {!Vacuum.step} from block 0 over the whole heap, so it is crash-safe
     exactly as a step is (archive copies commit before any main-heap slot
     dies) and needs no quiescence: a relation a writer holds is skipped,
     reported as all zeros, just as a step gives way.  The incremental
-    cursor of {!vacuum_step} is left alone.  [horizon] defaults to the
-    safe horizon (everything already dead that no active transaction or
-    snapshot/clone lease still needs) and is clamped to it when given
-    explicitly.  In [`Archive] mode the archive ({!archive}) is forced
-    after the pending commit batch is closed, so an archive is made by
-    its relation's first archive pass. *)
+    cursor of {!vacuum_step} is left alone.  The horizon is the safe
+    horizon: everything already dead that no active transaction or
+    snapshot/clone lease ({!acquire_lease}) still needs.  In [`Archive]
+    mode the archive ({!archive}) is forced after the pending commit
+    batch is closed, so an archive is made by its relation's first
+    archive pass. *)
 
 (** {2 Incremental vacuum and time-travel leases} *)
 

@@ -52,7 +52,10 @@ let write_lock t txn = Txn.lock txn ~resource:(resource t) Lock_mgr.Exclusive
 let with_page t blkno f =
   Pagestore.Bufcache.with_page t.cache t.device ~segid:t.segid ~blkno f
 
-let dirty t blkno = Pagestore.Bufcache.mark_dirty t.cache t.device ~segid:t.segid ~blkno
+(* A change leaves the page's checksum zeroed; the pool seals it once,
+   when it writes the page back. *)
+let dirty t blkno =
+  Pagestore.Bufcache.mark_dirty t.cache t.device ~segid:t.segid ~blkno ~seal:Heap_page.seal
 
 let record_of_page_record blkno (r : Heap_page.record) =
   {
@@ -63,8 +66,6 @@ let record_of_page_record blkno (r : Heap_page.record) =
     payload = r.payload;
   }
 
-(* Unsealed: the one caller, [insert_payload], seals it with its first
-   record a step later. *)
 let fresh_block t =
   let blkno = Pagestore.Bufcache.new_block t.cache t.device ~segid:t.segid in
   with_page t blkno (fun page -> Heap_page.init page ~relid:t.relid ~blkno);
@@ -76,7 +77,6 @@ let try_insert_on t blkno ~oid ~xmin payload =
       if not (Heap_page.is_initialized page) then Heap_page.init page ~relid:t.relid ~blkno;
       match Heap_page.insert page ~oid ~xmin ~payload with
       | Some slot ->
-        Heap_page.seal page;
         dirty t blkno;
         Some (Tid.make ~blkno ~slot)
       | None -> None)
@@ -121,8 +121,7 @@ let append_raw t ~oid ~xmin ~xmax payload =
   let tid = insert_payload t ~oid ~xmin payload in
   if Xid.is_valid xmax then begin
     with_page t tid.Tid.blkno (fun page ->
-        Heap_page.set_xmax page ~slot:tid.Tid.slot xmax;
-        Heap_page.seal page);
+        Heap_page.set_xmax page ~slot:tid.Tid.slot xmax);
     dirty t tid.Tid.blkno
   end;
   tid
@@ -150,9 +149,7 @@ let delete_stamped t txn (tid : Tid.t) r =
   reject_if_append_only t "Heap.delete";
   if Xid.is_valid r.xmax && (r.xmax = Txn.xid txn || Status_log.is_committed t.log r.xmax)
   then invalid_arg "Heap.delete: record already deleted";
-  with_page t tid.blkno (fun page ->
-      Heap_page.set_xmax page ~slot:tid.slot (Txn.xid txn);
-      Heap_page.seal page);
+  with_page t tid.blkno (fun page -> Heap_page.set_xmax page ~slot:tid.slot (Txn.xid txn));
   dirty t tid.blkno
 
 let delete t txn (tid : Tid.t) =
@@ -228,16 +225,12 @@ let scan ?(where = every) t snap f =
 
 let kill_tid t (tid : Tid.t) =
   reject_if_append_only t "Heap.kill_tid";
-  with_page t tid.blkno (fun page ->
-      Heap_page.kill_slot page ~slot:tid.slot;
-      Heap_page.seal page);
+  with_page t tid.blkno (fun page -> Heap_page.kill_slot page ~slot:tid.slot);
   dirty t tid.blkno
 
 let compact_block t blkno =
   reject_if_append_only t "Heap.compact_block";
-  with_page t blkno (fun page ->
-      Heap_page.compact page;
-      Heap_page.seal page);
+  with_page t blkno Heap_page.compact;
   dirty t blkno
 
 let verify ?on_record t =

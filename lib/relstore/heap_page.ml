@@ -37,6 +37,10 @@ let free_upper page =
   let v = Pagestore.Page.get_u16 page off_free_upper in
   if v = 0 then Pagestore.Page.size else v
 
+(* Every change zeroes the checksum: 0 reads "changed in the pool since
+   it was last stored", and [seal] fills it in on the way out. *)
+let unseal page = Pagestore.Page.set_u32 page off_checksum 0
+
 let set_free_upper page v = Pagestore.Page.set_u16 page off_free_upper (v land 0xffff)
 
 let line_ptr_off slot = header_size + (slot * line_ptr_size)
@@ -85,6 +89,7 @@ let insert page ~oid ~xmin ~payload =
     set_free_upper page off;
     set_slot_entry page slot ~off ~len:total;
     if fresh then Pagestore.Page.set_u16 page off_nslots (slot + 1);
+    unseal page;
     Some slot
   end
 
@@ -153,11 +158,13 @@ let set_xmax page ~slot xmax =
   if slot < 0 || slot >= nslots page then invalid_arg "Heap_page.set_xmax: bad slot";
   let off, total = slot_entry page slot in
   if total = 0 then invalid_arg "Heap_page.set_xmax: dead slot";
-  Pagestore.Page.set_u32 page (off + 12) xmax
+  Pagestore.Page.set_u32 page (off + 12) xmax;
+  unseal page
 
 let kill_slot page ~slot =
   if slot < 0 || slot >= nslots page then invalid_arg "Heap_page.kill_slot: bad slot";
-  set_slot_entry page slot ~off:0 ~len:0
+  set_slot_entry page slot ~off:0 ~len:0;
+  unseal page
 
 let iter_views page f =
   let v = { page; vslot = 0; off = 0; len = 0 } in
@@ -191,7 +198,7 @@ let compact page =
   List.iter place records
 
 let seal page =
-  Pagestore.Page.set_u32 page off_checksum 0;
+  unseal page;
   Pagestore.Page.set_u32 page off_checksum (Pagestore.Page.checksum page)
 
 (* An allocated-but-never-written page (e.g. from a transaction that
@@ -212,10 +219,12 @@ let verify page ~expect_relid ~expect_blkno =
     Error
       (Printf.sprintf "blkno mismatch: page says %d, expected %d"
          (Pagestore.Page.get_u32 page off_blkno) expect_blkno)
-  else begin
+  else
     let stored = Pagestore.Page.get_u32 page off_checksum in
-    Pagestore.Page.set_u32 page off_checksum 0;
-    let crc = Pagestore.Page.checksum page in
-    Pagestore.Page.set_u32 page off_checksum stored;
-    if stored <> 0 && stored <> crc then Error "checksum mismatch" else Ok ()
-  end
+    if stored = 0 then Ok () (* changed in the pool since it was last stored *)
+    else begin
+      unseal page;
+      let crc = Pagestore.Page.checksum page in
+      Pagestore.Page.set_u32 page off_checksum stored;
+      if stored <> crc then Error "checksum mismatch" else Ok ()
+    end

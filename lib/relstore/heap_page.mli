@@ -15,11 +15,18 @@
     6  flags      u16
     8  relid      i64
     16 blkno      u32
-    20 checksum   u32   CRC-32 with this field zeroed; see seal/verify
+    20 checksum   u32   CRC-32 with this field zeroed, or 0; see seal/verify
     24 line pointers, 4 bytes each: offset u16, length u16 (0 = dead)
     v}
 
-    Each record is stored as [oid i64, xmin u32, xmax u32, payload]. *)
+    Each record is stored as [oid i64, xmin u32, xmax u32, payload].
+
+    The checksum is paid once per trip to the device, not once per
+    change.  Every change ({!insert}, {!set_xmax}, {!kill_slot},
+    {!compact}, {!init}) zeroes the field, so 0 means "changed in the
+    pool since it was last stored"; the heap has the buffer pool {!seal}
+    the page as it writes it back, so every stored image carries the
+    CRC of exactly the bytes stored. *)
 
 type record = {
   slot : int;
@@ -104,8 +111,10 @@ val compact : Pagestore.Page.t -> unit
     (hence TIDs) are preserved. *)
 
 val seal : Pagestore.Page.t -> unit
-(** Recompute and store the checksum. *)
+(** Recompute and store the checksum: one CRC over the whole page. *)
 
 val verify : Pagestore.Page.t -> expect_relid:int64 -> expect_blkno:int -> (unit, string) result
 (** Self-identification check: magic, relid, blkno and checksum all match.
-    All-zero pages pass — they are unused space, not corruption. *)
+    All-zero pages pass — they are unused space, not corruption.  A page
+    whose checksum field is 0 (changed in the pool, not yet stored) is
+    checked on its header only, before any CRC is computed. *)

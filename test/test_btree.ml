@@ -388,6 +388,130 @@ let test_crash_during_root_split () =
   Alcotest.(check bool) "the split's flush spans several stores" true (stores > 3);
   Alcotest.(check bool) "some crash tears the tree" true (!detected > 0)
 
+(* ---- scan bounds ----
+
+   A lookup descends to the leaf where its key's smallest entry would
+   go, starts there at the lower bound and stops at the first entry past
+   the key.  Each case checks every lookup against a brute-force filter
+   of the whole-chain scan. *)
+
+let brute t k =
+  let acc = ref [] in
+  Index.Btree.iter t (fun k' v -> if String.equal k k' then acc := v :: !acc);
+  List.rev !acc
+
+let check_lookups t keys =
+  List.iter
+    (fun k ->
+      Alcotest.(check (list int64))
+        (Printf.sprintf "lookup %Ld" (Index.Key.to_int64 k))
+        (brute t k) (Index.Btree.lookup t ~key:k))
+    keys
+
+let test_key_spans_leaves () =
+  (* A leaf holds 511 entries of an 8-byte key, so 600 values under key
+     5 cannot share one; neighbours on both sides hold a few each. *)
+  let t, cache = make_tree_and_cache () in
+  let keys = List.init 10 key in
+  for v = 0 to 599 do
+    Index.Btree.insert t ~key:(key 5) ~value:(Int64.of_int v);
+    if v mod 60 = 0 then
+      List.iter (fun i -> Index.Btree.insert t ~key:(key i) ~value:(Int64.of_int v)) [ 0; 4; 6; 9 ];
+    check_ok t
+  done;
+  Alcotest.(check bool) "two leaves at least" true (List.length (leaf_chain cache t) >= 2);
+  Alcotest.(check int) "all 600 under key 5" 600 (List.length (Index.Btree.lookup t ~key:(key 5)));
+  check_lookups t keys;
+  for v = 0 to 599 do
+    if v mod 7 = 0 then begin
+      Alcotest.(check bool) "deleted" true
+        (Index.Btree.delete t ~key:(key 5) ~value:(Int64.of_int v));
+      check_ok t
+    end
+  done;
+  check_lookups t keys;
+  let acc = ref [] in
+  Index.Btree.scan_range t ~lo:(key 4) ~hi:(key 6) (fun _ v -> acc := v :: !acc);
+  Alcotest.(check (list int64)) "range 4..6"
+    (brute t (key 4) @ brute t (key 5) @ brute t (key 6))
+    (List.rev !acc)
+
+let test_absent_keys () =
+  (* Keys 10, 20, ..., 15000 over several leaves; the probes fall below,
+     between (at every gap, leaf boundaries included) and above them. *)
+  let t, cache = make_tree_and_cache () in
+  for i = 1 to 1500 do
+    Index.Btree.insert t ~key:(key (i * 10)) ~value:(Int64.of_int i)
+  done;
+  check_ok t;
+  Alcotest.(check bool) "several leaves" true (List.length (leaf_chain cache t) >= 3);
+  let absent = [ 0; 9 ] @ List.init 1500 (fun i -> (i * 10) + 15) @ [ 1 lsl 40 ] in
+  List.iter
+    (fun i ->
+      Alcotest.(check (list int64)) (Printf.sprintf "absent %d" i) []
+        (Index.Btree.lookup t ~key:(key i)))
+    absent;
+  Alcotest.(check (list int64)) "above every key" []
+    (Index.Btree.lookup t ~key:(Index.Key.max_key ~width:8));
+  check_lookups t (List.init 1500 (fun i -> key ((i + 1) * 10)))
+
+let test_separator_routes_right () =
+  (* Every entry carries value 0, so each lookup's lower bound is the
+     entry itself, and a leaf's first entry, copied up as the separator,
+     is exactly what the lookup of its key searches for.  The first key
+     of each leaf but the leftmost (at the item base, byte 16) is such a
+     separator. *)
+  let t, cache = make_tree_and_cache () in
+  for i = 0 to 1999 do
+    Index.Btree.insert t ~key:(key i) ~value:0L;
+    check_ok t
+  done;
+  let separators =
+    List.map
+      (fun b -> node_page cache t b (fun p -> Pagestore.Page.get_string p 16 8))
+      (List.tl (leaf_chain cache t))
+  in
+  Alcotest.(check bool) "three separators at least" true (List.length separators >= 3);
+  List.iter
+    (fun k ->
+      Alcotest.(check (list int64))
+        (Printf.sprintf "separator %Ld" (Index.Key.to_int64 k))
+        [ 0L ] (Index.Btree.lookup t ~key:k))
+    separators;
+  check_lookups t (List.init 2000 key);
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) "separator deleted" true (Index.Btree.delete t ~key:k ~value:0L);
+      check_ok t;
+      Alcotest.(check (list int64)) "gone" [] (Index.Btree.lookup t ~key:k))
+    separators;
+  check_lookups t (List.init 2000 key)
+
+(* One lookup hit on a two-level tree of 2,000 naming keys (12 bytes:
+   parent oid and name CRC), counted exactly in minor words, so the
+   bound is a deterministic gate.  Copying each probed key out of its
+   page, and every entry of the leaf, costs about 1,250 words. *)
+let test_lookup_allocation () =
+  let t = make_tree ~klen:12 () in
+  let name_key i =
+    Index.Key.dir_name ~parentid:(Int64.of_int (1 + (i mod 32))) ~name:(Printf.sprintf "f%04d" i)
+  in
+  for i = 0 to 1999 do
+    Index.Btree.insert t ~key:(name_key i) ~value:(Int64.of_int i)
+  done;
+  Alcotest.(check int) "two levels" 2 (Index.Btree.height t);
+  let k = name_key 1767 in
+  Alcotest.(check (list int64)) "hit" [ 1767L ] (Index.Btree.lookup t ~key:k);
+  let rounds = 100 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    ignore (Index.Btree.lookup t ~key:k : int64 list)
+  done;
+  let per_lookup = (Gc.minor_words () -. w0) /. float_of_int rounds in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per lookup, at most 400" per_lookup)
+    true (per_lookup <= 400.)
+
 (* ---- properties ---- *)
 
 let prop_model_equivalence =
@@ -461,6 +585,13 @@ let () =
           Alcotest.test_case "root splits in place" `Quick test_root_splits_in_place;
           Alcotest.test_case "crash during a 2 -> 3 root split" `Quick
             test_crash_during_root_split;
+        ] );
+      ( "scans",
+        [
+          Alcotest.test_case "key spans a leaf boundary" `Quick test_key_spans_leaves;
+          Alcotest.test_case "absent keys" `Quick test_absent_keys;
+          Alcotest.test_case "separator key routes right" `Quick test_separator_routes_right;
+          Alcotest.test_case "lookup allocation" `Quick test_lookup_allocation;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

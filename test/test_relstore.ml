@@ -96,6 +96,36 @@ let test_page_self_identification () =
   Alcotest.(check bool) "corruption detected" true
     (HP.verify p ~expect_relid:5L ~expect_blkno:9 <> Ok ())
 
+(* A page whose checksum field is 0 has changed in the pool since it
+   was last stored: verify returns on the header, before any CRC.  The
+   CRC is the whole cost of verifying a sealed page (about 11 us), so
+   the unsealed check runs far under a tenth of it; the loops time CPU,
+   not wall-clock, and the margin is wide. *)
+let test_unsealed_verify_skips_crc () =
+  let p = P.create () in
+  HP.init p ~relid:5L ~blkno:9;
+  ignore (HP.insert p ~oid:1L ~xmin:1 ~payload:(Bytes.make 4000 'x') : int option);
+  let sealed = P.copy p in
+  HP.seal sealed;
+  Alcotest.(check int) "unsealed field" 0 (P.get_u32 p 20);
+  let time page =
+    let t0 = Sys.time () in
+    for _ = 1 to 2000 do
+      ignore (HP.verify page ~expect_relid:5L ~expect_blkno:9 : (unit, string) result)
+    done;
+    Sys.time () -. t0
+  in
+  ignore (time sealed : float);
+  let unsealed_s = time p and sealed_s = time sealed in
+  Alcotest.(check bool)
+    (Printf.sprintf "unsealed %.1f us, sealed %.1f us per verify" (unsealed_s *. 500.)
+       (sealed_s *. 500.))
+    true
+    (unsealed_s *. 10. < sealed_s);
+  Alcotest.(check bool) "both verify" true
+    (HP.verify p ~expect_relid:5L ~expect_blkno:9 = Ok ()
+    && HP.verify sealed ~expect_relid:5L ~expect_blkno:9 = Ok ())
+
 (* ---- Status log ---- *)
 
 let test_status_lifecycle () =
@@ -374,13 +404,16 @@ let test_vacuum_respects_horizon () =
   let clock = Db.clock db in
   let tid = Db.with_txn db (fun txn -> H.insert heap txn ~oid:1L (payload "old")) in
   Simclock.Clock.advance clock 10.;
-  let horizon = Db.now db in
+  (* an As_of reader holds the horizon here, as history fds and clone
+     bases do *)
+  let lease = Db.acquire_lease db ~horizon:(Db.now db) in
   Simclock.Clock.advance clock 10.;
   (* this version dies AFTER the horizon: it must be kept *)
   ignore (Db.with_txn db (fun txn -> H.update heap txn tid (payload "new")));
-  let stats = Db.vacuum db ~relation:"t" ~horizon ~mode:`Discard () in
+  let stats = Db.vacuum db ~relation:"t" ~mode:`Discard () in
   Alcotest.(check int) "nothing before horizon was dead" 0 stats.discarded;
-  Alcotest.(check bool) "old version still present" true (H.fetch_any heap tid <> None)
+  Alcotest.(check bool) "old version still present" true (H.fetch_any heap tid <> None);
+  Db.release_lease db lease
 
 let test_scan_skips_unwritten_pages () =
   (* allocate a block directly on the device (never initialized as a heap
@@ -846,6 +879,53 @@ let test_fsck_detects_media_corruption () =
       (String.length msg > 0)
   | Ok () -> Alcotest.fail "corruption went undetected")
 
+(* A heap page is sealed once per trip to the device: a change zeroes
+   its checksum field, and the pool seals it as it writes it back (on
+   commit, or when an eviction stores it mid-transaction). *)
+let test_seal_at_write_back () =
+  let db = Db.create ~cache_capacity:4 () in
+  let heap = Db.create_relation db ~name:"t" () in
+  let dev = H.device heap and segid = H.segid heap in
+  let pool_page blkno f = Pagestore.Bufcache.with_page (Db.cache db) dev ~segid ~blkno f in
+  let txn = Db.begin_txn db in
+  for i = 1 to 5 do
+    ignore (H.insert heap txn ~oid:(Int64.of_int i) (payload (String.make 100 'a')) : Relstore.Tid.t)
+  done;
+  Alcotest.(check int) "one page" 1 (H.nblocks heap);
+  Alcotest.(check int) "changed in the pool: field 0" 0 (pool_page 0 (fun p -> P.get_u32 p 20));
+  Alcotest.(check bool) "verifies unsealed" true (H.verify heap = Ok ());
+  ignore (T.commit txn : int64);
+  let image = peek dev ~segid ~blkno:0 in
+  Alcotest.(check bool) "stored sealed" true (P.get_u32 image 20 <> 0);
+  let by_hand =
+    pool_page 0 (fun p ->
+        let c = P.copy p in
+        HP.seal c;
+        c)
+  in
+  Alcotest.(check bool) "image = pool page sealed by hand" true
+    (Bytes.equal (P.to_bytes image) (P.to_bytes by_hand));
+  (* Page-sized records overflow the 4-page pool within one
+     transaction, so block 1 is evicted, hence stored, before commit. *)
+  let txn = Db.begin_txn db in
+  for i = 1 to 12 do
+    ignore (H.insert heap txn ~oid:(Int64.of_int i) (payload (String.make 5000 'b')) : Relstore.Tid.t)
+  done;
+  let evicted = peek dev ~segid ~blkno:1 in
+  Alcotest.(check bool) "evicted mid-transaction" true (HP.is_initialized evicted);
+  Alcotest.(check bool) "evicted page stored sealed" true (P.get_u32 evicted 20 <> 0);
+  Alcotest.(check bool) "evicted image verifies" true
+    (HP.verify evicted ~expect_relid:(H.relid heap) ~expect_blkno:1 = Ok ());
+  ignore (T.commit txn : int64);
+  (* a byte flipped on the medium is still caught *)
+  let image = peek dev ~segid ~blkno:0 in
+  P.set_u8 image 6000 (P.get_u8 image 6000 lxor 0xFF);
+  Pagestore.Device.poke_block dev ~segid ~blkno:0 image;
+  Pagestore.Bufcache.crash (Db.cache db);
+  match H.verify heap with
+  | Error msg -> Alcotest.(check string) "caught" "t block 0: checksum mismatch" msg
+  | Ok () -> Alcotest.fail "corruption went undetected"
+
 let prop_heap_page_model =
   (* model-based slotted page: insert/kill/compact against an assoc list *)
   QCheck.Test.make ~name:"heap page matches slot model" ~count:100
@@ -940,6 +1020,8 @@ let () =
           Alcotest.test_case "max payload" `Quick test_page_max_payload;
           Alcotest.test_case "compact preserves TIDs" `Quick test_page_compact_preserves_tids;
           Alcotest.test_case "self-identification" `Quick test_page_self_identification;
+          Alcotest.test_case "unsealed verify skips the CRC" `Quick
+            test_unsealed_verify_skips_crc;
         ] );
       ( "status_log",
         [
@@ -967,6 +1049,7 @@ let () =
           Alcotest.test_case "crash recovery" `Quick test_crash_recovery_semantics;
           Alcotest.test_case "full-page payload" `Quick test_large_payload_roundtrip;
           Alcotest.test_case "self-identifying pages verify" `Quick test_verify_clean_heap;
+          Alcotest.test_case "sealed once, at write-back" `Quick test_seal_at_write_back;
         ] );
       ( "media",
         [
