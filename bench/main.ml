@@ -1081,8 +1081,7 @@ let () =
        deadline (from each op's arrival) with every request — the server
        refuses work whose caller gave up, and degradation shifts from
        unbounded queueing to clean sheds (0 = seed behaviour, no
-       deadlines); --factors 1,2,4 then sweeps the saturated range.  The
-       server keeps its own parking and admission bounds. *)
+       deadlines); --factors 1,2,4 then sweeps the saturated range. *)
     let find_arg name default =
       let rec go = function
         | a :: v :: _ when a = name -> int_of_string v

@@ -486,8 +486,8 @@ let run_one w ~gen ~crash =
   match apply w ss op with
   | Applied | Skipped -> ()
   | Refused ->
-    (* no harness that draws its own sessions sets a deadline or a load
-       its server sheds *)
+    (* no harness that draws its own sessions sets a deadline, and a
+       fleet rides out a handoff within its redirect budget *)
     Oracle.mismatch w.ora "s%d: request refused (deadline or overload)" ss.id
   | exception Device.Crash_injected _ ->
     crash ();

@@ -58,7 +58,8 @@ type t = {
   mutable time_travel_checks : int;
   mutable deadline_refusals : int;
       (** requests refused because their deadline had passed *)
-  mutable overload_refusals : int;  (** ...because the server shed them *)
+  mutable overload_refusals : int;
+      (** ...because the server answered them {!Remote.Wire.Overloaded} *)
 }
 
 val create :
@@ -141,10 +142,10 @@ val apply : t -> sess -> (sess -> Oracle.updates) -> result
     transient I/O error, a lock conflict (a lock wait that timed out
     included) or an unlink race aborts the session's transaction; a
     media failure or an unexpected error does too, and is logged as a
-    mismatch.  A request refused for its deadline or by a shedding
-    server ({!Remote.Client.refusal}) is counted in
-    [deadline_refusals] or [overload_refusals] and aborts the
-    transaction too.  A fleet's stale-placement refusal that outlives
+    mismatch.  A request refused for its deadline or as overloaded (a
+    fleet bucket's handoff that outlives the conn's redirect budget)
+    ({!Remote.Client.refusal}) is counted in [deadline_refusals] or
+    [overload_refusals] and aborts the transaction too.  A fleet's stale-placement refusal that outlives
     the conn's redirect budget is an unexpected error.  An injected
     device crash propagates. *)
 
@@ -158,7 +159,8 @@ val refuse : t -> sess -> Remote.Client.refusal -> string -> result
 val run_one : t -> gen:(sess -> sess -> Oracle.updates) -> crash:(unit -> unit) -> unit
 (** {!apply} an op drawn by [gen] to a random session.  An injected
     device crash goes to [crash].  A refusal is logged as a mismatch:
-    these harnesses set no deadline and no load their server sheds. *)
+    these harnesses set no deadline, and a fleet rides out a handoff
+    within its redirect budget. *)
 
 val safe_abort : t -> sess -> unit
 (** Abort the session's transaction, if any, and drop its overlay. *)

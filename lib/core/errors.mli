@@ -23,9 +23,9 @@ type code =
       (** (remote client) the session to the server was lost and could
           not be recovered; an in-flight transaction is cleanly aborted *)
   | EBUSY
-      (** (remote client) the server shed the request under overload and
-          the retry budget ran out before it was admitted; the request
-          definitively did not execute *)
+      (** (remote client) the server refused the request as overloaded
+          (a shard's bucket mid-handoff) until the client's re-offers ran
+          out; the request definitively did not execute *)
   | ENOTSUP
       (** the server does not implement the requested operation (wire
           version skew: a newer client spoke to an older server) *)

@@ -4,10 +4,6 @@ module Link = Netsim.Link
 module Clock = Simclock.Clock
 module Rng = Simclock.Rng
 
-type config = { retry_budget : int; retry_refill_per_s : float }
-
-let default_config = { retry_budget = 8; retry_refill_per_s = 2.0 }
-
 (* Per-attempt reply timeout; retransmissions after the first attempt;
    the backoff before retry k is [backoff_base_s * 2^k], capped at
    [backoff_max_s] and jittered 0.5-1.5x; liveness probes after the
@@ -29,7 +25,6 @@ type t = {
   net : Netsim.t;
   clock : Clock.t;
   rng : Rng.t;
-  cfg : config;
   asm : Wire.Assembly.t;
   fds : (int, fd_state) Hashtbl.t;
   mutable sid : int64; (* 0 = no session *)
@@ -38,15 +33,12 @@ type t = {
   mutable closes : int list; (* deferred closes, newest first *)
   mutable begin_pending : bool; (* c_begin not yet carried to the server *)
   mutable deadline : float; (* absolute seconds; infinity = none *)
-  mutable tokens : float; (* retry-budget token bucket *)
-  mutable tokens_at : float; (* clock time of the last refill *)
   mutable retries : int;
   mutable timeouts : int;
   mutable reconnects : int;
   mutable sessions_lost : int;
   mutable overloaded : int;
   mutable deadline_failfasts : int;
-  mutable budget_denials : int;
   mutable piggybacked : int;
 }
 
@@ -60,7 +52,6 @@ let reconnects t = t.reconnects
 let sessions_lost t = t.sessions_lost
 let overloaded t = t.overloaded
 let deadline_failfasts t = t.deadline_failfasts
-let budget_denials t = t.budget_denials
 let piggybacked t = t.piggybacked
 
 (* Deadline propagation is opt-in, per client: an installed deadline
@@ -73,24 +64,6 @@ let set_deadline t d =
 
 let deadline t = if t.deadline = infinity then None else Some t.deadline
 
-(* The retry budget: a token bucket refilled by simulated time.  Spent
-   only on re-offering work a saturated server explicitly shed
-   ([Overloaded]) — ordinary timeout retries keep their exponential
-   backoff — so a herd of clients cannot hammer an overloaded server in
-   a tight retry loop. *)
-let take_token t =
-  let now = Clock.now t.clock in
-  t.tokens <-
-    min
-      (float_of_int t.cfg.retry_budget)
-      (t.tokens +. ((now -. t.tokens_at) *. t.cfg.retry_refill_per_s));
-  t.tokens_at <- now;
-  if t.tokens >= 1. then begin
-    t.tokens <- t.tokens -. 1.;
-    true
-  end
-  else false
-
 let fresh_rid t =
   let rid = t.next_rid in
   t.next_rid <- Int64.add rid 1L;
@@ -98,11 +71,11 @@ let fresh_rid t =
 
 let conn_reset msg = raise (Errors.Fs_error (Errors.ECONNRESET, msg))
 
-(* Bounded jitter on the server's retry-after hint: every shed client
-   sleeping exactly [retry_after] would re-arrive as the same
-   synchronized herd that was just shed.  0.75x-1.25x keeps the hint's
-   magnitude (the server sized it to drain the backlog) while spreading
-   the re-offers across half a hint-width. *)
+(* Bounded jitter on the server's retry-after hint: every refused
+   client sleeping exactly [retry_after] would re-arrive as the same
+   synchronized herd that was just refused.  0.75x-1.25x keeps the
+   hint's magnitude while spreading the re-offers across half a
+   hint-width. *)
 let jitter_retry_after rng d = d *. (0.75 +. Rng.float rng 0.5)
 
 let backoff_and_note t attempt =
@@ -174,23 +147,22 @@ let send_and_pump t ~pipelined frames =
 
 (* One request/reply exchange with bounded retries: at-least-once on the
    wire, exactly-once observed thanks to the server's dedup window (every
-   retry reuses the same request id).  Frames are re-encoded per attempt
-   so retransmissions carry the retry flag — admission control sheds
-   flagged traffic first — and every attempt carries the caller's
-   deadline.
+   retry reuses the same request id), and every attempt carries the
+   caller's deadline.
 
-   An [Overloaded] answer means the server shed the request before
-   executing it: definitively nothing happened.  The client stands back
-   for the server's hint and re-offers — if its retry budget and the
-   deadline allow; otherwise the call fails cleanly with [EBUSY]. *)
+   An [Overloaded] answer means the server refused the request before
+   executing it (a shard's bucket is mid-handoff): definitively nothing
+   happened.  The client stands back for the server's hint and re-offers
+   — if the attempt limit and the deadline allow; otherwise the call
+   fails cleanly with [EBUSY]. *)
 let overloaded_msg = "server overloaded"
 
 let exchange t ~sid ~rid ~pipelined req =
   let deadline_us =
     if t.deadline = infinity then 0L else Int64.of_float (t.deadline *. 1e6)
   in
+  let frames = Wire.encode_request ~deadline_us ~sid ~rid req in
   let rec attempt k =
-    let frames = Wire.encode_request ~retry:(k > 0) ~deadline_us ~sid ~rid req in
     send_and_pump t ~pipelined:(pipelined && k = 0) frames;
     match drain_replies t ~rid with
     | Some (Wire.Overloaded { retry_after_s }) ->
@@ -205,12 +177,6 @@ let exchange t ~sid ~rid ~pipelined req =
         raise
           (Errors.Fs_error
              (Errors.EBUSY, Printf.sprintf "%s; gave up after %d offers" overloaded_msg (k + 1)))
-      else if not (take_token t) then begin
-        t.budget_denials <- t.budget_denials + 1;
-        raise
-          (Errors.Fs_error
-             (Errors.EBUSY, overloaded_msg ^ " and retry budget exhausted"))
-      end
       else begin
         Clock.advance t.clock ~account:"net.retry_after" pause;
         Netsim.note_retry t.net;
@@ -350,7 +316,7 @@ let note_txn t txn_open =
    begin stays pending for the next request.  An error answer may not
    have run the closes either, so they stay queued: closing an fd the
    server no longer has is a no-op.  Answers without a transaction state
-   (shed, unsupported, wrong shard, lost session) ran nothing. *)
+   (overloaded, unsupported, wrong shard, lost session) ran nothing. *)
 let settle_carried t wreq reply =
   match wreq with
   | Wire.Carry { closes; begin_txn; _ } ->
@@ -423,7 +389,7 @@ and finish t ~was_txn ~reissued ~pipelined ~wreq req reply =
     raise (Pagestore.Device.Io_fault { device = "remote"; segid = -1; blkno = -1 })
   | Wire.Overloaded _ ->
     (* normally intercepted inside [exchange]; a stray one (e.g. from the
-       post-probe exchange) means the same thing: definitively shed *)
+       post-probe exchange) means the same thing: definitively refused *)
     raise (Errors.Fs_error (Errors.EBUSY, overloaded_msg))
   | Wire.Unsupported { opcode } ->
     (* version skew: this server predates the opcode.  Structural and
@@ -467,7 +433,7 @@ and finish t ~was_txn ~reissued ~pipelined ~wreq req reply =
 
 (* ---------------- construction ---------------- *)
 
-let connect ?(config = default_config) ~server ~link ~rng () =
+let connect ~server ~link ~rng () =
   let net = Link.net link in
   let t =
     {
@@ -476,7 +442,6 @@ let connect ?(config = default_config) ~server ~link ~rng () =
       net;
       clock = Netsim.clock net;
       rng;
-      cfg = config;
       asm = Wire.Assembly.create ();
       fds = Hashtbl.create 8;
       sid = 0L;
@@ -485,15 +450,12 @@ let connect ?(config = default_config) ~server ~link ~rng () =
       closes = [];
       begin_pending = false;
       deadline = infinity;
-      tokens = float_of_int config.retry_budget;
-      tokens_at = Clock.now (Netsim.clock net);
       retries = 0;
       timeouts = 0;
       reconnects = 0;
       sessions_lost = 0;
       overloaded = 0;
       deadline_failfasts = 0;
-      budget_denials = 0;
       piggybacked = 0;
     }
   in
@@ -508,7 +470,6 @@ let connect ?(config = default_config) ~server ~link ~rng () =
   Obs.Metrics.probe "net.client.sessions_lost" (fun () -> t.sessions_lost);
   Obs.Metrics.probe "net.client.overloaded" (fun () -> t.overloaded);
   Obs.Metrics.probe "net.client.deadline_failfasts" (fun () -> t.deadline_failfasts);
-  Obs.Metrics.probe "net.client.budget_denials" (fun () -> t.budget_denials);
   Obs.Metrics.probe "net.messages" (fun () -> Netsim.messages net);
   Obs.Metrics.probe "net.bytes_sent" (fun () -> Netsim.bytes_sent net);
   if not (hello t) then conn_reset "could not establish a session";

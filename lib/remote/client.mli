@@ -41,15 +41,12 @@
     read/write carries its offset explicitly, keeping requests
     idempotent.
 
-    {2 Overload and deadlines}
+    {2 Refusals and deadlines}
 
-    Retransmissions carry the retry flag, which the server's admission
-    control sheds first under load.  A {!Wire.Overloaded} answer
-    (definitively not executed) makes the client stand back for the
-    server's retry-after hint and re-offer — paying one token from a
-    {e retry budget} (a token bucket refilled by simulated time); when
-    the budget, the attempt limit, or the deadline runs out the call
-    fails cleanly with [Fs_error (EBUSY, _)].
+    A {!Wire.Overloaded} answer (definitively not executed: a shard's
+    bucket is mid-handoff) makes the client stand back for the server's
+    retry-after hint and re-offer; when the attempt limit or the
+    deadline runs out the call fails cleanly with [Fs_error (EBUSY, _)].
 
     An installed {!set_deadline} rides every request header.  A call
     whose deadline has already passed fails fast with
@@ -60,22 +57,10 @@
     then resolves through the usual lost-reply accounting.  [Abort] and
     [Bye] are exempt: releasing resources is always worth sending. *)
 
-type config = {
-  retry_budget : int;  (** token-bucket capacity for re-offering shed work *)
-  retry_refill_per_s : float;  (** tokens regained per simulated second *)
-}
-
 type t
 
-val connect :
-  ?config:config ->
-  server:Server.t ->
-  link:Netsim.Link.t ->
-  rng:Simclock.Rng.t ->
-  unit ->
-  t
+val connect : server:Server.t -> link:Netsim.Link.t -> rng:Simclock.Rng.t -> unit -> t
 (** Attach the link to the server and establish a session ([Hello]).
-    [config] defaults to a budget of 8 tokens refilled at 2 per second.
     [rng] drives backoff jitter and connection nonces.
     [Fs_error (ECONNRESET, _)] if no session could be established. *)
 
@@ -176,8 +161,8 @@ val c_drop_bucket : t -> bucket:int -> epoch:int -> unit
 
 val jitter_retry_after : Simclock.Rng.t -> float -> float
 (** The bounded jitter (0.75x–1.25x) applied to a server's
-    {!Wire.Overloaded} retry-after hint before sleeping on it, so a shed
-    burst of clients does not re-arrive as a synchronized herd.  Exposed
+    {!Wire.Overloaded} retry-after hint before sleeping on it, so a
+    refused burst of clients does not re-arrive as a synchronized herd.  Exposed
     for the desynchronization test. *)
 
 val c_snapshot : t -> int64
@@ -223,7 +208,7 @@ val outcome_indeterminate : string -> bool
 
 type refusal =
   | Deadline  (** the deadline had passed: the client's fail-fast or the server's rejection *)
-  | Overload  (** the server shed it, and the re-offers ran out *)
+  | Overload  (** the server refused it as {!Wire.Overloaded}, and the re-offers ran out *)
 
 val refusal : Invfs.Errors.code -> string -> refusal option
 (** Whether an [Fs_error (code, msg)] from this client says the request
@@ -251,6 +236,3 @@ val piggybacked : t -> int
 (** Closes and begins that rode another request instead of paying their
     own round trip (probe ["net.client.piggybacked"]). *)
 
-val budget_denials : t -> int
-(** Re-offers of shed work refused because the retry budget was dry
-    (the call failed with [EBUSY]). *)

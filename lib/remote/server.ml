@@ -74,10 +74,7 @@ type t = {
   clock : Simclock.Clock.t;
   locks : Relstore.Lock_mgr.t;
   lease_s : float;
-  run_cap : int;
-  park_cap : int;
   lock_wait_s : float;
-  shed_mark : int; (* depth at which retry traffic sheds *)
   (* Background incremental vacuum: every [vacuum_every_s] simulated
      seconds of pump time, run one budgeted [Fs.vacuum_step] increment
      (archive mode, [vacuum_pages] pages) before admitting requests.
@@ -102,7 +99,6 @@ type t = {
   mutable fenced : int;
   mutable requests : int;
   mutable sheds : int;
-  mutable retry_sheds : int;
   mutable deadline_rejects : int;
   mutable parks : int;
   mutable park_resumes : int;
@@ -115,11 +111,6 @@ type t = {
      modeled from the bottleneck member: T_par = max over machines of
      busy time (see DESIGN.md, "Sharding"). *)
   mutable busy_s : float;
-  (* Pure execution time of this server's dispatched requests (simulated
-     seconds around [exec]) and their count: the mean the retry-after
-     hint drains the backlog at. *)
-  mutable service_s : float;
-  mutable served : int;
   read_buf : Bytes.t; (* [read_head_len] bytes of scratch for [read_whole] *)
 }
 
@@ -134,20 +125,15 @@ let dedup_window = 16
 
 let default_on_crash t = ignore (Fs.crash_and_recover t.fs : Fs.recovery)
 
-let create ~fs ?(lease_s = 120.) ?(run_cap = 256) ?(park_cap = 64) ?(lock_wait_s = 0.)
-    ?(shed_watermark = 0.75) ?(vacuum_every_s = 0.) ?(vacuum_pages = 4) () =
-  if run_cap < 1 then invalid_arg "Server.create: run_cap must be >= 1";
-  if park_cap < 0 then invalid_arg "Server.create: park_cap must be >= 0";
+let create ~fs ?(lease_s = 120.) ?(lock_wait_s = 0.) ?(vacuum_every_s = 0.)
+    ?(vacuum_pages = 4) () =
   let t =
     {
       fs;
       clock = Fs.clock fs;
       locks = Relstore.Db.lock_mgr (Fs.db fs);
       lease_s;
-      run_cap;
-      park_cap;
       lock_wait_s;
-      shed_mark = max 1 (int_of_float (shed_watermark *. float_of_int run_cap));
       vacuum_every_s;
       vacuum_pages;
       next_vacuum = vacuum_every_s;
@@ -168,7 +154,6 @@ let create ~fs ?(lease_s = 120.) ?(run_cap = 256) ?(park_cap = 64) ?(lock_wait_s
       fenced = 0;
       requests = 0;
       sheds = 0;
-      retry_sheds = 0;
       deadline_rejects = 0;
       parks = 0;
       park_resumes = 0;
@@ -176,8 +161,6 @@ let create ~fs ?(lease_s = 120.) ?(run_cap = 256) ?(park_cap = 64) ?(lock_wait_s
       deadlock_aborts = 0;
       unsupported = 0;
       busy_s = 0.;
-      service_s = 0.;
-      served = 0;
       read_buf = Bytes.create read_head_len;
     }
   in
@@ -197,7 +180,6 @@ let leases_expired t = t.leases_expired
 let fenced t = t.fenced
 let requests t = t.requests
 let sheds t = t.sheds
-let retry_sheds t = t.retry_sheds
 let deadline_rejects t = t.deadline_rejects
 let parks t = t.parks
 let park_resumes t = t.park_resumes
@@ -525,7 +507,6 @@ let rec exec t (s : sess) (req : Wire.req) : Wire.result =
 let m_requests = Obs.Metrics.counter "net.server.requests"
 let m_replays = Obs.Metrics.counter "net.server.replays"
 let m_sheds = Obs.Metrics.counter "net.server.sheds"
-let m_retry_sheds = Obs.Metrics.counter "net.server.retry_sheds"
 let m_deadline_rejects = Obs.Metrics.counter "net.server.deadline_rejects"
 let m_parks = Obs.Metrics.counter "net.server.parks"
 let m_park_resumes = Obs.Metrics.counter "net.server.park_resumes"
@@ -553,14 +534,9 @@ let record_and_send (s : sess) ~rid reply =
   Hashtbl.remove s.inflight rid;
   send_frames s.link frames
 
-let queue_depth t = Queue.length t.run_q + t.parked_n
-
-(* How long a shed client should stand back: enough pump turns for the
-   present backlog to drain at this server's mean service time so far.
-   Deterministic — it reads only this server's queue depth and history. *)
-let retry_after_hint t =
-  let mean = if t.served = 0 then 0.005 else t.service_s /. float_of_int t.served in
-  min 1.0 (max 0.02 (float_of_int (queue_depth t + 1) *. mean))
+(* How long a client refused for a bucket mid-handoff should stand back:
+   long enough for a heartbeat round or one handoff step to land. *)
+let handoff_retry_after_s = 0.2
 
 let now_s t = Simclock.Clock.now t.clock
 
@@ -596,7 +572,6 @@ let run_task t (tk : task) ~(was_parked : bool) =
       true
     end
     else begin
-      let t0 = now in
       (* whether this attempt's carried begin opened the transaction: an
          answer that reports the request as not executed must close it
          again, or the client's next begin would join a stale one *)
@@ -614,8 +589,7 @@ let run_task t (tk : task) ~(was_parked : bool) =
           let can_park =
             parkable s tk.tk_req && tk.tk_deadline -. now >= t.lock_wait_s
           in
-          if can_park && (was_parked || t.parked_n < t.park_cap) then `Park msg
-          else if can_park && not was_parked then `Shed_park_full
+          if can_park then `Park msg
           else
             `Reply
               (Wire.Err_reply
@@ -645,10 +619,7 @@ let run_task t (tk : task) ~(was_parked : bool) =
                  msg = "raced with a concurrent unlink";
                })
       in
-      let service = now_s t -. t0 in
-      Obs.Metrics.observe h_service service;
-      t.service_s <- t.service_s +. service;
-      t.served <- t.served + 1;
+      Obs.Metrics.observe h_service (now_s t -. now);
       match outcome with
       | `Reply reply ->
         (if was_parked then begin
@@ -656,15 +627,6 @@ let run_task t (tk : task) ~(was_parked : bool) =
            Obs.Metrics.incr m_park_resumes
          end);
         record_and_send s ~rid:tk.tk_rid reply;
-        true
-      | `Shed_park_full ->
-        (* no parking slot left: shed rather than spin *)
-        unexecute ();
-        t.sheds <- t.sheds + 1;
-        Obs.Metrics.incr m_sheds;
-        Hashtbl.remove s.inflight tk.tk_rid;
-        reply_now tk.tk_link ~sid:tk.tk_sid ~rid:tk.tk_rid
-          (Wire.Overloaded { retry_after_s = retry_after_hint t });
         true
       | `Wrong_shard epoch ->
         (* fence refusal: definitively not executed, never recorded —
@@ -676,11 +638,14 @@ let run_task t (tk : task) ~(was_parked : bool) =
         true
       | `Handoff_busy ->
         (* the bucket is mid-migration: a bounded blackout the client
-           rides out with its existing Overloaded retry machinery *)
+           rides out by re-offering.  Not recorded in the dedup window:
+           a re-offer after the handoff commits executes. *)
         unexecute ();
+        t.sheds <- t.sheds + 1;
+        Obs.Metrics.incr m_sheds;
         Hashtbl.remove s.inflight tk.tk_rid;
         reply_now tk.tk_link ~sid:tk.tk_sid ~rid:tk.tk_rid
-          (Wire.Overloaded { retry_after_s = max 0.2 (retry_after_hint t) });
+          (Wire.Overloaded { retry_after_s = handoff_retry_after_s });
         true
       | `Park blocked_on ->
         tk.tk_blocked_on <- blocked_on;
@@ -869,23 +834,6 @@ let handle t link ~(h : Wire.hdr) req =
                    Printf.sprintf "%s %.3fs before admission" deadline_expired
                      (now -. deadline);
                })
-        end
-        else if
-          (not (Wire.relief req))
-          && (queue_depth t >= t.run_cap
-              || (h.retry && queue_depth t >= t.shed_mark))
-        then begin
-          (* bounded queues: past capacity everyone sheds; past the
-             watermark, retransmitted traffic sheds first so first
-             attempts keep landing.  Overloaded is NOT recorded in the
-             dedup window — a later retry may be admitted. *)
-          t.sheds <- t.sheds + 1;
-          Obs.Metrics.incr m_sheds;
-          if h.retry && queue_depth t < t.run_cap then begin
-            t.retry_sheds <- t.retry_sheds + 1;
-            Obs.Metrics.incr m_retry_sheds
-          end;
-          reply_now link ~sid ~rid (Wire.Overloaded { retry_after_s = retry_after_hint t })
         end
         else begin
           Hashtbl.replace s.inflight rid ();

@@ -6,8 +6,7 @@
     (lease expiry), then {e admission} — every connection's inbound
     queue drained, fragmented requests reassembled, each complete
     request either answered inline (control plane, dedup replays,
-    deadline and overload rejections) or placed on the bounded {e run
-    queue} — then {e execution}, which drains the run queue and drives
+    deadline rejections) or placed on the {e run queue} — then {e execution}, which drains the run queue and drives
     the parked requests' timers.  Corrupt frames (CRC failure) are
     silently dropped, exactly as a damaged packet would be.
 
@@ -38,19 +37,17 @@
     transaction never park (they may hold partial progress) and answer
     [EAGAIN] immediately, as before.
 
-    {2 Admission control and deadlines}
+    {2 Deadlines and refusals}
 
-    The run and park queues are bounded ([run_cap], [park_cap]).  Past
-    capacity — and past the [shed_watermark] fraction for traffic
-    flagged as a retransmission, so first attempts keep landing — a
-    request is answered {!Wire.Overloaded} with a retry-after hint and
-    is {e not} recorded in the dedup window: a later re-offer may be
-    admitted.  A request whose header deadline has already passed is
-    refused with a {e recorded} [ETIMEDOUT] rejection (definitive: that
-    request id will never execute), both at admission and again just
-    before execution — the server never does work whose caller has given
-    up.  [Abort] and [Bye] are exempt from both: refusing work that
-    releases resources only deepens an overload.
+    A request whose header deadline has already passed is refused with
+    a {e recorded} [ETIMEDOUT] rejection (definitive: that request id
+    will never execute), both at admission and again just before
+    execution — the server never does work whose caller has given up.
+    [Abort] and [Bye] are exempt: refusing work that releases resources
+    only deepens an overload.  The one other refusal is a shard's for a
+    bucket that is mid-handoff: {!Wire.Overloaded} with a fixed
+    retry-after of 0.2 s, {e not} recorded in the dedup window, so a
+    re-offer after the handoff commits executes.
 
     {2 Sessions, leases}
 
@@ -122,21 +119,14 @@ val role : t -> role
 val create :
   fs:Invfs.Fs.t ->
   ?lease_s:float ->
-  ?run_cap:int ->
-  ?park_cap:int ->
   ?lock_wait_s:float ->
-  ?shed_watermark:float ->
   ?vacuum_every_s:float ->
   ?vacuum_pages:int ->
   unit ->
   t
 (** [lease_s] (default 120 simulated seconds; 0 disables) bounds how long
     a silent client's session survives.  Each session remembers its last
-    16 replies for retransmissions to replay.  [run_cap] (default 256) bounds the
-    run queue plus parked backlog; [park_cap] (default 64) bounds parked
-    requests alone; [shed_watermark] (default 0.75, a fraction of
-    [run_cap]) is the depth past which retransmitted traffic sheds.
-    [lock_wait_s] (default 0) is how long a parked request may wait for
+    16 replies for retransmissions to replay.  [lock_wait_s] (default 0) is how long a parked request may wait for
     its lock before expiring with [ETIMEDOUT]; the default expires
     same-pump, preserving the old immediate-conflict-reply behaviour.
     [vacuum_every_s] (default 0 = disabled) arms the background-vacuum
@@ -188,12 +178,8 @@ val parked_now : t -> int
 (** Requests currently parked on a lock (probe ["net.server.parked"]). *)
 
 val sheds : t -> int
-(** Requests refused with {!Wire.Overloaded} (counter
-    ["net.server.sheds"]). *)
-
-val retry_sheds : t -> int
-(** The subset of {!sheds} refused at the watermark for carrying the
-    retransmission flag while first attempts were still admitted. *)
+(** Requests refused with {!Wire.Overloaded}, that is, for a bucket
+    mid-handoff (counter ["net.server.sheds"]). *)
 
 val deadline_rejects : t -> int
 (** Requests refused (recorded [ETIMEDOUT]) because their propagated

@@ -222,8 +222,8 @@ type cls =
                 re-issued after a lost session, never parked as a read *)
   | Mutating  (* changes stored state: a reply lost with the session
                  leaves the outcome indeterminate *)
-  | Relief  (* releases what the session holds: never shed, never
-               refused for a passed deadline *)
+  | Relief  (* releases what the session holds: never refused for a
+               passed deadline *)
   | Admin  (* the test-only server crash: sent even past a deadline *)
   | Other
 
@@ -512,20 +512,18 @@ type hdr = {
   rid : int64;
   frame_ix : int;
   nframes : int;
-  retry : bool; (* flags bit 0: this frame is a retransmission *)
   deadline_us : int64; (* absolute sim-clock µs; 0 = no deadline *)
   payload : string;
 }
 
 let u32_at s off = Int32.to_int (String.get_int32_be s off) land 0xffff_ffff
 
-let make_frame ~kind ~sid ~rid ~frame_ix ~nframes ~retry ~deadline_us fragment =
+let make_frame ~kind ~sid ~rid ~frame_ix ~nframes ~deadline_us fragment =
   let n = String.length fragment in
   let b = Bytes.make (header_bytes + n) '\000' in
   Bytes.blit_string magic 0 b 0 4;
   Bytes.set_uint16_be b 4 version;
   Bytes.set_uint8 b 6 kind;
-  Bytes.set_uint8 b 7 (Bool.to_int retry);
   Bytes.set_int64_be b 8 sid;
   Bytes.set_int64_be b 16 rid;
   Bytes.set_uint16_be b 24 frame_ix;
@@ -540,7 +538,7 @@ let make_frame ~kind ~sid ~rid ~frame_ix ~nframes ~retry ~deadline_us fragment =
 (* Split a logical payload into CRC'd frames.  Streamed requests
    ([trailer]) append a zero-length end-of-stream frame, the explicit
    "that was all of it" marker a windowed upload needs. *)
-let frame_payload ~kind ~sid ~rid ~trailer ~retry ~deadline_us payload =
+let frame_payload ~kind ~sid ~rid ~trailer ~deadline_us payload =
   let len = String.length payload in
   let data_frames = max 1 ((len + max_fragment - 1) / max_fragment) in
   let nframes = data_frames + if trailer then 1 else 0 in
@@ -551,17 +549,17 @@ let frame_payload ~kind ~sid ~rid ~trailer ~retry ~deadline_us payload =
     let n = min max_fragment (len - off) in
     let n = max n 0 in
     frames :=
-      make_frame ~kind ~sid ~rid ~frame_ix:ix ~nframes ~retry ~deadline_us
+      make_frame ~kind ~sid ~rid ~frame_ix:ix ~nframes ~deadline_us
         (String.sub payload off n)
       :: !frames
   done;
   if trailer then
     frames :=
       !frames
-      @ [ make_frame ~kind ~sid ~rid ~frame_ix:(nframes - 1) ~nframes ~retry ~deadline_us "" ];
+      @ [ make_frame ~kind ~sid ~rid ~frame_ix:(nframes - 1) ~nframes ~deadline_us "" ];
   !frames
 
-let encode_request ?(retry = false) ?(deadline_us = 0L) ~sid ~rid req =
+let encode_request ?(deadline_us = 0L) ~sid ~rid req =
   let payload = encode_req_payload req in
   (* Only a windowed (multi-fragment) upload needs the end-of-stream
      trailer; a write that fits one frame is its own "that was all of
@@ -573,10 +571,10 @@ let encode_request ?(retry = false) ?(deadline_us = 0L) ~sid ~rid req =
     | Write _ | Shard_write _ | Migrate_in _ -> String.length payload > max_fragment
     | _ -> false
   in
-  frame_payload ~kind:0 ~sid ~rid ~trailer ~retry ~deadline_us payload
+  frame_payload ~kind:0 ~sid ~rid ~trailer ~deadline_us payload
 
 let encode_reply ~sid ~rid reply =
-  frame_payload ~kind:1 ~sid ~rid ~trailer:false ~retry:false ~deadline_us:0L
+  frame_payload ~kind:1 ~sid ~rid ~trailer:false ~deadline_us:0L
     (encode_reply_payload reply)
 
 let decode_header frame =
@@ -608,7 +606,6 @@ let decode_header frame =
                 rid = String.get_int64_be frame 16;
                 frame_ix;
                 nframes;
-                retry = String.get_uint8 frame 7 land 1 <> 0;
                 deadline_us = String.get_int64_be frame 36;
                 payload = String.sub frame header_bytes plen;
               }

@@ -9,7 +9,7 @@
     0       magic "INVW"
     4       version (u16)
     6       kind: 0 = request, 1 = reply
-    7       flags (u8): bit 0 = retransmission
+    7       reserved (u8): written 0, ignored on read
     8       session id (i64)
     16      request id (i64)
     24      frame index (u16)   | large payloads fragment at
@@ -21,10 +21,11 @@
     96      fragment payload
     v}
 
-    The flags byte and the deadline ride in previously-reserved header
-    bytes, so version 1 frames from older peers (all zeros there) decode
-    as "first attempt, no deadline" — the admission-control fields are
-    backward compatible by construction.
+    The deadline rides in previously-reserved header bytes, so version 1
+    frames from older peers (all zeros there) decode as "no deadline".
+    Byte 7 is ignored on read, so a frame from a peer that sets it
+    decodes exactly as one that does not: backward compatible by
+    construction.
 
     The 96-byte header matches the RPC header size the cost model always
     charged, so Table-3 numbers flow through unchanged — but now each
@@ -184,7 +185,7 @@ val mutating : req -> bool
 
 val relief : req -> bool
 (** It releases what the session holds ([Abort], [Bye]): the server
-    never sheds it and never refuses it for a passed deadline. *)
+    never refuses it for a passed deadline. *)
 
 val deadline_exempt : req -> bool
 (** The client sends it even when its deadline has passed: the relief
@@ -229,10 +230,11 @@ type reply =
       (** the server does not know this session: it crashed, or the
           session's lease expired.  The client must reconnect. *)
   | Overloaded of { retry_after_s : float }
-      (** admission control shed this request before executing it; the
-          client should wait [retry_after_s] before re-offering.  Never
-          recorded in the dedup window — a later retry of the same
-          request id may be admitted and execute. *)
+      (** the shard refused this request before executing it, because
+          its bucket is mid-handoff; the client should wait
+          [retry_after_s] before re-offering.  Never recorded in the
+          dedup window — a later retry of the same request id may be
+          admitted and execute. *)
   | Unsupported of { opcode : int }
       (** the request decoded cleanly but its opcode is from a future
           protocol revision this server does not implement (version
@@ -246,12 +248,10 @@ type reply =
           window — the client refreshes its placement cache from the
           coordinator and retries, possibly at a different shard. *)
 
-val encode_request :
-  ?retry:bool -> ?deadline_us:int64 -> sid:int64 -> rid:int64 -> req -> string list
-(** The frames of one request, in send order.  [retry] sets the
-    retransmission flag (admission control sheds flagged traffic first
-    under overload); [deadline_us] (absolute simulated µs, 0 = none)
-    tells the server when the caller will have given up. *)
+val encode_request : ?deadline_us:int64 -> sid:int64 -> rid:int64 -> req -> string list
+(** The frames of one request, in send order.  [deadline_us] (absolute
+    simulated µs, 0 = none) tells the server when the caller will have
+    given up. *)
 
 val encode_reply : sid:int64 -> rid:int64 -> reply -> string list
 
@@ -261,7 +261,6 @@ type hdr = {
   rid : int64;
   frame_ix : int;
   nframes : int;
-  retry : bool;
   deadline_us : int64;
   payload : string;
 }

@@ -1,9 +1,8 @@
 (* Seeded overload sweep, run via `dune build @overload`.
 
    Each seed drives two open-loop Loadtest runs well past saturation
-   (2x and 4x the calibrated capacity) with deadlines propagated and
-   admission control engaged, and asserts the graceful-degradation
-   contract on every overloaded level:
+   (2x and 4x the calibrated capacity) with deadlines propagated, and
+   asserts the graceful-degradation contract on every overloaded level:
 
    - oracle equivalence: zero mismatches — shed and deadline-expired
      requests are clean, reported rejections, never lost or duplicated

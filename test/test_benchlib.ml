@@ -295,12 +295,12 @@ let autocommit_op w _ =
 
 (* A fault-free fleet of two shards, [n] fleet sessions on it, and the
    coordinator's file system, where probes read. *)
-let fleet_sessions n =
+let fleet_sessions ?hb_interval n =
   let clock = Simclock.Clock.create () in
   let net = Netsim.create ~clock Netsim.tcp_1993 in
   let rng = Simclock.Rng.create 7L in
   let cluster =
-    Remote.Cluster.create ~clock ~net ~rng:(Simclock.Rng.split rng) ~nshards:2 ()
+    Remote.Cluster.create ~clock ~net ~rng:(Simclock.Rng.split rng) ~nshards:2 ?hb_interval ()
   in
   let conns =
     Array.init n (fun _ ->
@@ -393,30 +393,29 @@ let test_fleet_lost_write_lands () =
 
 (* One remote session [c] on a fresh server; [connect] attaches
    more clients to the same server. *)
-let remote_world ?run_cap ?config ~lock_wait_s () =
+let remote_world ~lock_wait_s () =
   let fs = Invfs.Fs.make (Relstore.Db.create ()) () in
   let clock = Invfs.Fs.clock fs in
-  let server = Remote.Server.create ~fs ?run_cap ~lock_wait_s () in
+  let server = Remote.Server.create ~fs ~lock_wait_s () in
   let net = Netsim.create ~clock Netsim.tcp_1993 in
   let rng = Simclock.Rng.create 7L in
-  let connect ?config link =
-    Remote.Client.connect ?config ~server ~link ~rng:(Simclock.Rng.split rng) ()
-  in
-  let c = connect ?config (Netsim.Link.create net) in
+  let connect link = Remote.Client.connect ~server ~link ~rng:(Simclock.Rng.split rng) () in
+  let c = connect (Netsim.Link.create net) in
   let w =
     F.create ~rng:(Simclock.Rng.create 1L) ~ora:(O.create ~trace:false ~depth:0) ~max_dirs:2
       ~max_file_bytes:4096 fs [| Remote.Conn.Remote c |]
   in
-  (fs, server, net, (fun () -> connect (Netsim.Link.create net)), c, w)
+  (fs, (fun () -> connect (Netsim.Link.create net)), c, w)
 
-(* A request refused because its deadline passed, or shed by an
-   overloaded server, never executed: the op's transaction aborts,
-   nothing reaches the oracle, and it counts as a refusal, not as a lock
-   skip.  A lock wait that timed out on the same path still is one.  A
-   harness that draws its own sessions sets no deadline and no load
-   that sheds, so there a refusal is a mismatch. *)
+(* A request refused because its deadline passed, or refused as
+   overloaded (a fleet bucket mid-handoff past the conn's redirects),
+   never executed: the op's transaction aborts, nothing reaches the
+   oracle, and it counts as a refusal, not as a lock skip.  A lock wait
+   that timed out on the same path still is one.  A harness that draws
+   its own sessions sets no deadline, and a fleet rides out a handoff
+   within its redirects, so there a refusal is a mismatch. *)
 let test_refusal_is_not_a_lock_skip () =
-  let fs, _, _, connect, c, w = remote_world ~lock_wait_s:2. () in
+  let fs, connect, c, w = remote_world ~lock_wait_s:2. () in
   let clock = Invfs.Fs.clock fs in
   let ss = w.F.sessions.(0) in
   let write_in w path data ss = F.write_at w ss path ~oid:1L ~off:0 [ Bytes.of_string data ] in
@@ -450,50 +449,60 @@ let test_refusal_is_not_a_lock_skip () =
   past ();
   F.run_one w ~gen:(fun _ -> write "refused") ~crash:(fun () -> Alcotest.fail "no crash");
   Alcotest.(check int) "run_one logs the refusal" 1 (List.length (O.mismatches w.ora));
-  (* Overload: with a run queue of one, a request parked behind another
-     client's lock fills it, and the session's write inside its
-     transaction is shed; a client with no retry budget gives up at the
-     first overload answer. *)
-  let config =
-    { Remote.Client.retry_budget = 0; retry_refill_per_s = 0. }
+  (* Overload: a fleet write whose bucket stays mid-handoff (its owner
+     partitioned, the push to the new owner stalled) through all of
+     the conn's redirects is refused.  A client's re-offers (about
+     1.5 s) do not pump the cluster, so the new owner's lease (twice
+     the heartbeat) must outlast them: at the default 0.5 s heartbeat
+     the last offer would meet a lapsed lease and answer ESTALE. *)
+  let cluster, fs, _ = fleet_sessions ~hb_interval:1.0 0 in
+  let clock = Invfs.Fs.clock fs in
+  let conn = Remote.Cluster.connect cluster ~rng:(Simclock.Rng.create 9L) () in
+  let w =
+    F.create ~rng:(Simclock.Rng.create 1L) ~ora:(O.create ~trace:false ~depth:0) ~max_dirs:2
+      ~max_file_bytes:4096 fs [| Remote.Conn.Fleet conn |]
   in
-  let fs, server, net, connect, c, w =
-    remote_world ~run_cap:1 ~config ~lock_wait_s:1000. ()
-  in
-  let ss = w.F.sessions.(0) in
   let write = write_in w "/g" and apply = apply_in w in
   apply "create" F.Applied (fun ss -> F.create_at w ss "/g");
   apply "write" F.Applied (write "committed");
-  apply "create the contended file" F.Applied (fun ss -> F.create_at w ss "/h");
-  apply "begin" F.Applied (F.begin_txn w);
-  apply "write in the transaction" F.Applied (write "uncommitted");
-  let holder = connect () in
-  Remote.Client.c_begin holder;
-  Remote.Client.c_ftruncate holder (Remote.Client.c_open holder "/h" Invfs.Fs.Rdwr) 0L;
-  (* a second client's truncate of /h, sent on the wire without waiting
-     for its reply, parks behind the holder's lock; it leaves the empty
-     file as it is when it resumes *)
-  let link = Netsim.Link.create net in
-  let parker = Remote.Client.connect ~server ~link ~rng:(Simclock.Rng.create 9L) () in
-  let fd = Remote.Client.c_open parker "/h" Invfs.Fs.Rdwr in
-  List.iter
-    (Netsim.Link.send link Netsim.Link.To_server)
-    (Remote.Wire.encode_request ~sid:(Remote.Client.sid parker) ~rid:1_000_000L
-       (Remote.Wire.Ftruncate { fd; size = 0L }));
-  Remote.Server.pump server;
-  Alcotest.(check int) "the run queue is full" 1 (Remote.Server.parked_now server);
-  apply "a shed write is refused" F.Refused (write "shed");
-  Alcotest.(check (list int)) "overload refusals, deadline refusals, lock skips, aborts"
-    [ 1; 0; 0; 1 ]
-    [ w.overload_refusals; w.deadline_refusals; w.lock_skips; w.aborts ];
-  Alcotest.(check bool) "the overlay is dropped" false (O.in_txn ss.ov);
-  Alcotest.(check bool) "the client was shed" true (Remote.Client.overloaded c >= 1);
-  Remote.Client.c_abort holder;
-  Alcotest.(check int) "the parked truncate resumed" 0 (Remote.Server.parked_now server);
+  let coord = Remote.Cluster.coord conn in
+  let oid = (Remote.Client.c_stat coord "/g").Invfs.Fileatt.file in
+  let bucket = Remote.Wire.bucket_of ~nbuckets:(Remote.Cluster.nbuckets cluster) oid in
+  let owner = (Remote.Client.c_get_placement coord).Remote.Wire.p_owner.(bucket) in
+  Remote.Cluster.set_on_migrate cluster
+    (Some (fun ~oid:_ ~bucket:b -> if b = bucket then raise Exit));
+  Remote.Cluster.set_partitioned cluster ~shard:owner true;
+  let rec stall k =
+    if (Remote.Cluster.stats cluster).Remote.Cluster.handoffs_pending = 0 && k < 100 then begin
+      Simclock.Clock.advance clock 0.1;
+      Remote.Cluster.pump cluster;
+      stall (k + 1)
+    end
+  in
+  stall 0;
+  Alcotest.(check int) "the handoff is stalled" 1
+    (Remote.Cluster.stats cluster).Remote.Cluster.handoffs_pending;
+  apply "a write mid-handoff is refused" F.Refused (write "refused");
+  Alcotest.(check (list int)) "overload refusals, deadline refusals, lock skips"
+    [ 1; 0; 0 ]
+    [ w.overload_refusals; w.deadline_refusals; w.lock_skips ];
+  Alcotest.(check bool) "the client was refused" true
+    (List.exists (fun c -> Remote.Client.overloaded c > 0) (Remote.Cluster.conn_clients conn));
   Alcotest.(check string) "the committed state is unchanged" "committed"
     (Bytes.to_string (O.content w.ora 1L));
-  O.verify w.ora (Invfs.Fs.new_session fs) ~phase:"end";
-  Alcotest.(check (list string)) "real tree equals the oracle" [] (O.mismatches w.ora)
+  (* let the handoff finish: the fleet holds what the oracle holds *)
+  Remote.Cluster.set_on_migrate cluster None;
+  Remote.Cluster.set_partitioned cluster ~shard:owner false;
+  let rec settle k =
+    Remote.Cluster.pump cluster;
+    if (Remote.Cluster.stats cluster).Remote.Cluster.handoffs_pending > 0 && k < 200 then begin
+      Simclock.Clock.advance clock 0.1;
+      settle (k + 1)
+    end
+  in
+  settle 0;
+  Benchlib.Shardtest.verify w cluster ~phase:"end";
+  Alcotest.(check (list string)) "the fleet walk agrees" [] (O.mismatches w.ora)
 
 let () =
   Alcotest.run "benchlib"

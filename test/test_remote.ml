@@ -11,7 +11,7 @@ module Client = Remote.Client
 module Link = Netsim.Link
 module F = Faultsim
 
-let mk ?lease_s ?run_cap ?park_cap ?lock_wait_s ?shed_watermark ?vacuum_every_s ?vacuum_pages () =
+let mk ?lease_s ?lock_wait_s ?vacuum_every_s ?vacuum_pages () =
   let clock = Simclock.Clock.create () in
   let switch = Pagestore.Switch.create ~clock in
   ignore
@@ -21,15 +21,45 @@ let mk ?lease_s ?run_cap ?park_cap ?lock_wait_s ?shed_watermark ?vacuum_every_s 
   let db = Relstore.Db.create ~switch ~clock () in
   let fs = Fs.make db () in
   let server =
-    Server.create ~fs ?lease_s ?run_cap ?park_cap ?lock_wait_s ?shed_watermark
-      ?vacuum_every_s ?vacuum_pages ()
+    Server.create ~fs ?lease_s ?lock_wait_s ?vacuum_every_s ?vacuum_pages ()
   in
   let net = Netsim.create ~clock Netsim.tcp_1993 in
   (clock, fs, server, net)
 
-let mk_client ?config server net seed =
+let mk_client server net seed =
   let link = Link.create net in
-  Client.connect ?config ~server ~link ~rng:(Simclock.Rng.create seed) ()
+  Client.connect ~server ~link ~rng:(Simclock.Rng.create seed) ()
+
+(* A server made a one-shard fleet member that owns every bucket at
+   epoch 1 with the bucket of [handoff_oid] mid-handoff: every
+   [Shard_write] to that oid is refused [Overloaded] until the test
+   clears [sh_handoff]. *)
+let handoff_oid = 7L
+
+let mk_handoff () =
+  let clock, fs, server, net = mk () in
+  let nbuckets = 4 in
+  let sh =
+    {
+      Server.shard_id = 1;
+      nbuckets;
+      sh_epoch = 1;
+      sh_owner = Array.make nbuckets 1;
+      sh_handoff = [ Wire.bucket_of ~nbuckets handoff_oid ];
+      sh_lease_until = infinity;
+      sh_stale_rejects = 0;
+    }
+  in
+  Server.set_role server (Server.Shard sh);
+  (clock, fs, server, net, sh)
+
+let handoff_write data = Wire.Shard_write { oid = handoff_oid; off = 0L; data; epoch = 1 }
+
+(* What the shard holds for [handoff_oid]. *)
+let handoff_data fs =
+  let path = Server.shard_path handoff_oid in
+  let s = Fs.new_session fs in
+  if Fs.exists s path then Bytes.to_string (Fs.read_whole_file s path) else ""
 
 let expect_error code f =
   match f () with
@@ -45,7 +75,7 @@ let starts_with ~prefix s =
 (* ---- raw sessions: hand-built frames, no client library ----
 
    The overload, deadline and version-skew tests need precise control
-   over request ids, retry flags, deadlines and pump timing — things the
+   over request ids, deadlines and pump timing — things the
    client library deliberately hides — so they speak {!Wire} directly:
    build frames, put them on the link, pump the server, drain replies. *)
 
@@ -56,7 +86,7 @@ type raw = {
   r_asm : Wire.Assembly.t;
 }
 
-let raw_send ?(charge = true) ?retry ?deadline_us ?rid r req =
+let raw_send ?(charge = true) ?deadline_us ?rid r req =
   let rid =
     match rid with
     | Some rid -> rid
@@ -66,7 +96,7 @@ let raw_send ?(charge = true) ?retry ?deadline_us ?rid r req =
   in
   List.iter
     (fun f -> Link.send ~charge r.r_link Link.To_server f)
-    (Wire.encode_request ?retry ?deadline_us ~sid:r.r_sid ~rid req);
+    (Wire.encode_request ?deadline_us ~sid:r.r_sid ~rid req);
   rid
 
 (* Drain and decode every reply currently queued toward this client. *)
@@ -509,6 +539,25 @@ let test_codec_exact () =
       | `Malformed -> ()
       | `Req _ | `Unknown _ -> Alcotest.fail (Printf.sprintf "open mode %d should be malformed" mode))
     [ 2; 0xff ]
+
+(* Header byte 7 is reserved: a frame from a peer that sets it must
+   decode exactly as the plain frame does. *)
+let test_reserved_flags_byte () =
+  let req = Wire.Mkdir { path = "/d" } in
+  let plain = List.hd (Wire.encode_request ~deadline_us:123_456L ~sid:5L ~rid:9L req) in
+  Alcotest.(check int) "written as 0" 0 (String.get_uint8 plain 7);
+  let b = Bytes.of_string plain in
+  Bytes.set_uint8 b 7 1;
+  Bytes.set_int32_be b 32 0l;
+  Bytes.set_int32_be b 32 (Int32.of_int (Pagestore.Page.crc32 b ~off:0 ~len:(Bytes.length b)));
+  let decode frame =
+    match Wire.decode_header frame with
+    | None -> Alcotest.fail "the frame should pass its CRC"
+    | Some h -> (h.Wire.sid, h.rid, h.deadline_us, Wire.decode_request h.payload)
+  in
+  let sid, rid, deadline_us, back = decode (Bytes.to_string b) in
+  Alcotest.(check bool) "same header and request as the plain frame" true
+    ((sid, rid, deadline_us, back) = decode plain && back = Some req)
 
 (* The class queries, pinned for every request.  Each row: read_only,
    reissuable, mutating, relief, deadline_exempt. *)
@@ -968,60 +1017,30 @@ let test_crash_server_op () =
   Alcotest.(check string) "durable data survived" "durable"
     (Bytes.to_string (Client.read_whole_file c "/f"))
 
-(* ---- admission control: a full run queue sheds, shed work never ran ---- *)
+(* ---- a handoff refusal is unrecorded: the re-offer runs once ---- *)
 
-let test_overload_shed_and_reoffer () =
-  let _, _, server, net = mk ~run_cap:1 () in
+let test_handoff_refusal_reoffer () =
+  let _, fs, server, net, sh = mk_handoff () in
   let r = raw_connect server net in
-  let rid_a = raw_send r (Wire.Mkdir { path = "/a" }) in
-  let rid_b = raw_send r (Wire.Mkdir { path = "/b" }) in
+  let rid = raw_send r (handoff_write "x") in
   Server.pump server;
-  let reps = raw_replies r in
-  (match List.assoc_opt rid_a reps with
-  | Some (Wire.Ok_reply _) -> ()
-  | _ -> Alcotest.fail "first mkdir should be admitted and executed");
-  (match List.assoc_opt rid_b reps with
-  | Some (Wire.Overloaded { retry_after_s }) ->
-    Alcotest.(check bool) "retry-after hint is positive" true (retry_after_s > 0.)
-  | _ -> Alcotest.fail "second mkdir should shed at the queue bound");
-  Alcotest.(check int) "one shed" 1 (Server.sheds server);
-  (* Overloaded is definitively-not-executed and unrecorded: re-offering
-     the very same request id is admitted and executes.  (If the shed had
-     secretly executed, this mkdir would answer EEXIST.) *)
-  ignore (raw_send ~rid:rid_b r (Wire.Mkdir { path = "/b" }) : int64);
+  (match raw_reply r rid with
+  | Wire.Overloaded { retry_after_s } ->
+    Alcotest.(check (float 0.)) "the fixed retry-after" 0.2 retry_after_s
+  | _ -> Alcotest.fail "a write to a bucket mid-handoff should be refused");
+  Alcotest.(check int) "one refusal" 1 (Server.sheds server);
+  Alcotest.(check string) "the refused write never ran" "" (handoff_data fs);
+  (* Overloaded is definitively-not-executed and unrecorded: once the
+     handoff commits, re-offering the very same request id executes.
+     (Had the refusal been recorded, the re-offer would replay it.) *)
+  sh.Server.sh_handoff <- [];
+  ignore (raw_send ~rid r (handoff_write "x") : int64);
   Server.pump server;
-  (match raw_reply r rid_b with
-  | Wire.Ok_reply _ -> ()
-  | Wire.Err_reply { msg; _ } -> Alcotest.fail ("re-offer should be admitted: " ^ msg)
-  | _ -> Alcotest.fail "re-offer should be admitted");
+  (match raw_reply r rid with
+  | Wire.Ok_reply { result = Wire.R_int 1L; _ } -> ()
+  | _ -> Alcotest.fail "the re-offer should execute");
   Alcotest.(check int) "re-offer executed rather than replayed" 0 (Server.replays server);
-  match raw_ok r server (Wire.Readdir { path = "/"; timestamp = None }) with
-  | Wire.R_names names ->
-    Alcotest.(check (list string)) "exactly the admitted work landed" [ "a"; "b" ]
-      (List.sort compare names)
-  | _ -> Alcotest.fail "readdir failed"
-
-(* ---- the watermark sheds retransmissions while first attempts land ---- *)
-
-let test_watermark_sheds_retries_first () =
-  let _, _, server, net = mk ~run_cap:4 ~shed_watermark:0.25 () in
-  let r = raw_connect server net in
-  let rid_a = raw_send r (Wire.Mkdir { path = "/a" }) in
-  let rid_b = raw_send ~retry:true r (Wire.Mkdir { path = "/b" }) in
-  let rid_c = raw_send r (Wire.Mkdir { path = "/c" }) in
-  Server.pump server;
-  let reps = raw_replies r in
-  (match List.assoc_opt rid_a reps with
-  | Some (Wire.Ok_reply _) -> ()
-  | _ -> Alcotest.fail "first attempt below the watermark should be admitted");
-  (match List.assoc_opt rid_b reps with
-  | Some (Wire.Overloaded _) -> ()
-  | _ -> Alcotest.fail "a retransmission past the watermark should shed");
-  (match List.assoc_opt rid_c reps with
-  | Some (Wire.Ok_reply _) -> ()
-  | _ -> Alcotest.fail "a first attempt past the watermark should still be admitted");
-  Alcotest.(check int) "the shed was counted as a retry shed" 1 (Server.retry_sheds server);
-  Alcotest.(check int) "one shed total" 1 (Server.sheds server)
+  Alcotest.(check string) "the write landed once" "x" (handoff_data fs)
 
 (* ---- expired deadlines are refused, recorded, and deduplicated ---- *)
 
@@ -1040,7 +1059,7 @@ let test_deadline_reject_recorded () =
   Alcotest.(check int) "rejection counted" 1 (Server.deadline_rejects server);
   (* the rejection is definitive: a retransmission replays the verdict
      instead of judging (or executing) the request again *)
-  ignore (raw_send ~rid ~retry:true ~deadline_us:1L r (Wire.Mkdir { path = "/late" }) : int64);
+  ignore (raw_send ~rid ~deadline_us:1L r (Wire.Mkdir { path = "/late" }) : int64);
   Server.pump server;
   (match raw_reply r rid with
   | Wire.Err_reply { code; _ } ->
@@ -1166,7 +1185,7 @@ let test_park_timeout_expires () =
   Alcotest.(check int) "timeout counted" 1 (Server.park_timeouts server);
   Alcotest.(check int) "nothing left parked" 0 (Server.parked_now server);
   (* recorded: a retransmission replays the timeout verdict *)
-  ignore (raw_send ~rid:rid_b ~retry:true b (Wire.Ftruncate { fd = fd_b; size = 1L }) : int64);
+  ignore (raw_send ~rid:rid_b b (Wire.Ftruncate { fd = fd_b; size = 1L }) : int64);
   Server.pump server;
   (match raw_reply b rid_b with
   | Wire.Err_reply { code; _ } ->
@@ -1174,48 +1193,30 @@ let test_park_timeout_expires () =
   | _ -> Alcotest.fail "retransmission should replay the timeout");
   Alcotest.(check bool) "served from the dedup window" true (Server.replays server >= 1)
 
-(* ---- the client's retry budget stops it hammering a saturated server ---- *)
+(* ---- a client re-offers a refused request until its attempts run out ---- *)
 
-let test_retry_budget_exhaustion () =
-  let _, _, server, net = mk ~run_cap:1 ~lock_wait_s:1000. () in
-  let setup = mk_client server net 21L in
-  Client.write_file setup "/f" (Bytes.of_string "data");
-  (* pin the backlog: A holds the lock in a transaction it never ends,
-     B's truncate parks behind it, so queue depth sits at run_cap *)
-  let a = raw_connect server net in
-  ignore (raw_ok a server Wire.Begin : Wire.result);
-  let fd_a = raw_fd a server (Wire.Open { path = "/f"; mode = 1; timestamp = None }) in
-  ignore (raw_ok a server (Wire.Ftruncate { fd = fd_a; size = 0L }) : Wire.result);
-  let b = raw_connect server net in
-  let fd_b = raw_fd b server (Wire.Open { path = "/f"; mode = 1; timestamp = None }) in
-  let rid_b = raw_send b (Wire.Ftruncate { fd = fd_b; size = 1L }) in
-  Server.pump server;
-  Alcotest.(check int) "backlog pinned at one parked request" 1 (Server.parked_now server);
-  (* a fresh client with a one-token budget: the first Overloaded answer
-     spends the token on a re-offer, the second finds the bucket dry *)
-  let config =
-    { Client.retry_budget = 1; retry_refill_per_s = 0. }
+let test_reoffers_run_out () =
+  let clock, fs, server, net, sh = mk_handoff () in
+  let c = mk_client server net 22L in
+  let t0 = Simclock.Clock.now clock in
+  let msg =
+    expect_error E.EBUSY (fun () ->
+        Client.c_shard_write c ~oid:handoff_oid ~off:0L ~data:"x" ~epoch:1)
   in
-  let c = mk_client ~config server net 22L in
-  let msg = expect_error E.EBUSY (fun () -> Client.c_mkdir c "/x") in
-  Alcotest.(check string) "names the dry budget"
-    "server overloaded and retry budget exhausted" msg;
+  (* the first offer and the client's six re-offers *)
+  Alcotest.(check string) "names the offers" "server overloaded; gave up after 7 offers" msg;
   Alcotest.(check bool) "an overload refusal" true
     (Client.refusal E.EBUSY msg = Some Client.Overload);
-  Alcotest.(check int) "two overload answers" 2 (Client.overloaded c);
-  Alcotest.(check int) "one budget denial" 1 (Client.budget_denials c);
-  (* relief traffic is exempt from admission control: A's abort lands
-     through the full queue, releases the lock, and the parked request
-     resumes in the same pump *)
-  ignore (raw_ok a server Wire.Abort : Wire.result);
-  (match raw_reply b rid_b with
-  | Wire.Ok_reply _ -> ()
-  | _ -> Alcotest.fail "the parked truncate should resume after the release");
-  Alcotest.(check bool) "resume counted" true (Server.park_resumes server >= 1);
-  Alcotest.(check int) "backlog drained" 0 (Server.parked_now server);
-  (* with the backlog gone the same client is admitted, dry budget and all *)
-  Client.c_mkdir c "/x";
-  Alcotest.(check bool) "the shed mkdir finally landed" true (Client.c_exists c "/x")
+  Alcotest.(check int) "seven overload answers" 7 (Client.overloaded c);
+  Alcotest.(check int) "seven refusals" 7 (Server.sheds server);
+  Alcotest.(check bool) "each re-offer stood back for the hint" true
+    (Simclock.Clock.now clock -. t0 >= 6. *. 0.75 *. 0.2);
+  Alcotest.(check string) "nothing ran" "" (handoff_data fs);
+  (* with the handoff over, the same client's write lands *)
+  sh.Server.sh_handoff <- [];
+  Alcotest.(check int) "the refused write finally landed" 1
+    (Client.c_shard_write c ~oid:handoff_oid ~off:0L ~data:"x" ~epoch:1);
+  Alcotest.(check string) "once" "x" (handoff_data fs)
 
 (* ---- an expired client deadline fails fast, off the wire ---- *)
 
@@ -1360,7 +1361,7 @@ let test_commit_acked_before_force () =
 (* ---- same inputs, same answers: the overload machinery is deterministic ---- *)
 
 let overload_scenario () =
-  let clock, _, server, net = mk ~run_cap:1 () in
+  let clock, _, server, net, sh = mk_handoff () in
   Simclock.Clock.advance clock 1.;
   let r = raw_connect server net in
   let buf = Buffer.create 256 in
@@ -1373,30 +1374,25 @@ let overload_scenario () =
                 (Digest.string (String.concat "" (Wire.encode_reply ~sid:9L ~rid rep))))))
       reps
   in
-  let rid_a = raw_send r (Wire.Mkdir { path = "/a" }) in
-  ignore (raw_send ~retry:true r (Wire.Mkdir { path = "/b" }) : int64);
+  ignore (raw_send r (Wire.Mkdir { path = "/a" }) : int64);
+  let rid_w = raw_send r (handoff_write "w") in
   ignore (raw_send ~deadline_us:1L r (Wire.Mkdir { path = "/c" }) : int64);
   Server.pump server;
   note (raw_replies r);
-  ignore rid_a;
+  sh.Server.sh_handoff <- [];
+  ignore (raw_send ~rid:rid_w r (handoff_write "w") : int64);
   ignore (raw_send r (Wire.Readdir { path = "/"; timestamp = None }) : int64);
   Server.pump server;
   note (raw_replies r);
   Buffer.add_string buf
-    (Printf.sprintf "sheds=%d retry=%d dead=%d replays=%d reqs=%d" (Server.sheds server)
-       (Server.retry_sheds server) (Server.deadline_rejects server)
-       (Server.replays server) (Server.requests server));
+    (Printf.sprintf "sheds=%d dead=%d replays=%d reqs=%d" (Server.sheds server)
+       (Server.deadline_rejects server) (Server.replays server) (Server.requests server));
   Buffer.contents buf
 
 let test_overload_determinism () =
   let first = overload_scenario () in
-  (* another server's slow requests (a cold whole-file read) must not
-     move this one's retry-after hint *)
-  let _, _, other, net = mk () in
-  let c = mk_client other net 5L in
-  Client.write_file c "/big" (Bytes.make (1 lsl 20) 'x');
-  Client.c_crash_server c;
-  ignore (Client.read_whole_file c "/big" : bytes);
+  Alcotest.(check bool) "the scenario refused, rejected and ran" true
+    (String.ends_with ~suffix:"sheds=1 dead=1 replays=0 reqs=6" first);
   Alcotest.(check string) "identical replies and counters" first (overload_scenario ())
 
 (* ---- shed clients desynchronize: jittered retry-after ----
@@ -1570,52 +1566,35 @@ let test_pending_begin_tracks_server () =
   Alcotest.(check bool) "the refused mkdir never ran" false (Client.c_exists c "/late")
 
 let test_pending_begin_overloaded () =
-  let _, _, server, net = mk ~run_cap:1 ~lock_wait_s:1000. () in
-  let setup = mk_client server net 74L in
-  Client.write_file setup "/f" (Bytes.of_string "data");
-  let a = raw_connect server net in
-  ignore (raw_ok a server Wire.Begin : Wire.result);
-  let fd_a = raw_fd a server (Wire.Open { path = "/f"; mode = 1; timestamp = None }) in
-  ignore (raw_ok a server (Wire.Ftruncate { fd = fd_a; size = 0L }) : Wire.result);
-  let b = raw_connect server net in
-  let fd_b = raw_fd b server (Wire.Open { path = "/f"; mode = 1; timestamp = None }) in
-  ignore (raw_send b (Wire.Ftruncate { fd = fd_b; size = 1L }) : int64);
-  Server.pump server;
-  let config = { Client.retry_budget = 0; retry_refill_per_s = 0. } in
-  let c = mk_client ~config server net 75L in
+  let _, fs, server, net, sh = mk_handoff () in
+  let c = mk_client server net 75L in
+  let write () = Client.c_shard_write c ~oid:handoff_oid ~off:0L ~data:"x" ~epoch:1 in
   Client.c_begin c;
-  ignore (expect_error E.EBUSY (fun () -> Client.c_mkdir c "/x") : string);
+  ignore (expect_error E.EBUSY (fun () -> ignore (write () : int)) : string);
   check_txn "after Overloaded" server c ~client:true ~server_txn:false;
-  ignore (raw_ok a server Wire.Abort : Wire.result);
-  Client.c_mkdir c "/x";
+  sh.Server.sh_handoff <- [];
+  Alcotest.(check int) "the re-offer ran" 1 (write ());
   check_txn "the re-offer began it" server c ~client:true ~server_txn:true;
   Client.c_abort c;
-  Alcotest.(check bool) "aborted with the transaction" false (Client.c_exists c "/x")
+  Alcotest.(check string) "aborted with the transaction" "" (handoff_data fs)
 
-(* A carrier whose begin ran but whose request was then shed (no park
-   slot left) must not leave the transaction open on the server. *)
+(* A carrier whose begin ran but whose request was then refused (its
+   bucket mid-handoff) must not leave the transaction open on the
+   server. *)
 let test_shed_carrier_unbegins () =
-  let _, _, server, net = mk ~park_cap:1 ~lock_wait_s:1000. () in
-  let setup = mk_client server net 80L in
-  Client.write_file setup "/f" (Bytes.of_string "data");
-  let x = raw_connect server net in
-  ignore (raw_ok x server Wire.Begin : Wire.result);
-  let xfd = raw_fd x server (Wire.Open { path = "/f"; mode = 1; timestamp = None }) in
-  ignore (raw_ok x server (Wire.Ftruncate { fd = xfd; size = 0L }) : Wire.result);
-  let y = raw_connect server net in
-  let yfd = raw_fd y server (Wire.Open { path = "/f"; mode = 1; timestamp = None }) in
-  ignore (raw_send y (Wire.Ftruncate { fd = yfd; size = 1L }) : int64);
+  let _, _, server, net, _ = mk_handoff () in
+  let r = raw_connect server net in
+  let rid =
+    raw_send r (Wire.Carry { closes = []; begin_txn = true; req = handoff_write "x" })
+  in
   Server.pump server;
-  Alcotest.(check int) "the only park slot is taken" 1 (Server.parked_now server);
-  let config = { Client.retry_budget = 0; retry_refill_per_s = 0. } in
-  let c = mk_client ~config server net 81L in
-  Client.c_begin c;
-  ignore (expect_error E.EBUSY (fun () -> Client.read_whole_file c "/f") : string);
-  check_txn "after the shed" server c ~client:true ~server_txn:false;
-  ignore (raw_ok x server Wire.Abort : Wire.result);
-  ignore (Client.c_exists c "/f" : bool);
-  check_txn "the next request began it" server c ~client:true ~server_txn:true;
-  Client.c_abort c
+  (match raw_reply r rid with
+  | Wire.Overloaded _ -> ()
+  | _ -> Alcotest.fail "the carried write should be refused");
+  Alcotest.(check bool) "the carried begin was undone" false (Server.txn_open server r.r_sid);
+  (* the session is intact: a begin of its own still opens one *)
+  ignore (raw_ok r server Wire.Begin : Wire.result);
+  Alcotest.(check bool) "a later begin opens" true (Server.txn_open server r.r_sid)
 
 let test_pending_begin_park_timeout () =
   let _, _, server, net = mk ~lock_wait_s:2. () in
@@ -1821,6 +1800,7 @@ let () =
           Alcotest.test_case "every constructor roundtrips" `Quick test_codec_every_constructor;
           Alcotest.test_case "hostile carriers are malformed" `Quick test_codec_hostile_carriers;
           Alcotest.test_case "values that do not fit" `Quick test_codec_exact;
+          Alcotest.test_case "reserved flags byte ignored" `Quick test_reserved_flags_byte;
           Alcotest.test_case "class queries" `Quick test_class_queries;
           Alcotest.test_case "golden sample payloads" `Quick test_golden_samples;
           Alcotest.test_case "golden net payloads" `Quick test_golden_net_corpus;
@@ -1857,16 +1837,14 @@ let () =
         ] );
       ( "overload",
         [
-          Alcotest.test_case "queue bound sheds, re-offer admitted" `Quick
-            test_overload_shed_and_reoffer;
-          Alcotest.test_case "watermark sheds retransmissions first" `Quick
-            test_watermark_sheds_retries_first;
+          Alcotest.test_case "handoff refusal unrecorded, re-offer runs" `Quick
+            test_handoff_refusal_reoffer;
           Alcotest.test_case "expired deadline refused and recorded" `Quick
             test_deadline_reject_recorded;
           Alcotest.test_case "deadline expiring in the queue" `Quick
             test_deadline_expires_in_queue;
-          Alcotest.test_case "client retry budget exhausts to EBUSY" `Quick
-            test_retry_budget_exhaustion;
+          Alcotest.test_case "client re-offers run out to EBUSY" `Quick
+            test_reoffers_run_out;
           Alcotest.test_case "client deadline fails fast off the wire" `Quick
             test_client_deadline_failfast;
           Alcotest.test_case "overload machinery is deterministic" `Quick
