@@ -72,11 +72,12 @@ let node_level p = Page.get_u16 p n_level
 
 (* A node's level, read on the way down.  A page without the node magic
    (a zeroed root, say) fails loudly instead of reading as an empty leaf. *)
-let level_of t blkno =
-  with_page t blkno (fun p ->
-      if Page.get_u16 p n_magic <> node_magic then
-        failwith (Printf.sprintf "Btree: block %d is not a node" blkno);
-      node_level p)
+let checked_level blkno p =
+  if Page.get_u16 p n_magic <> node_magic then
+    failwith (Printf.sprintf "Btree: block %d is not a node" blkno);
+  node_level p
+
+let level_of t blkno = with_page t blkno (checked_level blkno)
 
 let node_nitems p = Page.get_u16 p n_nitems
 
@@ -160,71 +161,81 @@ let reinit t =
 
 (* ---- descent ---- *)
 
-(* Child to follow for [item]: the child whose separator is the greatest
-   one <= item, or child0 if item precedes all separators. *)
-let find_child t blkno item =
-  with_page t blkno (fun p ->
-      let n = node_nitems p in
-      let stride = int_entry_size t in
-      let pos = lower_bound t p ~stride n item in
-      (* pos = first separator >= item.  Exact match routes right (the
-         separator is the first item of its child). *)
-      let pos = if item_is t p ~stride n pos item then pos + 1 else pos in
-      if pos = 0 then Page.get_u32 p n_child0 else int_child t p (pos - 1))
+(* Child of internal node [p] to follow for [item]: the child whose
+   separator is the greatest one <= item, or child0 if item precedes
+   all separators. *)
+let route t p item =
+  let n = node_nitems p in
+  let stride = int_entry_size t in
+  let pos = lower_bound t p ~stride n item in
+  (* pos = first separator >= item.  Exact match routes right (the
+     separator is the first item of its child). *)
+  let pos = if item_is t p ~stride n pos item then pos + 1 else pos in
+  if pos = 0 then Page.get_u32 p n_child0 else int_child t p (pos - 1)
 
-let rec find_leaf t blkno item =
-  if level_of t blkno = 0 then blkno else find_leaf t (find_child t blkno item) item
+type 'a step = At_leaf of 'a | Down of int
+
+(* One level of a descent, in one pin: check the node, then either do
+   the leaf's work on it or route [item] to the child below. *)
+let step t blkno item leaf =
+  with_page t blkno (fun p ->
+      if checked_level blkno p = 0 then At_leaf (leaf p) else Down (route t p item))
+
+(* Descend to the leaf that holds [item] and run [f] on its block
+   number and page, pinned. *)
+let rec at_leaf t blkno item f =
+  match step t blkno item (f blkno) with At_leaf x -> x | Down child -> at_leaf t child item f
 
 (* ---- insertion ---- *)
 
 type promotion = (string * int) option (* separator item, new right sibling *)
 
-let insert_leaf t blkno item : promotion option =
-  (* Some promo = inserted (with optional split); None = duplicate no-op. *)
-  with_page t blkno (fun p ->
-      let n = node_nitems p in
-      let pos = lower_bound t p ~stride:t.isize n item in
-      if item_is t p ~stride:t.isize n pos item then None
-      else if n < leaf_cap t then begin
-        let raw = Page.raw p in
-        Bytes.blit raw (items_base + (pos * t.isize)) raw
-          (items_base + ((pos + 1) * t.isize))
-          ((n - pos) * t.isize);
-        leaf_set_item t p pos item;
-        Page.set_u16 p n_nitems (n + 1);
-        dirty t blkno;
-        Some None
-      end
-      else begin
-        (* Split: gather items with the new one in place, distribute. *)
-        let all = Array.make (n + 1) "" in
-        for i = 0 to pos - 1 do
-          all.(i) <- leaf_item t p i
+let insert_leaf t blkno item p : promotion option =
+  (* Some promo = inserted (with optional split); None = duplicate no-op.
+     [p] is leaf [blkno], pinned by the descent. *)
+  let n = node_nitems p in
+  let pos = lower_bound t p ~stride:t.isize n item in
+  if item_is t p ~stride:t.isize n pos item then None
+  else if n < leaf_cap t then begin
+    let raw = Page.raw p in
+    Bytes.blit raw (items_base + (pos * t.isize)) raw
+      (items_base + ((pos + 1) * t.isize))
+      ((n - pos) * t.isize);
+    leaf_set_item t p pos item;
+    Page.set_u16 p n_nitems (n + 1);
+    dirty t blkno;
+    Some None
+  end
+  else begin
+    (* Split: gather items with the new one in place, distribute. *)
+    let all = Array.make (n + 1) "" in
+    for i = 0 to pos - 1 do
+      all.(i) <- leaf_item t p i
+    done;
+    all.(pos) <- item;
+    for i = pos to n - 1 do
+      all.(i + 1) <- leaf_item t p i
+    done;
+    let total = n + 1 in
+    let left_n = total / 2 in
+    let right_n = total - left_n in
+    let right = alloc_node t ~level:0 in
+    let old_next = Page.get_u32 p n_next in
+    with_page t right (fun rp ->
+        for i = 0 to right_n - 1 do
+          leaf_set_item t rp i all.(left_n + i)
         done;
-        all.(pos) <- item;
-        for i = pos to n - 1 do
-          all.(i + 1) <- leaf_item t p i
-        done;
-        let total = n + 1 in
-        let left_n = total / 2 in
-        let right_n = total - left_n in
-        let right = alloc_node t ~level:0 in
-        let old_next = Page.get_u32 p n_next in
-        with_page t right (fun rp ->
-            for i = 0 to right_n - 1 do
-              leaf_set_item t rp i all.(left_n + i)
-            done;
-            Page.set_u16 rp n_nitems right_n;
-            Page.set_u32 rp n_next old_next);
-        dirty t right;
-        for i = 0 to left_n - 1 do
-          leaf_set_item t p i all.(i)
-        done;
-        Page.set_u16 p n_nitems left_n;
-        Page.set_u32 p n_next right;
-        dirty t blkno;
-        Some (Some (all.(left_n), right))
-      end)
+        Page.set_u16 rp n_nitems right_n;
+        Page.set_u32 rp n_next old_next);
+    dirty t right;
+    for i = 0 to left_n - 1 do
+      leaf_set_item t p i all.(i)
+    done;
+    Page.set_u16 p n_nitems left_n;
+    Page.set_u32 p n_next right;
+    dirty t blkno;
+    Some (Some (all.(left_n), right))
+  end
 
 let insert_internal t blkno ~sep ~right : promotion =
   with_page t blkno (fun p ->
@@ -273,14 +284,13 @@ let insert_internal t blkno ~sep ~right : promotion =
       end)
 
 let rec insert_at t blkno item : promotion option =
-  if level_of t blkno = 0 then insert_leaf t blkno item
-  else begin
-    let child = find_child t blkno item in
+  match step t blkno item (insert_leaf t blkno item) with
+  | At_leaf promo -> promo
+  | Down child -> (
     match insert_at t child item with
     | None -> None
     | Some None -> Some None
-    | Some (Some (sep, right)) -> Some (insert_internal t blkno ~sep ~right)
-  end
+    | Some (Some (sep, right)) -> Some (insert_internal t blkno ~sep ~right))
 
 (* The root split: the root's left half moves to a new block, and block
    0 becomes an internal node one level higher over that copy and the
@@ -310,9 +320,8 @@ let insert t ~key ~value =
 
 let delete t ~key ~value =
   let item = item_of t ~key ~value in
-  let leaf = find_leaf t root item in
   let removed =
-    with_page t leaf (fun p ->
+    at_leaf t root item (fun leaf p ->
         let n = node_nitems p in
         let pos = lower_bound t p ~stride:t.isize n item in
         if item_is t p ~stride:t.isize n pos item then begin
@@ -339,28 +348,29 @@ let scan_range t ~lo ~hi f =
   let lo_item = item_of t ~key:lo ~value:0L in
   let hi_item = item_of t ~key:hi ~value:(-1L) in
   let visit item = f (item_key t item) (item_value t item) in
-  let leaf = ref (find_leaf t root lo_item) in
   let stop = ref false in
-  while (not !stop) && !leaf <> no_block do
+  (* The entries of leaf [p] in range, copied out, and the next leaf:
+     start at [lo_item]'s lower bound, stop at the first entry past
+     [hi_item]. *)
+  let collect p =
     let batch = ref [] in
-    let next =
-      with_page t !leaf (fun p ->
-          (* Copy out only the entries in range: start at [lo_item]'s
-             lower bound, stop at the first entry past [hi_item]. *)
-          let n = node_nitems p in
-          let i = ref (lower_bound t p ~stride:t.isize n lo_item) in
-          while (not !stop) && !i < n do
-            if compare_at t p (items_base + (!i * t.isize)) hi_item > 0 then stop := true
-            else begin
-              batch := leaf_item t p !i :: !batch;
-              incr i
-            end
-          done;
-          Page.get_u32 p n_next)
-    in
-    List.iter visit (List.rev !batch);
-    leaf := next
-  done
+    let n = node_nitems p in
+    let i = ref (lower_bound t p ~stride:t.isize n lo_item) in
+    while (not !stop) && !i < n do
+      if compare_at t p (items_base + (!i * t.isize)) hi_item > 0 then stop := true
+      else begin
+        batch := leaf_item t p !i :: !batch;
+        incr i
+      end
+    done;
+    (List.rev !batch, Page.get_u32 p n_next)
+  in
+  (* The first leaf is read in the descent's own pin. *)
+  let rec walk (batch, next) =
+    List.iter visit batch;
+    if (not !stop) && next <> no_block then walk (with_page t next collect)
+  in
+  walk (at_leaf t root lo_item (fun _ p -> collect p))
 
 let lookup t ~key =
   Relstore.Cpu_model.charge_index_op (Device.clock t.device);

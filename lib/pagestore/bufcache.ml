@@ -29,7 +29,8 @@ type entry = {
   blkno : int;
   page : Page.t;
   mutable dirty : bool;
-  mutable seal : (Page.t -> unit) option; (* run on the page before it is stored *)
+  mutable seal : (Page.t -> int) option;
+      (* run on the page before it is stored; returns the stored image's CRC *)
   mutable pins : int;
   mutable tier : tier;
   mutable prefetched : bool; (* installed by read-ahead, not yet demanded *)
@@ -285,14 +286,14 @@ let os_cached_device dev = Device.kind dev = Device.Magnetic_disk
 (* Store one copy on one device, with transient-fault retry.  For
    magnetic disks the page lands in the FS buffer cache (contents stored,
    platter write asynchronous); other kinds write through, charged. *)
-let store_copy t dev ~segid ~blkno page =
+let store_copy t dev ~segid ~blkno ?crc page =
   Hashtbl.replace t.written (Device.id dev) dev;
   if os_cached_device dev then begin
-    Resilient.write_block ~charged:false dev ~segid ~blkno page;
+    Resilient.write_block ~charged:false ?crc dev ~segid ~blkno page;
     Simclock.Clock.advance (Device.clock dev) ~account:"oscache.write" os_copy_cost;
     Os_cache.add t.os_cache (pack ~devid:(Device.id dev) ~segid ~blkno)
   end
-  else Resilient.write_block ~charged:true dev ~segid ~blkno page
+  else Resilient.write_block ~charged:true ?crc dev ~segid ~blkno page
 
 let write_back t e =
   if e.dirty then begin
@@ -300,15 +301,16 @@ let write_back t e =
     | Some hook -> hook ~device:(Device.name e.dev) ~segid:e.segid ~blkno:e.blkno
     | None -> ());
     (* Sealed once per trip to the device, before the first copy, so the
-       primary and the mirror store the same image. *)
-    (match e.seal with Some seal -> seal e.page | None -> ());
+       primary and the mirror store the same image; the seal's CRC of
+       that image spares each device a pass of its own. *)
+    let crc = Option.map (fun seal -> seal e.page) e.seal in
     (* Dual writes: the mirror copy is stored even when the primary has
        failed permanently, so a degraded pair keeps accepting writes.  The
        write-back only fails when no copy lands.  Crash injection is not
        caught — a machine crash mid-write-back propagates as before. *)
     let primary_err =
       try
-        store_copy t e.dev ~segid:e.segid ~blkno:e.blkno e.page;
+        store_copy t e.dev ~segid:e.segid ~blkno:e.blkno ?crc e.page;
         None
       with (Device.Media_failure _ | Device.Io_fault _) as exn -> Some exn
     in
@@ -317,7 +319,7 @@ let write_back t e =
       | None -> false
       | Some (mdev, msegid) -> (
         try
-          store_copy t mdev ~segid:msegid ~blkno:e.blkno e.page;
+          store_copy t mdev ~segid:msegid ~blkno:e.blkno ?crc e.page;
           true
         with Device.Media_failure _ | Device.Io_fault _ | Invalid_argument _ -> false)
     in

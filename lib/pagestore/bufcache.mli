@@ -63,13 +63,16 @@ val get : t -> Device.t -> segid:int -> blkno:int -> Page.t
 
 val unpin : t -> Device.t -> segid:int -> blkno:int -> unit
 
-val mark_dirty : ?seal:(Page.t -> unit) -> t -> Device.t -> segid:int -> blkno:int -> unit
+val mark_dirty : ?seal:(Page.t -> int) -> t -> Device.t -> segid:int -> blkno:int -> unit
 (** Record that a pinned page was modified so eviction/flush writes it
     back.  [seal], if given, runs on the page once when it is next
     written back, before its first copy is stored (primary and mirror
     then get the same image): a page format whose checksum covers the
     page pays the checksum once per trip to the device, not once per
-    change.  Raises [Invalid_argument] if the page is not resident. *)
+    change.  It returns {!Page.checksum} of the page as sealed, which
+    both copies hand to the device ({!Device.write_block}'s [crc]), so
+    the device records it without a pass of its own.  Raises
+    [Invalid_argument] if the page is not resident. *)
 
 val with_page : t -> Device.t -> segid:int -> blkno:int -> (Page.t -> 'a) -> 'a
 (** [with_page c dev ~segid ~blkno f] pins, applies [f], unpins (also on

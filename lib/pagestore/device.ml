@@ -475,7 +475,7 @@ let clear_marks t =
     Hashtbl.reset t.marks
   end
 
-let poke_block t ~segid ~blkno page =
+let poke_block ?crc t ~segid ~blkno page =
   check_alive t ~segid ~blkno;
   check_block t segid blkno;
   (* Mark before the store: a crash that tears this block finds the
@@ -511,8 +511,10 @@ let poke_block t ~segid ~blkno page =
   Page.blit_out page 0 stored 0 n;
   (* The checksum records the bytes that actually reached the medium — a
      torn write is checksum-consistent (self-identifying pages catch it);
-     only post-hoc decay leaves the checksum stale. *)
-  Hashtbl.replace t.checksums (segid, blkno) (block_crc stored);
+     only post-hoc decay leaves the checksum stale.  A CRC handed in is
+     the page's, so it holds only when the whole page landed. *)
+  let crc = match crc with Some c when n = Page.size -> c | _ -> block_crc stored in
+  Hashtbl.replace t.checksums (segid, blkno) crc;
   Obs.Metrics.incr m_poke;
   match fault with Some Fault_bitrot -> rot_bytes stored | _ -> ()
 
@@ -604,15 +606,15 @@ let charge_write t ~segid ~blkno =
     Lru_set.add t.cache phys);
   t.writes <- t.writes + 1
 
-let write_block t ~segid ~blkno page =
+let write_block ?crc t ~segid ~blkno page =
   if not (Obs.on Obs.Device) then begin
     charge_write t ~segid ~blkno;
-    poke_block t ~segid ~blkno page
+    poke_block ?crc t ~segid ~blkno page
   end
   else begin
     let t0 = Simclock.Clock.now t.clock in
     charge_write t ~segid ~blkno;
-    poke_block t ~segid ~blkno page;
+    poke_block ?crc t ~segid ~blkno page;
     obs_io t "device.write" m_write h_write ~segid ~blkno ~t0
   end
 

@@ -135,9 +135,11 @@ val read_block : t -> segid:int -> blkno:int -> Page.t -> unit
     a frame that held another block shows nothing of it afterwards.
     Raises [Invalid_argument] if the block does not exist. *)
 
-val write_block : t -> segid:int -> blkno:int -> Page.t -> unit
+val write_block : ?crc:int -> t -> segid:int -> blkno:int -> Page.t -> unit
 (** Write one block, charging simulated time.  The block must have been
-    allocated. *)
+    allocated.  [crc], if given, must be {!Page.checksum} of the page:
+    the store records it as the block's checksum instead of computing
+    one (see {!poke_block}). *)
 
 val read_block_cont : t -> segid:int -> blkno:int -> Page.t -> unit
 (** Like {!read_block}, but charged as the {e continuation} of a streaming
@@ -155,11 +157,14 @@ val peek_block : t -> segid:int -> blkno:int -> Page.t -> unit
     one, so on every read path, torn and rotten transfers included, the
     whole frame is overwritten. *)
 
-val poke_block : t -> segid:int -> blkno:int -> Page.t -> unit
+val poke_block : ?crc:int -> t -> segid:int -> blkno:int -> Page.t -> unit
 (** Write contents without charging the transfer.  WORM accounting is
     bypassed too — use only from models layered over magnetic-disk
     devices.  Every store, charged or not, lands here, so this is where
-    the segment's dirty mark is set (see {!is_marked}). *)
+    the segment's dirty mark is set (see {!is_marked}), and where the
+    block's checksum is recorded: [crc] when given (it must be
+    {!Page.checksum} of the page) and the whole page landed, otherwise
+    one CRC pass over the stored image, as for a torn store. *)
 
 val charge_read : t -> segid:int -> blkno:int -> unit
 (** Apply the read cost model (seek/rotate/transfer, counters) without

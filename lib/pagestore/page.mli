@@ -54,9 +54,24 @@ val crc32 : bytes -> off:int -> len:int -> int
 (** IEEE CRC-32 of [len] bytes of a buffer from [off], in
     [0..0xFFFFFFFF].  The one CRC in the system: page checksums, the
     name hash in {!Index.Key.dir_name} and the wire frame check all use
-    it.  Slicing-by-8: eight lookups in a 2,048-entry table fold each
-    8-byte word, a byte loop finishes the tail, and nothing is
-    allocated.  About 11 µs per 8 KB page on a 2-core x86-64 machine. *)
+    it.  Slicing-by-8 (eight lookups in a 2,048-entry table fold each
+    8-byte word), with each whole 8 KB block run as two independent
+    streams over its 4 KB halves, joined by a 1,024-entry table that
+    moves a register past 4 KB of zeros; a byte loop finishes the tail.
+    Nothing is allocated.  About 5 µs per 8 KB page on a 2-core
+    x86-64 machine, against 7.5–8 µs for one stream. *)
+
+val crc32_xor_u32 : int -> len:int -> at:int -> int -> int
+(** [crc32_xor_u32 crc ~len ~at v]: given the CRC-32 [crc] of some
+    [len] bytes, the CRC-32 of the same bytes with the four at offset
+    [at] XORed with [v] (little-endian: byte [at] with [v land 0xFF]),
+    without reading the bytes again.  A few hundred integer operations,
+    against a pass over the buffer. *)
+
+val crc32_zeroed : bytes -> off:int -> len:int -> at:int -> int
+(** Like {!crc32}, but reading the four bytes at [at] (inside the
+    range) as zeros: the check of a buffer that carries its own
+    checksum at [at], made with one pass and without writing it. *)
 
 val checksum : t -> int
 (** CRC-32 of the page contents.  Self-identifying blocks (paper, "Fast

@@ -98,11 +98,11 @@ let read_block ?(charged = true) ?(cont = false) dev ~segid ~blkno frame =
       | exception (Device.Media_failure _ | Device.Io_fault _ | Invalid_argument _) ->
         raise primary_failure))
 
-let write_block ?(charged = true) dev ~segid ~blkno page =
+let write_block ?(charged = true) ?crc dev ~segid ~blkno page =
   let clock = Device.clock dev in
   let transfer () =
-    if charged then Device.write_block dev ~segid ~blkno page
-    else Device.poke_block dev ~segid ~blkno page
+    if charged then Device.write_block ?crc dev ~segid ~blkno page
+    else Device.poke_block ?crc dev ~segid ~blkno page
   in
   let rec go attempt =
     match transfer () with

@@ -37,10 +37,11 @@ val read_block :
     propagate. *)
 
 val write_block :
-  ?charged:bool -> Device.t -> segid:int -> blkno:int -> Page.t -> unit
+  ?charged:bool -> ?crc:int -> Device.t -> segid:int -> blkno:int -> Page.t -> unit
 (** Write with transient-fault retry.  Permanent faults propagate — the
     caller (the buffer cache) decides whether a mirror copy landing is good
-    enough.  [charged] selects {!Device.write_block} vs {!Device.poke_block}. *)
+    enough.  [charged] selects {!Device.write_block} vs {!Device.poke_block};
+    [crc], the page's checksum when the caller has it, is passed on. *)
 
 val verify_or_repair :
   Device.t -> segid:int -> blkno:int ->

@@ -197,9 +197,16 @@ let compact page =
   in
   List.iter place records
 
+(* One pass over the page: its CRC with the field read as zero is the
+   checksum stored, and the stored image's own CRC, which the device
+   records, follows from it by folding the four field bytes in. *)
 let seal page =
-  unseal page;
-  Pagestore.Page.set_u32 page off_checksum (Pagestore.Page.checksum page)
+  let crc =
+    Pagestore.Page.crc32_zeroed (Pagestore.Page.raw page) ~off:0 ~len:Pagestore.Page.size
+      ~at:off_checksum
+  in
+  Pagestore.Page.set_u32 page off_checksum crc;
+  Pagestore.Page.crc32_xor_u32 crc ~len:Pagestore.Page.size ~at:off_checksum crc
 
 (* An allocated-but-never-written page (e.g. from a transaction that
    crashed before committing its relation's first flush). *)
@@ -222,9 +229,9 @@ let verify page ~expect_relid ~expect_blkno =
   else
     let stored = Pagestore.Page.get_u32 page off_checksum in
     if stored = 0 then Ok () (* changed in the pool since it was last stored *)
-    else begin
-      unseal page;
-      let crc = Pagestore.Page.checksum page in
-      Pagestore.Page.set_u32 page off_checksum stored;
-      if stored <> crc then Error "checksum mismatch" else Ok ()
-    end
+    else if
+      stored
+      <> Pagestore.Page.crc32_zeroed (Pagestore.Page.raw page) ~off:0 ~len:Pagestore.Page.size
+           ~at:off_checksum
+    then Error "checksum mismatch"
+    else Ok ()

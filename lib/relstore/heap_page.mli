@@ -110,11 +110,16 @@ val compact : Pagestore.Page.t -> unit
 (** Slide live records together to reclaim dead data space.  Slot numbers
     (hence TIDs) are preserved. *)
 
-val seal : Pagestore.Page.t -> unit
-(** Recompute and store the checksum: one CRC over the whole page. *)
+val seal : Pagestore.Page.t -> int
+(** Recompute and store the checksum, with one CRC pass over the page,
+    and return the CRC-32 of the page as sealed ({!Pagestore.Page.checksum}
+    of the stored image), folded from that pass: the buffer pool hands it
+    to the device, which then records it without a pass of its own. *)
 
 val verify : Pagestore.Page.t -> expect_relid:int64 -> expect_blkno:int -> (unit, string) result
 (** Self-identification check: magic, relid, blkno and checksum all match.
     All-zero pages pass — they are unused space, not corruption.  A page
     whose checksum field is 0 (changed in the pool, not yet stored) is
-    checked on its header only, before any CRC is computed. *)
+    checked on its header only, before any CRC is computed.  The page is
+    only read: the CRC with the field zeroed comes from one pass over the
+    page as it stands. *)

@@ -11,7 +11,8 @@ exception Decode
 exception Unknown_opcode of int
 
 (* A field's wire type, as data.  [put] and [get] interpret it, and so
-   does [layout], which finds every field in an encoded payload. *)
+   does [layout], which finds every field in an encoded payload and
+   its length. *)
 type _ ty =
   | Unit : unit ty
   | Byte : int ty
@@ -63,47 +64,52 @@ let find cases v =
   in
   go 0
 
-let rec put : type a. a ty -> Buffer.t -> a -> unit =
- fun ty b v ->
+(* Writes [v] at [pos] in [b]; returns the offset after it. *)
+let rec put : type a. a ty -> bytes -> int -> a -> int =
+ fun ty b pos v ->
   match ty with
-  | Unit -> ()
+  | Unit -> pos
   | Byte ->
     if v < 0 || v > 0xff then invalid_arg "Wire: byte field out of range";
-    Buffer.add_uint8 b v
-  | Bool -> Buffer.add_uint8 b (Bool.to_int v)
+    Bytes.set_uint8 b pos v;
+    pos + 1
+  | Bool ->
+    Bytes.set_uint8 b pos (Bool.to_int v);
+    pos + 1
   | I32 ->
     if v < -0x8000_0000 || v > 0x7fff_ffff then invalid_arg "Wire: i32 field out of range";
-    Buffer.add_int32_be b (Int32.of_int v)
-  | I64 -> Buffer.add_int64_be b v
+    Bytes.set_int32_be b pos (Int32.of_int v);
+    pos + 4
+  | I64 ->
+    Bytes.set_int64_be b pos v;
+    pos + 8
   | Str ->
-    put I32 b (String.length v);
-    Buffer.add_string b v
-  | Opt ty -> (
-    match v with
-    | None -> Buffer.add_uint8 b 0
-    | Some x ->
-      Buffer.add_uint8 b 1;
-      put ty b x)
+    let n = String.length v in
+    let pos = put I32 b pos n in
+    Bytes.blit_string v 0 b pos n;
+    pos + n
+  | Opt ty -> ( match v with None -> put Byte b pos 0 | Some x -> put ty b (put Byte b pos 1) x)
   | List (bound, ty) ->
     let n = List.length v in
     if n > bound then invalid_arg "Wire: list longer than its bound";
-    put I32 b n;
-    List.iter (put ty b) v
-  | Pair (ta, tb) ->
-    put ta b (fst v);
-    put tb b (snd v)
-  | Map (to_wire, _, ty) -> put ty b (to_wire v)
+    List.fold_left (put ty b) (put I32 b pos n) v
+  | Pair (ta, tb) -> put tb b (put ta b pos (fst v)) (snd v)
+  | Map (to_wire, _, ty) -> put ty b pos (to_wire v)
   | Sum cases ->
     let (Found (ty, tag, x)) = find cases v in
-    Buffer.add_uint8 b tag;
-    put ty b x
+    put ty b (put Byte b pos tag) x
 
-type cursor = { data : string; mutable pos : int }
+type payload = { buf : string; off : int; len : int }
+
+(* Reads a payload in place, up to [stop]. *)
+type cursor = { data : string; mutable pos : int; stop : int }
+
+let cursor p = { data = p.buf; pos = p.off; stop = p.off + p.len }
 
 (* The offset of the next [n] bytes, which must all be there. *)
 let take c n =
   let p = c.pos in
-  if n < 0 || p + n > String.length c.data then raise Decode;
+  if n < 0 || p + n > c.stop then raise Decode;
   c.pos <- p + n;
   p
 
@@ -123,7 +129,7 @@ let rec get : type a. a ty -> cursor -> a =
     let n = get I32 c in
     (* every element takes a byte at least, so a count past the end of
        the payload is damage and sizes nothing *)
-    if n < 0 || n > bound || n > String.length c.data - c.pos then raise Decode;
+    if n < 0 || n > bound || n > c.stop - c.pos then raise Decode;
     List.init n (fun _ -> get ty c)
   | Pair (ta, tb) ->
     let x = get ta c in
@@ -136,28 +142,33 @@ let rec get : type a. a ty -> cursor -> a =
 
 type field = [ `Byte | `Bool | `I32 | `I64 | `Str | `Opt | `Count ]
 
-(* Each field of [v] as [put] writes it from offset [off], newest first
-   onto [acc]; returns the offset after it.  A sum's tag is no field. *)
-let rec layout : type a. a ty -> a -> int -> (field * int) list ref -> int =
- fun ty v off acc ->
-  let leaf kind width =
-    acc := (kind, off) :: !acc;
-    off + width
-  in
+let leaf note kind off width =
+  note kind off;
+  off + width
+
+(* Passes each field of [v] to [note] with the offset [put] writes it
+   at, starting from [off]; returns the offset after [v], so from 0 it
+   is [v]'s encoded length, which sizes a frame exactly.  A sum's tag
+   is no field. *)
+let rec layout : type a. (field -> int -> unit) -> a ty -> a -> int -> int =
+ fun note ty v off ->
   match ty with
   | Unit -> off
-  | Byte -> leaf `Byte 1
-  | Bool -> leaf `Bool 1
-  | I32 -> leaf `I32 4
-  | I64 -> leaf `I64 8
-  | Str -> leaf `Str (4 + String.length v)
-  | Opt ty -> ( match v with None -> leaf `Opt 1 | Some x -> layout ty x (leaf `Opt 1) acc)
-  | List (_, ty) -> List.fold_left (fun off x -> layout ty x off acc) (leaf `Count 4) v
-  | Pair (ta, tb) -> layout tb (snd v) (layout ta (fst v) off acc) acc
-  | Map (to_wire, _, ty) -> layout ty (to_wire v) off acc
+  | Byte -> leaf note `Byte off 1
+  | Bool -> leaf note `Bool off 1
+  | I32 -> leaf note `I32 off 4
+  | I64 -> leaf note `I64 off 8
+  | Str -> leaf note `Str off (4 + String.length v)
+  | Opt ty -> (
+    match v with None -> leaf note `Opt off 1 | Some x -> layout note ty x (leaf note `Opt off 1))
+  | List (_, ty) -> List.fold_left (fun off x -> layout note ty x off) (leaf note `Count off 4) v
+  | Pair (ta, tb) -> layout note tb (snd v) (layout note ta (fst v) off)
+  | Map (to_wire, _, ty) -> layout note ty (to_wire v) off
   | Sum cases ->
     let (Found (ty, _, x)) = find cases v in
-    layout ty x (off + 1) acc
+    layout note ty x (off + 1)
+
+let no_note (_ : field) (_ : int) = ()
 
 (* ---------------- requests ---------------- *)
 
@@ -342,25 +353,22 @@ let mutating req = class_of req = Mutating
 let relief req = class_of req = Relief
 let deadline_exempt req = match class_of req with Relief | Admin -> true | _ -> false
 
-let rec put_req b = function
-  | Carry { closes; begin_txn; req } ->
-    Buffer.add_uint8 b carry_tag;
-    put carry_prefix b (closes, begin_txn);
-    put_req b req
-  | req -> put request_ty b req
+(* A request's fields to [note]; returns its encoded length. *)
+let layout_req note req =
+  let rec go off = function
+    | Carry { closes; begin_txn; req } -> go (layout note carry_prefix (closes, begin_txn) (off + 1)) req
+    | req -> layout note request_ty req off
+  in
+  go 0 req
 
-let encode_req_payload req =
-  let b = Buffer.create 64 in
-  put_req b req;
-  Buffer.contents b
+let rec put_req b pos = function
+  | Carry { closes; begin_txn; req } ->
+    put_req b (put carry_prefix b (put Byte b pos carry_tag) (closes, begin_txn)) req
+  | req -> put request_ty b pos req
 
 let fields req =
   let acc = ref [] in
-  let rec go off = function
-    | Carry { closes; begin_txn; req } -> go (layout carry_prefix (closes, begin_txn) (off + 1) acc) req
-    | req -> ignore (layout request_ty req off acc : int)
-  in
-  go 0 req;
+  ignore (layout_req (fun kind off -> acc := (kind, off) :: !acc) req : int);
   List.rev !acc
 
 (* Distinguishes an opcode from the future ([`Unknown]) from a payload
@@ -382,10 +390,10 @@ let rec get_req c ~nested =
     | None -> raise (Unknown_opcode tag)
 
 let decode_request_any payload =
-  let c = { data = payload; pos = 0 } in
+  let c = cursor payload in
   try
     let req = get_req c ~nested:false in
-    if c.pos <> String.length payload then raise Decode;
+    if c.pos <> c.stop then raise Decode;
     `Req req
   with
   | Decode -> `Malformed
@@ -491,16 +499,11 @@ let reply_ty =
       case 6 I32 (fun epoch -> Wrong_shard { epoch }) (function Wrong_shard r -> Some r.epoch | _ -> None);
     ]
 
-let encode_reply_payload reply =
-  let b = Buffer.create 64 in
-  put reply_ty b reply;
-  Buffer.contents b
-
 let decode_reply payload =
-  let c = { data = payload; pos = 0 } in
+  let c = cursor payload in
   try
     let reply = get reply_ty c in
-    if c.pos <> String.length payload then raise Decode;
+    if c.pos <> c.stop then raise Decode;
     Some reply
   with Decode -> None
 
@@ -513,14 +516,17 @@ type hdr = {
   frame_ix : int;
   nframes : int;
   deadline_us : int64; (* absolute sim-clock µs; 0 = no deadline *)
-  payload : string;
+  payload : payload; (* in the frame itself *)
 }
 
 let u32_at s off = Int32.to_int (String.get_int32_be s off) land 0xffff_ffff
 
-let make_frame ~kind ~sid ~rid ~frame_ix ~nframes ~deadline_us fragment =
-  let n = String.length fragment in
-  let b = Bytes.make (header_bytes + n) '\000' in
+(* One frame of [n] payload bytes, which [fill] writes at
+   [header_bytes]; the CRC covers the whole frame with its own field
+   zeroed. *)
+let make_frame ~kind ~sid ~rid ~frame_ix ~nframes ~deadline_us n fill =
+  let b = Bytes.create (header_bytes + n) in
+  Bytes.fill b 0 header_bytes '\000';
   Bytes.blit_string magic 0 b 0 4;
   Bytes.set_uint16_be b 4 version;
   Bytes.set_uint8 b 6 kind;
@@ -530,37 +536,36 @@ let make_frame ~kind ~sid ~rid ~frame_ix ~nframes ~deadline_us fragment =
   Bytes.set_uint16_be b 26 nframes;
   Bytes.set_int32_be b 28 (Int32.of_int n);
   Bytes.set_int64_be b 36 deadline_us;
-  Bytes.blit_string fragment 0 b header_bytes n;
-  (* CRC over the whole frame with the crc field zeroed *)
+  fill b;
   Bytes.set_int32_be b 32 (Int32.of_int (Pagestore.Page.crc32 b ~off:0 ~len:(Bytes.length b)));
-  Bytes.to_string b
+  Bytes.unsafe_to_string b
 
-(* Split a logical payload into CRC'd frames.  Streamed requests
-   ([trailer]) append a zero-length end-of-stream frame, the explicit
-   "that was all of it" marker a windowed upload needs. *)
-let frame_payload ~kind ~sid ~rid ~trailer ~deadline_us payload =
-  let len = String.length payload in
+(* The CRC'd frames of a payload of [len] bytes that [write b pos]
+   serializes at [pos].  A payload that fits one frame is written
+   straight into it; a longer one is written once and each frame takes
+   its slice.  Streamed requests ([trailer]) append a zero-length
+   end-of-stream frame, the explicit "that was all of it" marker a
+   windowed upload needs. *)
+let frame_payload ~kind ~sid ~rid ~trailer ~deadline_us len write =
   let data_frames = max 1 ((len + max_fragment - 1) / max_fragment) in
   let nframes = data_frames + if trailer then 1 else 0 in
   if nframes > 0xffff then invalid_arg "Wire: payload too large to frame";
-  let frames = ref [] in
-  for ix = data_frames - 1 downto 0 do
-    let off = ix * max_fragment in
-    let n = min max_fragment (len - off) in
-    let n = max n 0 in
-    frames :=
-      make_frame ~kind ~sid ~rid ~frame_ix:ix ~nframes ~deadline_us
-        (String.sub payload off n)
-      :: !frames
-  done;
-  if trailer then
-    frames :=
-      !frames
-      @ [ make_frame ~kind ~sid ~rid ~frame_ix:(nframes - 1) ~nframes ~deadline_us "" ];
-  !frames
+  let frame ix n fill = make_frame ~kind ~sid ~rid ~frame_ix:ix ~nframes ~deadline_us n fill in
+  let data =
+    if data_frames = 1 then [ frame 0 len (fun b -> assert (write b header_bytes = header_bytes + len)) ]
+    else begin
+      let payload = Bytes.create len in
+      assert (write payload 0 = len);
+      List.init data_frames (fun ix ->
+          let off = ix * max_fragment in
+          let n = min max_fragment (len - off) in
+          frame ix n (fun b -> Bytes.blit payload off b header_bytes n))
+    end
+  in
+  if trailer then data @ [ frame (nframes - 1) 0 ignore ] else data
 
 let encode_request ?(deadline_us = 0L) ~sid ~rid req =
-  let payload = encode_req_payload req in
+  let len = layout_req no_note req in
   (* Only a windowed (multi-fragment) upload needs the end-of-stream
      trailer; a write that fits one frame is its own "that was all of
      it", and the spare frame would cost a full per-frame latency on the
@@ -568,19 +573,21 @@ let encode_request ?(deadline_us = 0L) ~sid ~rid req =
      create). *)
   let trailer =
     match carried req with
-    | Write _ | Shard_write _ | Migrate_in _ -> String.length payload > max_fragment
+    | Write _ | Shard_write _ | Migrate_in _ -> len > max_fragment
     | _ -> false
   in
-  frame_payload ~kind:0 ~sid ~rid ~trailer ~deadline_us payload
+  frame_payload ~kind:0 ~sid ~rid ~trailer ~deadline_us len (fun b pos -> put_req b pos req)
 
 let encode_reply ~sid ~rid reply =
-  frame_payload ~kind:1 ~sid ~rid ~trailer:false ~deadline_us:0L
-    (encode_reply_payload reply)
+  frame_payload ~kind:1 ~sid ~rid ~trailer:false ~deadline_us:0L (layout no_note reply_ty reply 0) (fun b pos ->
+      put reply_ty b pos reply)
 
+(* The CRC is checked in place, the field read as zero, and the payload
+   stays in the frame. *)
 let decode_header frame =
   let n = String.length frame in
   if n < header_bytes then None
-  else if String.sub frame 0 4 <> magic then None
+  else if String.get_int32_be frame 0 <> String.get_int32_be magic 0 then None
   else if String.get_uint16_be frame 4 <> version then None
   else
     let kind = String.get_uint8 frame 6 in
@@ -590,9 +597,9 @@ let decode_header frame =
       if plen <> n - header_bytes then None
       else
         let recorded = u32_at frame 32 in
-        let b = Bytes.of_string frame in
-        Bytes.set_int32_be b 32 0l;
-        let computed = Pagestore.Page.crc32 b ~off:0 ~len:n in
+        let computed =
+          Pagestore.Page.crc32_zeroed (Bytes.unsafe_of_string frame) ~off:0 ~len:n ~at:32
+        in
         if computed <> recorded then None
         else
           let frame_ix = String.get_uint16_be frame 24 in
@@ -607,13 +614,13 @@ let decode_header frame =
                 frame_ix;
                 nframes;
                 deadline_us = String.get_int64_be frame 36;
-                payload = String.sub frame header_bytes plen;
+                payload = { buf = frame; off = header_bytes; len = plen };
               }
 
 (* ---------------- reassembly ---------------- *)
 
 module Assembly = struct
-  type slot = { nframes : int; parts : string option array; mutable have : int }
+  type slot = { nframes : int; parts : payload option array; mutable have : int }
 
   (* key: (kind, sid, rid) *)
   type t = (int * int64 * int64, slot) Hashtbl.t
@@ -623,25 +630,40 @@ module Assembly = struct
   let reset (t : t) = Hashtbl.reset t
 
   let add (t : t) (h : hdr) =
-    let key = (h.kind, h.sid, h.rid) in
-    let slot =
-      match Hashtbl.find_opt t key with
-      | Some s when s.nframes = h.nframes -> s
-      | Some _ | None ->
-        let s = { nframes = h.nframes; parts = Array.make h.nframes None; have = 0 } in
-        Hashtbl.replace t key s;
-        s
-    in
-    (match slot.parts.(h.frame_ix) with
-    | Some _ -> () (* duplicate fragment of a retry; ignore *)
-    | None ->
-      slot.parts.(h.frame_ix) <- Some h.payload;
-      slot.have <- slot.have + 1);
-    if slot.have = slot.nframes then begin
-      Hashtbl.remove t key;
-      let b = Buffer.create 256 in
-      Array.iter (function Some p -> Buffer.add_string b p | None -> assert false) slot.parts;
-      `Complete (Buffer.contents b)
+    if h.nframes = 1 then begin
+      (* Complete as it stands, read where it lies; it supersedes any
+         group left partial under its key. *)
+      if Hashtbl.length t > 0 then Hashtbl.remove t (h.kind, h.sid, h.rid);
+      `Complete h.payload
     end
-    else `Pending
+    else begin
+      let key = (h.kind, h.sid, h.rid) in
+      let slot =
+        match Hashtbl.find_opt t key with
+        | Some s when s.nframes = h.nframes -> s
+        | Some _ | None ->
+          let s = { nframes = h.nframes; parts = Array.make h.nframes None; have = 0 } in
+          Hashtbl.replace t key s;
+          s
+      in
+      (match slot.parts.(h.frame_ix) with
+      | Some _ -> () (* duplicate fragment of a retry; ignore *)
+      | None ->
+        slot.parts.(h.frame_ix) <- Some h.payload;
+        slot.have <- slot.have + 1);
+      if slot.have = slot.nframes then begin
+        Hashtbl.remove t key;
+        let parts = Array.map Option.get slot.parts in
+        let b = Bytes.create (Array.fold_left (fun n p -> n + p.len) 0 parts) in
+        ignore
+          (Array.fold_left
+             (fun at p ->
+               Bytes.blit_string p.buf p.off b at p.len;
+               at + p.len)
+             0 parts
+            : int);
+        `Complete { buf = Bytes.unsafe_to_string b; off = 0; len = Bytes.length b }
+      end
+      else `Pending
+    end
 end

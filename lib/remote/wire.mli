@@ -251,9 +251,14 @@ type reply =
 val encode_request : ?deadline_us:int64 -> sid:int64 -> rid:int64 -> req -> string list
 (** The frames of one request, in send order.  [deadline_us] (absolute
     simulated µs, 0 = none) tells the server when the caller will have
-    given up. *)
+    given up.  A request that fits one frame is serialized straight into
+    it, so the frame is the only copy of a [Write]'s data. *)
 
 val encode_reply : sid:int64 -> rid:int64 -> reply -> string list
+
+type payload = { buf : string; off : int; len : int }
+(** A payload as the decoders read it: [len] bytes of [buf] from [off],
+    in place.  A one-frame message's payload lies in its frame. *)
 
 type hdr = {
   kind : int;
@@ -262,22 +267,25 @@ type hdr = {
   frame_ix : int;
   nframes : int;
   deadline_us : int64;
-  payload : string;
+  payload : payload;  (** in the frame *)
 }
 
 val decode_header : string -> hdr option
-(** Parse and CRC-check one frame; [None] means corrupt (drop it). *)
+(** Parse and CRC-check one frame, in place: nothing is copied, and the
+    CRC (taken with its own field read as zero) is one pass over the
+    frame.  [None] means corrupt (drop it). *)
 
-val decode_request : string -> req option
-(** Decode an assembled request payload. *)
+val decode_request : payload -> req option
+(** Decode an assembled request payload.  A [Write]'s data is copied
+    once, into the string the request carries. *)
 
-val decode_request_any : string -> [ `Req of req | `Unknown of int | `Malformed ]
+val decode_request_any : payload -> [ `Req of req | `Unknown of int | `Malformed ]
 (** Like {!decode_request} but distinguishes a cleanly-framed opcode
     from a future protocol revision ([`Unknown], answered with
     {!reply.Unsupported}) from a damaged payload ([`Malformed],
     dropped as wire noise). *)
 
-val decode_reply : string -> reply option
+val decode_reply : payload -> reply option
 
 (** Fragment reassembly, keyed by [(kind, session id, request id)].
     Duplicate fragments (a retry resending what already arrived) are
@@ -289,7 +297,8 @@ module Assembly : sig
   val create : unit -> t
   val reset : t -> unit
 
-  val add : t -> hdr -> [ `Complete of string | `Pending ]
+  val add : t -> hdr -> [ `Complete of payload | `Pending ]
   (** Returns the whole payload once every fragment of the frame's
-      message has arrived. *)
+      message has arrived: a one-frame message's in its frame, a longer
+      one's joined into one fresh buffer. *)
 end

@@ -512,6 +512,32 @@ let test_lookup_allocation () =
     (Printf.sprintf "%.0f minor words per lookup, at most 400" per_lookup)
     true (per_lookup <= 400.)
 
+(* A descent pins each node once: the level check and the routing, or
+   the leaf's own work, share one pin.  So a lookup whose range ends
+   inside its leaf costs one pool get per level: the first key (the
+   leftmost leaf holds more) and the last (the rightmost leaf has no
+   successor), at heights 1 to 3. *)
+let test_one_pin_per_level () =
+  let t, cache = make_tree_and_cache ~klen:64 () in
+  let gets () = (Pagestore.Bufcache.stats cache).s_gets in
+  insert_wide t 0;
+  insert_wide t 1;
+  let n = ref 2 in
+  List.iter
+    (fun height ->
+      n := grow_to t height ~from:!n;
+      Alcotest.(check int) "height" height (Index.Btree.height t);
+      List.iter
+        (fun i ->
+          let g0 = gets () in
+          Alcotest.(check (list int64)) "found" [ Int64.of_int i ] (Index.Btree.lookup t ~key:(wide_key i));
+          Alcotest.(check int)
+            (Printf.sprintf "pool gets for entry %d at height %d" i height)
+            height
+            (gets () - g0))
+        [ 0; !n - 1 ])
+    [ 1; 2; 3 ]
+
 (* ---- properties ---- *)
 
 let prop_model_equivalence =
@@ -592,6 +618,7 @@ let () =
           Alcotest.test_case "absent keys" `Quick test_absent_keys;
           Alcotest.test_case "separator key routes right" `Quick test_separator_routes_right;
           Alcotest.test_case "lookup allocation" `Quick test_lookup_allocation;
+          Alcotest.test_case "one pin per level" `Quick test_one_pin_per_level;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -89,6 +89,32 @@ let test_crc_matches_bitwise () =
       if got <> want then Alcotest.failf "off=%d len=%d: %08x, want %08x" off len got want
     done
   done;
+  (* Both streams of the 8 KB kernel and their join: lengths around one
+     and two halves, one and two blocks, a chunk frame (8,243 bytes),
+     a block and a half, and two blocks with a tail, at every alignment. *)
+  let buf = Bytes.init 16_500 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  List.iter
+    (fun len ->
+      for off = 0 to 7 do
+        let got = P.crc32 buf ~off ~len and want = crc_bitwise buf ~off ~len in
+        if got <> want then Alcotest.failf "off=%d len=%d: %08x, want %08x" off len got want
+      done)
+    (List.init 17 Fun.id @ [ 4095; 4096; 4097; 8191; 8192; 8193; 8243; 12_288; 16_397 ]);
+  (* The folds: a field read as zero, and four bytes XORed in. *)
+  List.iter
+    (fun (len, at) ->
+      let zeroed = Bytes.sub buf 0 len in
+      Bytes.set_int32_le zeroed at 0l;
+      Alcotest.(check int)
+        (Printf.sprintf "crc32_zeroed len=%d at=%d" len at)
+        (crc_bitwise zeroed ~off:0 ~len)
+        (P.crc32_zeroed buf ~off:0 ~len ~at);
+      let v = Int32.to_int (Bytes.get_int32_le buf at) land 0xFFFFFFFF in
+      Alcotest.(check int)
+        (Printf.sprintf "crc32_xor_u32 len=%d at=%d" len at)
+        (crc_bitwise buf ~off:0 ~len)
+        (P.crc32_xor_u32 (crc_bitwise zeroed ~off:0 ~len) ~len ~at v))
+    [ (4, 0); (8192, 20); (8243, 32); (16_397, 16_393); (16_397, 0) ];
   let page = P.of_bytes buf in
   Alcotest.(check int) "whole page"
     (crc_bitwise (P.raw page) ~off:0 ~len:P.size)
@@ -390,6 +416,51 @@ let test_device_mirror_resilver_and_repair () =
   (match D.verify_block prim ~segid:seg ~blkno:blk with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("primary should be repaired in place: " ^ e))
+
+(* A sealed heap page is checksummed once on its way to the device: the
+   seal's CRC of the stored image is what both copies record.  A torn
+   store records the CRC of what actually landed, computed by the
+   device. *)
+let test_sealed_store_records_image_crc () =
+  let module HP = Relstore.Heap_page in
+  let clock = Simclock.Clock.create () in
+  let prim = D.create ~clock ~name:"prim" ~kind:D.Magnetic_disk () in
+  let sec = D.create ~clock ~name:"sec" ~kind:D.Magnetic_disk () in
+  D.attach_mirror prim sec;
+  let cache = B.create ~capacity:8 () in
+  let seg = D.create_segment prim in
+  let mseg = match D.segment_mirror prim ~segid:seg with Some (_, s) -> s | None -> -1 in
+  let fill blkno oid =
+    B.with_page cache prim ~segid:seg ~blkno (fun p ->
+        if not (HP.is_initialized p) then HP.init p ~relid:7L ~blkno;
+        ignore (HP.insert p ~oid ~xmin:1 ~payload:(Bytes.make 500 'h') : int option));
+    B.mark_dirty ~seal:HP.seal cache prim ~segid:seg ~blkno
+  in
+  let recorded_is_image dev ~segid ~blkno what =
+    let image = peek dev ~segid ~blkno in
+    Alcotest.(check bool) (what ^ ": stored sealed") true (P.get_u32 image 20 <> 0);
+    Alcotest.(check int) (what ^ ": recorded = CRC of the stored image") (P.checksum image)
+      (D.recorded_checksum dev ~segid ~blkno)
+  in
+  let blocks = List.init 3 (fun _ -> B.new_block cache prim ~segid:seg) in
+  List.iteri (fun i blkno -> fill blkno (Int64.of_int i)) blocks;
+  B.flush cache;
+  List.iter
+    (fun blkno ->
+      recorded_is_image prim ~segid:seg ~blkno (Printf.sprintf "primary %d" blkno);
+      recorded_is_image sec ~segid:mseg ~blkno (Printf.sprintf "mirror %d" blkno))
+    blocks;
+  (* Tear the primary's next store of block 0 after 100 bytes. *)
+  fill 0 10L;
+  D.set_fault_hook prim
+    (Some (fun io ~segid:_ ~blkno -> if io = D.Io_write && blkno = 0 then Some (D.Fault_torn 100) else None));
+  B.flush cache;
+  D.set_fault_hook prim None;
+  let torn = peek prim ~segid:seg ~blkno:0 and whole = peek sec ~segid:mseg ~blkno:0 in
+  Alcotest.(check bool) "the primary's store tore" false (Bytes.equal (P.to_bytes torn) (P.to_bytes whole));
+  Alcotest.(check int) "torn: recorded = CRC of what landed" (P.checksum torn)
+    (D.recorded_checksum prim ~segid:seg ~blkno:0);
+  recorded_is_image sec ~segid:mseg ~blkno:0 "mirror of the torn store"
 
 let test_device_kill_and_stuck () =
   let _, dev = fresh_disk () in
@@ -1085,6 +1156,8 @@ let () =
             test_device_mirror_resilver_and_repair;
           Alcotest.test_case "stuck and dead devices" `Quick
             test_device_kill_and_stuck;
+          Alcotest.test_case "sealed stores record the image CRC" `Quick
+            test_sealed_store_records_image_crc;
         ] );
       ( "bufcache",
         [

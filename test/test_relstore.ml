@@ -85,7 +85,8 @@ let test_page_compact_preserves_tids () =
 let test_page_self_identification () =
   let p = P.create () in
   HP.init p ~relid:5L ~blkno:9;
-  HP.seal p;
+  let crc = HP.seal p in
+  Alcotest.(check int) "seal returns the sealed image's CRC" (P.checksum p) crc;
   Alcotest.(check bool) "verifies" true (HP.verify p ~expect_relid:5L ~expect_blkno:9 = Ok ());
   Alcotest.(check bool) "wrong relid" true
     (HP.verify p ~expect_relid:6L ~expect_blkno:9 <> Ok ());
@@ -98,7 +99,7 @@ let test_page_self_identification () =
 
 (* A page whose checksum field is 0 has changed in the pool since it
    was last stored: verify returns on the header, before any CRC.  The
-   CRC is the whole cost of verifying a sealed page (about 11 us), so
+   CRC is the whole cost of verifying a sealed page (about 5 us), so
    the unsealed check runs far under a tenth of it; the loops time CPU,
    not wall-clock, and the margin is wide. *)
 let test_unsealed_verify_skips_crc () =
@@ -106,7 +107,7 @@ let test_unsealed_verify_skips_crc () =
   HP.init p ~relid:5L ~blkno:9;
   ignore (HP.insert p ~oid:1L ~xmin:1 ~payload:(Bytes.make 4000 'x') : int option);
   let sealed = P.copy p in
-  HP.seal sealed;
+  ignore (HP.seal sealed : int);
   Alcotest.(check int) "unsealed field" 0 (P.get_u32 p 20);
   let time page =
     let t0 = Sys.time () in
@@ -125,6 +126,30 @@ let test_unsealed_verify_skips_crc () =
   Alcotest.(check bool) "both verify" true
     (HP.verify p ~expect_relid:5L ~expect_blkno:9 = Ok ()
     && HP.verify sealed ~expect_relid:5L ~expect_blkno:9 = Ok ())
+
+(* Verify only reads the page: a sealed, an unsealed and a corrupted
+   page each keep all their bytes, and get the verdict they always
+   did. *)
+let test_verify_reads_only () =
+  let p = P.create () in
+  HP.init p ~relid:5L ~blkno:9;
+  ignore (HP.insert p ~oid:1L ~xmin:1 ~payload:(Bytes.make 300 'x') : int option);
+  let sealed = P.copy p in
+  ignore (HP.seal sealed : int);
+  let corrupted = P.copy sealed in
+  P.set_u8 corrupted (P.size - 1) (P.get_u8 corrupted (P.size - 1) lxor 1);
+  List.iter
+    (fun (what, page, verdict) ->
+      let before = P.to_bytes page in
+      Alcotest.(check (result unit string)) (what ^ ": verdict") verdict
+        (HP.verify page ~expect_relid:5L ~expect_blkno:9);
+      Alcotest.(check bool) (what ^ ": all 8,192 bytes unchanged") true
+        (Bytes.equal before (P.to_bytes page)))
+    [
+      ("sealed", sealed, Ok ());
+      ("unsealed", p, Ok ());
+      ("corrupted", corrupted, Error "checksum mismatch");
+    ]
 
 (* ---- Status log ---- *)
 
@@ -900,7 +925,7 @@ let test_seal_at_write_back () =
   let by_hand =
     pool_page 0 (fun p ->
         let c = P.copy p in
-        HP.seal c;
+        ignore (HP.seal c : int);
         c)
   in
   Alcotest.(check bool) "image = pool page sealed by hand" true
@@ -1022,6 +1047,7 @@ let () =
           Alcotest.test_case "self-identification" `Quick test_page_self_identification;
           Alcotest.test_case "unsealed verify skips the CRC" `Quick
             test_unsealed_verify_skips_crc;
+          Alcotest.test_case "verify reads only" `Quick test_verify_reads_only;
         ] );
       ( "status_log",
         [

@@ -160,6 +160,11 @@ let raw_fd r server req =
 
 (* ---- wire framing ---- *)
 
+(* Payloads as strings, and back: the decoders read a [Wire.payload]
+   in place. *)
+let pl s = { Wire.buf = s; off = 0; len = String.length s }
+let str_of (p : Wire.payload) = String.sub p.buf p.off p.len
+
 (* Reassemble a frame list the way the receiver does: parse + CRC-check
    every frame, feed it to Assembly, return the completed payload. *)
 let assemble frames =
@@ -174,7 +179,7 @@ let assemble frames =
       None frames
   in
   match payload with
-  | Some p -> p
+  | Some p -> str_of p
   | None -> Alcotest.fail "frames did not complete a message"
 
 let test_wire_roundtrip () =
@@ -217,7 +222,7 @@ let test_wire_roundtrip () =
       let req = Wire.Read_file { path = "/f"; timestamp; off = 5L; len = 4096 } in
       let frames = Wire.encode_request ~sid:1L ~rid:3L req in
       Alcotest.(check int) "read_file is one frame" 1 (List.length frames);
-      match Wire.decode_request (assemble frames) with
+      match Wire.decode_request (pl (assemble frames)) with
       | Some (Wire.Read_file r) ->
         Alcotest.(check string) "path" "/f" r.path;
         Alcotest.(check (option int64)) "timestamp" timestamp r.timestamp;
@@ -246,7 +251,7 @@ let roundtrip_write data =
   let frames =
     Wire.encode_request ~sid:5L ~rid:11L (Wire.Write { fd = 1; off = 0L; data })
   in
-  (match Wire.decode_request (assemble frames) with
+  (match Wire.decode_request (pl (assemble frames)) with
   | Some (Wire.Write w) ->
     Alcotest.(check int) "data length survives" (String.length data)
       (String.length w.data);
@@ -262,7 +267,7 @@ let test_wire_empty_payload () =
   (* Ping carries no fields at all: the minimal message on the wire *)
   let frames = Wire.encode_request ~sid:1L ~rid:1L Wire.Ping in
   Alcotest.(check int) "ping is one frame" 1 (List.length frames);
-  match Wire.decode_request (assemble frames) with
+  match Wire.decode_request (pl (assemble frames)) with
   | Some Wire.Ping -> ()
   | _ -> Alcotest.fail "ping did not roundtrip"
 
@@ -277,7 +282,7 @@ let test_wire_boundary_payload () =
     List.fold_left
       (fun acc f ->
         match Wire.decode_header f with
-        | Some h -> acc + String.length h.Wire.payload
+        | Some h -> acc + h.Wire.payload.len
         | None -> Alcotest.fail "frame failed parse/CRC")
       0 frames
   in
@@ -290,12 +295,59 @@ let test_wire_boundary_payload () =
   (match Wire.decode_header (List.hd frames) with
   | Some h ->
     Alcotest.(check int) "data frame filled to max_fragment" Wire.max_fragment
-      (String.length h.Wire.payload)
+      h.Wire.payload.len
   | None -> Alcotest.fail "boundary frame failed parse/CRC");
   let past_boundary = String.make (Wire.max_fragment - overhead + 1) 'c' in
   let frames = roundtrip_write past_boundary in
   Alcotest.(check int) "one byte over: two data frames + trailer" 3
     (List.length frames)
+
+(* One chunk [Write] round trip, counted in words put straight on the
+   major heap ([Gc.counters] is exact, so the bounds are deterministic
+   gates; a chunk is about 1,030 words).  Encoding builds the one frame
+   and nothing else that large; decoding (header and CRC check,
+   reassembly, payload) copies the data once, into the string the
+   server stores. *)
+let test_write_frame_allocation () =
+  let data = String.make Invfs.Chunk.capacity 'w' in
+  let rounds = 20 in
+  let direct f =
+    let _, promoted0, major0 = Gc.counters () in
+    f ();
+    let _, promoted1, major1 = Gc.counters () in
+    (major1 -. major0 -. (promoted1 -. promoted0)) /. float_of_int rounds
+  in
+  let frames = Array.make rounds [] in
+  let encode =
+    direct (fun () ->
+        for i = 0 to rounds - 1 do
+          frames.(i) <-
+            Wire.encode_request ~sid:1L ~rid:(Int64.of_int i) (Wire.Write { fd = 3; off = 0L; data })
+        done)
+  in
+  Alcotest.(check int) "one frame" 1 (List.length frames.(0));
+  let asm = Wire.Assembly.create () in
+  let decoded = Array.make rounds None in
+  let decode =
+    direct (fun () ->
+        for i = 0 to rounds - 1 do
+          match Wire.decode_header (List.hd frames.(i)) with
+          | None -> ()
+          | Some h -> (
+            match Wire.Assembly.add asm h with
+            | `Pending -> ()
+            | `Complete p -> (
+              match Wire.decode_request_any p with `Req req -> decoded.(i) <- Some req | _ -> ()))
+        done)
+  in
+  Alcotest.(check bool) "every write decodes intact" true
+    (Array.for_all (function Some (Wire.Write w) -> w.data = data | _ -> false) decoded);
+  Alcotest.(check bool)
+    (Printf.sprintf "encode: %.0f words straight to the major heap, at most 1,100" encode)
+    true (encode <= 1100.);
+  Alcotest.(check bool)
+    (Printf.sprintf "decode: %.0f words straight to the major heap, at most 1,100" decode)
+    true (decode <= 1100.)
 
 let test_wire_max_frame_roundtrip () =
   (* maximum-size message: every frame filled, CRC-checked, reassembled
@@ -425,7 +477,7 @@ let sample_replies =
 
 let payload_of req =
   match Wire.decode_header (List.hd (Wire.encode_request ~sid:1L ~rid:1L req)) with
-  | Some h -> h.Wire.payload
+  | Some h -> str_of h.Wire.payload
   | None -> Alcotest.fail "frame failed parse/CRC"
 
 let tag_of req = Char.code (payload_of req).[0]
@@ -438,14 +490,14 @@ let test_codec_every_constructor () =
     Wire.declared;
   List.iter
     (fun req ->
-      match Wire.decode_request_any (assemble (Wire.encode_request ~sid:1L ~rid:2L req)) with
+      match Wire.decode_request_any (pl (assemble (Wire.encode_request ~sid:1L ~rid:2L req))) with
       | `Req back ->
         Alcotest.(check bool) ("request roundtrips: " ^ Wire.req_name req) true (back = req)
       | `Unknown _ | `Malformed -> Alcotest.fail ("request failed to decode: " ^ Wire.req_name req))
     sample_reqs;
   List.iteri
     (fun i reply ->
-      match Wire.decode_reply (assemble (Wire.encode_reply ~sid:1L ~rid:2L reply)) with
+      match Wire.decode_reply (pl (assemble (Wire.encode_reply ~sid:1L ~rid:2L reply))) with
       | Some back -> Alcotest.(check bool) (Printf.sprintf "reply %d roundtrips" i) true (back = reply)
       | None -> Alcotest.fail (Printf.sprintf "reply %d failed to decode" i))
     sample_replies
@@ -493,7 +545,7 @@ let test_codec_hostile_carriers () =
   let r = raw_connect server net in
   List.iter
     (fun (what, payload) ->
-      (match Wire.decode_request_any payload with
+      (match Wire.decode_request_any (pl payload) with
       | `Malformed -> ()
       | `Req _ | `Unknown _ -> Alcotest.fail (what ^ ": should decode as `Malformed"));
       (* through the server: the frame passes its CRC, is dropped as
@@ -503,7 +555,7 @@ let test_codec_hostile_carriers () =
       Server.pump server;
       Alcotest.(check int) (what ^ ": no reply") 0 (List.length (raw_replies r)))
     hostile;
-  (match Wire.decode_request_any valid with
+  (match Wire.decode_request_any (pl valid) with
   | `Req (Wire.Carry { closes = [ 3 ]; begin_txn = false; req = Wire.Stat _ }) -> ()
   | _ -> Alcotest.fail "the untruncated carrier should decode");
   match raw_ok r server (Wire.Readdir { path = "/"; timestamp = None }) with
@@ -514,7 +566,7 @@ let test_codec_hostile_carriers () =
    negative value both ways, and a byte the field refuses is damage. *)
 let test_codec_exact () =
   let back req =
-    match Wire.decode_request_any (payload_of req) with
+    match Wire.decode_request_any (pl (payload_of req)) with
     | `Req r -> r
     | `Unknown _ | `Malformed -> Alcotest.fail ("did not decode: " ^ Wire.req_name req)
   in
@@ -535,7 +587,7 @@ let test_codec_exact () =
     (fun mode ->
       let p = Bytes.of_string opn in
       Bytes.set_uint8 p mode_at mode;
-      match Wire.decode_request_any (Bytes.to_string p) with
+      match Wire.decode_request_any (pl (Bytes.to_string p)) with
       | `Malformed -> ()
       | `Req _ | `Unknown _ -> Alcotest.fail (Printf.sprintf "open mode %d should be malformed" mode))
     [ 2; 0xff ]
@@ -617,14 +669,14 @@ let test_golden_samples () =
     (fun req p ->
       let name = Wire.req_name req in
       Alcotest.(check string) ("encodes as before: " ^ name) p (payload_of req);
-      Alcotest.(check bool) ("decodes as before: " ^ name) true (Wire.decode_request p = Some req))
+      Alcotest.(check bool) ("decodes as before: " ^ name) true (Wire.decode_request (pl p) = Some req))
     sample_reqs reqs;
   List.iteri
     (fun i (reply, p) ->
       Alcotest.(check string) (Printf.sprintf "reply %d encodes as before" i) p
         (assemble (Wire.encode_reply ~sid:1L ~rid:2L reply));
       Alcotest.(check bool) (Printf.sprintf "reply %d decodes as before" i) true
-        (Wire.decode_reply p = Some reply))
+        (Wire.decode_reply (pl p) = Some reply))
     (List.combine sample_replies reps)
 
 let test_golden_net_corpus () =
@@ -635,11 +687,11 @@ let test_golden_net_corpus () =
       let again =
         match kind with
         | "req" -> (
-          match Wire.decode_request p with
+          match Wire.decode_request (pl p) with
           | Some req -> payload_of req
           | None -> Alcotest.fail (Printf.sprintf "request %d no longer decodes" i))
         | _ -> (
-          match Wire.decode_reply p with
+          match Wire.decode_reply (pl p) with
           | Some reply -> assemble (Wire.encode_reply ~sid:1L ~rid:2L reply)
           | None -> Alcotest.fail (Printf.sprintf "reply %d no longer decodes" i))
       in
@@ -694,7 +746,7 @@ let test_codec_hostile_fields () =
     Server.pump server;
     let replies = raw_replies r in
     let what = Printf.sprintf "%s case %d" (Wire.req_name req) !cases in
-    (match (Wire.decode_request_any payload, replies) with
+    (match (Wire.decode_request_any (pl payload), replies) with
     | `Malformed, [] -> ()
     | `Unknown op, [ (_, Wire.Unsupported { opcode }) ] -> Alcotest.(check int) what op opcode
     | `Req _, [ (_, (Wire.Ok_reply _ | Wire.Err_reply _)) ] ->
@@ -1795,6 +1847,7 @@ let () =
             test_wire_max_frame_roundtrip;
           Alcotest.test_case "duplicate fragments ignored" `Quick
             test_wire_duplicate_fragments;
+          Alcotest.test_case "chunk write allocation" `Quick test_write_frame_allocation;
           Alcotest.test_case "unknown opcode answers Unsupported" `Quick
             test_unknown_opcode_unsupported;
           Alcotest.test_case "every constructor roundtrips" `Quick test_codec_every_constructor;
