@@ -410,7 +410,6 @@ let json_of_load (o : Lt.outcome) =
         ( "tenant_p99_s",
           J_arr (Array.to_list (Array.map (fun p -> J_num p) l.Lt.l_tenant_p99_s)) );
         ("shed_deadline", J_int l.Lt.l_shed_deadline);
-        ("shed_overload", J_int l.Lt.l_shed_overload);
         ("admitted", J_int l.Lt.l_admitted);
         ("admitted_p99_s", J_num l.Lt.l_admitted_p99_s);
         ("slo_goodput_ops_s", J_num l.Lt.l_slo_goodput_ops_s);
@@ -433,7 +432,6 @@ let json_of_load (o : Lt.outcome) =
       ("full_verifies", J_int o.Lt.full_verifies);
       ("mismatches", J_int (List.length o.Lt.mismatches));
       ("shed_deadline", J_int o.Lt.shed_deadline);
-      ("shed_overload", J_int o.Lt.shed_overload);
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -47,7 +47,6 @@ type t = {
   mutable landed : int;
   mutable time_travel_checks : int;
   mutable deadline_refusals : int;
-  mutable overload_refusals : int;
 }
 
 let create ~rng ~ora ~max_dirs ~max_file_bytes fs conns =
@@ -71,7 +70,6 @@ let create ~rng ~ora ~max_dirs ~max_file_bytes fs conns =
     landed = 0;
     time_travel_checks = 0;
     deadline_refusals = 0;
-    overload_refusals = 0;
   }
 
 (* ---------- the fleet's data plane ---------- *)
@@ -407,16 +405,12 @@ let resolve_indeterminate w ss =
 
 type result = Applied | Skipped | Refused
 
-(* The request was refused and never executed: the session lives on,
-   but the op's transaction cannot, so it aborts like a lock skip. *)
-let refuse w ss (r : Client.refusal) why =
-  (match r with
-  | Deadline ->
-    Oracle.trace w.ora "s%d .. deadline refusal: %s" ss.id why;
-    w.deadline_refusals <- w.deadline_refusals + 1
-  | Overload ->
-    Oracle.trace w.ora "s%d .. overload refusal: %s" ss.id why;
-    w.overload_refusals <- w.overload_refusals + 1);
+(* The request was refused for its deadline and never executed: the
+   session lives on, but the op's transaction cannot, so it aborts like
+   a lock skip. *)
+let refuse w ss why =
+  Oracle.trace w.ora "s%d .. deadline refusal: %s" ss.id why;
+  w.deadline_refusals <- w.deadline_refusals + 1;
   safe_abort w ss;
   Refused
 
@@ -457,19 +451,19 @@ let apply w ss op =
       safe_abort w ss;
       Skipped
     | exception Errors.Fs_error (code, msg) -> (
-      match (Client.refusal code msg, code, msg) with
-      | Some r, _, _ -> refuse w ss r msg
-      | None, (Errors.EAGAIN | Errors.EDEADLK | Errors.ETIMEDOUT), _ ->
+      match (code, msg) with
+      | _ when Client.deadline_refusal code msg -> refuse w ss msg
+      | (Errors.EAGAIN | Errors.EDEADLK | Errors.ETIMEDOUT), _ ->
         Oracle.trace w.ora "s%d .. lock skip" ss.id;
         w.lock_skips <- w.lock_skips + 1;
         safe_abort w ss;
         Skipped
-      | None, Errors.ENOENT, "raced with a concurrent unlink" ->
+      | Errors.ENOENT, "raced with a concurrent unlink" ->
         (* the server's answer to the same Not_found *)
         Oracle.trace w.ora "s%d .. unlink race" ss.id;
         safe_abort w ss;
         Skipped
-      | None, _, _ ->
+      | _ ->
         Oracle.mismatch w.ora "unexpected fs error %s: %s" (Errors.code_to_string code) msg;
         safe_abort w ss;
         Skipped)
@@ -486,9 +480,8 @@ let run_one w ~gen ~crash =
   match apply w ss op with
   | Applied | Skipped -> ()
   | Refused ->
-    (* no harness that draws its own sessions sets a deadline, and a
-       fleet rides out a handoff within its redirect budget *)
-    Oracle.mismatch w.ora "s%d: request refused (deadline or overload)" ss.id
+    (* no harness that draws its own sessions sets a deadline *)
+    Oracle.mismatch w.ora "s%d: request refused for its deadline" ss.id
   | exception Device.Crash_injected _ ->
     crash ();
     ss.pending <- None;

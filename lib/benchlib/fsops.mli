@@ -58,8 +58,6 @@ type t = {
   mutable time_travel_checks : int;
   mutable deadline_refusals : int;
       (** requests refused because their deadline had passed *)
-  mutable overload_refusals : int;
-      (** ...because the server answered them {!Remote.Wire.Overloaded} *)
 }
 
 val create :
@@ -142,25 +140,24 @@ val apply : t -> sess -> (sess -> Oracle.updates) -> result
     transient I/O error, a lock conflict (a lock wait that timed out
     included) or an unlink race aborts the session's transaction; a
     media failure or an unexpected error does too, and is logged as a
-    mismatch.  A request refused for its deadline or as overloaded (a
-    fleet bucket's handoff that outlives the conn's redirect budget)
-    ({!Remote.Client.refusal}) is counted in [deadline_refusals] or
-    [overload_refusals] and aborts the transaction too.  A fleet's stale-placement refusal that outlives
-    the conn's redirect budget is an unexpected error.  An injected
-    device crash propagates. *)
+    mismatch.  A request refused for its deadline
+    ({!Remote.Client.deadline_refusal}) is counted in
+    [deadline_refusals] and aborts the transaction too.  A fleet's
+    [Wrong_shard] refusal (a stale placement, or a bucket mid-handoff)
+    that outlives the conn's redirect budget is an unexpected error.
+    An injected device crash propagates. *)
 
-val refuse : t -> sess -> Remote.Client.refusal -> string -> result
-(** [refuse w ss r why]: the session's request was refused for [r]
-    (traced with [why]) and never executed.  Count it in
-    [deadline_refusals] or [overload_refusals], abort the session's
-    transaction and return [Refused].  {!apply} calls it on a refusal; a
-    harness that gives an op up before sending it calls it directly. *)
+val refuse : t -> sess -> string -> result
+(** [refuse w ss why]: the session's request was refused for its
+    deadline (traced with [why]) and never executed.  Count it in
+    [deadline_refusals], abort the session's transaction and return
+    [Refused].  {!apply} calls it on a deadline refusal; a harness that
+    gives an op up before sending it calls it directly. *)
 
 val run_one : t -> gen:(sess -> sess -> Oracle.updates) -> crash:(unit -> unit) -> unit
 (** {!apply} an op drawn by [gen] to a random session.  An injected
     device crash goes to [crash].  A refusal is logged as a mismatch:
-    these harnesses set no deadline, and a fleet rides out a handoff
-    within its redirect budget. *)
+    these harnesses set no deadline. *)
 
 val safe_abort : t -> sess -> unit
 (** Abort the session's transaction, if any, and drop its overlay. *)

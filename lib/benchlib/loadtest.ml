@@ -34,8 +34,8 @@
    create path, each op's payload rng, the time-travel read, and the
    population's growth at a commit.  Every other op body ends in a
    shared Fsops call, and the engine runs each op through Fsops.apply,
-   whose ladder counts lock skips and deadline or overload refusals and
-   aborts the transaction on either. *)
+   whose ladder counts lock skips and deadline refusals and aborts the
+   transaction on either. *)
 
 module Rng = Simclock.Rng
 module Fs = Invfs.Fs
@@ -224,7 +224,6 @@ type level = {
   l_peak_link_depth : int; (* deepest per-link message backlog *)
   l_tenant_p99_s : float array;
   l_shed_deadline : int; (* ops refused because their deadline passed *)
-  l_shed_overload : int; (* ops refused by admission control (EBUSY) *)
   l_admitted : int; (* ops not shed (includes lock skips) *)
   l_admitted_p99_s : float; (* p99 latency over admitted ops only *)
   l_slo_goodput_ops_s : float;
@@ -248,27 +247,26 @@ type outcome = {
   full_verifies : int;
   mismatches : string list;
   shed_deadline : int;
-  shed_overload : int;
 }
 
 let level_to_string l =
   Printf.sprintf
     "  x%.2f offered=%.1f/s realized=%.1f/s achieved=%.1f/s ops=%d applied=%d \
-     skips=%d shed=%d+%d adm_p99=%.1fms slo_good=%.1f/s p50=%.1fms p95=%.1fms \
+     skips=%d shed=%d adm_p99=%.1fms slo_good=%.1f/s p50=%.1fms p95=%.1fms \
      p99=%.1fms wq=%d qd=%d"
     l.l_factor l.l_offered_ops_s l.l_offered_realized_ops_s l.l_achieved_ops_s
-    l.l_ops l.l_applied l.l_lock_skips l.l_shed_deadline l.l_shed_overload
+    l.l_ops l.l_applied l.l_lock_skips l.l_shed_deadline
     (1e3 *. l.l_admitted_p99_s) l.l_slo_goodput_ops_s (1e3 *. l.l_p50_s)
     (1e3 *. l.l_p95_s) (1e3 *. l.l_p99_s) l.l_max_wait_queue l.l_peak_link_depth
 
 let outcome_to_string o =
   Printf.sprintf
     "seed=%Ld capacity=%.1f/s levels=%d knee=%.1f/s (%s) ops=%d applied=%d \
-     skips=%d shed=%d+%d commits=%d aborts=%d tt_checks=%d verifies=%d \
+     skips=%d shed=%d commits=%d aborts=%d tt_checks=%d verifies=%d \
      mismatches=%d\n%s"
     o.seed o.capacity_ops_s (List.length o.levels) o.knee_offered_ops_s
     o.knee_reason o.ops_total o.applied_total o.lock_skips o.shed_deadline
-    o.shed_overload o.commits o.aborts o.time_travel_checks o.full_verifies
+    o.commits o.aborts o.time_travel_checks o.full_verifies
     (List.length o.mismatches)
     (String.concat "\n" (List.map level_to_string o.levels))
 
@@ -405,7 +403,7 @@ let op_time_travel st op (ss : Fsops.sess) =
         match Oracle.bytes_diff expect real with
         | None -> ()
         | Some d -> Oracle.mismatch w.ora "time travel @%Ld: %s differs: %s" ts path d)
-      | exception Errors.Fs_error (code, msg) when Client.refusal code msg = None ->
+      | exception Errors.Fs_error (code, msg) when not (Client.deadline_refusal code msg) ->
         Oracle.mismatch w.ora "time travel @%Ld: %s unreadable (%s: %s)" ts path
           (Errors.code_to_string code) msg);
       Oracle.no_updates)
@@ -460,7 +458,7 @@ let run_schedule st ~t_start ~deadline ~headroom ~service ~lat ~adm_lat ~tenant_
       let res =
         match deadline with
         | Some d when now -. arrival >= d -. headroom op.o_kind ->
-          Fsops.refuse w ss Client.Deadline
+          Fsops.refuse w ss
             (Printf.sprintf "given up after %.0fms queued" (1e3 *. (now -. arrival)))
         | _ ->
           let c = client ss in
@@ -575,7 +573,7 @@ let run ?(config = default_config) ~seed () =
     Hashtbl.replace svc kind (sum +. dt, n + 1)
   in
   (* Calibration runs deadline-free: it measures what the service path
-     can do, not what admission control would let through. *)
+     can do, not what deadline refusals would let through. *)
   let (_ : int * int) =
     run_schedule st ~t_start:cal_t0 ~deadline:None
       ~headroom:(fun _ -> 0.)
@@ -606,7 +604,7 @@ let run ?(config = default_config) ~seed () =
         let t_start = Simclock.Clock.now clock in
         let max_wq = ref 0 in
         let skips0 = w.lock_skips in
-        let sd0 = w.deadline_refusals and so0 = w.overload_refusals in
+        let sd0 = w.deadline_refusals in
         let applied, slo_ok =
           run_schedule st ~t_start ~deadline:config.deadline_s ~headroom
             ~service:(fun _ _ -> ())
@@ -641,8 +639,7 @@ let run ?(config = default_config) ~seed () =
             Array.fold_left (fun acc l -> max acc (Link.peak_depth l)) 0 links;
           l_tenant_p99_s = Array.map (fun h -> Metrics.percentile h 0.99) tenant_lat;
           l_shed_deadline = w.deadline_refusals - sd0;
-          l_shed_overload = w.overload_refusals - so0;
-          l_admitted = n - (w.deadline_refusals - sd0) - (w.overload_refusals - so0);
+          l_admitted = n - (w.deadline_refusals - sd0);
           l_admitted_p99_s = Metrics.percentile adm_lat 0.99;
           l_slo_goodput_ops_s = float_of_int slo_ok /. duration;
         })
@@ -687,5 +684,4 @@ let run ?(config = default_config) ~seed () =
     full_verifies = Oracle.verifies w.ora;
     mismatches = Oracle.mismatches w.ora;
     shed_deadline = w.deadline_refusals;
-    shed_overload = w.overload_refusals;
   }

@@ -50,8 +50,9 @@ type config = {
           the server.  [None] (the seed behaviour) sends no deadlines
           and the system degrades by queueing alone. *)
 }
-(** The server runs with {!Remote.Server.create}'s admission and
-    parking bounds, and a full-tree walk follows every level. *)
+(** The server runs with {!Remote.Server.create}'s defaults (it refuses
+    only work whose deadline passed), and a full-tree walk follows every
+    level. *)
 
 val default_config : config
 
@@ -108,7 +109,6 @@ type level = {
   l_shed_deadline : int;
       (** ops refused, client- or server-side, because their deadline
           passed (clean, definitive rejections) *)
-  l_shed_overload : int;  (** ops refused by admission control ([EBUSY]) *)
   l_admitted : int;  (** ops not shed (lock skips included) *)
   l_admitted_p99_s : float;  (** p99 latency over admitted ops only *)
   l_slo_goodput_ops_s : float;
@@ -135,7 +135,6 @@ type outcome = {
   full_verifies : int;
   mismatches : string list;  (** empty = oracle-equivalent *)
   shed_deadline : int;
-  shed_overload : int;
 }
 
 val outcome_to_string : outcome -> string

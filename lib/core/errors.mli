@@ -23,17 +23,16 @@ type code =
       (** (remote client) the session to the server was lost and could
           not be recovered; an in-flight transaction is cleanly aborted *)
   | EBUSY
-      (** (remote client) the server refused the request as overloaded
-          (a shard's bucket mid-handoff) until the client's re-offers ran
-          out; the request definitively did not execute *)
+      (** resource busy.  Nothing raises it now; it keeps its place
+          because an errno's position in this list is its wire code. *)
   | ENOTSUP
       (** the server does not implement the requested operation (wire
           version skew: a newer client spoke to an older server) *)
   | ESTALE
       (** (remote client) the contacted shard refused the request because
-          the client's cached placement epoch is stale or the shard no
-          longer owns the chunk range; refresh the placement map from the
-          coordinator and retry *)
+          the client's cached placement epoch is stale, the shard no
+          longer owns the chunk range, or the range is mid-handoff;
+          refresh the placement map from the coordinator and retry *)
 
 exception Fs_error of code * string
 

@@ -37,7 +37,6 @@ type t = {
   mutable timeouts : int;
   mutable reconnects : int;
   mutable sessions_lost : int;
-  mutable overloaded : int;
   mutable deadline_failfasts : int;
   mutable piggybacked : int;
 }
@@ -50,7 +49,6 @@ let retries t = t.retries
 let timeouts t = t.timeouts
 let reconnects t = t.reconnects
 let sessions_lost t = t.sessions_lost
-let overloaded t = t.overloaded
 let deadline_failfasts t = t.deadline_failfasts
 let piggybacked t = t.piggybacked
 
@@ -70,13 +68,6 @@ let fresh_rid t =
   rid
 
 let conn_reset msg = raise (Errors.Fs_error (Errors.ECONNRESET, msg))
-
-(* Bounded jitter on the server's retry-after hint: every refused
-   client sleeping exactly [retry_after] would re-arrive as the same
-   synchronized herd that was just refused.  0.75x-1.25x keeps the
-   hint's magnitude while spreading the re-offers across half a
-   hint-width. *)
-let jitter_retry_after rng d = d *. (0.75 +. Rng.float rng 0.5)
 
 let backoff_and_note t attempt =
   let d =
@@ -148,15 +139,8 @@ let send_and_pump t ~pipelined frames =
 (* One request/reply exchange with bounded retries: at-least-once on the
    wire, exactly-once observed thanks to the server's dedup window (every
    retry reuses the same request id), and every attempt carries the
-   caller's deadline.
-
-   An [Overloaded] answer means the server refused the request before
-   executing it (a shard's bucket is mid-handoff): definitively nothing
-   happened.  The client stands back for the server's hint and re-offers
-   — if the attempt limit and the deadline allow; otherwise the call
-   fails cleanly with [EBUSY]. *)
-let overloaded_msg = "server overloaded"
-
+   caller's deadline.  Only a lost reply is retried here: every answer,
+   refusals included, goes back to the caller. *)
 let exchange t ~sid ~rid ~pipelined req =
   let deadline_us =
     if t.deadline = infinity then 0L else Int64.of_float (t.deadline *. 1e6)
@@ -165,24 +149,6 @@ let exchange t ~sid ~rid ~pipelined req =
   let rec attempt k =
     send_and_pump t ~pipelined:(pipelined && k = 0) frames;
     match drain_replies t ~rid with
-    | Some (Wire.Overloaded { retry_after_s }) ->
-      t.overloaded <- t.overloaded + 1;
-      if Obs.on Obs.Net then
-        Obs.event Obs.Net "net.overloaded"
-          ~args:[ ("retry_after_ms", Obs.I (int_of_float (retry_after_s *. 1e3))) ]
-          ();
-      let pause = jitter_retry_after t.rng retry_after_s in
-      let headroom_after_wait = Clock.now t.clock +. pause <= t.deadline in
-      if k >= max_retries || not headroom_after_wait then
-        raise
-          (Errors.Fs_error
-             (Errors.EBUSY, Printf.sprintf "%s; gave up after %d offers" overloaded_msg (k + 1)))
-      else begin
-        Clock.advance t.clock ~account:"net.retry_after" pause;
-        Netsim.note_retry t.net;
-        t.retries <- t.retries + 1;
-        attempt (k + 1)
-      end
     | Some reply -> Some reply
     | None ->
       charge_timeout t;
@@ -285,14 +251,8 @@ let report_loss verdict req =
 
 let outcome_indeterminate msg = String.ends_with ~suffix:indeterminate msg
 
-type refusal = Deadline | Overload
-
-let refusal code msg =
-  match code with
-  | Errors.ETIMEDOUT when String.starts_with ~prefix:Server.deadline_expired msg ->
-    Some Deadline
-  | Errors.EBUSY when String.starts_with ~prefix:overloaded_msg msg -> Some Overload
-  | _ -> None
+let deadline_refusal code msg =
+  code = Errors.ETIMEDOUT && String.starts_with ~prefix:Server.deadline_expired msg
 
 let give_up t ~was_txn req =
   session_dead t;
@@ -316,7 +276,7 @@ let note_txn t txn_open =
    begin stays pending for the next request.  An error answer may not
    have run the closes either, so they stay queued: closing an fd the
    server no longer has is a no-op.  Answers without a transaction state
-   (overloaded, unsupported, wrong shard, lost session) ran nothing. *)
+   (unsupported, wrong shard, lost session) ran nothing. *)
 let settle_carried t wreq reply =
   match wreq with
   | Wire.Carry { closes; begin_txn; _ } ->
@@ -387,10 +347,6 @@ and finish t ~was_txn ~reissued ~pipelined ~wreq req reply =
     (* surface the injected transient fault under its own exception, as
        the local API does *)
     raise (Pagestore.Device.Io_fault { device = "remote"; segid = -1; blkno = -1 })
-  | Wire.Overloaded _ ->
-    (* normally intercepted inside [exchange]; a stray one (e.g. from the
-       post-probe exchange) means the same thing: definitively refused *)
-    raise (Errors.Fs_error (Errors.EBUSY, overloaded_msg))
   | Wire.Unsupported { opcode } ->
     (* version skew: this server predates the opcode.  Structural and
        definitive — nothing executed. *)
@@ -399,8 +355,8 @@ and finish t ~was_txn ~reissued ~pipelined ~wreq req reply =
          ( Errors.ENOTSUP,
            Printf.sprintf "server does not support opcode %d (version skew)" opcode ))
   | Wire.Wrong_shard { epoch } ->
-    (* the shard's epoch fence refused the op: definitively not
-       executed.  The composite cluster client catches ESTALE, refreshes
+    (* the shard's epoch fence refused the op (a stale placement, or a
+       bucket mid-handoff): definitively not executed.  The composite cluster client catches ESTALE, refreshes
        its placement cache from the coordinator and retries. *)
     raise
       (Errors.Fs_error
@@ -454,7 +410,6 @@ let connect ~server ~link ~rng () =
       timeouts = 0;
       reconnects = 0;
       sessions_lost = 0;
-      overloaded = 0;
       deadline_failfasts = 0;
       piggybacked = 0;
     }
@@ -468,7 +423,6 @@ let connect ~server ~link ~rng () =
   Obs.Metrics.probe "net.client.timeouts" (fun () -> t.timeouts);
   Obs.Metrics.probe "net.client.reconnects" (fun () -> t.reconnects);
   Obs.Metrics.probe "net.client.sessions_lost" (fun () -> t.sessions_lost);
-  Obs.Metrics.probe "net.client.overloaded" (fun () -> t.overloaded);
   Obs.Metrics.probe "net.client.deadline_failfasts" (fun () -> t.deadline_failfasts);
   Obs.Metrics.probe "net.messages" (fun () -> Netsim.messages net);
   Obs.Metrics.probe "net.bytes_sent" (fun () -> Netsim.bytes_sent net);

@@ -43,10 +43,10 @@
 
     {2 Refusals and deadlines}
 
-    A {!Wire.Overloaded} answer (definitively not executed: a shard's
-    bucket is mid-handoff) makes the client stand back for the server's
-    retry-after hint and re-offer; when the attempt limit or the
-    deadline runs out the call fails cleanly with [Fs_error (EBUSY, _)].
+    The client retries only a lost reply.  Every answer, a refusal
+    included, goes back to the caller as one [Fs_error]: a shard's
+    {!Wire.Wrong_shard} (a stale placement, or a bucket mid-handoff) as
+    [ESTALE], which {!Cluster} rides out.
 
     An installed {!set_deadline} rides every request header.  A call
     whose deadline has already passed fails fast with
@@ -159,12 +159,6 @@ val c_fetch_chunks : t -> oid:int64 -> string
 val c_migrate_in : t -> oid:int64 -> epoch:int -> data:string -> unit
 val c_drop_bucket : t -> bucket:int -> epoch:int -> unit
 
-val jitter_retry_after : Simclock.Rng.t -> float -> float
-(** The bounded jitter (0.75x–1.25x) applied to a server's
-    {!Wire.Overloaded} retry-after hint before sleeping on it, so a
-    refused burst of clients does not re-arrive as a synchronized herd.  Exposed
-    for the desynchronization test. *)
-
 val c_snapshot : t -> int64
 (** Capture a point-in-time version horizon on the server: O(1), no data
     copied.  The returned timestamp feeds the [?timestamp] argument of
@@ -206,15 +200,12 @@ val outcome_indeterminate : string -> bool
     out: the one case where the caller must find out for itself whether
     the request took effect. *)
 
-type refusal =
-  | Deadline  (** the deadline had passed: the client's fail-fast or the server's rejection *)
-  | Overload  (** the server refused it as {!Wire.Overloaded}, and the re-offers ran out *)
-
-val refusal : Invfs.Errors.code -> string -> refusal option
+val deadline_refusal : Invfs.Errors.code -> string -> bool
 (** Whether an [Fs_error (code, msg)] from this client says the request
-    was refused and never executed, and why.  The session and its
-    transaction survive a refusal.  A lock wait that timed out
-    ([ETIMEDOUT] too) executed and is not one. *)
+    was refused for its deadline (the client's fail-fast or the server's
+    rejection) and never executed.  The session and its transaction
+    survive it.  A lock wait that timed out ([ETIMEDOUT] too) executed
+    and is not one. *)
 
 (** {2 Reliability counters} *)
 
@@ -224,9 +215,6 @@ val reconnects : t -> int
 
 val sessions_lost : t -> int
 (** Times the session could not be recovered (crash/lease/unreachable). *)
-
-val overloaded : t -> int
-(** {!Wire.Overloaded} answers received (probe ["net.client.overloaded"]). *)
 
 val deadline_failfasts : t -> int
 (** Calls refused client-side because the deadline had already passed

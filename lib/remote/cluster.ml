@@ -524,11 +524,12 @@ let internal_links t =
 
    One client-side handle speaking to the whole fleet: metadata through
    the coordinator, data through the owning shard, routed by the cached
-   placement map.  A [Wrong_shard] (ESTALE) or busy-handoff (EBUSY)
-   refusal is definitively-not-executed: stand back half a heartbeat,
-   pump the cluster (so detection, failover and handoff make progress),
-   refresh the cache and retry — the client-visible blackout of a
-   failover is this loop riding it out. *)
+   placement map.  A [Wrong_shard] refusal (ESTALE: a stale placement,
+   or a bucket mid-handoff) is definitively-not-executed: stand back
+   half a heartbeat, pump the cluster (so detection, failover and
+   handoff make progress), refresh the cache and retry — the
+   client-visible blackout of a failover or a handoff is this loop
+   riding it out. *)
 
 type conn = {
   cl : t;
@@ -568,7 +569,7 @@ let rec with_shard conn ~oid ~attempt f =
   let sh = conn.pl_owner.(b) in
   match f conn.shard_c.(sh - 1) conn.pl_epoch with
   | v -> v
-  | exception Errors.Fs_error ((Errors.ESTALE | Errors.EBUSY), _) when attempt < max_redirects ->
+  | exception Errors.Fs_error (Errors.ESTALE, _) when attempt < max_redirects ->
     conn.redirects <- conn.redirects + 1;
     (* long enough for a heartbeat round (or one handoff step) to land *)
     Clock.advance conn.cl.clock ~account:"cluster.redirect" (0.5 *. conn.cl.hb_interval);

@@ -108,10 +108,11 @@ val peek_data : t -> oid:int64 -> string
 type conn
 (** One client's handle on the whole fleet: metadata ops travel to the
     coordinator, data ops are routed to the owning shard by a cached
-    placement map.  On {!Wire.Wrong_shard} (surfaced as [ESTALE]) or a
-    busy handoff ([EBUSY]) the conn stands back half a heartbeat, pumps
-    the cluster, refreshes its cache and retries (bounded) — failover
-    blackout is this loop riding out detection plus handoff. *)
+    placement map.  On {!Wire.Wrong_shard} (surfaced as [ESTALE]: a
+    stale placement, or a bucket mid-handoff) the conn stands back half
+    a heartbeat, pumps the cluster, refreshes its cache and retries
+    (bounded) — failover blackout is this loop riding out detection
+    plus handoff. *)
 
 val connect :
   t ->
@@ -138,8 +139,8 @@ val shard_write : conn -> oid:int64 -> off:int64 -> data:string -> int
 val shard_truncate : conn -> oid:int64 -> size:int64 -> unit
 
 val redirects : conn -> int
-(** Data ops that were refused stale/busy and retried after a placement
-    refresh. *)
+(** Data ops that were refused ([Wrong_shard]: a stale placement or a
+    bucket mid-handoff) and retried after a placement refresh. *)
 
 (** {2 Counters} *)
 
@@ -148,7 +149,9 @@ type stats = {
   fence_events : int;  (** failovers declared by the coordinator *)
   heartbeats_sent : int;
   heartbeats_seen : int;  (** received by the coordinator *)
-  stale_rejects : int;  (** fenced data ops across all shards *)
+  stale_rejects : int;
+      (** data ops fenced for a stale placement or a lapsed lease, across
+          all shards; a handoff refusal is counted in {!Server.sheds} *)
   migrations : int;  (** files pushed during handoffs *)
   handoffs_completed : int;
   handoffs_pending : int;

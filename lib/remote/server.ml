@@ -63,11 +63,11 @@ type coord_role = {
 
 type role = Standalone | Coordinator of coord_role | Shard of shard_role
 
-(* Data-plane fence refusals.  Raised inside [exec], answered like
-   [Overloaded]: definitively-not-executed and never recorded in the
-   dedup window, so a retry after a placement refresh may be admitted. *)
+(* The data-plane fence refusal.  Raised inside [exec] with the shard's
+   epoch and answered [Wrong_shard]: definitively-not-executed and never
+   recorded in the dedup window, so a retry after a placement refresh
+   may be admitted. *)
 exception Stale_shard of int
-exception Handoff_busy
 
 type t = {
   fs : Fs.t;
@@ -122,6 +122,16 @@ let deadline_expired = "deadline expired"
 
 (* Replies remembered per session for retransmissions to replay. *)
 let dedup_window = 16
+
+let m_requests = Obs.Metrics.counter "net.server.requests"
+let m_replays = Obs.Metrics.counter "net.server.replays"
+let m_sheds = Obs.Metrics.counter "net.server.sheds"
+let m_deadline_rejects = Obs.Metrics.counter "net.server.deadline_rejects"
+let m_parks = Obs.Metrics.counter "net.server.parks"
+let m_park_resumes = Obs.Metrics.counter "net.server.park_resumes"
+let m_park_timeouts = Obs.Metrics.counter "net.server.park_timeouts"
+let m_deadlock_aborts = Obs.Metrics.counter "net.server.deadlock_aborts"
+let m_unsupported = Obs.Metrics.counter "net.server.unsupported"
 
 let default_on_crash t = ignore (Fs.crash_and_recover t.fs : Fs.recovery)
 
@@ -300,7 +310,12 @@ let placement_of_coord (c : coord_role) =
    own before the coordinator could have reassigned its buckets), a
    placement map at the client's exact epoch, and current ownership of
    the oid's bucket.  Reads are fenced too — a stale read from a
-   reassigned bucket would be as wrong as a stale write. *)
+   reassigned bucket would be as wrong as a stale write.  A bucket
+   mid-handoff is refused the same way, and the client rides the
+   handoff out as it rides out a failover: it refreshes its placement
+   and retries.  That refusal is counted in [sheds], not in
+   [sh_stale_rejects], which counts refusals of a placement gone
+   stale. *)
 let shard_fence t ~epoch ~oid =
   match t.role with
   | Shard sh ->
@@ -314,7 +329,11 @@ let shard_fence t ~epoch ~oid =
       sh.sh_stale_rejects <- sh.sh_stale_rejects + 1;
       raise (Stale_shard sh.sh_epoch)
     end;
-    if List.mem b sh.sh_handoff then raise Handoff_busy
+    if List.mem b sh.sh_handoff then begin
+      t.sheds <- t.sheds + 1;
+      Obs.Metrics.incr m_sheds;
+      raise (Stale_shard sh.sh_epoch)
+    end
   | Standalone | Coordinator _ -> Errors.fail Errors.ENOTSUP "not a shard server"
 
 let shard_only t =
@@ -504,16 +523,6 @@ let rec exec t (s : sess) (req : Wire.req) : Wire.result =
     if begin_txn && not (Fs.in_transaction fsess) then Fs.p_begin fsess;
     exec t s req
 
-let m_requests = Obs.Metrics.counter "net.server.requests"
-let m_replays = Obs.Metrics.counter "net.server.replays"
-let m_sheds = Obs.Metrics.counter "net.server.sheds"
-let m_deadline_rejects = Obs.Metrics.counter "net.server.deadline_rejects"
-let m_parks = Obs.Metrics.counter "net.server.parks"
-let m_park_resumes = Obs.Metrics.counter "net.server.park_resumes"
-let m_park_timeouts = Obs.Metrics.counter "net.server.park_timeouts"
-let m_deadlock_aborts = Obs.Metrics.counter "net.server.deadlock_aborts"
-let m_unsupported = Obs.Metrics.counter "net.server.unsupported"
-
 (* Pure execution time per dispatched request (simulated clock around
    [exec], excluding wire time and dedup replays), over every server in
    the process, for observability. *)
@@ -533,10 +542,6 @@ let record_and_send (s : sess) ~rid reply =
      s.window <- List.filteri (fun i _ -> i < dedup_window) s.window);
   Hashtbl.remove s.inflight rid;
   send_frames s.link frames
-
-(* How long a client refused for a bucket mid-handoff should stand back:
-   long enough for a heartbeat round or one handoff step to land. *)
-let handoff_retry_after_s = 0.2
 
 let now_s t = Simclock.Clock.now t.clock
 
@@ -605,7 +610,6 @@ let run_task t (tk : task) ~(was_parked : bool) =
           Obs.Metrics.incr m_deadlock_aborts;
           `Reply (Wire.Err_reply { txn_open = false; code = Errors.EDEADLK; msg })
         | exception Stale_shard epoch -> `Wrong_shard epoch
-        | exception Handoff_busy -> `Handoff_busy
         | exception Errors.Fs_error (code, msg) ->
           `Reply (Wire.Err_reply { txn_open = Fs.in_transaction s.fsess; code; msg })
         | exception Pagestore.Device.Io_fault _ ->
@@ -635,17 +639,6 @@ let run_task t (tk : task) ~(was_parked : bool) =
         unexecute ();
         Hashtbl.remove s.inflight tk.tk_rid;
         reply_now tk.tk_link ~sid:tk.tk_sid ~rid:tk.tk_rid (Wire.Wrong_shard { epoch });
-        true
-      | `Handoff_busy ->
-        (* the bucket is mid-migration: a bounded blackout the client
-           rides out by re-offering.  Not recorded in the dedup window:
-           a re-offer after the handoff commits executes. *)
-        unexecute ();
-        t.sheds <- t.sheds + 1;
-        Obs.Metrics.incr m_sheds;
-        Hashtbl.remove s.inflight tk.tk_rid;
-        reply_now tk.tk_link ~sid:tk.tk_sid ~rid:tk.tk_rid
-          (Wire.Overloaded { retry_after_s = handoff_retry_after_s });
         true
       | `Park blocked_on ->
         tk.tk_blocked_on <- blocked_on;
@@ -720,6 +713,21 @@ let run_all t =
   done
 
 (* ---------------- admission ---------------- *)
+
+(* The dedup window's verdict on a request id: a request that already
+   executed replays its recorded reply instead of executing twice; a
+   stale duplicate from before the window (the client has long since
+   moved on and will discard any answer) and a retransmission of a
+   request still queued or parked (the original will answer) are
+   dropped; anything else goes on to [fresh]. *)
+let dedup t link s rid fresh =
+  match List.assoc_opt rid s.window with
+  | Some frames ->
+    t.replays <- t.replays + 1;
+    Obs.Metrics.incr m_replays;
+    send_frames link frames
+  | None when rid <= s.max_rid || Hashtbl.mem s.inflight rid -> ()
+  | None -> fresh ()
 
 let handle t link ~(h : Wire.hdr) req =
   let sid = h.sid and rid = h.rid in
@@ -801,56 +809,41 @@ let handle t link ~(h : Wire.hdr) req =
     | None -> reply_now link ~sid ~rid Wire.Unknown_session
     | Some s ->
       s.last_active <- Simclock.Clock.now t.clock;
-      (match List.assoc_opt rid s.window with
-      | Some frames ->
-        (* the dedup window: this request already executed; replay the
-           recorded reply instead of executing it twice *)
-        t.replays <- t.replays + 1;
-        Obs.Metrics.incr m_replays;
-        send_frames link frames
-      | None when rid <= s.max_rid ->
-        (* a stale duplicate from before the window: the client has long
-           since moved on and will discard any answer; drop it *)
-        ()
-      | None when Hashtbl.mem s.inflight rid ->
-        (* a retransmission of a request still queued or parked: the
-           original will answer; admitting it twice would execute twice *)
-        ()
-      | None ->
-        let now = Simclock.Clock.now t.clock in
-        let deadline = deadline_of_us h.deadline_us in
-        if now > deadline && not (Wire.relief req) then begin
-          (* never admit work whose caller has already given up.
-             Recorded: the rejection is definitive, so a racing retry
-             deduplicates onto it instead of executing. *)
-          t.deadline_rejects <- t.deadline_rejects + 1;
-          Obs.Metrics.incr m_deadline_rejects;
-          record_and_send s ~rid
-            (Wire.Err_reply
-               {
-                 txn_open = Fs.in_transaction s.fsess;
-                 code = Errors.ETIMEDOUT;
-                 msg =
-                   Printf.sprintf "%s %.3fs before admission" deadline_expired
-                     (now -. deadline);
-               })
-        end
-        else begin
-          Hashtbl.replace s.inflight rid ();
-          Queue.push
-            {
-              tk_link = link;
-              tk_sid = sid;
-              tk_rid = rid;
-              tk_req = req;
-              tk_deadline = deadline;
-              tk_enq = now;
-              tk_park_deadline = infinity;
-              tk_park_gen = 0;
-              tk_blocked_on = "";
-            }
-            t.run_q
-        end))
+      dedup t link s rid (fun () ->
+          let now = Simclock.Clock.now t.clock in
+          let deadline = deadline_of_us h.deadline_us in
+          if now > deadline && not (Wire.relief req) then begin
+            (* never admit work whose caller has already given up.
+               Recorded: the rejection is definitive, so a racing retry
+               deduplicates onto it instead of executing. *)
+            t.deadline_rejects <- t.deadline_rejects + 1;
+            Obs.Metrics.incr m_deadline_rejects;
+            record_and_send s ~rid
+              (Wire.Err_reply
+                 {
+                   txn_open = Fs.in_transaction s.fsess;
+                   code = Errors.ETIMEDOUT;
+                   msg =
+                     Printf.sprintf "%s %.3fs before admission" deadline_expired
+                       (now -. deadline);
+                 })
+          end
+          else begin
+            Hashtbl.replace s.inflight rid ();
+            Queue.push
+              {
+                tk_link = link;
+                tk_sid = sid;
+                tk_rid = rid;
+                tk_req = req;
+                tk_deadline = deadline;
+                tk_enq = now;
+                tk_park_deadline = infinity;
+                tk_park_gen = 0;
+                tk_blocked_on = "";
+              }
+              t.run_q
+          end))
 
 let process t link frame =
   match Wire.decode_header frame with
@@ -870,17 +863,11 @@ let process t link frame =
            a retransmission replays the recorded answer instead of being
            judged (and counted) twice. *)
         match Hashtbl.find_opt t.sessions h.sid with
-        | Some s -> (
-          match List.assoc_opt h.rid s.window with
-          | Some frames ->
-            t.replays <- t.replays + 1;
-            Obs.Metrics.incr m_replays;
-            send_frames link frames
-          | None when h.rid <= s.max_rid -> ()
-          | None ->
-            t.unsupported <- t.unsupported + 1;
-            Obs.Metrics.incr m_unsupported;
-            record_and_send s ~rid:h.rid (Wire.Unsupported { opcode }))
+        | Some s ->
+          dedup t link s h.rid (fun () ->
+              t.unsupported <- t.unsupported + 1;
+              Obs.Metrics.incr m_unsupported;
+              record_and_send s ~rid:h.rid (Wire.Unsupported { opcode }))
         | None ->
           t.unsupported <- t.unsupported + 1;
           Obs.Metrics.incr m_unsupported;
@@ -898,8 +885,8 @@ let flush_group t =
 
 (* The event loop.  One pump is one turn: timers first (lease expiry),
    then admission — every link drained, each complete request either
-   answered inline (control plane, dedup replays, deadline and overload
-   rejections) or placed on the bounded run queue — then execution,
+   answered inline (control plane, dedup replays, deadline rejections)
+   or placed on the run queue — then execution,
    which drains the run queue and drives the parked requests' lock-wait
    and resume timers.  Everything is driven by the shared simulated
    clock; a pump with nothing to do is free. *)

@@ -44,10 +44,11 @@
     will never execute), both at admission and again just before
     execution — the server never does work whose caller has given up.
     [Abort] and [Bye] are exempt: refusing work that releases resources
-    only deepens an overload.  The one other refusal is a shard's for a
-    bucket that is mid-handoff: {!Wire.Overloaded} with a fixed
-    retry-after of 0.2 s, {e not} recorded in the dedup window, so a
-    re-offer after the handoff commits executes.
+    only deepens an overload.  The one other refusal is a shard's epoch
+    fence ({!Wire.Wrong_shard}), which also refuses a bucket that is
+    mid-handoff; it is {e not} recorded in the dedup window, so a retry
+    after the client refreshes its placement (or after the handoff
+    commits) executes.
 
     {2 Sessions, leases}
 
@@ -95,7 +96,9 @@ type shard_role = {
   mutable sh_owner : int array;  (** bucket -> owning shard id at [sh_epoch] *)
   mutable sh_handoff : int list;  (** buckets mid-migration at [sh_epoch] *)
   mutable sh_lease_until : float;  (** serving lease; self-fence past this *)
-  mutable sh_stale_rejects : int;  (** fenced data ops (no-split-brain count) *)
+  mutable sh_stale_rejects : int;
+      (** data ops fenced for a stale placement or a lapsed lease (the
+          no-split-brain count); a bucket mid-handoff is not counted *)
 }
 
 type coord_role = {
@@ -178,8 +181,9 @@ val parked_now : t -> int
 (** Requests currently parked on a lock (probe ["net.server.parked"]). *)
 
 val sheds : t -> int
-(** Requests refused with {!Wire.Overloaded}, that is, for a bucket
-    mid-handoff (counter ["net.server.sheds"]). *)
+(** Requests a shard refused with {!Wire.Wrong_shard} because their
+    bucket was mid-handoff (counter ["net.server.sheds"]).  They are not
+    counted in [sh_stale_rejects]. *)
 
 val deadline_rejects : t -> int
 (** Requests refused (recorded [ETIMEDOUT]) because their propagated

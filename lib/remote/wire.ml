@@ -95,9 +95,11 @@ let rec put : type a. a ty -> bytes -> int -> a -> int =
     List.fold_left (put ty b) (put I32 b pos n) v
   | Pair (ta, tb) -> put tb b (put ta b pos (fst v)) (snd v)
   | Map (to_wire, _, ty) -> put ty b pos (to_wire v)
-  | Sum cases ->
-    let (Found (ty, tag, x)) = find cases v in
-    put ty b (put Byte b pos tag) x
+  | Sum cases -> put_found b pos (find cases v)
+
+(* A sum's value whose case is already found: its tag, then its fields. *)
+and put_found : type v. bytes -> int -> v found -> int =
+ fun b pos (Found (ty, tag, x)) -> put ty b (put Byte b pos tag) x
 
 type payload = { buf : string; off : int; len : int }
 
@@ -164,9 +166,10 @@ let rec layout : type a. (field -> int -> unit) -> a ty -> a -> int -> int =
   | List (_, ty) -> List.fold_left (fun off x -> layout note ty x off) (leaf note `Count off 4) v
   | Pair (ta, tb) -> layout note tb (snd v) (layout note ta (fst v) off)
   | Map (to_wire, _, ty) -> layout note ty (to_wire v) off
-  | Sum cases ->
-    let (Found (ty, _, x)) = find cases v in
-    layout note ty x (off + 1)
+  | Sum cases -> layout_found note (find cases v) off
+
+and layout_found : type v. (field -> int -> unit) -> v found -> int -> int =
+ fun note (Found (ty, _, x)) off -> layout note ty x (off + 1)
 
 let no_note (_ : field) (_ : int) = ()
 
@@ -342,7 +345,6 @@ let requests =
 let carry_tag = 38
 let carry_prefix = List (max_carried_closes, I32) ** Bool
 let request_cases = by_tag (List.map (fun d -> d.case) requests)
-let request_ty = Sum request_cases
 let declared = List.map (fun { name; case = Case c; _ } -> (c.tag, name)) requests
 let decl_of req = List.find (fun { case = Case c; _ } -> Option.is_some (c.view req)) requests
 let req_name req = (decl_of (carried req)).name
@@ -353,22 +355,30 @@ let mutating req = class_of req = Mutating
 let relief req = class_of req = Relief
 let deadline_exempt req = match class_of req with Relief | Admin -> true | _ -> false
 
-(* A request's fields to [note]; returns its encoded length. *)
-let layout_req note req =
-  let rec go off = function
-    | Carry { closes; begin_txn; req } -> go (layout note carry_prefix (closes, begin_txn) (off + 1)) req
-    | req -> layout note request_ty req off
-  in
-  go 0 req
+(* A request's case is found once per encode: sizing ([layout_req])
+   and writing ([put_req]) both take it from [case_of]. *)
+let case_of req = find request_cases (carried req)
 
-let rec put_req b pos = function
-  | Carry { closes; begin_txn; req } ->
-    put_req b (put carry_prefix b (put Byte b pos carry_tag) (closes, begin_txn)) req
-  | req -> put request_ty b pos req
+(* A request's fields to [note]; returns its encoded length. *)
+let layout_req note req found =
+  let off =
+    match req with
+    | Carry { closes; begin_txn; _ } -> layout note carry_prefix (closes, begin_txn) 1
+    | _ -> 0
+  in
+  layout_found note found off
+
+let put_req b pos req found =
+  let pos =
+    match req with
+    | Carry { closes; begin_txn; _ } -> put carry_prefix b (put Byte b pos carry_tag) (closes, begin_txn)
+    | _ -> pos
+  in
+  put_found b pos found
 
 let fields req =
   let acc = ref [] in
-  ignore (layout_req (fun kind off -> acc := (kind, off) :: !acc) req : int);
+  ignore (layout_req (fun kind off -> acc := (kind, off) :: !acc) req (case_of req) : int);
   List.rev !acc
 
 (* Distinguishes an opcode from the future ([`Unknown]) from a payload
@@ -426,11 +436,11 @@ type reply =
   | Err_reply of { txn_open : bool; code : Invfs.Errors.code; msg : string }
   | Io_fault_reply of { txn_open : bool }
   | Unknown_session
-  | Overloaded of { retry_after_s : float }
   | Unsupported of { opcode : int }
   | Wrong_shard of { epoch : int }
 
-(* An errno travels as its 1-based position here. *)
+(* An errno travels as its 1-based position here.  No server sends
+   [EBUSY] any more, but its place fixes the codes of the two after it. *)
 let errnos =
   Invfs.Errors.
     [ ENOENT; EEXIST; EISDIR; ENOTDIR; ENOTEMPTY; EBADF; EINVAL; EROFS; ETXN; EDEADLK; EAGAIN;
@@ -477,8 +487,8 @@ let result_ty =
       case 9 placement (fun v -> R_placement v) (function R_placement v -> Some v | _ -> None);
     ]
 
-let reply_ty =
-  sum
+let reply_cases =
+  by_tag
     [
       case 0 (Bool ** result_ty)
         (fun (txn_open, result) -> Ok_reply { txn_open; result })
@@ -490,14 +500,12 @@ let reply_ty =
         (fun txn_open -> Io_fault_reply { txn_open })
         (function Io_fault_reply r -> Some r.txn_open | _ -> None);
       const 3 Unknown_session;
-      (* microseconds on the wire: floats don't serialize *)
-      case 4
-        (Map ((fun s -> Int64.of_float (s *. 1e6)), (fun us -> Int64.to_float us /. 1e6), I64))
-        (fun retry_after_s -> Overloaded { retry_after_s })
-        (function Overloaded r -> Some r.retry_after_s | _ -> None);
+      (* tag 4 stays unused: older servers sent it for a bucket mid-handoff *)
       case 5 Byte (fun opcode -> Unsupported { opcode }) (function Unsupported r -> Some r.opcode | _ -> None);
       case 6 I32 (fun epoch -> Wrong_shard { epoch }) (function Wrong_shard r -> Some r.epoch | _ -> None);
     ]
+
+let reply_ty = Sum reply_cases
 
 let decode_reply payload =
   let c = cursor payload in
@@ -565,7 +573,8 @@ let frame_payload ~kind ~sid ~rid ~trailer ~deadline_us len write =
   if trailer then data @ [ frame (nframes - 1) 0 ignore ] else data
 
 let encode_request ?(deadline_us = 0L) ~sid ~rid req =
-  let len = layout_req no_note req in
+  let found = case_of req in
+  let len = layout_req no_note req found in
   (* Only a windowed (multi-fragment) upload needs the end-of-stream
      trailer; a write that fits one frame is its own "that was all of
      it", and the spare frame would cost a full per-frame latency on the
@@ -576,11 +585,12 @@ let encode_request ?(deadline_us = 0L) ~sid ~rid req =
     | Write _ | Shard_write _ | Migrate_in _ -> len > max_fragment
     | _ -> false
   in
-  frame_payload ~kind:0 ~sid ~rid ~trailer ~deadline_us len (fun b pos -> put_req b pos req)
+  frame_payload ~kind:0 ~sid ~rid ~trailer ~deadline_us len (fun b pos -> put_req b pos req found)
 
 let encode_reply ~sid ~rid reply =
-  frame_payload ~kind:1 ~sid ~rid ~trailer:false ~deadline_us:0L (layout no_note reply_ty reply 0) (fun b pos ->
-      put reply_ty b pos reply)
+  let found = find reply_cases reply in
+  frame_payload ~kind:1 ~sid ~rid ~trailer:false ~deadline_us:0L (layout_found no_note found 0) (fun b pos ->
+      put_found b pos found)
 
 (* The CRC is checked in place, the field read as zero, and the payload
    stays in the frame. *)

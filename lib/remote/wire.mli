@@ -229,12 +229,6 @@ type reply =
   | Unknown_session
       (** the server does not know this session: it crashed, or the
           session's lease expired.  The client must reconnect. *)
-  | Overloaded of { retry_after_s : float }
-      (** the shard refused this request before executing it, because
-          its bucket is mid-handoff; the client should wait
-          [retry_after_s] before re-offering.  Never recorded in the
-          dedup window — a later retry of the same request id may be
-          admitted and execute. *)
   | Unsupported of { opcode : int }
       (** the request decoded cleanly but its opcode is from a future
           protocol revision this server does not implement (version
@@ -242,8 +236,8 @@ type reply =
   | Wrong_shard of { epoch : int }
       (** the contacted shard refuses a data-plane op: the request's
           placement epoch is stale, the shard no longer (or does not
-          yet) own the bucket, or its serving lease expired (self-fence
-          after missed heartbeats).  [epoch] is the shard's view.
+          yet) own the bucket, the bucket is mid-handoff, or its
+          serving lease expired (self-fence after missed heartbeats).  [epoch] is the shard's view.
           Definitively not executed and never recorded in the dedup
           window — the client refreshes its placement cache from the
           coordinator and retries, possibly at a different shard. *)

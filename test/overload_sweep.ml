@@ -4,9 +4,9 @@
    (2x and 4x the calibrated capacity) with deadlines propagated, and
    asserts the graceful-degradation contract on every overloaded level:
 
-   - oracle equivalence: zero mismatches — shed and deadline-expired
-     requests are clean, reported rejections, never lost or duplicated
-     mutations;
+   - oracle equivalence: zero mismatches — requests refused for their
+     deadline (the server's one refusal here) are clean, reported
+     rejections, never lost or duplicated mutations;
    - goodput: applied-within-SLO throughput at 2x and 4x stays at or
      above 80% of the 1x reference level's (degradation is flat, not a
      collapse) and above 70% of the calibrated closed-loop capacity
@@ -14,17 +14,16 @@
      calibration runs a different, conflict-free closed-loop mix, so
      it can over- or under-shoot what the overload mix can sustain);
    - tail latency: p99 over admitted operations stays within the SLO
-     (the shed traffic is the slack that buys this);
+     (the traffic shed for its deadline is the slack that buys this);
    - accounting: every operation is applied, skipped on a lock, or
-     shed — nothing disappears.
+     shed for its deadline — nothing disappears.
 
    Covers 25 seeds by default; OVERLOAD_SEEDS=5,6,7 appends extra
    comma-separated seeds, OVERLOAD_CLIENTS=N / OVERLOAD_OPS=N resize
    each run, OVERLOAD_DEADLINE_MS=N moves the deadline.  `--quick`
    (wired into the default `dune runtest`) trims to 3 seeds.  Outside
-   --trace, every run also asserts same-seed determinism: shed
-   decisions, deadline rejections and parked retries are all on the
-   simulated clock.  `--trace SEED` replays one seed with the per-op
+   --trace, every run also asserts same-seed determinism: deadline
+   rejections and parked retries are all on the simulated clock.  `--trace SEED` replays one seed with the per-op
    log on stderr. *)
 
 module Loadtest = Benchlib.Loadtest
@@ -58,7 +57,7 @@ let overload_failures ~seed (o : Loadtest.outcome) =
           fail "seed %Ld x%.1f: admitted p99 %.3fs blows the %.1fs SLO" seed
             l.l_factor l.l_admitted_p99_s o.slo_p99_s
       end;
-      let shed = l.l_shed_deadline + l.l_shed_overload in
+      let shed = l.l_shed_deadline in
       if l.l_admitted <> l.l_ops - shed then
         fail "seed %Ld x%.1f: accounting leak: admitted %d <> ops %d - shed %d" seed
           l.l_factor l.l_admitted l.l_ops shed;

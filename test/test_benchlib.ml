@@ -295,13 +295,11 @@ let autocommit_op w _ =
 
 (* A fault-free fleet of two shards, [n] fleet sessions on it, and the
    coordinator's file system, where probes read. *)
-let fleet_sessions ?hb_interval n =
+let fleet_sessions n =
   let clock = Simclock.Clock.create () in
   let net = Netsim.create ~clock Netsim.tcp_1993 in
   let rng = Simclock.Rng.create 7L in
-  let cluster =
-    Remote.Cluster.create ~clock ~net ~rng:(Simclock.Rng.split rng) ~nshards:2 ?hb_interval ()
-  in
+  let cluster = Remote.Cluster.create ~clock ~net ~rng:(Simclock.Rng.split rng) ~nshards:2 () in
   let conns =
     Array.init n (fun _ ->
         Remote.Conn.Fleet (Remote.Cluster.connect cluster ~rng:(Simclock.Rng.split rng) ()))
@@ -407,22 +405,79 @@ let remote_world ~lock_wait_s () =
   in
   (fs, (fun () -> connect (Netsim.Link.create net)), c, w)
 
-(* A request refused because its deadline passed, or refused as
-   overloaded (a fleet bucket mid-handoff past the conn's redirects),
-   never executed: the op's transaction aborts, nothing reaches the
-   oracle, and it counts as a refusal, not as a lock skip.  A lock wait
-   that timed out on the same path still is one.  A harness that draws
-   its own sessions sets no deadline, and a fleet rides out a handoff
-   within its redirects, so there a refusal is a mismatch. *)
+let write_in w path data ss = F.write_at w ss path ~oid:1L ~off:0 [ Bytes.of_string data ]
+
+let apply_in w i what expect op =
+  Alcotest.(check bool) what true (F.apply w w.F.sessions.(i) op = expect)
+
+(* A two-shard fleet with two sessions and the file /g (oracle oid 1),
+   written "committed" through session 0.  Then /g's owner is
+   partitioned, so the coordinator fails its bucket over to the other
+   shard, [dst]; the handoff's push stalls while [stall dst] holds.  The
+   fleet runs a second past the failover, so [dst] has learned the new
+   placement. *)
+type handoff = {
+  hw : F.t;
+  cluster : Remote.Cluster.t;
+  clock : Simclock.Clock.t;
+  owner : int;
+  dst : Remote.Server.t;
+}
+
+let stalled_handoff ~stall =
+  let cluster, fs, conns = fleet_sessions 2 in
+  let clock = Invfs.Fs.clock fs in
+  let w =
+    F.create ~rng:(Simclock.Rng.create 1L) ~ora:(O.create ~trace:false ~depth:0) ~max_dirs:2
+      ~max_file_bytes:4096 fs conns
+  in
+  apply_in w 0 "create" F.Applied (fun ss -> F.create_at w ss "/g");
+  apply_in w 0 "write" F.Applied (write_in w "/g" "committed");
+  let coord =
+    match conns.(0) with Remote.Conn.Fleet c -> Remote.Cluster.coord c | _ -> assert false
+  in
+  let oid = (Remote.Client.c_stat coord "/g").Invfs.Fileatt.file in
+  let bucket = Remote.Wire.bucket_of ~nbuckets:(Remote.Cluster.nbuckets cluster) oid in
+  let owner = (Remote.Client.c_get_placement coord).Remote.Wire.p_owner.(bucket) in
+  let dst = Remote.Cluster.member_server cluster (3 - owner) in
+  Remote.Cluster.set_on_migrate cluster
+    (Some (fun ~oid:_ ~bucket:b -> if b = bucket && stall dst then raise Exit));
+  Remote.Cluster.set_partitioned cluster ~shard:owner true;
+  let pending () = (Remote.Cluster.stats cluster).Remote.Cluster.handoffs_pending in
+  let rec run k extra =
+    if extra > 0 && k < 100 then begin
+      Simclock.Clock.advance clock 0.1;
+      Remote.Cluster.pump cluster;
+      run (k + 1) (if pending () = 0 then extra else extra - 1)
+    end
+  in
+  run 0 10;
+  Alcotest.(check int) "the handoff is stalled" 1 (pending ());
+  { hw = w; cluster; clock; owner; dst }
+
+(* Pump until the handoff has committed. *)
+let settle h =
+  let rec go k =
+    Remote.Cluster.pump h.cluster;
+    if (Remote.Cluster.stats h.cluster).Remote.Cluster.handoffs_pending > 0 && k < 200 then begin
+      Simclock.Clock.advance h.clock 0.1;
+      go (k + 1)
+    end
+  in
+  go 0
+
+(* A request refused because its deadline passed never executed: the
+   op's transaction aborts, nothing reaches the oracle, and it counts as
+   a refusal, not as a lock skip.  A lock wait that timed out on the
+   same path still is one.  A harness that draws its own sessions sets
+   no deadline, so there a refusal is a mismatch.  A fleet write whose
+   bucket stays mid-handoff past the conn's redirects is no refusal of
+   this kind: it fails ESTALE, an unexpected error, and never runs. *)
 let test_refusal_is_not_a_lock_skip () =
   let fs, connect, c, w = remote_world ~lock_wait_s:2. () in
   let clock = Invfs.Fs.clock fs in
   let ss = w.F.sessions.(0) in
-  let write_in w path data ss = F.write_at w ss path ~oid:1L ~off:0 [ Bytes.of_string data ] in
-  let apply_in w what expect op =
-    Alcotest.(check bool) what true (F.apply w w.F.sessions.(0) op = expect)
-  in
-  let write = write_in w "/f" and apply = apply_in w in
+  let write = write_in w "/f" and apply = apply_in w 0 in
   let past () = Remote.Client.set_deadline c (Some (Simclock.Clock.now clock -. 1.)) in
   apply "create" F.Applied (fun ss -> F.create_at w ss "/f");
   apply "write" F.Applied (write "committed");
@@ -449,59 +504,52 @@ let test_refusal_is_not_a_lock_skip () =
   past ();
   F.run_one w ~gen:(fun _ -> write "refused") ~crash:(fun () -> Alcotest.fail "no crash");
   Alcotest.(check int) "run_one logs the refusal" 1 (List.length (O.mismatches w.ora));
-  (* Overload: a fleet write whose bucket stays mid-handoff (its owner
+  (* A fleet write whose bucket stays mid-handoff (its owner
      partitioned, the push to the new owner stalled) through all of
-     the conn's redirects is refused.  A client's re-offers (about
-     1.5 s) do not pump the cluster, so the new owner's lease (twice
-     the heartbeat) must outlast them: at the default 0.5 s heartbeat
-     the last offer would meet a lapsed lease and answer ESTALE. *)
-  let cluster, fs, _ = fleet_sessions ~hb_interval:1.0 0 in
-  let clock = Invfs.Fs.clock fs in
-  let conn = Remote.Cluster.connect cluster ~rng:(Simclock.Rng.create 9L) () in
-  let w =
-    F.create ~rng:(Simclock.Rng.create 1L) ~ora:(O.create ~trace:false ~depth:0) ~max_dirs:2
-      ~max_file_bytes:4096 fs [| Remote.Conn.Fleet conn |]
-  in
-  let write = write_in w "/g" and apply = apply_in w in
-  apply "create" F.Applied (fun ss -> F.create_at w ss "/g");
-  apply "write" F.Applied (write "committed");
-  let coord = Remote.Cluster.coord conn in
-  let oid = (Remote.Client.c_stat coord "/g").Invfs.Fileatt.file in
-  let bucket = Remote.Wire.bucket_of ~nbuckets:(Remote.Cluster.nbuckets cluster) oid in
-  let owner = (Remote.Client.c_get_placement coord).Remote.Wire.p_owner.(bucket) in
-  Remote.Cluster.set_on_migrate cluster
-    (Some (fun ~oid:_ ~bucket:b -> if b = bucket then raise Exit));
-  Remote.Cluster.set_partitioned cluster ~shard:owner true;
-  let rec stall k =
-    if (Remote.Cluster.stats cluster).Remote.Cluster.handoffs_pending = 0 && k < 100 then begin
-      Simclock.Clock.advance clock 0.1;
-      Remote.Cluster.pump cluster;
-      stall (k + 1)
-    end
-  in
-  stall 0;
-  Alcotest.(check int) "the handoff is stalled" 1
-    (Remote.Cluster.stats cluster).Remote.Cluster.handoffs_pending;
-  apply "a write mid-handoff is refused" F.Refused (write "refused");
-  Alcotest.(check (list int)) "overload refusals, deadline refusals, lock skips"
-    [ 1; 0; 0 ]
-    [ w.overload_refusals; w.deadline_refusals; w.lock_skips ];
-  Alcotest.(check bool) "the client was refused" true
-    (List.exists (fun c -> Remote.Client.overloaded c > 0) (Remote.Cluster.conn_clients conn));
+     the conn's redirects fails ESTALE, and nothing executes. *)
+  let h = stalled_handoff ~stall:(fun _ -> true) in
+  let w = h.hw in
+  let conn = match w.F.sessions.(0).F.conn with Remote.Conn.Fleet c -> c | _ -> assert false in
+  let redirects = Remote.Cluster.redirects conn in
+  apply_in w 0 "a write mid-handoff fails" F.Skipped (write_in w "/g" "refused");
+  (match O.mismatches w.ora with
+  | [ m ] ->
+    Alcotest.(check bool) ("an unexpected ESTALE: " ^ m) true
+      (String.starts_with ~prefix:"unexpected fs error ESTALE" m)
+  | ms -> Alcotest.failf "expected one mismatch, got %d" (List.length ms));
+  Alcotest.(check (list int)) "deadline refusals, lock skips" [ 0; 0 ]
+    [ w.deadline_refusals; w.lock_skips ];
+  Alcotest.(check int) "every redirect spent" 16 (Remote.Cluster.redirects conn - redirects);
+  Alcotest.(check bool) "the new owner refused it" true (Remote.Server.sheds h.dst > 0);
   Alcotest.(check string) "the committed state is unchanged" "committed"
     (Bytes.to_string (O.content w.ora 1L));
   (* let the handoff finish: the fleet holds what the oracle holds *)
-  Remote.Cluster.set_on_migrate cluster None;
-  Remote.Cluster.set_partitioned cluster ~shard:owner false;
-  let rec settle k =
-    Remote.Cluster.pump cluster;
-    if (Remote.Cluster.stats cluster).Remote.Cluster.handoffs_pending > 0 && k < 200 then begin
-      Simclock.Clock.advance clock 0.1;
-      settle (k + 1)
-    end
-  in
-  settle 0;
-  Benchlib.Shardtest.verify w cluster ~phase:"end";
+  Remote.Cluster.set_on_migrate h.cluster None;
+  Remote.Cluster.set_partitioned h.cluster ~shard:h.owner false;
+  settle h;
+  Benchlib.Shardtest.verify w h.cluster ~phase:"end";
+  Alcotest.(check int) "the fleet walk agrees" 1 (List.length (O.mismatches w.ora))
+
+(* A fleet write that meets a handoff refusal at the default heartbeat
+   lands once the handoff completes, and no lease lapses on the way:
+   the conn pumps the cluster between its retries, so the refusing
+   shard keeps hearing heartbeats. *)
+let test_fleet_write_rides_out_handoff () =
+  (* the handoff completes once the new owner has refused a write *)
+  let h = stalled_handoff ~stall:(fun dst -> Remote.Server.sheds dst = 0) in
+  let w = h.hw in
+  let stale = (Remote.Cluster.stats h.cluster).Remote.Cluster.stale_rejects in
+  (* session 1's conn has not yet learned a placement, so its first
+     attempt goes to the new owner, not to the fenced old one *)
+  apply_in w 1 "the write lands" F.Applied (write_in w "/g" "landed");
+  Alcotest.(check bool) "the new owner refused it first" true (Remote.Server.sheds h.dst >= 1);
+  Alcotest.(check int) "no lease lapsed" stale
+    (Remote.Cluster.stats h.cluster).Remote.Cluster.stale_rejects;
+  Alcotest.(check int) "the handoff completed" 0
+    (Remote.Cluster.stats h.cluster).Remote.Cluster.handoffs_pending;
+  Remote.Cluster.set_partitioned h.cluster ~shard:h.owner false;
+  settle h;
+  Benchlib.Shardtest.verify w h.cluster ~phase:"end";
   Alcotest.(check (list string)) "the fleet walk agrees" [] (O.mismatches w.ora)
 
 let () =
@@ -550,6 +598,8 @@ let () =
             test_fleet_lost_write_lands;
           Alcotest.test_case "a refusal is not a lock skip" `Quick
             test_refusal_is_not_a_lock_skip;
+          Alcotest.test_case "a fleet write rides out a handoff" `Quick
+            test_fleet_write_rides_out_handoff;
         ] );
       ( "load replay",
         [

@@ -32,7 +32,7 @@ let mk_client server net seed =
 
 (* A server made a one-shard fleet member that owns every bucket at
    epoch 1 with the bucket of [handoff_oid] mid-handoff: every
-   [Shard_write] to that oid is refused [Overloaded] until the test
+   [Shard_write] to that oid is refused [Wrong_shard] until the test
    clears [sh_handoff]. *)
 let handoff_oid = 7L
 
@@ -74,7 +74,7 @@ let starts_with ~prefix s =
 
 (* ---- raw sessions: hand-built frames, no client library ----
 
-   The overload, deadline and version-skew tests need precise control
+   The refusal, deadline and version-skew tests need precise control
    over request ids, deadlines and pump timing — things the
    client library deliberately hides — so they speak {!Wire} directly:
    build frames, put them on the link, pump the server, drain replies. *)
@@ -470,7 +470,6 @@ let sample_replies =
       Wire.Err_reply { txn_open = false; code = E.EDEADLK; msg = "victim" };
       Wire.Io_fault_reply { txn_open = true };
       Wire.Unknown_session;
-      Wire.Overloaded { retry_after_s = 0.25 };
       Wire.Unsupported { opcode = 99 };
       Wire.Wrong_shard { epoch = 7 };
     ]
@@ -1077,12 +1076,12 @@ let test_handoff_refusal_reoffer () =
   let rid = raw_send r (handoff_write "x") in
   Server.pump server;
   (match raw_reply r rid with
-  | Wire.Overloaded { retry_after_s } ->
-    Alcotest.(check (float 0.)) "the fixed retry-after" 0.2 retry_after_s
+  | Wire.Wrong_shard { epoch } -> Alcotest.(check int) "the shard's epoch" 1 epoch
   | _ -> Alcotest.fail "a write to a bucket mid-handoff should be refused");
   Alcotest.(check int) "one refusal" 1 (Server.sheds server);
+  Alcotest.(check int) "not counted as a stale placement" 0 sh.Server.sh_stale_rejects;
   Alcotest.(check string) "the refused write never ran" "" (handoff_data fs);
-  (* Overloaded is definitively-not-executed and unrecorded: once the
+  (* The refusal is definitively-not-executed and unrecorded: once the
      handoff commits, re-offering the very same request id executes.
      (Had the refusal been recorded, the re-offer would replay it.) *)
   sh.Server.sh_handoff <- [];
@@ -1092,7 +1091,21 @@ let test_handoff_refusal_reoffer () =
   | Wire.Ok_reply { result = Wire.R_int 1L; _ } -> ()
   | _ -> Alcotest.fail "the re-offer should execute");
   Alcotest.(check int) "re-offer executed rather than replayed" 0 (Server.replays server);
-  Alcotest.(check string) "the write landed once" "x" (handoff_data fs)
+  Alcotest.(check string) "the write landed once" "x" (handoff_data fs);
+  (* The client library hands a refusal back after one offer, as
+     ESTALE: riding out a handoff is the cluster conn's job. *)
+  sh.Server.sh_handoff <- [ Wire.bucket_of ~nbuckets:sh.Server.nbuckets handoff_oid ];
+  let c = mk_client server net 22L in
+  let reqs = Server.requests server in
+  ignore
+    (expect_error E.ESTALE (fun () ->
+         Client.c_shard_write c ~oid:handoff_oid ~off:0L ~data:"y" ~epoch:1)
+      : string);
+  Alcotest.(check int) "one offer" 1 (Server.requests server - reqs);
+  Alcotest.(check int) "no client retry" 0 (Client.retries c);
+  Alcotest.(check int) "two refusals" 2 (Server.sheds server);
+  Alcotest.(check int) "still no stale placement" 0 sh.Server.sh_stale_rejects;
+  Alcotest.(check string) "the refused write never ran" "x" (handoff_data fs)
 
 (* ---- expired deadlines are refused, recorded, and deduplicated ---- *)
 
@@ -1244,31 +1257,6 @@ let test_park_timeout_expires () =
     Alcotest.(check string) "replayed code" "ETIMEDOUT" (E.code_to_string code)
   | _ -> Alcotest.fail "retransmission should replay the timeout");
   Alcotest.(check bool) "served from the dedup window" true (Server.replays server >= 1)
-
-(* ---- a client re-offers a refused request until its attempts run out ---- *)
-
-let test_reoffers_run_out () =
-  let clock, fs, server, net, sh = mk_handoff () in
-  let c = mk_client server net 22L in
-  let t0 = Simclock.Clock.now clock in
-  let msg =
-    expect_error E.EBUSY (fun () ->
-        Client.c_shard_write c ~oid:handoff_oid ~off:0L ~data:"x" ~epoch:1)
-  in
-  (* the first offer and the client's six re-offers *)
-  Alcotest.(check string) "names the offers" "server overloaded; gave up after 7 offers" msg;
-  Alcotest.(check bool) "an overload refusal" true
-    (Client.refusal E.EBUSY msg = Some Client.Overload);
-  Alcotest.(check int) "seven overload answers" 7 (Client.overloaded c);
-  Alcotest.(check int) "seven refusals" 7 (Server.sheds server);
-  Alcotest.(check bool) "each re-offer stood back for the hint" true
-    (Simclock.Clock.now clock -. t0 >= 6. *. 0.75 *. 0.2);
-  Alcotest.(check string) "nothing ran" "" (handoff_data fs);
-  (* with the handoff over, the same client's write lands *)
-  sh.Server.sh_handoff <- [];
-  Alcotest.(check int) "the refused write finally landed" 1
-    (Client.c_shard_write c ~oid:handoff_oid ~off:0L ~data:"x" ~epoch:1);
-  Alcotest.(check string) "once" "x" (handoff_data fs)
 
 (* ---- an expired client deadline fails fast, off the wire ---- *)
 
@@ -1447,30 +1435,6 @@ let test_overload_determinism () =
     (String.ends_with ~suffix:"sheds=1 dead=1 replays=0 reqs=6" first);
   Alcotest.(check string) "identical replies and counters" first (overload_scenario ())
 
-(* ---- shed clients desynchronize: jittered retry-after ----
-
-   The server hands every shed client the same retry-after hint; if they
-   all slept exactly that long they would re-arrive as the same
-   thundering herd.  The client jitters the hint within +/-25%, so two
-   clients with different rng streams sleep different amounts — and the
-   jitter never leaves the band, so backoff stays within the server's
-   intent. *)
-
-let test_retry_after_jitter_desyncs () =
-  let a = Simclock.Rng.create 1L and b = Simclock.Rng.create 2L in
-  let hint = 0.04 in
-  let distinct = ref false in
-  for _ = 1 to 64 do
-    let ja = Client.jitter_retry_after a hint in
-    let jb = Client.jitter_retry_after b hint in
-    Alcotest.(check bool) "within [0.75x, 1.25x)" true
-      (ja >= 0.75 *. hint && ja < 1.25 *. hint && jb >= 0.75 *. hint
-     && jb < 1.25 *. hint);
-    if ja <> jb then distinct := true
-  done;
-  Alcotest.(check bool) "two clients desynchronize" true !distinct
-
-
 (* ---- piggybacking: closes and begins ride the next request ---- *)
 
 let ends_with ~suffix s =
@@ -1608,8 +1572,7 @@ let test_pending_begin_tracks_server () =
   Alcotest.(check bool) "refused by the server" true
     (starts_with ~prefix:"deadline expired" msg
     && not (starts_with ~prefix:"deadline expired before sending" msg));
-  Alcotest.(check bool) "a deadline refusal" true
-    (Client.refusal E.ETIMEDOUT msg = Some Client.Deadline);
+  Alcotest.(check bool) "a deadline refusal" true (Client.deadline_refusal E.ETIMEDOUT msg);
   check_txn "after deadline refusal" server c ~client:true ~server_txn:false;
   Client.set_deadline c None;
   ignore (Client.c_exists c "/f" : bool);
@@ -1617,13 +1580,13 @@ let test_pending_begin_tracks_server () =
   Client.c_abort c;
   Alcotest.(check bool) "the refused mkdir never ran" false (Client.c_exists c "/late")
 
-let test_pending_begin_overloaded () =
+let test_pending_begin_handoff_refusal () =
   let _, fs, server, net, sh = mk_handoff () in
   let c = mk_client server net 75L in
   let write () = Client.c_shard_write c ~oid:handoff_oid ~off:0L ~data:"x" ~epoch:1 in
   Client.c_begin c;
-  ignore (expect_error E.EBUSY (fun () -> ignore (write () : int)) : string);
-  check_txn "after Overloaded" server c ~client:true ~server_txn:false;
+  ignore (expect_error E.ESTALE (fun () -> ignore (write () : int)) : string);
+  check_txn "after Wrong_shard" server c ~client:true ~server_txn:false;
   sh.Server.sh_handoff <- [];
   Alcotest.(check int) "the re-offer ran" 1 (write ());
   check_txn "the re-offer began it" server c ~client:true ~server_txn:true;
@@ -1641,7 +1604,7 @@ let test_shed_carrier_unbegins () =
   in
   Server.pump server;
   (match raw_reply r rid with
-  | Wire.Overloaded _ -> ()
+  | Wire.Wrong_shard _ -> ()
   | _ -> Alcotest.fail "the carried write should be refused");
   Alcotest.(check bool) "the carried begin was undone" false (Server.txn_open server r.r_sid);
   (* the session is intact: a begin of its own still opens one *)
@@ -1660,7 +1623,7 @@ let test_pending_begin_park_timeout () =
   let msg = expect_error E.ETIMEDOUT (fun () -> Client.read_whole_file c "/f") in
   Alcotest.(check bool) "the carrier parked and expired" true
     (starts_with ~prefix:"lock wait timed out" msg);
-  Alcotest.(check bool) "not a refusal" true (Client.refusal E.ETIMEDOUT msg = None);
+  Alcotest.(check bool) "not a refusal" false (Client.deadline_refusal E.ETIMEDOUT msg);
   check_txn "after park timeout" server c ~client:true ~server_txn:true;
   Client.c_abort c;
   check_txn "after abort" server c ~client:false ~server_txn:false
@@ -1896,14 +1859,10 @@ let () =
             test_deadline_reject_recorded;
           Alcotest.test_case "deadline expiring in the queue" `Quick
             test_deadline_expires_in_queue;
-          Alcotest.test_case "client re-offers run out to EBUSY" `Quick
-            test_reoffers_run_out;
           Alcotest.test_case "client deadline fails fast off the wire" `Quick
             test_client_deadline_failfast;
           Alcotest.test_case "overload machinery is deterministic" `Quick
             test_overload_determinism;
-          Alcotest.test_case "jittered retry-after desynchronizes" `Quick
-            test_retry_after_jitter_desyncs;
         ] );
       ( "parking",
         [
@@ -1932,7 +1891,7 @@ let () =
           Alcotest.test_case "pending begin tracks the server" `Quick
             test_pending_begin_tracks_server;
           Alcotest.test_case "pending begin survives Overloaded" `Quick
-            test_pending_begin_overloaded;
+            test_pending_begin_handoff_refusal;
           Alcotest.test_case "shed carrier leaves no transaction" `Quick
             test_shed_carrier_unbegins;
           Alcotest.test_case "carrier park timeout keeps the transaction" `Quick

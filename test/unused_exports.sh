@@ -2,7 +2,9 @@
 # Dead-export guard: list every value a lib/**/*.mli exports that no
 # .ml file outside its own module and outside test/ names, and fail
 # unless each one is in the allowlist (test/unused_exports.allow, one
-# "Module.name reason" per line).  A value that only test/*.ml files
+# "Module.name reason" per line).  It fails too on an allowlist line
+# that names nothing it lists (STALE): a value that is gone, or that
+# now has a caller outside test/.  A value that only test/*.ml files
 # (the Alcotest suites and the sweep drivers) name is listed as
 # TEST-ONLY: it stays only with a reason line, such as a counter a test
 # reads as its oracle.
@@ -126,4 +128,17 @@ done < "$tmp/unused"
 [ "$status" -eq 0 ] || echo "Delete each listed value, or hide it in its .mli if its own module uses it;
 make each listed option (name?label) a constant; a TEST-ONLY value or
 option may instead stay with a reason line in $allow."
+
+# An allowlist line must still excuse a listed name: one whose value is
+# gone, or now has a caller outside test/, is stale.
+sed 's/.*: //' "$tmp/unused" > "$tmp/listed"
+cut -d' ' -f1 "$allow" | grep -v '^$' > "$tmp/allowed"
+stale=0
+while read -r name; do
+  if ! grep -qxF "$name" "$tmp/listed"; then
+    echo "STALE      $allow: $name"
+    stale=1
+  fi
+done < "$tmp/allowed"
+[ "$stale" -eq 0 ] || { echo "Delete each STALE line from $allow."; status=1; }
 exit $status
