@@ -224,7 +224,7 @@ type level = {
   l_peak_link_depth : int; (* deepest per-link message backlog *)
   l_tenant_p99_s : float array;
   l_shed_deadline : int; (* ops refused because their deadline passed *)
-  l_admitted : int; (* ops not shed (includes lock skips) *)
+  l_admitted : int; (* ops that came back applied or skipped, counted as they did *)
   l_admitted_p99_s : float; (* p99 latency over admitted ops only *)
   l_slo_goodput_ops_s : float;
       (* applied ops that also met the SLO, per second: the protected
@@ -437,7 +437,7 @@ let exec_op st op =
 let run_schedule st ~t_start ~deadline ~headroom ~service ~lat ~adm_lat ~tenant_lat
     ~max_wq sched =
   let w = st.w in
-  let applied = ref 0 and slo_ok = ref 0 in
+  let applied = ref 0 and admitted = ref 0 and slo_ok = ref 0 in
   List.iter
     (fun op ->
       let arrival = t_start +. op.o_arrival in
@@ -475,9 +475,12 @@ let run_schedule st ~t_start ~deadline ~headroom ~service ~lat ~adm_lat ~tenant_
       (match res with
       | Fsops.Applied ->
         incr applied;
+        incr admitted;
         Metrics.observe adm_lat d;
         if d <= st.cfg.slo_p99_s then incr slo_ok
-      | Fsops.Skipped -> Metrics.observe adm_lat d
+      | Fsops.Skipped ->
+        incr admitted;
+        Metrics.observe adm_lat d
       | Fsops.Refused -> ());
       match Metrics.read "lock.wait_queue" with
       | Some wq when wq > !max_wq -> max_wq := wq
@@ -486,7 +489,7 @@ let run_schedule st ~t_start ~deadline ~headroom ~service ~lat ~adm_lat ~tenant_
   (* Settle: any transaction the schedule left open aborts untimed, so
      the next level starts from committed state only. *)
   Array.iter (Fsops.safe_abort w) w.sessions;
-  (!applied, !slo_ok)
+  (!applied, !admitted, !slo_ok)
 
 let run ?(config = default_config) ~seed () =
   if config.clients < 1 then invalid_arg "Loadtest.run: clients must be >= 1";
@@ -574,7 +577,7 @@ let run ?(config = default_config) ~seed () =
   in
   (* Calibration runs deadline-free: it measures what the service path
      can do, not what deadline refusals would let through. *)
-  let (_ : int * int) =
+  let (_ : int * int * int) =
     run_schedule st ~t_start:cal_t0 ~deadline:None
       ~headroom:(fun _ -> 0.)
       ~service:note_service ~lat ~adm_lat ~tenant_lat ~max_wq cal_sched
@@ -605,7 +608,7 @@ let run ?(config = default_config) ~seed () =
         let max_wq = ref 0 in
         let skips0 = w.lock_skips in
         let sd0 = w.deadline_refusals in
-        let applied, slo_ok =
+        let applied, admitted, slo_ok =
           run_schedule st ~t_start ~deadline:config.deadline_s ~headroom
             ~service:(fun _ _ -> ())
             ~lat ~adm_lat ~tenant_lat ~max_wq sched
@@ -639,7 +642,7 @@ let run ?(config = default_config) ~seed () =
             Array.fold_left (fun acc l -> max acc (Link.peak_depth l)) 0 links;
           l_tenant_p99_s = Array.map (fun h -> Metrics.percentile h 0.99) tenant_lat;
           l_shed_deadline = w.deadline_refusals - sd0;
-          l_admitted = n - (w.deadline_refusals - sd0);
+          l_admitted = admitted;
           l_admitted_p99_s = Metrics.percentile adm_lat 0.99;
           l_slo_goodput_ops_s = float_of_int slo_ok /. duration;
         })

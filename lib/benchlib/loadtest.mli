@@ -109,7 +109,10 @@ type level = {
   l_shed_deadline : int;
       (** ops refused, client- or server-side, because their deadline
           passed (clean, definitive rejections) *)
-  l_admitted : int;  (** ops not shed (lock skips included) *)
+  l_admitted : int;
+      (** ops that came back applied or skipped on a lock, counted one by
+          one as the run saw them, so a level that loses no op has
+          [l_admitted = l_ops - l_shed_deadline] *)
   l_admitted_p99_s : float;  (** p99 latency over admitted ops only *)
   l_slo_goodput_ops_s : float;
       (** applied ops that also met the SLO, per second — the number an

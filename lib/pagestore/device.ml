@@ -121,6 +121,21 @@ exception
 
 type fault_hook = io_kind -> segid:int -> blkno:int -> fault option
 
+(* A stored block.  Its image is kept without its longest run of zeros
+   (the hole): [data] holds the image's first [hole_off] bytes and then
+   the bytes after the hole, end to end, [Page.size - hole_len] in all.
+   [data] may be longer than that, so a store that compacts to no more
+   than the buffer holds reuses it.  No two blocks share a buffer but
+   [empty_image], which every block never stored holds: it has no bytes,
+   so a store that fits in it writes none. *)
+type block = {
+  mutable data : bytes;
+  mutable hole_off : int;
+  mutable hole_len : int;
+  mutable phys : int; (* physical block *)
+  mutable crc : int; (* CRC of the stored image, all [Page.size] bytes *)
+}
+
 type t = {
   name : string;
   id : int; (* process-unique interned id: cheap cache keys, no string compares *)
@@ -128,9 +143,7 @@ type t = {
   geometry : geometry;
   clock : Simclock.Clock.t;
   mutable fault_hook : fault_hook option;
-  blocks : (int * int, bytes) Hashtbl.t; (* (segid, blkno) -> contents *)
-  phys : (int * int, int) Hashtbl.t; (* (segid, blkno) -> physical block *)
-  checksums : (int * int, int) Hashtbl.t; (* (segid, blkno) -> CRC of stored image *)
+  blocks : (int * int, block) Hashtbl.t; (* (segid, blkno) -> stored block *)
   stuck : (int * int, unit) Hashtbl.t; (* blocks that fail every transfer *)
   seg_len : (int, int) Hashtbl.t; (* segid -> nblocks *)
   seg_extent : (int, int * int) Hashtbl.t; (* segid -> (next phys, remaining) *)
@@ -162,8 +175,6 @@ let create ~clock ~name ~kind () =
     clock;
     fault_hook = None;
     blocks = Hashtbl.create 1024;
-    phys = Hashtbl.create 1024;
-    checksums = Hashtbl.create 1024;
     stuck = Hashtbl.create 8;
     seg_len = Hashtbl.create 32;
     seg_extent = Hashtbl.create 32;
@@ -204,20 +215,81 @@ let is_dead t = t.dead
 let mark_stuck t ~segid ~blkno = Hashtbl.replace t.stuck (segid, blkno) ()
 let is_stuck t ~segid ~blkno = Hashtbl.mem t.stuck (segid, blkno)
 
-(* Silent medium decay: flip a few bytes of the stored image in place
-   without touching the recorded checksum, so only verification notices. *)
-let rot_bytes b =
-  let len = Bytes.length b in
-  let flip i =
-    if i >= 0 && i < len then Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xA5))
-  in
-  flip 0;
-  flip (len / 2);
-  flip (len - 1)
-
 (* Every stored image is one page. *)
 let block_crc b = Page.crc32 b ~off:0 ~len:Page.size
 let zero_checksum = block_crc (Bytes.make Page.size '\000')
+
+(* ---------- stored images ---------- *)
+
+let empty_image = Bytes.empty
+
+(* The working image for the stores that change part of a stored one (a
+   torn store, decay) and for verification. *)
+let scratch = Bytes.create Page.size
+
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+
+(* Expand [b]'s image into the whole of [dst]: a blit, a fill and a blit. *)
+let expand b dst =
+  let tail = b.hole_off + b.hole_len in
+  Bytes.blit b.data 0 dst 0 b.hole_off;
+  Bytes.fill dst b.hole_off b.hole_len '\000';
+  Bytes.blit b.data b.hole_off dst tail (Page.size - tail)
+
+(* A block's first image gets a buffer of exactly its length; a later
+   image too long for the buffer gets [regrow_factor] times its length,
+   up to a page.  A B-tree or heap page that gains a few bytes at every
+   store then reallocates a handful of times, not at every store. *)
+let regrow_factor = 2
+
+(* Store the page image [src] into [b] without its longest zero run.
+   The run is found a 64-bit word at a time and then widened byte by
+   byte into the zeros on either side.  [b]'s buffer is reused when the
+   compacted image fits in it. *)
+let compact b src =
+  let best = ref 0 and best_len = ref 0 and run = ref 0 in
+  for w = 0 to (Page.size / 8) - 1 do
+    if get64u src (8 * w) = 0L then begin
+      incr run;
+      if !run > !best_len then begin
+        best_len := !run;
+        best := w + 1 - !run
+      end
+    end
+    else run := 0
+  done;
+  let lo = ref (8 * !best) and hi = ref (8 * (!best + !best_len)) in
+  if !best_len > 0 then begin
+    while !lo > 0 && Bytes.unsafe_get src (!lo - 1) = '\000' do
+      decr lo
+    done;
+    while !hi < Page.size && Bytes.unsafe_get src !hi = '\000' do
+      incr hi
+    done
+  end;
+  let used = Page.size - (!hi - !lo) in
+  let cap = Bytes.length b.data in
+  if cap < used then
+    b.data <- Bytes.create (if cap = 0 then used else min Page.size (regrow_factor * used));
+  b.hole_off <- !lo;
+  b.hole_len <- !hi - !lo;
+  Bytes.blit src 0 b.data 0 !lo;
+  Bytes.blit src !hi b.data !lo (Page.size - !hi)
+
+(* A private copy of [b]'s image, exactly as long as it needs. *)
+let copy_image b =
+  let used = Page.size - b.hole_len in
+  if used = 0 then empty_image else Bytes.sub b.data 0 used
+
+(* Silent medium decay: flip a few bytes of the stored image without
+   touching the recorded checksum, so only verification notices. *)
+let rot b =
+  expand b scratch;
+  let flip i = Bytes.set scratch i (Char.chr (Char.code (Bytes.get scratch i) lxor 0xA5)) in
+  flip 0;
+  flip (Page.size / 2);
+  flip (Page.size - 1);
+  compact b scratch
 
 let rec create_segment t =
   if t.dead then media_failure t ~segid:(-1) ~blkno:(-1) "device dead";
@@ -237,8 +309,6 @@ let rec drop_segment t segid =
   let len = Option.value ~default:0 (Hashtbl.find_opt t.seg_len segid) in
   for blkno = 0 to len - 1 do
     Hashtbl.remove t.blocks (segid, blkno);
-    Hashtbl.remove t.phys (segid, blkno);
-    Hashtbl.remove t.checksums (segid, blkno);
     Hashtbl.remove t.stuck (segid, blkno)
   done;
   Hashtbl.remove t.seg_len segid;
@@ -278,9 +348,8 @@ let rec allocate_block t segid =
   if t.dead then media_failure t ~segid ~blkno:(-1) "device dead";
   let len = nblocks t segid in
   let phys = fresh_phys t segid in
-  Hashtbl.replace t.phys (segid, len) phys;
-  Hashtbl.replace t.blocks (segid, len) (Bytes.make Page.size '\000');
-  Hashtbl.replace t.checksums (segid, len) zero_checksum;
+  Hashtbl.replace t.blocks (segid, len)
+    { data = empty_image; hole_off = 0; hole_len = Page.size; phys; crc = zero_checksum };
   Hashtbl.replace t.seg_len segid (len + 1);
   (* Lockstep allocation keeps mirror block numbers identical, so failover
      reads address the mirror with the same (segid-mapped, blkno) pair. *)
@@ -301,7 +370,9 @@ let attach_mirror t m =
   t.mirror <- Some m;
   (* Resilver: every pre-existing segment gets a lockstep copy.  The stored
      image and its recorded checksum are copied verbatim, so latent rot on
-     the primary stays detectable rather than being laundered clean. *)
+     the primary stays detectable rather than being laundered clean.  The
+     copy is the mirror's own buffer: the primary re-stores its blocks in
+     place, and that must not reach the mirror. *)
   let segids = Hashtbl.fold (fun segid _ acc -> segid :: acc) t.seg_len [] in
   List.iter
     (fun segid ->
@@ -309,11 +380,12 @@ let attach_mirror t m =
       Hashtbl.replace t.mirror_seg segid msegid;
       for blkno = 0 to nblocks t segid - 1 do
         ignore (allocate_block m msegid);
-        Hashtbl.replace m.blocks (msegid, blkno)
-          (Bytes.copy (Hashtbl.find t.blocks (segid, blkno)));
-        match Hashtbl.find_opt t.checksums (segid, blkno) with
-        | Some c -> Hashtbl.replace m.checksums (msegid, blkno) c
-        | None -> ()
+        let b = Hashtbl.find t.blocks (segid, blkno) in
+        let mb = Hashtbl.find m.blocks (msegid, blkno) in
+        mb.data <- copy_image b;
+        mb.hole_off <- b.hole_off;
+        mb.hole_len <- b.hole_len;
+        mb.crc <- b.crc
       done;
       Simclock.Clock.tick t.clock "mirror.resilver_segment")
     (List.sort compare segids)
@@ -328,10 +400,24 @@ let segment_mirror t ~segid =
 let segments t =
   List.sort compare (Hashtbl.fold (fun segid _ acc -> segid :: acc) t.seg_len [])
 
-let check_block t segid blkno =
-  if not (Hashtbl.mem t.blocks (segid, blkno)) then
-    invalid_arg
-      (Printf.sprintf "Device %s: block %d/%d does not exist" t.name segid blkno)
+let find_block t ~segid ~blkno =
+  match Hashtbl.find t.blocks (segid, blkno) with
+  | b -> b
+  | exception Not_found ->
+    invalid_arg (Printf.sprintf "Device %s: block %d/%d does not exist" t.name segid blkno)
+
+(* The block a read transfers, after the checks every read makes. *)
+let readable t ~segid ~blkno =
+  check_alive t ~segid ~blkno;
+  check_stuck t ~segid ~blkno;
+  find_block t ~segid ~blkno
+
+(* The block a write transfers.  No stuck check: a write to a pending
+   sector succeeds by remapping (see [poke]), so only a dead device
+   refuses the transfer. *)
+let writable t ~segid ~blkno =
+  check_alive t ~segid ~blkno;
+  find_block t ~segid ~blkno
 
 let xfer_time g = float_of_int Page.size /. g.xfer_bytes_per_s
 
@@ -392,33 +478,27 @@ let charge_jukebox_read t phys =
     Lru_set.add t.cache phys
   end
 
-let charge_read t ~segid ~blkno =
-  check_alive t ~segid ~blkno;
-  check_stuck t ~segid ~blkno;
-  check_block t segid blkno;
-  let phys = Hashtbl.find t.phys (segid, blkno) in
+let charge_read_block t b =
   (match t.kind with
-  | Magnetic_disk -> charge_disk_io t "disk" phys
+  | Magnetic_disk -> charge_disk_io t "disk" b.phys
   | Nvram -> charge_nvram_io t "nvram"
-  | Worm_jukebox -> charge_jukebox_read t phys);
+  | Worm_jukebox -> charge_jukebox_read t b.phys);
   t.reads <- t.reads + 1
+
+let charge_read t ~segid ~blkno = charge_read_block t (readable t ~segid ~blkno)
 
 (* Continuation of a streaming burst already in flight: positioning is
    still charged (and waived when the transfer really does continue at the
    arm), but the per-request controller overhead is paid once for the
    whole burst, by its first (ordinary) read.  NVRAM and the jukebox have
    no such fixed request overhead worth batching away. *)
-let charge_read_cont t ~segid ~blkno =
-  check_alive t ~segid ~blkno;
-  check_stuck t ~segid ~blkno;
-  check_block t segid blkno;
-  let phys = Hashtbl.find t.phys (segid, blkno) in
+let charge_read_cont_block t b =
   (match t.kind with
   | Magnetic_disk ->
-    charge_positioning t "disk" phys;
+    charge_positioning t "disk" b.phys;
     Simclock.Clock.advance t.clock ~account:"disk.xfer" (xfer_time t.geometry)
   | Nvram -> charge_nvram_io t "nvram"
-  | Worm_jukebox -> charge_jukebox_read t phys);
+  | Worm_jukebox -> charge_jukebox_read t b.phys);
   t.reads <- t.reads + 1
 
 let set_fault_hook t hook = t.fault_hook <- hook
@@ -426,32 +506,32 @@ let set_fault_hook t hook = t.fault_hook <- hook
 let consult_hook t io ~segid ~blkno =
   match t.fault_hook with None -> None | Some hook -> hook io ~segid ~blkno
 
-let peek_block t ~segid ~blkno frame =
-  check_alive t ~segid ~blkno;
-  check_stuck t ~segid ~blkno;
-  check_block t segid blkno;
-  let stored = Hashtbl.find t.blocks (segid, blkno) in
+let peek t b ~segid ~blkno frame =
+  let frame = Page.raw frame in
   match consult_hook t Io_read ~segid ~blkno with
-  | None -> Page.blit_in frame 0 stored 0 Page.size
+  | None -> expand b frame
   | Some (Fault_torn n) ->
     (* Transient short read: the first [n] bytes transfer, the rest come
        back as zeros.  The durable copy is untouched. *)
-    Page.clear frame;
-    Page.blit_in frame 0 stored 0 (max 0 (min n Page.size))
+    let n = max 0 (min n Page.size) in
+    expand b frame;
+    Bytes.fill frame n (Page.size - n) '\000'
   | Some Fault_io_error -> raise (Io_fault { device = t.name; segid; blkno })
   | Some Fault_crash -> raise (Crash_injected { device = t.name; segid; blkno })
   | Some Fault_bitrot ->
     (* Silent corruption: the medium decays under this read and the rotten
        bytes are returned.  The recorded checksum is left stale, so the
        verified read path is what catches this. *)
-    rot_bytes stored;
-    Page.blit_in frame 0 stored 0 Page.size
+    rot b;
+    expand b frame
   | Some Fault_stuck ->
     mark_stuck t ~segid ~blkno;
     media_failure t ~segid ~blkno "stuck block"
   | Some Fault_dead ->
     kill t;
     media_failure t ~segid ~blkno "device dead"
+
+let peek_block t ~segid ~blkno frame = peek t (readable t ~segid ~blkno) ~segid ~blkno frame
 
 (* Uncharged stores (write-backs into the FS buffer cache, mirror repair,
    the NFS baseline's writes) are counted too — without the latency
@@ -475,9 +555,7 @@ let clear_marks t =
     Hashtbl.reset t.marks
   end
 
-let poke_block ?crc t ~segid ~blkno page =
-  check_alive t ~segid ~blkno;
-  check_block t segid blkno;
+let poke ?crc t b ~segid ~blkno page =
   (* Mark before the store: a crash that tears this block finds the
      segment marked at restart. *)
   if not (Hashtbl.mem t.marks segid) then begin
@@ -489,7 +567,7 @@ let poke_block ?crc t ~segid ~blkno page =
      block, the pending state clears, and the write proceeds. *)
   if Hashtbl.mem t.stuck (segid, blkno) then begin
     Hashtbl.remove t.stuck (segid, blkno);
-    Hashtbl.replace t.phys (segid, blkno) (fresh_phys t segid)
+    b.phys <- fresh_phys t segid
   end;
   let fault = consult_hook t Io_write ~segid ~blkno in
   (match fault with
@@ -502,21 +580,30 @@ let poke_block ?crc t ~segid ~blkno page =
     kill t;
     media_failure t ~segid ~blkno "device dead"
   | None | Some (Fault_torn _) | Some Fault_bitrot -> ());
-  (* The store lands in the block's own buffer: every block has one from
-     [allocate_block], and reads and resilvers copy out of it, so no one
-     else holds it.  A torn write moves only the first [n] bytes of the
-     new image; the tail keeps whatever was there before. *)
-  let stored = Hashtbl.find t.blocks (segid, blkno) in
-  let n = match fault with Some (Fault_torn n) -> max 0 (min n Page.size) | _ -> Page.size in
-  Page.blit_out page 0 stored 0 n;
-  (* The checksum records the bytes that actually reached the medium — a
-     torn write is checksum-consistent (self-identifying pages catch it);
-     only post-hoc decay leaves the checksum stale.  A CRC handed in is
-     the page's, so it holds only when the whole page landed. *)
-  let crc = match crc with Some c when n = Page.size -> c | _ -> block_crc stored in
-  Hashtbl.replace t.checksums (segid, blkno) crc;
+  (* The store compacts the page into the block's image, in the block's
+     own buffer when it fits: no other block, on this device or its
+     mirror, holds that buffer (see [block]).  The checksum records the bytes
+     that actually reached the medium — a torn write is
+     checksum-consistent (self-identifying pages catch it); only
+     post-hoc decay leaves the checksum stale.  A CRC handed in is the
+     page's, so it holds only when the whole page landed. *)
+  let page = Page.raw page in
+  (match fault with
+  | Some (Fault_torn n) when n < Page.size ->
+    (* A torn write moves only the first [n] bytes of the new image; the
+       rest keeps whatever was there before, the old hole included. *)
+    expand b scratch;
+    Bytes.blit page 0 scratch 0 (max 0 n);
+    compact b scratch;
+    b.crc <- block_crc scratch
+  | _ ->
+    compact b page;
+    b.crc <- (match crc with Some c -> c | None -> block_crc page));
   Obs.Metrics.incr m_poke;
-  match fault with Some Fault_bitrot -> rot_bytes stored | _ -> ()
+  match fault with Some Fault_bitrot -> rot b | _ -> ()
+
+let poke_block ?crc t ~segid ~blkno page =
+  poke ?crc t (writable t ~segid ~blkno) ~segid ~blkno page
 
 (* Unified observability: each charged transfer bumps a registry counter
    and a latency histogram in lockstep and emits a trace event, all
@@ -536,85 +623,70 @@ let obs_io t name counter hist ~segid ~blkno ~t0 =
     ()
 
 let read_block t ~segid ~blkno frame =
+  let b = readable t ~segid ~blkno in
   if not (Obs.on Obs.Device) then begin
-    charge_read t ~segid ~blkno;
-    peek_block t ~segid ~blkno frame
+    charge_read_block t b;
+    peek t b ~segid ~blkno frame
   end
   else begin
     let t0 = Simclock.Clock.now t.clock in
-    charge_read t ~segid ~blkno;
-    peek_block t ~segid ~blkno frame;
+    charge_read_block t b;
+    peek t b ~segid ~blkno frame;
     obs_io t "device.read" m_read h_read ~segid ~blkno ~t0
   end
 
 let read_block_cont t ~segid ~blkno frame =
+  let b = readable t ~segid ~blkno in
   if not (Obs.on Obs.Device) then begin
-    charge_read_cont t ~segid ~blkno;
-    peek_block t ~segid ~blkno frame
+    charge_read_cont_block t b;
+    peek t b ~segid ~blkno frame
   end
   else begin
     let t0 = Simclock.Clock.now t.clock in
-    charge_read_cont t ~segid ~blkno;
-    peek_block t ~segid ~blkno frame;
+    charge_read_cont_block t b;
+    peek t b ~segid ~blkno frame;
     obs_io t "device.read_cont" m_read_cont h_read_cont ~segid ~blkno ~t0
   end
 
 let verify_block t ~segid ~blkno =
-  check_block t segid blkno;
-  let stored = Hashtbl.find t.blocks (segid, blkno) in
-  let actual = block_crc stored in
-  match Hashtbl.find_opt t.checksums (segid, blkno) with
-  | Some want when actual <> want ->
+  let b = find_block t ~segid ~blkno in
+  expand b scratch;
+  let actual = block_crc scratch in
+  if actual <> b.crc then
     Error
       (Printf.sprintf "checksum mismatch on %s segment %d block %d: recorded %08x, stored %08x"
-         t.name segid blkno want actual)
-  | _ -> Ok ()
+         t.name segid blkno b.crc actual)
+  else Ok ()
 
-let recorded_checksum t ~segid ~blkno =
-  check_block t segid blkno;
-  match Hashtbl.find_opt t.checksums (segid, blkno) with
-  | Some c -> c
-  | None -> block_crc (Hashtbl.find t.blocks (segid, blkno))
+let recorded_checksum t ~segid ~blkno = (find_block t ~segid ~blkno).crc
+let rot_block t ~segid ~blkno = rot (find_block t ~segid ~blkno)
 
-let rot_block t ~segid ~blkno =
-  check_block t segid blkno;
-  rot_bytes (Hashtbl.find t.blocks (segid, blkno))
-
-let charge_write t ~segid ~blkno =
-  (* no stuck check: writes to a pending sector succeed by remapping
-     (see poke_block), so only a dead device refuses the transfer *)
-  check_alive t ~segid ~blkno;
-  check_block t segid blkno;
-  let phys = Hashtbl.find t.phys (segid, blkno) in
+let charge_write_block t b ~segid =
   (match t.kind with
-  | Magnetic_disk -> charge_disk_io t "disk" phys
+  | Magnetic_disk -> charge_disk_io t "disk" b.phys
   | Nvram -> charge_nvram_io t "nvram"
   | Worm_jukebox ->
     (* Write-once media: rewriting a logical block allocates a fresh
        physical block, as the Sony device manager did. *)
-    let phys =
-      if Hashtbl.mem t.worm_written phys then begin
-        let fresh = fresh_phys t segid in
-        Hashtbl.replace t.phys (segid, blkno) fresh;
-        fresh
-      end
-      else phys
-    in
-    Hashtbl.replace t.worm_written phys ();
-    charge_jukebox_media t "jukebox" phys;
+    if Hashtbl.mem t.worm_written b.phys then b.phys <- fresh_phys t segid;
+    Hashtbl.replace t.worm_written b.phys ();
+    charge_jukebox_media t "jukebox" b.phys;
     Simclock.Clock.advance t.clock ~account:"jukebox.cache" cache_io_cost;
-    Lru_set.add t.cache phys);
+    Lru_set.add t.cache b.phys);
   t.writes <- t.writes + 1
 
+let charge_write t ~segid ~blkno = charge_write_block t (writable t ~segid ~blkno) ~segid
+
 let write_block ?crc t ~segid ~blkno page =
+  let b = writable t ~segid ~blkno in
   if not (Obs.on Obs.Device) then begin
-    charge_write t ~segid ~blkno;
-    poke_block ?crc t ~segid ~blkno page
+    charge_write_block t b ~segid;
+    poke ?crc t b ~segid ~blkno page
   end
   else begin
     let t0 = Simclock.Clock.now t.clock in
-    charge_write t ~segid ~blkno;
-    poke_block ?crc t ~segid ~blkno page;
+    charge_write_block t b ~segid;
+    poke ?crc t b ~segid ~blkno page;
     obs_io t "device.write" m_write h_write ~segid ~blkno ~t0
   end
 

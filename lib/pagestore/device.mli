@@ -19,7 +19,11 @@
     All devices charge elapsed time to the shared {!Simclock.Clock.t} under
     accounts such as ["disk.seek"], ["disk.xfer"], ["jukebox.load"].
     Contents survive {!crash} (they model persistent media); only
-    cost-model state such as head position is reset. *)
+    cost-model state such as head position is reset.  Each stored image
+    is kept in memory without its longest run of zeros, so a mostly
+    empty block costs the process its bytes, not 8 KB; every read still
+    returns the whole page, and checksums and charges are the whole
+    page's. *)
 
 type kind = Magnetic_disk | Nvram | Worm_jukebox
 

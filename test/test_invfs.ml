@@ -388,6 +388,38 @@ let test_asof_lookup_copies_one_record () =
        !records)
     true (per_record <= 12.)
 
+(* A namespace of small files costs the process about 4 KB a file, not
+   the two zero-padded 8 KB images of the heap page and B-tree leaf each
+   file's relation takes on the device: the device keeps each image
+   without its longest run of zeros, about 1 KB a file here, and the
+   rest is per-relation state above the device.  The first 1,000 files
+   fill the buffer pool, whose frames are a fixed cost; the gate is the
+   live heap the next 1,000 add.  Live words after a full major
+   collection are exact, so the bound is a deterministic gate; whole
+   8 KB images cost about 20 KB a file. *)
+let test_small_files_memory () =
+  let files = 1_000 and data = Bytes.make 600 'n' in
+  let fs, s = fresh () in
+  let build round =
+    for i = 0 to files - 1 do
+      let fd = Fs.p_creat s (Printf.sprintf "/r%d.%04d" round i) in
+      ignore (Fs.p_write s fd data (Bytes.length data) : int);
+      Fs.p_close s fd
+    done
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  build 0;
+  let w0 = live () in
+  build 1;
+  let per_file = float_of_int ((live () - w0) * (Sys.word_size / 8)) /. float_of_int files in
+  ignore (Sys.opaque_identity fs : Fs.t);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f live bytes per 600-byte file, at most 5120" per_file)
+    true (per_file <= 5120.)
+
 let test_sparse_far_offset () =
   (* 64-bit addressing: write beyond 4 GB (the FFS limit the paper
      contrasts with) and read it back *)
@@ -1329,6 +1361,7 @@ let () =
             test_fileatt_get_cost_flat;
           Alcotest.test_case "As_of lookup copies one record" `Quick
             test_asof_lookup_copies_one_record;
+          Alcotest.test_case "small files cost little memory" `Quick test_small_files_memory;
           Alcotest.test_case "offsets past 4GB" `Quick test_sparse_far_offset;
         ] );
       ( "transactions",

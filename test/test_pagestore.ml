@@ -487,6 +487,199 @@ let test_device_kill_and_stuck () =
   | exception D.Media_failure { reason; _ } ->
     Alcotest.(check string) "dead reason" "device dead" reason)
 
+(* ---- stored images ----
+
+   The device keeps each image without its longest run of zeros; these
+   check that every path through it still sees the whole page. *)
+
+(* A page of nonzero bytes (varied by [salt]) with the given
+   (offset, length) runs zeroed. *)
+let holed ?(salt = 0) holes =
+  let b = Bytes.init P.size (fun i -> Char.chr (1 + (((i * 7) + salt) mod 255))) in
+  List.iter (fun (off, len) -> Bytes.fill b off len '\000') holes;
+  P.of_bytes b
+
+let image_shapes =
+  [
+    ("no hole", []);
+    ("leading hole", [ (0, 3001) ]);
+    ("middle hole", [ (13, 5000) ]);
+    ("trailing hole", [ (4099, P.size - 4099) ]);
+    ("whole-page hole", [ (0, P.size) ]);
+    ("the longer of two holes", [ (5, 700); (1003, 6000) ]);
+    ("runs shorter than a word", [ (3, 5); (8001, 7) ]);
+    ("a word widened to its run", [ (3, 5); (21, 14); (8000, 7) ]);
+  ]
+
+let same_bytes a b = Bytes.equal (P.to_bytes a) (P.to_bytes b)
+
+let check_image what dev ~segid ~blkno page =
+  Alcotest.(check bool) (what ^ ": reads back") true (same_bytes (peek dev ~segid ~blkno) page);
+  Alcotest.(check int) (what ^ ": recorded CRC is the page's") (P.checksum page)
+    (D.recorded_checksum dev ~segid ~blkno);
+  Alcotest.(check (result unit string)) (what ^ ": verifies") (Ok ())
+    (D.verify_block dev ~segid ~blkno)
+
+let test_image_round_trips () =
+  let _, dev = fresh_disk () in
+  let seg = D.create_segment dev in
+  let blk = D.allocate_block dev seg in
+  check_image "never written" dev ~segid:seg ~blkno:blk (P.create ());
+  List.iter
+    (fun (what, holes) ->
+      let fresh = D.allocate_block dev seg in
+      D.write_block dev ~segid:seg ~blkno:fresh (holed holes);
+      check_image what dev ~segid:seg ~blkno:fresh (holed holes))
+    image_shapes;
+  (* One block through every shape and back: its buffer grows, is
+     reused, and holds shorter images. *)
+  List.iter
+    (fun (what, holes) ->
+      let page = holed ~salt:(List.length holes) holes in
+      D.write_block dev ~segid:seg ~blkno:blk page;
+      check_image ("re-stored, " ^ what) dev ~segid:seg ~blkno:blk page)
+    (image_shapes @ List.rev image_shapes)
+
+(* A re-stored image that fits the block's buffer lands in it: no 8 KB
+   buffer is allocated (it would go straight to the major heap), and
+   the store's own allocation is a few words of table keys.  Both
+   counts are exact, so the bounds are deterministic gates. *)
+let test_restore_allocates_no_buffer () =
+  let _, dev = fresh_disk () in
+  let seg = D.create_segment dev in
+  let blk = D.allocate_block dev seg in
+  let big = holed [ (6000, 1000) ] and small = holed ~salt:1 [ (100, 6000) ] in
+  D.poke_block dev ~segid:seg ~blkno:blk big;
+  let stores = 64 in
+  let minor0 = Gc.minor_words () in
+  let _, promoted0, major0 = Gc.counters () in
+  for i = 1 to stores do
+    D.poke_block dev ~segid:seg ~blkno:blk (if i land 1 = 0 then big else small)
+  done;
+  let _, promoted1, major1 = Gc.counters () in
+  let minor = (Gc.minor_words () -. minor0) /. float_of_int stores in
+  Alcotest.(check (float 0.)) "no words straight to the major heap" 0.
+    (major1 -. major0 -. (promoted1 -. promoted0));
+  Alcotest.(check bool) (Printf.sprintf "%.1f minor words per store, at most 16" minor) true
+    (minor <= 16.);
+  check_image "last store" dev ~segid:seg ~blkno:blk big
+
+let on io fault = Some (fun io' ~segid:_ ~blkno:_ -> if io' = io then Some fault else None)
+
+(* A torn store moves the head of the new page; the rest of the old
+   image stays, zeros of its hole included. *)
+let test_torn_store_ends_in_old_hole () =
+  let _, dev = fresh_disk () in
+  let seg = D.create_segment dev in
+  let blk = D.allocate_block dev seg in
+  let old = holed [ (100, 7900) ] and page = holed ~salt:3 [] in
+  D.poke_block dev ~segid:seg ~blkno:blk old;
+  D.set_fault_hook dev (on D.Io_write (D.Fault_torn 4000));
+  D.poke_block dev ~segid:seg ~blkno:blk page;
+  D.set_fault_hook dev None;
+  let landed = P.to_bytes old in
+  Bytes.blit (P.to_bytes page) 0 landed 0 4000;
+  check_image "torn store" dev ~segid:seg ~blkno:blk (P.of_bytes landed);
+  Alcotest.(check int) "old hole still zero past the tear" 0
+    (P.get_u8 (peek dev ~segid:seg ~blkno:blk) 5000)
+
+(* A torn read fills the head of the frame from the image and zeroes
+   the rest of it, wherever the hole lies; the medium keeps its image. *)
+let test_torn_read_of_holed_image () =
+  let _, dev = fresh_disk () in
+  let seg = D.create_segment dev in
+  let blk = D.allocate_block dev seg in
+  let image = holed ~salt:5 [ (2000, 3000) ] in
+  D.poke_block dev ~segid:seg ~blkno:blk image;
+  List.iter
+    (fun n ->
+      D.set_fault_hook dev (on D.Io_read (D.Fault_torn n));
+      let frame = P.of_bytes (Bytes.make P.size '\xff') in
+      D.read_block dev ~segid:seg ~blkno:blk frame;
+      D.set_fault_hook dev None;
+      let want = Bytes.make P.size '\000' in
+      Bytes.blit (P.to_bytes image) 0 want 0 n;
+      Alcotest.(check bool) (Printf.sprintf "torn after %d bytes" n) true
+        (Bytes.equal (P.to_bytes frame) want))
+    [ 0; 1000; 2500; 6000; P.size ];
+  check_image "medium untouched" dev ~segid:seg ~blkno:blk image
+
+let check_rotten what dev ~segid ~blkno ~recorded =
+  Alcotest.(check int) (what ^ ": recorded CRC kept") recorded
+    (D.recorded_checksum dev ~segid ~blkno);
+  match D.verify_block dev ~segid ~blkno with
+  | Ok () -> Alcotest.failf "%s: rot must fail verification" what
+  | Error _ -> ()
+
+(* Decay flips bytes at the start, middle and end of the page, in the
+   hole or out of it, and verification catches it every time. *)
+let test_bitrot_on_holed_images () =
+  let _, dev = fresh_disk () in
+  let seg = D.create_segment dev in
+  let image = holed [ (10, 8000) ] in
+  (* on read: the rotten bytes come back, and stay on the medium *)
+  let blk = D.allocate_block dev seg in
+  D.poke_block dev ~segid:seg ~blkno:blk image;
+  D.set_fault_hook dev (on D.Io_read D.Fault_bitrot);
+  let got = peek dev ~segid:seg ~blkno:blk in
+  D.set_fault_hook dev None;
+  Alcotest.(check int) "a byte in the hole flipped" 0xA5 (P.get_u8 got (P.size / 2));
+  Alcotest.(check bool) "the rot is durable" true (same_bytes got (peek dev ~segid:seg ~blkno:blk));
+  check_rotten "rot on read" dev ~segid:seg ~blkno:blk ~recorded:(P.checksum image);
+  (* on store: the checksum is the page's, the medium holds less *)
+  let blk = D.allocate_block dev seg in
+  D.set_fault_hook dev (on D.Io_write D.Fault_bitrot);
+  D.poke_block dev ~segid:seg ~blkno:blk image;
+  D.set_fault_hook dev None;
+  Alcotest.(check bool) "stored image rotten" false (same_bytes image (peek dev ~segid:seg ~blkno:blk));
+  check_rotten "rot on store" dev ~segid:seg ~blkno:blk ~recorded:(P.checksum image);
+  (* rot_block, on a stored image and on two never-written blocks, which
+     share one empty image: rotting one leaves the other zero *)
+  let blk = D.allocate_block dev seg in
+  D.poke_block dev ~segid:seg ~blkno:blk image;
+  D.rot_block dev ~segid:seg ~blkno:blk;
+  check_rotten "rot_block" dev ~segid:seg ~blkno:blk ~recorded:(P.checksum image);
+  let a = D.allocate_block dev seg and b = D.allocate_block dev seg in
+  D.rot_block dev ~segid:seg ~blkno:a;
+  check_rotten "rot_block, never written" dev ~segid:seg ~blkno:a
+    ~recorded:(P.checksum (P.create ()));
+  check_image "its never-written neighbour" dev ~segid:seg ~blkno:b (P.create ())
+
+(* A store to a stuck sector remaps it onto a fresh physical block and
+   lands the whole new image there. *)
+let test_stuck_remap_of_holed_image () =
+  let _, dev = fresh_disk () in
+  let seg = D.create_segment dev in
+  let blk = D.allocate_block dev seg in
+  D.poke_block dev ~segid:seg ~blkno:blk (holed [ (0, 4000) ]);
+  D.mark_stuck dev ~segid:seg ~blkno:blk;
+  let used = D.used_blocks dev in
+  let page = holed ~salt:9 [ (5000, 3000) ] in
+  D.write_block dev ~segid:seg ~blkno:blk page;
+  Alcotest.(check bool) "no longer stuck" false (D.is_stuck dev ~segid:seg ~blkno:blk);
+  Alcotest.(check int) "a spare physical block" (used + 1) (D.used_blocks dev);
+  check_image "remapped" dev ~segid:seg ~blkno:blk page
+
+(* The resilver gives the mirror its own copy: the primary re-storing the
+   block in place (a shorter image, so into the same buffer) and then
+   decaying leaves the mirror's bytes and checksum as they were. *)
+let test_resilvered_mirror_keeps_copy () =
+  let clock = Simclock.Clock.create () in
+  let prim = D.create ~clock ~name:"prim" ~kind:D.Magnetic_disk () in
+  let sec = D.create ~clock ~name:"sec" ~kind:D.Magnetic_disk () in
+  let seg = D.create_segment prim in
+  let blk = D.allocate_block prim seg in
+  let before = holed [ (100, 6000) ] and after = holed ~salt:5 [ (50, 7000) ] in
+  D.poke_block prim ~segid:seg ~blkno:blk before;
+  D.attach_mirror prim sec;
+  let mseg = match D.segment_mirror prim ~segid:seg with Some (_, s) -> s | None -> -1 in
+  check_image "resilvered" sec ~segid:mseg ~blkno:blk before;
+  D.poke_block prim ~segid:seg ~blkno:blk after;
+  check_image "primary re-stored" prim ~segid:seg ~blkno:blk after;
+  check_image "mirror after the re-store" sec ~segid:mseg ~blkno:blk before;
+  D.rot_block prim ~segid:seg ~blkno:blk;
+  check_image "mirror after the primary's rot" sec ~segid:mseg ~blkno:blk before
+
 (* ---- Buffer cache ---- *)
 
 let test_cache_hit_and_miss () =
@@ -1158,6 +1351,19 @@ let () =
             test_device_kill_and_stuck;
           Alcotest.test_case "sealed stores record the image CRC" `Quick
             test_sealed_store_records_image_crc;
+        ] );
+      ( "stored images",
+        [
+          Alcotest.test_case "round trips" `Quick test_image_round_trips;
+          Alcotest.test_case "re-store allocates no buffer" `Quick
+            test_restore_allocates_no_buffer;
+          Alcotest.test_case "torn store ends in the old hole" `Quick
+            test_torn_store_ends_in_old_hole;
+          Alcotest.test_case "torn read" `Quick test_torn_read_of_holed_image;
+          Alcotest.test_case "bitrot caught" `Quick test_bitrot_on_holed_images;
+          Alcotest.test_case "stuck-sector remap" `Quick test_stuck_remap_of_holed_image;
+          Alcotest.test_case "resilvered mirror keeps its copy" `Quick
+            test_resilvered_mirror_keeps_copy;
         ] );
       ( "bufcache",
         [
