@@ -1352,7 +1352,7 @@ let () =
           Alcotest.test_case "sealed stores record the image CRC" `Quick
             test_sealed_store_records_image_crc;
         ] );
-      ( "stored images",
+      ( "images",
         [
           Alcotest.test_case "round trips" `Quick test_image_round_trips;
           Alcotest.test_case "re-store allocates no buffer" `Quick
